@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Any, Sequence
 
@@ -29,7 +27,7 @@ from .forms import (
     quad_from_bilinear,
 )
 from .gerbe import LevelInput, block_report, bunt_report
-from .lattice import FgAbGroup, IntMatrix
+from .lattice import IntMatrix
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .surface import (
     LatticeLocalSystem,
@@ -164,10 +162,6 @@ class JobSpec:
         ]
 
 
-def _group_json(g: FgAbGroup) -> dict:
-    return g.to_json()
-
-
 def _frac_matrix(rows: Sequence[Sequence[Frac1]]) -> list[list[str]]:
     return [[str(x) for x in row] for row in rows]
 
@@ -243,14 +237,14 @@ def _run_surface(spec: JobSpec) -> dict:
         "task": "surface",
         "surface": _surface_json(rho),
         "section_space": {
-            "pi0": _group_json(h.h2),
-            "pi1": _group_json(h.h1),
-            "pi2": _group_json(h.h0),
+            "pi0": h.h2.to_json(),
+            "pi1": h.h1.to_json(),
+            "pi2": h.h0.to_json(),
         },
         "cohomology": {
-            "h0": _group_json(h.h0),
-            "h1": _group_json(h.h1),
-            "h2": _group_json(h.h2),
+            "h0": h.h0.to_json(),
+            "h1": h.h1.to_json(),
+            "h2": h.h2.to_json(),
         },
         "euler": {
             "expected": (2 - 2 * rho.genus) * rho.rank,
@@ -258,23 +252,6 @@ def _run_surface(spec: JobSpec) -> dict:
         },
         "independent_check": invariants_coinvariants_check(rho),
     }
-
-
-def _mapper_from_env():
-    raw = os.environ.get("QTORUS_THREADS", "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 1
-    if workers <= 1:
-        return map
-
-    def threaded(fn, items):
-        seq = list(items)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, seq))
-
-    return threaded
 
 
 def _blocks_json(blocks) -> list[dict]:
@@ -301,16 +278,15 @@ def _run_global(spec: JobSpec) -> dict:
         level,
         components=spec.components(rho.rank),
         free_bound=spec.component_bound,
-        mapper=_mapper_from_env(),
     )
     return {
         "task": "global",
         "surface": _surface_json(rho),
         "level": _level_json(level.bilinear),
         "section_space": {
-            "pi0": _group_json(report.section.pi0),
-            "pi1": _group_json(report.section.pi1),
-            "pi2": _group_json(report.section.pi2),
+            "pi0": report.section.pi0.to_json(),
+            "pi1": report.section.pi1.to_json(),
+            "pi2": report.section.pi2.to_json(),
         },
         "blocks": _blocks_json(report.blocks),
         "conventions": _conventions_json(),
@@ -324,22 +300,21 @@ def _run_bunt(spec: JobSpec) -> dict:
         level,
         components=spec.components(rho.rank),
         free_bound=spec.component_bound,
-        mapper=_mapper_from_env(),
     )
     return {
         "task": "bunt",
         "surface": _surface_json(rho),
         "level": _level_json(level.bilinear),
         "bun_t": {
-            "pi0": _group_json(report.pi0),
+            "pi0": report.pi0.to_json(),
             "component_label": report.component_label,
-            "pi1": _group_json(report.pi1),
-            "pi2": _group_json(report.pi2),
+            "pi1": report.pi1.to_json(),
+            "pi2": report.pi2.to_json(),
         },
         "section_space": {
-            "pi0": _group_json(report.pi0),
-            "pi1": _group_json(report.pi1),
-            "pi2": _group_json(report.pi2),
+            "pi0": report.pi0.to_json(),
+            "pi1": report.pi1.to_json(),
+            "pi2": report.pi2.to_json(),
         },
         "blocks": _blocks_json(report.blocks),
         "conventions": _conventions_json(),

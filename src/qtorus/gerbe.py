@@ -9,8 +9,16 @@ and a character chi_d on pi_2 (depending on the component d). Block
 dimensions follow by finite Heisenberg counting from omega alone.
 
 omega is computed here by a closed word-combinatorial formula over the
-surface relator. The simplicial machinery in :mod:`qtorus.cochain` computes
-the same pairing along a completely separate route and serves as its oracle.
+surface relator. That formula is bilinear in the two cocycles, so a report
+builds it once as an integer Gram matrix P over the common denominator N of
+the level's polarization, in one pass over the relator, and reads omega off
+as G^T P G mod N on the H^1 generators G; values become Q/Z fractions only at
+the end. Each report computes the cohomology presentations once and hands
+them to the omega and pi2-character code. :func:`pairing_on_cocycles`
+evaluates the same formula pair by pair and is kept as the reference the
+Gram route is tested against. The simplicial machinery in
+:mod:`qtorus.cochain` computes the same pairing along a completely separate
+route and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -103,6 +111,11 @@ def pairing_on_cocycles(
     ``u`` and ``v`` list one lattice vector per generator loop (concatenated).
     Unwinding the relator turns the cup product against the fundamental class
     into a sum over ordered letter pairs; no triangulation is built.
+
+    This is the per-pair reference. Reports take omega from the Gram matrix
+    of :func:`commutator_pairing`, which the tests compare against this
+    function; the tests and selfcheck compare this function against the
+    simplicial oracle in :mod:`qtorus.cochain`.
     """
     r = rho.rank
     n = 2 * rho.genus * r
@@ -122,57 +135,108 @@ def pairing_on_cocycles(
     return total
 
 
+def _numerators(rows: Sequence[Sequence[Frac1]]) -> tuple[int, IntMatrix]:
+    """(N, A) with rows = A / N mod 1; N is the lcm of the denominators."""
+    n = math.lcm(*(e.den for row in rows for e in row))
+    return n, IntMatrix.from_rows([[e.num * (n // e.den) for e in row] for row in rows])
+
+
+def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
+    """Integer P with ``pairing_on_cocycles(u, v) = u^T P v / N`` when b = B / N.
+
+    Follows :func:`pairing_on_cocycles` letter by letter. Its running sum of
+    earlier letter values is linear in u, kept here as the rows of A^T
+    (2gr x r). A letter of generator j with transport F and exponent eps adds
+    A^T B (eps F) to block column j, plus F^T B F to block (j, j) when
+    inverted, then adds (eps F)^T to the rows of block j of A^T.
+    """
+    r = rho.rank
+    size = 2 * rho.genus * r
+    p = [[0] * size for _ in range(size)]
+    acc_t = [[0] * r for _ in range(size)]
+    for j, eps, frame in _letter_frames(rho):
+        f = frame if eps == 1 else -frame
+        bf = b @ f
+        bf_rows = bf.row_lists()
+        block = range(j * r, (j + 1) * r)
+        for row, acc in zip(p, acc_t):
+            if any(acc):
+                for c, k in enumerate(block):
+                    row[k] += sum(a * bf_rows[t][c] for t, a in enumerate(acc))
+        if eps == -1:
+            ftbf = f.transpose() @ bf
+            for a, x in enumerate(block):
+                for c, k in enumerate(block):
+                    p[x][k] += ftbf.entry(a, c)
+        for a, x in enumerate(block):
+            acc_t[x] = [s + y for s, y in zip(acc_t[x], f.column(a))]
+    return IntMatrix.from_rows(p, size)
+
+
+def _omega(
+    rho: LatticeLocalSystem, pres: CohomologyPresentations, n: int, b: IntMatrix
+) -> tuple[tuple[Frac1, ...], ...]:
+    """omega = G^T P G / N on the H^1 generators G, checked on the numerators."""
+    gens = IntMatrix.from_columns(pres.h1.all_gens(), 2 * rho.genus * rho.rank)
+    w = gens.transpose() @ _pairing_gram(rho, b) @ gens
+    free = len(pres.h1.free_gens)
+    for i in range(w.rows):
+        for j in range(w.rows):
+            if (w.entry(i, j) + w.entry(j, i)) % n:
+                raise InvariantViolation("commutator pairing is not antisymmetric")
+        if i < free and w.entry(i, i) % n:
+            raise InvariantViolation("commutator pairing has a nonzero free diagonal")
+    return tuple(tuple(Frac1(x, n) for x in w.row(i)) for i in range(w.rows))
+
+
 def commutator_pairing(level: LevelInput) -> tuple[tuple[Frac1, ...], ...]:
     """omega on the chosen generators of pi_1 (free generators first).
 
-    Antisymmetric with zero diagonal on the free generators; violations would
-    mean the closed form and the presentation disagree, which is an internal
-    error, never a user one.
+    Evaluates the closed form of :func:`pairing_on_cocycles` on every pair of
+    generators at once: the integer Gram matrix P of that bilinear formula,
+    over the common denominator N of the polarization, is built in one pass
+    over the relator, and omega = G^T P G mod N. Antisymmetric with zero
+    diagonal on the free generators; violations would mean the closed form
+    and the presentation disagree, which is an internal error, never a user
+    one.
     """
-    pres = cohomology_presentations(level.rho)
-    gens = pres.h1.all_gens()
-    omega = tuple(
-        tuple(pairing_on_cocycles(level.pairing, level.rho, gi, gj) for gj in gens)
-        for gi in gens
-    )
-    free = len(pres.h1.free_gens)
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if omega[i][j] + omega[j][i] != ZERO:
-                raise InvariantViolation("commutator pairing is not antisymmetric")
-        if i < free and omega[i][i] != ZERO:
-            raise InvariantViolation("commutator pairing has a nonzero free diagonal")
-    return omega
+    n, b = _numerators(level.pairing.entries)
+    return _omega(level.rho, cohomology_presentations(level.rho), n, b)
+
+
+def _pi2_characters(
+    rho: LatticeLocalSystem,
+    pres: CohomologyPresentations,
+    n: int,
+    b: IntMatrix,
+    reps: Sequence[tuple[int, ...]],
+) -> list[tuple[Frac1, ...]]:
+    """chi_d = (lambda^T B d) / N on the invariant basis lambda, for each rep d.
+
+    chi(d + s) - chi(d) = b(lambda, s) by bilinearity, so chi is well defined
+    on components exactly when b(lambda, (rho(x) - 1) e_l) vanishes for every
+    generator x and basis vector e_l. That is checked once, for all reps.
+    """
+    chi = pres.h0_basis.transpose() @ b
+    eye = IntMatrix.identity(rho.rank)
+    for m in rho.mon:
+        if any(x % n for x in (chi @ (m - eye)).entries):
+            raise InvariantViolation("pi2 character depends on the component representative")
+    return [tuple(Frac1(x, n) for x in chi.mul_vec(rep)) for rep in reps]
 
 
 def pi2_character(level: LevelInput, component: Sequence[int]) -> tuple[Frac1, ...]:
     """chi_d on the invariant-sublattice basis for the component represented by d.
 
-    Well-definedness in d is rechecked on every call: shifting the
-    representative by any (rho(x) - 1)-image must not change the values.
+    Well-definedness in d is checked: shifting the representative by any
+    (rho(x) - 1)-image must not change the values.
     """
     rho = level.rho
     d_rep = tuple(int(x) for x in component)
     if len(d_rep) != rho.rank:
         raise BadComponent(f"component representative must have length {rho.rank}")
-    pres = cohomology_presentations(rho)
-    basis = [pres.h0_basis.column(i) for i in range(pres.h0_basis.cols)]
-
-    def chi(rep: Sequence[int]) -> tuple[Frac1, ...]:
-        return tuple(level.pairing.evaluate(lam, rep) for lam in basis)
-
-    values = chi(d_rep)
-    eye = IntMatrix.identity(rho.rank)
-    for m in rho.mon:
-        diff = m - eye
-        for l in range(rho.rank):
-            shift = diff.column(l)
-            shifted = tuple(a + b for a, b in zip(d_rep, shift))
-            if chi(shifted) != values:
-                raise InvariantViolation(
-                    "pi2 character depends on the component representative"
-                )
-    return values
+    n, b = _numerators(level.pairing.entries)
+    return _pi2_characters(rho, cohomology_presentations(rho), n, b, [d_rep])[0]
 
 
 @dataclass(frozen=True)
@@ -211,10 +275,7 @@ def _heisenberg_dimensions(
     f = free_count
     if f == 0:
         return 0, 1
-    n = math.lcm(*[omega[i][j].den for i in range(f) for j in range(f)])
-    a = IntMatrix(
-        f, f, [omega[i][j].num * (n // omega[i][j].den) for i in range(f) for j in range(f)]
-    )
+    n, a = _numerators([row[:f] for row in omega[:f]])
     snf = smith_normal_form(a)
     diag = list(snf.diagonal())
     rank = sum(1 for d in diag if d)
@@ -253,15 +314,15 @@ def block_report(
     level: LevelInput,
     components: Sequence[Sequence[int]] | None = None,
     free_bound: int = 1,
-    mapper=map,
 ) -> BlockReport:
-    """Full block structure; ``mapper`` lets callers fan per-component work out."""
+    """Full block structure; presentations, omega and the chi check run once."""
     rho = level.rho
     pres = cohomology_presentations(rho)
     section = SectionSpaceInvariants(
         pi0=pres.triple.h2, pi1=pres.triple.h1, pi2=pres.triple.h0
     )
-    omega = commutator_pairing(level)
+    n, b = _numerators(level.pairing.entries)
+    omega = _omega(rho, pres, n, b)
     radical_rank, block_dim = _heisenberg_dimensions(omega, len(pres.h1.free_gens))
     if components is None:
         reps = enumerate_components(pres, free_bound)
@@ -270,17 +331,16 @@ def block_report(
         for rep in reps:
             if len(rep) != rho.rank:
                 raise BadComponent(f"component representative must have length {rho.rank}")
-
-    def one_block(rep: tuple[int, ...]) -> GerbeBlock:
-        return GerbeBlock(
+    blocks = tuple(
+        GerbeBlock(
             component=rep,
             omega=omega,
-            pi2_character=pi2_character(level, rep),
+            pi2_character=chi,
             radical_rank=radical_rank,
             block_dim=block_dim,
         )
-
-    blocks = tuple(mapper(one_block, reps))
+        for rep, chi in zip(reps, _pi2_characters(rho, pres, n, b, reps))
+    )
     return BlockReport(section, pres, omega, radical_rank, block_dim, blocks)
 
 
@@ -290,8 +350,7 @@ class BuntReport:
 
     pi0 carries first-Chern-class labels and coincides with degree-2
     cohomology; the uniformization degrees supply pi1 and pi2. The group data
-    is identical to the section-space report by construction, and that
-    equality is asserted here rather than trusted.
+    is the section-space report's, read from the same presentations.
     """
 
     pi0: FgAbGroup
@@ -305,20 +364,12 @@ def bunt_report(
     level: LevelInput,
     components: Sequence[Sequence[int]] | None = None,
     free_bound: int = 1,
-    mapper=map,
 ) -> BuntReport:
-    report = block_report(level, components, free_bound, mapper)
-    space = section_space(level.rho)
-    if (space.pi0, space.pi1, space.pi2) != (
-        report.section.pi0,
-        report.section.pi1,
-        report.section.pi2,
-    ):
-        raise InvariantViolation("bundle-moduli and section-space group data disagree")
+    report = block_report(level, components, free_bound)
     return BuntReport(
-        pi0=space.pi0,
-        pi1=space.pi1,
-        pi2=space.pi2,
+        pi0=report.section.pi0,
+        pi1=report.section.pi1,
+        pi2=report.section.pi2,
         component_label="first_chern_class",
         blocks=report.blocks,
     )

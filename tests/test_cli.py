@@ -44,6 +44,18 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "global_unit_quarter.out.json").read_text()
 
+    def test_bunt_shear_json_bytes(self, capsys):
+        # nontrivial coefficients: unipotent shears at genus 3, rank 2
+        out, code = run_main(capsys, "bunt", "--input", str(GOLDEN / "bunt_shear_g3r2.json"))
+        assert code == 0
+        assert out == (GOLDEN / "bunt_shear_g3r2.out.json").read_text()
+
+    def test_global_signs_text_bytes(self, capsys):
+        # sign flips put a torsion generator in H^1 and in H^2
+        out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_signs_r3.json"))
+        assert code == 0
+        assert out == (GOLDEN / "global_signs_r3.txt").read_text()
+
     def test_selfcheck_bytes_and_exit(self, capsys):
         out, code = run_main(capsys, "selfcheck", "--input", str(GOLDEN / "selfcheck.json"))
         assert code == 0
@@ -221,19 +233,6 @@ class TestInterface:
         out, code = run_main(capsys, "selfcheck", "--seed", "7")
         assert code == 0
         assert json.loads(out)["seed"] == 7
-
-    def test_thread_env_keeps_bytes(self, capsys, monkeypatch, tmp_path):
-        spec_path = write_spec(tmp_path, base_global_spec(component_bound=2))
-        monkeypatch.delenv("QTORUS_THREADS", raising=False)
-        serial, _ = run_main(capsys, "global", "--input", spec_path)
-        monkeypatch.setenv("QTORUS_THREADS", "4")
-        threaded, _ = run_main(capsys, "global", "--input", spec_path)
-        assert serial == threaded
-
-    def test_thread_env_garbage_ignored(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("QTORUS_THREADS", "lots")
-        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, base_global_spec()))
-        assert code == 0
 
 
 class TestTripwire:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,10 +19,11 @@ from qtorus import (
     pi2_character,
     section_space,
 )
-from qtorus.errors import BadComponent, DimensionMismatch, NotInvariant
-from qtorus.forms import HALF, ZERO
+from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
+from qtorus.forms import HALF, ZERO, SymmetricForm
+from qtorus.lattice import inverse_unimodular
 
-from helpers import random_invariant_level, random_local_system
+from helpers import rand_unimodular, random_invariant_level, random_local_system
 
 
 def trivial_level(genus, rank, zeta_den, c=None):
@@ -126,6 +128,78 @@ class TestPairingOnCocycles:
                         class_of(u, t, rho), class_of(v, t, rho), level.pairing, t, rho
                     )
                     assert fast == slow
+
+
+def family_level(rng, family, genus, rank):
+    """A level with a nonzero phase, invariant under trivial, sign or shear monodromy."""
+    den = rng.randint(2, 6)
+    zeta = Frac1(rng.choice([k for k in range(1, den) if math.gcd(k, den) == 1]), den)
+    c = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+    eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    if family == "trivial":
+        mats = [IntMatrix.from_rows(eye)] * (2 * genus)
+    elif family == "sign":
+        signs = [[rng.choice((1, -1)) for _ in range(rank)] for _ in range(2 * genus)]
+        # a flip of e_i alone negates b(e_i, e_j), so that value must be 0 or 1/2
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if any(s[i] != s[j] for s in signs):
+                    half = den // 2 if den % 2 == 0 and rng.random() < 0.5 else 0
+                    c[j][i] = -c[i][j] + half
+        mats = [
+            IntMatrix(rank, rank, [s[i] if i == j else 0 for i in range(rank) for j in range(rank)])
+            for s in signs
+        ]
+    else:
+        # commuting shears e_j -> e_j + a_j e_0, in a random basis; the form is
+        # invariant when every term touching e_0 is an integer (rank 1 has no shear)
+        shears = []
+        for _ in range(2 * genus):
+            m = [row[:] for row in eye]
+            m[0][1:] = [rng.randint(-3, 3) for _ in range(rank - 1)]
+            shears.append(IntMatrix.from_rows(m))
+        if rank > 1:
+            c[0][0] = den * rng.randint(-1, 1)
+        for j in range(1, rank):
+            c[j][0] = -c[0][j] + den * rng.randint(-1, 1)
+        t = rand_unimodular(rng, rank)
+        t_inv = inverse_unimodular(t)
+        mats = [t @ m @ t_inv for m in shears]
+        c = (t_inv.transpose() @ IntMatrix.from_rows(c) @ t_inv).row_lists()
+    rho = LatticeLocalSystem(rank, genus, mats)
+    return LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), rho)
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
+    def test_matches_per_pair_reference(self, family):
+        rng = random.Random(f"gram-{family}")
+        nonzero = 0
+        for genus in range(1, 5):
+            for rank in range(1, 4):
+                level = family_level(rng, family, genus, rank)
+                gens = cohomology_presentations(level.rho).h1.all_gens()
+                reference = tuple(
+                    tuple(pairing_on_cocycles(level.pairing, level.rho, u, v) for v in gens)
+                    for u in gens
+                )
+                assert commutator_pairing(level) == reference
+                assert block_report(level, components=[]).omega == reference
+                nonzero += any(x for row in reference for x in row)
+        assert nonzero >= 6  # at least half the cases pair nontrivially
+
+    def test_non_invariant_shift_raises(self):
+        flip = IntMatrix.from_rows([[1, 0], [0, -1]])
+        rho = LatticeLocalSystem(2, 1, [flip, IntMatrix.identity(2)])
+        level = LevelInput(BilinearData(IntMatrix.identity(2), Frac1(1, 3)), rho)
+        # the flip negates b(e_0, e_1) = 1/3, so b(e_0, (rho(a) - 1) e_1) = -2/3
+        level.pairing = SymmetricForm(
+            2, ((Frac1(2, 3), Frac1(1, 3)), (Frac1(1, 3), Frac1(2, 3)))
+        )
+        with pytest.raises(InvariantViolation, match="representative"):
+            pi2_character(level, (0, 0))
+        with pytest.raises(InvariantViolation, match="representative"):
+            block_report(level)
 
 
 def unit4(i):
@@ -246,17 +320,9 @@ class TestBlockStructure:
         pres = cohomology_presentations(sign_rep())
         assert enumerate_components(pres) == [(0,), (1,)]
 
-    def test_explicit_components_and_mapper_order(self):
-        seen = []
-
-        def tracking_map(fn, items):
-            for x in items:
-                seen.append(x)
-                yield fn(x)
-
-        rep = block_report(trivial_level(1, 1, 4), components=[(2,), (0,)], mapper=tracking_map)
+    def test_explicit_components_order(self):
+        rep = block_report(trivial_level(1, 1, 4), components=[(2,), (0,)])
         assert [b.component for b in rep.blocks] == [(2,), (0,)]
-        assert seen == [(2,), (0,)]
         assert rep.blocks[0].pi2_character == (ZERO,)  # b(1, 2) = 1 = 0 mod 1
 
     def test_bad_component_length(self):
