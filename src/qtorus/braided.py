@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .forms import ZERO, Frac1, QuadraticForm, SymmetricForm, evaluate, polarize
+from .forms import ZERO, Frac1, QuadraticForm, evaluate
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,3 @@ def hexagon_check(
     if c(lam1, s23) != c(lam1, lam2) + c(lam1, lam3):
         return False
     return True
-
-
-def double_braiding_matrix(q: QuadraticForm) -> SymmetricForm:
-    """Double braiding as a symmetric form; convenience for report builders."""
-    return polarize(q)

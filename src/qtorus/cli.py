@@ -250,7 +250,7 @@ def _run_surface(spec: JobSpec) -> dict:
             "expected": (2 - 2 * rho.genus) * rho.rank,
             "computed": euler,
         },
-        "independent_check": invariants_coinvariants_check(rho),
+        "independent_check": invariants_coinvariants_check(rho, h),
     }
 
 

@@ -246,11 +246,6 @@ def is_linear(q: QuadraticForm) -> bool:
     return polarize(q).is_zero()
 
 
-def is_e_infinity_liftable(q: QuadraticForm) -> bool:
-    """Alias of :func:`is_linear`; vanishing polarization is exactly liftability."""
-    return is_linear(q)
-
-
 @dataclass(frozen=True)
 class LevelClassReport:
     """Classification data for a level: its form, the structural layer, liftability.
@@ -265,7 +260,7 @@ class LevelClassReport:
 
 
 def level_classify(q: QuadraticForm) -> LevelClassReport:
-    return LevelClassReport(q, q.rank, is_e_infinity_liftable(q))
+    return LevelClassReport(q, q.rank, is_linear(q))
 
 
 def invariance_check(q: QuadraticForm, mats: Sequence[IntMatrix]) -> bool:

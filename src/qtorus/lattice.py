@@ -10,6 +10,7 @@ to reading off diagonal entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ImageNotInKernel, NonSquareMatrix, NonUnimodular, ShapeMismatch
@@ -67,10 +68,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self._e[i * self.cols + j]
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self._e[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self._e[i * self.cols : (i + 1) * self.cols]
 
@@ -80,33 +77,28 @@ class IntMatrix:
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def to_lists(self) -> list[list[int]]:
-        return self.row_lists()
-
     @property
     def entries(self) -> tuple[int, ...]:
         return self._e
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)]
-        )
+        n = self.cols
+        return IntMatrix(n, self.rows, [x for j in range(n) for x in self._e[j::n]])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})")
         n, k, m = self.rows, self.cols, other.cols
-        out = [0] * (n * m)
-        for i in range(n):
-            ro = self._e[i * k : (i + 1) * k]
-            for j in range(m):
-                out[i * m + j] = sum(ro[t] * other._e[t * m + j] for t in range(k))
+        a, b = self._e, other._e
+        cols = [b[j::m] for j in range(m)]
+        out = [sum(map(mul, a[i * k : (i + 1) * k], col)) for i in range(n) for col in cols]
         return IntMatrix(n, m, out)
 
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ShapeMismatch(f"vector of length {len(vec)} against {self.cols} columns")
-        return tuple(sum(self.row(i)[t] * vec[t] for t in range(self.cols)) for i in range(self.rows))
+        k = self.cols
+        return tuple(sum(map(mul, self._e[i * k : (i + 1) * k], vec)) for i in range(self.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)

@@ -31,6 +31,8 @@ from .lattice import (
     inverse_unimodular,
     is_unimodular,
     kernel_basis,
+    rank,
+    subquotient,
     subquotient_with_generators,
     vstack,
 )
@@ -196,8 +198,18 @@ def cohomology_presentations(rho: LatticeLocalSystem) -> CohomologyPresentations
 
 
 def twisted_cohomology(rho: LatticeLocalSystem) -> CohomologyTriple:
-    """Cohomology of the surface with coefficients in the local system."""
-    return cohomology_presentations(rho).triple
+    """Cohomology groups of the surface with coefficients in the local system.
+
+    Only the canonical groups are computed, with no generator
+    representatives; :func:`cohomology_presentations` is the route that also
+    returns those.
+    """
+    cx = build_complex(rho)
+    return CohomologyTriple(
+        FgAbGroup(rho.rank - rank(cx.d0)),
+        subquotient(kernel_basis(cx.d1), cx.d0),
+        cokernel(cx.d1),
+    )
 
 
 def _fraction_free_rank(a: IntMatrix) -> int:
@@ -230,14 +242,15 @@ def _fraction_free_rank(a: IntMatrix) -> int:
     return rank_count
 
 
-def invariants_coinvariants_check(rho: LatticeLocalSystem) -> bool:
-    """Cross-check H0 and H2 against routes that never touch Fox derivatives.
+def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTriple) -> bool:
+    """Cross-check a given triple's H0 and H2 against routes that never touch Fox derivatives.
 
-    H0 must be the invariant sublattice (corank of the stacked monodromy
-    differences, computed fraction-free). H2 must be the coinvariants: the
-    ambient lattice modulo the images of all rho(x_j) - I.
+    The check tests the triple it is given, normally the one a report has
+    already computed from ``rho``. H0 must be the invariant sublattice
+    (corank of the stacked monodromy differences, computed fraction-free).
+    H2 must be the coinvariants: the ambient lattice modulo the images of all
+    rho(x_j) - I.
     """
-    triple = twisted_cohomology(rho)
     r = rho.rank
     eye = IntMatrix.identity(r)
     if rho.genus == 0:

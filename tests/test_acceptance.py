@@ -236,14 +236,14 @@ def test_criterion_05_cohomology_suite():
             assert h.h0 == FgAbGroup(r)
             assert h.h1 == FgAbGroup(2 * g * r)
             assert h.h2 == FgAbGroup(r)
-            assert invariants_coinvariants_check(rho)
+            assert invariants_coinvariants_check(rho, h)
 
     sign = LatticeLocalSystem(
         1, 1, [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[-1]])]
     )
     h = twisted_cohomology(sign)
     assert (h.h0, h.h1, h.h2) == (FgAbGroup(0), FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))
-    assert invariants_coinvariants_check(sign)
+    assert invariants_coinvariants_check(sign, h)
 
     rng = random.Random(105)
     for _ in range(100):
@@ -251,7 +251,7 @@ def test_criterion_05_cohomology_suite():
         rho = random_local_system(rng, g, r)
         h = twisted_cohomology(rho)
         assert h.h0.free_rank - h.h1.free_rank + h.h2.free_rank == (2 - 2 * g) * r
-        assert invariants_coinvariants_check(rho)
+        assert invariants_coinvariants_check(rho, h)
 
 
 def test_criterion_06_oracle_equivalence():

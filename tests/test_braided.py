@@ -12,7 +12,6 @@ from qtorus import (
     balancing_check,
     braiding_phase,
     double_braiding,
-    double_braiding_matrix,
     evaluate,
     fuse,
     hexagon_check,
@@ -118,9 +117,9 @@ class TestDoubleBraiding:
                     for mu in vecs:
                         assert double_braiding(b, lam, mu) == pol.evaluate(lam, mu)
 
-    def test_matrix_helper_is_polarization(self):
+    def test_polarization_rank_two_example(self):
         q = rank2_halfpair()
-        assert double_braiding_matrix(q).evaluate((1, 0), (0, 1)) == HALF
+        assert polarize(q).evaluate((1, 0), (0, 1)) == HALF
 
 
 class TestTwist:

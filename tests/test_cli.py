@@ -56,6 +56,18 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "global_signs_r3.txt").read_text()
 
+    def test_surface_twisted_json_bytes(self, capsys):
+        # handle pairs (T_i, T_i^k) at genus 13, rank 4: noncommuting monodromy
+        out, code = run_main(capsys, "surface", "--input", str(GOLDEN / "surface_twisted_g13r4.json"))
+        assert code == 0
+        assert out == (GOLDEN / "surface_twisted_g13r4.out.json").read_text()
+
+    def test_surface_signs_text_bytes(self, capsys):
+        # sign flips at genus 2, rank 2: torsion in both H^1 and H^2
+        out, code = run_main(capsys, "surface", "--input", str(GOLDEN / "surface_signs_g2r2.json"))
+        assert code == 0
+        assert out == (GOLDEN / "surface_signs_g2r2.txt").read_text()
+
     def test_selfcheck_bytes_and_exit(self, capsys):
         out, code = run_main(capsys, "selfcheck", "--input", str(GOLDEN / "selfcheck.json"))
         assert code == 0

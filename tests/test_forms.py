@@ -11,7 +11,6 @@ from qtorus import (
     SymmetricForm,
     evaluate,
     invariance_check,
-    is_e_infinity_liftable,
     is_linear,
     level_classify,
     polarize,
@@ -133,7 +132,7 @@ class TestPolarize:
                 for j in range(r):
                     ei = tuple(1 if k == i else 0 for k in range(r))
                     ej = tuple(1 if k == j else 0 for k in range(r))
-                    assert b.evaluate(ei, ej) == zeta.scale(sym[i, j])
+                    assert b.evaluate(ei, ej) == zeta.scale(sym.entry(i, j))
 
     def test_defining_identity_and_diagonal(self):
         rng = random.Random(4)
@@ -195,14 +194,6 @@ class TestLinearity:
         q = QuadraticForm(1, (frac(1, 3),), ())
         assert not is_linear(q)
         assert polarize(q).evaluate((1,), (1,)) == frac(2, 3)
-
-    def test_liftability_is_an_alias(self):
-        for q in [
-            QuadraticForm(1, (HALF,), ()),
-            QuadraticForm(1, (frac(1, 3),), ()),
-            QuadraticForm(2, (ZERO, HALF), (HALF,)),
-        ]:
-            assert is_e_infinity_liftable(q) == is_linear(q)
 
 
 def test_level_classify():

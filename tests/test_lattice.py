@@ -18,7 +18,7 @@ from qtorus import (
     solve_exact,
     subquotient,
 )
-from qtorus.errors import ImageNotInKernel, NonSquareMatrix, NonUnimodular
+from qtorus.errors import ImageNotInKernel, NonSquareMatrix, NonUnimodular, ShapeMismatch
 from qtorus.lattice import cokernel_with_generators, hstack, subquotient_with_generators, vstack
 
 from helpers import rand_matrix, rand_unimodular
@@ -58,7 +58,7 @@ def assert_snf_contract(a: IntMatrix):
     for i in range(res.d.rows):
         for j in range(res.d.cols):
             if i != j:
-                assert res.d[i, j] == 0
+                assert res.d.entry(i, j) == 0
     return res
 
 
@@ -192,7 +192,7 @@ def test_det_against_permutation_expansion():
                     sign = -sign
             prod = 1
             for i in range(n):
-                prod *= m[i, perm[i]]
+                prod *= m.entry(i, perm[i])
             total += sign * prod
         return total
 
@@ -255,3 +255,59 @@ def test_presentations_expose_generators():
     pres2 = subquotient_with_generators(ker, img)
     assert pres2.group == FgAbGroup(0, (2, 2))
     assert len(pres2.all_gens()) == 2
+
+
+def naive_matmul(a: IntMatrix, b: IntMatrix) -> list[list[int]]:
+    """Reference product: the textbook triple loop over entries."""
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for t in range(a.cols):
+                out[i][j] += a.entry(i, t) * b.entry(t, j)
+    return out
+
+
+class TestProducts:
+    SHAPES = [(0, 3, 2), (2, 0, 3), (0, 0, 0), (3, 2, 0), (1, 1, 1), (4, 3, 5), (6, 6, 6), (2, 7, 1)]
+
+    def _pairs(self, rng, lo, hi):
+        for n, k, m in self.SHAPES + [
+            tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(30)
+        ]:
+            yield rand_matrix(rng, n, k, lo, hi), rand_matrix(rng, k, m, lo, hi)
+
+    def test_matmul_matches_triple_loop(self):
+        rng = random.Random(41)
+        for a, b in self._pairs(rng, -9, 9):
+            c = a @ b
+            assert (c.rows, c.cols) == (a.rows, b.cols)
+            assert c.row_lists() == naive_matmul(a, b)
+
+    def test_matmul_big_entries(self):
+        rng = random.Random(43)
+        big = 2**64
+        for a, b in self._pairs(rng, -(big**2), big**2):
+            assert (a @ b).row_lists() == naive_matmul(a, b)
+        a = IntMatrix.from_rows([[big + 1, -(big - 1)]])
+        b = IntMatrix.from_rows([[big], [big + 3]])
+        assert (a @ b).entries == ((big + 1) * big - (big - 1) * (big + 3),)
+
+    def test_mul_vec_and_transpose_match_reference(self):
+        rng = random.Random(47)
+        for a, _ in self._pairs(rng, -(2**70), 2**70):
+            vec = [rng.randint(-(2**70), 2**70) for _ in range(a.cols)]
+            col = IntMatrix.from_columns([vec], a.cols)
+            assert list(a.mul_vec(vec)) == [row[0] for row in naive_matmul(a, col)]
+            t = a.transpose()
+            assert (t.rows, t.cols) == (a.cols, a.rows)
+            assert all(
+                t.entry(j, i) == a.entry(i, j) for i in range(a.rows) for j in range(a.cols)
+            )
+
+    def test_shape_mismatch_still_raised(self):
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.zeros(0, 1) @ IntMatrix.zeros(0, 1)
+        with pytest.raises(ShapeMismatch):
+            IntMatrix.zeros(2, 3).mul_vec((1, 2))

@@ -20,7 +20,7 @@ from qtorus.errors import (
     RelationViolated,
 )
 
-from helpers import random_local_system
+from helpers import _int_power, rand_unimodular, random_local_system
 
 
 def sign_rep():
@@ -200,10 +200,78 @@ class TestCohomology:
 
     def test_invariants_coinvariants(self):
         rng = random.Random(23)
-        assert invariants_coinvariants_check(sign_rep())
+        assert invariants_coinvariants_check(sign_rep(), twisted_cohomology(sign_rep()))
         for _ in range(40):
             g, r = rng.randint(1, 2), rng.randint(1, 3)
-            assert invariants_coinvariants_check(random_local_system(rng, g, r))
+            rho = random_local_system(rng, g, r)
+            assert invariants_coinvariants_check(rho, twisted_cohomology(rho))
+
+
+def family_system(rng, family, genus, rank):
+    """Seeded local systems: trivial, diagonal signs, shears, handle pairs (T, T^k)."""
+    if family == "trivial":
+        return LatticeLocalSystem.trivial(rank, genus)
+    if family == "sign":
+        mats = [
+            IntMatrix(rank, rank, [rng.choice((1, -1)) if i == j else 0
+                                   for i in range(rank) for j in range(rank)])
+            for _ in range(2 * genus)
+        ]
+        return LatticeLocalSystem(rank, genus, mats)
+    mats = []
+    for _ in range(genus):
+        if family == "shear":
+            e = IntMatrix.identity(rank).row_lists()
+            if rank > 1:
+                i = rng.randrange(rank - 1)
+                e[i][rng.randrange(i + 1, rank)] = rng.choice((-2, -1, 1, 2))
+            t = IntMatrix.from_rows(e)
+        else:  # "pair": noncommuting across handles
+            t = rand_unimodular(rng, rank)
+        # T commutes with its own powers, so each handle's commutator is 1
+        mats += [t, _int_power(t, rng.choice((-2, -1, 0, 2)))]
+    return LatticeLocalSystem(rank, genus, mats)
+
+
+def altered(g):
+    """Groups that differ from ``g`` in free rank or in torsion."""
+    out = [
+        FgAbGroup(g.free_rank + 1, g.torsion),
+        FgAbGroup(g.free_rank, g.torsion + (2 * g.torsion[-1] if g.torsion else 2,)),
+    ]
+    if g.free_rank:
+        out.append(FgAbGroup(g.free_rank - 1, g.torsion))
+    return out
+
+
+class TestGroupsOnlyRoute:
+    @pytest.mark.parametrize("family", ["trivial", "sign", "shear", "pair"])
+    def test_matches_presentations(self, family):
+        # twisted_cohomology reads H^1 without generators; the presentations
+        # route reads it through generator representatives
+        rng = random.Random(f"groups-{family}")
+        torsion = 0
+        for genus in range(1, 5):
+            for rank in range(1, 5):
+                rho = family_system(rng, family, genus, rank)
+                h = twisted_cohomology(rho)
+                assert h == cohomology_presentations(rho).triple
+                assert invariants_coinvariants_check(rho, h)
+                torsion += bool(h.h1.torsion or h.h2.torsion)
+        if family == "sign":
+            assert torsion >= 8
+
+    def test_check_rejects_altered_h0_or_h2(self):
+        rng = random.Random(31)
+        systems = [sign_rep(), LatticeLocalSystem.trivial(2, 2)]
+        systems += [family_system(rng, f, 2, 3) for f in ("sign", "shear", "pair")]
+        for rho in systems:
+            h = twisted_cohomology(rho)
+            assert invariants_coinvariants_check(rho, h)
+            for wrong in altered(h.h0):
+                assert not invariants_coinvariants_check(rho, h._replace(h0=wrong))
+            for wrong in altered(h.h2):
+                assert not invariants_coinvariants_check(rho, h._replace(h2=wrong))
 
 
 class TestPresentations:
