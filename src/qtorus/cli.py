@@ -463,7 +463,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                         raw = json.load(fh)
             except OSError as err:
                 raise BadJobSpec(f"cannot read input: {err}", "")
-            except json.JSONDecodeError as err:
+            except (ValueError, RecursionError) as err:
+                # ValueError: bad syntax or bytes, or an integer past the digit
+                # limit; RecursionError: nesting deeper than the decoder allows
                 raise BadJobSpec(f"input is not valid JSON: {err}", "")
         spec = JobSpec(raw)
         if spec.task != args.task:

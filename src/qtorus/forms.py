@@ -53,7 +53,10 @@ class Frac1:
         a, _, b = text.partition("/")
         if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
             raise BadFraction(f"expected 'num/den' with bare digits, got {text!r}")
-        num, den = int(a), int(b)
+        try:
+            num, den = int(a), int(b)
+        except ValueError:  # more digits than the interpreter converts
+            raise BadFraction(f"'num/den' has too many digits ({len(text)} characters)") from None
         if den <= 0:
             raise BadFraction(f"denominator must be positive in {text!r}")
         if not 0 <= num < den:

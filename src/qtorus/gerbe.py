@@ -11,14 +11,15 @@ dimensions follow by finite Heisenberg counting from omega alone.
 omega is computed here by a closed word-combinatorial formula over the
 surface relator. That formula is bilinear in the two cocycles, so a report
 builds it once as an integer Gram matrix P over the common denominator N of
-the level's polarization, in one pass over the relator, and reads omega off
-as G^T P G mod N on the H^1 generators G; values become Q/Z fractions only at
-the end. Each report computes the cohomology presentations once and hands
-them to the omega and pi2-character code. :func:`pairing_on_cocycles`
-evaluates the same formula pair by pair and is kept as the reference the
-Gram route is tested against. The simplicial machinery in
-:mod:`qtorus.cochain` computes the same pairing along a completely separate
-route and serves as its oracle.
+the level's polarization, in one pass over the letter transports the local
+system stored when it unwound the relator (the same ones give d1), and reads
+omega off as G^T P G mod N on the H^1 generators G; values become Q/Z
+fractions only at the end. Each report computes the cohomology presentations
+once and hands them to the omega and pi2-character code.
+:func:`pairing_on_cocycles` evaluates the same formula pair by pair and is
+kept as the reference the Gram route is tested against. The simplicial
+machinery in :mod:`qtorus.cochain` computes the same pairing along a
+completely separate route and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .lattice import FgAbGroup, IntMatrix, smith_normal_form
 from .surface import (
     CohomologyPresentations,
     LatticeLocalSystem,
-    SurfaceGroup,
     cohomology_presentations,
     twisted_cohomology,
 )
@@ -80,26 +80,6 @@ class LevelInput:
         self.pairing: SymmetricForm = polarize(self.quad)
 
 
-def _letter_frames(rho: LatticeLocalSystem):
-    """Per relator letter: (generator index, exponent, chart transport).
-
-    The transport is the monodromy of the boundary-word prefix ending just
-    before a positive letter, or just after a negative one; that is the frame
-    in which the letter's loop value sits when the relator is unwound.
-    """
-    frames = []
-    prefix = IntMatrix.identity(rho.rank)
-    for letter in SurfaceGroup(rho.genus).relator():
-        j = abs(letter) - 1
-        if letter > 0:
-            frames.append((j, 1, prefix))
-            prefix = prefix @ rho.matrix(letter)
-        else:
-            prefix = prefix @ rho.matrix(letter)
-            frames.append((j, -1, prefix))
-    return frames
-
-
 def pairing_on_cocycles(
     pairing: SymmetricForm,
     rho: LatticeLocalSystem,
@@ -110,7 +90,8 @@ def pairing_on_cocycles(
 
     ``u`` and ``v`` list one lattice vector per generator loop (concatenated).
     Unwinding the relator turns the cup product against the fundamental class
-    into a sum over ordered letter pairs; no triangulation is built.
+    into a sum over ordered letter pairs, read from ``rho.letter_frames``;
+    no triangulation is built.
 
     This is the per-pair reference. Reports take omega from the Gram matrix
     of :func:`commutator_pairing`, which the tests compare against this
@@ -125,7 +106,7 @@ def pairing_on_cocycles(
     v_blocks = [tuple(v[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
     total = ZERO
     acc = (0,) * r
-    for j, eps, frame in _letter_frames(rho):
+    for j, eps, frame in rho.letter_frames:
         u_k = tuple(eps * x for x in frame.mul_vec(u_blocks[j]))
         v_k = tuple(eps * x for x in frame.mul_vec(v_blocks[j]))
         total = total + pairing.evaluate(acc, v_k)
@@ -154,7 +135,7 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
     size = 2 * rho.genus * r
     p = [[0] * size for _ in range(size)]
     acc_t = [[0] * r for _ in range(size)]
-    for j, eps, frame in _letter_frames(rho):
+    for j, eps, frame in rho.letter_frames:
         f = frame if eps == 1 else -frame
         bf = b @ f
         bf_rows = bf.row_lists()

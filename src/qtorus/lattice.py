@@ -208,6 +208,16 @@ class SnfResult:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
 
+    def cokernel(self) -> FgAbGroup:
+        """Canonical form of Z^rows / (a . Z^cols)."""
+        torsion = tuple(x for x in self.diagonal() if x > 1)
+        return FgAbGroup(self.d.rows - self.rank(), torsion)
+
+    def kernel_basis(self) -> IntMatrix:
+        """Saturated basis of ker(a) as columns, taken from the unimodular v."""
+        n = self.v.rows
+        return IntMatrix.from_columns([self.v.column(j) for j in range(self.rank(), n)], n)
+
 
 @dataclass(frozen=True)
 class FgAbGroup:
@@ -359,24 +369,13 @@ def rank(a: IntMatrix) -> int:
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:
-    """Canonical form of Z^rows / (a . Z^cols)."""
-    snf = smith_normal_form(a)
-    diag = snf.diagonal()
-    r = sum(1 for x in diag if x != 0)
-    torsion = tuple(x for x in diag if x > 1)
-    return FgAbGroup(a.rows - r, torsion)
+    """Canonical form of Z^rows / (a . Z^cols); see :meth:`SnfResult.cokernel`."""
+    return smith_normal_form(a).cokernel()
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns form a saturated basis of ker(a) inside Z^cols.
-
-    Saturation is automatic: the basis consists of columns of a unimodular
-    matrix, so the quotient of the ambient lattice by the kernel is free.
-    """
-    snf = smith_normal_form(a)
-    r = snf.rank()
-    cols = [snf.v.column(j) for j in range(r, a.cols)]
-    return IntMatrix.from_columns(cols, a.cols)
+    """Saturated basis of ker(a) as columns; see :meth:`SnfResult.kernel_basis`."""
+    return smith_normal_form(a).kernel_basis()
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
@@ -444,31 +443,28 @@ class QuotientPresentation:
         return self.free_gens + self.torsion_gens
 
 
-def _quotient_with_generators(x: IntMatrix, basis: IntMatrix | None) -> QuotientPresentation:
+def _quotient_with_generators(snf: SnfResult, basis: IntMatrix | None) -> QuotientPresentation:
     """Generators of Z^k / im(x), pushed to ambient coordinates via ``basis``.
 
-    ``basis`` is an ambient-by-k matrix whose columns the quotient coordinates
-    refer to; None means the identity (quotient of the ambient lattice itself).
+    ``snf`` is the Smith form of x. ``basis`` is an ambient-by-k matrix whose
+    columns the quotient coordinates refer to; None means the identity.
     """
-    k = x.rows
-    snf = smith_normal_form(x)
+    k, r = snf.d.rows, snf.rank()
     diag = snf.diagonal()
-    r = sum(1 for e in diag if e != 0)
     uinv = inverse_unimodular(snf.u)
     # column i of uinv generates the Z/diag[i] (or Z, past the rank) summand
     push = (basis @ uinv) if basis is not None else uinv
     free_gens = tuple(push.column(i) for i in range(r, k))
     torsion_gens = tuple(push.column(i) for i in range(r) if diag[i] > 1)
-    torsion = tuple(e for e in diag[:r] if e > 1)
-    return QuotientPresentation(FgAbGroup(k - r, torsion), free_gens, torsion_gens)
+    return QuotientPresentation(snf.cokernel(), free_gens, torsion_gens)
 
 
 def subquotient_with_generators(
     ker_basis_mat: IntMatrix, img_gens: IntMatrix
 ) -> QuotientPresentation:
     x = solve_exact(ker_basis_mat, img_gens)
-    return _quotient_with_generators(x, ker_basis_mat)
+    return _quotient_with_generators(smith_normal_form(x), ker_basis_mat)
 
 
 def cokernel_with_generators(a: IntMatrix) -> QuotientPresentation:
-    return _quotient_with_generators(a, None)
+    return _quotient_with_generators(smith_normal_form(a), None)

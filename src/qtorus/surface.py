@@ -5,7 +5,8 @@ relator prod [a_i, b_i]. Coefficients are lattice local systems: unimodular
 integer matrices assigned to the generators, subject to the surface relation.
 The cochain complex has one cell in degree 0 and 2 and 2g cells in degree 1;
 its differentials are the stacked (rho(x_j) - I) blocks and the Fox
-derivatives of the relator.
+derivatives of the relator. A local system unwinds the relator once; its
+letter transports give the relation check, d1 and omega's Gram matrix.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from .lattice import (
     FgAbGroup,
     IntMatrix,
     QuotientPresentation,
+    _quotient_with_generators,
     cokernel,
-    cokernel_with_generators,
     hstack,
     inverse_unimodular,
     is_unimodular,
     kernel_basis,
     rank,
+    smith_normal_form,
     subquotient,
     subquotient_with_generators,
     vstack,
@@ -64,7 +66,12 @@ class SurfaceGroup:
 
 
 class LatticeLocalSystem:
-    """Monodromy data: one unimodular matrix per generator, relation enforced."""
+    """Monodromy data: one unimodular matrix per generator, relation enforced.
+
+    ``letter_frames`` holds a (generator index, exponent, transport) triple
+    per relator letter. The transport is the monodromy of the relator prefix
+    ending just before a positive letter, or just after a negative one.
+    """
 
     def __init__(self, rank: int, genus: int, mon: Sequence[IntMatrix]):
         if rank < 0:
@@ -83,9 +90,19 @@ class LatticeLocalSystem:
         self.genus = genus
         self.mon = mon
         self._inv: dict[int, IntMatrix] = {}
-        rel = self.word_matrix(SurfaceGroup(genus).relator())
-        if rel != IntMatrix.identity(rank):
+        frames = []
+        prefix = IntMatrix.identity(rank)
+        for letter in SurfaceGroup(genus).relator():
+            j = abs(letter) - 1
+            if letter > 0:
+                frames.append((j, 1, prefix))
+                prefix = prefix @ self.matrix(letter)
+            else:
+                prefix = prefix @ self.matrix(letter)
+                frames.append((j, -1, prefix))
+        if prefix != IntMatrix.identity(rank):
             raise RelationViolated("monodromy violates the surface relation")
+        self.letter_frames = tuple(frames)
 
     @classmethod
     def trivial(cls, rank: int, genus: int) -> "LatticeLocalSystem":
@@ -113,7 +130,8 @@ def fox_derivative(word: Word, gen_index: int, rho: LatticeLocalSystem) -> IntMa
     """Matrix of the Fox derivative of a word with respect to one generator.
 
     Follows the product rule d(uv) = du + rho(u) dv with d(x^-1) = -rho(x)^-1
-    on the generator itself.
+    on the generator itself. The reference that :func:`build_complex`'s d1,
+    summed from ``rho.letter_frames``, is tested against.
     """
     if not 0 <= gen_index < len(rho.mon):
         raise BadGeneratorIndex(f"generator index {gen_index} out of range")
@@ -156,15 +174,16 @@ class CochainComplexSurface:
 
 
 def build_complex(rho: LatticeLocalSystem) -> CochainComplexSurface:
-    """Assemble both differentials from the monodromy."""
+    """Both differentials; block j of d1 sums eps * transport over generator j's letters."""
     g, r = rho.genus, rho.rank
     eye = IntMatrix.identity(r)
     if g == 0:
         return CochainComplexSurface(0, r, IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0))
-    relator = SurfaceGroup(g).relator()
-    d0 = vstack([rho.mon[j] - eye for j in range(2 * g)])
-    d1 = hstack([fox_derivative(relator, j, rho) for j in range(2 * g)])
-    return CochainComplexSurface(g, r, d0, d1)
+    d0 = vstack([m - eye for m in rho.mon])
+    blocks = [IntMatrix.zeros(r, r)] * (2 * g)
+    for j, eps, frame in rho.letter_frames:
+        blocks[j] = blocks[j] + frame if eps == 1 else blocks[j] - frame
+    return CochainComplexSurface(g, r, d0, hstack(blocks))
 
 
 class CohomologyTriple(NamedTuple):
@@ -186,9 +205,10 @@ class CohomologyPresentations:
 
 def cohomology_presentations(rho: LatticeLocalSystem) -> CohomologyPresentations:
     cx = build_complex(rho)
+    snf1 = smith_normal_form(cx.d1)
     h0_basis = kernel_basis(cx.d0)
-    h1 = subquotient_with_generators(kernel_basis(cx.d1), cx.d0)
-    h2 = cokernel_with_generators(cx.d1)
+    h1 = subquotient_with_generators(snf1.kernel_basis(), cx.d0)
+    h2 = _quotient_with_generators(snf1, None)
     triple = CohomologyTriple(
         FgAbGroup(h0_basis.cols),
         h1.group,
@@ -205,10 +225,11 @@ def twisted_cohomology(rho: LatticeLocalSystem) -> CohomologyTriple:
     returns those.
     """
     cx = build_complex(rho)
+    snf1 = smith_normal_form(cx.d1)
     return CohomologyTriple(
         FgAbGroup(rho.rank - rank(cx.d0)),
-        subquotient(kernel_basis(cx.d1), cx.d0),
-        cokernel(cx.d1),
+        subquotient(snf1.kernel_basis(), cx.d0),
+        snf1.cokernel(),
     )
 
 

@@ -246,6 +246,32 @@ class TestInterface:
         assert code == 0
         assert json.loads(out)["seed"] == 7
 
+    def _error_exit(self, capsys, tmp_path, text):
+        p = tmp_path / "spec.json"
+        p.write_text(text)
+        out, code = run_main(capsys, "local", "--input", str(p))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        return payload
+
+    def test_deeply_nested_input(self, capsys, tmp_path):
+        payload = self._error_exit(capsys, tmp_path, "[" * 200000)
+        assert payload["code"] == "bad_job_spec"
+        assert "not valid JSON" in payload["message"]
+
+    def test_integer_literal_past_digit_limit(self, capsys, tmp_path):
+        text = '{"task": "local", "component_bound": ' + "9" * 5000 + "}"
+        payload = self._error_exit(capsys, tmp_path, text)
+        assert payload["code"] == "bad_job_spec"
+        assert "not valid JSON" in payload["message"]
+
+    def test_zeta_past_digit_limit(self, capsys, tmp_path):
+        level = {"c_matrix": [[1]], "zeta": "1/" + "7" * 5000}
+        payload = self._error_exit(capsys, tmp_path, json.dumps({"task": "local", "level": level}))
+        assert payload["code"] == "bad_fraction"
+        assert payload["path"] == "level.zeta"
+
 
 class TestTripwire:
     def test_selfcheck_failure_exits_three(self, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from qtorus import (
     invariants_coinvariants_check,
     twisted_cohomology,
 )
+from qtorus.lattice import hstack
 from qtorus.errors import (
     BadGeneratorIndex,
     DimensionMismatch,
@@ -62,6 +63,18 @@ class TestLocalSystemValidation:
         q = IntMatrix.from_rows([[1, 0], [1, 1]])
         with pytest.raises(RelationViolated):
             LatticeLocalSystem(2, 1, [p, q])
+
+    def test_relation_violated_by_last_handle_only(self):
+        # two handles (T, T^k) satisfy the relation; the third is a
+        # noncommuting pair, so only the last commutator is nontrivial
+        rng = random.Random(37)
+        t = rand_unimodular(rng, 2)
+        p = IntMatrix.from_rows([[1, 1], [0, 1]])
+        q = IntMatrix.from_rows([[1, 0], [1, 1]])
+        good = [t, _int_power(t, 2), IntMatrix.identity(2), t]
+        LatticeLocalSystem(2, 2, good)
+        with pytest.raises(RelationViolated):
+            LatticeLocalSystem(2, 3, good + [p, q])
 
     def test_letter_lookup(self):
         rho = sign_rep()
@@ -272,6 +285,23 @@ class TestGroupsOnlyRoute:
                 assert not invariants_coinvariants_check(rho, h._replace(h0=wrong))
             for wrong in altered(h.h2):
                 assert not invariants_coinvariants_check(rho, h._replace(h2=wrong))
+
+
+class TestSingleWalk:
+    @pytest.mark.parametrize("family", ["trivial", "sign", "shear", "pair"])
+    def test_d1_matches_fox_derivatives(self, family):
+        # build_complex sums the stored letter transports; fox_derivative
+        # walks the relator again for each generator
+        rng = random.Random(f"walk-{family}")
+        for genus in range(5):
+            for rank in range(1, 5):
+                rho = family_system(rng, family, genus, rank)
+                relator = SurfaceGroup(genus).relator()
+                if genus:
+                    fox = hstack([fox_derivative(relator, j, rho) for j in range(2 * genus)])
+                else:
+                    fox = IntMatrix.zeros(rank, 0)
+                assert build_complex(rho).d1 == fox
 
 
 class TestPresentations:
