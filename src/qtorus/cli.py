@@ -46,19 +46,15 @@ REFINEMENT_NOTE = (
 )
 
 
-def _fail(message: str, path: str) -> BadJobSpec:
-    return BadJobSpec(message, path)
-
-
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail("expected an integer", path)
+        raise BadJobSpec("expected an integer", path)
     return value
 
 
 def _as_vector(value: Any, length: int, path: str) -> tuple[int, ...]:
     if not isinstance(value, list) or len(value) != length:
-        raise _fail(f"expected a list of {length} integers", path)
+        raise BadJobSpec(f"expected a list of {length} integers", path)
     return tuple(_as_int(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
@@ -67,14 +63,14 @@ def _as_matrix(value: Any, size: int | None, path: str) -> IntMatrix:
     if isinstance(value, list) and value and all(isinstance(r, list) for r in value):
         n = len(value)
         if size is not None and n != size:
-            raise _fail(f"expected a {size}x{size} matrix", path)
+            raise BadJobSpec(f"expected a {size}x{size} matrix", path)
         rows = [_as_vector(r, n, f"{path}[{i}]") for i, r in enumerate(value)]
         return IntMatrix.from_rows([list(r) for r in rows])
     if isinstance(value, list) and size is not None:
         if len(value) != size * size:
-            raise _fail(f"expected {size * size} row-major entries", path)
+            raise BadJobSpec(f"expected {size * size} row-major entries", path)
         return IntMatrix(size, size, [_as_int(x, f"{path}[{i}]") for i, x in enumerate(value)])
-    raise _fail("expected a square integer matrix", path)
+    raise BadJobSpec("expected a square integer matrix", path)
 
 
 class JobSpec:
@@ -82,18 +78,18 @@ class JobSpec:
 
     def __init__(self, raw: Any):
         if not isinstance(raw, dict):
-            raise _fail("job spec must be a JSON object", "")
+            raise BadJobSpec("job spec must be a JSON object", "")
         known = {"task", "surface", "level", "components", "component_bound", "output_format"}
         for key in raw:
             if key not in known:
-                raise _fail(f"unknown field {key!r}", key)
+                raise BadJobSpec(f"unknown field {key!r}", key)
         task = raw.get("task")
         if task not in TASKS:
-            raise _fail(f"task must be one of {', '.join(TASKS)}", "task")
+            raise BadJobSpec(f"task must be one of {', '.join(TASKS)}", "task")
         self.task: str = task
         fmt = raw.get("output_format", "json")
         if fmt not in ("json", "text"):
-            raise _fail("output_format must be 'json' or 'text'", "output_format")
+            raise BadJobSpec("output_format must be 'json' or 'text'", "output_format")
         self.output_format: str = fmt
 
         self.surface_raw = raw.get("surface")
@@ -103,32 +99,32 @@ class JobSpec:
         if "component_bound" in raw:
             bound = _as_int(raw["component_bound"], "component_bound")
             if bound < 0:
-                raise _fail("component_bound must be nonnegative", "component_bound")
+                raise BadJobSpec("component_bound must be nonnegative", "component_bound")
             self.component_bound = bound
 
         need_surface = task in ("surface", "global", "bunt")
         need_level = task in ("local", "global", "bunt")
         if need_surface and self.surface_raw is None:
-            raise _fail(f"task {task!r} requires a surface block", "surface")
+            raise BadJobSpec(f"task {task!r} requires a surface block", "surface")
         if need_level and self.level_raw is None:
-            raise _fail(f"task {task!r} requires a level block", "level")
+            raise BadJobSpec(f"task {task!r} requires a level block", "level")
 
     def local_system(self) -> LatticeLocalSystem:
         s = self.surface_raw
         if not isinstance(s, dict):
-            raise _fail("surface must be an object", "surface")
+            raise BadJobSpec("surface must be an object", "surface")
         genus = _as_int(s.get("genus"), "surface.genus")
         rank = _as_int(s.get("rank"), "surface.rank")
         if genus < 0:
-            raise _fail("genus must be nonnegative", "surface.genus")
+            raise BadJobSpec("genus must be nonnegative", "surface.genus")
         if rank < 1:
-            raise _fail("rank must be positive", "surface.rank")
+            raise BadJobSpec("rank must be positive", "surface.rank")
         mon_raw = s.get("monodromy")
         try:
             if mon_raw is None:
                 return LatticeLocalSystem.trivial(rank, genus)
             if not isinstance(mon_raw, list):
-                raise _fail("monodromy must be a list of matrices", "surface.monodromy")
+                raise BadJobSpec("monodromy must be a list of matrices", "surface.monodromy")
             mats = [
                 _as_matrix(m, rank, f"surface.monodromy[{i}]")
                 for i, m in enumerate(mon_raw)
@@ -142,7 +138,7 @@ class JobSpec:
     def level(self, rank_hint: int | None = None) -> BilinearData:
         lv = self.level_raw
         if not isinstance(lv, dict):
-            raise _fail("level must be an object", "level")
+            raise BadJobSpec("level must be an object", "level")
         c = _as_matrix(lv.get("c_matrix"), rank_hint, "level.c_matrix")
         try:
             zeta = Frac1.parse(lv.get("zeta"))
@@ -155,7 +151,7 @@ class JobSpec:
         if self.components_raw is None:
             return None
         if not isinstance(self.components_raw, list):
-            raise _fail("components must be a list of integer vectors", "components")
+            raise BadJobSpec("components must be a list of integer vectors", "components")
         return [
             _as_vector(v, rank, f"components[{i}]")
             for i, v in enumerate(self.components_raw)
@@ -190,7 +186,7 @@ def _run_local(spec: JobSpec) -> dict:
     rank_hint = None
     if spec.surface_raw is not None:
         if not isinstance(spec.surface_raw, dict):
-            raise _fail("surface must be an object", "surface")
+            raise BadJobSpec("surface must be an object", "surface")
         rank_hint = _as_int(spec.surface_raw.get("rank"), "surface.rank")
     level = spec.level(rank_hint)
     quad = quad_from_bilinear(level)
@@ -206,13 +202,7 @@ def _run_local(spec: JobSpec) -> dict:
         "rank": level.rank,
         "quadratic_form": {
             "diag": [str(x) for x in quad.diag],
-            "polarization": _frac_matrix(
-                [
-                    [pairing.evaluate(_basis(level.rank, i), _basis(level.rank, j))
-                     for j in range(level.rank)]
-                    for i in range(level.rank)
-                ]
-            ),
+            "polarization": _frac_matrix(pairing.entries),
         },
         "twist_table": {"bound": bound, "entries": table},
         "is_linear": is_linear(quad),
@@ -223,10 +213,6 @@ def _run_local(spec: JobSpec) -> dict:
             "beta": _frac_matrix(braided.beta),
         },
     }
-
-
-def _basis(rank: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else 0 for k in range(rank))
 
 
 def _run_surface(spec: JobSpec) -> dict:

@@ -22,6 +22,14 @@ from .errors import (
 from .lattice import IntMatrix, is_unimodular
 
 
+def _echo(value: object, limit: int = 60) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters plus its length."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 class Frac1:
     """An element of Q/Z as a reduced fraction with 0 <= num < den.
 
@@ -49,20 +57,20 @@ class Frac1:
     def parse(cls, text: str) -> "Frac1":
         """Strict parser for serialized values: reduced ``num/den``, 0 <= num < den."""
         if not isinstance(text, str) or text.count("/") != 1:
-            raise BadFraction(f"expected 'num/den', got {text!r}")
+            raise BadFraction(f"expected 'num/den', got {_echo(text)}")
         a, _, b = text.partition("/")
         if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
-            raise BadFraction(f"expected 'num/den' with bare digits, got {text!r}")
+            raise BadFraction(f"expected 'num/den' with bare digits, got {_echo(text)}")
         try:
             num, den = int(a), int(b)
         except ValueError:  # more digits than the interpreter converts
             raise BadFraction(f"'num/den' has too many digits ({len(text)} characters)") from None
         if den <= 0:
-            raise BadFraction(f"denominator must be positive in {text!r}")
+            raise BadFraction(f"denominator must be positive in {_echo(text)}")
         if not 0 <= num < den:
-            raise BadFraction(f"{text!r} is not reduced mod 1 (need 0 <= num < den)")
+            raise BadFraction(f"{_echo(text)} is not reduced mod 1 (need 0 <= num < den)")
         if math.gcd(num, den) != 1:
-            raise BadFraction(f"{text!r} is not in lowest terms")
+            raise BadFraction(f"{_echo(text)} is not in lowest terms")
         return cls(num, den)
 
     def __add__(self, other: "Frac1") -> "Frac1":
@@ -156,10 +164,6 @@ class QuadraticForm:
             tuple(a + b for a, b in zip(self.diag, other.diag)),
             tuple(a + b for a, b in zip(self.offdiag, other.offdiag)),
         )
-
-    @classmethod
-    def zero(cls, rank: int) -> "QuadraticForm":
-        return cls(rank, (ZERO,) * rank, (ZERO,) * (rank * (rank - 1) // 2))
 
 
 @dataclass(frozen=True)

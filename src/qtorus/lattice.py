@@ -464,7 +464,3 @@ def subquotient_with_generators(
 ) -> QuotientPresentation:
     x = solve_exact(ker_basis_mat, img_gens)
     return _quotient_with_generators(smith_normal_form(x), ker_basis_mat)
-
-
-def cokernel_with_generators(a: IntMatrix) -> QuotientPresentation:
-    return _quotient_with_generators(smith_normal_form(a), None)

@@ -7,7 +7,9 @@ promotes kernel vectors to twisted cocycles, and evaluates cup products
 against the fundamental cycle (:mod:`qtorus.cochain`). This module runs
 both over a seeded grid of surfaces, local systems, and levels and demands
 entry-exact equality. The grid covers genus 1 and 2, rank 1 and 2, three
-monodromy families, and level denominators up to 6.
+monodromy families, and level denominators up to 6. A mismatch record
+carries the monodromy, the level and the two generator vectors, so it
+replays without the grid.
 """
 
 from __future__ import annotations
@@ -142,6 +144,11 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                                         "pair": [i, j],
                                         "closed": str(closed),
                                         "simplicial": str(simplicial),
+                                        "monodromy": [m.row_lists() for m in rho.mon],
+                                        "c_matrix": level.c.row_lists(),
+                                        "zeta": str(level.zeta),
+                                        "u": list(gi),
+                                        "v": list(gj),
                                     }
                                     break
                             if not agree:

@@ -7,6 +7,8 @@ The cochain complex has one cell in degree 0 and 2 and 2g cells in degree 1;
 its differentials are the stacked (rho(x_j) - I) blocks and the Fox
 derivatives of the relator. A local system unwinds the relator once; its
 letter transports give the relation check, d1 and omega's Gram matrix.
+The cohomology groups alone come from one Smith form per differential;
+generator representatives take the longer route through a kernel basis.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ from .lattice import (
     inverse_unimodular,
     is_unimodular,
     kernel_basis,
-    rank,
     smith_normal_form,
-    subquotient,
     subquotient_with_generators,
     vstack,
 )
@@ -222,13 +222,18 @@ def twisted_cohomology(rho: LatticeLocalSystem) -> CohomologyTriple:
 
     Only the canonical groups are computed, with no generator
     representatives; :func:`cohomology_presentations` is the route that also
-    returns those.
+    returns those. One Smith form per differential gives all three groups.
+    H^1 is read off coker d0: ker d1 is saturated, so it is a direct summand
+    of Z^(2g r) whose complement is free of rank rank(d1), and im d0 lies in
+    ker d1, hence Z^(2g r) / im d0 = H^1 + Z^rank(d1).
     """
     cx = build_complex(rho)
+    snf0 = smith_normal_form(cx.d0)
     snf1 = smith_normal_form(cx.d1)
+    coker0 = snf0.cokernel()
     return CohomologyTriple(
-        FgAbGroup(rho.rank - rank(cx.d0)),
-        subquotient(snf1.kernel_basis(), cx.d0),
+        FgAbGroup(rho.rank - snf0.rank()),
+        FgAbGroup(coker0.free_rank - snf1.rank(), coker0.torsion),
         snf1.cokernel(),
     )
 

@@ -272,6 +272,22 @@ class TestInterface:
         assert payload["code"] == "bad_fraction"
         assert payload["path"] == "level.zeta"
 
+    @pytest.mark.parametrize(
+        "zeta", [[0] * 200000, "1/" + "x" * 4000], ids=["long_list", "long_string"]
+    )
+    def test_bad_zeta_payload_is_bounded(self, capsys, tmp_path, zeta):
+        # the message echoes a fixed prefix of the value, not the whole input
+        level = {"c_matrix": [[1]], "zeta": zeta}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"task": "local", "level": level}))
+        out, code = run_main(capsys, "local", "--input", str(p))
+        assert code == 2
+        assert len(out.encode()) < 1024
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["code"] == "bad_fraction"
+        assert payload["path"] == "level.zeta"
+
 
 class TestTripwire:
     def test_selfcheck_failure_exits_three(self, capsys, monkeypatch):

@@ -1,0 +1,61 @@
+"""The oracles share no code with the optimized paths they check.
+
+Reads the sources with ``ast``, so nothing here imports or runs the package.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qtorus"
+
+
+def parse(module):
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def names_in(node):
+    """Every bare name and attribute name used under ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def imported_modules(tree):
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # also "from . import x"
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_cochain_oracle_avoids_optimized_paths():
+    tree = parse("cochain")
+    modules = {m.rpartition(".")[2] for m in imported_modules(tree)}
+    assert not modules & {"gerbe", "lattice"}
+    forbidden = {
+        "letter_frames",
+        "build_complex",
+        "fox_derivative",
+        "cohomology_presentations",
+        "twisted_cohomology",
+    }
+    assert not names_in(tree) & forbidden
+
+
+def test_fraction_free_rank_uses_no_lattice_function():
+    lattice_functions = {
+        node.name for node in parse("lattice").body if isinstance(node, ast.FunctionDef)
+    }
+    assert {"smith_normal_form", "rank", "solve_exact"} <= lattice_functions
+    (func,) = [
+        node
+        for node in parse("surface").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_fraction_free_rank"
+    ]
+    assert not names_in(func) & lattice_functions

@@ -11,8 +11,12 @@ from qtorus import (
     cohomology_presentations,
     fox_derivative,
     invariants_coinvariants_check,
+    kernel_basis,
+    smith_normal_form,
+    subquotient,
     twisted_cohomology,
 )
+from qtorus import surface
 from qtorus.lattice import hstack
 from qtorus.errors import (
     BadGeneratorIndex,
@@ -264,7 +268,7 @@ class TestGroupsOnlyRoute:
         # route reads it through generator representatives
         rng = random.Random(f"groups-{family}")
         torsion = 0
-        for genus in range(1, 5):
+        for genus in range(5):
             for rank in range(1, 5):
                 rho = family_system(rng, family, genus, rank)
                 h = twisted_cohomology(rho)
@@ -273,6 +277,33 @@ class TestGroupsOnlyRoute:
                 torsion += bool(h.h1.torsion or h.h2.torsion)
         if family == "sign":
             assert torsion >= 8
+
+    @pytest.mark.parametrize("family", ["sign", "pair"])
+    def test_h1_matches_subquotient(self, family):
+        # H^1 read off coker d0 against ker d1 / im d0 computed directly, at
+        # the genera and ranks of the handle-pair benchmark jobs
+        rng = random.Random(f"coker-{family}")
+        torsion = 0
+        for genus in range(8, 14):
+            for rank in (3, 4):
+                rho = family_system(rng, family, genus, rank)
+                cx = build_complex(rho)
+                h1 = twisted_cohomology(rho).h1
+                assert h1 == subquotient(kernel_basis(cx.d1), cx.d0)
+                torsion += bool(h1.torsion)
+        if family == "sign":
+            assert torsion >= 6
+
+    def test_two_smith_forms(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append((a.rows, a.cols))
+            return smith_normal_form(a)
+
+        monkeypatch.setattr(surface, "smith_normal_form", counting)
+        twisted_cohomology(family_system(random.Random(3), "pair", 3, 2))
+        assert calls == [(12, 2), (2, 12)]
 
     def test_check_rejects_altered_h0_or_h2(self):
         rng = random.Random(31)
