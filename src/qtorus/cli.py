@@ -21,6 +21,7 @@ from .errors import BadJobSpec, InvariantViolation, QtorusError
 from .forms import (
     BilinearData,
     Frac1,
+    _echo,
     evaluate,
     is_linear,
     polarize,
@@ -82,7 +83,9 @@ class JobSpec:
         known = {"task", "surface", "level", "components", "component_bound", "output_format"}
         for key in raw:
             if key not in known:
-                raise BadJobSpec(f"unknown field {key!r}", key)
+                # a short key is its own path; a long one is cut like the message
+                shown = _echo(key)
+                raise BadJobSpec(f"unknown field {shown}", key if shown == repr(key) else shown)
         task = raw.get("task")
         if task not in TASKS:
             raise BadJobSpec(f"task must be one of {', '.join(TASKS)}", "task")

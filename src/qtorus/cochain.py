@@ -15,20 +15,29 @@ the untwisted alternating sum once each face value is transported back to
 the chart: a face lying over the boundary word prefix W picks up the
 monodromy of W. The orientation is normalized so that at genus 1 with
 trivial coefficients the a-loop cup b-loop evaluates to +1.
+
+Each public entry point builds one transport table for its (triangulation,
+local system): the matrix of every face word, computed once with
+``rho.word_matrix``. Every 1-cocycle is checked once, when :func:`class_of`
+builds it or :func:`cup_evaluate` receives it; the check yields a
+:class:`Cocycle` carrying its front- and back-face values in the chart.
+:func:`checked_classes` builds a local system's cocycles over one table,
+and :func:`cup_checked` pairs checked cocycles with no further check, so a
+caller that pairs N cocycles at many levels checks each one once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import (
+    InvariantViolation,
     NotACocycle,
     NotInKernel,
     ShapeMismatch,
     UnsupportedGenus,
 )
-from .errors import InvariantViolation
 from .forms import ZERO, Frac1, SymmetricForm
 from .surface import LatticeLocalSystem, Word
 
@@ -193,33 +202,61 @@ def triangulate(genus: int) -> TriangulatedSurface:
     return TriangulatedSurface(genus)
 
 
-def _check_compat(c: TwistedCochain, t: TriangulatedSurface, rho: LatticeLocalSystem) -> None:
-    if rho.genus != t.genus:
-        raise ShapeMismatch(f"local system genus {rho.genus} != triangulation genus {t.genus}")
-    if c.rank != rho.rank:
-        raise ShapeMismatch(f"cochain rank {c.rank} != local system rank {rho.rank}")
-    want = set(t.cells_of_degree(c.degree))
+class _Transports:
+    """Monodromy of every face word of one triangulation under one local system.
+
+    The keys are the boundary prefix words ``t.prefix_words`` and the 2g
+    single-letter words at the heads of the generator edges; each matrix is
+    computed once, by ``rho.word_matrix``.
+    """
+
+    def __init__(self, t: TriangulatedSurface, rho: LatticeLocalSystem):
+        if rho.genus != t.genus:
+            raise ShapeMismatch(f"local system genus {rho.genus} != triangulation genus {t.genus}")
+        self.t = t
+        self.rank = rho.rank
+        self._matrices = {}
+        for word in (*t.prefix_words, *((j + 1,) for j in range(2 * t.genus))):
+            if word not in self._matrices:
+                self._matrices[word] = rho.word_matrix(word)
+
+    def move(self, word: Word, value: Sequence[int]) -> tuple[int, ...]:
+        """``value`` carried from the position over ``word`` back to the chart."""
+        return self._matrices[word].mul_vec(value)
+
+
+@dataclass(frozen=True)
+class Cocycle:
+    """A 1-cochain that passed the cocycle check, with its cup faces transported.
+
+    Only this module makes one, after the check. ``front`` and ``back`` hold,
+    triangle by triangle, the value on the front face [v0, v1] and on the back
+    face [v1, v2], both in the chart; :func:`cup_checked` pairs them.
+    """
+
+    cochain: TwistedCochain
+    table: _Transports = field(repr=False, compare=False)
+    front: tuple[tuple[int, ...], ...]
+    back: tuple[tuple[int, ...], ...]
+
+
+def _check_compat(c: TwistedCochain, table: _Transports) -> None:
+    if c.rank != table.rank:
+        raise ShapeMismatch(f"cochain rank {c.rank} != local system rank {table.rank}")
+    want = set(table.t.cells_of_degree(c.degree))
     have = set(c.values.keys())
     if want != have:
         raise ShapeMismatch("cochain does not assign exactly one value per cell of its degree")
 
 
-def _transported(rho: LatticeLocalSystem, face: _Face, value: Sequence[int]) -> tuple[int, ...]:
-    return rho.word_matrix(face.word).mul_vec(value)
-
-
-def coboundary(
-    c: TwistedCochain, t: TriangulatedSurface, rho: LatticeLocalSystem
-) -> TwistedCochain:
-    """Twisted coboundary; raises in degree 2 where no higher cells exist."""
-    _check_compat(c, t, rho)
-    r = c.rank
+def _coboundary(c: TwistedCochain, table: _Transports) -> TwistedCochain:
+    t, r = table.t, c.rank
     if c.degree == 0:
         out: dict[Cell, tuple[int, ...]] = {}
         for cell in t.edge_cells:
             tail, head = t.edge_ends[cell]
-            hv = _transported(rho, head, c.value(head.cell))
-            tv = _transported(rho, tail, c.value(tail.cell))
+            hv = table.move(head.word, c.value(head.cell))
+            tv = table.move(tail.word, c.value(tail.cell))
             out[cell] = tuple(h - x for h, x in zip(hv, tv))
         return TwistedCochain(1, r, out)
     if c.degree == 1:
@@ -228,7 +265,7 @@ def coboundary(
             total = [0] * r
             for slot, face in enumerate(tri.faces):
                 sgn = 1 if slot != 1 else -1
-                moved = _transported(rho, face, c.value(face.cell))
+                moved = table.move(face.word, c.value(face.cell))
                 for i in range(r):
                     total[i] += sgn * moved[i]
             out[("tri", k)] = tuple(total)
@@ -236,16 +273,57 @@ def coboundary(
     raise ShapeMismatch("no coboundary out of degree 2")
 
 
+def _closed(c: TwistedCochain, table: _Transports) -> bool:
+    _check_compat(c, table)
+    if c.degree == 2:
+        return True
+    return not any(any(v) for v in _coboundary(c, table).values.values())
+
+
+def _check(c: TwistedCochain, table: _Transports) -> Cocycle | None:
+    """The checked form of a 1-cochain, or None when its coboundary is nonzero."""
+    if not _closed(c, table):
+        return None
+    tris = table.t.triangles
+    front = tuple(table.move(tri.faces[2].word, c.value(tri.faces[2].cell)) for tri in tris)
+    back = tuple(table.move(tri.faces[0].word, c.value(tri.faces[0].cell)) for tri in tris)
+    return Cocycle(c, table, front, back)
+
+
+def coboundary(
+    c: TwistedCochain, t: TriangulatedSurface, rho: LatticeLocalSystem
+) -> TwistedCochain:
+    """Twisted coboundary; raises in degree 2 where no higher cells exist."""
+    table = _Transports(t, rho)
+    _check_compat(c, table)
+    return _coboundary(c, table)
+
+
 def cocycle_check(c: TwistedCochain, t: TriangulatedSurface, rho: LatticeLocalSystem) -> bool:
     """True when the twisted coboundary vanishes identically.
 
     Degree-2 cochains are cocycles vacuously: the complex stops there.
     """
-    _check_compat(c, t, rho)
-    if c.degree == 2:
-        return True
-    d = coboundary(c, t, rho)
-    return all(all(x == 0 for x in v) for v in d.values.values())
+    return _closed(c, _Transports(t, rho))
+
+
+def cup_checked(a: Cocycle, b: Cocycle, pairing: SymmetricForm) -> Frac1:
+    """Pair two checked 1-cocycles of one local system against the fundamental class.
+
+    Front face/back face rule on each ordered triangle: the value of ``a`` on
+    the edge out of the first vertex, paired with the value of ``b`` on the
+    edge into the last vertex, both transported to the chart. The pairing
+    must be monodromy invariant for the result to be well defined; callers
+    own that check.
+    """
+    if a.table is not b.table:
+        raise ShapeMismatch("the cocycles were built over different transport tables")
+    if pairing.rank != a.table.rank:
+        raise ShapeMismatch(f"pairing rank {pairing.rank} != local system rank {a.table.rank}")
+    total = ZERO
+    for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
+        total = total + pairing.evaluate(x, y).scale(tri.sign)
+    return total
 
 
 def cup_evaluate(
@@ -257,28 +335,48 @@ def cup_evaluate(
 ) -> Frac1:
     """Pair two 1-cocycles against the fundamental class.
 
-    Front face/back face rule on each ordered triangle: the value of c1 on
-    the edge out of the first vertex, paired with the value of c2 on the edge
-    into the last vertex, both transported to the chart. The pairing must be
-    monodromy invariant for the result to be well defined; callers own that
-    check.
+    Checks both arguments, then evaluates :func:`cup_checked`.
     """
     if c1.degree != 1 or c2.degree != 1:
         raise NotACocycle("cup evaluation is defined on a pair of 1-cocycles")
     if pairing.rank != rho.rank:
         raise ShapeMismatch(f"pairing rank {pairing.rank} != local system rank {rho.rank}")
-    if not cocycle_check(c1, t, rho):
+    table = _Transports(t, rho)
+    a = _check(c1, table)
+    if a is None:
         raise NotACocycle("first argument is not a cocycle")
-    if not cocycle_check(c2, t, rho):
+    b = _check(c2, table)
+    if b is None:
         raise NotACocycle("second argument is not a cocycle")
-    total = ZERO
-    for tri in t.triangles:
-        front = tri.faces[2]  # edge [v0, v1]
-        back = tri.faces[0]  # edge [v1, v2]
-        x = _transported(rho, front, c1.value(front.cell))
-        y = _transported(rho, back, c2.value(back.cell))
-        total = total + pairing.evaluate(x, y).scale(tri.sign)
-    return total
+    return cup_checked(a, b, pairing)
+
+
+def _class_of(h1_vector: Sequence[int], table: _Transports) -> Cocycle:
+    t, r = table.t, table.rank
+    g = t.genus
+    vec = tuple(int(x) for x in h1_vector)
+    if len(vec) != 2 * g * r:
+        raise ShapeMismatch(f"expected a vector of length {2 * g * r}, got {len(vec)}")
+    loop_values = [vec[j * r : (j + 1) * r] for j in range(2 * g)]
+    values: dict[Cell, tuple[int, ...]] = {("gen", j): loop_values[j] for j in range(2 * g)}
+    radial = [0] * r
+    values[("rad", 0)] = tuple(radial)
+    for k in range(t.num_sides):
+        j, eps = t.side_letter[k]
+        if eps == 1:
+            step = table.move(t.prefix_words[k], loop_values[j])
+            radial = [a + s for a, s in zip(radial, step)]
+        else:
+            step = table.move(t.prefix_words[k + 1], loop_values[j])
+            radial = [a - s for a, s in zip(radial, step)]
+        if k + 1 < t.num_sides:
+            values[("rad", k + 1)] = tuple(radial)
+    if any(radial):
+        raise NotInKernel("holonomy data does not close up around the polygon")
+    checked = _check(TwistedCochain(1, r, values), table)
+    if checked is None:
+        raise InvariantViolation("the radial walk closed up on a non-cocycle")
+    return checked
 
 
 def class_of(
@@ -290,31 +388,17 @@ def class_of(
     generator-major). Values on the radial edges are forced by the cocycle
     condition triangle by triangle around the polygon; the walk closes up
     exactly when the input lies in the kernel of the degree-1 differential,
-    otherwise NotInKernel is raised.
+    otherwise NotInKernel is raised. The result is then checked once.
     """
-    g, r = t.genus, rho.rank
-    if rho.genus != g:
-        raise ShapeMismatch(f"local system genus {rho.genus} != triangulation genus {g}")
-    vec = tuple(int(x) for x in h1_vector)
-    if len(vec) != 2 * g * r:
-        raise ShapeMismatch(f"expected a vector of length {2 * g * r}, got {len(vec)}")
-    loop_values = [vec[j * r : (j + 1) * r] for j in range(2 * g)]
-    values: dict[Cell, tuple[int, ...]] = {("gen", j): loop_values[j] for j in range(2 * g)}
-    radial = [0] * r
-    values[("rad", 0)] = tuple(radial)
-    for k in range(t.num_sides):
-        j, eps = t.side_letter[k]
-        if eps == 1:
-            step = rho.word_matrix(t.prefix_words[k]).mul_vec(loop_values[j])
-            radial = [a + s for a, s in zip(radial, step)]
-        else:
-            step = rho.word_matrix(t.prefix_words[k + 1]).mul_vec(loop_values[j])
-            radial = [a - s for a, s in zip(radial, step)]
-        if k + 1 < t.num_sides:
-            values[("rad", k + 1)] = tuple(radial)
-    if any(radial):
-        raise NotInKernel("holonomy data does not close up around the polygon")
-    return TwistedCochain(1, r, values)
+    return _class_of(h1_vector, _Transports(t, rho)).cochain
+
+
+def checked_classes(
+    h1_vectors: Sequence[Sequence[int]], t: TriangulatedSurface, rho: LatticeLocalSystem
+) -> tuple[Cocycle, ...]:
+    """:func:`class_of` of each vector, checked, over one transport table."""
+    table = _Transports(t, rho)
+    return tuple(_class_of(v, table) for v in h1_vectors)
 
 
 def holonomies(c: TwistedCochain, t: TriangulatedSurface) -> tuple[int, ...]:

@@ -10,6 +10,12 @@ entry-exact equality. The grid covers genus 1 and 2, rank 1 and 2, three
 monodromy families, and level denominators up to 6. A mismatch record
 carries the monodromy, the level and the two generator vectors, so it
 replays without the grid.
+
+The cocycles do not depend on the level. Each local system's H^1
+generators become checked cocycles once, over one transport table
+(:func:`qtorus.cochain.checked_classes`); each (level, pair) then costs one
+closed-form evaluation and one :func:`qtorus.cochain.cup_checked`, which
+runs no cocycle check and transports nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cochain import class_of, cup_evaluate, triangulate
+from .cochain import checked_classes, cup_checked, triangulate
 from .forms import BilinearData, Frac1, invariance_check, polarize, quad_from_bilinear
 from .gerbe import pairing_on_cocycles
 from .lattice import IntMatrix
@@ -116,24 +122,20 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
         for rank in _RANKS:
             for family in _FAMILIES:
                 rho = _local_system(rng, genus, rank, family)
-                tri = triangulate(genus)
-                pres = cohomology_presentations(rho)
-                gens = pres.h1.all_gens()
+                gens = cohomology_presentations(rho).h1.all_gens()
+                cocycles = checked_classes(gens, triangulate(genus), rho)
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
                         level = _invariant_level(rng, rho, den)
                         if level is None:
                             continue
                         pairing = polarize(quad_from_bilinear(level))
-                        cocycles = [class_of(g, tri, rho) for g in gens]
                         agree = True
                         detail = None
                         for i, gi in enumerate(gens):
                             for j, gj in enumerate(gens):
                                 closed = pairing_on_cocycles(pairing, rho, gi, gj)
-                                simplicial = cup_evaluate(
-                                    cocycles[i], cocycles[j], pairing, tri, rho
-                                )
+                                simplicial = cup_checked(cocycles[i], cocycles[j], pairing)
                                 if closed != simplicial:
                                     agree = False
                                     detail = {

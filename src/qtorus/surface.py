@@ -52,10 +52,6 @@ class SurfaceGroup:
         if self.genus < 0:
             raise DimensionMismatch("genus must be >= 0")
 
-    @property
-    def num_generators(self) -> int:
-        return 2 * self.genus
-
     def relator(self) -> Word:
         """The boundary word prod a_i b_i a_i^-1 b_i^-1 as signed letters."""
         word: list[int] = []

@@ -288,6 +288,25 @@ class TestInterface:
         assert payload["code"] == "bad_fraction"
         assert payload["path"] == "level.zeta"
 
+    def test_unknown_field_payload_is_bounded(self, capsys, tmp_path):
+        # one 100000-character key: the message and the path echo a fixed prefix
+        spec = base_global_spec(**{"k" * 100000: 1})
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        assert len(out.encode()) < 1024
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["path"].startswith("'kkk") and "100002 characters" in payload["path"]
+
+    def test_unknown_field_short_key_exact(self, capsys, tmp_path):
+        out, code = run_main(
+            capsys, "global", "--input", write_spec(tmp_path, base_global_spec(extra=1))
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["message"] == "unknown field 'extra'"
+        assert payload["path"] == "extra"
+
 
 class TestTripwire:
     def test_selfcheck_failure_exits_three(self, capsys, monkeypatch):

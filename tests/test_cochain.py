@@ -7,10 +7,12 @@ from qtorus import (
     LatticeLocalSystem,
     SymmetricForm,
     TwistedCochain,
+    checked_classes,
     class_of,
     coboundary,
     cocycle_check,
     cohomology_presentations,
+    cup_checked,
     cup_evaluate,
     holonomies,
     polarize,
@@ -19,6 +21,7 @@ from qtorus import (
 )
 from qtorus.errors import NotACocycle, NotInKernel, ShapeMismatch, UnsupportedGenus
 from qtorus.forms import ZERO
+from qtorus.selfcheck import _local_system
 
 from helpers import random_invariant_level, random_local_system
 
@@ -258,6 +261,40 @@ class TestCup:
         c1 = class_of((0, 0), t, rho)
         with pytest.raises(NotACocycle):
             cup_evaluate(c0, c1, p, t, rho)
+
+
+class TestCheckedCup:
+    @pytest.mark.parametrize("family", ["trivial", "signs", "shear"])
+    def test_agrees_with_cup_evaluate(self, family):
+        rng = random.Random(f"checked-{family}")
+        for genus in (1, 2, 3):
+            for rank in (1, 2):
+                rho = _local_system(rng, genus, rank, family)
+                p = polarize(quad_from_bilinear(random_invariant_level(rng, rho)))
+                t = triangulate(genus)
+                gens = cohomology_presentations(rho).h1.all_gens()
+                cocycles = checked_classes(gens, t, rho)
+                assert [a.cochain for a in cocycles] == [class_of(g, t, rho) for g in gens]
+                for a in cocycles:
+                    for b in cocycles:
+                        assert cup_checked(a, b, p) == cup_evaluate(
+                            a.cochain, b.cochain, p, t, rho
+                        )
+
+    def test_rejects_cocycles_of_two_tables(self):
+        rho = LatticeLocalSystem.trivial(1, 1)
+        t = triangulate(1)
+        (a,) = checked_classes([(1, 0)], t, rho)
+        (b,) = checked_classes([(0, 1)], t, rho)
+        with pytest.raises(ShapeMismatch):
+            cup_checked(a, b, scalar_pairing(1, 2))
+
+    def test_rejects_pairing_of_wrong_rank(self):
+        rho = LatticeLocalSystem.trivial(1, 1)
+        a, b = checked_classes([(1, 0), (0, 1)], triangulate(1), rho)
+        assert cup_checked(a, b, scalar_pairing(1, 2)) == Frac1(1, 2)
+        with pytest.raises(ShapeMismatch):
+            cup_checked(a, b, SymmetricForm(2, ((ZERO, ZERO), (ZERO, ZERO))))
 
 
 class TestHolonomies:

@@ -240,7 +240,6 @@ def test_fgabgroup_validation_and_order():
     g = FgAbGroup(1, (2, 6))
     assert g.order() is None
     assert FgAbGroup(0, (2, 6)).order() == 12
-    assert FgAbGroup(0, ()).is_trivial()
     assert g.to_json() == {"free_rank": 1, "torsion": [2, 6]}
 
 

@@ -59,3 +59,9 @@ def test_fraction_free_rank_uses_no_lattice_function():
         if isinstance(node, ast.FunctionDef) and node.name == "_fraction_free_rank"
     ]
     assert not names_in(func) & lattice_functions
+
+
+def test_selfcheck_avoids_the_gram_route():
+    # selfcheck checks the per-pair closed form; the Gram matrix is tested
+    # against that form elsewhere and must not become its own reference
+    assert not names_in(parse("selfcheck")) & {"commutator_pairing", "_pairing_gram"}

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 from qtorus import (
     BilinearData,
@@ -6,6 +7,8 @@ from qtorus import (
     IntMatrix,
     LatticeLocalSystem,
     class_of,
+    cohomology_presentations,
+    cup_checked,
     cup_evaluate,
     pairing_on_cocycles,
     polarize,
@@ -13,7 +16,7 @@ from qtorus import (
     run_selfcheck,
     triangulate,
 )
-from qtorus import selfcheck
+from qtorus import cochain, selfcheck
 
 SHIFT = Frac1(1, 7)
 
@@ -22,7 +25,7 @@ def test_mismatch_record_replays(monkeypatch):
     # a shifted oracle disagrees on every case; the first record alone must
     # rebuild the local system, the level and both sides of the comparison
     monkeypatch.setattr(
-        selfcheck, "cup_evaluate", lambda *args: cup_evaluate(*args) + SHIFT
+        selfcheck, "cup_checked", lambda *args: cup_checked(*args) + SHIFT
     )
     result = run_selfcheck(5)
     assert not result.ok and result.mismatches
@@ -38,3 +41,34 @@ def test_mismatch_record_replays(monkeypatch):
     tri = triangulate(rho.genus)
     simplicial = cup_evaluate(class_of(u, tri, rho), class_of(v, tri, rho), pairing, tri, rho)
     assert str(simplicial + SHIFT) == record["simplicial"]
+
+
+def test_one_table_and_one_check_per_local_system(monkeypatch):
+    # word_matrix runs once per distinct face word of each local system, and
+    # the coboundary once per cocycle built: one per H^1 generator
+    words = {}  # id(rho) -> (rho, Counter of words); holding rho keeps ids unique
+    runs = {}  # id(table) -> (table, coboundary runs)
+    word_matrix = LatticeLocalSystem.word_matrix
+    coboundary = cochain._coboundary
+
+    def counting_word_matrix(self, word):
+        words.setdefault(id(self), (self, Counter()))[1][word] += 1
+        return word_matrix(self, word)
+
+    def counting_coboundary(c, table):
+        held, n = runs.get(id(table), (table, 0))
+        runs[id(table)] = (held, n + 1)
+        return coboundary(c, table)
+
+    monkeypatch.setattr(LatticeLocalSystem, "word_matrix", counting_word_matrix)
+    monkeypatch.setattr(cochain, "_coboundary", counting_coboundary)
+    assert run_selfcheck(5).ok
+    monkeypatch.undo()
+
+    assert len(words) == len(runs) == 12  # genus 1-2, rank 1-2, three families
+    for (rho, seen), (table, n) in zip(words.values(), runs.values()):
+        t = triangulate(rho.genus)
+        faces = set(t.prefix_words) | {(j + 1,) for j in range(2 * rho.genus)}
+        assert seen == Counter(dict.fromkeys(faces, 1))
+        assert table.t.genus == rho.genus and table.rank == rho.rank
+        assert n == len(cohomology_presentations(rho).h1.all_gens())

@@ -43,7 +43,6 @@ class TestSurfaceGroup:
 
     def test_genus_zero(self):
         g = SurfaceGroup(0)
-        assert g.num_generators == 0
         assert g.relator() == ()
 
     def test_negative_genus(self):
