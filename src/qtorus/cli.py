@@ -244,10 +244,13 @@ def _run_surface(spec: JobSpec) -> dict:
 
 
 def _blocks_json(blocks) -> list[dict]:
+    # omega does not depend on the component: every block carries the
+    # report's one matrix, so its strings are rendered once and shared
+    omega = _frac_matrix(blocks[0].omega) if blocks else None
     return [
         {
             "component": list(b.component),
-            "omega": _frac_matrix(b.omega),
+            "omega": omega,
             "pi2_character": [str(x) for x in b.pi2_character],
             "radical_rank": b.radical_rank,
             "block_dim": b.block_dim,

@@ -24,6 +24,10 @@ builds it or :func:`cup_evaluate` receives it; the check yields a
 :func:`checked_classes` builds a local system's cocycles over one table,
 and :func:`cup_checked` pairs checked cocycles with no further check, so a
 caller that pairs N cocycles at many levels checks each one once.
+
+The oracle evaluates the coefficient pairing with its own per-entry sum of
+``Frac1`` values, not with the forms' integer evaluators, so it shares no
+arithmetic with the closed route it checks.
 """
 
 from __future__ import annotations
@@ -307,6 +311,17 @@ def cocycle_check(c: TwistedCochain, t: TriangulatedSurface, rho: LatticeLocalSy
     return _closed(c, _Transports(t, rho))
 
 
+def _pair(pairing: SymmetricForm, x: Sequence[int], y: Sequence[int]) -> Frac1:
+    """b(x, y) as a sum of one Frac1 per entry of the pairing's value matrix."""
+    total = ZERO
+    for xi, row in zip(x, pairing.entries):
+        if xi:
+            for yj, value in zip(y, row):
+                if yj:
+                    total = total + value.scale(xi * yj)
+    return total
+
+
 def cup_checked(a: Cocycle, b: Cocycle, pairing: SymmetricForm) -> Frac1:
     """Pair two checked 1-cocycles of one local system against the fundamental class.
 
@@ -322,7 +337,7 @@ def cup_checked(a: Cocycle, b: Cocycle, pairing: SymmetricForm) -> Frac1:
         raise ShapeMismatch(f"pairing rank {pairing.rank} != local system rank {a.table.rank}")
     total = ZERO
     for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
-        total = total + pairing.evaluate(x, y).scale(tri.sign)
+        total = total + _pair(pairing, x, y).scale(tri.sign)
     return total
 
 

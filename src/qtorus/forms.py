@@ -5,12 +5,19 @@ a phase zeta in Q/Z; the attached quadratic form is gamma -> zeta * (gamma^T
 c gamma) and only the symmetrization of c matters. Values live in Q/Z and are
 represented by reduced fractions, so every comparison in this module is
 exact.
+
+Forms are built from, compared by and printed through their ``Frac1``
+values. Each form also derives, once at construction, one integer matrix of
+numerators over one common denominator N, the lcm of its values'
+denominators; an evaluation sums integers against that matrix and builds a
+single ``Frac1`` at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -105,6 +112,15 @@ ZERO = Frac1(0)
 HALF = Frac1(1, 2)
 
 
+def _over_common_denominator(values: Sequence[Frac1]) -> tuple[int, list[int]]:
+    """(N, numerators): each value is its numerator over N, the lcm of the denominators.
+
+    Both are determined by the values, since ``Frac1`` is reduced.
+    """
+    n = math.lcm(*[x.den for x in values])
+    return n, [x.num * (n // x.den) for x in values]
+
+
 @dataclass(frozen=True)
 class BilinearData:
     """Integer matrix plus phase; the raw presentation of a level."""
@@ -131,18 +147,34 @@ class QuadraticForm:
     Note the off-diagonal data is the b value itself, not half of it: halving
     is not well defined in Q/Z, and a quadratic form here need not come from
     half a symmetric matrix.
+
+    ``numerators`` is the upper-triangular integer matrix U, derived at
+    construction, with Q(x) = x^T U x / ``denominator``: ``diag`` on its
+    diagonal, ``offdiag`` above it.
     """
 
     rank: int
     diag: tuple[Frac1, ...]
     offdiag: tuple[Frac1, ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: IntMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.diag) != self.rank:
-            raise DimensionMismatch(f"need {self.rank} diagonal values, got {len(self.diag)}")
-        want = self.rank * (self.rank - 1) // 2
+        r = self.rank
+        if len(self.diag) != r:
+            raise DimensionMismatch(f"need {r} diagonal values, got {len(self.diag)}")
+        want = r * (r - 1) // 2
         if len(self.offdiag) != want:
             raise DimensionMismatch(f"need {want} off-diagonal values, got {len(self.offdiag)}")
+        n, nums = _over_common_denominator(self.diag + self.offdiag)
+        diag, above = iter(nums[:r]), iter(nums[r:])  # offdiag is row-major, like u
+        u = [
+            next(diag) if i == j else next(above) if i < j else 0
+            for i in range(r)
+            for j in range(r)
+        ]
+        object.__setattr__(self, "denominator", n)
+        object.__setattr__(self, "numerators", IntMatrix(r, r, u))
 
     def _off_index(self, i: int, j: int) -> int:
         # i < j assumed; row-major position in the strict upper triangle
@@ -168,10 +200,16 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """Symmetric Q/Z-valued bilinear form given by its full value matrix."""
+    """Symmetric Q/Z-valued bilinear form given by its full value matrix.
+
+    ``numerators`` is the integer matrix B, derived at construction, with
+    b(x, y) = x^T B y / ``denominator``.
+    """
 
     rank: int
     entries: tuple[tuple[Frac1, ...], ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: IntMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rank or any(len(r) != self.rank for r in self.entries):
@@ -180,18 +218,23 @@ class SymmetricForm:
             for j in range(i):
                 if self.entries[i][j] != self.entries[j][i]:
                     raise DimensionMismatch("entry matrix is not symmetric")
+        n, nums = _over_common_denominator([x for row in self.entries for x in row])
+        object.__setattr__(self, "denominator", n)
+        object.__setattr__(self, "numerators", IntMatrix(self.rank, self.rank, nums))
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Frac1:
-        if len(x) != self.rank or len(y) != self.rank:
-            raise DimensionMismatch(f"vectors must have length {self.rank}")
-        total = ZERO
+        return Frac1(self.numerator(x, y), self.denominator)
+
+    def numerator(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """x^T B y: the value b(x, y) times the denominator, not reduced."""
+        r = self.rank
+        if len(x) != r or len(y) != r:
+            raise DimensionMismatch(f"vectors must have length {r}")
+        b = self.numerators.entries
+        total = 0
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.entries[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    total = total + row[j].scale(xi * yj)
+            if xi:
+                total += xi * sum(map(mul, b[i * r : (i + 1) * r], y))
         return total
 
     def is_zero(self) -> bool:
@@ -217,23 +260,18 @@ def evaluate(q: QuadraticForm, gamma: Sequence[int]) -> Frac1:
     """Value of the form on an arbitrary lattice vector.
 
     Expands through the basis values: quadratic terms pick up square
-    coefficients, cross terms the polarization.
+    coefficients, cross terms the polarization. The sum runs over the
+    integer numerators, gamma^T U gamma, and is reduced mod 1 once.
     """
-    if len(gamma) != q.rank:
-        raise DimensionMismatch(f"vector of length {len(gamma)} against rank {q.rank}")
-    total = ZERO
+    r = q.rank
+    if len(gamma) != r:
+        raise DimensionMismatch(f"vector of length {len(gamma)} against rank {r}")
+    u = q.numerators.entries
+    total = 0
     for i, xi in enumerate(gamma):
         if xi:
-            total = total + q.diag[i].scale(xi * xi)
-    for i in range(q.rank):
-        xi = gamma[i]
-        if not xi:
-            continue
-        for j in range(i + 1, q.rank):
-            xj = gamma[j]
-            if xj:
-                total = total + q.b_basis(i, j).scale(xi * xj)
-    return total
+            total += xi * sum(map(mul, u[i * r + i : (i + 1) * r], gamma[i:]))
+    return Frac1(total, q.denominator)
 
 
 def polarize(q: QuadraticForm) -> SymmetricForm:
@@ -250,7 +288,7 @@ def is_linear(q: QuadraticForm) -> bool:
     Linear forms take values in {0, 1/2}: twice each diagonal value is a
     polarization entry, hence zero.
     """
-    return polarize(q).is_zero()
+    return not any(q.offdiag) and not any(x.scale(2) for x in q.diag)
 
 
 @dataclass(frozen=True)

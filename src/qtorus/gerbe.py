@@ -10,16 +10,23 @@ dimensions follow by finite Heisenberg counting from omega alone.
 
 omega is computed here by a closed word-combinatorial formula over the
 surface relator. That formula is bilinear in the two cocycles, so a report
-builds it once as an integer Gram matrix P over the common denominator N of
-the level's polarization, in one pass over the letter transports the local
-system stored when it unwound the relator (the same ones give d1), and reads
-omega off as G^T P G mod N on the H^1 generators G; values become Q/Z
-fractions only at the end. Each report computes the cohomology presentations
-once and hands them to the omega and pi2-character code.
+builds it once as an integer Gram matrix P against the polarization's
+integer numerators B over its common denominator N (both held by the
+form), in one pass over the letter transports the local system stored when
+it unwound the relator (the same ones give d1), and reads omega off as
+W / N with W = G^T P G on the H^1 generators G; values become Q/Z fractions
+only at the end, and the Heisenberg count reads W itself. Each report
+computes the cohomology presentations once and hands them to the omega and
+pi2-character code.
+
 :func:`pairing_on_cocycles` evaluates the same formula pair by pair and is
-kept as the reference the Gram route is tested against. The simplicial
-machinery in :mod:`qtorus.cochain` computes the same pairing along a
-completely separate route and serves as its oracle.
+kept as the reference the Gram route is tested against. It splits in two: a
+vector's transports along the relator (:func:`letter_vectors`) depend only
+on the local system, so a caller pairing the same vectors at many levels
+builds them once, and each pair is then one integer sum against B
+(:func:`pairing_on_letters`). The simplicial machinery in
+:mod:`qtorus.cochain` computes the same pairing along a completely separate
+route and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from typing import Sequence
 from .errors import BadComponent, DimensionMismatch, NotInvariant
 from .errors import InvariantViolation
 from .forms import (
-    ZERO,
     BilinearData,
     Frac1,
     QuadraticForm,
@@ -80,6 +86,47 @@ class LevelInput:
         self.pairing: SymmetricForm = polarize(self.quad)
 
 
+@dataclass(frozen=True)
+class LetterVectors:
+    """One lattice vector's transports along the relator, one entry per letter.
+
+    ``right[k]`` is letter k's value, eps times its transport applied to the
+    vector's block; ``left[k]`` is the sum of the earlier letters' values,
+    plus letter k's own value when the letter is inverted.
+    """
+
+    left: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
+
+
+def letter_vectors(rho: LatticeLocalSystem, u: Sequence[int]) -> LetterVectors:
+    """The closed form's letter-by-letter data for one vector.
+
+    ``u`` lists one lattice vector per generator loop (concatenated). Reads
+    ``rho.letter_frames`` and depends on the local system and ``u`` alone,
+    not on the level.
+    """
+    r = rho.rank
+    if len(u) != 2 * rho.genus * r:
+        raise DimensionMismatch(f"expected vectors of length {2 * rho.genus * r}")
+    left = []
+    right = []
+    acc = (0,) * r
+    for j, eps, frame in rho.letter_frames:
+        u_k = tuple(eps * x for x in frame.mul_vec(u[j * r : (j + 1) * r]))
+        after = tuple(a + x for a, x in zip(acc, u_k))
+        left.append(after if eps == -1 else acc)
+        right.append(u_k)
+        acc = after
+    return LetterVectors(tuple(left), tuple(right))
+
+
+def pairing_on_letters(pairing: SymmetricForm, u: LetterVectors, v: LetterVectors) -> Frac1:
+    """The sum over letters k of b(u.left[k], v.right[k]), as one integer over N."""
+    total = sum(pairing.numerator(x, y) for x, y in zip(u.left, v.right))
+    return Frac1(total, pairing.denominator)
+
+
 def pairing_on_cocycles(
     pairing: SymmetricForm,
     rho: LatticeLocalSystem,
@@ -91,35 +138,17 @@ def pairing_on_cocycles(
     ``u`` and ``v`` list one lattice vector per generator loop (concatenated).
     Unwinding the relator turns the cup product against the fundamental class
     into a sum over ordered letter pairs, read from ``rho.letter_frames``;
-    no triangulation is built.
+    no triangulation is built. Each letter value of v pairs with the sum of
+    u's earlier letter values, and an inverted letter also pairs the two
+    values of that letter: :func:`pairing_on_letters` of the two vectors'
+    :func:`letter_vectors`.
 
     This is the per-pair reference. Reports take omega from the Gram matrix
     of :func:`commutator_pairing`, which the tests compare against this
     function; the tests and selfcheck compare this function against the
     simplicial oracle in :mod:`qtorus.cochain`.
     """
-    r = rho.rank
-    n = 2 * rho.genus * r
-    if len(u) != n or len(v) != n:
-        raise DimensionMismatch(f"expected vectors of length {n}")
-    u_blocks = [tuple(u[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
-    v_blocks = [tuple(v[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
-    total = ZERO
-    acc = (0,) * r
-    for j, eps, frame in rho.letter_frames:
-        u_k = tuple(eps * x for x in frame.mul_vec(u_blocks[j]))
-        v_k = tuple(eps * x for x in frame.mul_vec(v_blocks[j]))
-        total = total + pairing.evaluate(acc, v_k)
-        if eps == -1:
-            total = total + pairing.evaluate(u_k, v_k)
-        acc = tuple(a + x for a, x in zip(acc, u_k))
-    return total
-
-
-def _numerators(rows: Sequence[Sequence[Frac1]]) -> tuple[int, IntMatrix]:
-    """(N, A) with rows = A / N mod 1; N is the lcm of the denominators."""
-    n = math.lcm(*(e.den for row in rows for e in row))
-    return n, IntMatrix.from_rows([[e.num * (n // e.den) for e in row] for row in rows])
+    return pairing_on_letters(pairing, letter_vectors(rho, u), letter_vectors(rho, v))
 
 
 def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
@@ -155,11 +184,15 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
 
 
 def _omega(
-    rho: LatticeLocalSystem, pres: CohomologyPresentations, n: int, b: IntMatrix
-) -> tuple[tuple[Frac1, ...], ...]:
-    """omega = G^T P G / N on the H^1 generators G, checked on the numerators."""
+    rho: LatticeLocalSystem, pres: CohomologyPresentations, pairing: SymmetricForm
+) -> tuple[tuple[tuple[Frac1, ...], ...], IntMatrix]:
+    """(omega, W): omega = W / N with W = G^T P G on the H^1 generators G.
+
+    The checks run on the numerators W.
+    """
+    n = pairing.denominator
     gens = IntMatrix.from_columns(pres.h1.all_gens(), 2 * rho.genus * rho.rank)
-    w = gens.transpose() @ _pairing_gram(rho, b) @ gens
+    w = gens.transpose() @ _pairing_gram(rho, pairing.numerators) @ gens
     free = len(pres.h1.free_gens)
     for i in range(w.rows):
         for j in range(w.rows):
@@ -167,7 +200,7 @@ def _omega(
                 raise InvariantViolation("commutator pairing is not antisymmetric")
         if i < free and w.entry(i, i) % n:
             raise InvariantViolation("commutator pairing has a nonzero free diagonal")
-    return tuple(tuple(Frac1(x, n) for x in w.row(i)) for i in range(w.rows))
+    return tuple(tuple(Frac1(x, n) for x in w.row(i)) for i in range(w.rows)), w
 
 
 def commutator_pairing(level: LevelInput) -> tuple[tuple[Frac1, ...], ...]:
@@ -181,15 +214,13 @@ def commutator_pairing(level: LevelInput) -> tuple[tuple[Frac1, ...], ...]:
     and the presentation disagree, which is an internal error, never a user
     one.
     """
-    n, b = _numerators(level.pairing.entries)
-    return _omega(level.rho, cohomology_presentations(level.rho), n, b)
+    return _omega(level.rho, cohomology_presentations(level.rho), level.pairing)[0]
 
 
 def _pi2_characters(
     rho: LatticeLocalSystem,
     pres: CohomologyPresentations,
-    n: int,
-    b: IntMatrix,
+    pairing: SymmetricForm,
     reps: Sequence[tuple[int, ...]],
 ) -> list[tuple[Frac1, ...]]:
     """chi_d = (lambda^T B d) / N on the invariant basis lambda, for each rep d.
@@ -198,7 +229,8 @@ def _pi2_characters(
     on components exactly when b(lambda, (rho(x) - 1) e_l) vanishes for every
     generator x and basis vector e_l. That is checked once, for all reps.
     """
-    chi = pres.h0_basis.transpose() @ b
+    n = pairing.denominator
+    chi = pres.h0_basis.transpose() @ pairing.numerators
     eye = IntMatrix.identity(rho.rank)
     for m in rho.mon:
         if any(x % n for x in (chi @ (m - eye)).entries):
@@ -216,8 +248,7 @@ def pi2_character(level: LevelInput, component: Sequence[int]) -> tuple[Frac1, .
     d_rep = tuple(int(x) for x in component)
     if len(d_rep) != rho.rank:
         raise BadComponent(f"component representative must have length {rho.rank}")
-    n, b = _numerators(level.pairing.entries)
-    return _pi2_characters(rho, cohomology_presentations(rho), n, b, [d_rep])[0]
+    return _pi2_characters(rho, cohomology_presentations(rho), level.pairing, [d_rep])[0]
 
 
 @dataclass(frozen=True)
@@ -243,20 +274,19 @@ class BlockReport:
     blocks: tuple[GerbeBlock, ...]
 
 
-def _heisenberg_dimensions(
-    omega: tuple[tuple[Frac1, ...], ...], free_count: int
-) -> tuple[int, int]:
-    """(radical rank, block dimension) of the pairing on the free generators.
+def _heisenberg_dimensions(n: int, w: IntMatrix, free_count: int) -> tuple[int, int]:
+    """(radical rank, block dimension) of omega = W / N on the free generators.
 
-    Lift N*omega to an integer antisymmetric matrix A (N the lcm of the
-    denominators); the finite quotient is the image of A on (Z/N)-coordinates
-    and its order is a perfect square because the nonzero invariant factors
-    of an antisymmetric matrix pair up.
+    A is the free block of W reduced into [0, N). The finite quotient is the
+    image of A on (Z/N)-coordinates, of order prod N / gcd(N, d_i) over A's
+    invariant factors d_i whatever the lift; that order is a perfect square
+    because omega is antisymmetric. The radical rank is read off the rank of
+    this reduced lift.
     """
     f = free_count
     if f == 0:
         return 0, 1
-    n, a = _numerators([row[:f] for row in omega[:f]])
+    a = IntMatrix(f, f, [w.entry(i, j) % n for i in range(f) for j in range(f)])
     snf = smith_normal_form(a)
     diag = list(snf.diagonal())
     rank = sum(1 for d in diag if d)
@@ -302,9 +332,10 @@ def block_report(
     section = SectionSpaceInvariants(
         pi0=pres.triple.h2, pi1=pres.triple.h1, pi2=pres.triple.h0
     )
-    n, b = _numerators(level.pairing.entries)
-    omega = _omega(rho, pres, n, b)
-    radical_rank, block_dim = _heisenberg_dimensions(omega, len(pres.h1.free_gens))
+    omega, w = _omega(rho, pres, level.pairing)
+    radical_rank, block_dim = _heisenberg_dimensions(
+        level.pairing.denominator, w, len(pres.h1.free_gens)
+    )
     if components is None:
         reps = enumerate_components(pres, free_bound)
     else:
@@ -320,7 +351,7 @@ def block_report(
             radical_rank=radical_rank,
             block_dim=block_dim,
         )
-        for rep, chi in zip(reps, _pi2_characters(rho, pres, n, b, reps))
+        for rep, chi in zip(reps, _pi2_characters(rho, pres, level.pairing, reps))
     )
     return BlockReport(section, pres, omega, radical_rank, block_dim, blocks)
 

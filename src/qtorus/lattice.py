@@ -28,7 +28,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative shape ({rows}, {cols})")
-        e = tuple(int(x) for x in entries)
+        e = tuple(map(int, entries))
         if len(e) != rows * cols:
             raise ShapeMismatch(
                 f"expected {rows * cols} entries for shape ({rows}, {cols}), got {len(e)}"

@@ -11,11 +11,14 @@ monodromy families, and level denominators up to 6. A mismatch record
 carries the monodromy, the level and the two generator vectors, so it
 replays without the grid.
 
-The cocycles do not depend on the level. Each local system's H^1
-generators become checked cocycles once, over one transport table
-(:func:`qtorus.cochain.checked_classes`); each (level, pair) then costs one
-closed-form evaluation and one :func:`qtorus.cochain.cup_checked`, which
-runs no cocycle check and transports nothing.
+Neither route's transports depend on the level. Once per local system,
+each H^1 generator becomes a checked cocycle, all over one transport table
+(:func:`qtorus.cochain.checked_classes`), and its relator letter vectors
+for the closed form (:func:`qtorus.gerbe.letter_vectors`). Each
+(level, pair) then costs one integer sum against the pairing's numerators,
+:func:`qtorus.gerbe.pairing_on_letters`, and one
+:func:`qtorus.cochain.cup_checked`, which runs no cocycle check and
+transports nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 from .cochain import checked_classes, cup_checked, triangulate
 from .forms import BilinearData, Frac1, invariance_check, polarize, quad_from_bilinear
-from .gerbe import pairing_on_cocycles
+from .gerbe import letter_vectors, pairing_on_letters
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
 
@@ -124,6 +127,7 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 rho = _local_system(rng, genus, rank, family)
                 gens = cohomology_presentations(rho).h1.all_gens()
                 cocycles = checked_classes(gens, triangulate(genus), rho)
+                letters = [letter_vectors(rho, g) for g in gens]
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
                         level = _invariant_level(rng, rho, den)
@@ -134,7 +138,7 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                         detail = None
                         for i, gi in enumerate(gens):
                             for j, gj in enumerate(gens):
-                                closed = pairing_on_cocycles(pairing, rho, gi, gj)
+                                closed = pairing_on_letters(pairing, letters[i], letters[j])
                                 simplicial = cup_checked(cocycles[i], cocycles[j], pairing)
                                 if closed != simplicial:
                                     agree = False

@@ -109,3 +109,39 @@ def random_invariant_level(
         if invariance_check(quad_from_bilinear(level), rho.mon):
             return level
     return BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
+
+
+def frac1_bilinear(entries, x, y) -> Frac1:
+    """x^T E y for a matrix E of Frac1 values, one Frac1 per nonzero term."""
+    total = Frac1(0)
+    for xi, row in zip(x, entries):
+        for yj, value in zip(y, row):
+            total = total + value.scale(xi * yj)
+    return total
+
+
+def frac1_quadratic(q, gamma) -> Frac1:
+    """Q(gamma) from the basis values: squares on the diagonal, polarization above it."""
+    total = Frac1(0)
+    for i, xi in enumerate(gamma):
+        total = total + q.diag[i].scale(xi * xi)
+        for j in range(i + 1, q.rank):
+            total = total + q.b_basis(i, j).scale(xi * gamma[j])
+    return total
+
+
+def pairing_on_cocycles_per_term(pairing, rho, u, v) -> Frac1:
+    """The closed form as a sum of per-letter Frac1 terms, walking both vectors per pair."""
+    r = rho.rank
+    u_blocks = [tuple(u[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
+    v_blocks = [tuple(v[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
+    total = Frac1(0)
+    acc = (0,) * r
+    for j, eps, frame in rho.letter_frames:
+        u_k = tuple(eps * x for x in frame.mul_vec(u_blocks[j]))
+        v_k = tuple(eps * x for x in frame.mul_vec(v_blocks[j]))
+        total = total + frac1_bilinear(pairing.entries, acc, v_k)
+        if eps == -1:
+            total = total + frac1_bilinear(pairing.entries, u_k, v_k)
+        acc = tuple(a + x for a, x in zip(acc, u_k))
+    return total

@@ -24,7 +24,7 @@ from qtorus.errors import (
 )
 from qtorus.forms import HALF, ZERO
 
-from helpers import rand_matrix
+from helpers import frac1_bilinear, frac1_quadratic, rand_matrix
 
 
 def frac(n, d):
@@ -238,3 +238,86 @@ def test_symmetric_form_validation():
     assert s.evaluate((1, 0), (0, 1)) == HALF
     with pytest.raises(DimensionMismatch):
         s.evaluate((1,), (0, 1))
+
+
+def _random_value(rng):
+    den = rng.randint(1, 12)
+    return Frac1(rng.randrange(den), den)
+
+
+def _random_vector(rng, rank):
+    """Small entries, zeros, and entries beyond 2**64 of either sign."""
+    big = 2**64
+    return tuple(
+        rng.choice((0, rng.randint(-3, 3), rng.randint(big, 4 * big), -rng.randint(big, 4 * big)))
+        for _ in range(rank)
+    )
+
+
+class TestIntegerEvaluators:
+    """One integer sum over a common denominator equals the sum of per-entry Frac1 terms."""
+
+    def test_symmetric_evaluate_matches_per_entry_sum(self):
+        rng = random.Random("symmetric-integer")
+        for rank in range(5):
+            for _ in range(40):
+                rows = [[None] * rank for _ in range(rank)]
+                for i in range(rank):
+                    for j in range(i, rank):
+                        rows[i][j] = rows[j][i] = _random_value(rng)
+                b = SymmetricForm(rank, tuple(map(tuple, rows)))
+                for _ in range(5):
+                    x, y = _random_vector(rng, rank), _random_vector(rng, rank)
+                    assert b.evaluate(x, y) == frac1_bilinear(b.entries, x, y)
+
+    def test_quadratic_evaluate_matches_per_entry_sum(self):
+        rng = random.Random("quadratic-integer")
+        for rank in range(5):
+            for _ in range(40):
+                q = QuadraticForm(
+                    rank,
+                    tuple(_random_value(rng) for _ in range(rank)),
+                    tuple(_random_value(rng) for _ in range(rank * (rank - 1) // 2)),
+                )
+                for _ in range(5):
+                    gamma = _random_vector(rng, rank)
+                    assert evaluate(q, gamma) == frac1_quadratic(q, gamma)
+
+    def test_equal_forms_built_differently(self):
+        rng = random.Random("equal-forms")
+        for rank in range(5):
+            for _ in range(20):
+                den = rng.randint(1, 12)
+                zeta = Frac1(rng.randrange(den), den)
+                c = rand_matrix(rng, rank, rank, -5, 5)
+                anti = [[0] * rank for _ in range(rank)]
+                for i in range(rank):
+                    for j in range(i + 1, rank):
+                        anti[i][j] = rng.randint(-2**70, 2**70)
+                        anti[j][i] = -anti[i][j]
+                shifted = c + IntMatrix.from_rows(anti, rank)
+                q1 = quad_from_bilinear(BilinearData(c, zeta))
+                q2 = quad_from_bilinear(BilinearData(shifted, zeta))
+                assert q1 == q2 and hash(q1) == hash(q2)
+                assert (q1.denominator, q1.numerators) == (q2.denominator, q2.numerators)
+                b1, b2 = polarize(q1), polarize(q2)
+                assert b1 == b2 and hash(b1) == hash(b2)
+                assert (b1.denominator, b1.numerators) == (b2.denominator, b2.numerators)
+                # entries given unreduced or shifted by integers are the same values
+                unreduced = tuple(
+                    tuple(Frac1(3 * x.num + 15 * x.den, 3 * x.den) for x in row)
+                    for row in b1.entries
+                )
+                b3 = SymmetricForm(rank, unreduced)
+                assert b3 == b1 and hash(b3) == hash(b1)
+                assert (b3.denominator, b3.numerators) == (b1.denominator, b1.numerators)
+
+    def test_common_denominator_is_the_lcm(self):
+        b = SymmetricForm(2, ((frac(1, 4), frac(1, 6)), (frac(1, 6), ZERO)))
+        assert b.denominator == 12
+        assert b.numerators == IntMatrix.from_rows([[3, 2], [2, 0]])
+        q = QuadraticForm(3, (HALF, ZERO, frac(2, 3)), (frac(1, 4), ZERO, frac(5, 6)))
+        assert q.denominator == 12
+        assert q.numerators == IntMatrix.from_rows([[6, 3, 0], [0, 0, 10], [0, 0, 8]])
+        empty = SymmetricForm(0, ())
+        assert (empty.denominator, empty.evaluate((), ())) == (1, ZERO)

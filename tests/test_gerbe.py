@@ -21,9 +21,15 @@ from qtorus import (
 )
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
 from qtorus.forms import HALF, ZERO, SymmetricForm
+from qtorus.gerbe import letter_vectors, pairing_on_letters
 from qtorus.lattice import inverse_unimodular
 
-from helpers import rand_unimodular, random_invariant_level, random_local_system
+from helpers import (
+    pairing_on_cocycles_per_term,
+    rand_unimodular,
+    random_invariant_level,
+    random_local_system,
+)
 
 
 def trivial_level(genus, rank, zeta_den, c=None):
@@ -168,6 +174,37 @@ def family_level(rng, family, genus, rank):
         c = (t_inv.transpose() @ IntMatrix.from_rows(c) @ t_inv).row_lists()
     rho = LatticeLocalSystem(rank, genus, mats)
     return LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), rho)
+
+
+class TestLetterVectors:
+    @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
+    def test_matches_per_term_formula(self, family):
+        # the integer sum over letter vectors against the per-term Frac1 walk,
+        # on H^1 generators and on arbitrary vectors (the formula is bilinear)
+        rng = random.Random(f"letters-{family}")
+        for genus in range(1, 5):
+            for rank in range(1, 4):
+                level = family_level(rng, family, genus, rank)
+                rho, p = level.rho, level.pairing
+                n = 2 * genus * rank
+                vectors = list(cohomology_presentations(rho).h1.all_gens()[:3])
+                vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
+                for u in vectors:
+                    for v in vectors:
+                        got = pairing_on_cocycles(p, rho, u, v)
+                        assert got == pairing_on_cocycles_per_term(p, rho, u, v)
+                        assert got == pairing_on_letters(
+                            p, letter_vectors(rho, u), letter_vectors(rho, v)
+                        )
+
+    def test_one_entry_per_letter_and_length_checks(self):
+        rho = LatticeLocalSystem.trivial(2, 2)
+        lv = letter_vectors(rho, tuple(range(8)))
+        assert len(lv.left) == len(lv.right) == len(rho.letter_frames) == 8
+        with pytest.raises(DimensionMismatch):
+            letter_vectors(rho, (1, 2))
+        with pytest.raises(DimensionMismatch):
+            pairing_on_letters(trivial_level(2, 1, 2).pairing, lv, lv)
 
 
 class TestGramRoute:

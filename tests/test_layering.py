@@ -65,3 +65,25 @@ def test_selfcheck_avoids_the_gram_route():
     # selfcheck checks the per-pair closed form; the Gram matrix is tested
     # against that form elsewhere and must not become its own reference
     assert not names_in(parse("selfcheck")) & {"commutator_pairing", "_pairing_gram"}
+
+
+def integer_fields_of_forms():
+    """Names of the fields the forms derive at construction (``field(init=False)``)."""
+    out = set()
+    for cls in parse("forms").body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in {"SymmetricForm", "QuadraticForm"}):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call):
+                init = {kw.arg: kw.value for kw in node.value.keywords}.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    out.add(node.target.id)
+    return out
+
+
+def test_cochain_oracle_evaluates_pairings_itself():
+    # the cup product sums the pairing's Frac1 entries with its own code: it
+    # calls none of the forms' evaluators and reads none of their integer fields
+    fields = integer_fields_of_forms()
+    assert {"denominator", "numerators"} <= fields
+    assert not names_in(parse("cochain")) & ({"evaluate", "numerator"} | fields)

@@ -72,3 +72,42 @@ def test_one_table_and_one_check_per_local_system(monkeypatch):
         assert seen == Counter(dict.fromkeys(faces, 1))
         assert table.t.genus == rho.genus and table.rank == rho.rank
         assert n == len(cohomology_presentations(rho).h1.all_gens())
+
+
+def test_letter_vectors_once_per_generator_and_one_frac1_per_pair(monkeypatch):
+    # the closed route walks the relator once per H^1 generator of each local
+    # system, whatever the number of levels; each (level, pair) is then one
+    # integer sum, reduced to a single Frac1
+    walks = {}  # id(rho) -> (rho, vectors walked); holding rho keeps ids unique
+    built = []  # Frac1 constructions inside each closed-route pair
+    created = [0]
+    frac1_init = Frac1.__init__
+    letter_vectors = selfcheck.letter_vectors
+    pairing_on_letters = selfcheck.pairing_on_letters
+
+    def counting_init(self, num, den=1):
+        created[0] += 1
+        frac1_init(self, num, den)
+
+    def counting_letter_vectors(rho, u):
+        walks.setdefault(id(rho), (rho, []))[1].append(tuple(u))
+        return letter_vectors(rho, u)
+
+    def counting_pairing_on_letters(pairing, u, v):
+        before = created[0]
+        value = pairing_on_letters(pairing, u, v)
+        built.append(created[0] - before)
+        return value
+
+    monkeypatch.setattr(Frac1, "__init__", counting_init)
+    monkeypatch.setattr(selfcheck, "letter_vectors", counting_letter_vectors)
+    monkeypatch.setattr(selfcheck, "pairing_on_letters", counting_pairing_on_letters)
+    result = run_selfcheck(5)
+    monkeypatch.undo()
+
+    assert result.ok
+    assert len(walks) == 12  # genus 1-2, rank 1-2, three families
+    assert sum(len(walked) for _, walked in walks.values()) == 43
+    for rho, walked in walks.values():
+        assert walked == [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
+    assert len(built) > result.cases and set(built) == {1}
