@@ -9,11 +9,13 @@ double braiding) must be refinement independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .forms import ZERO, Frac1, QuadraticForm, evaluate
+from .forms import ZERO, Frac1, QuadraticForm, _over_common_denominator, evaluate
+from .lattice import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,15 @@ class BraidedData:
     Constraints: beta[i][i] = Q(e_i), and beta[i][j] + beta[j][i] = b(e_i, e_j)
     for i != j. Any two refinements of the same form differ by an
     antisymmetric matrix of phases.
+
+    ``numerators`` is the integer matrix M, derived at construction, with
+    beta = M / ``denominator`` entry by entry.
     """
 
     quad: QuadraticForm
     beta: tuple[tuple[Frac1, ...], ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: IntMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.quad.rank
@@ -81,6 +88,9 @@ class BraidedData:
                     raise ShapeMismatch(
                         f"beta[{i}][{j}] + beta[{j}][{i}] must symmetrize to the polarization"
                     )
+        n, nums = _over_common_denominator([x for row in self.beta for x in row])
+        object.__setattr__(self, "denominator", n)
+        object.__setattr__(self, "numerators", IntMatrix(r, r, nums))
 
     @property
     def rank(self) -> int:
@@ -118,19 +128,19 @@ def perturb_refinement(b: BraidedData, eps: Sequence[Sequence[Frac1]]) -> Braide
 
 
 def braiding_phase(b: BraidedData, lam: Sequence[int], mu: Sequence[int]) -> Frac1:
-    """Phase of the braiding on a pair of graded lines, bilinear in beta."""
+    """Phase of the braiding on a pair of graded lines, bilinear in beta.
+
+    lam^T M mu summed over the integer numerators, reduced mod 1 once.
+    """
     r = b.rank
     if len(lam) != r or len(mu) != r:
         raise DimensionMismatch(f"vectors must have length {r}")
-    total = ZERO
+    m = b.numerators.entries
+    total = 0
     for i, li in enumerate(lam):
-        if not li:
-            continue
-        row = b.beta[i]
-        for j, mj in enumerate(mu):
-            if mj:
-                total = total + row[j].scale(li * mj)
-    return total
+        if li:
+            total += li * sum(map(mul, m[i * r : (i + 1) * r], mu))
+    return Frac1(total, b.denominator)
 
 
 def double_braiding(b: BraidedData, lam: Sequence[int], mu: Sequence[int]) -> Frac1:

@@ -6,6 +6,10 @@ stable key order, canonical "num/den" fraction strings, a single trailing
 newline. Exit codes: 0 success, 2 spec validation failure (a machine
 readable error object is printed), 3 internal invariant violation, which
 includes any disagreement between the two pairing routes in selfcheck.
+
+JSON reports and error objects are written by ``_dumps``, whose output is
+``json.dumps(value, indent=2)`` byte for byte plus a newline. It encodes a
+matrix shared by several blocks, such as omega, once per report.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import sys
 from itertools import product
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Sequence
 
 from .braided import standard_refinement
@@ -245,7 +250,8 @@ def _run_surface(spec: JobSpec) -> dict:
 
 def _blocks_json(blocks) -> list[dict]:
     # omega does not depend on the component: every block carries the
-    # report's one matrix, so its strings are rendered once and shared
+    # report's one list, so its strings are rendered once and _dumps encodes
+    # it once
     omega = _frac_matrix(blocks[0].omega) if blocks else None
     return [
         {
@@ -403,10 +409,76 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _encode(value: Any, depth: int, out: list[str], memo: dict[tuple[int, int], str]) -> None:
+    """Append ``value`` as indent-2 JSON at nesting ``depth`` to ``out``.
+
+    A list of lists (a matrix) is encoded once per depth and its text reused:
+    every block of a report holds the same omega list. Keying by ``id`` is
+    sound because the caller keeps every object alive for the whole call.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{" + pad
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, _encode_str(key), ": ")
+            _encode(item, depth + 1, out, memo)
+            sep = "," + pad
+        out.append("\n" + "  " * depth + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        matrix = isinstance(value[0], (list, tuple))
+        if matrix:
+            key = (id(value), depth)
+            if key in memo:
+                out.append(memo[key])
+                return
+            whole, out = out, []
+        pad = "\n" + "  " * (depth + 1)
+        sep = "[" + pad
+        for item in value:
+            out.append(sep)
+            _encode(item, depth + 1, out, memo)
+            sep = "," + pad
+        out.append("\n" + "  " * depth + "]")
+        if matrix:
+            memo[key] = text = "".join(out)
+            whole.append(text)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, plus a trailing newline.
+
+    Dict keys must be strings; every shared matrix is encoded once.
+    """
+    out: list[str] = []
+    _encode(value, 0, out, {})
+    out.append("\n")
+    return "".join(out)
+
+
 def _emit(report: dict, fmt: str) -> str:
     if fmt == "text":
         return _render_text(report)
-    return json.dumps(report, indent=2) + "\n"
+    return _dumps(report)
 
 
 def run(spec: JobSpec, seed: int = DEFAULT_SEED) -> tuple[str, int]:
@@ -424,7 +496,7 @@ def run(spec: JobSpec, seed: int = DEFAULT_SEED) -> tuple[str, int]:
 
 
 def _error_payload(code: str, message: str, path: str) -> str:
-    return json.dumps({"code": code, "message": message, "path": path}, indent=2) + "\n"
+    return _dumps({"code": code, "message": message, "path": path})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -280,8 +280,13 @@ def _heisenberg_dimensions(n: int, w: IntMatrix, free_count: int) -> tuple[int, 
     A is the free block of W reduced into [0, N). The finite quotient is the
     image of A on (Z/N)-coordinates, of order prod N / gcd(N, d_i) over A's
     invariant factors d_i whatever the lift; that order is a perfect square
-    because omega is antisymmetric. The radical rank is read off the rank of
-    this reduced lift.
+    because omega is antisymmetric, and the block dimension is its root.
+
+    The radical rank is f minus the rank of A over Z, so it depends on the
+    lift: for N = 3 the reduced lift [[0,1,1],[2,0,1],[2,2,0]] has rank 3
+    (radical rank 0), while the antisymmetric lift [[0,1,1],[-1,0,1],
+    [-1,-1,0]] of the same omega has rank 2. Reports always use the reduced
+    lift, so the value is deterministic; the block dimension agrees for both.
     """
     f = free_count
     if f == 0:

@@ -8,6 +8,7 @@ from qtorus import (
     BraidedData,
     Frac1,
     GradedObject,
+    IntMatrix,
     QuadraticForm,
     balancing_check,
     braiding_phase,
@@ -24,7 +25,7 @@ from qtorus import (
 from qtorus.errors import DimensionMismatch, ShapeMismatch
 from qtorus.forms import HALF, ZERO
 
-from helpers import rand_matrix
+from helpers import frac1_bilinear, rand_matrix
 
 QUARTER = Frac1(1, 4)
 
@@ -86,6 +87,37 @@ class TestBraidingPhase:
         b = standard_refinement(quarter_square())
         with pytest.raises(DimensionMismatch):
             braiding_phase(b, (1, 0), (1,))
+
+    def test_matches_per_entry_sum(self):
+        # one integer sum over beta's common denominator against one Frac1 per term
+        rng = random.Random("braiding-integer")
+        for rank in range(5):
+            for _ in range(20):
+                den = rng.randint(1, 12)
+                c = rand_matrix(rng, rank, rank, -5, 5)
+                q = quad_from_bilinear(BilinearData(c, Frac1(rng.randrange(den), den)))
+                eps = [[ZERO] * rank for _ in range(rank)]
+                for i in range(rank):
+                    for j in range(i + 1, rank):
+                        eps[i][j] = Frac1(rng.randint(-30, 30), rng.randint(1, 12))
+                        eps[j][i] = -eps[i][j]
+                b = perturb_refinement(standard_refinement(q), eps)
+                for _ in range(5):
+                    lam = [rng.randint(-2**70, 2**70) for _ in range(rank)]
+                    mu = [rng.choice((0, 1, -3, rng.randint(-2**70, 2**70))) for _ in range(rank)]
+                    assert braiding_phase(b, lam, mu) == frac1_bilinear(b.beta, lam, mu)
+
+    def test_common_denominator_and_numerators(self):
+        q = quad_from_bilinear(BilinearData(IntMatrix.from_rows([[1, 1], [0, 2]]), Frac1(1, 6)))
+        b = standard_refinement(q)  # beta = [[1/6, 1/6], [0, 1/3]]
+        assert b.denominator == 6
+        assert b.numerators == IntMatrix.from_rows([[1, 1], [0, 2]])
+        shifted = perturb_refinement(b, [[ZERO, QUARTER], [-QUARTER, ZERO]])
+        assert shifted.denominator == 12
+        assert shifted.numerators == IntMatrix.from_rows([[2, 5], [9, 4]])
+        # the derived fields stay out of equality and hashing
+        again = perturb_refinement(b, [[ZERO, ZERO], [ZERO, ZERO]])
+        assert again == b and hash(again) == hash(b)
 
 
 class TestDoubleBraiding:

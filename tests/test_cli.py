@@ -4,6 +4,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorus import ERROR_SCHEMA, REPORT_SCHEMAS
 from qtorus import cli
@@ -67,6 +69,12 @@ class TestGolden:
         out, code = run_main(capsys, "surface", "--input", str(GOLDEN / "surface_signs_g2r2.json"))
         assert code == 0
         assert out == (GOLDEN / "surface_signs_g2r2.txt").read_text()
+
+    def test_global_trivial_g2r3_json_bytes(self, capsys):
+        # 27 blocks sharing one 12x12 omega: the emitter reuses its text
+        out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_trivial_g2r3.json"))
+        assert code == 0
+        assert out == (GOLDEN / "global_trivial_g2r3.out.json").read_text()
 
     def test_selfcheck_bytes_and_exit(self, capsys):
         out, code = run_main(capsys, "selfcheck", "--input", str(GOLDEN / "selfcheck.json"))
@@ -306,6 +314,93 @@ class TestInterface:
         payload = json.loads(out)
         assert payload["message"] == "unknown field 'extra'"
         assert payload["path"] == "extra"
+
+
+STRINGS = st.text() | st.text(st.sampled_from('"\\/\x00\x07\n\r\t\x1f\x7f\u00e9\u20ac\u2028\U0001f600\ud800a'))
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | STRINGS
+)
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(STRINGS, kids),
+    max_leaves=20,
+)
+
+
+@st.composite
+def trees_sharing_a_list(draw):
+    """A tree holding one list object at the same depth twice and at other depths."""
+    shared = draw(st.lists(st.lists(SCALARS, max_size=4), max_size=4) | st.lists(SCALARS))
+    return {
+        "same": [shared, shared],
+        "deeper": {"x": [[shared]], "y": (shared, draw(TREES))},
+        "top": shared,
+        "other": draw(TREES),
+    }
+
+
+def count_strings(value):
+    """Strings an encoder writes for ``value``: dict keys and string leaves."""
+    if isinstance(value, str):
+        return 1
+    if isinstance(value, dict):
+        return sum(1 + count_strings(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(count_strings(v) for v in value)
+    return 0
+
+
+class TestEmitter:
+    @settings(max_examples=150, deadline=None)
+    @given(TREES)
+    def test_equals_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @settings(max_examples=50, deadline=None)
+    @given(trees_sharing_a_list())
+    def test_shared_lists_equal_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes"])
+    def test_other_types_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps({"x": [bad]})
+
+    @pytest.mark.parametrize("bad", [1.5, {1: "int key"}])
+    def test_floats_and_non_string_keys_are_not_report_values(self, bad):
+        # reports hold neither; json.dumps would accept both
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
+
+    def test_shared_omega_is_encoded_once(self, monkeypatch):
+        spec = cli.JobSpec({
+            "task": "global",
+            "surface": {"genus": 4, "rank": 4},
+            "level": {"c_matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                      "zeta": "1/4"},
+        })
+        report = cli._run_global(spec)
+        blocks = report["blocks"]
+        omega = blocks[0]["omega"]
+        assert len(blocks) == 81 and len(omega) == 32
+        assert all(b["omega"] is omega for b in blocks)
+        encoded = []
+
+        def counting(text):
+            encoded.append(text)
+            return json.encoder.encode_basestring_ascii(text)
+
+        monkeypatch.setattr(cli, "_encode_str", counting)
+        out = cli._dumps(report)
+        assert out == json.dumps(report, indent=2) + "\n"
+        # every string once, except omega's 32 x 32 entries: once, not 81 times
+        assert len(encoded) == count_strings(report) - 80 * 32 * 32
 
 
 class TestTripwire:

@@ -21,8 +21,8 @@ from qtorus import (
 )
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
 from qtorus.forms import HALF, ZERO, SymmetricForm
-from qtorus.gerbe import letter_vectors, pairing_on_letters
-from qtorus.lattice import inverse_unimodular
+from qtorus.gerbe import _heisenberg_dimensions, letter_vectors, pairing_on_letters
+from qtorus.lattice import inverse_unimodular, smith_normal_form
 
 from helpers import (
     pairing_on_cocycles_per_term,
@@ -365,6 +365,22 @@ class TestBlockStructure:
     def test_bad_component_length(self):
         with pytest.raises(BadComponent):
             block_report(trivial_level(1, 1, 2), components=[(1, 0)])
+
+    def test_radical_rank_reads_the_reduced_lift(self):
+        # one omega on (Z/3)^3, two integer lifts W with omega = W / 3
+        n = 3
+        reduced = IntMatrix.from_rows([[0, 1, 1], [2, 0, 1], [2, 2, 0]])
+        antisymmetric = IntMatrix.from_rows([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]])
+        assert list(smith_normal_form(reduced).diagonal()) == [1, 1, 6]
+        assert list(smith_normal_form(antisymmetric).diagonal()) == [1, 1, 0]
+        # the block order, prod N / gcd(N, d_i), does not depend on the lift
+        for w in (reduced, antisymmetric):
+            order = math.prod(n // math.gcd(n, d) for d in smith_normal_form(w).diagonal())
+            assert order == 9
+        # the radical rank is read from the lift reduced into [0, N) whatever
+        # lift is passed: rank 3, so 0, where the antisymmetric lift's rank would give 1
+        assert _heisenberg_dimensions(n, reduced, 3) == (0, 3)
+        assert _heisenberg_dimensions(n, antisymmetric, 3) == (0, 3)
 
     def test_blocks_share_level_data(self):
         rep = block_report(trivial_level(1, 1, 6))

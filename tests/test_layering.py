@@ -87,3 +87,17 @@ def test_cochain_oracle_evaluates_pairings_itself():
     fields = integer_fields_of_forms()
     assert {"denominator", "numerators"} <= fields
     assert not names_in(parse("cochain")) & ({"evaluate", "numerator"} | fields)
+
+
+def test_reports_have_one_json_path():
+    # cli's emitter writes every JSON report; an indented json.dumps beside it
+    # would bring back the pure-Python encoder as a second path
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "dumps" in names_in(node.func)
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert calls == []
