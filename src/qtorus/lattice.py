@@ -1,10 +1,13 @@
 """Exact linear algebra over the integers.
 
 Everything here works with built-in arbitrary-precision ints; no floats ever
-enter. The workhorse is :func:`smith_normal_form`, which returns the full
-``U @ A @ V = D`` decomposition with unimodular transforms, so kernels,
-cokernels and subquotients of finitely generated abelian groups all reduce
-to reading off diagonal entries.
+enter. The workhorse is :func:`smith_normal_form`, the ``U @ A @ V = D``
+decomposition with unimodular transforms, so kernels, cokernels and
+subquotients of finitely generated abelian groups all reduce to reading off
+diagonal entries. One elimination loop serves every caller; it copies its
+row and column operations onto only the transforms the caller asks for:
+``U``, ``V`` and ``U``'s inverse. Groups alone need none of them, a kernel
+basis needs ``V``, and quotient generators need ``U^-1``.
 """
 
 from __future__ import annotations
@@ -193,13 +196,38 @@ def is_unimodular(a: IntMatrix) -> bool:
     return a.is_square() and abs(det(a)) == 1
 
 
+class _NotBuilt:
+    """A transform the caller did not ask :func:`smith_normal_form` for.
+
+    It has no entries, so code that sizes every matrix of a result still
+    runs; any other use raises.
+    """
+
+    __slots__ = ()
+    entries: tuple[int, ...] = ()
+
+    def __getattr__(self, name):
+        raise AttributeError(f"the Smith form did not build this transform (read .{name})")
+
+    def __repr__(self) -> str:
+        return "NOT_BUILT"
+
+
+NOT_BUILT = _NotBuilt()
+
+
 @dataclass(frozen=True)
 class SnfResult:
-    """Unimodular ``u``, ``v`` and diagonal ``d`` with ``u @ a @ v == d``."""
+    """Diagonal ``d`` with ``u @ a @ v == d``, ``u`` and ``v`` unimodular.
 
-    u: IntMatrix
+    ``uinv`` is the inverse of ``u``. Each transform is :data:`NOT_BUILT`
+    unless the call asked for it.
+    """
+
+    u: IntMatrix | _NotBuilt
     d: IntMatrix
-    v: IntMatrix
+    v: IntMatrix | _NotBuilt
+    uinv: IntMatrix | _NotBuilt = NOT_BUILT
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.d.rows, self.d.cols)
@@ -252,47 +280,71 @@ class FgAbGroup:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def smith_normal_form(a: IntMatrix) -> SnfResult:
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def smith_normal_form(
+    a: IntMatrix, *, u: bool = True, v: bool = True, uinv: bool = False
+) -> SnfResult:
     """Diagonalize ``a`` over the integers.
 
     Pivots are chosen by minimal absolute value (lexicographic tie-break) to
     keep intermediate coefficients small. The diagonal comes out nonnegative
     with each entry dividing the next.
+
+    ``u``, ``v`` and ``uinv`` name the transforms to build; the others come
+    back as :data:`NOT_BUILT`. Each row operation on the working matrix is
+    copied onto ``u``, each column operation onto ``v``, and ``uinv`` takes
+    the inverse of each row operation as a column operation: row_i +=
+    q*row_j becomes col_j -= q*col_i, a row swap swaps the same two columns
+    and a row negation negates the column. Pivots depend on the working
+    matrix alone, so the diagonal and every built transform are the same
+    whatever else the call asks for.
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
-    u = IntMatrix.identity(m).row_lists()
-    v = IntMatrix.identity(n).row_lists()
+    tu = _identity_rows(m) if u else None
+    tv = _identity_rows(n) if v else None
+    ti = _identity_rows(m) if uinv else None
+    by_rows = [d] if tu is None else [d, tu]  # what row operations act on
+    by_cols = [d] if tv is None else [d, tv]  # what column operations act on
 
     def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        for x in by_rows:
+            x[i], x[j] = x[j], x[i]
+        if ti is not None:
+            for r in ti:
+                r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        for x in by_cols:
+            for r in x:
+                r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, q):
         # row_i += q * row_j
-        di, dj = d[i], d[j]
-        for t in range(n):
-            di[t] += q * dj[t]
-        ui, uj = u[i], u[j]
-        for t in range(m):
-            ui[t] += q * uj[t]
+        for x in by_rows:
+            x[i] = [s + q * t for s, t in zip(x[i], x[j])]
+        if ti is not None:
+            for r in ti:
+                r[j] -= q * r[i]
 
     def col_add(i, j, q):
         # col_i += q * col_j
-        for r in d:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
+        for x in by_cols:
+            for r in x:
+                r[i] += q * r[j]
 
     def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        for x in by_rows:
+            x[i] = [-s for s in x[i]]
+        if ti is not None:
+            for r in ti:
+                r[i] = -r[i]
 
     def find_pivot(t):
         best = None
@@ -354,25 +406,24 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             row_add(t, offender, 1)
         t += 1
 
-    return SnfResult(
-        IntMatrix.from_rows(u, m),
-        IntMatrix.from_rows(d, n),
-        IntMatrix.from_rows(v, n),
-    )
+    def built(rows, size):
+        return NOT_BUILT if rows is None else IntMatrix.from_rows(rows, size)
+
+    return SnfResult(built(tu, m), IntMatrix.from_rows(d, n), built(tv, n), built(ti, m))
 
 
 def rank(a: IntMatrix) -> int:
-    return smith_normal_form(a).rank()
+    return smith_normal_form(a, u=False, v=False).rank()
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:
     """Canonical form of Z^rows / (a . Z^cols); see :meth:`SnfResult.cokernel`."""
-    return smith_normal_form(a).cokernel()
+    return smith_normal_form(a, u=False, v=False).cokernel()
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Saturated basis of ker(a) as columns; see :meth:`SnfResult.kernel_basis`."""
-    return smith_normal_form(a).kernel_basis()
+    return smith_normal_form(a, u=False).kernel_basis()
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
@@ -380,7 +431,7 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     if not a.is_square():
         raise NonUnimodular(f"{a.rows}x{a.cols} matrix cannot be unimodular")
     snf = smith_normal_form(a)
-    if snf.d != IntMatrix.identity(a.rows):
+    if any(x != 1 for x in snf.diagonal()):
         raise NonUnimodular("matrix has nontrivial Smith form, no integer inverse")
     return snf.v @ snf.u
 
@@ -443,14 +494,14 @@ class QuotientPresentation:
 def _quotient_with_generators(snf: SnfResult, basis: IntMatrix | None) -> QuotientPresentation:
     """Generators of Z^k / im(x), pushed to ambient coordinates via ``basis``.
 
-    ``snf`` is the Smith form of x. ``basis`` is an ambient-by-k matrix whose
-    columns the quotient coordinates refer to; None means the identity.
+    ``snf`` is the Smith form of x, built with ``uinv``. ``basis`` is an
+    ambient-by-k matrix whose columns the quotient coordinates refer to; None
+    means the identity.
     """
     k, r = snf.d.rows, snf.rank()
     diag = snf.diagonal()
-    uinv = inverse_unimodular(snf.u)
     # column i of uinv generates the Z/diag[i] (or Z, past the rank) summand
-    push = (basis @ uinv) if basis is not None else uinv
+    push = (basis @ snf.uinv) if basis is not None else snf.uinv
     free_gens = tuple(push.column(i) for i in range(r, k))
     torsion_gens = tuple(push.column(i) for i in range(r) if diag[i] > 1)
     return QuotientPresentation(snf.cokernel(), free_gens, torsion_gens)
@@ -460,4 +511,6 @@ def subquotient_with_generators(
     ker_basis_mat: IntMatrix, img_gens: IntMatrix
 ) -> QuotientPresentation:
     x = solve_exact(ker_basis_mat, img_gens)
-    return _quotient_with_generators(smith_normal_form(x), ker_basis_mat)
+    return _quotient_with_generators(
+        smith_normal_form(x, u=False, v=False, uinv=True), ker_basis_mat
+    )

@@ -7,14 +7,14 @@ The cochain complex has one cell in degree 0 and 2 and 2g cells in degree 1;
 its differentials are the stacked (rho(x_j) - I) blocks and the Fox
 derivatives of the relator. A local system unwinds the relator once; its
 letter transports give the relation check, d1 and omega's Gram matrix.
-The cohomology groups alone come from one Smith form per differential;
-generator representatives take the longer route through a kernel basis.
+The cohomology groups alone come from one Smith diagonal per differential,
+with no transform built; generator representatives take the longer route
+through a kernel basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -201,7 +201,7 @@ class CohomologyPresentations:
 
 def cohomology_presentations(rho: LatticeLocalSystem) -> CohomologyPresentations:
     cx = build_complex(rho)
-    snf1 = smith_normal_form(cx.d1)
+    snf1 = smith_normal_form(cx.d1, u=False, uinv=True)
     h0_basis = kernel_basis(cx.d0)
     h1 = subquotient_with_generators(snf1.kernel_basis(), cx.d0)
     h2 = _quotient_with_generators(snf1, None)
@@ -224,8 +224,8 @@ def twisted_cohomology(rho: LatticeLocalSystem) -> CohomologyTriple:
     ker d1, hence Z^(2g r) / im d0 = H^1 + Z^rank(d1).
     """
     cx = build_complex(rho)
-    snf0 = smith_normal_form(cx.d0)
-    snf1 = smith_normal_form(cx.d1)
+    snf0 = smith_normal_form(cx.d0, u=False, v=False)
+    snf1 = smith_normal_form(cx.d1, u=False, v=False)
     coker0 = snf0.cokernel()
     return CohomologyTriple(
         FgAbGroup(rho.rank - snf0.rank()),
@@ -235,31 +235,38 @@ def twisted_cohomology(rho: LatticeLocalSystem) -> CohomologyTriple:
 
 
 def _fraction_free_rank(a: IntMatrix) -> int:
-    """Rank over Q by Gaussian elimination with exact rational arithmetic.
+    """Rank over Q by fraction-free (Bareiss) elimination on integer rows.
 
     Deliberately avoids the Smith normal form machinery so the two rank
-    computations stay independent.
+    computations stay independent. Each step replaces the rows below the
+    pivot row by (p*x - x[col]*pivot_row) / prev, with p this step's pivot
+    and prev the last one (1 before the first). The division is exact: by
+    Sylvester's identity, after k pivots each entry is the (k+1)x(k+1) minor
+    of the row-permuted input on the pivot rows and columns plus its own row
+    and column, and p*x - x[col]*t is prev times the next such minor. A
+    column with no pivot changes nothing, so this holds with columns skipped.
     """
-    m = [[Fraction(x) for x in a.row(i)] for i in range(a.rows)]
+    m = a.row_lists()
     rank_count = 0
-    row = 0
+    prev = 1
     for col in range(a.cols):
         pivot = None
-        for i in range(row, a.rows):
+        for i in range(rank_count, a.rows):
             if m[i][col]:
                 pivot = i
                 break
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for i in range(row + 1, a.rows):
-            if m[i][col]:
-                factor = m[i][col] / pv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[row])]
+        m[rank_count], m[pivot] = m[pivot], m[rank_count]
+        top = m[rank_count]
+        p = top[col]
+        for i in range(rank_count + 1, a.rows):
+            x = m[i]
+            f = x[col]
+            m[i] = [(p * s - f * t) // prev for s, t in zip(x, top)]
+        prev = p
         rank_count += 1
-        row += 1
-        if row == a.rows:
+        if rank_count == a.rows:
             break
     return rank_count
 
@@ -268,10 +275,13 @@ def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTri
     """Cross-check a given triple's H0 and H2 against routes that never touch Fox derivatives.
 
     The check tests the triple it is given, normally the one a report has
-    already computed from ``rho``. H0 must be the invariant sublattice
-    (corank of the stacked monodromy differences, computed fraction-free).
-    H2 must be the coinvariants: the ambient lattice modulo the images of all
-    rho(x_j) - I.
+    already computed from ``rho``. H0 must be the invariant sublattice: its
+    rank is the corank of the stacked monodromy differences, found by
+    integer Bareiss elimination (:func:`_fraction_free_rank`), whose
+    divisions are exact because each quotient is itself a minor of the input
+    (Sylvester's identity). H2 must be the
+    coinvariants: the ambient lattice modulo the images of all rho(x_j) - I,
+    read off one Smith diagonal.
     """
     r = rho.rank
     eye = IntMatrix.identity(r)

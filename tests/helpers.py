@@ -1,6 +1,7 @@
 """Shared generators for randomized tests. Everything is seed-driven."""
 
 import random
+from fractions import Fraction
 
 from qtorus import (
     BilinearData,
@@ -31,6 +32,36 @@ def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
     return IntMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
+
+
+def fraction_rank(a: IntMatrix) -> int:
+    """Rank over Q by Gaussian elimination on ``Fraction`` rows.
+
+    The reference both integer ranks are tested against: the Smith form's
+    and the Bareiss elimination of ``surface._fraction_free_rank``.
+    """
+    m = [[Fraction(x) for x in a.row(i)] for i in range(a.rows)]
+    rank_count = 0
+    row = 0
+    for col in range(a.cols):
+        pivot = None
+        for i in range(row, a.rows):
+            if m[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        pv = m[row][col]
+        for i in range(row + 1, a.rows):
+            if m[i][col]:
+                factor = m[i][col] / pv
+                m[i] = [x - factor * y for x, y in zip(m[i], m[row])]
+        rank_count += 1
+        row += 1
+        if row == a.rows:
+            break
+    return rank_count
 
 
 def random_local_system(rng: random.Random, genus: int, rank: int) -> LatticeLocalSystem:

@@ -26,7 +26,6 @@ from qtorus import (
     evaluate,
     invariants_coinvariants_check,
     is_linear,
-    pairing_on_cocycles,
     perturb_refinement,
     polarize,
     quad_from_bilinear,
@@ -38,6 +37,7 @@ from qtorus import (
     twisted_cohomology,
 )
 from qtorus.forms import HALF, ZERO, QuadraticForm
+from qtorus.gerbe import letter_vectors, pairing_on_letters
 from qtorus.selfcheck import DEFAULT_SEED
 
 from helpers import rand_matrix, random_invariant_level, random_local_system
@@ -192,24 +192,27 @@ def _half_valued(q):
     return all(x in ok for x in q.diag) and all(x in ok for x in q.offdiag)
 
 
-def _omega_vanishes(q, rho, pairing):
-    n = 2 * rho.genus * q.rank
-    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+def _unit_pairs(rho):
+    """Each unit cochain's letter vectors, and the order its pairs are tried in.
+
+    The vectors depend on the local system alone, so they are built once and
+    every form pairs them as :func:`pairing_on_cocycles` would.
+    """
+    n = 2 * rho.genus * rho.rank
+    letters = [letter_vectors(rho, tuple(int(k == i) for k in range(n))) for i in range(n)]
     # b-block pairs first: they surface a nonzero polarization immediately
-    order = [(i, j) for i in range(n) for j in range(n) if (i < q.rank) <= (j >= q.rank)]
+    order = [(i, j) for i in range(n) for j in range(n) if (i < rho.rank) <= (j >= rho.rank)]
     order += [(i, j) for i in range(n) for j in range(n) if (i, j) not in order]
-    for i, j in order:
-        if pairing_on_cocycles(pairing, rho, units[i], units[j]) != ZERO:
-            return False
-    return True
+    return [(letters[i], letters[j]) for i, j in order]
+
+
+def _omega_vanishes(pairing, unit_pairs):
+    return all(pairing_on_letters(pairing, u, v) == ZERO for u, v in unit_pairs)
 
 
 def test_criterion_04_linear_level_criterion():
     middle_leg_failures = 0
-    rhos = {
-        1: LatticeLocalSystem.trivial(1, 1),
-        2: LatticeLocalSystem.trivial(2, 1),
-    }
+    unit_pairs = {r: _unit_pairs(LatticeLocalSystem.trivial(r, 1)) for r in (1, 2)}
     total = 0
     for q in _all_forms(12):
         total += 1
@@ -219,7 +222,7 @@ def test_criterion_04_linear_level_criterion():
             assert halfy
         elif halfy:
             middle_leg_failures += 1
-        assert lin == _omega_vanishes(q, rhos[q.rank], polarize(q))
+        assert lin == _omega_vanishes(polarize(q), unit_pairs[q.rank])
     assert total == 46 + 46**3
     if middle_leg_failures:
         warnings.warn(

@@ -1,5 +1,5 @@
 import random
-from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,28 +19,9 @@ from qtorus import (
     subquotient,
 )
 from qtorus.errors import ImageNotInKernel, NonSquareMatrix, NonUnimodular, ShapeMismatch
-from qtorus.lattice import hstack, subquotient_with_generators, vstack
+from qtorus.lattice import NOT_BUILT, hstack, subquotient_with_generators, vstack
 
-from helpers import rand_matrix, rand_unimodular
-
-
-def fraction_rank(m: IntMatrix) -> int:
-    """Plain Gaussian elimination over Q; independent of the SNF code path."""
-    rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
-    r = 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(m.rows):
-            if i != r and rows[i][col]:
-                f = rows[i][col] / rows[r][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+from helpers import fraction_rank, rand_matrix, rand_unimodular
 
 
 def assert_snf_contract(a: IntMatrix):
@@ -112,6 +93,38 @@ def test_snf_recompose_hypothesis(nrows, ncols, data):
         st.lists(st.integers(-50, 50), min_size=nrows * ncols, max_size=nrows * ncols)
     )
     assert_snf_contract(IntMatrix(nrows, ncols, entries))
+
+
+@st.composite
+def snf_inputs(draw):
+    """0 x n, n x 0, the tall 2gr x r shape of d0, the wide r x 2gr of d1, or any small shape."""
+    g, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k, l = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    m, n = draw(st.sampled_from([(0, k), (k, 0), (2 * g * r, r), (r, 2 * g * r), (l, k)]))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    return IntMatrix(m, n, draw(st.lists(entries, min_size=m * n, max_size=m * n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(snf_inputs())
+def test_snf_builds_the_requested_transforms_only(a):
+    full = smith_normal_form(a, uinv=True)
+    assert full.u @ a @ full.v == full.d
+    assert full.u @ full.uinv == IntMatrix.identity(a.rows)
+    assert full.uinv == inverse_unimodular(full.u)
+    for u, v, uinv in product((False, True), repeat=3):
+        res = smith_normal_form(a, u=u, v=v, uinv=uinv)
+        assert res.d == full.d
+        checks = ((u, res.u, full.u), (v, res.v, full.v), (uinv, res.uinv, full.uinv))
+        for asked, got, want in checks:
+            assert got == (want if asked else NOT_BUILT)
+
+
+def test_unbuilt_transform_refuses_use():
+    res = smith_normal_form(IntMatrix.from_rows([[2, 4]]), v=False)
+    assert res.v.entries == ()
+    with pytest.raises(AttributeError):
+        res.kernel_basis()
 
 
 @pytest.mark.parametrize(

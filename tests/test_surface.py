@@ -11,13 +11,15 @@ from qtorus import (
     cohomology_presentations,
     fox_derivative,
     invariants_coinvariants_check,
+    inverse_unimodular,
     kernel_basis,
     smith_normal_form,
     subquotient,
     twisted_cohomology,
 )
-from qtorus import surface
-from qtorus.lattice import hstack
+from qtorus import lattice, surface
+from qtorus.lattice import NOT_BUILT, hstack
+from qtorus.surface import _fraction_free_rank
 from qtorus.errors import (
     BadGeneratorIndex,
     DimensionMismatch,
@@ -25,7 +27,7 @@ from qtorus.errors import (
     RelationViolated,
 )
 
-from helpers import _int_power, rand_unimodular, random_local_system
+from helpers import _int_power, fraction_rank, rand_matrix, rand_unimodular, random_local_system
 
 
 def sign_rep():
@@ -296,13 +298,30 @@ class TestGroupsOnlyRoute:
     def test_two_smith_forms(self, monkeypatch):
         calls = []
 
-        def counting(a):
+        def counting(a, **transforms):
             calls.append((a.rows, a.cols))
-            return smith_normal_form(a)
+            return smith_normal_form(a, **transforms)
 
         monkeypatch.setattr(surface, "smith_normal_form", counting)
         twisted_cohomology(family_system(random.Random(3), "pair", 3, 2))
         assert calls == [(12, 2), (2, 12)]
+
+    def test_surface_report_builds_no_transform(self, monkeypatch):
+        # d0 and d1 in twisted_cohomology, the coinvariants matrix in the check
+        rho = family_system(random.Random(5), "pair", 13, 4)
+        results = []
+
+        def spy(a, **transforms):
+            res = smith_normal_form(a, **transforms)
+            results.append(((a.rows, a.cols), res))
+            return res
+
+        monkeypatch.setattr(surface, "smith_normal_form", spy)
+        monkeypatch.setattr(lattice, "smith_normal_form", spy)
+        assert invariants_coinvariants_check(rho, twisted_cohomology(rho))
+        assert [shape for shape, _ in results] == [(104, 4), (4, 104), (4, 104)]
+        for _, res in results:
+            assert res.u is res.v is res.uinv is NOT_BUILT
 
     def test_check_rejects_altered_h0_or_h2(self):
         rng = random.Random(31)
@@ -335,6 +354,22 @@ class TestSingleWalk:
 
 
 class TestPresentations:
+    @pytest.mark.parametrize("family", ["sign", "pair"])
+    def test_only_the_monodromy_is_inverted(self, family, monkeypatch):
+        # the quotient generators read U^-1 off the Smith form that made them
+        mats = family_system(random.Random(f"inv-{family}"), family, 3, 3).mon
+        inverted = []
+
+        def spy(a):
+            inverted.append(a)
+            return inverse_unimodular(a)
+
+        monkeypatch.setattr(surface, "inverse_unimodular", spy)
+        monkeypatch.setattr(lattice, "inverse_unimodular", spy)
+        rho = LatticeLocalSystem(3, 3, mats)
+        cohomology_presentations(rho)
+        assert inverted == list(mats)
+
     def test_generators_are_cocycles(self):
         rng = random.Random(29)
         for _ in range(15):
@@ -354,3 +389,28 @@ class TestPresentations:
         pres = cohomology_presentations(sign_rep())
         assert pres.triple.h1 == FgAbGroup(0, (2,))
         assert len(pres.h1.all_gens()) == pres.triple.h1.free_rank + len(pres.triple.h1.torsion)
+
+
+def rank_cases(rng):
+    """Empty shapes, zero columns, repeated rows and rank-deficient tall products."""
+    yield from (IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0))
+    for _ in range(40):
+        m, n = rng.randint(1, 7), rng.randint(1, 5)
+        rows = rand_matrix(rng, m, n, -9, 9).row_lists()
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[j] = 0
+        yield IntMatrix.from_rows(rows)
+        rows = rand_matrix(rng, m, n, -9, 9).row_lists()
+        yield IntMatrix.from_rows(rows + [[rng.randint(-3, 3) * x for x in rows[0]]] + rows[:2])
+        k = rng.randint(0, n - 1)
+        tall = rand_matrix(rng, 2 * m + n, k, -9, 9) @ rand_matrix(rng, k, n, -9, 9)
+        yield tall
+        yield IntMatrix(tall.rows, n, [x * (2**70 + 1) for x in tall.entries])
+
+
+def test_fraction_free_rank_matches_both_references():
+    for a in rank_cases(random.Random(37)):
+        want = fraction_rank(a)
+        assert _fraction_free_rank(a) == want
+        assert smith_normal_form(a, u=False, v=False).rank() == want
