@@ -123,8 +123,8 @@ class JobSpec:
             raise BadJobSpec("surface must be an object", "surface")
         genus = _as_int(s.get("genus"), "surface.genus")
         rank = _as_int(s.get("rank"), "surface.rank")
-        if genus < 0:
-            raise BadJobSpec("genus must be nonnegative", "surface.genus")
+        if not 0 <= genus <= sys.maxsize // 2:  # 2g monodromy matrices must fit a list
+            raise BadJobSpec(f"genus must be between 0 and {sys.maxsize // 2}", "surface.genus")
         if rank < 1:
             raise BadJobSpec("rank must be positive", "surface.rank")
         mon_raw = s.get("monodromy")

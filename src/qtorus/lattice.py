@@ -6,8 +6,9 @@ decomposition with unimodular transforms, so kernels, cokernels and
 subquotients of finitely generated abelian groups all reduce to reading off
 diagonal entries. One elimination loop serves every caller; it copies its
 row and column operations onto only the transforms the caller asks for:
-``U``, ``V`` and ``U``'s inverse. Groups alone need none of them, a kernel
-basis needs ``V``, and quotient generators need ``U^-1``.
+``U``, ``V``, and the inverses of both. Groups alone need none of them, a
+kernel basis needs ``V``, quotient generators need ``U^-1``, and
+coordinates on the kernel basis need ``V^-1``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import ImageNotInKernel, NonSquareMatrix, NonUnimodular, ShapeMismatch
+from .errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
 
 
 class IntMatrix:
@@ -220,14 +221,15 @@ NOT_BUILT = _NotBuilt()
 class SnfResult:
     """Diagonal ``d`` with ``u @ a @ v == d``, ``u`` and ``v`` unimodular.
 
-    ``uinv`` is the inverse of ``u``. Each transform is :data:`NOT_BUILT`
-    unless the call asked for it.
+    ``uinv`` and ``vinv`` are the inverses of ``u`` and ``v``. Each
+    transform is :data:`NOT_BUILT` unless the call asked for it.
     """
 
     u: IntMatrix | _NotBuilt
     d: IntMatrix
     v: IntMatrix | _NotBuilt
     uinv: IntMatrix | _NotBuilt = NOT_BUILT
+    vinv: IntMatrix | _NotBuilt = NOT_BUILT
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.d.rows, self.d.cols)
@@ -288,7 +290,7 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(
-    a: IntMatrix, *, u: bool = True, v: bool = True, uinv: bool = False
+    a: IntMatrix, *, u: bool = True, v: bool = True, inverses: bool = False
 ) -> SnfResult:
     """Diagonalize ``a`` over the integers.
 
@@ -296,41 +298,46 @@ def smith_normal_form(
     keep intermediate coefficients small. The diagonal comes out nonnegative
     with each entry dividing the next.
 
-    ``u``, ``v`` and ``uinv`` name the transforms to build; the others come
-    back as :data:`NOT_BUILT`. Each row operation on the working matrix is
-    copied onto ``u``, each column operation onto ``v``, and ``uinv`` takes
-    the inverse of each row operation as a column operation: row_i +=
-    q*row_j becomes col_j -= q*col_i, a row swap swaps the same two columns
-    and a row negation negates the column. Pivots depend on the working
-    matrix alone, so the diagonal and every built transform are the same
-    whatever else the call asks for.
+    ``u`` and ``v`` name the transforms to build, and ``inverses`` builds
+    ``uinv`` and ``vinv``; the others come back as :data:`NOT_BUILT`. Each
+    row operation on the working matrix is copied onto ``u`` and each column
+    operation onto ``v``. The inverses take each operation's inverse from the
+    other side: row_i += q*row_j becomes col_j -= q*col_i on ``uinv``,
+    col_i += q*col_j becomes row_j -= q*row_i on ``vinv``, a swap swaps the
+    same two lines, and a row negation negates the column of ``uinv``
+    (columns are never negated). Pivots depend on the working matrix alone,
+    so the diagonal and every built transform are the same whatever else the
+    call asks for.
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
     tu = _identity_rows(m) if u else None
     tv = _identity_rows(n) if v else None
-    ti = _identity_rows(m) if uinv else None
+    tui = _identity_rows(m) if inverses else None
+    tvi = _identity_rows(n) if inverses else None
     by_rows = [d] if tu is None else [d, tu]  # what row operations act on
     by_cols = [d] if tv is None else [d, tv]  # what column operations act on
 
     def row_swap(i, j):
         for x in by_rows:
             x[i], x[j] = x[j], x[i]
-        if ti is not None:
-            for r in ti:
+        if tui is not None:
+            for r in tui:
                 r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for x in by_cols:
             for r in x:
                 r[i], r[j] = r[j], r[i]
+        if tvi is not None:
+            tvi[i], tvi[j] = tvi[j], tvi[i]
 
     def row_add(i, j, q):
         # row_i += q * row_j
         for x in by_rows:
             x[i] = [s + q * t for s, t in zip(x[i], x[j])]
-        if ti is not None:
-            for r in ti:
+        if tui is not None:
+            for r in tui:
                 r[j] -= q * r[i]
 
     def col_add(i, j, q):
@@ -338,12 +345,14 @@ def smith_normal_form(
         for x in by_cols:
             for r in x:
                 r[i] += q * r[j]
+        if tvi is not None:
+            tvi[j] = [s - q * t for s, t in zip(tvi[j], tvi[i])]
 
     def row_negate(i):
         for x in by_rows:
             x[i] = [-s for s in x[i]]
-        if ti is not None:
-            for r in ti:
+        if tui is not None:
+            for r in tui:
                 r[i] = -r[i]
 
     def find_pivot(t):
@@ -409,21 +418,14 @@ def smith_normal_form(
     def built(rows, size):
         return NOT_BUILT if rows is None else IntMatrix.from_rows(rows, size)
 
-    return SnfResult(built(tu, m), IntMatrix.from_rows(d, n), built(tv, n), built(ti, m))
-
-
-def rank(a: IntMatrix) -> int:
-    return smith_normal_form(a, u=False, v=False).rank()
+    return SnfResult(
+        built(tu, m), IntMatrix.from_rows(d, n), built(tv, n), built(tui, m), built(tvi, n)
+    )
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:
     """Canonical form of Z^rows / (a . Z^cols); see :meth:`SnfResult.cokernel`."""
     return smith_normal_form(a, u=False, v=False).cokernel()
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Saturated basis of ker(a) as columns; see :meth:`SnfResult.kernel_basis`."""
-    return smith_normal_form(a, u=False).kernel_basis()
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
@@ -434,45 +436,6 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     if any(x != 1 for x in snf.diagonal()):
         raise NonUnimodular("matrix has nontrivial Smith form, no integer inverse")
     return snf.v @ snf.u
-
-
-def solve_exact(k: IntMatrix, g: IntMatrix) -> IntMatrix:
-    """Solve ``k @ x == g`` over the integers.
-
-    Raises ImageNotInKernel when no rational solution exists or when the
-    rational solution is not integral (columns of ``g`` leave the span).
-    Requires the columns of ``k`` to be linearly independent so that the
-    coordinates are unique.
-    """
-    if k.rows != g.rows:
-        raise ShapeMismatch(f"ambient dimensions differ: {k.rows} vs {g.rows}")
-    snf = smith_normal_form(k)
-    r = snf.rank()
-    if r != k.cols:
-        raise ShapeMismatch("basis columns are not linearly independent")
-    b = snf.u @ g
-    y = [[0] * g.cols for _ in range(k.cols)]
-    for i in range(k.rows):
-        if i < r:
-            p = snf.d.entry(i, i)
-            for j in range(g.cols):
-                q, rem = divmod(b.entry(i, j), p)
-                if rem != 0:
-                    raise ImageNotInKernel(
-                        f"column {j} lies in the rational span but not the integral span"
-                    )
-                y[i][j] = q
-        else:
-            for j in range(g.cols):
-                if b.entry(i, j) != 0:
-                    raise ImageNotInKernel(f"column {j} is outside the span")
-    return snf.v @ IntMatrix.from_rows(y, g.cols)
-
-
-def subquotient(ker_basis_mat: IntMatrix, img_gens: IntMatrix) -> FgAbGroup:
-    """Canonical form of (span of ker_basis columns) / (span of img_gens columns)."""
-    x = solve_exact(ker_basis_mat, img_gens)
-    return cokernel(x)
 
 
 @dataclass(frozen=True)
@@ -494,7 +457,7 @@ class QuotientPresentation:
 def _quotient_with_generators(snf: SnfResult, basis: IntMatrix | None) -> QuotientPresentation:
     """Generators of Z^k / im(x), pushed to ambient coordinates via ``basis``.
 
-    ``snf`` is the Smith form of x, built with ``uinv``. ``basis`` is an
+    ``snf`` is the Smith form of x, built with ``inverses``. ``basis`` is an
     ambient-by-k matrix whose columns the quotient coordinates refer to; None
     means the identity.
     """
@@ -505,12 +468,3 @@ def _quotient_with_generators(snf: SnfResult, basis: IntMatrix | None) -> Quotie
     free_gens = tuple(push.column(i) for i in range(r, k))
     torsion_gens = tuple(push.column(i) for i in range(r) if diag[i] > 1)
     return QuotientPresentation(snf.cokernel(), free_gens, torsion_gens)
-
-
-def subquotient_with_generators(
-    ker_basis_mat: IntMatrix, img_gens: IntMatrix
-) -> QuotientPresentation:
-    x = solve_exact(ker_basis_mat, img_gens)
-    return _quotient_with_generators(
-        smith_normal_form(x, u=False, v=False, uinv=True), ker_basis_mat
-    )

@@ -8,8 +8,9 @@ its differentials are the stacked (rho(x_j) - I) blocks and the Fox
 derivatives of the relator. A local system unwinds the relator once; its
 letter transports give the relation check, d1 and omega's Gram matrix.
 The cohomology groups alone come from one Smith diagonal per differential,
-with no transform built; generator representatives take the longer route
-through a kernel basis.
+with no transform built. Generator representatives come from snf(d1) with
+its inverse transforms and one small Smith form of im d0's coordinates on
+ker d1.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .lattice import (
     hstack,
     inverse_unimodular,
     is_unimodular,
-    kernel_basis,
     smith_normal_form,
-    subquotient_with_generators,
     vstack,
 )
 
@@ -200,10 +199,22 @@ class CohomologyPresentations:
 
 
 def cohomology_presentations(rho: LatticeLocalSystem) -> CohomologyPresentations:
+    """Groups and generator representatives from three Smith forms.
+
+    With V the column transform of snf(d1) and k its rank, K = V[:, k:] is a
+    basis of ker d1 and W = V^-1[k:, :] has W K = I. K has full column rank
+    and im d0 lies in ker d1, so x = W d0 is the unique integer x with
+    K x = d0. snf(x) gives H^1 = Z^cols(K) / im x, its generators pushed
+    through K, and U^-1 of snf(d1) gives the generators of H^2 = coker d1.
+    """
     cx = build_complex(rho)
-    snf1 = smith_normal_form(cx.d1, u=False, uinv=True)
-    h0_basis = kernel_basis(cx.d0)
-    h1 = subquotient_with_generators(snf1.kernel_basis(), cx.d0)
+    snf1 = smith_normal_form(cx.d1, u=False, inverses=True)
+    n, k = cx.d1.cols, snf1.rank()
+    x = IntMatrix(n - k, n, snf1.vinv.entries[k * n :]) @ cx.d0
+    h0_basis = smith_normal_form(cx.d0, u=False).kernel_basis()
+    h1 = _quotient_with_generators(
+        smith_normal_form(x, u=False, v=False, inverses=True), snf1.kernel_basis()
+    )
     h2 = _quotient_with_generators(snf1, None)
     triple = CohomologyTriple(
         FgAbGroup(h0_basis.cols),

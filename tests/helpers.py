@@ -5,12 +5,17 @@ from fractions import Fraction
 
 from qtorus import (
     BilinearData,
+    FgAbGroup,
     Frac1,
     IntMatrix,
     LatticeLocalSystem,
+    cokernel,
     invariance_check,
     quad_from_bilinear,
+    smith_normal_form,
 )
+from qtorus.errors import ImageNotInKernel, ShapeMismatch
+from qtorus.lattice import QuotientPresentation, _quotient_with_generators
 
 
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
@@ -62,6 +67,55 @@ def fraction_rank(a: IntMatrix) -> int:
         if row == a.rows:
             break
     return rank_count
+
+
+def solve_exact(k: IntMatrix, g: IntMatrix) -> IntMatrix:
+    """Solve ``k @ x == g`` over the integers through the full Smith form of ``k``.
+
+    The reference for the coordinates ``cohomology_presentations`` reads off
+    V^-1 of snf(d1). Raises ImageNotInKernel when no rational solution
+    exists or when the rational solution is not integral (columns of ``g``
+    leave the span). Requires the columns of ``k`` to be linearly
+    independent so that the coordinates are unique.
+    """
+    if k.rows != g.rows:
+        raise ShapeMismatch(f"ambient dimensions differ: {k.rows} vs {g.rows}")
+    snf = smith_normal_form(k)
+    r = snf.rank()
+    if r != k.cols:
+        raise ShapeMismatch("basis columns are not linearly independent")
+    b = snf.u @ g
+    y = [[0] * g.cols for _ in range(k.cols)]
+    for i in range(k.rows):
+        if i < r:
+            p = snf.d.entry(i, i)
+            for j in range(g.cols):
+                q, rem = divmod(b.entry(i, j), p)
+                if rem != 0:
+                    raise ImageNotInKernel(
+                        f"column {j} lies in the rational span but not the integral span"
+                    )
+                y[i][j] = q
+        else:
+            for j in range(g.cols):
+                if b.entry(i, j) != 0:
+                    raise ImageNotInKernel(f"column {j} is outside the span")
+    return snf.v @ IntMatrix.from_rows(y, g.cols)
+
+
+def subquotient(ker_basis_mat: IntMatrix, img_gens: IntMatrix) -> FgAbGroup:
+    """Canonical form of (span of ker_basis columns) / (span of img_gens columns)."""
+    return cokernel(solve_exact(ker_basis_mat, img_gens))
+
+
+def subquotient_with_generators(
+    ker_basis_mat: IntMatrix, img_gens: IntMatrix
+) -> QuotientPresentation:
+    """The same quotient with generators, through :func:`solve_exact`."""
+    x = solve_exact(ker_basis_mat, img_gens)
+    return _quotient_with_generators(
+        smith_normal_form(x, u=False, v=False, inverses=True), ker_basis_mat
+    )
 
 
 def random_local_system(rng: random.Random, genus: int, rank: int) -> LatticeLocalSystem:

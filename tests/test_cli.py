@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -180,6 +181,16 @@ class TestValidation:
         out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
         assert code == 2
         assert "surface" in json.loads(out)["path"]
+
+    @pytest.mark.parametrize("genus", [10**30, sys.maxsize // 2 + 1], ids=["1e30", "index_limit"])
+    def test_genus_past_list_index_limit(self, capsys, tmp_path, genus):
+        # 2g monodromy matrices must fit a list; past that the spec is refused
+        spec = {"task": "surface", "surface": {"genus": genus, "rank": 1}}
+        out, code = run_main(capsys, "surface", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert (payload["code"], payload["path"]) == ("bad_job_spec", "surface.genus")
 
     def test_non_unimodular_monodromy(self, capsys, tmp_path):
         spec = base_global_spec(surface={"genus": 1, "rank": 1, "monodromy": [[[2]], [[1]]]})

@@ -12,16 +12,19 @@ from qtorus import (
     det,
     inverse_unimodular,
     is_unimodular,
-    kernel_basis,
-    rank,
     smith_normal_form,
-    solve_exact,
-    subquotient,
 )
 from qtorus.errors import ImageNotInKernel, NonSquareMatrix, NonUnimodular, ShapeMismatch
-from qtorus.lattice import NOT_BUILT, hstack, subquotient_with_generators, vstack
+from qtorus.lattice import NOT_BUILT, hstack, vstack
 
-from helpers import fraction_rank, rand_matrix, rand_unimodular
+from helpers import (
+    fraction_rank,
+    rand_matrix,
+    rand_unimodular,
+    solve_exact,
+    subquotient,
+    subquotient_with_generators,
+)
 
 
 def assert_snf_contract(a: IntMatrix):
@@ -79,7 +82,7 @@ def test_snf_random_contract_and_rank_oracle():
     for _ in range(120):
         a = rand_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), -9, 9)
         res = assert_snf_contract(a)
-        assert res.rank() == fraction_rank(a) == rank(a)
+        assert res.rank() == fraction_rank(a) == smith_normal_form(a, u=False, v=False).rank()
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,14 +111,21 @@ def snf_inputs(draw):
 @settings(max_examples=80, deadline=None)
 @given(snf_inputs())
 def test_snf_builds_the_requested_transforms_only(a):
-    full = smith_normal_form(a, uinv=True)
+    full = smith_normal_form(a, inverses=True)
     assert full.u @ a @ full.v == full.d
     assert full.u @ full.uinv == IntMatrix.identity(a.rows)
+    assert full.v @ full.vinv == IntMatrix.identity(a.cols)
     assert full.uinv == inverse_unimodular(full.u)
-    for u, v, uinv in product((False, True), repeat=3):
-        res = smith_normal_form(a, u=u, v=v, uinv=uinv)
+    assert full.vinv == inverse_unimodular(full.v)
+    for u, v, inverses in product((False, True), repeat=3):
+        res = smith_normal_form(a, u=u, v=v, inverses=inverses)
         assert res.d == full.d
-        checks = ((u, res.u, full.u), (v, res.v, full.v), (uinv, res.uinv, full.uinv))
+        checks = (
+            (u, res.u, full.u),
+            (v, res.v, full.v),
+            (inverses, res.uinv, full.uinv),
+            (inverses, res.vinv, full.vinv),
+        )
         for asked, got, want in checks:
             assert got == (want if asked else NOT_BUILT)
 
@@ -140,9 +150,9 @@ def test_cokernel_examples(mat, expected):
 
 
 def test_kernel_examples():
-    assert kernel_basis(IntMatrix.identity(2)).cols == 0
-    assert kernel_basis(IntMatrix.zeros(2, 2)) == IntMatrix.identity(2)
-    k = kernel_basis(IntMatrix.from_rows([[1, 1]]))
+    assert smith_normal_form(IntMatrix.identity(2), u=False).kernel_basis().cols == 0
+    assert smith_normal_form(IntMatrix.zeros(2, 2), u=False).kernel_basis() == IntMatrix.identity(2)
+    k = smith_normal_form(IntMatrix.from_rows([[1, 1]]), u=False).kernel_basis()
     assert k.cols == 1
     assert tuple(k.column(0)) in {(1, -1), (-1, 1)}
 
@@ -151,13 +161,14 @@ def test_kernel_contract_random():
     rng = random.Random(23)
     for _ in range(60):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9)
-        k = kernel_basis(a)
+        snf = smith_normal_form(a, u=False)
+        k = snf.kernel_basis()
         assert (a @ k).is_zero()
-        assert rank(k) == k.cols  # independent columns
-        if k.cols:
-            # saturation: the basis extends to a basis of Z^cols
-            assert all(d == 1 for d in smith_normal_form(k).diagonal())
-        assert k.cols == a.cols - rank(a)
+        snf_k = smith_normal_form(k, u=False, v=False)
+        assert snf_k.rank() == k.cols  # independent columns
+        # saturation: the basis extends to a basis of Z^cols
+        assert all(d == 1 for d in snf_k.diagonal())
+        assert k.cols == a.cols - snf.rank()
 
 
 def test_subquotient_examples():
@@ -178,7 +189,7 @@ def test_subquotient_rejects_image_outside_kernel():
 
 def test_empty_matrices_are_legal():
     assert smith_normal_form(IntMatrix.zeros(0, 3)).d == IntMatrix.zeros(0, 3)
-    assert kernel_basis(IntMatrix.zeros(0, 3)) == IntMatrix.identity(3)
+    assert smith_normal_form(IntMatrix.zeros(0, 3), u=False).kernel_basis() == IntMatrix.identity(3)
     assert cokernel(IntMatrix.zeros(3, 0)) == FgAbGroup(3, ())
     assert cokernel(IntMatrix.zeros(0, 0)) == FgAbGroup(0, ())
     assert det(IntMatrix.zeros(0, 0)) == 1

@@ -52,7 +52,7 @@ def test_fraction_free_rank_uses_no_lattice_function():
     lattice_functions = {
         node.name for node in parse("lattice").body if isinstance(node, ast.FunctionDef)
     }
-    assert {"smith_normal_form", "rank", "solve_exact"} <= lattice_functions
+    assert {"smith_normal_form", "det", "inverse_unimodular"} <= lattice_functions
     (func,) = [
         node
         for node in parse("surface").body
@@ -101,3 +101,43 @@ def test_reports_have_one_json_path():
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert calls == []
+
+
+def top_level_names(tree):
+    """Names a module binds at top level: definitions, assignments and imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update((a.asname or a.name).partition(".")[0] for a in node.names)
+    return out
+
+
+def test_all_lists_exactly_the_public_imports():
+    # every name in __all__ is imported from a module that defines it, and
+    # every public name the package imports is listed
+    tree = parse("__init__")
+    (listed,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    ]
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {name for name in imported if not name.startswith("_")}
+    unresolved = [
+        f"{module}.{name}"
+        for module, name in imported.values()
+        if name not in top_level_names(parse(module))
+    ]
+    assert unresolved == []

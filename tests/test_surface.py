@@ -12,9 +12,7 @@ from qtorus import (
     fox_derivative,
     invariants_coinvariants_check,
     inverse_unimodular,
-    kernel_basis,
     smith_normal_form,
-    subquotient,
     twisted_cohomology,
 )
 from qtorus import lattice, surface
@@ -27,7 +25,15 @@ from qtorus.errors import (
     RelationViolated,
 )
 
-from helpers import _int_power, fraction_rank, rand_matrix, rand_unimodular, random_local_system
+from helpers import (
+    _int_power,
+    fraction_rank,
+    rand_matrix,
+    rand_unimodular,
+    random_local_system,
+    subquotient,
+    subquotient_with_generators,
+)
 
 
 def sign_rep():
@@ -290,7 +296,7 @@ class TestGroupsOnlyRoute:
                 rho = family_system(rng, family, genus, rank)
                 cx = build_complex(rho)
                 h1 = twisted_cohomology(rho).h1
-                assert h1 == subquotient(kernel_basis(cx.d1), cx.d0)
+                assert h1 == subquotient(smith_normal_form(cx.d1, u=False).kernel_basis(), cx.d0)
                 torsion += bool(h1.torsion)
         if family == "sign":
             assert torsion >= 6
@@ -321,7 +327,7 @@ class TestGroupsOnlyRoute:
         assert invariants_coinvariants_check(rho, twisted_cohomology(rho))
         assert [shape for shape, _ in results] == [(104, 4), (4, 104), (4, 104)]
         for _, res in results:
-            assert res.u is res.v is res.uinv is NOT_BUILT
+            assert res.u is res.v is res.uinv is res.vinv is NOT_BUILT
 
     def test_check_rejects_altered_h0_or_h2(self):
         rng = random.Random(31)
@@ -369,6 +375,41 @@ class TestPresentations:
         rho = LatticeLocalSystem(3, 3, mats)
         cohomology_presentations(rho)
         assert inverted == list(mats)
+
+    def test_three_smith_forms_and_none_of_the_kernel_basis(self, monkeypatch):
+        # snf(d1) with V and both inverses, snf(d0) with V for the H^0 basis,
+        # and snf(x) of im d0's coordinates on ker d1 with the inverses only
+        g, r = 4, 3
+        rho = family_system(random.Random(41), "pair", g, r)
+        k = 2 * g * r - smith_normal_form(build_complex(rho).d1, u=False, v=False).rank()
+        calls = []
+
+        def spy(a, **transforms):
+            res = smith_normal_form(a, **transforms)
+            built = tuple(t is not NOT_BUILT for t in (res.u, res.v, res.uinv, res.vinv))
+            calls.append(((a.rows, a.cols), built))
+            return res
+
+        monkeypatch.setattr(surface, "smith_normal_form", spy)
+        monkeypatch.setattr(lattice, "smith_normal_form", spy)
+        cohomology_presentations(rho)
+        assert calls == [
+            ((r, 2 * g * r), (False, True, True, True)),
+            ((2 * g * r, r), (False, True, False, False)),
+            ((k, r), (False, False, True, True)),
+        ]
+
+    @pytest.mark.parametrize("family", ["trivial", "sign", "shear", "pair"])
+    def test_h1_generators_match_the_exact_solve(self, family):
+        # x read off V^-1 of snf(d1) against solve_exact's full Smith form of
+        # the kernel basis: same group and the same generator vectors
+        rng = random.Random(f"gens-{family}")
+        shapes = [(g, r) for g in range(6) for r in range(1, 5)]
+        shapes += {"shear": [(9, 2)], "pair": [(13, 4)]}.get(family, [])
+        for genus, rank in shapes:
+            pres = cohomology_presentations(family_system(rng, family, genus, rank))
+            kernel = smith_normal_form(pres.complex.d1, u=False).kernel_basis()
+            assert pres.h1 == subquotient_with_generators(kernel, pres.complex.d0)
 
     def test_generators_are_cocycles(self):
         rng = random.Random(29)
