@@ -41,14 +41,6 @@ class ShapeMismatch(QtorusError):
     code = "shape_mismatch"
 
 
-class ImageNotInKernel(QtorusError):
-    code = "image_not_in_kernel"
-
-
-class NonInvertibleMonodromy(QtorusError):
-    code = "non_invertible_monodromy"
-
-
 class NonUnimodular(QtorusError):
     code = "non_unimodular"
 

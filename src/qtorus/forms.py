@@ -23,8 +23,8 @@ from typing import Sequence
 from .errors import (
     BadFraction,
     DimensionMismatch,
-    NonInvertibleMonodromy,
     NonSquareMatrix,
+    NonUnimodular,
 )
 from .lattice import IntMatrix, is_unimodular
 
@@ -319,7 +319,7 @@ def invariance_check(q: QuadraticForm, mats: Sequence[IntMatrix]) -> bool:
         if not a.is_square() or a.rows != r:
             raise DimensionMismatch(f"automorphism must be {r}x{r}, got {a.rows}x{a.cols}")
         if not is_unimodular(a):
-            raise NonInvertibleMonodromy("matrix is not invertible over the integers")
+            raise NonUnimodular("matrix is not invertible over the integers")
     probes = [tuple(1 if t == i else 0 for t in range(r)) for i in range(r)]
     probes += [
         tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(r))

@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers.
 
 Everything here works with built-in arbitrary-precision ints; no floats ever
-enter. The workhorse is :func:`smith_normal_form`, the ``U @ A @ V = D``
-decomposition with unimodular transforms, so kernels, cokernels and
-subquotients of finitely generated abelian groups all reduce to reading off
-diagonal entries. One elimination loop serves every caller; it copies its
-row and column operations onto only the transforms the caller asks for:
-``U``, ``V``, and the inverses of both. Groups alone need none of them, a
-kernel basis needs ``V``, quotient generators need ``U^-1``, and
-coordinates on the kernel basis need ``V^-1``.
+enter. There are two eliminations. :func:`smith_normal_form`, the
+``U @ A @ V = D`` decomposition with unimodular transforms, gives kernels,
+cokernels and quotient generators. It copies its row and column operations
+onto only the transforms the caller asks for: groups alone need none, a
+kernel basis needs ``V``, quotient generators ``U^-1`` and coordinates on
+the kernel basis ``V^-1``. Determinants, the unimodularity test and inverses
+in GL(n, Z) read ``det A`` and the adjugate off one fraction-free
+Gauss-Jordan elimination of ``[A | I]``.
 """
 
 from __future__ import annotations
@@ -165,32 +165,43 @@ def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix(sum(m.rows for m in mats), cols, out)
 
 
+def _gauss_jordan(a: IntMatrix) -> tuple[int, list[int] | None]:
+    """``(det a, adj a)``, adj row-major, or ``(0, None)`` when ``a`` is singular.
+
+    Fraction-free Gauss-Jordan elimination of ``[a | I]`` (Bareiss 1968): step
+    k turns every row but the pivot row into (p*x - x[k]*pivot_row) / prev,
+    with p its pivot and prev the last one (1 at first). Every entry is a minor
+    of the row-permuted ``[a | I]``, so the division is exact and Hadamard's
+    bound holds. The end is [D*I | D*a^-1] with D the permuted determinant.
+    """
+    n = a.rows
+    rows = [list(a.row(i)) + e for i, e in enumerate(_identity_rows(n))]
+    sign = prev = 1
+    for k in range(n):
+        for pivot in range(k, n):
+            if rows[pivot][k]:
+                break
+        else:
+            return 0, None
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[k]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and (f or p != prev):  # else the row stays as it is
+                rows[i] = [(p * s - f * t) // prev for s, t in zip(rows[i], top)]
+        prev = p
+    adj = [x for r in rows for x in r[n:]]
+    return sign * prev, adj if sign == 1 else [-x for x in adj]
+
+
 def det(a: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination. Exact."""
+    """Determinant, read off :func:`_gauss_jordan`. Exact."""
     if not a.is_square():
         raise NonSquareMatrix(f"determinant of a {a.rows}x{a.cols} matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.row_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: division is exact at every step
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _gauss_jordan(a)[0]
 
 
 def is_unimodular(a: IntMatrix) -> bool:
@@ -423,19 +434,14 @@ def smith_normal_form(
     )
 
 
-def cokernel(a: IntMatrix) -> FgAbGroup:
-    """Canonical form of Z^rows / (a . Z^cols); see :meth:`SnfResult.cokernel`."""
-    return smith_normal_form(a, u=False, v=False).cokernel()
-
-
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix: det(a) * adj(a), det(a) = +-1."""
     if not a.is_square():
         raise NonUnimodular(f"{a.rows}x{a.cols} matrix cannot be unimodular")
-    snf = smith_normal_form(a)
-    if any(x != 1 for x in snf.diagonal()):
-        raise NonUnimodular("matrix has nontrivial Smith form, no integer inverse")
-    return snf.v @ snf.u
+    d, adj = _gauss_jordan(a)
+    if abs(d) != 1:
+        raise NonUnimodular("matrix is not unimodular, no integer inverse")
+    return IntMatrix(a.rows, a.rows, adj if d == 1 else [-x for x in adj])
 
 
 @dataclass(frozen=True)

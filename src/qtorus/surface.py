@@ -30,10 +30,8 @@ from .lattice import (
     IntMatrix,
     QuotientPresentation,
     _quotient_with_generators,
-    cokernel,
     hstack,
     inverse_unimodular,
-    is_unimodular,
     smith_normal_form,
     vstack,
 )
@@ -63,6 +61,10 @@ class SurfaceGroup:
 class LatticeLocalSystem:
     """Monodromy data: one unimodular matrix per generator, relation enforced.
 
+    Each generator is inverted once, at construction, and ``mon_inv`` keeps
+    the inverses in generator order; a matrix with no integer inverse fails
+    that inversion, which is the unimodularity check.
+
     ``letter_frames`` holds a (generator index, exponent, transport) triple
     per relator letter. The transport is the monodromy of the relator prefix
     ending just before a positive letter, or just after a negative one.
@@ -76,15 +78,18 @@ class LatticeLocalSystem:
         mon = tuple(mon)
         if len(mon) != 2 * genus:
             raise DimensionMismatch(f"need {2 * genus} matrices for genus {genus}, got {len(mon)}")
+        inv = []
         for idx, m in enumerate(mon):
             if not m.is_square() or m.rows != rank:
                 raise DimensionMismatch(f"monodromy matrix {idx} must be {rank}x{rank}")
-            if not is_unimodular(m):
-                raise NonUnimodular(f"monodromy matrix {idx} is not unimodular")
+            try:
+                inv.append(inverse_unimodular(m))
+            except NonUnimodular:
+                raise NonUnimodular(f"monodromy matrix {idx} is not unimodular") from None
         self.rank = rank
         self.genus = genus
         self.mon = mon
-        self._inv: dict[int, IntMatrix] = {}
+        self.mon_inv = tuple(inv)
         frames = []
         prefix = IntMatrix.identity(rank)
         for letter in SurfaceGroup(genus).relator():
@@ -107,12 +112,7 @@ class LatticeLocalSystem:
         """Matrix of a signed generator letter."""
         if letter == 0 or abs(letter) > len(self.mon):
             raise BadGeneratorIndex(f"letter {letter} out of range for {len(self.mon)} generators")
-        j = abs(letter) - 1
-        if letter > 0:
-            return self.mon[j]
-        if j not in self._inv:
-            self._inv[j] = inverse_unimodular(self.mon[j])
-        return self._inv[j]
+        return self.mon[letter - 1] if letter > 0 else self.mon_inv[-letter - 1]
 
     def word_matrix(self, word: Word) -> IntMatrix:
         out = IntMatrix.identity(self.rank)
@@ -303,5 +303,5 @@ def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTri
         stacked = vstack([m - eye for m in rho.mon])
         side = hstack([m - eye for m in rho.mon])
     h0_indep = FgAbGroup(r - _fraction_free_rank(stacked))
-    h2_indep = cokernel(side)
+    h2_indep = smith_normal_form(side, u=False, v=False).cokernel()
     return triple.h0 == h0_indep and triple.h2 == h2_indep

@@ -9,13 +9,16 @@ from qtorus import (
     Frac1,
     IntMatrix,
     LatticeLocalSystem,
-    cokernel,
     invariance_check,
     quad_from_bilinear,
     smith_normal_form,
 )
-from qtorus.errors import ImageNotInKernel, ShapeMismatch
+from qtorus.errors import ShapeMismatch
 from qtorus.lattice import QuotientPresentation, _quotient_with_generators
+
+
+class ImageNotInKernel(ValueError):
+    """:func:`solve_exact` found no integer solution."""
 
 
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
@@ -105,7 +108,7 @@ def solve_exact(k: IntMatrix, g: IntMatrix) -> IntMatrix:
 
 def subquotient(ker_basis_mat: IntMatrix, img_gens: IntMatrix) -> FgAbGroup:
     """Canonical form of (span of ker_basis columns) / (span of img_gens columns)."""
-    return cokernel(solve_exact(ker_basis_mat, img_gens))
+    return smith_normal_form(solve_exact(ker_basis_mat, img_gens), u=False, v=False).cokernel()
 
 
 def subquotient_with_generators(
@@ -116,6 +119,16 @@ def subquotient_with_generators(
     return _quotient_with_generators(
         smith_normal_form(x, u=False, v=False, inverses=True), ker_basis_mat
     )
+
+
+def smith_form_inverse(a: IntMatrix) -> IntMatrix:
+    """V @ U from the full Smith form of a unimodular ``a``: D = U a V = I gives a^-1 = V U.
+
+    The reference the fraction-free ``lattice.inverse_unimodular`` is tested against.
+    """
+    snf = smith_normal_form(a)
+    assert all(x == 1 for x in snf.diagonal())
+    return snf.v @ snf.u
 
 
 def random_local_system(rng: random.Random, genus: int, rank: int) -> LatticeLocalSystem:

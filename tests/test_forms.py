@@ -19,8 +19,8 @@ from qtorus import (
 from qtorus.errors import (
     BadFraction,
     DimensionMismatch,
-    NonInvertibleMonodromy,
     NonSquareMatrix,
+    NonUnimodular,
 )
 from qtorus.forms import HALF, ZERO
 
@@ -227,7 +227,7 @@ class TestInvarianceCheck:
         q = QuadraticForm(2, (ZERO, ZERO), (ZERO,))
         with pytest.raises(DimensionMismatch):
             invariance_check(q, [IntMatrix.identity(3)])
-        with pytest.raises(NonInvertibleMonodromy):
+        with pytest.raises(NonUnimodular):
             invariance_check(q, [IntMatrix.from_rows([[2, 0], [0, 1]])])
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +8,19 @@ from hypothesis import strategies as st
 from qtorus import (
     FgAbGroup,
     IntMatrix,
-    cokernel,
     det,
     inverse_unimodular,
     is_unimodular,
     smith_normal_form,
 )
-from qtorus.errors import ImageNotInKernel, NonSquareMatrix, NonUnimodular, ShapeMismatch
+from qtorus.errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
 from qtorus.lattice import NOT_BUILT, hstack, vstack
 
 from helpers import (
+    ImageNotInKernel,
     fraction_rank,
     rand_matrix,
-    rand_unimodular,
+    smith_form_inverse,
     solve_exact,
     subquotient,
     subquotient_with_generators,
@@ -146,7 +146,7 @@ def test_unbuilt_transform_refuses_use():
     ],
 )
 def test_cokernel_examples(mat, expected):
-    assert cokernel(IntMatrix.from_rows(mat)) == expected
+    assert smith_normal_form(IntMatrix.from_rows(mat), u=False, v=False).cokernel() == expected
 
 
 def test_kernel_examples():
@@ -190,54 +190,90 @@ def test_subquotient_rejects_image_outside_kernel():
 def test_empty_matrices_are_legal():
     assert smith_normal_form(IntMatrix.zeros(0, 3)).d == IntMatrix.zeros(0, 3)
     assert smith_normal_form(IntMatrix.zeros(0, 3), u=False).kernel_basis() == IntMatrix.identity(3)
-    assert cokernel(IntMatrix.zeros(3, 0)) == FgAbGroup(3, ())
-    assert cokernel(IntMatrix.zeros(0, 0)) == FgAbGroup(0, ())
+    assert smith_normal_form(IntMatrix.zeros(3, 0)).cokernel() == FgAbGroup(3, ())
+    assert smith_normal_form(IntMatrix.zeros(0, 0)).cokernel() == FgAbGroup(0, ())
     assert det(IntMatrix.zeros(0, 0)) == 1
 
 
-def test_det_against_permutation_expansion():
-    def slow_det(m):
-        import itertools
+def slow_det(m):
+    """Leibniz expansion over all permutations, signed by cycle parity."""
+    n = m.rows
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):  # count cycle parity
+            if seen[i]:
+                continue
+            j, length = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        prod = 1
+        for i in range(n):
+            prod *= m.entry(i, perm[i])
+        total += sign * prod
+    return total
 
-        n = m.rows
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            for i in range(n):  # count cycle parity
-                if seen[i]:
-                    continue
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            prod = 1
-            for i in range(n):
-                prod *= m.entry(i, perm[i])
-            total += sign * prod
-        return total
 
-    rng = random.Random(31)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        a = rand_matrix(rng, n, n, -6, 6)
-        assert det(a) == slow_det(a)
+ENTRIES = st.one_of(st.integers(-1, 1), st.integers(-6, 6), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n for n up to 5, or a product of elementary matrices for n up to 6.
+
+    Entries and elementary multipliers are small or past 2^64. From n = 2 on,
+    a copied row makes a singular matrix whatever the entries.
+    """
+    kind = draw(st.sampled_from(["entries", "singular", "elementary"]))
+    if kind != "elementary":
+        n = draw(st.integers(0, 5))
+        rows = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+        if kind == "singular" and n > 1:
+            rows[-1] = list(rows[0])
+        return IntMatrix.from_rows(rows, n)
+    n = draw(st.integers(1, 6))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if op == "add" and i != j:
+            k = draw(ENTRIES)
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_against_permutation_expansion(a):
+    assert det(a) == slow_det(a)
+    assert is_unimodular(a) == (abs(slow_det(a)) == 1)
     with pytest.raises(NonSquareMatrix):
         det(IntMatrix.zeros(2, 3))
 
 
-def test_inverse_unimodular():
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        u = rand_unimodular(rng, n)
-        assert inverse_unimodular(u) @ u == IntMatrix.identity(n)
-        assert u @ inverse_unimodular(u) == IntMatrix.identity(n)
-    with pytest.raises(NonUnimodular):
-        inverse_unimodular(IntMatrix.from_rows([[2, 0], [0, 1]]))
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_inverse_unimodular(a):
+    for bad in (IntMatrix.from_rows([[2, 0], [0, 1]]), IntMatrix.zeros(2, 3)):
+        with pytest.raises(NonUnimodular):
+            inverse_unimodular(bad)
+    if abs(slow_det(a)) != 1:
+        with pytest.raises(NonUnimodular):
+            inverse_unimodular(a)
+        return
+    inv = inverse_unimodular(a)
+    eye = IntMatrix.identity(a.rows)
+    assert inv @ a == eye and a @ inv == eye
+    assert inv == smith_form_inverse(a)
 
 
 def test_solve_exact():

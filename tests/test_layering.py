@@ -52,13 +52,31 @@ def test_fraction_free_rank_uses_no_lattice_function():
     lattice_functions = {
         node.name for node in parse("lattice").body if isinstance(node, ast.FunctionDef)
     }
-    assert {"smith_normal_form", "det", "inverse_unimodular"} <= lattice_functions
+    assert {"smith_normal_form", "_gauss_jordan", "det", "inverse_unimodular"} <= lattice_functions
     (func,) = [
         node
         for node in parse("surface").body
         if isinstance(node, ast.FunctionDef) and node.name == "_fraction_free_rank"
     ]
     assert not names_in(func) & lattice_functions
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing in the package raises is dead API, and its
+    # code can never reach a CLI payload
+    classes = {"QtorusError"}
+    for node in parse("errors").body:  # a class comes after its bases
+        if isinstance(node, ast.ClassDef) and {getattr(b, "id", None) for b in node.bases} & classes:
+            classes.add(node.name)
+    classes.discard("QtorusError")
+    assert {"NonUnimodular", "BadJobSpec"} <= classes
+    raised = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    raised |= names_in(node.exc)
+    assert sorted(classes - raised) == []
 
 
 def test_selfcheck_avoids_the_gram_route():

@@ -68,6 +68,22 @@ class TestLocalSystemValidation:
         with pytest.raises(NonUnimodular):
             LatticeLocalSystem(1, 1, [two, IntMatrix.identity(1)])
 
+    def test_construction_runs_no_smith_form(self, monkeypatch):
+        # inverting each generator is the unimodularity check, and the
+        # inversion is a fraction-free elimination, not a Smith form
+        mats = family_system(random.Random("no-snf"), "pair", 3, 3).mon
+        calls = []
+
+        def spy(a, **transforms):
+            calls.append((a.rows, a.cols))
+            return smith_normal_form(a, **transforms)
+
+        monkeypatch.setattr(surface, "smith_normal_form", spy)
+        monkeypatch.setattr(lattice, "smith_normal_form", spy)
+        rho = LatticeLocalSystem(3, 3, mats)
+        assert calls == []
+        assert [m @ inv for m, inv in zip(mats, rho.mon_inv)] == [IntMatrix.identity(3)] * 6
+
     def test_relation_violated(self):
         # rho(a), rho(b) non-commuting unimodular pair
         p = IntMatrix.from_rows([[1, 1], [0, 1]])
