@@ -32,10 +32,11 @@ from .forms import (
     polarize,
     quad_from_bilinear,
 )
-from .gerbe import LevelInput, block_report, bunt_report
+from .gerbe import BlockReport, LevelInput, block_report
 from .lattice import IntMatrix
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .surface import (
+    CohomologyTriple,
     LatticeLocalSystem,
     invariants_coinvariants_check,
     twisted_cohomology,
@@ -182,6 +183,11 @@ def _level_json(level: BilinearData) -> dict:
     return {"c_matrix": level.c.row_lists(), "zeta": str(level.zeta)}
 
 
+def _section_json(h: CohomologyTriple) -> dict:
+    """The section space's homotopy groups: pi_n is H^(2-n)."""
+    return {"pi0": h.h2.to_json(), "pi1": h.h1.to_json(), "pi2": h.h0.to_json()}
+
+
 def _twist_bound(rank: int) -> int:
     if rank == 1:
         return 3
@@ -230,11 +236,7 @@ def _run_surface(spec: JobSpec) -> dict:
     return {
         "task": "surface",
         "surface": _surface_json(rho),
-        "section_space": {
-            "pi0": h.h2.to_json(),
-            "pi1": h.h1.to_json(),
-            "pi2": h.h0.to_json(),
-        },
+        "section_space": _section_json(h),
         "cohomology": {
             "h0": h.h0.to_json(),
             "h1": h.h1.to_json(),
@@ -248,20 +250,19 @@ def _run_surface(spec: JobSpec) -> dict:
     }
 
 
-def _blocks_json(blocks) -> list[dict]:
-    # omega does not depend on the component: every block carries the
-    # report's one list, so its strings are rendered once and _dumps encodes
-    # it once
-    omega = _frac_matrix(blocks[0].omega) if blocks else None
+def _blocks_json(report: BlockReport) -> list[dict]:
+    # omega, radical_rank and block_dim are the level's, written into every
+    # block: the one omega list is rendered once and _dumps encodes it once
+    omega = _frac_matrix(report.omega)
     return [
         {
             "component": list(b.component),
             "omega": omega,
             "pi2_character": [str(x) for x in b.pi2_character],
-            "radical_rank": b.radical_rank,
-            "block_dim": b.block_dim,
+            "radical_rank": report.radical_rank,
+            "block_dim": report.block_dim,
         }
-        for b in blocks
+        for b in report.blocks
     ]
 
 
@@ -270,6 +271,11 @@ def _conventions_json() -> dict:
 
 
 def _run_global(spec: JobSpec) -> dict:
+    """The ``global`` report; ``bunt`` is the same report with a ``bun_t`` label.
+
+    The moduli of T-bundles on the curve has the section space's homotopy
+    groups, with pi0 labelled by the first Chern class.
+    """
     rho = spec.local_system()
     level = LevelInput(spec.level(rho.rank), rho)
     report = block_report(
@@ -277,58 +283,27 @@ def _run_global(spec: JobSpec) -> dict:
         components=spec.components(rho.rank),
         free_bound=spec.component_bound,
     )
-    return {
-        "task": "global",
+    section = _section_json(report.presentations.triple)
+    out = {
+        "task": spec.task,
         "surface": _surface_json(rho),
         "level": _level_json(level.bilinear),
-        "section_space": {
-            "pi0": report.section.pi0.to_json(),
-            "pi1": report.section.pi1.to_json(),
-            "pi2": report.section.pi2.to_json(),
-        },
-        "blocks": _blocks_json(report.blocks),
-        "conventions": _conventions_json(),
     }
-
-
-def _run_bunt(spec: JobSpec) -> dict:
-    rho = spec.local_system()
-    level = LevelInput(spec.level(rho.rank), rho)
-    report = bunt_report(
-        level,
-        components=spec.components(rho.rank),
-        free_bound=spec.component_bound,
-    )
-    return {
-        "task": "bunt",
-        "surface": _surface_json(rho),
-        "level": _level_json(level.bilinear),
-        "bun_t": {
-            "pi0": report.pi0.to_json(),
-            "component_label": report.component_label,
-            "pi1": report.pi1.to_json(),
-            "pi2": report.pi2.to_json(),
-        },
-        "section_space": {
-            "pi0": report.pi0.to_json(),
-            "pi1": report.pi1.to_json(),
-            "pi2": report.pi2.to_json(),
-        },
-        "blocks": _blocks_json(report.blocks),
-        "conventions": _conventions_json(),
-    }
+    if spec.task == "bunt":
+        out["bun_t"] = {
+            "pi0": section["pi0"],
+            "component_label": "first_chern_class",
+            "pi1": section["pi1"],
+            "pi2": section["pi2"],
+        }
+    out["section_space"] = section
+    out["blocks"] = _blocks_json(report)
+    out["conventions"] = _conventions_json()
+    return out
 
 
 def _run_selfcheck(seed: int) -> dict:
-    result = run_selfcheck(seed)
-    return {
-        "task": "selfcheck",
-        "seed": result.seed,
-        "cases": result.cases,
-        "agreements": result.agreements,
-        "mismatches": result.mismatches,
-        "ok": result.ok,
-    }
+    return {"task": "selfcheck", **run_selfcheck(seed).to_json()}
 
 
 def _render_group(g: dict) -> str:
@@ -400,8 +375,8 @@ def _render_text(report: dict) -> str:
             )
         if report["blocks"]:
             lines.append("omega (shared by all components):")
-            for row in report["blocks"][0]["omega"]:
-                lines.append("  " + ("  ".join(row) if row else "(trivial)"))
+            omega = report["blocks"][0]["omega"]
+            lines.extend(["  " + "  ".join(row) for row in omega] or ["  (trivial)"])
     if report["task"] == "selfcheck":
         lines.append(f"seed: {report['seed']}")
         lines.append(f"cases: {report['cases']}, agreements: {report['agreements']}")
@@ -487,10 +462,8 @@ def run(spec: JobSpec, seed: int = DEFAULT_SEED) -> tuple[str, int]:
         return _emit(_run_local(spec), spec.output_format), 0
     if spec.task == "surface":
         return _emit(_run_surface(spec), spec.output_format), 0
-    if spec.task == "global":
+    if spec.task in ("global", "bunt"):
         return _emit(_run_global(spec), spec.output_format), 0
-    if spec.task == "bunt":
-        return _emit(_run_bunt(spec), spec.output_format), 0
     report = _run_selfcheck(seed)
     return _emit(report, spec.output_format), 0 if report["ok"] else 3
 

@@ -18,15 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    BadFraction,
-    DimensionMismatch,
-    NonSquareMatrix,
-    NonUnimodular,
-)
-from .lattice import IntMatrix, is_unimodular
+from .errors import BadFraction, DimensionMismatch, NonSquareMatrix
+from .lattice import IntMatrix
+
+if TYPE_CHECKING:  # forms sits below the topological layer and never imports it
+    from .surface import LatticeLocalSystem
 
 
 def _echo(value: object, limit: int = 60) -> str:
@@ -308,25 +306,24 @@ def level_classify(q: QuadraticForm) -> LevelClassReport:
     return LevelClassReport(q, q.rank, is_linear(q))
 
 
-def invariance_check(q: QuadraticForm, mats: Sequence[IntMatrix]) -> bool:
-    """Whether the form is preserved by every given lattice automorphism.
+def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
+    """Whether the form is preserved by every generator's monodromy.
 
-    Checking basis vectors and pairwise sums suffices: those values determine
-    the form, since b(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j).
+    The local system proved each generator unimodular when it inverted it,
+    so only the values are compared. Checking basis vectors and pairwise
+    sums suffices: those values determine the form, since
+    b(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j).
     """
     r = q.rank
-    for a in mats:
-        if not a.is_square() or a.rows != r:
-            raise DimensionMismatch(f"automorphism must be {r}x{r}, got {a.rows}x{a.cols}")
-        if not is_unimodular(a):
-            raise NonUnimodular("matrix is not invertible over the integers")
+    if rho.rank != r:
+        raise DimensionMismatch(f"local system rank {rho.rank} != form rank {r}")
     probes = [tuple(1 if t == i else 0 for t in range(r)) for i in range(r)]
     probes += [
         tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(r))
         for i in range(r)
         for j in range(i + 1, r)
     ]
-    for a in mats:
+    for a in rho.mon:
         for v in probes:
             if evaluate(q, a.mul_vec(v)) != evaluate(q, v):
                 return False

@@ -4,9 +4,13 @@ The space of compactly supported sections over a closed oriented surface is
 a 2-type whose homotopy groups are the twisted cohomology of the surface in
 degrees 2, 1, 0. Pushing the level forward along the fundamental class
 equips each component with a flat gerbe; its isomorphism class is captured
-by an antisymmetric Q/Z pairing omega on pi_1 (independent of the component)
-and a character chi_d on pi_2 (depending on the component d). Block
-dimensions follow by finite Heisenberg counting from omega alone.
+by an antisymmetric Q/Z pairing omega on pi_1 and a character chi_d on pi_2.
+omega, and the block dimension that finite Heisenberg counting reads from
+omega alone, belong to the level: a :class:`BlockReport` holds them once.
+Only chi_d depends on the component d, so a :class:`GerbeBlock` holds the
+component and its character. The moduli of T-bundles on the curve has the
+same homotopy groups, with pi_0 labelled by the first Chern class; that is a
+label on the same report, not another computation.
 
 omega is computed here by a closed word-combinatorial formula over the
 surface relator. That formula is bilinear in the two cocycles, so a report
@@ -81,7 +85,7 @@ class LevelInput:
         self.bilinear = bilinear
         self.rho = rho
         self.quad: QuadraticForm = quad_from_bilinear(bilinear)
-        if not invariance_check(self.quad, rho.mon):
+        if not invariance_check(self.quad, rho):
             raise NotInvariant("the level's quadratic form is not monodromy invariant")
         self.pairing: SymmetricForm = polarize(self.quad)
 
@@ -253,18 +257,23 @@ def pi2_character(level: LevelInput, component: Sequence[int]) -> tuple[Frac1, .
 
 @dataclass(frozen=True)
 class GerbeBlock:
-    """Isomorphism data of one component's flat gerbe."""
+    """One component's share of its flat gerbe: the pi2 character chi_d.
+
+    omega, the radical rank and the block dimension do not depend on the
+    component; they are the level's and live on :class:`BlockReport`.
+    """
 
     component: tuple[int, ...]
-    omega: tuple[tuple[Frac1, ...], ...]
     pi2_character: tuple[Frac1, ...]
-    radical_rank: int
-    block_dim: int
 
 
 @dataclass(frozen=True)
 class BlockReport:
-    """Everything the global tasks report, before serialization."""
+    """Everything the global tasks report, before serialization.
+
+    omega, ``radical_rank`` and ``block_dim`` are per level and held once;
+    each block carries only what depends on its component.
+    """
 
     section: SectionSpaceInvariants
     presentations: CohomologyPresentations
@@ -348,44 +357,7 @@ def block_report(
             if len(rep) != rho.rank:
                 raise BadComponent(f"component representative must have length {rho.rank}")
     blocks = tuple(
-        GerbeBlock(
-            component=rep,
-            omega=omega,
-            pi2_character=chi,
-            radical_rank=radical_rank,
-            block_dim=block_dim,
-        )
+        GerbeBlock(rep, chi)
         for rep, chi in zip(reps, _pi2_characters(rho, pres, level.pairing, reps))
     )
     return BlockReport(section, pres, omega, radical_rank, block_dim, blocks)
-
-
-@dataclass(frozen=True)
-class BuntReport:
-    """Block data relabeled for the moduli of bundles on the curve.
-
-    pi0 carries first-Chern-class labels and coincides with degree-2
-    cohomology; the uniformization degrees supply pi1 and pi2. The group data
-    is the section-space report's, read from the same presentations.
-    """
-
-    pi0: FgAbGroup
-    pi1: FgAbGroup
-    pi2: FgAbGroup
-    component_label: str
-    blocks: tuple[GerbeBlock, ...]
-
-
-def bunt_report(
-    level: LevelInput,
-    components: Sequence[Sequence[int]] | None = None,
-    free_bound: int = 1,
-) -> BuntReport:
-    report = block_report(level, components, free_bound)
-    return BuntReport(
-        pi0=report.section.pi0,
-        pi1=report.section.pi1,
-        pi2=report.section.pi2,
-        component_label="first_chern_class",
-        blocks=report.blocks,
-    )

@@ -6,9 +6,9 @@ enter. There are two eliminations. :func:`smith_normal_form`, the
 cokernels and quotient generators. It copies its row and column operations
 onto only the transforms the caller asks for: groups alone need none, a
 kernel basis needs ``V``, quotient generators ``U^-1`` and coordinates on
-the kernel basis ``V^-1``. Determinants, the unimodularity test and inverses
-in GL(n, Z) read ``det A`` and the adjugate off one fraction-free
-Gauss-Jordan elimination of ``[A | I]``.
+the kernel basis ``V^-1``. Determinants and inverses in GL(n, Z) read
+``det A`` and the adjugate off one fraction-free Gauss-Jordan elimination of
+``[A | I]``.
 """
 
 from __future__ import annotations
@@ -202,10 +202,6 @@ def det(a: IntMatrix) -> int:
     if not a.is_square():
         raise NonSquareMatrix(f"determinant of a {a.rows}x{a.cols} matrix")
     return _gauss_jordan(a)[0]
-
-
-def is_unimodular(a: IntMatrix) -> bool:
-    return a.is_square() and abs(det(a)) == 1
 
 
 class _NotBuilt:

@@ -27,7 +27,8 @@ import random
 from dataclasses import dataclass
 
 from .cochain import checked_classes, cup_checked, triangulate
-from .forms import BilinearData, Frac1, invariance_check, polarize, quad_from_bilinear
+from .forms import BilinearData, Frac1, QuadraticForm, invariance_check, polarize
+from .forms import quad_from_bilinear
 from .gerbe import letter_vectors, pairing_on_letters
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
@@ -71,12 +72,13 @@ def _local_system(rng: random.Random, genus: int, rank: int, family: str) -> Lat
 
 def _invariant_level(
     rng: random.Random, rho: LatticeLocalSystem, den: int
-) -> BilinearData | None:
+) -> tuple[BilinearData, QuadraticForm] | None:
     """Draw a level whose quadratic form the monodromy preserves.
 
     Random c matrices are filtered through the invariance check; a handful of
     rejection rounds is plenty because each family admits a structured
     fallback (diagonal c for sign actions, a tuned corner for the shear).
+    Returns the level with the form that passed the check.
     """
     zeta = Frac1(1, den)
     r = rho.rank
@@ -90,8 +92,9 @@ def _invariant_level(
             b = rng.randint(-3, 3)
             c = IntMatrix(2, 2, [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)])
         level = BilinearData(c, zeta)
-        if invariance_check(quad_from_bilinear(level), rho.mon):
-            return level
+        quad = quad_from_bilinear(level)
+        if invariance_check(quad, rho):
+            return level, quad
     return None
 
 
@@ -130,10 +133,11 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 letters = [letter_vectors(rho, g) for g in gens]
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
-                        level = _invariant_level(rng, rho, den)
-                        if level is None:
+                        drawn = _invariant_level(rng, rho, den)
+                        if drawn is None:
                             continue
-                        pairing = polarize(quad_from_bilinear(level))
+                        level, quad = drawn
+                        pairing = polarize(quad)
                         agree = True
                         detail = None
                         for i, gi in enumerate(gens):

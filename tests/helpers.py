@@ -9,6 +9,7 @@ from qtorus import (
     Frac1,
     IntMatrix,
     LatticeLocalSystem,
+    LevelInput,
     invariance_check,
     quad_from_bilinear,
     smith_normal_form,
@@ -204,9 +205,32 @@ def random_invariant_level(
         zeta = Frac1(num, den)
         c = rand_matrix(rng, r, r, -3, 3)
         level = BilinearData(c, zeta)
-        if invariance_check(quad_from_bilinear(level), rho.mon):
+        if invariance_check(quad_from_bilinear(level), rho):
             return level
     return BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
+
+
+def global_json(task: str, level: LevelInput, components=None) -> dict:
+    """The CLI's ``global`` or ``bunt`` report for a level, before serialization."""
+    from qtorus import cli
+
+    raw = {
+        "task": task,
+        "surface": {
+            "genus": level.rho.genus,
+            "rank": level.rho.rank,
+            "monodromy": [m.row_lists() for m in level.rho.mon],
+        },
+        "level": {"c_matrix": level.bilinear.c.row_lists(), "zeta": str(level.bilinear.zeta)},
+    }
+    if components is not None:
+        raw["components"] = [list(c) for c in components]
+    return cli._run_global(cli.JobSpec(raw))
+
+
+def groups_json(space) -> dict:
+    """A :class:`SectionSpaceInvariants` as the reports write it."""
+    return {"pi0": space.pi0.to_json(), "pi1": space.pi1.to_json(), "pi2": space.pi2.to_json()}
 
 
 def frac1_bilinear(entries, x, y) -> Frac1:

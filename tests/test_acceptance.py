@@ -20,7 +20,6 @@ from qtorus import (
     LatticeLocalSystem,
     LevelInput,
     block_report,
-    bunt_report,
     commutator_pairing,
     double_braiding,
     evaluate,
@@ -40,7 +39,13 @@ from qtorus.forms import HALF, ZERO, QuadraticForm
 from qtorus.gerbe import letter_vectors, pairing_on_letters
 from qtorus.selfcheck import DEFAULT_SEED
 
-from helpers import rand_matrix, random_invariant_level, random_local_system
+from helpers import (
+    global_json,
+    groups_json,
+    rand_matrix,
+    random_invariant_level,
+    random_local_system,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -292,10 +297,15 @@ def test_criterion_08_section_space_agreement():
         g, r = rng.randint(1, 2), rng.randint(1, 2)
         rho = random_local_system(rng, g, r)
         level = LevelInput(random_invariant_level(rng, rho), rho)
+        # the presentations route against the groups-only route
         space = section_space(rho)
-        moduli = bunt_report(level)
-        assert (moduli.pi0, moduli.pi1, moduli.pi2) == (space.pi0, space.pi1, space.pi2)
-        assert moduli.blocks == block_report(level).blocks
+        assert block_report(level).section == space
+        # bundle moduli: the global report with pi0 labelled by the first Chern class
+        moduli = global_json("bunt", level)
+        bun_t = moduli.pop("bun_t")
+        assert bun_t.pop("component_label") == "first_chern_class"
+        assert bun_t == groups_json(space)
+        assert {**moduli, "task": "global"} == global_json("global", level)
 
 
 def test_criterion_09_smith_normal_form():

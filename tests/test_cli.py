@@ -88,6 +88,52 @@ class TestGolden:
         assert first == second
 
 
+GLOBAL_SPECS = sorted(
+    p.name
+    for p in GOLDEN.glob("*.json")
+    if p.name.startswith(("global_", "bunt_")) and not p.name.endswith(".out.json")
+)
+
+
+class TestBuntLabel:
+    """``bunt`` is the ``global`` report plus a ``bun_t`` block, nothing else."""
+
+    @pytest.mark.parametrize("name", GLOBAL_SPECS)
+    def test_outputs_differ_in_task_and_bun_t_only(self, capsys, tmp_path, name):
+        raw = json.loads((GOLDEN / name).read_text())
+        out = {}
+        for task in ("global", "bunt"):
+            path = write_spec(tmp_path, {**raw, "task": task}, f"{task}.json")
+            for fmt in ("json", "text"):
+                out[task, fmt], code = run_main(capsys, task, "--input", path, "--format", fmt)
+                assert code == 0
+        bunt = json.loads(out["bunt", "json"])
+        bun_t = bunt.pop("bun_t")
+        assert cli._dumps({**bunt, "task": "global"}) == out["global", "json"]
+        assert bun_t.pop("component_label") == "first_chern_class"
+        assert bun_t == bunt["section_space"]
+
+        bunt_lines = out["bunt", "text"].splitlines()
+        global_lines = out["global", "text"].splitlines()
+        assert bunt_lines[0] == "task: bunt" and global_lines[0] == "task: global"
+        assert [line for line in bunt_lines if line.startswith("bun_t:")] == [
+            "bun_t: pi0 = {} (labels: first_chern_class), pi1 = {}, pi2 = {}".format(
+                *(cli._render_group(bun_t[k]) for k in ("pi0", "pi1", "pi2"))
+            )
+        ]
+        rest = [line for line in bunt_lines[1:] if not line.startswith("bun_t:")]
+        assert rest == global_lines[1:]
+
+    def test_genus_zero_text_prints_trivial_omega(self, capsys, tmp_path):
+        # H^1 vanishes at genus 0, so omega is the empty matrix
+        spec = base_global_spec(surface={"genus": 0, "rank": 1}, output_format="text")
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2:] == ["omega (shared by all components):", "  (trivial)"]
+        assert "blocks: 3" in lines
+
+
 class TestSchemas:
     def test_every_task_validates(self, capsys, tmp_path):
         specs = {

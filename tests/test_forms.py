@@ -7,6 +7,7 @@ from qtorus import (
     BilinearData,
     Frac1,
     IntMatrix,
+    LatticeLocalSystem,
     QuadraticForm,
     SymmetricForm,
     evaluate,
@@ -208,27 +209,34 @@ def test_level_classify():
     assert level_classify(linear).e_infinity
 
 
+def genus_one(a):
+    """The genus-1 local system (a, I); the relation holds for any unimodular a."""
+    return LatticeLocalSystem(a.rows, 1, [a, IntMatrix.identity(a.rows)])
+
+
 class TestInvarianceCheck:
     def test_identity_always_passes(self):
         rng = random.Random(8)
         q = quad_from_bilinear(BilinearData(rand_matrix(rng, 3, 3, -4, 4), frac(1, 7)))
-        assert invariance_check(q, [IntMatrix.identity(3)])
+        assert invariance_check(q, genus_one(IntMatrix.identity(3)))
 
     def test_negation_always_passes(self):
         q = QuadraticForm(1, (frac(1, 3),), ())
-        assert invariance_check(q, [IntMatrix(1, 1, [-1])])
+        assert invariance_check(q, genus_one(IntMatrix(1, 1, [-1])))
 
     def test_swap_detects_asymmetric_diagonal(self):
         q = QuadraticForm(2, (frac(1, 3), ZERO), (ZERO,))
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert not invariance_check(q, [swap])
+        assert not invariance_check(q, genus_one(swap))
 
     def test_error_paths(self):
         q = QuadraticForm(2, (ZERO, ZERO), (ZERO,))
         with pytest.raises(DimensionMismatch):
-            invariance_check(q, [IntMatrix.identity(3)])
+            invariance_check(q, genus_one(IntMatrix.identity(3)))
+        # a matrix with no integer inverse never reaches the check: the local
+        # system refuses it when it inverts its generators
         with pytest.raises(NonUnimodular):
-            invariance_check(q, [IntMatrix.from_rows([[2, 0], [0, 1]])])
+            genus_one(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
 
 def test_symmetric_form_validation():

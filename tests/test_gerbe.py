@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,11 +8,11 @@ from qtorus import (
     BilinearData,
     FgAbGroup,
     Frac1,
+    GerbeBlock,
     IntMatrix,
     LatticeLocalSystem,
     LevelInput,
     block_report,
-    bunt_report,
     cohomology_presentations,
     commutator_pairing,
     enumerate_components,
@@ -25,6 +26,8 @@ from qtorus.gerbe import _heisenberg_dimensions, letter_vectors, pairing_on_lett
 from qtorus.lattice import inverse_unimodular, smith_normal_form
 
 from helpers import (
+    global_json,
+    groups_json,
     pairing_on_cocycles_per_term,
     rand_unimodular,
     random_invariant_level,
@@ -80,6 +83,27 @@ class TestLevelInput:
         rho = LatticeLocalSystem(2, 1, [swap, IntMatrix.identity(2)])
         level = LevelInput(BilinearData(IntMatrix.identity(2), Frac1(1, 3)), rho)
         assert level.pairing.rank == 2
+
+    def test_no_elimination_on_an_inverted_local_system(self, monkeypatch):
+        # the local system inverted every generator once at construction, which
+        # proved them unimodular; the invariance check does not eliminate again
+        from qtorus import lattice
+
+        rng = random.Random(48)
+        rho = random_local_system(rng, 2, 2)
+        bilinear = random_invariant_level(rng, rho)
+        calls = []
+        gauss_jordan = lattice._gauss_jordan
+
+        def counting(a):
+            calls.append(a)
+            return gauss_jordan(a)
+
+        monkeypatch.setattr(lattice, "_gauss_jordan", counting)
+        LevelInput(bilinear, rho)
+        assert calls == []
+        LatticeLocalSystem(rho.rank, rho.genus, rho.mon)
+        assert len(calls) == 2 * rho.genus  # the spy sees construction's inversions
 
 
 class TestPairingOnCocycles:
@@ -383,11 +407,23 @@ class TestBlockStructure:
         assert _heisenberg_dimensions(n, antisymmetric, 3) == (0, 3)
 
     def test_blocks_share_level_data(self):
-        rep = block_report(trivial_level(1, 1, 6))
-        for b in rep.blocks:
-            assert b.omega == rep.omega
-            assert b.radical_rank == rep.radical_rank
-            assert b.block_dim == rep.block_dim
+        # a block holds only what depends on its component; the report writes
+        # the level's omega, radical rank and block dimension into every block
+        assert [f.name for f in dataclasses.fields(GerbeBlock)] == ["component", "pi2_character"]
+        level = trivial_level(1, 1, 6)
+        rep = block_report(level)
+        blocks = global_json("global", level)["blocks"]
+        assert len(blocks) == len(rep.blocks) == 3
+        omega = [[str(x) for x in row] for row in rep.omega]
+        for b, block in zip(blocks, rep.blocks):
+            assert b == {
+                "component": list(block.component),
+                "omega": omega,
+                "pi2_character": [str(x) for x in block.pi2_character],
+                "radical_rank": rep.radical_rank,
+                "block_dim": rep.block_dim,
+            }
+            assert b["omega"] is blocks[0]["omega"]
 
 
 def sum_frac(items):
@@ -398,18 +434,26 @@ def sum_frac(items):
 
 
 class TestBuntReport:
+    """``bunt`` is the ``global`` report with a ``bun_t`` label."""
+
     def test_groups_match_section_space(self):
         rng = random.Random(47)
         for _ in range(8):
             g, r = rng.randint(1, 2), rng.randint(1, 2)
             rho = random_local_system(rng, g, r)
             level = LevelInput(random_invariant_level(rng, rho), rho)
-            space = section_space(rho)
-            rep = bunt_report(level)
-            assert (rep.pi0, rep.pi1, rep.pi2) == (space.pi0, space.pi1, space.pi2)
+            bun_t = global_json("bunt", level)["bun_t"]
+            assert list(bun_t) == ["pi0", "component_label", "pi1", "pi2"]
+            del bun_t["component_label"]
+            assert bun_t == groups_json(section_space(rho))
 
     def test_label_and_blocks(self):
         level = trivial_level(1, 1, 4)
-        rep = bunt_report(level)
-        assert rep.component_label == "first_chern_class"
-        assert rep.blocks == block_report(level).blocks
+        bunt = global_json("bunt", level, components=[(2,), (0,)])
+        glob = global_json("global", level, components=[(2,), (0,)])
+        assert list(bunt) == ["task", "surface", "level", "bun_t", "section_space", "blocks",
+                              "conventions"]
+        assert bunt["task"] == "bunt" and glob["task"] == "global"
+        assert bunt["bun_t"]["component_label"] == "first_chern_class"
+        assert bunt["blocks"] == glob["blocks"]
+        assert [b["component"] for b in bunt["blocks"]] == [[2], [0]]

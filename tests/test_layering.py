@@ -121,6 +121,18 @@ def test_reports_have_one_json_path():
     assert calls == []
 
 
+def test_block_report_has_one_caller():
+    # global and bunt are one report, built in one place: a second caller of
+    # block_report would be a second copy of the global pipeline
+    callers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "block_report" in names_in(node.func)
+    ]
+    assert callers == ["cli.py"]
+
+
 def top_level_names(tree):
     """Names a module binds at top level: definitions, assignments and imports."""
     out = set()

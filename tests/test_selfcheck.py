@@ -111,3 +111,25 @@ def test_letter_vectors_once_per_generator_and_one_frac1_per_pair(monkeypatch):
     for rho, walked in walks.values():
         assert walked == [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
     assert len(built) > result.cases and set(built) == {1}
+
+
+def test_each_level_form_built_once(monkeypatch):
+    # the form that passed the invariance check is the one the pairing uses
+    built = []
+    checked = []
+    quad_from_bilinear = selfcheck.quad_from_bilinear
+    invariance_check = selfcheck.invariance_check
+
+    def counting_quad(level):
+        built.append(level)
+        return quad_from_bilinear(level)
+
+    def counting_check(q, rho):
+        checked.append(q)
+        return invariance_check(q, rho)
+
+    monkeypatch.setattr(selfcheck, "quad_from_bilinear", counting_quad)
+    monkeypatch.setattr(selfcheck, "invariance_check", counting_check)
+    assert run_selfcheck(5).ok
+    monkeypatch.undo()
+    assert len(built) == len(checked) > 0
