@@ -80,6 +80,13 @@ def _as_matrix(value: Any, size: int | None, path: str) -> IntMatrix:
     raise BadJobSpec("expected a square integer matrix", path)
 
 
+def _surface_rank(surface: dict) -> int:
+    rank = _as_int(surface.get("rank"), "surface.rank")
+    if rank < 1:
+        raise BadJobSpec("rank must be positive", "surface.rank")
+    return rank
+
+
 class JobSpec:
     """Validated job description; raw JSON in, typed fields out."""
 
@@ -123,11 +130,9 @@ class JobSpec:
         if not isinstance(s, dict):
             raise BadJobSpec("surface must be an object", "surface")
         genus = _as_int(s.get("genus"), "surface.genus")
-        rank = _as_int(s.get("rank"), "surface.rank")
+        rank = _surface_rank(s)
         if not 0 <= genus <= sys.maxsize // 2:  # 2g monodromy matrices must fit a list
             raise BadJobSpec(f"genus must be between 0 and {sys.maxsize // 2}", "surface.genus")
-        if rank < 1:
-            raise BadJobSpec("rank must be positive", "surface.rank")
         mon_raw = s.get("monodromy")
         try:
             if mon_raw is None:
@@ -201,7 +206,7 @@ def _run_local(spec: JobSpec) -> dict:
     if spec.surface_raw is not None:
         if not isinstance(spec.surface_raw, dict):
             raise BadJobSpec("surface must be an object", "surface")
-        rank_hint = _as_int(spec.surface_raw.get("rank"), "surface.rank")
+        rank_hint = _surface_rank(spec.surface_raw)
     level = spec.level(rank_hint)
     quad = quad_from_bilinear(level)
     pairing = polarize(quad)

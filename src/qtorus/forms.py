@@ -66,6 +66,8 @@ class Frac1:
         a, _, b = text.partition("/")
         if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
             raise BadFraction(f"expected 'num/den' with bare digits, got {_echo(text)}")
+        if (len(a) > 1 and a[0] == "0") or (len(b) > 1 and b[0] == "0"):
+            raise BadFraction(f"{_echo(text)} has a leading zero")
         try:
             num, den = int(a), int(b)
         except ValueError:  # more digits than the interpreter converts

@@ -13,24 +13,18 @@ same homotopy groups, with pi_0 labelled by the first Chern class; that is a
 label on the same report, not another computation.
 
 omega is computed here by a closed word-combinatorial formula over the
-surface relator. That formula is bilinear in the two cocycles, so a report
-builds it once as an integer Gram matrix P against the polarization's
-integer numerators B over its common denominator N (both held by the
-form), in one pass over the letter transports the local system stored when
-it unwound the relator (the same ones give d1), and reads omega off as
-W / N with W = G^T P G on the H^1 generators G; values become Q/Z fractions
-only at the end, and the Heisenberg count reads W itself. Each report
-computes the cohomology presentations once and hands them to the omega and
-pi2-character code.
-
-:func:`pairing_on_cocycles` evaluates the same formula pair by pair and is
-kept as the reference the Gram route is tested against. It splits in two: a
-vector's transports along the relator (:func:`letter_vectors`) depend only
-on the local system, so a caller pairing the same vectors at many levels
-builds them once, and each pair is then one integer sum against B
-(:func:`pairing_on_letters`). The simplicial machinery in
-:mod:`qtorus.cochain` computes the same pairing along a completely separate
-route and serves as its oracle.
+surface relator, and only here. That formula is bilinear in the two
+cocycles, so it is built once as an integer Gram matrix P against the
+polarization's integer numerators B over its common denominator N (both
+held by the form), in one pass over the letter transports the local system
+stored when it unwound the relator (the same ones give d1).
+:func:`omega_numerators` returns W = G^T P G on a list of vectors G; a
+report reads omega off as W / N on the H^1 generators, values become Q/Z
+fractions only at the end, and the Heisenberg count reads W itself. Each
+report computes the cohomology presentations once and hands them to the
+omega and pi2-character code. :mod:`qtorus.selfcheck` checks the same W
+against the simplicial machinery in :mod:`qtorus.cochain`, which computes
+the pairing along a completely separate route.
 """
 
 from __future__ import annotations
@@ -90,79 +84,16 @@ class LevelInput:
         self.pairing: SymmetricForm = polarize(self.quad)
 
 
-@dataclass(frozen=True)
-class LetterVectors:
-    """One lattice vector's transports along the relator, one entry per letter.
-
-    ``right[k]`` is letter k's value, eps times its transport applied to the
-    vector's block; ``left[k]`` is the sum of the earlier letters' values,
-    plus letter k's own value when the letter is inverted.
-    """
-
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
-
-
-def letter_vectors(rho: LatticeLocalSystem, u: Sequence[int]) -> LetterVectors:
-    """The closed form's letter-by-letter data for one vector.
-
-    ``u`` lists one lattice vector per generator loop (concatenated). Reads
-    ``rho.letter_frames`` and depends on the local system and ``u`` alone,
-    not on the level.
-    """
-    r = rho.rank
-    if len(u) != 2 * rho.genus * r:
-        raise DimensionMismatch(f"expected vectors of length {2 * rho.genus * r}")
-    left = []
-    right = []
-    acc = (0,) * r
-    for j, eps, frame in rho.letter_frames:
-        u_k = tuple(eps * x for x in frame.mul_vec(u[j * r : (j + 1) * r]))
-        after = tuple(a + x for a, x in zip(acc, u_k))
-        left.append(after if eps == -1 else acc)
-        right.append(u_k)
-        acc = after
-    return LetterVectors(tuple(left), tuple(right))
-
-
-def pairing_on_letters(pairing: SymmetricForm, u: LetterVectors, v: LetterVectors) -> Frac1:
-    """The sum over letters k of b(u.left[k], v.right[k]), as one integer over N."""
-    total = sum(pairing.numerator(x, y) for x, y in zip(u.left, v.right))
-    return Frac1(total, pairing.denominator)
-
-
-def pairing_on_cocycles(
-    pairing: SymmetricForm,
-    rho: LatticeLocalSystem,
-    u: Sequence[int],
-    v: Sequence[int],
-) -> Frac1:
-    """Closed form for the cup pairing of two kernel vectors.
-
-    ``u`` and ``v`` list one lattice vector per generator loop (concatenated).
-    Unwinding the relator turns the cup product against the fundamental class
-    into a sum over ordered letter pairs, read from ``rho.letter_frames``;
-    no triangulation is built. Each letter value of v pairs with the sum of
-    u's earlier letter values, and an inverted letter also pairs the two
-    values of that letter: :func:`pairing_on_letters` of the two vectors'
-    :func:`letter_vectors`.
-
-    This is the per-pair reference. Reports take omega from the Gram matrix
-    of :func:`commutator_pairing`, which the tests compare against this
-    function; the tests and selfcheck compare this function against the
-    simplicial oracle in :mod:`qtorus.cochain`.
-    """
-    return pairing_on_letters(pairing, letter_vectors(rho, u), letter_vectors(rho, v))
-
-
 def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
-    """Integer P with ``pairing_on_cocycles(u, v) = u^T P v / N`` when b = B / N.
+    """Integer P of the closed form: omega(u, v) = u^T P v / N when b = B / N.
 
-    Follows :func:`pairing_on_cocycles` letter by letter. Its running sum of
-    earlier letter values is linear in u, kept here as the rows of A^T
-    (2gr x r). A letter of generator j with transport F and exponent eps adds
-    A^T B (eps F) to block column j, plus F^T B F to block (j, j) when
-    inverted, then adds (eps F)^T to the rows of block j of A^T.
+    Unwinding the relator turns the cup product against the fundamental
+    class into a sum over letters: each letter value of v pairs under b with
+    the sum of u's earlier letter values, and an inverted letter adds its own
+    value to that sum before it pairs. The running sum is linear in u, kept
+    here as the rows of A^T (2gr x r). A letter of generator j with transport
+    F and exponent eps adds A^T B (eps F) to block column j and (eps F)^T to
+    the rows of block j of A^T.
     """
     r = rho.rank
     size = 2 * rho.genus * r
@@ -170,33 +101,47 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
     acc_t = [[0] * r for _ in range(size)]
     for j, eps, frame in rho.letter_frames:
         f = frame if eps == 1 else -frame
-        bf = b @ f
-        bf_rows = bf.row_lists()
         block = range(j * r, (j + 1) * r)
+        if eps == -1:
+            _accumulate(acc_t, block, f)
+        bf_rows = (b @ f).row_lists()
         for row, acc in zip(p, acc_t):
             if any(acc):
                 for c, k in enumerate(block):
                     row[k] += sum(a * bf_rows[t][c] for t, a in enumerate(acc))
-        if eps == -1:
-            ftbf = f.transpose() @ bf
-            for a, x in enumerate(block):
-                for c, k in enumerate(block):
-                    p[x][k] += ftbf.entry(a, c)
-        for a, x in enumerate(block):
-            acc_t[x] = [s + y for s, y in zip(acc_t[x], f.column(a))]
+        if eps == 1:
+            _accumulate(acc_t, block, f)
     return IntMatrix.from_rows(p, size)
+
+
+def _accumulate(acc_t: list[list[int]], block: range, f: IntMatrix) -> None:
+    """Add the letter's value map (eps F)^T to the rows of its block."""
+    for a, x in enumerate(block):
+        acc_t[x] = [s + y for s, y in zip(acc_t[x], f.column(a))]
+
+
+def omega_numerators(
+    rho: LatticeLocalSystem, pairing: SymmetricForm, gens: Sequence[Sequence[int]]
+) -> IntMatrix:
+    """W = G^T P G: omega(g_i, g_j) = W[i][j] / N on the vectors ``gens``.
+
+    Each vector lists one lattice vector per generator loop (concatenated).
+    P is built once from the pairing's numerators B over their common
+    denominator N; nothing here is checked or reduced mod N.
+    """
+    g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
+    return g.transpose() @ _pairing_gram(rho, pairing.numerators) @ g
 
 
 def _omega(
     rho: LatticeLocalSystem, pres: CohomologyPresentations, pairing: SymmetricForm
 ) -> tuple[tuple[tuple[Frac1, ...], ...], IntMatrix]:
-    """(omega, W): omega = W / N with W = G^T P G on the H^1 generators G.
+    """(omega, W) on the H^1 generators: omega = W / N.
 
     The checks run on the numerators W.
     """
     n = pairing.denominator
-    gens = IntMatrix.from_columns(pres.h1.all_gens(), 2 * rho.genus * rho.rank)
-    w = gens.transpose() @ _pairing_gram(rho, pairing.numerators) @ gens
+    w = omega_numerators(rho, pairing, pres.h1.all_gens())
     free = len(pres.h1.free_gens)
     for i in range(w.rows):
         for j in range(w.rows):
@@ -210,13 +155,10 @@ def _omega(
 def commutator_pairing(level: LevelInput) -> tuple[tuple[Frac1, ...], ...]:
     """omega on the chosen generators of pi_1 (free generators first).
 
-    Evaluates the closed form of :func:`pairing_on_cocycles` on every pair of
-    generators at once: the integer Gram matrix P of that bilinear formula,
-    over the common denominator N of the polarization, is built in one pass
-    over the relator, and omega = G^T P G mod N. Antisymmetric with zero
-    diagonal on the free generators; violations would mean the closed form
-    and the presentation disagree, which is an internal error, never a user
-    one.
+    omega = W / N from :func:`omega_numerators` on the H^1 generators.
+    Antisymmetric with zero diagonal on the free generators; violations
+    would mean the closed form and the presentation disagree, which is an
+    internal error, never a user one.
     """
     return _omega(level.rho, cohomology_presentations(level.rho), level.pairing)[0]
 

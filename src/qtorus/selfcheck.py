@@ -11,12 +11,12 @@ monodromy families, and level denominators up to 6. A mismatch record
 carries the monodromy, the level and the two generator vectors, so it
 replays without the grid.
 
-Neither route's transports depend on the level. Once per local system,
-each H^1 generator becomes a checked cocycle, all over one transport table
-(:func:`qtorus.cochain.checked_classes`), and its relator letter vectors
-for the closed form (:func:`qtorus.gerbe.letter_vectors`). Each
-(level, pair) then costs one integer sum against the pairing's numerators,
-:func:`qtorus.gerbe.pairing_on_letters`, and one
+The closed side is the one reports run: the numerators W = G^T P G of
+:func:`qtorus.gerbe.omega_numerators`, read raw, so a wrong W becomes a
+mismatch record rather than an internal error. Once per local system, each
+H^1 generator becomes a checked cocycle, all over one transport table
+(:func:`qtorus.cochain.checked_classes`). Each level then builds W once, and
+each (level, pair) costs one ``Frac1`` from W and one
 :func:`qtorus.cochain.cup_checked`, which runs no cocycle check and
 transports nothing.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .cochain import checked_classes, cup_checked, triangulate
 from .forms import BilinearData, Frac1, QuadraticForm, invariance_check, polarize
 from .forms import quad_from_bilinear
-from .gerbe import letter_vectors, pairing_on_letters
+from .gerbe import omega_numerators
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
 
@@ -130,7 +130,6 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 rho = _local_system(rng, genus, rank, family)
                 gens = cohomology_presentations(rho).h1.all_gens()
                 cocycles = checked_classes(gens, triangulate(genus), rho)
-                letters = [letter_vectors(rho, g) for g in gens]
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
                         drawn = _invariant_level(rng, rho, den)
@@ -138,11 +137,12 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                             continue
                         level, quad = drawn
                         pairing = polarize(quad)
+                        w = omega_numerators(rho, pairing, gens)
                         agree = True
                         detail = None
                         for i, gi in enumerate(gens):
                             for j, gj in enumerate(gens):
-                                closed = pairing_on_letters(pairing, letters[i], letters[j])
+                                closed = Frac1(w.entry(i, j), pairing.denominator)
                                 simplicial = cup_checked(cocycles[i], cocycles[j], pairing)
                                 if closed != simplicial:
                                     agree = False

@@ -237,8 +237,10 @@ def frac1_bilinear(entries, x, y) -> Frac1:
     """x^T E y for a matrix E of Frac1 values, one Frac1 per nonzero term."""
     total = Frac1(0)
     for xi, row in zip(x, entries):
-        for yj, value in zip(y, row):
-            total = total + value.scale(xi * yj)
+        if xi:
+            for yj, value in zip(y, row):
+                if yj:
+                    total = total + value.scale(xi * yj)
     return total
 
 
@@ -267,3 +269,30 @@ def pairing_on_cocycles_per_term(pairing, rho, u, v) -> Frac1:
             total = total + frac1_bilinear(pairing.entries, u_k, v_k)
         acc = tuple(a + x for a, x in zip(acc, u_k))
     return total
+
+
+def letter_walk(rho, u) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """One vector's integer letter values along the relator, as (left, right).
+
+    ``right[k]`` is letter k's value, eps times its transport applied to the
+    vector's block; ``left[k]`` is the sum of the earlier letters' values,
+    plus letter k's own value when the letter is inverted. The closed form of
+    two vectors is the sum over k of b(left_u[k], right_v[k]).
+    """
+    r = rho.rank
+    left = []
+    right = []
+    acc = (0,) * r
+    for j, eps, frame in rho.letter_frames:
+        u_k = tuple(eps * x for x in frame.mul_vec(u[j * r : (j + 1) * r]))
+        after = tuple(a + x for a, x in zip(acc, u_k))
+        left.append(after if eps == -1 else acc)
+        right.append(u_k)
+        acc = after
+    return tuple(left), tuple(right)
+
+
+def pairing_on_walks(pairing, u_walk, v_walk) -> Frac1:
+    """The closed form from two :func:`letter_walk` results, one integer sum over N."""
+    total = sum(pairing.numerator(x, y) for x, y in zip(u_walk[0], v_walk[1]))
+    return Frac1(total, pairing.denominator)

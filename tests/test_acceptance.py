@@ -36,12 +36,13 @@ from qtorus import (
     twisted_cohomology,
 )
 from qtorus.forms import HALF, ZERO, QuadraticForm
-from qtorus.gerbe import letter_vectors, pairing_on_letters
 from qtorus.selfcheck import DEFAULT_SEED
 
 from helpers import (
     global_json,
     groups_json,
+    letter_walk,
+    pairing_on_walks,
     rand_matrix,
     random_invariant_level,
     random_local_system,
@@ -198,13 +199,13 @@ def _half_valued(q):
 
 
 def _unit_pairs(rho):
-    """Each unit cochain's letter vectors, and the order its pairs are tried in.
+    """Each unit cochain's letter walk, and the order its pairs are tried in.
 
-    The vectors depend on the local system alone, so they are built once and
-    every form pairs them as :func:`pairing_on_cocycles` would.
+    The walks depend on the local system alone, so they are built once and
+    every form pairs them by the closed form's integer sum.
     """
     n = 2 * rho.genus * rho.rank
-    letters = [letter_vectors(rho, tuple(int(k == i) for k in range(n))) for i in range(n)]
+    letters = [letter_walk(rho, tuple(int(k == i) for k in range(n))) for i in range(n)]
     # b-block pairs first: they surface a nonzero polarization immediately
     order = [(i, j) for i in range(n) for j in range(n) if (i < rho.rank) <= (j >= rho.rank)]
     order += [(i, j) for i in range(n) for j in range(n) if (i, j) not in order]
@@ -212,7 +213,7 @@ def _unit_pairs(rho):
 
 
 def _omega_vanishes(pairing, unit_pairs):
-    return all(pairing_on_letters(pairing, u, v) == ZERO for u, v in unit_pairs)
+    return all(pairing_on_walks(pairing, u, v) == ZERO for u, v in unit_pairs)
 
 
 def test_criterion_04_linear_level_criterion():

@@ -259,6 +259,21 @@ class TestValidation:
         assert code == 2
         assert json.loads(out)["path"] == "level.zeta"
 
+    @pytest.mark.parametrize("task", ["local", "surface", "global", "bunt"])
+    @pytest.mark.parametrize("rank", [-1, 0])
+    def test_nonpositive_rank(self, capsys, tmp_path, task, rank):
+        # every task that reads a surface refuses a rank below 1 the same way
+        spec = {
+            "task": task,
+            "surface": {"genus": 1, "rank": rank},
+            "level": {"c_matrix": [], "zeta": "1/4"},
+        }
+        out, code = run_main(capsys, task, "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        assert (payload["code"], payload["path"]) == ("bad_job_spec", "surface.rank")
+        assert payload["message"] == "rank must be positive"
+
     def test_rank_mismatch(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1, 0], [0, 1]], "zeta": "1/4"})
         out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))

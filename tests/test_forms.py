@@ -55,7 +55,9 @@ class TestFrac1:
         assert Frac1.parse(text) == Frac1(num, den)
 
     @pytest.mark.parametrize(
-        "bad", ["2/4", "3/2", "1/0", "-1/2", "1/ 2", "1", "", "one/two", 7, None, "1/2/3"]
+        "bad",
+        ["2/4", "3/2", "1/0", "-1/2", "1/ 2", "1", "", "one/two", 7, None, "1/2/3",
+         "01/3", "1/03", "00/1", "0/01"],
     )
     def test_parse_rejects_noncanonical(self, bad):
         with pytest.raises(BadFraction):

@@ -16,13 +16,12 @@ from qtorus import (
     cohomology_presentations,
     commutator_pairing,
     enumerate_components,
-    pairing_on_cocycles,
     pi2_character,
     section_space,
 )
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
 from qtorus.forms import HALF, ZERO, SymmetricForm
-from qtorus.gerbe import _heisenberg_dimensions, letter_vectors, pairing_on_letters
+from qtorus.gerbe import _heisenberg_dimensions, omega_numerators
 from qtorus.lattice import inverse_unimodular, smith_normal_form
 
 from helpers import (
@@ -106,14 +105,19 @@ class TestLevelInput:
         assert len(calls) == 2 * rho.genus  # the spy sees construction's inversions
 
 
+def closed_form(pairing, rho, u, v):
+    """omega(u, v) from the package's one closed form: entry (0, 1) of W on [u, v]."""
+    return Frac1(omega_numerators(rho, pairing, [u, v]).entry(0, 1), pairing.denominator)
+
+
 class TestPairingOnCocycles:
     def test_symplectic_shape_genus_one(self):
         # trivial coefficients: the two loops pair by the polarization
         level = trivial_level(1, 1, 3)
         p, rho = level.pairing, level.rho
-        assert pairing_on_cocycles(p, rho, (1, 0), (0, 1)) == Frac1(2, 3)
-        assert pairing_on_cocycles(p, rho, (0, 1), (1, 0)) == Frac1(1, 3)
-        assert pairing_on_cocycles(p, rho, (1, 0), (1, 0)) == ZERO
+        assert closed_form(p, rho, (1, 0), (0, 1)) == Frac1(2, 3)
+        assert closed_form(p, rho, (0, 1), (1, 0)) == Frac1(1, 3)
+        assert closed_form(p, rho, (1, 0), (1, 0)) == ZERO
 
     def test_genus_two_is_a_direct_sum(self):
         level = trivial_level(2, 1, 4)
@@ -121,7 +125,7 @@ class TestPairingOnCocycles:
         val = p.evaluate((1,), (1,))
         for i in range(4):
             for j in range(4):
-                got = pairing_on_cocycles(p, rho, unit4(i), unit4(j))
+                got = closed_form(p, rho, unit4(i), unit4(j))
                 if (i, j) == (0, 1) or (i, j) == (2, 3):
                     assert got == val
                 elif (i, j) == (1, 0) or (i, j) == (3, 2):
@@ -134,12 +138,7 @@ class TestPairingOnCocycles:
         p, rho = level.pairing, level.rho
         for u in ((1, 0, 0, 0), (0, 1, 1, 0)):
             for v in ((0, 0, 0, 1), (1, 1, 1, 1)):
-                assert pairing_on_cocycles(p, rho, u, v) == ZERO
-
-    def test_wrong_length(self):
-        level = trivial_level(1, 1, 2)
-        with pytest.raises(DimensionMismatch):
-            pairing_on_cocycles(level.pairing, level.rho, (1,), (0, 1))
+                assert closed_form(p, rho, u, v) == ZERO
 
     def test_matches_simplicial_route(self):
         from qtorus import class_of, cup_evaluate, triangulate
@@ -151,13 +150,13 @@ class TestPairingOnCocycles:
             level = LevelInput(random_invariant_level(rng, rho), rho)
             t = triangulate(g)
             gens = cohomology_presentations(rho).h1.all_gens()
-            for u in gens:
-                for v in gens:
-                    fast = pairing_on_cocycles(level.pairing, rho, u, v)
+            w = omega_numerators(rho, level.pairing, gens)
+            for i, u in enumerate(gens):
+                for j, v in enumerate(gens):
                     slow = cup_evaluate(
                         class_of(u, t, rho), class_of(v, t, rho), level.pairing, t, rho
                     )
-                    assert fast == slow
+                    assert Frac1(w.entry(i, j), level.pairing.denominator) == slow
 
 
 def family_level(rng, family, genus, rank):
@@ -200,11 +199,11 @@ def family_level(rng, family, genus, rank):
     return LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), rho)
 
 
-class TestLetterVectors:
+class TestGramRoute:
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
     def test_matches_per_term_formula(self, family):
-        # the integer sum over letter vectors against the per-term Frac1 walk,
-        # on H^1 generators and on arbitrary vectors (the formula is bilinear)
+        # u^T P v / N against the per-term Frac1 walk, on H^1 generators and on
+        # arbitrary vectors (the formula is bilinear, not only on cocycles)
         rng = random.Random(f"letters-{family}")
         for genus in range(1, 5):
             for rank in range(1, 4):
@@ -213,25 +212,12 @@ class TestLetterVectors:
                 n = 2 * genus * rank
                 vectors = list(cohomology_presentations(rho).h1.all_gens()[:3])
                 vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
-                for u in vectors:
-                    for v in vectors:
-                        got = pairing_on_cocycles(p, rho, u, v)
+                w = omega_numerators(rho, p, vectors)
+                for i, u in enumerate(vectors):
+                    for j, v in enumerate(vectors):
+                        got = Frac1(w.entry(i, j), p.denominator)
                         assert got == pairing_on_cocycles_per_term(p, rho, u, v)
-                        assert got == pairing_on_letters(
-                            p, letter_vectors(rho, u), letter_vectors(rho, v)
-                        )
 
-    def test_one_entry_per_letter_and_length_checks(self):
-        rho = LatticeLocalSystem.trivial(2, 2)
-        lv = letter_vectors(rho, tuple(range(8)))
-        assert len(lv.left) == len(lv.right) == len(rho.letter_frames) == 8
-        with pytest.raises(DimensionMismatch):
-            letter_vectors(rho, (1, 2))
-        with pytest.raises(DimensionMismatch):
-            pairing_on_letters(trivial_level(2, 1, 2).pairing, lv, lv)
-
-
-class TestGramRoute:
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
     def test_matches_per_pair_reference(self, family):
         rng = random.Random(f"gram-{family}")
@@ -241,7 +227,10 @@ class TestGramRoute:
                 level = family_level(rng, family, genus, rank)
                 gens = cohomology_presentations(level.rho).h1.all_gens()
                 reference = tuple(
-                    tuple(pairing_on_cocycles(level.pairing, level.rho, u, v) for v in gens)
+                    tuple(
+                        pairing_on_cocycles_per_term(level.pairing, level.rho, u, v)
+                        for v in gens
+                    )
                     for u in gens
                 )
                 assert commutator_pairing(level) == reference

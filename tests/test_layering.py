@@ -79,10 +79,27 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised) == []
 
 
-def test_selfcheck_avoids_the_gram_route():
-    # selfcheck checks the per-pair closed form; the Gram matrix is tested
-    # against that form elsewhere and must not become its own reference
-    assert not names_in(parse("selfcheck")) & {"commutator_pairing", "_pairing_gram"}
+def test_selfcheck_checks_the_report_route():
+    # the package has one closed form of omega: reports (through _omega) and
+    # selfcheck both call omega_numerators, and selfcheck reads its raw W
+    # rather than the checked omega, so a wrong W is a mismatch record
+    (omega,) = [
+        node
+        for node in parse("gerbe").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_omega"
+    ]
+    assert "omega_numerators" in names_in(omega)
+    selfcheck = names_in(parse("selfcheck"))
+    assert "omega_numerators" in selfcheck
+    assert not selfcheck & {"_omega", "commutator_pairing", "block_report"}
+    deleted = ("LetterVectors", "letter_vectors", "pairing_on_letters", "pairing_on_cocycles")
+    found = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in deleted
+        if name in path.read_text()
+    ]
+    assert found == []
 
 
 def integer_fields_of_forms():

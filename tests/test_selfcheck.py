@@ -10,13 +10,15 @@ from qtorus import (
     cohomology_presentations,
     cup_checked,
     cup_evaluate,
-    pairing_on_cocycles,
     polarize,
     quad_from_bilinear,
     run_selfcheck,
     triangulate,
 )
-from qtorus import cochain, selfcheck
+from qtorus import cochain, gerbe, selfcheck
+from qtorus.selfcheck import DEFAULT_SEED
+
+from helpers import pairing_on_cocycles_per_term
 
 SHIFT = Frac1(1, 7)
 
@@ -36,7 +38,7 @@ def test_mismatch_record_replays(monkeypatch):
     level = BilinearData(IntMatrix.from_rows(record["c_matrix"]), Frac1.parse(record["zeta"]))
     pairing = polarize(quad_from_bilinear(level))
     u, v = record["u"], record["v"]
-    assert str(pairing_on_cocycles(pairing, rho, u, v)) == record["closed"]
+    assert str(pairing_on_cocycles_per_term(pairing, rho, u, v)) == record["closed"]
 
     tri = triangulate(rho.genus)
     simplicial = cup_evaluate(class_of(u, tri, rho), class_of(v, tri, rho), pairing, tri, rho)
@@ -74,43 +76,51 @@ def test_one_table_and_one_check_per_local_system(monkeypatch):
         assert n == len(cohomology_presentations(rho).h1.all_gens())
 
 
-def test_letter_vectors_once_per_generator_and_one_frac1_per_pair(monkeypatch):
-    # the closed route walks the relator once per H^1 generator of each local
-    # system, whatever the number of levels; each (level, pair) is then one
-    # integer sum, reduced to a single Frac1
-    walks = {}  # id(rho) -> (rho, vectors walked); holding rho keeps ids unique
-    built = []  # Frac1 constructions inside each closed-route pair
+def test_one_gram_per_level_on_the_h1_generators(monkeypatch):
+    # the closed side is the reports' W = G^T P G, built once per level on
+    # the local system's H^1 generators, in integers: no Frac1 inside it
+    calls = []  # (rho, generators, Frac1 built inside) per call
     created = [0]
     frac1_init = Frac1.__init__
-    letter_vectors = selfcheck.letter_vectors
-    pairing_on_letters = selfcheck.pairing_on_letters
+    omega_numerators = selfcheck.omega_numerators
 
     def counting_init(self, num, den=1):
         created[0] += 1
         frac1_init(self, num, den)
 
-    def counting_letter_vectors(rho, u):
-        walks.setdefault(id(rho), (rho, []))[1].append(tuple(u))
-        return letter_vectors(rho, u)
-
-    def counting_pairing_on_letters(pairing, u, v):
+    def counting_omega_numerators(rho, pairing, gens):
         before = created[0]
-        value = pairing_on_letters(pairing, u, v)
-        built.append(created[0] - before)
-        return value
+        w = omega_numerators(rho, pairing, gens)
+        calls.append((rho, [tuple(g) for g in gens], created[0] - before))
+        return w
 
     monkeypatch.setattr(Frac1, "__init__", counting_init)
-    monkeypatch.setattr(selfcheck, "letter_vectors", counting_letter_vectors)
-    monkeypatch.setattr(selfcheck, "pairing_on_letters", counting_pairing_on_letters)
+    monkeypatch.setattr(selfcheck, "omega_numerators", counting_omega_numerators)
     result = run_selfcheck(5)
     monkeypatch.undo()
 
     assert result.ok
-    assert len(walks) == 12  # genus 1-2, rank 1-2, three families
-    assert sum(len(walked) for _, walked in walks.values()) == 43
-    for rho, walked in walks.values():
-        assert walked == [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
-    assert len(built) > result.cases and set(built) == {1}
+    assert len(calls) == result.cases
+    assert len({id(rho) for rho, _, _ in calls}) == 12  # genus 1-2, rank 1-2, three families
+    for rho, gens, built in calls:
+        assert gens == [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
+        assert built == 0
+
+
+def test_a_wrong_gram_matrix_fails_the_check(monkeypatch):
+    # selfcheck runs the Gram route the reports run: one wrong entry of P
+    # becomes a mismatch record, not an agreement and not an internal error
+    pairing_gram = gerbe._pairing_gram
+
+    def off_by_one(rho, b):
+        p = pairing_gram(rho, b)
+        return IntMatrix(p.rows, p.cols, [p.entries[0] + 1, *p.entries[1:]])
+
+    monkeypatch.setattr(gerbe, "_pairing_gram", off_by_one)
+    result = run_selfcheck(DEFAULT_SEED)
+    assert not result.ok and result.agreements < result.cases
+    record = result.mismatches[0]
+    assert record["closed"] != record["simplicial"]
 
 
 def test_each_level_form_built_once(monkeypatch):
