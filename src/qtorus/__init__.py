@@ -36,13 +36,11 @@ from .errors import InvariantViolation, QtorusError
 from .forms import (
     BilinearData,
     Frac1,
-    LevelClassReport,
     QuadraticForm,
     SymmetricForm,
     evaluate,
     invariance_check,
     is_linear,
-    level_classify,
     polarize,
     quad_from_bilinear,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "IntMatrix",
     "InvariantViolation",
     "LatticeLocalSystem",
-    "LevelClassReport",
     "LevelInput",
     "QtorusError",
     "QuadraticForm",
@@ -132,7 +129,6 @@ __all__ = [
     "invariants_coinvariants_check",
     "inverse_unimodular",
     "is_linear",
-    "level_classify",
     "perturb_refinement",
     "pi2_character",
     "polarize",

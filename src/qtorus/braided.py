@@ -10,11 +10,10 @@ double braiding) must be refinement independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, ShapeMismatch
-from .forms import ZERO, Frac1, QuadraticForm, _over_common_denominator, evaluate
+from .forms import ZERO, Frac1, QuadraticForm, _bilinear_sum, _over_common_denominator, evaluate
 from .lattice import IntMatrix
 
 
@@ -135,12 +134,7 @@ def braiding_phase(b: BraidedData, lam: Sequence[int], mu: Sequence[int]) -> Fra
     r = b.rank
     if len(lam) != r or len(mu) != r:
         raise DimensionMismatch(f"vectors must have length {r}")
-    m = b.numerators.entries
-    total = 0
-    for i, li in enumerate(lam):
-        if li:
-            total += li * sum(map(mul, m[i * r : (i + 1) * r], mu))
-    return Frac1(total, b.denominator)
+    return Frac1(_bilinear_sum(b.numerators, lam, mu), b.denominator)
 
 
 def double_braiding(b: BraidedData, lam: Sequence[int], mu: Sequence[int]) -> Frac1:

@@ -121,6 +121,16 @@ def _over_common_denominator(values: Sequence[Frac1]) -> tuple[int, list[int]]:
     return n, [x.num * (n // x.den) for x in values]
 
 
+def _bilinear_sum(m: IntMatrix, x: Sequence[int], y: Sequence[int]) -> int:
+    """x^T M y over the integers; the caller checks the lengths."""
+    r, e = m.cols, m.entries
+    total = 0
+    for i, xi in enumerate(x):
+        if xi:
+            total += xi * sum(map(mul, e[i * r : (i + 1) * r], y))
+    return total
+
+
 @dataclass(frozen=True)
 class BilinearData:
     """Integer matrix plus phase; the raw presentation of a level."""
@@ -230,12 +240,7 @@ class SymmetricForm:
         r = self.rank
         if len(x) != r or len(y) != r:
             raise DimensionMismatch(f"vectors must have length {r}")
-        b = self.numerators.entries
-        total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                total += xi * sum(map(mul, b[i * r : (i + 1) * r], y))
-        return total
+        return _bilinear_sum(self.numerators, x, y)
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -266,12 +271,7 @@ def evaluate(q: QuadraticForm, gamma: Sequence[int]) -> Frac1:
     r = q.rank
     if len(gamma) != r:
         raise DimensionMismatch(f"vector of length {len(gamma)} against rank {r}")
-    u = q.numerators.entries
-    total = 0
-    for i, xi in enumerate(gamma):
-        if xi:
-            total += xi * sum(map(mul, u[i * r + i : (i + 1) * r], gamma[i:]))
-    return Frac1(total, q.denominator)
+    return Frac1(_bilinear_sum(q.numerators, gamma, gamma), q.denominator)
 
 
 def polarize(q: QuadraticForm) -> SymmetricForm:
@@ -289,23 +289,6 @@ def is_linear(q: QuadraticForm) -> bool:
     polarization entry, hence zero.
     """
     return not any(q.offdiag) and not any(x.scale(2) for x in q.diag)
-
-
-@dataclass(frozen=True)
-class LevelClassReport:
-    """Classification data for a level: its form, the structural layer, liftability.
-
-    Levels with the same quadratic form are equivalent; on top of that sits a
-    torsor layer isomorphic to Hom(Z^rank, Q/Z), reported only by its rank.
-    """
-
-    quadratic_form: QuadraticForm
-    pi2_layer_rank: int
-    e_infinity: bool
-
-
-def level_classify(q: QuadraticForm) -> LevelClassReport:
-    return LevelClassReport(q, q.rank, is_linear(q))
 
 
 def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:

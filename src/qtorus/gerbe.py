@@ -243,7 +243,7 @@ def _heisenberg_dimensions(n: int, w: IntMatrix, free_count: int) -> tuple[int, 
     if f == 0:
         return 0, 1
     a = IntMatrix(f, f, [w.entry(i, j) % n for i in range(f) for j in range(f)])
-    diag = smith_normal_form(a, u=False, v=False).diagonal()
+    diag = smith_normal_form(a).diagonal()
     rank = sum(1 for d in diag if d)
     order = 1
     for d in diag:

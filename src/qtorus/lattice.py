@@ -3,9 +3,9 @@
 Everything here works with built-in arbitrary-precision ints; no floats ever
 enter. There are two eliminations. :func:`smith_normal_form`, the
 ``U @ A @ V = D`` decomposition with unimodular transforms, gives kernels,
-cokernels and quotient generators. It copies its row and column operations
-onto only the transforms the caller asks for: groups alone need none, a
-kernel basis needs ``V``, quotient generators ``U^-1`` and coordinates on
+cokernels and quotient generators. It keeps its row and column operations,
+and a transform is built from them when it is first read: groups alone need
+none, a kernel basis ``V``, quotient generators ``U^-1`` and coordinates on
 the kernel basis ``V^-1``. Determinants and inverses in GL(n, Z) read
 ``det A`` and the adjugate off one fraction-free Gauss-Jordan elimination of
 ``[A | I]``.
@@ -13,11 +13,14 @@ the kernel basis ``V^-1``. Determinants and inverses in GL(n, Z) read
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
+
+_Op = tuple[int, int, int]  # (i, j, q), one line operation; see _replay
 
 
 class IntMatrix:
@@ -204,39 +207,37 @@ def det(a: IntMatrix) -> int:
     return _gauss_jordan(a)[0]
 
 
-class _NotBuilt:
-    """A transform the caller did not ask :func:`smith_normal_form` for.
-
-    It has no entries, so code that sizes every matrix of a result still
-    runs; any other use raises.
-    """
-
-    __slots__ = ()
-    entries: tuple[int, ...] = ()
-
-    def __getattr__(self, name):
-        raise AttributeError(f"the Smith form did not build this transform (read .{name})")
-
-    def __repr__(self) -> str:
-        return "NOT_BUILT"
-
-
-NOT_BUILT = _NotBuilt()
-
-
 @dataclass(frozen=True)
 class SnfResult:
     """Diagonal ``d`` with ``u @ a @ v == d``, ``u`` and ``v`` unimodular.
 
-    ``uinv`` and ``vinv`` are the inverses of ``u`` and ``v``. Each
-    transform is :data:`NOT_BUILT` unless the call asked for it.
+    ``uinv`` and ``vinv`` are the inverses of ``u`` and ``v``. The result
+    keeps the elimination's row and column operations in order, and each
+    transform is built from them by :func:`_replay` when it is first read,
+    so a caller pays for exactly the transforms it reads.
     """
 
-    u: IntMatrix | _NotBuilt
     d: IntMatrix
-    v: IntMatrix | _NotBuilt
-    uinv: IntMatrix | _NotBuilt = NOT_BUILT
-    vinv: IntMatrix | _NotBuilt = NOT_BUILT
+    row_ops: tuple[_Op, ...] = field(repr=False)
+    col_ops: tuple[_Op, ...] = field(repr=False)
+
+    # a column operation on V is a row operation on V^T, and _replay's inverse
+    # gives (U^-1)^T, so v and uinv are read off their rows as columns
+    @cached_property
+    def u(self) -> IntMatrix:
+        return IntMatrix.from_rows(_replay(self.row_ops, self.d.rows), self.d.rows)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return IntMatrix.from_columns(_replay(self.col_ops, self.d.cols), self.d.cols)
+
+    @cached_property
+    def uinv(self) -> IntMatrix:
+        return IntMatrix.from_columns(_replay(self.row_ops, self.d.rows, True), self.d.rows)
+
+    @cached_property
+    def vinv(self) -> IntMatrix:
+        return IntMatrix.from_rows(_replay(self.col_ops, self.d.cols, True), self.d.cols)
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.d.rows, self.d.cols)
@@ -296,71 +297,71 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def smith_normal_form(
-    a: IntMatrix, *, u: bool = True, v: bool = True, inverses: bool = False
-) -> SnfResult:
+def _replay(ops: Sequence[_Op], n: int, inverse: bool = False) -> list[list[int]]:
+    """Rows of E_k ... E_1: the logged operations E_1, ..., E_k applied in order to I_n.
+
+    An operation ``(i, j, q)`` acts on lines: it swaps lines i and j when
+    q == 0, negates line i when i == j, and adds q times line j to line i
+    otherwise. With ``inverse`` each one is applied as the transpose of its
+    inverse, which leaves swaps and negations as they are and turns
+    line_i += q*line_j into line_j -= q*line_i; the rows are then those of
+    (E_1^-1 ... E_k^-1)^T.
+    """
+    x = _identity_rows(n)
+    for i, j, q in ops:
+        if not q:
+            x[i], x[j] = x[j], x[i]
+        elif i == j:
+            x[i] = [-s for s in x[i]]
+        else:
+            if inverse:
+                i, j, q = j, i, -q
+            x[i] = [s + q * t for s, t in zip(x[i], x[j])]
+    return x
+
+
+def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Diagonalize ``a`` over the integers.
 
     Pivots are chosen by minimal absolute value (lexicographic tie-break) to
     keep intermediate coefficients small. The diagonal comes out nonnegative
     with each entry dividing the next.
 
-    ``u`` and ``v`` name the transforms to build, and ``inverses`` builds
-    ``uinv`` and ``vinv``; the others come back as :data:`NOT_BUILT`. Each
-    row operation on the working matrix is copied onto ``u`` and each column
-    operation onto ``v``. The inverses take each operation's inverse from the
-    other side: row_i += q*row_j becomes col_j -= q*col_i on ``uinv``,
-    col_i += q*col_j becomes row_j -= q*row_i on ``vinv``, a swap swaps the
-    same two lines, and a row negation negates the column of ``uinv``
-    (columns are never negated). Pivots depend on the working matrix alone,
-    so the diagonal and every built transform are the same whatever else the
-    call asks for.
+    Each row operation on the working matrix is appended to the row log and
+    each column operation to the column log (rows are negated, columns never
+    are). The logs fix the transforms: ``u`` replays the row log on the rows
+    of an identity, ``v`` the column log on the columns, and ``uinv`` and
+    ``vinv`` replay each operation's inverse from the other side, so
+    row_i += q*row_j becomes col_j -= q*col_i on ``uinv``.
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
-    tu = _identity_rows(m) if u else None
-    tv = _identity_rows(n) if v else None
-    tui = _identity_rows(m) if inverses else None
-    tvi = _identity_rows(n) if inverses else None
-    by_rows = [d] if tu is None else [d, tu]  # what row operations act on
-    by_cols = [d] if tv is None else [d, tv]  # what column operations act on
+    row_ops: list[_Op] = []
+    col_ops: list[_Op] = []
 
     def row_swap(i, j):
-        for x in by_rows:
-            x[i], x[j] = x[j], x[i]
-        if tui is not None:
-            for r in tui:
-                r[i], r[j] = r[j], r[i]
+        d[i], d[j] = d[j], d[i]
+        row_ops.append((i, j, 0))
 
     def col_swap(i, j):
-        for x in by_cols:
-            for r in x:
-                r[i], r[j] = r[j], r[i]
-        if tvi is not None:
-            tvi[i], tvi[j] = tvi[j], tvi[i]
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        col_ops.append((i, j, 0))
 
     def row_add(i, j, q):
         # row_i += q * row_j
-        for x in by_rows:
-            x[i] = [s + q * t for s, t in zip(x[i], x[j])]
-        if tui is not None:
-            for r in tui:
-                r[j] -= q * r[i]
+        d[i] = [s + q * t for s, t in zip(d[i], d[j])]
+        row_ops.append((i, j, q))
 
     def col_add(i, j, q):
         # col_i += q * col_j
-        for x in by_cols:
-            for r in x:
-                r[i] += q * r[j]
-        if tvi is not None:
-            tvi[j] = [s - q * t for s, t in zip(tvi[j], tvi[i])]
+        for r in d:
+            r[i] += q * r[j]
+        col_ops.append((i, j, q))
 
     def row_negate(i):
-        for x in by_rows:
-            x[i] = [-s for s in x[i]]
-        if tui is not None:
-            for r in tui:
-                r[i] = -r[i]
+        d[i] = [-s for s in d[i]]
+        row_ops.append((i, i, -1))
 
     def find_pivot(t):
         best = None
@@ -422,12 +423,7 @@ def smith_normal_form(
             row_add(t, offender, 1)
         t += 1
 
-    def built(rows, size):
-        return NOT_BUILT if rows is None else IntMatrix.from_rows(rows, size)
-
-    return SnfResult(
-        built(tu, m), IntMatrix.from_rows(d, n), built(tv, n), built(tui, m), built(tvi, n)
-    )
+    return SnfResult(IntMatrix.from_rows(d, n), tuple(row_ops), tuple(col_ops))
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
@@ -459,7 +455,7 @@ class QuotientPresentation:
 def _quotient_with_generators(snf: SnfResult, basis: IntMatrix | None) -> QuotientPresentation:
     """Generators of Z^k / im(x), pushed to ambient coordinates via ``basis``.
 
-    ``snf`` is the Smith form of x, built with ``inverses``. ``basis`` is an
+    ``snf`` is the Smith form of x; only its ``uinv`` is read. ``basis`` is an
     ambient-by-k matrix whose columns the quotient coordinates refer to; None
     means the identity.
     """

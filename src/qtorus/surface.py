@@ -8,9 +8,9 @@ its differentials are the stacked (rho(x_j) - I) blocks and the Fox
 derivatives of the relator. A local system unwinds the relator once; its
 letter transports give the relation check, d1 and omega's Gram matrix.
 The cohomology groups alone come from one Smith diagonal per differential,
-with no transform built. Generator representatives come from snf(d1) with
-its inverse transforms and one small Smith form of im d0's coordinates on
-ker d1.
+and read no transform, so none is built. Generator representatives read V,
+U^-1 and V^-1 of snf(d1), V of snf(d0) and U^-1 of one small Smith form of
+im d0's coordinates on ker d1.
 """
 
 from __future__ import annotations
@@ -206,15 +206,15 @@ def cohomology_presentations(rho: LatticeLocalSystem) -> CohomologyPresentations
     and im d0 lies in ker d1, so x = W d0 is the unique integer x with
     K x = d0. snf(x) gives H^1 = Z^cols(K) / im x, its generators pushed
     through K, and U^-1 of snf(d1) gives the generators of H^2 = coker d1.
+    A transform is built when it is first read, so snf(d1) builds V, U^-1
+    and V^-1, snf(d0) builds V for the basis of H^0, and snf(x) builds U^-1.
     """
     cx = build_complex(rho)
-    snf1 = smith_normal_form(cx.d1, u=False, inverses=True)
+    snf1 = smith_normal_form(cx.d1)
     n, k = cx.d1.cols, snf1.rank()
     x = IntMatrix(n - k, n, snf1.vinv.entries[k * n :]) @ cx.d0
-    h0_basis = smith_normal_form(cx.d0, u=False).kernel_basis()
-    h1 = _quotient_with_generators(
-        smith_normal_form(x, u=False, v=False, inverses=True), snf1.kernel_basis()
-    )
+    h0_basis = smith_normal_form(cx.d0).kernel_basis()
+    h1 = _quotient_with_generators(smith_normal_form(x), snf1.kernel_basis())
     h2 = _quotient_with_generators(snf1, None)
     triple = CohomologyTriple(
         FgAbGroup(h0_basis.cols),
@@ -235,8 +235,8 @@ def twisted_cohomology(rho: LatticeLocalSystem) -> CohomologyTriple:
     ker d1, hence Z^(2g r) / im d0 = H^1 + Z^rank(d1).
     """
     cx = build_complex(rho)
-    snf0 = smith_normal_form(cx.d0, u=False, v=False)
-    snf1 = smith_normal_form(cx.d1, u=False, v=False)
+    snf0 = smith_normal_form(cx.d0)
+    snf1 = smith_normal_form(cx.d1)
     coker0 = snf0.cokernel()
     return CohomologyTriple(
         FgAbGroup(rho.rank - snf0.rank()),
@@ -303,5 +303,5 @@ def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTri
         stacked = vstack([m - eye for m in rho.mon])
         side = hstack([m - eye for m in rho.mon])
     h0_indep = FgAbGroup(r - _fraction_free_rank(stacked))
-    h2_indep = smith_normal_form(side, u=False, v=False).cokernel()
+    h2_indep = smith_normal_form(side).cokernel()
     return triple.h0 == h0_indep and triple.h2 == h2_indep

@@ -109,7 +109,7 @@ def solve_exact(k: IntMatrix, g: IntMatrix) -> IntMatrix:
 
 def subquotient(ker_basis_mat: IntMatrix, img_gens: IntMatrix) -> FgAbGroup:
     """Canonical form of (span of ker_basis columns) / (span of img_gens columns)."""
-    return smith_normal_form(solve_exact(ker_basis_mat, img_gens), u=False, v=False).cokernel()
+    return smith_normal_form(solve_exact(ker_basis_mat, img_gens)).cokernel()
 
 
 def subquotient_with_generators(
@@ -117,9 +117,7 @@ def subquotient_with_generators(
 ) -> QuotientPresentation:
     """The same quotient with generators, through :func:`solve_exact`."""
     x = solve_exact(ker_basis_mat, img_gens)
-    return _quotient_with_generators(
-        smith_normal_form(x, u=False, v=False, inverses=True), ker_basis_mat
-    )
+    return _quotient_with_generators(smith_normal_form(x), ker_basis_mat)
 
 
 def smith_form_inverse(a: IntMatrix) -> IntMatrix:

@@ -13,7 +13,6 @@ from qtorus import (
     evaluate,
     invariance_check,
     is_linear,
-    level_classify,
     polarize,
     quad_from_bilinear,
 )
@@ -199,16 +198,12 @@ class TestLinearity:
         assert polarize(q).evaluate((1,), (1,)) == frac(2, 3)
 
 
-def test_level_classify():
-    rank2_zero = QuadraticForm(2, (ZERO, ZERO), (ZERO,))
-    rep = level_classify(rank2_zero)
-    assert rep.e_infinity and rep.pi2_layer_rank == 2 and rep.quadratic_form == rank2_zero
-
-    quarter = QuadraticForm(1, (frac(1, 4),), ())
-    assert not level_classify(quarter).e_infinity
-
-    linear = QuadraticForm(1, (HALF,), ())
-    assert level_classify(linear).e_infinity
+def test_is_linear_marks_e_infinity_levels():
+    # the e_infinity flag of a local report: the zero form of rank 2 and 1/2
+    # are linear, 1/4 is not
+    assert is_linear(QuadraticForm(2, (ZERO, ZERO), (ZERO,)))
+    assert not is_linear(QuadraticForm(1, (frac(1, 4),), ()))
+    assert is_linear(QuadraticForm(1, (HALF,), ()))
 
 
 def genus_one(a):

@@ -1,5 +1,6 @@
 import random
-from itertools import permutations, product
+from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from qtorus import (
     smith_normal_form,
 )
 from qtorus.errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
-from qtorus.lattice import NOT_BUILT, hstack, vstack
+from qtorus.lattice import hstack, vstack
 
 from helpers import (
     ImageNotInKernel,
@@ -81,7 +82,7 @@ def test_snf_random_contract_and_rank_oracle():
     for _ in range(120):
         a = rand_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), -9, 9)
         res = assert_snf_contract(a)
-        assert res.rank() == fraction_rank(a) == smith_normal_form(a, u=False, v=False).rank()
+        assert res.rank() == fraction_rank(a) == smith_normal_form(a).rank()
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,31 +110,22 @@ def snf_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(snf_inputs())
-def test_snf_builds_the_requested_transforms_only(a):
-    full = smith_normal_form(a, inverses=True)
-    assert full.u @ a @ full.v == full.d
-    assert full.u @ full.uinv == IntMatrix.identity(a.rows)
-    assert full.v @ full.vinv == IntMatrix.identity(a.cols)
-    assert full.uinv == inverse_unimodular(full.u)
-    assert full.vinv == inverse_unimodular(full.v)
-    for u, v, inverses in product((False, True), repeat=3):
-        res = smith_normal_form(a, u=u, v=v, inverses=inverses)
-        assert res.d == full.d
-        checks = (
-            (u, res.u, full.u),
-            (v, res.v, full.v),
-            (inverses, res.uinv, full.uinv),
-            (inverses, res.vinv, full.vinv),
-        )
-        for asked, got, want in checks:
-            assert got == (want if asked else NOT_BUILT)
-
-
-def test_unbuilt_transform_refuses_use():
-    res = smith_normal_form(IntMatrix.from_rows([[2, 4]]), v=False)
-    assert res.v.entries == ()
-    with pytest.raises(AttributeError):
-        res.kernel_basis()
+def test_snf_transforms_replay_the_elimination(a):
+    res = smith_normal_form(a)
+    d = res.d
+    assert res.u @ a @ res.v == d
+    assert res.u @ res.uinv == IntMatrix.identity(a.rows)
+    assert res.v @ res.vinv == IntMatrix.identity(a.cols)
+    assert res.uinv == inverse_unimodular(res.u)
+    assert res.vinv == inverse_unimodular(res.v)
+    names = ("u", "v", "uinv", "vinv")
+    want = {name: getattr(res, name) for name in names}
+    for order in permutations(names):
+        fresh = replace(res)  # the same elimination, nothing read yet
+        assert vars(fresh).keys().isdisjoint(names)
+        for name in order:
+            assert getattr(fresh, name) == want[name]
+        assert fresh.d == res.d == d
 
 
 @pytest.mark.parametrize(
@@ -145,13 +137,13 @@ def test_unbuilt_transform_refuses_use():
     ],
 )
 def test_cokernel_examples(mat, expected):
-    assert smith_normal_form(IntMatrix.from_rows(mat), u=False, v=False).cokernel() == expected
+    assert smith_normal_form(IntMatrix.from_rows(mat)).cokernel() == expected
 
 
 def test_kernel_examples():
-    assert smith_normal_form(IntMatrix.identity(2), u=False).kernel_basis().cols == 0
-    assert smith_normal_form(IntMatrix.zeros(2, 2), u=False).kernel_basis() == IntMatrix.identity(2)
-    k = smith_normal_form(IntMatrix.from_rows([[1, 1]]), u=False).kernel_basis()
+    assert smith_normal_form(IntMatrix.identity(2)).kernel_basis().cols == 0
+    assert smith_normal_form(IntMatrix.zeros(2, 2)).kernel_basis() == IntMatrix.identity(2)
+    k = smith_normal_form(IntMatrix.from_rows([[1, 1]])).kernel_basis()
     assert k.cols == 1
     assert tuple(k.column(0)) in {(1, -1), (-1, 1)}
 
@@ -160,10 +152,10 @@ def test_kernel_contract_random():
     rng = random.Random(23)
     for _ in range(60):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9)
-        snf = smith_normal_form(a, u=False)
+        snf = smith_normal_form(a)
         k = snf.kernel_basis()
         assert (a @ k).is_zero()
-        snf_k = smith_normal_form(k, u=False, v=False)
+        snf_k = smith_normal_form(k)
         assert snf_k.rank() == k.cols  # independent columns
         # saturation: the basis extends to a basis of Z^cols
         assert all(d == 1 for d in snf_k.diagonal())
@@ -188,7 +180,7 @@ def test_subquotient_rejects_image_outside_kernel():
 
 def test_empty_matrices_are_legal():
     assert smith_normal_form(IntMatrix.zeros(0, 3)).d == IntMatrix.zeros(0, 3)
-    assert smith_normal_form(IntMatrix.zeros(0, 3), u=False).kernel_basis() == IntMatrix.identity(3)
+    assert smith_normal_form(IntMatrix.zeros(0, 3)).kernel_basis() == IntMatrix.identity(3)
     assert smith_normal_form(IntMatrix.zeros(3, 0)).cokernel() == FgAbGroup(3, ())
     assert smith_normal_form(IntMatrix.zeros(0, 0)).cokernel() == FgAbGroup(0, ())
     assert det(IntMatrix.zeros(0, 0)) == 1

@@ -61,6 +61,19 @@ def test_fraction_free_rank_uses_no_lattice_function():
     assert not names_in(func) & lattice_functions
 
 
+def test_smith_form_takes_only_the_matrix():
+    # a transform is built when it is first read, so no call opts out of one
+    calls = [
+        (path.name, node.lineno, len(node.args), [kw.arg for kw in node.keywords])
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "smith_normal_form" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(calls) >= 7
+    assert [c for c in calls if c[2:] != (1, [])] == []
+
+
 def test_every_error_class_is_raised():
     # an error class that nothing in the package raises is dead API, and its
     # code can never reach a CLI payload
@@ -121,7 +134,7 @@ def test_cochain_oracle_evaluates_pairings_itself():
     # calls none of the forms' evaluators and reads none of their integer fields
     fields = integer_fields_of_forms()
     assert {"denominator", "numerators"} <= fields
-    assert not names_in(parse("cochain")) & ({"evaluate", "numerator"} | fields)
+    assert not names_in(parse("cochain")) & ({"evaluate", "numerator", "_bilinear_sum"} | fields)
 
 
 def test_reports_have_one_json_path():

@@ -16,7 +16,7 @@ from qtorus import (
     twisted_cohomology,
 )
 from qtorus import lattice, surface
-from qtorus.lattice import NOT_BUILT, hstack
+from qtorus.lattice import hstack
 from qtorus.surface import _fraction_free_rank
 from qtorus.errors import (
     BadGeneratorIndex,
@@ -34,6 +34,25 @@ from helpers import (
     subquotient,
     subquotient_with_generators,
 )
+
+
+def spy_on_smith_forms(monkeypatch):
+    """Every Smith form surface and lattice compute from now on, with its input's shape."""
+    results = []
+
+    def spy(a):
+        res = smith_normal_form(a)
+        results.append(((a.rows, a.cols), res))
+        return res
+
+    monkeypatch.setattr(surface, "smith_normal_form", spy)
+    monkeypatch.setattr(lattice, "smith_normal_form", spy)
+    return results
+
+
+def built(res):
+    """The transforms of a Smith form that something has read, and so built."""
+    return {"u", "v", "uinv", "vinv"} & vars(res).keys()
 
 
 def sign_rep():
@@ -74,9 +93,9 @@ class TestLocalSystemValidation:
         mats = family_system(random.Random("no-snf"), "pair", 3, 3).mon
         calls = []
 
-        def spy(a, **transforms):
+        def spy(a):
             calls.append((a.rows, a.cols))
-            return smith_normal_form(a, **transforms)
+            return smith_normal_form(a)
 
         monkeypatch.setattr(surface, "smith_normal_form", spy)
         monkeypatch.setattr(lattice, "smith_normal_form", spy)
@@ -312,7 +331,7 @@ class TestGroupsOnlyRoute:
                 rho = family_system(rng, family, genus, rank)
                 cx = build_complex(rho)
                 h1 = twisted_cohomology(rho).h1
-                assert h1 == subquotient(smith_normal_form(cx.d1, u=False).kernel_basis(), cx.d0)
+                assert h1 == subquotient(smith_normal_form(cx.d1).kernel_basis(), cx.d0)
                 torsion += bool(h1.torsion)
         if family == "sign":
             assert torsion >= 6
@@ -320,9 +339,9 @@ class TestGroupsOnlyRoute:
     def test_two_smith_forms(self, monkeypatch):
         calls = []
 
-        def counting(a, **transforms):
+        def counting(a):
             calls.append((a.rows, a.cols))
-            return smith_normal_form(a, **transforms)
+            return smith_normal_form(a)
 
         monkeypatch.setattr(surface, "smith_normal_form", counting)
         twisted_cohomology(family_system(random.Random(3), "pair", 3, 2))
@@ -331,19 +350,13 @@ class TestGroupsOnlyRoute:
     def test_surface_report_builds_no_transform(self, monkeypatch):
         # d0 and d1 in twisted_cohomology, the coinvariants matrix in the check
         rho = family_system(random.Random(5), "pair", 13, 4)
-        results = []
-
-        def spy(a, **transforms):
-            res = smith_normal_form(a, **transforms)
-            results.append(((a.rows, a.cols), res))
-            return res
-
-        monkeypatch.setattr(surface, "smith_normal_form", spy)
-        monkeypatch.setattr(lattice, "smith_normal_form", spy)
+        results = spy_on_smith_forms(monkeypatch)
         assert invariants_coinvariants_check(rho, twisted_cohomology(rho))
-        assert [shape for shape, _ in results] == [(104, 4), (4, 104), (4, 104)]
-        for _, res in results:
-            assert res.u is res.v is res.uinv is res.vinv is NOT_BUILT
+        assert [(shape, built(res)) for shape, res in results] == [
+            ((104, 4), set()),
+            ((4, 104), set()),
+            ((4, 104), set()),
+        ]
 
     def test_check_rejects_altered_h0_or_h2(self):
         rng = random.Random(31)
@@ -393,26 +406,17 @@ class TestPresentations:
         assert inverted == list(mats)
 
     def test_three_smith_forms_and_none_of_the_kernel_basis(self, monkeypatch):
-        # snf(d1) with V and both inverses, snf(d0) with V for the H^0 basis,
-        # and snf(x) of im d0's coordinates on ker d1 with the inverses only
+        # snf(d1) reads V and both inverses, snf(d0) V for the H^0 basis, and
+        # snf(x) of im d0's coordinates on ker d1 only U^-1
         g, r = 4, 3
         rho = family_system(random.Random(41), "pair", g, r)
-        k = 2 * g * r - smith_normal_form(build_complex(rho).d1, u=False, v=False).rank()
-        calls = []
-
-        def spy(a, **transforms):
-            res = smith_normal_form(a, **transforms)
-            built = tuple(t is not NOT_BUILT for t in (res.u, res.v, res.uinv, res.vinv))
-            calls.append(((a.rows, a.cols), built))
-            return res
-
-        monkeypatch.setattr(surface, "smith_normal_form", spy)
-        monkeypatch.setattr(lattice, "smith_normal_form", spy)
+        k = 2 * g * r - smith_normal_form(build_complex(rho).d1).rank()
+        results = spy_on_smith_forms(monkeypatch)
         cohomology_presentations(rho)
-        assert calls == [
-            ((r, 2 * g * r), (False, True, True, True)),
-            ((2 * g * r, r), (False, True, False, False)),
-            ((k, r), (False, False, True, True)),
+        assert [(shape, built(res)) for shape, res in results] == [
+            ((r, 2 * g * r), {"v", "uinv", "vinv"}),
+            ((2 * g * r, r), {"v"}),
+            ((k, r), {"uinv"}),
         ]
 
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear", "pair"])
@@ -424,7 +428,7 @@ class TestPresentations:
         shapes += {"shear": [(9, 2)], "pair": [(13, 4)]}.get(family, [])
         for genus, rank in shapes:
             pres = cohomology_presentations(family_system(rng, family, genus, rank))
-            kernel = smith_normal_form(pres.complex.d1, u=False).kernel_basis()
+            kernel = smith_normal_form(pres.complex.d1).kernel_basis()
             assert pres.h1 == subquotient_with_generators(kernel, pres.complex.d0)
 
     def test_generators_are_cocycles(self):
@@ -470,4 +474,4 @@ def test_fraction_free_rank_matches_both_references():
     for a in rank_cases(random.Random(37)):
         want = fraction_rank(a)
         assert _fraction_free_rank(a) == want
-        assert smith_normal_form(a, u=False, v=False).rank() == want
+        assert smith_normal_form(a).rank() == want
