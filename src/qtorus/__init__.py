@@ -2,9 +2,10 @@
 
 Everything is integer or Q/Z arithmetic; no floats anywhere. The package
 splits into a local layer (quadratic forms on a lattice, braided refinements),
-a topological layer (twisted surface cohomology two independent ways), and a
-global layer (section-space homotopy groups, the commutator pairing of the
-induced gerbe, and block dimension counts), plus a batch CLI.
+a topological layer (twisted surface cohomology, whose groups are the
+section space's homotopy groups, checked along a second route), and a global
+layer (the commutator pairing of the induced gerbe, pi2 characters and block
+dimension counts), plus a batch CLI.
 """
 
 from .braided import (
@@ -48,12 +49,8 @@ from .gerbe import (
     BlockReport,
     GerbeBlock,
     LevelInput,
-    SectionSpaceInvariants,
     block_report,
-    commutator_pairing,
     enumerate_components,
-    pi2_character,
-    section_space,
 )
 from .lattice import (
     FgAbGroup,
@@ -74,7 +71,6 @@ from .surface import (
     cohomology_presentations,
     fox_derivative,
     invariants_coinvariants_check,
-    twisted_cohomology,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +94,6 @@ __all__ = [
     "QtorusError",
     "QuadraticForm",
     "REPORT_SCHEMAS",
-    "SectionSpaceInvariants",
     "SelfCheckResult",
     "SnfResult",
     "SurfaceGroup",
@@ -114,7 +109,6 @@ __all__ = [
     "coboundary",
     "cocycle_check",
     "cohomology_presentations",
-    "commutator_pairing",
     "cup_checked",
     "cup_evaluate",
     "det",
@@ -130,14 +124,11 @@ __all__ = [
     "inverse_unimodular",
     "is_linear",
     "perturb_refinement",
-    "pi2_character",
     "polarize",
     "quad_from_bilinear",
     "run_selfcheck",
-    "section_space",
     "smith_normal_form",
     "standard_refinement",
     "triangulate",
     "twist",
-    "twisted_cohomology",
 ]

@@ -38,8 +38,8 @@ from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .surface import (
     CohomologyTriple,
     LatticeLocalSystem,
+    cohomology_presentations,
     invariants_coinvariants_check,
-    twisted_cohomology,
 )
 
 TASKS = ("local", "surface", "global", "bunt", "selfcheck")
@@ -236,7 +236,7 @@ def _run_local(spec: JobSpec) -> dict:
 
 def _run_surface(spec: JobSpec) -> dict:
     rho = spec.local_system()
-    h = twisted_cohomology(rho)
+    h = cohomology_presentations(rho).triple
     euler = (h.h0.free_rank - h.h1.free_rank + h.h2.free_rank)
     return {
         "task": "surface",

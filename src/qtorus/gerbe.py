@@ -1,16 +1,18 @@
-"""Global invariants: section space homotopy, commutator pairing, block data.
+"""Global invariants: the commutator pairing and block data of a level.
 
 The space of compactly supported sections over a closed oriented surface is
 a 2-type whose homotopy groups are the twisted cohomology of the surface in
-degrees 2, 1, 0. Pushing the level forward along the fundamental class
-equips each component with a flat gerbe; its isomorphism class is captured
-by an antisymmetric Q/Z pairing omega on pi_1 and a character chi_d on pi_2.
-omega, and the block dimension that finite Heisenberg counting reads from
-omega alone, belong to the level: a :class:`BlockReport` holds them once.
-Only chi_d depends on the component d, so a :class:`GerbeBlock` holds the
-component and its character. The moduli of T-bundles on the curve has the
-same homotopy groups, with pi_0 labelled by the first Chern class; that is a
-label on the same report, not another computation.
+degrees 2, 1, 0, so pi_n is read off the report's cohomology triple,
+``BlockReport.presentations.triple``, and not held again. Pushing the level
+forward along the fundamental class equips each component with a flat
+gerbe; its isomorphism class is captured by an antisymmetric Q/Z pairing
+omega on pi_1 and a character chi_d on pi_2. omega, and the block dimension
+that finite Heisenberg counting reads from omega alone, belong to the level:
+a :class:`BlockReport` holds them once. Only chi_d depends on the component
+d, so a :class:`GerbeBlock` holds the component and its character. The
+moduli of T-bundles on the curve has the same homotopy groups, with pi_0
+labelled by the first Chern class; that is a label on the same report, not
+another computation.
 
 omega is computed here by a closed word-combinatorial formula over the
 surface relator, and only here. That formula is bilinear in the two
@@ -45,27 +47,12 @@ from .forms import (
     polarize,
     quad_from_bilinear,
 )
-from .lattice import FgAbGroup, IntMatrix, smith_normal_form
+from .lattice import IntMatrix, smith_normal_form
 from .surface import (
     CohomologyPresentations,
     LatticeLocalSystem,
     cohomology_presentations,
-    twisted_cohomology,
 )
-
-
-@dataclass(frozen=True)
-class SectionSpaceInvariants:
-    """Homotopy groups of the section space: pi_n is cohomology in degree 2-n."""
-
-    pi0: FgAbGroup
-    pi1: FgAbGroup
-    pi2: FgAbGroup
-
-
-def section_space(rho: LatticeLocalSystem) -> SectionSpaceInvariants:
-    h = twisted_cohomology(rho)
-    return SectionSpaceInvariants(pi0=h.h2, pi1=h.h1, pi2=h.h0)
 
 
 class LevelInput:
@@ -136,9 +123,12 @@ def omega_numerators(
 def _omega(
     rho: LatticeLocalSystem, pres: CohomologyPresentations, pairing: SymmetricForm
 ) -> tuple[tuple[tuple[Frac1, ...], ...], IntMatrix]:
-    """(omega, W) on the H^1 generators: omega = W / N.
+    """(omega, W) on the H^1 generators, free generators first: omega = W / N.
 
-    The checks run on the numerators W.
+    omega is antisymmetric with zero diagonal on the free generators. The
+    checks run on the numerators W; a violation would mean the closed form
+    and the presentation disagree, which is an internal error, never a user
+    one.
     """
     n = pairing.denominator
     w = omega_numerators(rho, pairing, pres.h1.all_gens())
@@ -150,17 +140,6 @@ def _omega(
         if i < free and w.entry(i, i) % n:
             raise InvariantViolation("commutator pairing has a nonzero free diagonal")
     return tuple(tuple(Frac1(x, n) for x in w.row(i)) for i in range(w.rows)), w
-
-
-def commutator_pairing(level: LevelInput) -> tuple[tuple[Frac1, ...], ...]:
-    """omega on the chosen generators of pi_1 (free generators first).
-
-    omega = W / N from :func:`omega_numerators` on the H^1 generators.
-    Antisymmetric with zero diagonal on the free generators; violations
-    would mean the closed form and the presentation disagree, which is an
-    internal error, never a user one.
-    """
-    return _omega(level.rho, cohomology_presentations(level.rho), level.pairing)[0]
 
 
 def _pi2_characters(
@@ -184,19 +163,6 @@ def _pi2_characters(
     return [tuple(Frac1(x, n) for x in chi.mul_vec(rep)) for rep in reps]
 
 
-def pi2_character(level: LevelInput, component: Sequence[int]) -> tuple[Frac1, ...]:
-    """chi_d on the invariant-sublattice basis for the component represented by d.
-
-    Well-definedness in d is checked: shifting the representative by any
-    (rho(x) - 1)-image must not change the values.
-    """
-    rho = level.rho
-    d_rep = tuple(int(x) for x in component)
-    if len(d_rep) != rho.rank:
-        raise BadComponent(f"component representative must have length {rho.rank}")
-    return _pi2_characters(rho, cohomology_presentations(rho), level.pairing, [d_rep])[0]
-
-
 @dataclass(frozen=True)
 class GerbeBlock:
     """One component's share of its flat gerbe: the pi2 character chi_d.
@@ -217,7 +183,6 @@ class BlockReport:
     each block carries only what depends on its component.
     """
 
-    section: SectionSpaceInvariants
     presentations: CohomologyPresentations
     omega: tuple[tuple[Frac1, ...], ...]
     radical_rank: int
@@ -284,9 +249,6 @@ def block_report(
     """Full block structure; presentations, omega and the chi check run once."""
     rho = level.rho
     pres = cohomology_presentations(rho)
-    section = SectionSpaceInvariants(
-        pi0=pres.triple.h2, pi1=pres.triple.h1, pi2=pres.triple.h0
-    )
     omega, w = _omega(rho, pres, level.pairing)
     radical_rank, block_dim = _heisenberg_dimensions(
         level.pairing.denominator, w, len(pres.h1.free_gens)
@@ -302,4 +264,4 @@ def block_report(
         GerbeBlock(rep, chi)
         for rep, chi in zip(reps, _pi2_characters(rho, pres, level.pairing, reps))
     )
-    return BlockReport(section, pres, omega, radical_rank, block_dim, blocks)
+    return BlockReport(pres, omega, radical_rank, block_dim, blocks)

@@ -35,7 +35,7 @@ SURFACE = {
     "additionalProperties": False,
     "properties": {
         "genus": {"type": "integer", "minimum": 0},
-        "rank": {"type": "integer", "minimum": 0},
+        "rank": {"type": "integer", "minimum": 1},
         "monodromy": {"type": "array", "items": INT_MATRIX},
     },
 }
@@ -94,7 +94,7 @@ LOCAL_REPORT_SCHEMA = {
     "properties": {
         "task": {"const": "local"},
         "level": LEVEL,
-        "rank": {"type": "integer", "minimum": 0},
+        "rank": {"type": "integer", "minimum": 1},
         "quadratic_form": {
             "type": "object",
             "required": ["diag", "polarization"],
@@ -129,7 +129,7 @@ LOCAL_REPORT_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "description": {"type": "string"},
-                "rank": {"type": "integer", "minimum": 0},
+                "rank": {"type": "integer", "minimum": 1},
             },
         },
         "refinement": {

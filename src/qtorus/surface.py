@@ -7,15 +7,17 @@ The cochain complex has one cell in degree 0 and 2 and 2g cells in degree 1;
 its differentials are the stacked (rho(x_j) - I) blocks and the Fox
 derivatives of the relator. A local system unwinds the relator once; its
 letter transports give the relation check, d1 and omega's Gram matrix.
-The cohomology groups alone come from one Smith diagonal per differential,
-and read no transform, so none is built. Generator representatives read V,
-U^-1 and V^-1 of snf(d1), V of snf(d0) and U^-1 of one small Smith form of
-im d0's coordinates on ker d1.
+:func:`cohomology_presentations` is the one cohomology route. Its groups
+come from one Smith diagonal per differential and read no transform, so
+none is built. Generator representatives are built when first read: they
+read V, U^-1 and V^-1 of snf(d1), V of snf(d0) and U^-1 of one small Smith
+form of im d0's coordinates on ker d1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -29,6 +31,7 @@ from .lattice import (
     FgAbGroup,
     IntMatrix,
     QuotientPresentation,
+    SnfResult,
     _quotient_with_generators,
     hstack,
     inverse_unimodular,
@@ -189,60 +192,62 @@ class CohomologyTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class CohomologyPresentations:
-    """Cohomology groups plus generator representatives where downstream code needs them."""
+    """Cohomology groups, with generator representatives built when first read.
+
+    ``triple`` is read off the Smith diagonals of d0 and d1. ``h0_basis``,
+    ``h1`` and ``h2`` read transforms of those Smith forms (and ``h1`` one
+    more Smith form), so each is built, once, by its first reader.
+    """
 
     triple: CohomologyTriple
     complex: CochainComplexSurface
-    h0_basis: IntMatrix  # columns: basis of the invariant sublattice
-    h1: QuotientPresentation  # generators as vectors in Z^(2g r), inside ker d1
-    h2: QuotientPresentation  # generators as vectors in Z^r
+    snf0: SnfResult = field(repr=False)  # of d0
+    snf1: SnfResult = field(repr=False)  # of d1
+
+    @cached_property
+    def h0_basis(self) -> IntMatrix:
+        """Columns: a basis of the invariant sublattice, from V of snf(d0)."""
+        return self.snf0.kernel_basis()
+
+    @cached_property
+    def h1(self) -> QuotientPresentation:
+        """H^1 with generators as vectors in Z^(2g r), inside ker d1.
+
+        With V the column transform of snf(d1) and k its rank, K = V[:, k:]
+        is a basis of ker d1 and W = V^-1[k:, :] has W K = I. K has full
+        column rank and im d0 lies in ker d1, so x = W d0 is the unique
+        integer x with K x = d0. snf(x) gives H^1 = Z^cols(K) / im x, and
+        its U^-1 the generators, pushed through K.
+        """
+        snf1, d0 = self.snf1, self.complex.d0
+        n, k = d0.rows, snf1.rank()
+        x = IntMatrix(n - k, n, snf1.vinv.entries[k * n :]) @ d0
+        return _quotient_with_generators(smith_normal_form(x), snf1.kernel_basis())
+
+    @cached_property
+    def h2(self) -> QuotientPresentation:
+        """H^2 = coker d1 with generators as vectors in Z^r, from U^-1 of snf(d1)."""
+        return _quotient_with_generators(self.snf1, None)
 
 
 def cohomology_presentations(rho: LatticeLocalSystem) -> CohomologyPresentations:
-    """Groups and generator representatives from three Smith forms.
-
-    With V the column transform of snf(d1) and k its rank, K = V[:, k:] is a
-    basis of ker d1 and W = V^-1[k:, :] has W K = I. K has full column rank
-    and im d0 lies in ker d1, so x = W d0 is the unique integer x with
-    K x = d0. snf(x) gives H^1 = Z^cols(K) / im x, its generators pushed
-    through K, and U^-1 of snf(d1) gives the generators of H^2 = coker d1.
-    A transform is built when it is first read, so snf(d1) builds V, U^-1
-    and V^-1, snf(d0) builds V for the basis of H^0, and snf(x) builds U^-1.
-    """
-    cx = build_complex(rho)
-    snf1 = smith_normal_form(cx.d1)
-    n, k = cx.d1.cols, snf1.rank()
-    x = IntMatrix(n - k, n, snf1.vinv.entries[k * n :]) @ cx.d0
-    h0_basis = smith_normal_form(cx.d0).kernel_basis()
-    h1 = _quotient_with_generators(smith_normal_form(x), snf1.kernel_basis())
-    h2 = _quotient_with_generators(snf1, None)
-    triple = CohomologyTriple(
-        FgAbGroup(h0_basis.cols),
-        h1.group,
-        h2.group,
-    )
-    return CohomologyPresentations(triple, cx, h0_basis, h1, h2)
-
-
-def twisted_cohomology(rho: LatticeLocalSystem) -> CohomologyTriple:
     """Cohomology groups of the surface with coefficients in the local system.
 
-    Only the canonical groups are computed, with no generator
-    representatives; :func:`cohomology_presentations` is the route that also
-    returns those. One Smith form per differential gives all three groups.
-    H^1 is read off coker d0: ker d1 is saturated, so it is a direct summand
-    of Z^(2g r) whose complement is free of rank rank(d1), and im d0 lies in
-    ker d1, hence Z^(2g r) / im d0 = H^1 + Z^rank(d1).
+    One Smith form per differential gives all three groups, and reads no
+    transform. H^1 is read off coker d0: ker d1 is saturated, so it is a
+    direct summand of Z^(2g r) whose complement is free of rank rank(d1),
+    and im d0 lies in ker d1, hence Z^(2g r) / im d0 = H^1 + Z^rank(d1).
     """
     cx = build_complex(rho)
     snf0 = smith_normal_form(cx.d0)
     snf1 = smith_normal_form(cx.d1)
     coker0 = snf0.cokernel()
-    return CohomologyTriple(
+    triple = CohomologyTriple(
         FgAbGroup(rho.rank - snf0.rank()),
         FgAbGroup(coker0.free_rank - snf1.rank(), coker0.torsion),
         snf1.cokernel(),
     )
+    return CohomologyPresentations(triple, cx, snf0, snf1)
 
 
 def _fraction_free_rank(a: IntMatrix) -> int:

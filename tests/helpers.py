@@ -10,6 +10,7 @@ from qtorus import (
     IntMatrix,
     LatticeLocalSystem,
     LevelInput,
+    block_report,
     invariance_check,
     quad_from_bilinear,
     smith_normal_form,
@@ -208,6 +209,11 @@ def random_invariant_level(
     return BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
 
 
+def omega_of(level: LevelInput):
+    """omega of a level, from a report with no components."""
+    return block_report(level, components=[]).omega
+
+
 def global_json(task: str, level: LevelInput, components=None) -> dict:
     """The CLI's ``global`` or ``bunt`` report for a level, before serialization."""
     from qtorus import cli
@@ -226,9 +232,9 @@ def global_json(task: str, level: LevelInput, components=None) -> dict:
     return cli._run_global(cli.JobSpec(raw))
 
 
-def groups_json(space) -> dict:
-    """A :class:`SectionSpaceInvariants` as the reports write it."""
-    return {"pi0": space.pi0.to_json(), "pi1": space.pi1.to_json(), "pi2": space.pi2.to_json()}
+def groups_json(triple) -> dict:
+    """A :class:`CohomologyTriple` as the reports write it: pi_n is H^(2-n)."""
+    return {"pi0": triple.h2.to_json(), "pi1": triple.h1.to_json(), "pi2": triple.h0.to_json()}
 
 
 def frac1_bilinear(entries, x, y) -> Frac1:

@@ -20,7 +20,7 @@ from qtorus import (
     LatticeLocalSystem,
     LevelInput,
     block_report,
-    commutator_pairing,
+    cohomology_presentations,
     double_braiding,
     evaluate,
     invariants_coinvariants_check,
@@ -29,11 +29,9 @@ from qtorus import (
     polarize,
     quad_from_bilinear,
     run_selfcheck,
-    section_space,
     smith_normal_form,
     standard_refinement,
     twist,
-    twisted_cohomology,
 )
 from qtorus.forms import HALF, ZERO, QuadraticForm
 from qtorus.selfcheck import DEFAULT_SEED
@@ -42,6 +40,7 @@ from helpers import (
     global_json,
     groups_json,
     letter_walk,
+    omega_of,
     pairing_on_walks,
     rand_matrix,
     random_invariant_level,
@@ -144,10 +143,10 @@ def test_criterion_03_linearity_in_the_level():
     rho1 = LatticeLocalSystem.trivial(1, 1)
     for c in (1, 2, 3):
         cm = IntMatrix.from_rows([[c]])
-        cache = {z: commutator_pairing(LevelInput(BilinearData(cm, z), rho1)) for z in zetas}
+        cache = {z: omega_of(LevelInput(BilinearData(cm, z), rho1)) for z in zetas}
         for z1 in zetas:
             for z2 in zetas:
-                om12 = commutator_pairing(LevelInput(BilinearData(cm, z1 + z2), rho1))
+                om12 = omega_of(LevelInput(BilinearData(cm, z1 + z2), rho1))
                 for i in range(2):
                     for j in range(2):
                         assert om12[i][j] == cache[z1][i][j] + cache[z2][i][j]
@@ -157,7 +156,7 @@ def test_criterion_03_linearity_in_the_level():
         for c1 in range(-2, 3):
             for c2 in range(-2, 3):
                 oms = [
-                    commutator_pairing(
+                    omega_of(
                         LevelInput(BilinearData(IntMatrix.from_rows([[c]]), z), rho1)
                     )
                     for c in (c1, c2, c1 + c2)
@@ -174,7 +173,7 @@ def test_criterion_03_linearity_in_the_level():
         c2 = rand_matrix(rng, 2, 2, -2, 2)
         z = rng.choice(zetas)
         oms = [
-            commutator_pairing(LevelInput(BilinearData(c, z), rho2))
+            omega_of(LevelInput(BilinearData(c, z), rho2))
             for c in (c1, c2, c1 + c2)
         ]
         n = len(oms[0])
@@ -241,7 +240,7 @@ def test_criterion_05_cohomology_suite():
     for g in range(1, 4):
         for r in range(1, 4):
             rho = LatticeLocalSystem.trivial(r, g)
-            h = twisted_cohomology(rho)
+            h = cohomology_presentations(rho).triple
             assert h.h0 == FgAbGroup(r)
             assert h.h1 == FgAbGroup(2 * g * r)
             assert h.h2 == FgAbGroup(r)
@@ -250,7 +249,7 @@ def test_criterion_05_cohomology_suite():
     sign = LatticeLocalSystem(
         1, 1, [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[-1]])]
     )
-    h = twisted_cohomology(sign)
+    h = cohomology_presentations(sign).triple
     assert (h.h0, h.h1, h.h2) == (FgAbGroup(0), FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))
     assert invariants_coinvariants_check(sign, h)
 
@@ -258,7 +257,7 @@ def test_criterion_05_cohomology_suite():
     for _ in range(100):
         g, r = rng.randint(1, 2), rng.randint(1, 2)
         rho = random_local_system(rng, g, r)
-        h = twisted_cohomology(rho)
+        h = cohomology_presentations(rho).triple
         assert h.h0.free_rank - h.h1.free_rank + h.h2.free_rank == (2 - 2 * g) * r
         assert invariants_coinvariants_check(rho, h)
 
@@ -298,14 +297,14 @@ def test_criterion_08_section_space_agreement():
         g, r = rng.randint(1, 2), rng.randint(1, 2)
         rho = random_local_system(rng, g, r)
         level = LevelInput(random_invariant_level(rng, rho), rho)
-        # the presentations route against the groups-only route
-        space = section_space(rho)
-        assert block_report(level).section == space
+        # the report's groups against the local system's own
+        triple = cohomology_presentations(rho).triple
+        assert block_report(level).presentations.triple == triple
         # bundle moduli: the global report with pi0 labelled by the first Chern class
         moduli = global_json("bunt", level)
         bun_t = moduli.pop("bun_t")
         assert bun_t.pop("component_label") == "first_chern_class"
-        assert bun_t == groups_json(space)
+        assert bun_t == groups_json(triple)
         assert {**moduli, "task": "global"} == global_json("global", level)
 
 

@@ -162,6 +162,31 @@ class TestSchemas:
             assert code == 0, out
             jsonschema.validate(json.loads(out), REPORT_SCHEMAS[task])
 
+    def test_goldens_validate_and_rank_zero_does_not(self, capsys):
+        # every task refuses a rank below 1, so no report may carry one
+        zeroed = []
+        for spec in sorted(GOLDEN.glob("*.json")):
+            if spec.name.endswith(".out.json"):
+                continue
+            task = json.loads(spec.read_text())["task"]
+            out, code = run_main(capsys, task, "--input", str(spec), "--format", "json")
+            assert code == 0, spec.name
+            report = json.loads(out)
+            jsonschema.validate(report, REPORT_SCHEMAS[task])
+            if task == "local":
+                holders = [report, report["pi2_layer"]]
+            else:
+                holders = [report["surface"]] if "surface" in report else []
+            for holder in holders:
+                rank = holder["rank"]
+                holder["rank"] = 0
+                with pytest.raises(jsonschema.ValidationError, match="minimum of 1"):
+                    jsonschema.validate(report, REPORT_SCHEMAS[task])
+                holder["rank"] = rank
+                zeroed.append((spec.name, task))
+        assert {task for _, task in zeroed} == {"local", "surface", "global", "bunt"}
+        assert len(zeroed) == 8
+
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})
         out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))

@@ -14,10 +14,7 @@ from qtorus import (
     LevelInput,
     block_report,
     cohomology_presentations,
-    commutator_pairing,
     enumerate_components,
-    pi2_character,
-    section_space,
 )
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
 from qtorus.forms import HALF, ZERO, SymmetricForm
@@ -27,6 +24,7 @@ from qtorus.lattice import inverse_unimodular, smith_normal_form
 from helpers import (
     global_json,
     groups_json,
+    omega_of,
     pairing_on_cocycles_per_term,
     rand_unimodular,
     random_invariant_level,
@@ -47,21 +45,30 @@ def sign_rep():
     )
 
 
+def chi_of(level, component):
+    return block_report(level, components=[component]).blocks[0].pi2_character
+
+
+def section_space_json(level):
+    """The pi_n groups a global report writes, as (pi0, pi1, pi2)."""
+    s = global_json("global", level, components=[])["section_space"]
+    groups = (s[k] for k in ("pi0", "pi1", "pi2"))
+    return tuple(FgAbGroup(g["free_rank"], tuple(g["torsion"])) for g in groups)
+
+
 class TestSectionSpace:
     def test_trivial_genus_one(self):
-        s = section_space(LatticeLocalSystem.trivial(1, 1))
-        assert (s.pi0, s.pi1, s.pi2) == (FgAbGroup(1), FgAbGroup(2), FgAbGroup(1))
+        s = section_space_json(trivial_level(1, 1, 2))
+        assert s == (FgAbGroup(1), FgAbGroup(2), FgAbGroup(1))
 
     def test_trivial_genus_two_rank_two(self):
-        s = section_space(LatticeLocalSystem.trivial(2, 2))
-        assert (s.pi0, s.pi1, s.pi2) == (FgAbGroup(2), FgAbGroup(8), FgAbGroup(2))
+        s = section_space_json(trivial_level(2, 2, 2))
+        assert s == (FgAbGroup(2), FgAbGroup(8), FgAbGroup(2))
 
     def test_sign_rep_orders_the_degrees(self):
         # pi0 reads top cohomology, pi2 reads invariants
-        s = section_space(sign_rep())
-        assert s.pi0 == FgAbGroup(0, (2,))
-        assert s.pi1 == FgAbGroup(0, (2,))
-        assert s.pi2 == FgAbGroup(0)
+        s = section_space_json(LevelInput(BilinearData(IntMatrix.identity(1), HALF), sign_rep()))
+        assert s == (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)), FgAbGroup(0))
 
 
 class TestLevelInput:
@@ -233,8 +240,7 @@ class TestGramRoute:
                     )
                     for u in gens
                 )
-                assert commutator_pairing(level) == reference
-                assert block_report(level, components=[]).omega == reference
+                assert omega_of(level) == reference
                 nonzero += any(x for row in reference for x in row)
         assert nonzero >= 6  # at least half the cases pair nontrivially
 
@@ -247,7 +253,7 @@ class TestGramRoute:
             2, ((Frac1(2, 3), Frac1(1, 3)), (Frac1(1, 3), Frac1(2, 3)))
         )
         with pytest.raises(InvariantViolation, match="representative"):
-            pi2_character(level, (0, 0))
+            block_report(level, components=[(0, 0)])
         with pytest.raises(InvariantViolation, match="representative"):
             block_report(level)
 
@@ -260,22 +266,22 @@ def unit4(i):
 
 class TestCommutatorPairing:
     def test_genus_one_matrix(self):
-        omega = commutator_pairing(trivial_level(1, 1, 3))
+        omega = omega_of(trivial_level(1, 1, 3))
         assert omega == (
             (ZERO, Frac1(2, 3)),
             (Frac1(1, 3), ZERO),
         )
 
     def test_zero_level(self):
-        omega = commutator_pairing(trivial_level(2, 1, 1))
+        omega = omega_of(trivial_level(2, 1, 1))
         assert all(x == ZERO for row in omega for x in row)
 
     def test_additive_in_zeta(self):
         rho = LatticeLocalSystem.trivial(1, 1)
         c = IntMatrix.identity(1)
-        om3 = commutator_pairing(LevelInput(BilinearData(c, Frac1(1, 3)), rho))
-        om4 = commutator_pairing(LevelInput(BilinearData(c, Frac1(1, 4)), rho))
-        mixed = commutator_pairing(LevelInput(BilinearData(c, Frac1(1, 3) + Frac1(1, 4)), rho))
+        om3 = omega_of(LevelInput(BilinearData(c, Frac1(1, 3)), rho))
+        om4 = omega_of(LevelInput(BilinearData(c, Frac1(1, 4)), rho))
+        mixed = omega_of(LevelInput(BilinearData(c, Frac1(1, 3) + Frac1(1, 4)), rho))
         for i in range(2):
             for j in range(2):
                 assert mixed[i][j] == om3[i][j] + om4[i][j]
@@ -284,33 +290,33 @@ class TestCommutatorPairing:
         rho = LatticeLocalSystem.trivial(1, 1)
         zeta = Frac1(1, 5)
         c1, c2 = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[3]])
-        oma = commutator_pairing(LevelInput(BilinearData(c1, zeta), rho))
-        omb = commutator_pairing(LevelInput(BilinearData(c2, zeta), rho))
-        omab = commutator_pairing(LevelInput(BilinearData(c1 + c2, zeta), rho))
+        oma = omega_of(LevelInput(BilinearData(c1, zeta), rho))
+        omb = omega_of(LevelInput(BilinearData(c2, zeta), rho))
+        omab = omega_of(LevelInput(BilinearData(c1 + c2, zeta), rho))
         for i in range(2):
             for j in range(2):
                 assert omab[i][j] == oma[i][j] + omb[i][j]
 
     def test_sign_rep_torsion_only(self):
         level = LevelInput(BilinearData(IntMatrix.identity(1), HALF), sign_rep())
-        omega = commutator_pairing(level)
+        omega = omega_of(level)
         assert len(omega) == 1  # H^1 = Z/2: a single torsion generator
 
 
 class TestPi2Character:
     def test_values_against_polarization(self):
         level = trivial_level(1, 1, 4)  # b(m, n) = mn/2
-        assert pi2_character(level, (0,)) == (ZERO,)
-        assert pi2_character(level, (1,)) == (HALF,)
-        assert pi2_character(level, (-1,)) == (HALF,)
+        assert chi_of(level, (0,)) == (ZERO,)
+        assert chi_of(level, (1,)) == (HALF,)
+        assert chi_of(level, (-1,)) == (HALF,)
 
     def test_no_invariants_no_values(self):
         level = LevelInput(BilinearData(IntMatrix.identity(1), HALF), sign_rep())
-        assert pi2_character(level, (1,)) == ()
+        assert chi_of(level, (1,)) == ()
 
     def test_wrong_length(self):
         with pytest.raises(BadComponent):
-            pi2_character(trivial_level(1, 1, 2), (1, 0))
+            block_report(trivial_level(1, 1, 2), components=[(1, 0)])
 
     def test_constant_on_components(self):
         rng = random.Random(43)
@@ -322,7 +328,7 @@ class TestPi2Character:
             d = tuple(rng.randint(-2, 2) for _ in range(r))
             w = tuple(rng.randint(-2, 2) for _ in range(d1.cols))
             shifted = tuple(a + b for a, b in zip(d, d1.mul_vec(w)))
-            assert pi2_character(level, shifted) == pi2_character(level, d)
+            assert chi_of(level, shifted) == chi_of(level, d)
 
 
 class TestBlockStructure:
@@ -434,7 +440,7 @@ class TestBuntReport:
             bun_t = global_json("bunt", level)["bun_t"]
             assert list(bun_t) == ["pi0", "component_label", "pi1", "pi2"]
             del bun_t["component_label"]
-            assert bun_t == groups_json(section_space(rho))
+            assert bun_t == groups_json(cohomology_presentations(rho).triple)
 
     def test_label_and_blocks(self):
         level = trivial_level(1, 1, 4)

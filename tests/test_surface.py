@@ -13,7 +13,6 @@ from qtorus import (
     invariants_coinvariants_check,
     inverse_unimodular,
     smith_normal_form,
-    twisted_cohomology,
 )
 from qtorus import lattice, surface
 from qtorus.lattice import hstack
@@ -206,19 +205,19 @@ class TestCohomology:
     def test_trivial_coefficients_all_small(self):
         for g in range(1, 4):
             for r in range(1, 4):
-                h = twisted_cohomology(LatticeLocalSystem.trivial(r, g))
+                h = cohomology_presentations(LatticeLocalSystem.trivial(r, g)).triple
                 assert h.h0 == FgAbGroup(r)
                 assert h.h1 == FgAbGroup(2 * g * r)
                 assert h.h2 == FgAbGroup(r)
 
     def test_sign_rep(self):
-        h = twisted_cohomology(sign_rep())
+        h = cohomology_presentations(sign_rep()).triple
         assert h.h0 == FgAbGroup(0)
         assert h.h1 == FgAbGroup(0, (2,))
         assert h.h2 == FgAbGroup(0, (2,))
 
     def test_genus_zero(self):
-        h = twisted_cohomology(LatticeLocalSystem.trivial(2, 0))
+        h = cohomology_presentations(LatticeLocalSystem.trivial(2, 0)).triple
         assert h == (FgAbGroup(2), FgAbGroup(0), FgAbGroup(2))
 
     def test_euler_characteristic(self):
@@ -226,7 +225,7 @@ class TestCohomology:
         for _ in range(60):
             g, r = rng.randint(1, 2), rng.randint(1, 3)
             rho = random_local_system(rng, g, r)
-            h = twisted_cohomology(rho)
+            h = cohomology_presentations(rho).triple
             assert h.h0.free_rank - h.h1.free_rank + h.h2.free_rank == (2 - 2 * g) * r
 
     def test_conjugation_invariance(self):
@@ -241,7 +240,7 @@ class TestCohomology:
 
             ti = inverse_unimodular(t)
             conj = LatticeLocalSystem(r, g, [t @ m @ ti for m in rho.mon])
-            assert twisted_cohomology(rho) == twisted_cohomology(conj)
+            assert cohomology_presentations(rho).triple == cohomology_presentations(conj).triple
 
     def test_torsion_matches_dual_system(self):
         # H^1 torsion is invariant under rho -> transpose-inverse
@@ -254,16 +253,17 @@ class TestCohomology:
             dual = LatticeLocalSystem(
                 r, g, [inverse_unimodular(m).transpose() for m in rho.mon]
             )
-            a, b = twisted_cohomology(rho).h1, twisted_cohomology(dual).h1
+            a, b = (cohomology_presentations(s).triple.h1 for s in (rho, dual))
             assert a.torsion == b.torsion
 
     def test_invariants_coinvariants(self):
         rng = random.Random(23)
-        assert invariants_coinvariants_check(sign_rep(), twisted_cohomology(sign_rep()))
+        rho = sign_rep()
+        assert invariants_coinvariants_check(rho, cohomology_presentations(rho).triple)
         for _ in range(40):
             g, r = rng.randint(1, 2), rng.randint(1, 3)
             rho = random_local_system(rng, g, r)
-            assert invariants_coinvariants_check(rho, twisted_cohomology(rho))
+            assert invariants_coinvariants_check(rho, cohomology_presentations(rho).triple)
 
 
 def family_system(rng, family, genus, rank):
@@ -306,15 +306,18 @@ def altered(g):
 class TestGroupsOnlyRoute:
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear", "pair"])
     def test_matches_presentations(self, family):
-        # twisted_cohomology reads H^1 without generators; the presentations
-        # route reads it through generator representatives
+        # the triple is read off the two Smith diagonals, H^1 off coker d0;
+        # the generator presentations read each group again, H^1 off snf(x)
         rng = random.Random(f"groups-{family}")
         torsion = 0
         for genus in range(5):
             for rank in range(1, 5):
                 rho = family_system(rng, family, genus, rank)
-                h = twisted_cohomology(rho)
-                assert h == cohomology_presentations(rho).triple
+                pres = cohomology_presentations(rho)
+                h = pres.triple
+                assert h.h1 == pres.h1.group
+                assert h.h2 == pres.h2.group
+                assert h.h0 == FgAbGroup(pres.h0_basis.cols)
                 assert invariants_coinvariants_check(rho, h)
                 torsion += bool(h.h1.torsion or h.h2.torsion)
         if family == "sign":
@@ -330,28 +333,27 @@ class TestGroupsOnlyRoute:
             for rank in (3, 4):
                 rho = family_system(rng, family, genus, rank)
                 cx = build_complex(rho)
-                h1 = twisted_cohomology(rho).h1
+                h1 = cohomology_presentations(rho).triple.h1
                 assert h1 == subquotient(smith_normal_form(cx.d1).kernel_basis(), cx.d0)
                 torsion += bool(h1.torsion)
         if family == "sign":
             assert torsion >= 6
 
     def test_two_smith_forms(self, monkeypatch):
-        calls = []
-
-        def counting(a):
-            calls.append((a.rows, a.cols))
-            return smith_normal_form(a)
-
-        monkeypatch.setattr(surface, "smith_normal_form", counting)
-        twisted_cohomology(family_system(random.Random(3), "pair", 3, 2))
-        assert calls == [(12, 2), (2, 12)]
+        # the groups alone: snf(d0) and snf(d1), and no transform of either
+        rho = family_system(random.Random(3), "pair", 3, 2)
+        results = spy_on_smith_forms(monkeypatch)
+        cohomology_presentations(rho)
+        assert [(shape, built(res)) for shape, res in results] == [
+            ((12, 2), set()),
+            ((2, 12), set()),
+        ]
 
     def test_surface_report_builds_no_transform(self, monkeypatch):
-        # d0 and d1 in twisted_cohomology, the coinvariants matrix in the check
+        # d0 and d1 for the triple, the coinvariants matrix in the check
         rho = family_system(random.Random(5), "pair", 13, 4)
         results = spy_on_smith_forms(monkeypatch)
-        assert invariants_coinvariants_check(rho, twisted_cohomology(rho))
+        assert invariants_coinvariants_check(rho, cohomology_presentations(rho).triple)
         assert [(shape, built(res)) for shape, res in results] == [
             ((104, 4), set()),
             ((4, 104), set()),
@@ -363,7 +365,7 @@ class TestGroupsOnlyRoute:
         systems = [sign_rep(), LatticeLocalSystem.trivial(2, 2)]
         systems += [family_system(rng, f, 2, 3) for f in ("sign", "shear", "pair")]
         for rho in systems:
-            h = twisted_cohomology(rho)
+            h = cohomology_presentations(rho).triple
             assert invariants_coinvariants_check(rho, h)
             for wrong in altered(h.h0):
                 assert not invariants_coinvariants_check(rho, h._replace(h0=wrong))
@@ -406,18 +408,25 @@ class TestPresentations:
         assert inverted == list(mats)
 
     def test_three_smith_forms_and_none_of_the_kernel_basis(self, monkeypatch):
-        # snf(d1) reads V and both inverses, snf(d0) V for the H^0 basis, and
-        # snf(x) of im d0's coordinates on ker d1 only U^-1
+        # each representative is built by its first reader: h0_basis reads V
+        # of snf(d0); h1 reads V and V^-1 of snf(d1) and U^-1 of snf(x), x
+        # being im d0's coordinates on ker d1; h2 reads U^-1 of snf(d1)
         g, r = 4, 3
         rho = family_system(random.Random(41), "pair", g, r)
         k = 2 * g * r - smith_normal_form(build_complex(rho).d1).rank()
         results = spy_on_smith_forms(monkeypatch)
-        cohomology_presentations(rho)
-        assert [(shape, built(res)) for shape, res in results] == [
-            ((r, 2 * g * r), {"v", "uinv", "vinv"}),
-            ((2 * g * r, r), {"v"}),
-            ((k, r), {"uinv"}),
+        pres = cohomology_presentations(rho)
+        steps = []
+        for name in ("h0_basis", "h1", "h2"):
+            getattr(pres, name)
+            steps.append([(shape, built(res)) for shape, res in results])
+        assert steps == [
+            [((2 * g * r, r), {"v"}), ((r, 2 * g * r), set())],
+            [((2 * g * r, r), {"v"}), ((r, 2 * g * r), {"v", "vinv"}), ((k, r), {"uinv"})],
+            [((2 * g * r, r), {"v"}), ((r, 2 * g * r), {"v", "uinv", "vinv"}), ((k, r), {"uinv"})],
         ]
+        assert pres.h1 is pres.h1  # snf(x) ran once
+        assert len(results) == 3
 
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear", "pair"])
     def test_h1_generators_match_the_exact_solve(self, family):
