@@ -69,7 +69,6 @@ from .surface import (
     SurfaceGroup,
     build_complex,
     cohomology_presentations,
-    fox_derivative,
     invariants_coinvariants_check,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "double_braiding",
     "enumerate_components",
     "evaluate",
-    "fox_derivative",
     "fuse",
     "hexagon_check",
     "holonomies",

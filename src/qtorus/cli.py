@@ -235,9 +235,15 @@ def _run_local(spec: JobSpec) -> dict:
 
 
 def _run_surface(spec: JobSpec) -> dict:
+    # a failed check exits 3, like every other internal disagreement
     rho = spec.local_system()
     h = cohomology_presentations(rho).triple
-    euler = (h.h0.free_rank - h.h1.free_rank + h.h2.free_rank)
+    euler = h.h0.free_rank - h.h1.free_rank + h.h2.free_rank
+    expected = (2 - 2 * rho.genus) * rho.rank
+    if euler != expected:
+        raise InvariantViolation(f"Euler characteristic {euler} != {expected}")
+    if not invariants_coinvariants_check(rho, h):
+        raise InvariantViolation("H^0 or H^2 disagrees with the invariants and coinvariants")
     return {
         "task": "surface",
         "surface": _surface_json(rho),
@@ -247,11 +253,8 @@ def _run_surface(spec: JobSpec) -> dict:
             "h1": h.h1.to_json(),
             "h2": h.h2.to_json(),
         },
-        "euler": {
-            "expected": (2 - 2 * rho.genus) * rho.rank,
-            "computed": euler,
-        },
-        "independent_check": invariants_coinvariants_check(rho, h),
+        "euler": {"expected": expected, "computed": euler},
+        "independent_check": True,
     }
 
 
@@ -357,8 +360,7 @@ def _render_text(report: dict) -> str:
     if report["task"] == "surface":
         e = report["euler"]
         lines.append(f"euler: computed {e['computed']}, expected {e['expected']}")
-        ok = "passed" if report["independent_check"] else "FAILED"
-        lines.append(f"independent invariants/coinvariants check: {ok}")
+        lines.append("independent invariants/coinvariants check: passed")
     if "bun_t" in report:
         bt = report["bun_t"]
         lines.append(

@@ -3,12 +3,11 @@
 Everything here works with built-in arbitrary-precision ints; no floats ever
 enter. There are two eliminations. :func:`smith_normal_form`, the
 ``U @ A @ V = D`` decomposition with unimodular transforms, gives kernels,
-cokernels and quotient generators. It keeps its row and column operations,
-and a transform is built from them when it is first read: groups alone need
-none, a kernel basis ``V``, quotient generators ``U^-1`` and coordinates on
-the kernel basis ``V^-1``. Determinants and inverses in GL(n, Z) read
-``det A`` and the adjugate off one fraction-free Gauss-Jordan elimination of
-``[A | I]``.
+cokernels and quotient generators. It keeps its row and column operations:
+a kernel basis ``V`` is built from them when first read, and quotient
+generators ``B @ U^-1`` and coordinates ``V^-1 @ X`` replay them, inverted,
+onto B or X. Determinants and inverses in GL(n, Z) read ``det A`` and the
+adjugate off one fraction-free Gauss-Jordan elimination of ``[A | I]``.
 """
 
 from __future__ import annotations
@@ -211,33 +210,25 @@ def det(a: IntMatrix) -> int:
 class SnfResult:
     """Diagonal ``d`` with ``u @ a @ v == d``, ``u`` and ``v`` unimodular.
 
-    ``uinv`` and ``vinv`` are the inverses of ``u`` and ``v``. The result
-    keeps the elimination's row and column operations in order, and each
-    transform is built from them by :func:`_replay` when it is first read,
-    so a caller pays for exactly the transforms it reads.
+    The result keeps the elimination's row and column operations in order,
+    and each transform is built from them by :func:`_replay` when it is first
+    read, so a caller pays for exactly the transforms it reads.
     """
 
     d: IntMatrix
     row_ops: tuple[_Op, ...] = field(repr=False)
     col_ops: tuple[_Op, ...] = field(repr=False)
 
-    # a column operation on V is a row operation on V^T, and _replay's inverse
-    # gives (U^-1)^T, so v and uinv are read off their rows as columns
+    # a column operation on V is a row operation on V^T: v's columns are replayed as rows
     @cached_property
     def u(self) -> IntMatrix:
-        return IntMatrix.from_rows(_replay(self.row_ops, self.d.rows), self.d.rows)
+        m = self.d.rows
+        return IntMatrix.from_rows(_replay(self.row_ops, _identity_rows(m)), m)
 
     @cached_property
     def v(self) -> IntMatrix:
-        return IntMatrix.from_columns(_replay(self.col_ops, self.d.cols), self.d.cols)
-
-    @cached_property
-    def uinv(self) -> IntMatrix:
-        return IntMatrix.from_columns(_replay(self.row_ops, self.d.rows, True), self.d.rows)
-
-    @cached_property
-    def vinv(self) -> IntMatrix:
-        return IntMatrix.from_rows(_replay(self.col_ops, self.d.cols, True), self.d.cols)
+        n = self.d.cols
+        return IntMatrix.from_columns(_replay(self.col_ops, _identity_rows(n)), n)
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.d.rows, self.d.cols)
@@ -297,17 +288,19 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def _replay(ops: Sequence[_Op], n: int, inverse: bool = False) -> list[list[int]]:
-    """Rows of E_k ... E_1: the logged operations E_1, ..., E_k applied in order to I_n.
+def _replay(ops: Sequence[_Op], rows: list, inverse: bool = False) -> list:
+    """Rows of E_k ... E_1 X: the logged operations E_1, ..., E_k applied in order to X.
 
-    An operation ``(i, j, q)`` acts on lines: it swaps lines i and j when
-    q == 0, negates line i when i == j, and adds q times line j to line i
-    otherwise. With ``inverse`` each one is applied as the transpose of its
+    ``rows`` holds X's rows and is permuted in place; changed rows are new
+    lists. An operation ``(i, j, q)`` acts on lines: it swaps lines i and j
+    when q == 0, negates line i when i == j, and adds q times line j to line
+    i otherwise. With ``inverse`` each one is applied as the transpose of its
     inverse, which leaves swaps and negations as they are and turns
     line_i += q*line_j into line_j -= q*line_i; the rows are then those of
-    (E_1^-1 ... E_k^-1)^T.
+    (E_1^-1 ... E_k^-1)^T X: V^-1 X for a column log, whose operations are
+    those of V^T, and (B U^-1)^T for a row log and X = B^T.
     """
-    x = _identity_rows(n)
+    x = rows
     for i, j, q in ops:
         if not q:
             x[i], x[j] = x[j], x[i]
@@ -330,9 +323,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     Each row operation on the working matrix is appended to the row log and
     each column operation to the column log (rows are negated, columns never
     are). The logs fix the transforms: ``u`` replays the row log on the rows
-    of an identity, ``v`` the column log on the columns, and ``uinv`` and
-    ``vinv`` replay each operation's inverse from the other side, so
-    row_i += q*row_j becomes col_j -= q*col_i on ``uinv``.
+    of an identity and ``v`` the column log on the columns.
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
@@ -455,14 +446,15 @@ class QuotientPresentation:
 def _quotient_with_generators(snf: SnfResult, basis: IntMatrix | None) -> QuotientPresentation:
     """Generators of Z^k / im(x), pushed to ambient coordinates via ``basis``.
 
-    ``snf`` is the Smith form of x; only its ``uinv`` is read. ``basis`` is an
-    ambient-by-k matrix whose columns the quotient coordinates refer to; None
-    means the identity.
+    ``snf`` is the Smith form of x. ``basis`` is an ambient-by-k matrix whose
+    columns the quotient coordinates refer to; None means the identity.
+    Column i of basis @ U^-1 generates the Z/diag[i] (or Z, past the rank)
+    summand; it is row i of the row log replayed inverted onto basis's columns.
     """
     k, r = snf.d.rows, snf.rank()
     diag = snf.diagonal()
-    # column i of uinv generates the Z/diag[i] (or Z, past the rank) summand
-    push = (basis @ snf.uinv) if basis is not None else snf.uinv
-    free_gens = tuple(push.column(i) for i in range(r, k))
-    torsion_gens = tuple(push.column(i) for i in range(r) if diag[i] > 1)
+    cols = _identity_rows(k) if basis is None else [basis.column(j) for j in range(basis.cols)]
+    push = _replay(snf.row_ops, cols, True)
+    free_gens = tuple(tuple(push[i]) for i in range(r, k))
+    torsion_gens = tuple(tuple(push[i]) for i in range(r) if diag[i] > 1)
     return QuotientPresentation(snf.cokernel(), free_gens, torsion_gens)

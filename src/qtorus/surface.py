@@ -10,8 +10,8 @@ letter transports give the relation check, d1 and omega's Gram matrix.
 :func:`cohomology_presentations` is the one cohomology route. Its groups
 come from one Smith diagonal per differential and read no transform, so
 none is built. Generator representatives are built when first read: they
-read V, U^-1 and V^-1 of snf(d1), V of snf(d0) and U^-1 of one small Smith
-form of im d0's coordinates on ker d1.
+read V of snf(d0) and snf(d1), replay the other logs, inverted, onto the
+matrices they apply to, and run one more Smith form for H^1.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .lattice import (
     QuotientPresentation,
     SnfResult,
     _quotient_with_generators,
+    _replay,
     hstack,
     inverse_unimodular,
     smith_normal_form,
@@ -124,34 +125,6 @@ class LatticeLocalSystem:
         return out
 
 
-def fox_derivative(word: Word, gen_index: int, rho: LatticeLocalSystem) -> IntMatrix:
-    """Matrix of the Fox derivative of a word with respect to one generator.
-
-    Follows the product rule d(uv) = du + rho(u) dv with d(x^-1) = -rho(x)^-1
-    on the generator itself. The reference that :func:`build_complex`'s d1,
-    summed from ``rho.letter_frames``, is tested against.
-    """
-    if not 0 <= gen_index < len(rho.mon):
-        raise BadGeneratorIndex(f"generator index {gen_index} out of range")
-    result = IntMatrix.zeros(rho.rank, rho.rank)
-    prefix = IntMatrix.identity(rho.rank)
-    for letter in word:
-        if letter == 0 or abs(letter) > len(rho.mon):
-            raise BadGeneratorIndex(f"letter {letter} out of range")
-        j = abs(letter) - 1
-        if letter > 0:
-            if j == gen_index:
-                result = result + prefix
-            prefix = prefix @ rho.matrix(letter)
-        else:
-            step = rho.matrix(letter)  # inverse matrix
-            prefix = prefix @ step
-            if j == gen_index:
-                # d(x^-1) contributes -rho(prefix x^-1)
-                result = result - prefix
-    return result
-
-
 @dataclass(frozen=True)
 class CochainComplexSurface:
     """The three-term cochain complex of a lattice local system."""
@@ -194,9 +167,9 @@ class CohomologyTriple(NamedTuple):
 class CohomologyPresentations:
     """Cohomology groups, with generator representatives built when first read.
 
-    ``triple`` is read off the Smith diagonals of d0 and d1. ``h0_basis``,
-    ``h1`` and ``h2`` read transforms of those Smith forms (and ``h1`` one
-    more Smith form), so each is built, once, by its first reader.
+    ``triple`` is read off the Smith diagonals of d0 and d1. ``h0_basis``
+    and ``h1`` read V of one of those Smith forms, and ``h1`` runs one more
+    Smith form, so each is built, once, by its first reader.
     """
 
     triple: CohomologyTriple
@@ -216,12 +189,13 @@ class CohomologyPresentations:
         With V the column transform of snf(d1) and k its rank, K = V[:, k:]
         is a basis of ker d1 and W = V^-1[k:, :] has W K = I. K has full
         column rank and im d0 lies in ker d1, so x = W d0 is the unique
-        integer x with K x = d0. snf(x) gives H^1 = Z^cols(K) / im x, and
-        its U^-1 the generators, pushed through K.
+        integer x with K x = d0: rows k: of V^-1 d0, snf(d1)'s column log
+        replayed inverted onto d0. snf(x) gives H^1 = Z^cols(K) / im x, and
+        its row log replayed inverted onto K's columns the generators K U^-1.
         """
         snf1, d0 = self.snf1, self.complex.d0
-        n, k = d0.rows, snf1.rank()
-        x = IntMatrix(n - k, n, snf1.vinv.entries[k * n :]) @ d0
+        rows = _replay(snf1.col_ops, d0.row_lists(), True)[snf1.rank() :]
+        x = IntMatrix.from_rows(rows, d0.cols)
         return _quotient_with_generators(smith_normal_form(x), snf1.kernel_basis())
 
     @cached_property

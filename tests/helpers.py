@@ -12,11 +12,12 @@ from qtorus import (
     LevelInput,
     block_report,
     invariance_check,
+    inverse_unimodular,
     quad_from_bilinear,
     smith_normal_form,
 )
-from qtorus.errors import ShapeMismatch
-from qtorus.lattice import QuotientPresentation, _quotient_with_generators
+from qtorus.errors import BadGeneratorIndex, ShapeMismatch
+from qtorus.lattice import QuotientPresentation
 
 
 class ImageNotInKernel(ValueError):
@@ -116,9 +117,50 @@ def subquotient(ker_basis_mat: IntMatrix, img_gens: IntMatrix) -> FgAbGroup:
 def subquotient_with_generators(
     ker_basis_mat: IntMatrix, img_gens: IntMatrix
 ) -> QuotientPresentation:
-    """The same quotient with generators, through :func:`solve_exact`."""
+    """The same quotient with generators, through :func:`solve_exact` and dense products.
+
+    The generators are columns of ``ker_basis_mat @ U^-1`` for the Smith form
+    U x V = D of the coordinates x, with U^-1 inverted on its own: the
+    reference for the operation-log pushes of ``cohomology_presentations``.
+    """
     x = solve_exact(ker_basis_mat, img_gens)
-    return _quotient_with_generators(smith_normal_form(x), ker_basis_mat)
+    snf = smith_normal_form(x)
+    push = ker_basis_mat @ inverse_unimodular(snf.u)
+    diag, r = snf.diagonal(), snf.rank()
+    return QuotientPresentation(
+        snf.cokernel(),
+        tuple(push.column(i) for i in range(r, x.rows)),
+        tuple(push.column(i) for i in range(r) if diag[i] > 1),
+    )
+
+
+def fox_derivative(word, gen_index: int, rho: LatticeLocalSystem) -> IntMatrix:
+    """Matrix of the Fox derivative of a word with respect to one generator.
+
+    Follows the product rule d(uv) = du + rho(u) dv with d(x^-1) = -rho(x)^-1
+    on the generator itself. The reference that ``build_complex``'s d1,
+    summed from ``rho.letter_frames``, is tested against. ``word`` holds
+    signed 1-based generator letters; -k is the inverse of k.
+    """
+    if not 0 <= gen_index < len(rho.mon):
+        raise BadGeneratorIndex(f"generator index {gen_index} out of range")
+    result = IntMatrix.zeros(rho.rank, rho.rank)
+    prefix = IntMatrix.identity(rho.rank)
+    for letter in word:
+        if letter == 0 or abs(letter) > len(rho.mon):
+            raise BadGeneratorIndex(f"letter {letter} out of range")
+        j = abs(letter) - 1
+        if letter > 0:
+            if j == gen_index:
+                result = result + prefix
+            prefix = prefix @ rho.matrix(letter)
+        else:
+            step = rho.matrix(letter)  # inverse matrix
+            prefix = prefix @ step
+            if j == gen_index:
+                # d(x^-1) contributes -rho(prefix x^-1)
+                result = result - prefix
+    return result
 
 
 def smith_form_inverse(a: IntMatrix) -> IntMatrix:
@@ -157,16 +199,43 @@ def random_local_system(rng: random.Random, genus: int, rank: int) -> LatticeLoc
             _int_power(_shear(rank), rng.randint(-2, 2)) for _ in range(2 * genus)
         ]
         return LatticeLocalSystem(rank, genus, [t @ m @ t_inv for m in base])
-    if genus == 2:
-        # [P,Q][Q,P] = 1 for any P, Q: a genuinely noncommuting family
-        p = rand_unimodular(rng, rank)
-        q = rand_unimodular(rng, rank)
-        return LatticeLocalSystem(rank, genus, [p, q, q, p])
-    # genus 1 fallback: a commuting pair of shear powers
     s = _shear(rank)
-    return LatticeLocalSystem(
-        rank, genus, [_int_power(s, rng.randint(-2, 2)), _int_power(s, rng.randint(-2, 2))]
-    )
+    if genus == 1:
+        # a commuting pair of shear powers
+        pair = [_int_power(s, rng.randint(-2, 2)), _int_power(s, rng.randint(-2, 2))]
+        return LatticeLocalSystem(rank, genus, pair)
+    # [P,Q][Q,P] = 1 for any P, Q: a genuinely noncommuting family on the
+    # first two handles; shear powers commute, so they fill any later handle
+    p = rand_unimodular(rng, rank)
+    q = rand_unimodular(rng, rank)
+    rest = [_int_power(s, rng.randint(-2, 2)) for _ in range(2 * genus - 4)]
+    return LatticeLocalSystem(rank, genus, [p, q, q, p] + rest)
+
+
+def family_system(rng, family, genus, rank):
+    """Seeded local systems: trivial, diagonal signs, shears, handle pairs (T, T^k)."""
+    if family == "trivial":
+        return LatticeLocalSystem.trivial(rank, genus)
+    if family == "sign":
+        mats = [
+            IntMatrix(rank, rank, [rng.choice((1, -1)) if i == j else 0
+                                   for i in range(rank) for j in range(rank)])
+            for _ in range(2 * genus)
+        ]
+        return LatticeLocalSystem(rank, genus, mats)
+    mats = []
+    for _ in range(genus):
+        if family == "shear":
+            e = IntMatrix.identity(rank).row_lists()
+            if rank > 1:
+                i = rng.randrange(rank - 1)
+                e[i][rng.randrange(i + 1, rank)] = rng.choice((-2, -1, 1, 2))
+            t = IntMatrix.from_rows(e)
+        else:  # "pair": noncommuting across handles
+            t = rand_unimodular(rng, rank)
+        # T commutes with its own powers, so each handle's commutator is 1
+        mats += [t, _int_power(t, rng.choice((-2, -1, 0, 2)))]
+    return LatticeLocalSystem(rank, genus, mats)
 
 
 def _shear(rank: int) -> IntMatrix:

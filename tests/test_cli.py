@@ -512,6 +512,32 @@ class TestTripwire:
         assert code == 3
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("fault", ["independent_check", "euler"])
+    def test_surface_failed_check_exits_three(self, capsys, monkeypatch, fault):
+        from dataclasses import replace
+
+        from qtorus import FgAbGroup
+
+        if fault == "independent_check":
+            monkeypatch.setattr(cli, "invariants_coinvariants_check", lambda rho, h: False)
+        else:
+            real = cli.cohomology_presentations
+
+            def shifted(rho):
+                # H^1 one rank larger: H^0 and H^2 still pass their check
+                pres = real(rho)
+                h1 = FgAbGroup(pres.triple.h1.free_rank + 1, pres.triple.h1.torsion)
+                return replace(pres, triple=pres.triple._replace(h1=h1))
+
+            monkeypatch.setattr(cli, "cohomology_presentations", shifted)
+        spec = GOLDEN / "surface_signs_g2r2.json"
+        out, code = run_main(capsys, "surface", "--input", str(spec), "--format", "json")
+        assert code == 3
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["code"] == "invariant_violation"
+        assert ("Euler" in payload["message"]) == (fault == "euler")
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, tmp_path):
         from qtorus.errors import InvariantViolation
 

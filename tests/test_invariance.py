@@ -1,0 +1,123 @@
+"""The invariants belong to the surface and the level, not to a presentation of either.
+
+Two moves give a second presentation of the same data, so every invariant
+must come out the same:
+
+* a handle slide, a_i -> a_i b_i or b_i -> b_i a_i, is an automorphism of
+  the surface group that fixes the relator, since
+  [a_i b_i, b_i] = [a_i, b_i] = [a_i, b_i a_i]; the pulled-back local system
+  multiplies one monodromy matrix by its partner;
+* a change of lattice basis T: rho -> T rho T^-1 and c -> T^-T c T^-1, so
+  that q'(T gamma) = q(gamma).
+
+Reports compare on the cohomology triple and the multiset of gcd(N, d_i)
+over the invariant factors d_i of omega on all of H^1's generators, which
+gives the isomorphism type of the image of H^1 in Hom(H^1, Q/Z). When omega
+vanishes on the torsion of H^1, omega's free block and so ``block_dim`` do
+not depend on which lifts of the free generators were chosen, and they
+compare too. When omega pairs torsion with the free part they do, and
+both moves can change v1's ``block_dim``. v1's ``radical_rank`` is left
+out: it is the rank over Z of one lift of the free block, and these moves
+change it.
+"""
+
+import math
+import random
+
+import pytest
+
+from qtorus import (
+    BilinearData,
+    IntMatrix,
+    LatticeLocalSystem,
+    LevelInput,
+    block_report,
+    inverse_unimodular,
+    smith_normal_form,
+)
+
+from helpers import family_system, rand_unimodular, random_invariant_level, random_local_system
+
+
+def handle_slide(rho: LatticeLocalSystem, handle: int, on_b: bool) -> LatticeLocalSystem:
+    """rho pulled back along a_i -> a_i b_i, or b_i -> b_i a_i when ``on_b``."""
+    mon = list(rho.mon)
+    a, b = 2 * handle, 2 * handle + 1
+    if on_b:
+        mon[b] = mon[b] @ mon[a]
+    else:
+        mon[a] = mon[a] @ mon[b]
+    return LatticeLocalSystem(rho.rank, rho.genus, mon)
+
+
+def change_basis(level: LevelInput, t: IntMatrix) -> LevelInput:
+    """The same level in the lattice basis T: T rho T^-1 and T^-T c T^-1."""
+    rho, ti = level.rho, inverse_unimodular(t)
+    mon = [t @ m @ ti for m in rho.mon]
+    c = ti.transpose() @ level.bilinear.c @ ti
+    moved = LatticeLocalSystem(rho.rank, rho.genus, mon)
+    return LevelInput(BilinearData(c, level.bilinear.zeta), moved)
+
+
+def gcd_multiset(n: int, rows) -> list[int]:
+    """gcd(N, d_i) over the invariant factors d_i of an integer matrix."""
+    a = IntMatrix.from_rows(rows, len(rows))
+    return sorted(math.gcd(n, d) for d in smith_normal_form(a).diagonal())
+
+
+def invariants(level: LevelInput):
+    """(triple, omega's gcd multiset, free part), the free part None when omega pairs torsion.
+
+    The free part is ``block_dim`` and the gcd multiset of omega's free block.
+    """
+    report = block_report(level, components=[])
+    n = level.pairing.denominator
+    f = len(report.presentations.h1.free_gens)
+    w = [[x.num * (n // x.den) for x in row] for row in report.omega]
+    free = None
+    if not any(map(any, w[f:])):
+        free = report.block_dim, gcd_multiset(n, [row[:f] for row in w[:f]])
+    return report.presentations.triple, gcd_multiset(n, w), free
+
+
+def cases():
+    """(level, rng) over the shear, sign and pair families and random systems, genus <= 3, rank <= 3.
+
+    Levels are redrawn, a few times at most, until the pairing's denominator
+    N exceeds 1: at N = 1 omega is 0 and every block is trivial.
+    """
+    rng = random.Random("invariance")
+    for family in ("shear", "sign", "pair", "random"):
+        for genus in (1, 2, 3):
+            for rank in (1, 2, 3):
+                for _ in range(2):
+                    if family == "random":
+                        rho = random_local_system(rng, genus, rank)
+                    else:
+                        rho = family_system(rng, family, genus, rank)
+                    for _ in range(20):
+                        level = LevelInput(random_invariant_level(rng, rho), rho)
+                        if level.pairing.denominator > 1:
+                            break
+                    yield level, rng
+
+
+@pytest.mark.parametrize("move", ["handle_slide", "change_basis"])
+def test_moves_keep_the_invariants(move):
+    seen = {"torsion": 0, "torsion_pairs": 0, "blocks": 0}
+    for level, rng in cases():
+        want = invariants(level)
+        for _ in range(3):
+            if move == "handle_slide":
+                rho = handle_slide(level.rho, rng.randrange(level.rho.genus), rng.random() < 0.5)
+                moved = LevelInput(level.bilinear, rho)
+            else:
+                moved = change_basis(level, rand_unimodular(rng, level.rho.rank))
+            assert invariants(moved) == want
+            level = moved
+        triple, _, free = want
+        seen["torsion"] += bool(triple.h1.torsion)
+        seen["torsion_pairs"] += free is None
+        seen["blocks"] += free is not None and free[0] > 1
+    # the moves must meet torsion in H^1, omega on it and nontrivial blocks
+    assert seen["torsion"] >= 20 and seen["torsion_pairs"] >= 5 and seen["blocks"] >= 20, seen

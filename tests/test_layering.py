@@ -73,6 +73,31 @@ def test_smith_form_takes_only_the_matrix():
     assert [c for c in calls if c[2:] != (1, [])] == []
 
 
+def test_h1_route_forms_no_dense_product():
+    # a Smith form's operation log is replayed onto the matrix that needs it:
+    # no inverse transform is built and no product with one is formed
+    (presentations,) = [
+        node
+        for node in parse("surface").body
+        if isinstance(node, ast.ClassDef) and node.name == "CohomologyPresentations"
+    ]
+    (h1,) = [n for n in presentations.body if isinstance(n, ast.FunctionDef) and n.name == "h1"]
+    (push,) = [
+        node
+        for node in parse("lattice").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_quotient_with_generators"
+    ]
+    for func in (h1, push):
+        assert not [n for n in ast.walk(func) if isinstance(n, ast.MatMult)], func.name
+    found = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("uinv", "vinv")
+        if name in path.read_text()
+    ]
+    assert found == []
+
+
 def test_every_error_class_is_raised():
     # an error class that nothing in the package raises is dead API, and its
     # code can never reach a CLI payload
