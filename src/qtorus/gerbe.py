@@ -20,13 +20,16 @@ cocycles, so it is built once as an integer Gram matrix P against the
 polarization's integer numerators B over its common denominator N (both
 held by the form), in one pass over the letter transports the local system
 stored when it unwound the relator (the same ones give d1).
-:func:`omega_numerators` returns W = G^T P G on a list of vectors G; a
-report reads omega off as W / N on the H^1 generators, values become Q/Z
-fractions only at the end, and the Heisenberg count reads W itself. Each
-report computes the cohomology presentations once and hands them to the
-omega and pi2-character code. :mod:`qtorus.selfcheck` checks the same W
-against the simplicial machinery in :mod:`qtorus.cochain`, which computes
-the pairing along a completely separate route.
+:func:`omega_numerators` returns W = G^T P G on a list of vectors G, formed
+row by row from the nonzero entries of P and of G only, since both are
+sparse; no dense product is formed. A report reads omega off as W / N on
+the H^1 generators, and the Heisenberg count reads W itself. Values become
+Q/Z fractions only at the end, each taken from one table that holds a
+single ``Frac1`` per residue mod N. Each report computes the cohomology
+presentations once and hands them to the omega and pi2-character code.
+:mod:`qtorus.selfcheck` checks the same W against the simplicial machinery
+in :mod:`qtorus.cochain`, which computes the pairing along a completely
+separate route.
 """
 
 from __future__ import annotations
@@ -114,10 +117,37 @@ def omega_numerators(
 
     Each vector lists one lattice vector per generator loop (concatenated).
     P is built once from the pairing's numerators B over their common
-    denominator N; nothing here is checked or reduced mod N.
+    denominator N; nothing here is checked or reduced mod N. The product is
+    Gustavson's row by row: row i of PG adds x times row k of G for each
+    nonzero x = P[i][k], and row j of W adds y times row i of PG for each
+    nonzero y = g_j[i], so the work follows the nonzero entries.
     """
     g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
-    return g.transpose() @ _pairing_gram(rho, pairing.numerators) @ g
+    p = _pairing_gram(rho, pairing.numerators)
+    pg = [_combine([(x, g.row(k)) for k, x in enumerate(p.row(i)) if x], g.cols)
+          for i in range(p.rows)]
+    w = [_combine([(y, pg[i]) for i, y in enumerate(gen) if y], g.cols) for gen in gens]
+    return IntMatrix.from_rows(w, g.cols)
+
+
+def _combine(terms: list[tuple[int, Sequence[int]]], length: int) -> list[int]:
+    """The sum of x * row over the (x, row) terms, as a list of ``length``."""
+    out = [0] * length
+    for x, row in terms:
+        out = [s + x * t for s, t in zip(out, row)]
+    return out
+
+
+class _Residues(dict):
+    """Frac1(x, N) by residue x in [0, N), each built once, when first read."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, x: int) -> Frac1:
+        value = self[x] = Frac1(x, self.n)
+        return value
 
 
 def _omega(
@@ -126,20 +156,21 @@ def _omega(
     """(omega, W) on the H^1 generators, free generators first: omega = W / N.
 
     omega is antisymmetric with zero diagonal on the free generators. The
-    checks run on the numerators W; a violation would mean the closed form
-    and the presentation disagree, which is an internal error, never a user
-    one.
+    checks run on the numerators W, row i against column i; a violation
+    would mean the closed form and the presentation disagree, which is an
+    internal error, never a user one.
     """
     n = pairing.denominator
     w = omega_numerators(rho, pairing, pres.h1.all_gens())
     free = len(pres.h1.free_gens)
     for i in range(w.rows):
-        for j in range(w.rows):
-            if (w.entry(i, j) + w.entry(j, i)) % n:
-                raise InvariantViolation("commutator pairing is not antisymmetric")
-        if i < free and w.entry(i, i) % n:
+        row = w.row(i)
+        if any((x + y) % n for x, y in zip(row, w.column(i))):
+            raise InvariantViolation("commutator pairing is not antisymmetric")
+        if i < free and row[i] % n:
             raise InvariantViolation("commutator pairing has a nonzero free diagonal")
-    return tuple(tuple(Frac1(x, n) for x in w.row(i)) for i in range(w.rows)), w
+    values = _Residues(n)
+    return tuple(tuple(values[x % n] for x in w.row(i)) for i in range(w.rows)), w
 
 
 def _pi2_characters(
@@ -160,7 +191,8 @@ def _pi2_characters(
     for m in rho.mon:
         if any(x % n for x in (chi @ (m - eye)).entries):
             raise InvariantViolation("pi2 character depends on the component representative")
-    return [tuple(Frac1(x, n) for x in chi.mul_vec(rep)) for rep in reps]
+    values = _Residues(n)
+    return [tuple(values[x % n] for x in chi.mul_vec(rep)) for rep in reps]
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Everything here works with built-in arbitrary-precision ints; no floats ever
 enter. There are two eliminations. :func:`smith_normal_form`, the
 ``U @ A @ V = D`` decomposition with unimodular transforms, gives kernels,
 cokernels and quotient generators. It keeps its row and column operations:
-a kernel basis ``V`` is built from them when first read, and quotient
-generators ``B @ U^-1`` and coordinates ``V^-1 @ X`` replay them, inverted,
-onto B or X. Determinants and inverses in GL(n, Z) read ``det A`` and the
-adjugate off one fraction-free Gauss-Jordan elimination of ``[A | I]``.
+replayed onto an identity they give a kernel basis, the last columns of
+``V``, and replayed inverted onto B or X they give quotient generators
+``B @ U^-1`` and coordinates ``V^-1 @ X``. Determinants and inverses in
+GL(n, Z) read ``det A`` and the adjugate off one fraction-free Gauss-Jordan
+elimination of ``[A | I]``.
 """
 
 from __future__ import annotations
@@ -243,9 +244,13 @@ class SnfResult:
         return FgAbGroup(self.d.rows - self.rank(), torsion)
 
     def kernel_basis(self) -> IntMatrix:
-        """Saturated basis of ker(a) as columns, taken from the unimodular v."""
-        n = self.v.rows
-        return IntMatrix.from_columns([self.v.column(j) for j in range(self.rank(), n)], n)
+        """Saturated basis of ker(a) as columns: the columns rank: of v.
+
+        The column log is replayed onto an identity and only those columns
+        are kept, so v itself is not built.
+        """
+        n = self.d.cols
+        return IntMatrix.from_columns(_replay(self.col_ops, _identity_rows(n))[self.rank() :], n)
 
 
 @dataclass(frozen=True)

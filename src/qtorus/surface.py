@@ -168,8 +168,9 @@ class CohomologyPresentations:
     """Cohomology groups, with generator representatives built when first read.
 
     ``triple`` is read off the Smith diagonals of d0 and d1. ``h0_basis``
-    and ``h1`` read V of one of those Smith forms, and ``h1`` runs one more
-    Smith form, so each is built, once, by its first reader.
+    and ``h1`` replay the column log of one of those Smith forms for a
+    kernel basis, and ``h1`` runs one more Smith form, so each is built,
+    once, by its first reader.
     """
 
     triple: CohomologyTriple
@@ -179,7 +180,7 @@ class CohomologyPresentations:
 
     @cached_property
     def h0_basis(self) -> IntMatrix:
-        """Columns: a basis of the invariant sublattice, from V of snf(d0)."""
+        """Columns: a basis of the invariant sublattice, the kernel columns of snf(d0)."""
         return self.snf0.kernel_basis()
 
     @cached_property

@@ -278,6 +278,18 @@ def random_invariant_level(
     return BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
 
 
+def dense_omega_numerators(rho: LatticeLocalSystem, pairing, gens) -> IntMatrix:
+    """W = G^T P G through two dense ``IntMatrix`` products on the same P.
+
+    The reference for the row-by-row sparse product of
+    ``gerbe.omega_numerators``.
+    """
+    from qtorus.gerbe import _pairing_gram
+
+    g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
+    return g.transpose() @ _pairing_gram(rho, pairing.numerators) @ g
+
+
 def omega_of(level: LevelInput):
     """omega of a level, from a report with no components."""
     return block_report(level, components=[]).omega

@@ -538,6 +538,35 @@ class TestTripwire:
         assert payload["code"] == "invariant_violation"
         assert ("Euler" in payload["message"]) == (fault == "euler")
 
+    @pytest.mark.parametrize("fault", ["not antisymmetric", "nonzero free diagonal"])
+    def test_omega_check_exits_three(self, capsys, monkeypatch, tmp_path, fault):
+        from qtorus import BilinearData, Frac1, IntMatrix, LatticeLocalSystem, LevelInput, gerbe
+        from qtorus.errors import InvariantViolation
+
+        numerators = gerbe.omega_numerators
+
+        def faulty(rho, pairing, gens):
+            w = numerators(rho, pairing, gens).row_lists()
+            n = pairing.denominator
+            assert n % 2 == 0 and len(gens) == 2
+            if fault == "not antisymmetric":
+                w[0][1] += 1
+            else:  # W[0][0] = N/2 keeps 2 W[0][0] = 0 mod N, so only this check sees it
+                w[0][0] += n // 2
+            return IntMatrix.from_rows(w)
+
+        monkeypatch.setattr(gerbe, "omega_numerators", faulty)
+        # base_global_spec's level: genus 1, rank 1, c = [[1]], zeta = 1/4
+        rho = LatticeLocalSystem.trivial(1, 1)
+        level = LevelInput(BilinearData(IntMatrix.identity(1), Frac1(1, 4)), rho)
+        with pytest.raises(InvariantViolation, match=fault):
+            gerbe.block_report(level)
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, base_global_spec()))
+        assert code == 3
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["code"] == "invariant_violation" and fault in payload["message"]
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, tmp_path):
         from qtorus.errors import InvariantViolation
 

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorus import (
     BilinearData,
@@ -16,16 +18,20 @@ from qtorus import (
     cohomology_presentations,
     enumerate_components,
 )
+from qtorus import gerbe
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
-from qtorus.forms import HALF, ZERO, SymmetricForm
+from qtorus.forms import HALF, ZERO, SymmetricForm, polarize, quad_from_bilinear
 from qtorus.gerbe import _heisenberg_dimensions, omega_numerators
 from qtorus.lattice import inverse_unimodular, smith_normal_form
 
 from helpers import (
+    dense_omega_numerators,
+    family_system,
     global_json,
     groups_json,
     omega_of,
     pairing_on_cocycles_per_term,
+    rand_matrix,
     rand_unimodular,
     random_invariant_level,
     random_local_system,
@@ -244,6 +250,31 @@ class TestGramRoute:
                 nonzero += any(x for row in reference for x in row)
         assert nonzero >= 6  # at least half the cases pair nontrivially
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_the_dense_product(self, data):
+        # the row-by-row product against G^T @ P @ G on the same P, on H^1
+        # generators and on arbitrary vectors, small or wider than 64 bits
+        genus = data.draw(st.integers(0, 4), label="genus")
+        rank = data.draw(st.integers(1, 4), label="rank")
+        family = data.draw(st.sampled_from(["random", "shear", "sign", "pair"]), label="family")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        if family == "random":
+            rho = random_local_system(rng, genus, rank)
+        else:
+            rho = family_system(rng, family, genus, rank)
+        # the product needs no invariance, so any level gives a valid P
+        zeta = Frac1(rng.randrange(1, 12), 12)
+        pairing = polarize(quad_from_bilinear(BilinearData(rand_matrix(rng, rank, rank, -3, 3), zeta)))
+        n = 2 * genus * rank
+        entry = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+        vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+        if data.draw(st.booleans(), label="with H^1 generators"):
+            vectors = list(cohomology_presentations(rho).h1.all_gens()) + vectors
+        w = omega_numerators(rho, pairing, vectors)
+        assert w == dense_omega_numerators(rho, pairing, vectors)
+        assert omega_numerators(rho, pairing, []) == IntMatrix(0, 0, ())
+
     def test_non_invariant_shift_raises(self):
         flip = IntMatrix.from_rows([[1, 0], [0, -1]])
         rho = LatticeLocalSystem(2, 1, [flip, IntMatrix.identity(2)])
@@ -301,6 +332,33 @@ class TestCommutatorPairing:
         level = LevelInput(BilinearData(IntMatrix.identity(1), HALF), sign_rep())
         omega = omega_of(level)
         assert len(omega) == 1  # H^1 = Z/2: a single torsion generator
+
+    def test_one_frac1_per_residue(self, monkeypatch):
+        # omega and chi read their values from one Frac1 per residue mod N,
+        # not one per entry: g4 r4 has 32 x 32 omega entries and N = 3
+        level = trivial_level(4, 4, 3)
+        rho, pairing = level.rho, level.pairing
+        pres = cohomology_presentations(rho)
+        reps = enumerate_components(pres)
+        made = []
+        init = Frac1.__init__
+
+        def counting(self, num, den=1):
+            made.append((num, den))
+            init(self, num, den)
+
+        monkeypatch.setattr(Frac1, "__init__", counting)
+        omega, w = gerbe._omega(rho, pres, pairing)
+        assert w.rows == 32 and len(made) <= pairing.denominator
+        del made[:]
+        chis = gerbe._pi2_characters(rho, pres, pairing, reps)
+        assert len(chis) == len(reps) == 81 and len(made) <= pairing.denominator
+        monkeypatch.undo()
+        assert omega == tuple(tuple(Frac1(x, pairing.denominator) for x in w.row(i)) for i in range(32))
+        # N comes from the input and may be huge: the table holds only the
+        # residues that occur
+        big = 10**12
+        assert omega_of(trivial_level(1, 1, big)) == ((ZERO, Frac1(2, big)), (Frac1(-2, big), ZERO))
 
 
 class TestPi2Character:

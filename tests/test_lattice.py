@@ -160,6 +160,7 @@ def test_kernel_contract_random():
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9)
         snf = smith_normal_form(a)
         k = snf.kernel_basis()
+        assert k == IntMatrix.from_columns([snf.v.column(j) for j in range(snf.rank(), a.cols)], a.cols)
         assert (a @ k).is_zero()
         snf_k = smith_normal_form(k)
         assert snf_k.rank() == k.cols  # independent columns

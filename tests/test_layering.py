@@ -98,6 +98,20 @@ def test_h1_route_forms_no_dense_product():
     assert found == []
 
 
+def test_omega_forms_no_dense_product():
+    # W = G^T P G is formed row by row from the nonzero entries of P and G;
+    # IntMatrix's dense @ stays the plain product the cochain oracle reaches
+    # through rho.word_matrix
+    funcs = [
+        node
+        for node in parse("gerbe").body
+        if isinstance(node, ast.FunctionDef) and node.name in {"omega_numerators", "_omega"}
+    ]
+    assert len(funcs) == 2
+    for func in funcs:
+        assert not [n for n in ast.walk(func) if isinstance(n, ast.MatMult)], func.name
+
+
 def test_every_error_class_is_raised():
     # an error class that nothing in the package raises is dead API, and its
     # code can never reach a CLI payload

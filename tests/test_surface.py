@@ -384,10 +384,11 @@ class TestPresentations:
         assert inverted == list(mats)
 
     def test_three_smith_forms_and_none_of_the_kernel_basis(self, monkeypatch):
-        # each representative is built by its first reader: h0_basis reads V
-        # of snf(d0) and h1 reads V of snf(d1) for ker d1's basis. The
-        # coordinates x of im d0 on that basis, and the generators of h1 and
-        # h2, replay logs onto their targets, so no other transform is built
+        # each representative is built by its first reader: h0_basis replays
+        # snf(d0)'s column log and h1 snf(d1)'s for a kernel basis, keeping
+        # only the kernel columns. The coordinates x of im d0 on that basis,
+        # and the generators of h1 and h2, replay logs onto their targets, so
+        # no transform is built
         g, r = 4, 3
         rho = family_system(random.Random(41), "pair", g, r)
         k = 2 * g * r - smith_normal_form(build_complex(rho).d1).rank()
@@ -398,9 +399,9 @@ class TestPresentations:
             getattr(pres, name)
             steps.append([(shape, built(res)) for shape, res in results])
         assert steps == [
-            [((2 * g * r, r), {"v"}), ((r, 2 * g * r), set())],
-            [((2 * g * r, r), {"v"}), ((r, 2 * g * r), {"v"}), ((k, r), set())],
-            [((2 * g * r, r), {"v"}), ((r, 2 * g * r), {"v"}), ((k, r), set())],
+            [((2 * g * r, r), set()), ((r, 2 * g * r), set())],
+            [((2 * g * r, r), set()), ((r, 2 * g * r), set()), ((k, r), set())],
+            [((2 * g * r, r), set()), ((r, 2 * g * r), set()), ((k, r), set())],
         ]
         assert pres.h1 is pres.h1  # snf(x) ran once
         assert len(results) == 3
