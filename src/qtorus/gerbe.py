@@ -50,7 +50,7 @@ from .forms import (
     polarize,
     quad_from_bilinear,
 )
-from .lattice import IntMatrix, smith_normal_form
+from .lattice import IntMatrix
 from .surface import (
     CohomologyPresentations,
     LatticeLocalSystem,
@@ -156,16 +156,16 @@ def _omega(
     """(omega, W) on the H^1 generators, free generators first: omega = W / N.
 
     omega is antisymmetric with zero diagonal on the free generators. The
-    checks run on the numerators W, row i against column i; a violation
-    would mean the closed form and the presentation disagree, which is an
-    internal error, never a user one.
+    checks run on the numerators W, row i against column i from the diagonal
+    on, so each pair is read once; a violation would mean the closed form and
+    the presentation disagree, which is an internal error, never a user one.
     """
     n = pairing.denominator
     w = omega_numerators(rho, pairing, pres.h1.all_gens())
     free = len(pres.h1.free_gens)
     for i in range(w.rows):
         row = w.row(i)
-        if any((x + y) % n for x, y in zip(row, w.column(i))):
+        if any((x + y) % n for x, y in zip(row[i:], w.column(i)[i:])):
             raise InvariantViolation("commutator pairing is not antisymmetric")
         if i < free and row[i] % n:
             raise InvariantViolation("commutator pairing has a nonzero free diagonal")
@@ -226,29 +226,122 @@ def _heisenberg_dimensions(n: int, w: IntMatrix, free_count: int) -> tuple[int, 
     """(radical rank, block dimension) of omega = W / N on the free generators.
 
     A is the free block of W reduced into [0, N). The finite quotient is the
-    image of A on (Z/N)-coordinates, of order prod N / gcd(N, d_i) over A's
-    invariant factors d_i whatever the lift; that order is a perfect square
-    because omega is antisymmetric, and the block dimension is its root.
+    image of A on (Z/N)-coordinates, of order prod N / gcd(N, p_i) over the
+    pivots p_i of any diagonal form of A mod N, whatever the lift; that order
+    is a perfect square because omega is antisymmetric, and the block
+    dimension is its root. :func:`_order_mod` finds such pivots with every
+    entry kept in [0, N), so nothing grows and N is never factored.
 
     The radical rank is f minus the rank of A over Z, so it depends on the
     lift: for N = 3 the reduced lift [[0,1,1],[2,0,1],[2,2,0]] has rank 3
     (radical rank 0), while the antisymmetric lift [[0,1,1],[-1,0,1],
     [-1,-1,0]] of the same omega has rank 2. Reports always use the reduced
     lift, so the value is deterministic; the block dimension agrees for both.
+    :func:`_lift_rank` certifies that rank by elimination mod a 61-bit prime
+    and falls back to a fraction-free integer elimination only when the rank
+    mod p stays below the count of nonzero rows and columns.
     """
     f = free_count
-    if f == 0:
-        return 0, 1
-    a = IntMatrix(f, f, [w.entry(i, j) % n for i in range(f) for j in range(f)])
-    diag = smith_normal_form(a).diagonal()
-    rank = sum(1 for d in diag if d)
-    order = 1
-    for d in diag:
-        order *= n // math.gcd(n, d)
+    a = [[x % n for x in w.row(i)[:f]] for i in range(f)]
+    order = _order_mod(n, a)
     dim = math.isqrt(order)
     if dim * dim != order:
         raise InvariantViolation("block order is not a perfect square")
-    return f - rank, dim
+    return f - _lift_rank(a), dim
+
+
+def _order_mod(n: int, a: list[list[int]]) -> int:
+    """Order of the row module of ``a`` (entries in [0, n)) over Z/n.
+
+    Euclidean elimination mod n: the smallest nonzero residue p is the pivot,
+    its column and then its row are reduced by integer quotients, and any
+    nonzero remainder, smaller than p, becomes the next pivot. A pivot alone
+    in its row and column adds a factor n / gcd(n, p) and its row leaves.
+    Every operation is unimodular, so the pivots form a diagonal form of
+    ``a`` mod n, and no divisibility chain is needed for the order.
+    """
+    rows = [row[:] for row in a if any(row)]
+    order = 1
+    while rows:
+        top, p = None, n
+        for row in rows:
+            x = min(filter(None, row))
+            if x < p:
+                top, p = row, x
+                if p == 1:  # no residue is smaller
+                    break
+        j = top.index(p)
+        rest = []
+        for row in rows:
+            if row is not top:
+                if row[j]:
+                    q = row[j] // p
+                    row = [(s - q * t) % n for s, t in zip(row, top)]
+                if any(row):
+                    rest.append(row)
+        if not any(row[j] for row in rest):
+            # column j is clear, so a column operation only changes the pivot row
+            top = [x % p for x in top]
+            top[j] = p
+            if not (any(top[:j]) or any(top[j + 1 :])):
+                order *= n // math.gcd(n, p)
+                for row in rest:  # column j is zero there from now on
+                    del row[j]
+                rows = rest
+                continue
+        rows = rest + [top]
+    return order
+
+
+def _lift_rank(a: list[list[int]]) -> int:
+    """Rank of ``a`` over Z, certified over F_p, p = 2^61 - 1, when possible.
+
+    rank mod p <= rank over Q <= min(nonzero rows, nonzero columns), so a
+    rank mod p that reaches that bound is exact. Otherwise the rank comes
+    from :func:`_bareiss_rank`, which is dense O(f^3) on big integers.
+    """
+    bound = min(sum(map(any, a)), sum(map(any, zip(*a))))
+    rank = _rank_mod_prime(a)
+    return rank if rank == bound else _bareiss_rank(a)
+
+
+def _rank_mod_prime(a: list[list[int]]) -> int:
+    """Rank of ``a`` over F_p, p = 2^61 - 1, by elimination with modular inverses."""
+    prime = (1 << 61) - 1
+    rows = [[x % prime for x in row] for row in a]
+    rank = 0
+    while rows:
+        top = rows.pop()
+        j = next((j for j, x in enumerate(top) if x), None)
+        if j is None:
+            continue
+        inv = pow(top[j], -1, prime)
+        rank += 1
+        for k, row in enumerate(rows):
+            if row[j]:
+                c = row[j] * inv % prime
+                rows[k] = [(s - c * t) % prime for s, t in zip(row, top)]
+    return rank
+
+
+def _bareiss_rank(a: list[list[int]]) -> int:
+    """Rank of ``a`` over Q by fraction-free (Bareiss 1968) elimination.
+
+    Every other row becomes (p * row - row[j] * pivot_row) / prev, with p the
+    pivot and prev the one before (1 at first); its entries are then minors
+    of ``a``, so the division is exact.
+    """
+    rows = [row for row in a if any(row)]
+    rank, prev = 0, 1
+    while rows:
+        top = rows.pop()
+        j = next(j for j, x in enumerate(top) if x)
+        p = top[j]
+        rank += 1
+        rows = [[(p * s - row[j] * t) // prev for s, t in zip(row, top)] for row in rows]
+        rows = [row for row in rows if any(row)]
+        prev = p
+    return rank
 
 
 def enumerate_components(

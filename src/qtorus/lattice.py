@@ -67,10 +67,9 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
-        n = len(columns)
         if any(len(c) != rows for c in columns):
             raise ShapeMismatch("column length mismatch")
-        return cls(rows, n, [columns[j][i] for i in range(rows) for j in range(n)])
+        return cls(rows, len(columns), [x for row in zip(*columns) for x in row])
 
     def entry(self, i: int, j: int) -> int:
         return self._e[i * self.cols + j]

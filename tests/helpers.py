@@ -1,5 +1,6 @@
 """Shared generators for randomized tests. Everything is seed-driven."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -171,6 +172,21 @@ def smith_form_inverse(a: IntMatrix) -> IntMatrix:
     snf = smith_normal_form(a)
     assert all(x == 1 for x in snf.diagonal())
     return snf.v @ snf.u
+
+
+def heisenberg_by_smith(n: int, w: IntMatrix, free_count: int) -> tuple[int, int]:
+    """(radical rank, block order) of omega = W / N from the integer Smith form.
+
+    A is the f x f free block of W reduced into [0, N); the block order is
+    prod N / gcd(N, d_i) over its invariant factors d_i and the radical rank
+    is f minus its rank over Z. The reference ``gerbe._heisenberg_dimensions``
+    is tested against: it returns the order's square root, or raises when the
+    order is not a square.
+    """
+    f = free_count
+    a = IntMatrix(f, f, [w.entry(i, j) % n for i in range(f) for j in range(f)])
+    diag = smith_normal_form(a).diagonal()
+    return f - sum(1 for d in diag if d), math.prod(n // math.gcd(n, d) for d in diag)
 
 
 def random_local_system(rng: random.Random, genus: int, rank: int) -> LatticeLocalSystem:

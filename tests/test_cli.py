@@ -12,6 +12,7 @@ from qtorus import ERROR_SCHEMA, REPORT_SCHEMAS
 from qtorus import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = Path(__file__).parent / "inputs"
 
 
 def run_main(capsys, *argv):
@@ -186,6 +187,20 @@ class TestSchemas:
                 zeroed.append((spec.name, task))
         assert {task for _, task in zeroed} == {"local", "surface", "global", "bunt"}
         assert len(zeroed) == 8
+
+    def test_genus_24_shear_bunt_finishes(self, capsys):
+        # the benchmark's shear job at genus 24, rank 4: the Heisenberg count's
+        # integer Smith form of omega grew past 6000-bit entries here and did
+        # not finish; elimination mod N keeps every entry below N
+        out, code = run_main(capsys, "bunt", "--input", str(INPUTS / "bunt_shear_g24r4.json"))
+        assert code == 0
+        report = json.loads(out)
+        blocks = report["blocks"]
+        assert len(blocks) == 27
+        assert all(b["omega"] == blocks[0]["omega"] for b in blocks)
+        # every block repeats one omega, so one copy is validated
+        slim = [blocks[0]] + [dict(b, omega=[]) for b in blocks[1:]]
+        jsonschema.validate(dict(report, blocks=slim), REPORT_SCHEMAS["bunt"])
 
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})

@@ -29,6 +29,7 @@ from helpers import (
     family_system,
     global_json,
     groups_json,
+    heisenberg_by_smith,
     omega_of,
     pairing_on_cocycles_per_term,
     rand_matrix,
@@ -389,6 +390,51 @@ class TestPi2Character:
             assert chi_of(level, shifted) == chi_of(level, d)
 
 
+# N = 1, prime powers, composites and a prime beyond trial division's reach
+HEISENBERG_MODULI = (1, 4, 8, 9, 27, 32, 6, 12, 30, 36, 210, 2**89 - 1)
+
+
+@st.composite
+def free_blocks(draw):
+    """(N, W, f): W's leading f x f block has entries in [0, N).
+
+    The block is antisymmetric mod N with zero diagonal, or arbitrary. Its
+    entries come from a palette of a few residues, so a pivot often fails to
+    divide its row and column. Some indices are zeroed in both row and
+    column, and one may repeat another in both, which keeps the rank below
+    the count of nonzero rows and so takes the integer fallback of the rank
+    certificate. W may have further rows and columns, as torsion generators
+    give it, which the count must not read.
+    """
+    n = draw(st.sampled_from(HEISENBERG_MODULI))
+    f = draw(st.integers(0, 7))
+    residue = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
+    rows = [[0] * f for _ in range(f)]
+    if draw(st.booleans()):
+        for i in range(f):
+            for j in range(i + 1, f):
+                x = draw(residue)
+                rows[i][j], rows[j][i] = x, -x % n
+    else:
+        rows = [[draw(residue) for _ in range(f)] for _ in range(f)]
+    index = st.integers(0, f - 1)
+    if f:
+        for i in draw(st.sets(index, max_size=f)):
+            rows[i] = [0] * f
+            for row in rows:
+                row[i] = 0
+    if f >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+        for row in rows:
+            row[j] = row[i]
+    size = f + draw(st.integers(0, 2))
+    entries = [
+        rows[i][j] if i < f and j < f else draw(residue) for i in range(size) for j in range(size)
+    ]
+    return n, IntMatrix(size, size, entries), f
+
+
 class TestBlockStructure:
     def test_zero_level_block(self):
         rep = block_report(trivial_level(1, 1, 1))
@@ -458,6 +504,35 @@ class TestBlockStructure:
         # lift is passed: rank 3, so 0, where the antisymmetric lift's rank would give 1
         assert _heisenberg_dimensions(n, reduced, 3) == (0, 3)
         assert _heisenberg_dimensions(n, antisymmetric, 3) == (0, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_heisenberg_count_matches_the_smith_route(self, data):
+        n, w, f = data.draw(free_blocks())
+        radical, order = heisenberg_by_smith(n, w, f)
+        dim = math.isqrt(order)
+        if dim * dim == order:
+            assert _heisenberg_dimensions(n, w, f) == (radical, dim)
+        else:
+            with pytest.raises(InvariantViolation, match="perfect square"):
+                _heisenberg_dimensions(n, w, f)
+
+    def test_rank_certificate_falls_back_below_the_bound(self, monkeypatch):
+        fallbacks = []
+        bareiss = gerbe._bareiss_rank
+        monkeypatch.setattr(gerbe, "_bareiss_rank", lambda a: fallbacks.append(a) or bareiss(a))
+        # 2^61 - 1 vanishes mod the certificate's prime: rank 0 there, below
+        # the bound 1, and the integer fallback gives the true rank 1
+        assert _heisenberg_dimensions(2**64, IntMatrix.from_rows([[2**61 - 1]]), 1) == (0, 2**32)
+        assert len(fallbacks) == 1
+        # a repeated row keeps the rank below the nonzero count on any field
+        w = IntMatrix.from_rows([[0, 1, 2], [5, 0, 3], [0, 1, 2]])
+        assert _heisenberg_dimensions(6, w, 3) == (1, 6)
+        assert heisenberg_by_smith(6, w, 3) == (1, 36)
+        assert len(fallbacks) == 2
+        # a rank mod p at the bound is exact and needs no fallback
+        assert _heisenberg_dimensions(3, IntMatrix.from_rows([[0, 1], [2, 0]]), 2) == (0, 3)
+        assert len(fallbacks) == 2
 
     def test_blocks_share_level_data(self):
         # a block holds only what depends on its component; the report writes

@@ -69,8 +69,17 @@ def test_smith_form_takes_only_the_matrix():
         if isinstance(node, ast.Call)
         and "smith_normal_form" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert len(calls) >= 5
+    # d0, d1 and x for the cohomology, and the independent check's H2: all in
+    # surface, since gerbe counts Heisenberg blocks by elimination over Z/N
+    assert len(calls) == 4
     assert [c for c in calls if c[2:] != (1, [])] == []
+
+
+def test_heisenberg_count_shares_no_rank_code():
+    # the block count reduces mod N and certifies its rank mod a prime, so it
+    # needs no integer Smith form; its integer fallback is its own, so the
+    # report path shares no rank code with the H0 oracle's _fraction_free_rank
+    assert not names_in(parse("gerbe")) & {"smith_normal_form", "_fraction_free_rank"}
 
 
 def test_h1_route_forms_no_dense_product():
