@@ -62,22 +62,21 @@ def _as_int(value: Any, path: str) -> int:
 def _as_vector(value: Any, length: int, path: str) -> tuple[int, ...]:
     if not isinstance(value, list) or len(value) != length:
         raise BadJobSpec(f"expected a list of {length} integers", path)
-    return tuple(_as_int(x, f"{path}[{i}]") for i, x in enumerate(value))
+    for i, x in enumerate(value):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise BadJobSpec("expected an integer", f"{path}[{i}]")
+    return tuple(value)
 
 
 def _as_matrix(value: Any, size: int | None, path: str) -> IntMatrix:
-    """Square integer matrix from nested rows, or flat row-major when sized."""
-    if isinstance(value, list) and value and all(isinstance(r, list) for r in value):
-        n = len(value)
-        if size is not None and n != size:
-            raise BadJobSpec(f"expected a {size}x{size} matrix", path)
-        rows = [_as_vector(r, n, f"{path}[{i}]") for i, r in enumerate(value)]
-        return IntMatrix.from_rows([list(r) for r in rows])
-    if isinstance(value, list) and size is not None:
-        if len(value) != size * size:
-            raise BadJobSpec(f"expected {size * size} row-major entries", path)
-        return IntMatrix(size, size, [_as_int(x, f"{path}[{i}]") for i, x in enumerate(value)])
-    raise BadJobSpec("expected a square integer matrix", path)
+    """Square integer matrix from a nonempty list of rows; ``size`` fixes n."""
+    if not (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
+        raise BadJobSpec("expected a square integer matrix", path)
+    n = len(value)
+    if size is not None and n != size:
+        raise BadJobSpec(f"expected a {size}x{size} matrix", path)
+    rows = [_as_vector(r, n, f"{path}[{i}]") for i, r in enumerate(value)]
+    return IntMatrix(n, n, [x for row in rows for x in row])
 
 
 def _surface_rank(surface: dict) -> int:
@@ -212,6 +211,7 @@ def _run_local(spec: JobSpec) -> dict:
     pairing = polarize(quad)
     braided = standard_refinement(quad)
     bound = _twist_bound(level.rank)
+    linear = is_linear(quad)
     table = []
     for vec in product(range(-bound, bound + 1), repeat=level.rank):
         table.append({"vector": list(vec), "twist": str(evaluate(quad, vec))})
@@ -224,8 +224,8 @@ def _run_local(spec: JobSpec) -> dict:
             "polarization": _frac_matrix(pairing.entries),
         },
         "twist_table": {"bound": bound, "entries": table},
-        "is_linear": is_linear(quad),
-        "e_infinity": is_linear(quad),
+        "is_linear": linear,
+        "e_infinity": linear,
         "pi2_layer": {"description": "(Q/Z)^rank", "rank": level.rank},
         "refinement": {
             "convention": "upper_triangular",
@@ -479,19 +479,21 @@ def _error_payload(code: str, message: str, path: str) -> str:
     return _dumps({"code": code, "message": message, "path": path})
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="qtorus",
+    description="Exact invariants of torus-valued section spaces over surfaces.",
+)
+_PARSER.add_argument("task", choices=TASKS)
+_PARSER.add_argument(
+    "--input",
+    help="path to a JSON job spec ('-' for stdin); optional for selfcheck",
+)
+_PARSER.add_argument("--format", choices=("json", "text"), dest="fmt")
+_PARSER.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qtorus",
-        description="Exact invariants of torus-valued section spaces over surfaces.",
-    )
-    parser.add_argument("task", choices=TASKS)
-    parser.add_argument(
-        "--input",
-        help="path to a JSON job spec ('-' for stdin); optional for selfcheck",
-    )
-    parser.add_argument("--format", choices=("json", "text"), dest="fmt")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.input is None:

@@ -349,21 +349,14 @@ def enumerate_components(
 ) -> list[tuple[int, ...]]:
     """Default component list: all torsion classes, free coordinates within a bound."""
     h2 = pres.h2
+    gens = h2.all_gens()
+    ranges = [range(-free_bound, free_bound + 1)] * len(h2.free_gens)
+    ranges += [range(o) for o in h2.group.torsion]
     r = pres.complex.rank
-    free_ranges = [range(-free_bound, free_bound + 1)] * len(h2.free_gens)
-    torsion_ranges = [range(o) for o in h2.group.torsion]
-    out = []
-    for free_coeffs in product(*free_ranges):
-        for tors_coeffs in product(*torsion_ranges):
-            rep = [0] * r
-            for coef, gen in zip(free_coeffs, h2.free_gens):
-                for i in range(r):
-                    rep[i] += coef * gen[i]
-            for coef, gen in zip(tors_coeffs, h2.torsion_gens):
-                for i in range(r):
-                    rep[i] += coef * gen[i]
-            out.append(tuple(rep))
-    return out
+    return [
+        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(r))
+        for coeffs in product(*ranges)
+    ]
 
 
 def block_report(
@@ -381,7 +374,7 @@ def block_report(
     if components is None:
         reps = enumerate_components(pres, free_bound)
     else:
-        reps = [tuple(int(x) for x in c) for c in components]
+        reps = [tuple(c) for c in components]
         for rep in reps:
             if len(rep) != rho.rank:
                 raise BadComponent(f"component representative must have length {rho.rank}")

@@ -26,8 +26,9 @@ _Op = tuple[int, int, int]  # (i, j, q), one line operation; see _replay
 class IntMatrix:
     """Immutable integer matrix, row-major storage.
 
-    Zero-row and zero-column shapes are legal; they show up naturally as
-    boundary maps of degenerate complexes.
+    Entries are stored as given, so callers pass ints; ``cli`` checks the
+    matrices a job spec supplies. Zero-row and zero-column shapes are legal;
+    they show up naturally as boundary maps of degenerate complexes.
     """
 
     __slots__ = ("rows", "cols", "_e")
@@ -35,7 +36,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative shape ({rows}, {cols})")
-        e = tuple(map(int, entries))
+        e = tuple(entries)
         if len(e) != rows * cols:
             raise ShapeMismatch(
                 f"expected {rows * cols} entries for shape ({rows}, {cols}), got {len(e)}"

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -334,6 +335,36 @@ class TestValidation:
         )
         assert code == 2
 
+    # (matrix, message, path suffix) at rank 2; a matrix is a list of rows
+    MATRIX_FAULTS = {
+        "bool": ([[True, 0], [0, 1]], "expected an integer", "[0][0]"),
+        "float": ([[1, 0], [0, 1.5]], "expected an integer", "[1][1]"),
+        "string": ([[1, "0"], [0, 1]], "expected an integer", "[0][1]"),
+        "ragged": ([[1, 0], [0]], "expected a list of 2 integers", "[1]"),
+        "wrong_size": ([[1]], "expected a 2x2 matrix", ""),
+        "empty": ([], "expected a square integer matrix", ""),
+        "scalar": (1, "expected a square integer matrix", ""),
+        "row_and_scalar": ([[1, 0], 2], "expected a square integer matrix", ""),
+        "flat": ([1, 0, 0, 1], "expected a square integer matrix", ""),
+    }
+
+    @pytest.mark.parametrize("fault", MATRIX_FAULTS)
+    @pytest.mark.parametrize("where", ["surface.monodromy[0]", "level.c_matrix"])
+    def test_matrix_entries(self, capsys, tmp_path, where, fault):
+        matrix, message, suffix = self.MATRIX_FAULTS[fault]
+        identity = [[1, 0], [0, 1]]
+        surface = {"genus": 1, "rank": 2, "monodromy": [identity, identity]}
+        level = {"c_matrix": identity, "zeta": "1/4"}
+        if where == "level.c_matrix":
+            level["c_matrix"] = matrix
+        else:
+            surface["monodromy"][0] = matrix
+        spec = base_global_spec(surface=surface, level=level)
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload == {"code": "bad_job_spec", "message": message, "path": where + suffix}
+
 
 class TestInterface:
     def test_stdin_input(self, capsys, monkeypatch):
@@ -365,6 +396,21 @@ class TestInterface:
         out, code = run_main(capsys, "selfcheck", "--seed", "7")
         assert code == 0
         assert json.loads(out)["seed"] == 7
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch, tmp_path):
+        # the command line is parsed by one parser, built when cli is imported
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        spec = write_spec(tmp_path, base_global_spec())
+        for fmt in ("json", "text", "json"):
+            assert run_main(capsys, "global", "--input", spec, "--format", fmt)[1] == 0
+        assert built == []
 
     def _error_exit(self, capsys, tmp_path, text):
         p = tmp_path / "spec.json"

@@ -480,6 +480,26 @@ class TestBlockStructure:
         pres = cohomology_presentations(sign_rep())
         assert enumerate_components(pres) == [(0,), (1,)]
 
+    def test_components_free_then_torsion(self):
+        # H^2 = Z^2 + (Z/2)^2 at rank 4, on generators that mix coordinates:
+        # the free coefficients are the outer loops, the torsion ones the inner
+        p = IntMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+        flip = IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+        a = p @ flip @ inverse_unimodular(p)
+        pres = cohomology_presentations(LatticeLocalSystem(4, 1, [a, IntMatrix.identity(4)]))
+        assert pres.h2.group == FgAbGroup(2, (2, 2))
+        (f1, f2), (t1, t2) = pres.h2.free_gens, pres.h2.torsion_gens
+        expected = []
+        for x in range(-1, 2):
+            for y in range(-1, 2):
+                for s in range(2):
+                    for t in range(2):
+                        expected.append(
+                            tuple(x * f1[i] + y * f2[i] + s * t1[i] + t * t2[i] for i in range(4))
+                        )
+        assert len(set(expected)) == 36
+        assert enumerate_components(pres) == expected
+
     def test_explicit_components_order(self):
         rep = block_report(trivial_level(1, 1, 4), components=[(2,), (0,)])
         assert [b.component for b in rep.blocks] == [(2,), (0,)]

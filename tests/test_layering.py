@@ -283,3 +283,24 @@ def test_all_lists_exactly_the_public_imports():
         if name not in top_level_names(parse(module))
     ]
     assert unresolved == []
+
+
+def test_cli_builds_its_parser_at_module_level():
+    # main parses with the one parser built when cli is imported; a parser
+    # built inside a function would be rebuilt on every call
+    def parsers(node):
+        return [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and "ArgumentParser" in names_in(n.func)
+        ]
+
+    tree = parse("cli")
+    top = [
+        call
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for call in parsers(stmt)
+    ]
+    assert len(top) == 1
+    assert parsers(tree) == top
