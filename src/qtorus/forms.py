@@ -298,18 +298,25 @@ def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
     so only the values are compared. Checking basis vectors and pairwise
     sums suffices: those values determine the form, since
     b(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j).
+
+    The values are compared on the integer numerators, Q(x) = x^T U x / N:
+    each probe's v^T U v is summed once, and w = a v matches it when
+    w^T U w - v^T U v is divisible by N.
     """
     r = q.rank
     if rho.rank != r:
         raise DimensionMismatch(f"local system rank {rho.rank} != form rank {r}")
+    u, n = q.numerators, q.denominator
     probes = [tuple(1 if t == i else 0 for t in range(r)) for i in range(r)]
     probes += [
         tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(r))
         for i in range(r)
         for j in range(i + 1, r)
     ]
+    values = [(v, _bilinear_sum(u, v, v)) for v in probes]
     for a in rho.mon:
-        for v in probes:
-            if evaluate(q, a.mul_vec(v)) != evaluate(q, v):
+        for v, value in values:
+            w = a.mul_vec(v)
+            if (_bilinear_sum(u, w, w) - value) % n:
                 return False
     return True

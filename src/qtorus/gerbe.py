@@ -19,7 +19,11 @@ surface relator, and only here. That formula is bilinear in the two
 cocycles, so it is built once as an integer Gram matrix P against the
 polarization's integer numerators B over its common denominator N (both
 held by the form), in one pass over the letter transports the local system
-stored when it unwound the relator (the same ones give d1).
+stored when it unwound the relator (the same ones give d1). The pass goes
+one handle at a time: a letter reaches only its own handle's rows, and a
+finished handle's rows take one block per later generator j, skipped when
+B times the signed sum S_j of j's letter transports is zero, so P costs
+time linear in the genus where it is block diagonal by handle.
 :func:`omega_numerators` returns W = G^T P G on a list of vectors G, formed
 row by row from the nonzero entries of P and of G only, since both are
 sparse; no dense product is formed. A report reads omega off as W / N on
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .errors import BadComponent, DimensionMismatch, NotInvariant
@@ -84,30 +89,61 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
     here as the rows of A^T (2gr x r). A letter of generator j with transport
     F and exponent eps adds A^T B (eps F) to block column j and (eps F)^T to
     the rows of block j of A^T.
+
+    The relator is walked one handle, a b a^-1 b^-1, at a time. A row of A^T
+    belongs to one generator: it is zero until that generator's first letter,
+    and once its handle's four letters are done it holds its final sum, a
+    column of S_m = sum of eps F over the letters of generator m (block m of
+    d1). So a letter pairs only the 2r rows of its own handle, and each later
+    generator j adds one block, A^T B S_j, to the finished rows. B S_j is
+    the sum of the products B (eps F) of j's letters, so it costs no further
+    product, and the block is skipped when it is zero: on a trivial system,
+    where S_j = 0, and whenever B kills the image of every S_j, as for
+    commuting shears x -> x + l(x) e_0 with b(e_0, -) = 0. P is then block
+    diagonal by handle, and the work grows linearly in the genus.
     """
     r = rho.rank
     size = 2 * rho.genus * r
-    p = [[0] * size for _ in range(size)]
+    p = [0] * (size * size)
     acc_t = [[0] * r for _ in range(size)]
-    for j, eps, frame in rho.letter_frames:
-        f = frame if eps == 1 else -frame
-        block = range(j * r, (j + 1) * r)
-        if eps == -1:
-            _accumulate(acc_t, block, f)
-        bf_rows = (b @ f).row_lists()
-        for row, acc in zip(p, acc_t):
-            if any(acc):
-                for c, k in enumerate(block):
-                    row[k] += sum(a * bf_rows[t][c] for t, a in enumerate(acc))
-        if eps == 1:
-            _accumulate(acc_t, block, f)
-    return IntMatrix.from_rows(p, size)
+    for h in range(rho.genus):
+        start = 2 * h * r  # rows before it are finished; rows after it are still zero
+        bs: dict[int, IntMatrix] = {}  # B S_j, summed over the letters of j
+        for j, eps, frame in rho.letter_frames[4 * h : 4 * h + 4]:
+            f = frame if eps == 1 else -frame
+            bf = b @ f
+            bs[j] = bs[j] + bf if j in bs else bf
+            if eps == -1:
+                _accumulate(acc_t, j * r, f)
+            _pair_rows(p, size, acc_t, range(start, start + 2 * r), j * r, bf)
+            if eps == 1:
+                _accumulate(acc_t, j * r, f)
+        for j, m in bs.items():
+            if start and not m.is_zero():
+                _pair_rows(p, size, acc_t, range(start), j * r, m)
+    return IntMatrix(size, size, p)
 
 
-def _accumulate(acc_t: list[list[int]], block: range, f: IntMatrix) -> None:
-    """Add the letter's value map (eps F)^T to the rows of its block."""
-    for a, x in enumerate(block):
-        acc_t[x] = [s + y for s, y in zip(acc_t[x], f.column(a))]
+def _accumulate(acc_t: list[list[int]], at: int, f: IntMatrix) -> None:
+    """Add the letter's value map (eps F)^T to the rows of its block, from ``at`` on."""
+    for x in range(f.cols):
+        acc_t[at + x] = [s + y for s, y in zip(acc_t[at + x], f.column(x))]
+
+
+def _pair_rows(
+    p: list[int], size: int, acc_t: list[list[int]], rows: range, at: int, m: IntMatrix
+) -> None:
+    """Add A^T M to P's block column from ``at`` on, over the nonzero ``rows`` of A^T."""
+    cols = [m.column(c) for c in range(m.cols)]
+    for x in rows:
+        if any(acc_t[x]):
+            _pair_row(p, x * size + at, acc_t[x], cols)
+
+
+def _pair_row(p: list[int], at: int, acc: list[int], cols: list[tuple[int, ...]]) -> None:
+    """Add acc^T times each column to P's flat entries from ``at`` on."""
+    for c, col in enumerate(cols, at):
+        p[c] += sum(map(mul, acc, col))
 
 
 def omega_numerators(
@@ -118,15 +154,21 @@ def omega_numerators(
     Each vector lists one lattice vector per generator loop (concatenated).
     P is built once from the pairing's numerators B over their common
     denominator N; nothing here is checked or reduced mod N. The product is
-    Gustavson's row by row: row i of PG adds x times row k of G for each
-    nonzero x = P[i][k], and row j of W adds y times row i of PG for each
-    nonzero y = g_j[i], so the work follows the nonzero entries.
+    Gustavson's row by row: row i of PG, formed for the nonzero rows of P
+    only, adds x times row k of G for each nonzero x = P[i][k], and row j of
+    W adds y times row i of PG for each nonzero y = g_j[i] whose row of PG is
+    nonzero, so the work follows the nonzero entries.
     """
     g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
     p = _pairing_gram(rho, pairing.numerators)
-    pg = [_combine([(x, g.row(k)) for k, x in enumerate(p.row(i)) if x], g.cols)
-          for i in range(p.rows)]
-    w = [_combine([(y, pg[i]) for i, y in enumerate(gen) if y], g.cols) for gen in gens]
+    pg = {}
+    for i in range(p.rows):
+        row = p.row(i)
+        if any(row):
+            out = _combine([(x, g.row(k)) for k, x in enumerate(row) if x], g.cols)
+            if any(out):
+                pg[i] = out
+    w = [_combine([(gen[i], out) for i, out in pg.items() if gen[i]], g.cols) for gen in gens]
     return IntMatrix.from_rows(w, g.cols)
 
 

@@ -306,6 +306,40 @@ def dense_omega_numerators(rho: LatticeLocalSystem, pairing, gens) -> IntMatrix:
     return g.transpose() @ _pairing_gram(rho, pairing.numerators) @ g
 
 
+def pairing_gram_by_letters(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
+    """P of the closed form, one relator letter at a time over every row of A^T.
+
+    The reference for ``gerbe._pairing_gram``, which walks the relator one
+    handle at a time. Each letter of generator j with transport F and
+    exponent eps adds A^T B (eps F) to block column j, over every nonzero row
+    of the running sums A^T, and (eps F)^T to the rows of block j of A^T; an
+    inverted letter adds its value before it pairs, a positive one after.
+    """
+    r = rho.rank
+    size = 2 * rho.genus * r
+    p = [[0] * size for _ in range(size)]
+    acc_t = [[0] * r for _ in range(size)]
+    for j, eps, frame in rho.letter_frames:
+        f = frame if eps == 1 else -frame
+        block = range(j * r, (j + 1) * r)
+        if eps == -1:
+            _accumulate_by_letter(acc_t, block, f)
+        bf_rows = (b @ f).row_lists()
+        for row, acc in zip(p, acc_t):
+            if any(acc):
+                for c, k in enumerate(block):
+                    row[k] += sum(a * bf_rows[t][c] for t, a in enumerate(acc))
+        if eps == 1:
+            _accumulate_by_letter(acc_t, block, f)
+    return IntMatrix.from_rows(p, size)
+
+
+def _accumulate_by_letter(acc_t: list[list[int]], block: range, f: IntMatrix) -> None:
+    """Add the letter's value map (eps F)^T to the rows of its block."""
+    for a, x in enumerate(block):
+        acc_t[x] = [s + y for s, y in zip(acc_t[x], f.column(a))]
+
+
 def omega_of(level: LevelInput):
     """omega of a level, from a report with no components."""
     return block_report(level, components=[]).omega

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorus import (
     BilinearData,
@@ -24,7 +26,13 @@ from qtorus.errors import (
 )
 from qtorus.forms import HALF, ZERO
 
-from helpers import frac1_bilinear, frac1_quadratic, rand_matrix
+from helpers import (
+    frac1_bilinear,
+    frac1_quadratic,
+    rand_matrix,
+    random_invariant_level,
+    random_local_system,
+)
 
 
 def frac(n, d):
@@ -234,6 +242,44 @@ class TestInvarianceCheck:
         # system refuses it when it inverts its generators
         with pytest.raises(NonUnimodular):
             genus_one(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+    def test_matches_the_frac1_route(self):
+        # the check on integer numerators against Q(a v) == Q(v) as Q/Z values,
+        # on basis vectors and pairwise sums, for invariant and other forms
+        verdicts = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.data())
+        def check(data):
+            genus = data.draw(st.integers(0, 3), label="genus")
+            rank = data.draw(st.integers(1, 4), label="rank")
+            rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+            rho = random_local_system(rng, genus, rank)
+            if data.draw(st.booleans(), label="invariant level"):
+                q = quad_from_bilinear(random_invariant_level(rng, rho))
+            else:
+                den = data.draw(st.integers(1, 12) | st.integers(2, 2**70), label="denominator")
+                values = st.lists(
+                    st.integers(0, den - 1).map(lambda x: frac(x, den)),
+                    min_size=rank * (rank + 1) // 2,
+                    max_size=rank * (rank + 1) // 2,
+                )
+                drawn = data.draw(values, label="values")
+                q = QuadraticForm(rank, tuple(drawn[:rank]), tuple(drawn[rank:]))
+            unit = [tuple(int(t == i) for t in range(rank)) for i in range(rank)]
+            probes = unit + [
+                tuple(x + y for x, y in zip(unit[i], unit[j]))
+                for i in range(rank)
+                for j in range(i + 1, rank)
+            ]
+            expected = all(
+                evaluate(q, a.mul_vec(v)) == evaluate(q, v) for a in rho.mon for v in probes
+            )
+            assert invariance_check(q, rho) == expected
+            verdicts.append(expected)
+
+        check()
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_symmetric_form_validation():

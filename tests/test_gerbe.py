@@ -31,6 +31,7 @@ from helpers import (
     groups_json,
     heisenberg_by_smith,
     omega_of,
+    pairing_gram_by_letters,
     pairing_on_cocycles_per_term,
     rand_matrix,
     rand_unimodular,
@@ -275,6 +276,74 @@ class TestGramRoute:
         w = omega_numerators(rho, pairing, vectors)
         assert w == dense_omega_numerators(rho, pairing, vectors)
         assert omega_numerators(rho, pairing, []) == IntMatrix(0, 0, ())
+
+    def test_gram_matches_the_letter_walk(self):
+        # P walked one handle at a time against the letter-by-letter walk over
+        # every row, for any integer B: invariant levels alone would leave
+        # B S_j = 0 on the commuting families, and the term that a later
+        # generator adds to finished rows would never run
+        off_handle = []
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def check(data):
+            genus = data.draw(st.integers(0, 5), label="genus")
+            rank = data.draw(st.integers(1, 4), label="rank")
+            family = data.draw(st.sampled_from(["random", "shear", "sign", "pair"]), label="family")
+            rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+            if family == "random":
+                rho = random_local_system(rng, genus, rank)
+            else:
+                rho = family_system(rng, family, genus, rank)
+            entry = st.integers(-4, 4) | st.integers(-(2**70), 2**70)
+            b = IntMatrix(rank, rank, data.draw(st.lists(entry, min_size=rank**2, max_size=rank**2)))
+            p = gerbe._pairing_gram(rho, b)
+            reference = pairing_gram_by_letters(rho, b)
+            assert p == reference
+            # a nonzero entry right of its row's handle block comes from a
+            # later handle's generator: the off-handle term
+            handle = 2 * rank
+            off_handle.append(any(
+                reference.entry(x, k)
+                for x in range(reference.rows)
+                for k in range((x // handle + 1) * handle, reference.cols)
+            ))
+
+        check()
+        assert sum(off_handle) >= 20
+
+    @pytest.mark.parametrize("family", ["trivial", "shear"])
+    def test_gram_work_grows_linearly_in_genus(self, monkeypatch, family):
+        # the letters of a handle pair only its own 2r rows, at most 5r row
+        # pairings per handle (r after b, 2r after each inverse); with B S_j = 0
+        # no finished row is paired again. The letter-by-letter walk pairs
+        # every nonzero row at every letter, about 4g^2 r row pairings.
+        calls = [0]
+        pair_row = gerbe._pair_row
+
+        def counting(*args):
+            calls[0] += 1
+            pair_row(*args)
+
+        monkeypatch.setattr(gerbe, "_pair_row", counting)
+        rank = 2
+        rng = random.Random(f"gram-work-{family}")
+        for genus in (4, 8, 16):
+            if family == "trivial":
+                rho = LatticeLocalSystem.trivial(rank, genus)
+            else:
+                # powers of one shear commute, so every handle's commutator is 1
+                mats = [IntMatrix.from_rows([[1, rng.randint(-3, 3)], [0, 1]]) for _ in range(2 * genus)]
+                rho = LatticeLocalSystem(rank, genus, mats)
+            # b(e_0, -) = 0 and Q(e_0) = 0, so the shears preserve the level
+            c = IntMatrix.from_rows([[0, 2], [-2, rng.randint(1, 3)]])
+            level = LevelInput(BilinearData(c, Frac1(1, 5)), rho)
+            calls[0] = 0
+            gerbe._pairing_gram(rho, level.pairing.numerators)
+            if family == "trivial":
+                assert calls[0] == 2 * rank * genus  # letters b and a^-1 pair r rows each
+            else:
+                assert rank * genus <= calls[0] <= 5 * rank * genus
 
     def test_non_invariant_shift_raises(self):
         flip = IntMatrix.from_rows([[1, 0], [0, -1]])
