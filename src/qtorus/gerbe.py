@@ -279,9 +279,8 @@ def _heisenberg_dimensions(n: int, w: IntMatrix, free_count: int) -> tuple[int, 
     (radical rank 0), while the antisymmetric lift [[0,1,1],[-1,0,1],
     [-1,-1,0]] of the same omega has rank 2. Reports always use the reduced
     lift, so the value is deterministic; the block dimension agrees for both.
-    :func:`_lift_rank` certifies that rank by elimination mod a 61-bit prime
-    and falls back to a fraction-free integer elimination only when the rank
-    mod p stays below the count of nonzero rows and columns.
+    :func:`_lift_rank` computes that rank exactly, by one elimination whose
+    entries stay within Hadamard's bound.
     """
     f = free_count
     a = [[x % n for x in w.row(i)[:f]] for i in range(f)]
@@ -336,53 +335,38 @@ def _order_mod(n: int, a: list[list[int]]) -> int:
 
 
 def _lift_rank(a: list[list[int]]) -> int:
-    """Rank of ``a`` over Z, certified over F_p, p = 2^61 - 1, when possible.
+    """Rank of ``a`` over Q by fraction-free elimination on primitive rows.
 
-    rank mod p <= rank over Q <= min(nonzero rows, nonzero columns), so a
-    rank mod p that reaches that bound is exact. Otherwise the rank comes
-    from :func:`_bareiss_rank`, which is dense O(f^3) on big integers.
+    Rows are held sparse, as {column: entry}. The last row is the pivot row
+    and its entry p of least absolute value, in column j, the pivot. Each
+    row with x = row[j] != 0 becomes (p * row - x * pivot_row) divided by
+    the gcd of its entries, which clears column j, and leaves if it is zero;
+    rows with x = 0 are not touched, so the work follows the nonzero entries.
+    After k pivots a row spans the line of vectors in the span of itself and
+    the pivot rows that vanish on the pivot columns, as Bareiss's row of
+    (k + 1)-minors does, so a primitive row is that minor row over its
+    content: with H the product of the norms of ``a``'s nonzero rows, no
+    entry exceeds H, and none exceeds 2 H^2 before the division.
     """
-    bound = min(sum(map(any, a)), sum(map(any, zip(*a))))
-    rank = _rank_mod_prime(a)
-    return rank if rank == bound else _bareiss_rank(a)
-
-
-def _rank_mod_prime(a: list[list[int]]) -> int:
-    """Rank of ``a`` over F_p, p = 2^61 - 1, by elimination with modular inverses."""
-    prime = (1 << 61) - 1
-    rows = [[x % prime for x in row] for row in a]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a if any(row)]
     rank = 0
     while rows:
         top = rows.pop()
-        j = next((j for j, x in enumerate(top) if x), None)
-        if j is None:
-            continue
-        inv = pow(top[j], -1, prime)
+        j, p = min(top.items(), key=lambda e: abs(e[1]))
         rank += 1
-        for k, row in enumerate(rows):
-            if row[j]:
-                c = row[j] * inv % prime
-                rows[k] = [(s - c * t) % prime for s, t in zip(row, top)]
-    return rank
-
-
-def _bareiss_rank(a: list[list[int]]) -> int:
-    """Rank of ``a`` over Q by fraction-free (Bareiss 1968) elimination.
-
-    Every other row becomes (p * row - row[j] * pivot_row) / prev, with p the
-    pivot and prev the one before (1 at first); its entries are then minors
-    of ``a``, so the division is exact.
-    """
-    rows = [row for row in a if any(row)]
-    rank, prev = 0, 1
-    while rows:
-        top = rows.pop()
-        j = next(j for j, x in enumerate(top) if x)
-        p = top[j]
-        rank += 1
-        rows = [[(p * s - row[j] * t) // prev for s, t in zip(row, top)] for row in rows]
-        rows = [row for row in rows if any(row)]
-        prev = p
+        rest = []
+        for row in rows:
+            x = row.get(j)
+            if x:
+                row = {c: p * s for c, s in row.items()}
+                for c, t in top.items():
+                    row[c] = row.get(c, 0) - x * t
+                g = math.gcd(*row.values())
+                if not g:
+                    continue
+                row = {c: s // g for c, s in row.items() if s}
+            rest.append(row)
+        rows = rest
     return rank
 
 

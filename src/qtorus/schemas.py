@@ -185,14 +185,13 @@ GLOBAL_REPORT_SCHEMA = {
     },
 }
 
+# bunt is the global report with pi0 labelled by the first Chern class
 BUNT_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["task", "surface", "level", "bun_t", "section_space", "blocks", "conventions"],
-    "additionalProperties": False,
+    **GLOBAL_REPORT_SCHEMA,
+    "required": [*GLOBAL_REPORT_SCHEMA["required"], "bun_t"],
     "properties": {
+        **GLOBAL_REPORT_SCHEMA["properties"],
         "task": {"const": "bunt"},
-        "surface": SURFACE,
-        "level": LEVEL,
         "bun_t": {
             "type": "object",
             "required": ["pi0", "component_label", "pi1", "pi2"],
@@ -204,9 +203,6 @@ BUNT_REPORT_SCHEMA = {
                 "pi2": GROUP,
             },
         },
-        "section_space": SECTION_SPACE,
-        "blocks": {"type": "array", "items": BLOCK},
-        "conventions": CONVENTIONS,
     },
 }
 

@@ -125,11 +125,12 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
     agreements = 0
     mismatches: list[dict] = []
     for genus in _GENERA:
+        surface = triangulate(genus)
         for rank in _RANKS:
             for family in _FAMILIES:
                 rho = _local_system(rng, genus, rank, family)
                 gens = cohomology_presentations(rho).h1.all_gens()
-                cocycles = checked_classes(gens, triangulate(genus), rho)
+                cocycles = checked_classes(gens, surface, rho)
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
                         drawn = _invariant_level(rng, rho, den)

@@ -189,6 +189,18 @@ class TestSchemas:
         assert {task for _, task in zeroed} == {"local", "surface", "global", "bunt"}
         assert len(zeroed) == 8
 
+    def test_bunt_schema_is_global_plus_bun_t(self):
+        glob, bunt = REPORT_SCHEMAS["global"], REPORT_SCHEMAS["bunt"]
+        assert set(bunt["required"]) == set(glob["required"]) | {"bun_t"}
+        assert set(bunt["properties"]) == set(glob["properties"]) | {"bun_t"}
+        assert bunt["properties"]["task"] == {"const": "bunt"}
+        for key, value in glob["properties"].items():
+            if key != "task":
+                assert bunt["properties"][key] == value
+        shared = {"type", "additionalProperties"}
+        assert set(bunt) == set(glob) == shared | {"required", "properties"}
+        assert all(bunt[key] == glob[key] for key in shared)
+
     def test_genus_24_shear_bunt_finishes(self, capsys):
         # the benchmark's shear job at genus 24, rank 4: the Heisenberg count's
         # integer Smith form of omega grew past 6000-bit entries here and did
@@ -202,6 +214,16 @@ class TestSchemas:
         # every block repeats one omega, so one copy is validated
         slim = [blocks[0]] + [dict(b, omega=[]) for b in blocks[1:]]
         jsonschema.validate(dict(report, blocks=slim), REPORT_SCHEMAS["bunt"])
+
+    def test_genus_48_shear_global_ranks_exactly(self, capsys):
+        # the benchmark's shear job at genus 48, rank 4, as a global job on one
+        # component: a rank mod 2^61 - 1 falls short of the lift's rank here,
+        # and a dense integer elimination of the 380 x 380 block took about 1.2 s
+        out, code = run_main(capsys, "global", "--input", str(INPUTS / "global_shear_g48r4.json"))
+        assert code == 0
+        (block,) = json.loads(out)["blocks"]
+        assert block["radical_rank"] == 188
+        assert block["block_dim"] == 6319748715279270675921934218987893281199411530039296
 
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from qtorus.lattice import inverse_unimodular, smith_normal_form
 from helpers import (
     dense_omega_numerators,
     family_system,
+    fraction_rank,
     global_json,
     groups_json,
     heisenberg_by_smith,
@@ -470,10 +472,9 @@ def free_blocks(draw):
     The block is antisymmetric mod N with zero diagonal, or arbitrary. Its
     entries come from a palette of a few residues, so a pivot often fails to
     divide its row and column. Some indices are zeroed in both row and
-    column, and one may repeat another in both, which keeps the rank below
-    the count of nonzero rows and so takes the integer fallback of the rank
-    certificate. W may have further rows and columns, as torsion generators
-    give it, which the count must not read.
+    column, and one may repeat another in both, which keeps the lift's rank
+    below the count of nonzero rows and columns. W may have further rows and
+    columns, as torsion generators give it, which the count must not read.
     """
     n = draw(st.sampled_from(HEISENBERG_MODULI))
     f = draw(st.integers(0, 7))
@@ -606,22 +607,41 @@ class TestBlockStructure:
             with pytest.raises(InvariantViolation, match="perfect square"):
                 _heisenberg_dimensions(n, w, f)
 
-    def test_rank_certificate_falls_back_below_the_bound(self, monkeypatch):
-        fallbacks = []
-        bareiss = gerbe._bareiss_rank
-        monkeypatch.setattr(gerbe, "_bareiss_rank", lambda a: fallbacks.append(a) or bareiss(a))
-        # 2^61 - 1 vanishes mod the certificate's prime: rank 0 there, below
-        # the bound 1, and the integer fallback gives the true rank 1
+    def test_lift_rank_is_exact(self):
+        # 2^61 - 1 at N = 2^64: a lift rank read mod that prime would be 0
         assert _heisenberg_dimensions(2**64, IntMatrix.from_rows([[2**61 - 1]]), 1) == (0, 2**32)
-        assert len(fallbacks) == 1
         # a repeated row keeps the rank below the nonzero count on any field
         w = IntMatrix.from_rows([[0, 1, 2], [5, 0, 3], [0, 1, 2]])
         assert _heisenberg_dimensions(6, w, 3) == (1, 6)
         assert heisenberg_by_smith(6, w, 3) == (1, 36)
-        assert len(fallbacks) == 2
-        # a rank mod p at the bound is exact and needs no fallback
+        # full rank
         assert _heisenberg_dimensions(3, IntMatrix.from_rows([[0, 1], [2, 0]]), 2) == (0, 3)
-        assert len(fallbacks) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lift_rank_stays_within_hadamard(self, data):
+        # every row whose content is taken is p * row - x * pivot_row, whose
+        # entries are at most 2 H^2, with H the product of the row norms
+        if data.draw(st.booleans()):
+            n, w, f = data.draw(free_blocks())
+            a = [[x % n for x in w.row(i)[:f]] for i in range(f)]
+        else:
+            n = data.draw(st.sampled_from(HEISENBERG_MODULI))
+            f = data.draw(st.integers(4, 8))
+            a = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=f, max_size=f),
+                                   min_size=f, max_size=f))
+        bound = 2 * math.prod(sum(x * x for x in row) for row in a if any(row))
+        seen = []
+
+        def gcd(*entries):
+            seen.append(max(map(abs, entries)))
+            return math.gcd(*entries)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gerbe, "math", types.SimpleNamespace(gcd=gcd))
+            rank = gerbe._lift_rank(a)
+        assert rank == fraction_rank(IntMatrix(f, f, [x for row in a for x in row]))
+        assert max(seen, default=0) <= bound
 
     def test_blocks_share_level_data(self):
         # a block holds only what depends on its component; the report writes

@@ -76,10 +76,19 @@ def test_smith_form_takes_only_the_matrix():
 
 
 def test_heisenberg_count_shares_no_rank_code():
-    # the block count reduces mod N and certifies its rank mod a prime, so it
-    # needs no integer Smith form; its integer fallback is its own, so the
-    # report path shares no rank code with the H0 oracle's _fraction_free_rank
-    assert not names_in(parse("gerbe")) & {"smith_normal_form", "_fraction_free_rank"}
+    # the block count reduces mod N and needs no integer Smith form; its one
+    # exact rank is its own, so the report path shares no rank code with the
+    # H0 oracle's _fraction_free_rank, and no second rank route comes back
+    tree = parse("gerbe")
+    assert not names_in(tree) & {
+        "smith_normal_form",
+        "_fraction_free_rank",
+        "_rank_mod_prime",
+        "_bareiss_rank",
+    }
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert (1 << 61) - 1 not in constants
+    assert 61 not in constants  # nor spelled as a shift or a power
 
 
 def test_h1_route_forms_no_dense_product():
