@@ -30,7 +30,9 @@ from .cochain import (
     cocycle_check,
     cup_checked,
     cup_evaluate,
+    cup_tensor,
     holonomies,
+    pair_cup,
     triangulate,
 )
 from .errors import InvariantViolation, QtorusError
@@ -110,6 +112,7 @@ __all__ = [
     "cohomology_presentations",
     "cup_checked",
     "cup_evaluate",
+    "cup_tensor",
     "det",
     "double_braiding",
     "enumerate_components",
@@ -121,6 +124,7 @@ __all__ = [
     "invariants_coinvariants_check",
     "inverse_unimodular",
     "is_linear",
+    "pair_cup",
     "perturb_refinement",
     "polarize",
     "quad_from_bilinear",

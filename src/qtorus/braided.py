@@ -27,12 +27,14 @@ class GradedObject:
     def __post_init__(self):
         clean = {}
         for vec, mult in self.support.items():
-            v = tuple(int(x) for x in vec)
+            v = tuple(vec)
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in (*v, mult)):
+                raise ShapeMismatch(f"support vector {v} and multiplicity {mult!r} must be integers")
             if len(v) != self.rank:
                 raise DimensionMismatch(f"support vector {v} has wrong length for rank {self.rank}")
             if mult < 1:
                 raise ShapeMismatch(f"multiplicity of {v} must be >= 1, got {mult}")
-            clean[v] = int(mult)
+            clean[v] = mult
         object.__setattr__(self, "support", clean)
 
     def items(self):

@@ -22,11 +22,17 @@ local system): the matrix of every face word, computed once with
 builds it or :func:`cup_evaluate` receives it; the check yields a
 :class:`Cocycle` carrying its front- and back-face values in the chart.
 :func:`checked_classes` builds a local system's cocycles over one table,
-and :func:`cup_checked` pairs checked cocycles with no further check, so a
-caller that pairs N cocycles at many levels checks each one once.
+and :func:`cup_tensor` and :func:`cup_checked` take checked cocycles with no
+further check, so a caller that pairs N cocycles at many levels checks each
+one once.
 
-The oracle evaluates the coefficient pairing with its own per-entry sum of
-``Frac1`` values, not with the forms' integer evaluators, so it shares no
+The cup product factors through the coefficients: :func:`cup_tensor` sums
+the integer r x r cup of two checked cocycles in Lambda (x) Lambda over the
+triangles, and :func:`pair_cup` pairs that tensor with a level, one
+``Frac1`` term per nonzero entry read from the pairing's ``entries``. The
+tensor does not depend on the level, so a caller that pairs the same
+cocycles at many levels builds it once per pair. The oracle never reads the
+forms' integer numerators or calls their evaluators, so it shares no
 arithmetic with the closed route it checks.
 """
 
@@ -191,7 +197,9 @@ class TwistedCochain:
             raise ShapeMismatch(f"degree must be 0, 1 or 2, got {self.degree}")
         clean = {}
         for cell, vec in self.values.items():
-            v = tuple(int(x) for x in vec)
+            v = tuple(vec)
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
+                raise ShapeMismatch(f"value at {cell} has a non-integer entry: {v}")
             if len(v) != self.rank:
                 raise ShapeMismatch(f"value at {cell} has length {len(v)}, expected {self.rank}")
             clean[cell] = v
@@ -311,34 +319,55 @@ def cocycle_check(c: TwistedCochain, t: TriangulatedSurface, rho: LatticeLocalSy
     return _closed(c, _Transports(t, rho))
 
 
-def _pair(pairing: SymmetricForm, x: Sequence[int], y: Sequence[int]) -> Frac1:
-    """b(x, y) as a sum of one Frac1 per entry of the pairing's value matrix."""
+def cup_tensor(a: Cocycle, b: Cocycle) -> tuple[tuple[int, ...], ...]:
+    """The cup of two checked 1-cocycles of one local system in Lambda (x) Lambda.
+
+    An r x r integer matrix M, evaluated on the fundamental cycle by the
+    front face/back face rule: on each ordered triangle, the value of ``a``
+    on the edge out of the first vertex times the value of ``b`` on the edge
+    into the last vertex, both transported to the chart, so that
+    M[k][l] = sum over triangles of sign * front_a[k] * back_b[l]. No level
+    enters; :func:`pair_cup` pairs M with one.
+    """
+    if a.table is not b.table:
+        raise ShapeMismatch("the cocycles were built over different transport tables")
+    r = a.table.rank
+    m = [[0] * r for _ in range(r)]
+    for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
+        for xk, row in zip(x, m):
+            if xk:
+                xk *= tri.sign
+                for l, yl in enumerate(y):
+                    if yl:
+                        row[l] += xk * yl
+    return tuple(tuple(row) for row in m)
+
+
+def pair_cup(m: Sequence[Sequence[int]], pairing: SymmetricForm) -> Frac1:
+    """The level's pairing b : Lambda (x) Lambda -> Q/Z applied to a cup tensor.
+
+    One ``Frac1`` term, ``pairing.entries[k][l]`` scaled by M[k][l], per
+    nonzero entry of M, so at most r^2 terms whatever the genus.
+    """
+    if pairing.rank != len(m):
+        raise ShapeMismatch(f"pairing rank {pairing.rank} != local system rank {len(m)}")
     total = ZERO
-    for xi, row in zip(x, pairing.entries):
-        if xi:
-            for yj, value in zip(y, row):
-                if yj:
-                    total = total + value.scale(xi * yj)
+    for m_row, row in zip(m, pairing.entries):
+        for mkl, value in zip(m_row, row):
+            if mkl:
+                total = total + value.scale(mkl)
     return total
 
 
 def cup_checked(a: Cocycle, b: Cocycle, pairing: SymmetricForm) -> Frac1:
     """Pair two checked 1-cocycles of one local system against the fundamental class.
 
-    Front face/back face rule on each ordered triangle: the value of ``a`` on
-    the edge out of the first vertex, paired with the value of ``b`` on the
-    edge into the last vertex, both transported to the chart. The pairing
+    :func:`pair_cup` of :func:`cup_tensor`: the integer cup in
+    Lambda (x) Lambda, then the pairing's ``Frac1`` entries. The pairing
     must be monodromy invariant for the result to be well defined; callers
     own that check.
     """
-    if a.table is not b.table:
-        raise ShapeMismatch("the cocycles were built over different transport tables")
-    if pairing.rank != a.table.rank:
-        raise ShapeMismatch(f"pairing rank {pairing.rank} != local system rank {a.table.rank}")
-    total = ZERO
-    for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
-        total = total + _pair(pairing, x, y).scale(tri.sign)
-    return total
+    return pair_cup(cup_tensor(a, b), pairing)
 
 
 def cup_evaluate(
@@ -350,7 +379,8 @@ def cup_evaluate(
 ) -> Frac1:
     """Pair two 1-cocycles against the fundamental class.
 
-    Checks both arguments, then evaluates :func:`cup_checked`.
+    Checks both arguments, then evaluates :func:`cup_checked`: their integer
+    cup in Lambda (x) Lambda, paired through the pairing's ``Frac1`` entries.
     """
     if c1.degree != 1 or c2.degree != 1:
         raise NotACocycle("cup evaluation is defined on a pair of 1-cocycles")
@@ -369,7 +399,9 @@ def cup_evaluate(
 def _class_of(h1_vector: Sequence[int], table: _Transports) -> Cocycle:
     t, r = table.t, table.rank
     g = t.genus
-    vec = tuple(int(x) for x in h1_vector)
+    vec = tuple(h1_vector)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in vec):
+        raise ShapeMismatch(f"holonomy vector {vec} has a non-integer entry")
     if len(vec) != 2 * g * r:
         raise ShapeMismatch(f"expected a vector of length {2 * g * r}, got {len(vec)}")
     loop_values = [vec[j * r : (j + 1) * r] for j in range(2 * g)]

@@ -15,10 +15,11 @@ The closed side is the one reports run: the numerators W = G^T P G of
 :func:`qtorus.gerbe.omega_numerators`, read raw, so a wrong W becomes a
 mismatch record rather than an internal error. Once per local system, each
 H^1 generator becomes a checked cocycle, all over one transport table
-(:func:`qtorus.cochain.checked_classes`). Each level then builds W once, and
-each (level, pair) costs one ``Frac1`` from W and one
-:func:`qtorus.cochain.cup_checked`, which runs no cocycle check and
-transports nothing.
+(:func:`qtorus.cochain.checked_classes`), and each ordered pair of them its
+integer cup in Lambda (x) Lambda (:func:`qtorus.cochain.cup_tensor`), which
+no level enters. Each level then builds W once, and each (level, pair) costs
+one ``Frac1`` from W and one :func:`qtorus.cochain.pair_cup`: at most r^2
+``Frac1`` terms, whatever the genus.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cochain import checked_classes, cup_checked, triangulate
+from .cochain import checked_classes, cup_tensor, pair_cup, triangulate
 from .forms import BilinearData, Frac1, QuadraticForm, invariance_check, polarize
 from .forms import quad_from_bilinear
 from .gerbe import omega_numerators
@@ -131,6 +132,7 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 rho = _local_system(rng, genus, rank, family)
                 gens = cohomology_presentations(rho).h1.all_gens()
                 cocycles = checked_classes(gens, surface, rho)
+                cups = [[cup_tensor(a, b) for b in cocycles] for a in cocycles]
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
                         drawn = _invariant_level(rng, rho, den)
@@ -144,7 +146,7 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                         for i, gi in enumerate(gens):
                             for j, gj in enumerate(gens):
                                 closed = Frac1(w.entry(i, j), pairing.denominator)
-                                simplicial = cup_checked(cocycles[i], cocycles[j], pairing)
+                                simplicial = pair_cup(cups[i][j], pairing)
                                 if closed != simplicial:
                                     agree = False
                                     detail = {

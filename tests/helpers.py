@@ -431,3 +431,16 @@ def pairing_on_walks(pairing, u_walk, v_walk) -> Frac1:
     """The closed form from two :func:`letter_walk` results, one integer sum over N."""
     total = sum(pairing.numerator(x, y) for x, y in zip(u_walk[0], v_walk[1]))
     return Frac1(total, pairing.denominator)
+
+
+def cup_per_triangle(a, b, pairing) -> Frac1:
+    """The cup of two checked cocycles, paired triangle by triangle.
+
+    The sum over triangles of sign * b(front_a, back_b), each term one
+    :func:`frac1_bilinear`: the reference ``cochain.cup_checked``, which
+    pairs the integer cup in Lambda (x) Lambda once, is tested against.
+    """
+    total = Frac1(0)
+    for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
+        total = total + frac1_bilinear(pairing.entries, x, y).scale(tri.sign)
+    return total

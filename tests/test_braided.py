@@ -269,3 +269,10 @@ class TestFuse:
     def test_multiplicity_validation(self):
         with pytest.raises(Exception):
             GradedObject(1, {(0,): 0})
+
+    def test_entries_must_be_integers(self):
+        # a float or bool entry is refused, not truncated to an int
+        for support in ({(2.7,): 1}, {(True,): 1}, {(1,): 1.5}, {(1,): True}):
+            with pytest.raises(ShapeMismatch):
+                GradedObject(1, support)
+        assert GradedObject(2, {(2, -3): 4}).support == {(2, -3): 4}

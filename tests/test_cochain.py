@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorus import (
     Frac1,
@@ -23,7 +25,7 @@ from qtorus.errors import NotACocycle, NotInKernel, ShapeMismatch, UnsupportedGe
 from qtorus.forms import ZERO
 from qtorus.selfcheck import _local_system
 
-from helpers import random_invariant_level, random_local_system
+from helpers import cup_per_triangle, family_system, random_invariant_level, random_local_system
 
 FIFTH = Frac1(1, 5)
 
@@ -110,6 +112,15 @@ class TestCoboundary:
         with pytest.raises(ShapeMismatch):
             cocycle_check(TwistedCochain(1, 1, {("gen", 0): (1,)}), t, rho)
 
+    def test_non_integer_values_rejected(self):
+        # a float or bool value is refused, not truncated; ints are stored as given
+        cells = triangulate(1).cells_of_degree(1)
+        for bad in (1.9, True, "1"):
+            with pytest.raises(ShapeMismatch):
+                TwistedCochain(1, 1, {c: ((bad,) if c == ("gen", 0) else (0,)) for c in cells})
+        c = TwistedCochain(1, 1, {cell: (2**70,) for cell in cells})
+        assert c.values == {cell: (2**70,) for cell in cells}
+
     def test_wrong_rank_rejected(self):
         rho = LatticeLocalSystem.trivial(2, 1)
         t = triangulate(1)
@@ -153,6 +164,17 @@ class TestClassOf:
     def test_genus_mismatch(self):
         with pytest.raises(ShapeMismatch):
             class_of((0, 0), triangulate(2), LatticeLocalSystem.trivial(1, 1))
+
+    def test_non_integer_entries_rejected(self):
+        # (1.9, "1") once gave the class of (1, 1); now no entry is truncated
+        t = triangulate(1)
+        rho = LatticeLocalSystem.trivial(1, 1)
+        for vec in ((1.9, "1"), (1.0, 1), (True, 0)):
+            with pytest.raises(ShapeMismatch):
+                class_of(vec, t, rho)
+            with pytest.raises(ShapeMismatch):
+                checked_classes([vec], t, rho)
+        assert holonomies(class_of([1, 1], t, rho), t) == (1, 1)
 
 
 class TestCup:
@@ -280,6 +302,35 @@ class TestCheckedCup:
                         assert cup_checked(a, b, p) == cup_evaluate(
                             a.cochain, b.cochain, p, t, rho
                         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_per_triangle_sum(self, data):
+        # the cup in Lambda (x) Lambda, paired once, equals the sum of one
+        # pairing per triangle, for invariant levels and arbitrary symmetric
+        # pairings alike
+        genus = data.draw(st.integers(1, 3), label="genus")
+        rank = data.draw(st.integers(1, 3), label="rank")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        source = data.draw(st.sampled_from(["random", "trivial", "sign", "shear", "pair"]))
+        if source == "random":
+            rho = random_local_system(rng, genus, rank)
+        else:
+            rho = family_system(rng, source, genus, rank)
+        if data.draw(st.booleans(), label="invariant level"):
+            p = polarize(quad_from_bilinear(random_invariant_level(rng, rho)))
+        else:
+            values = st.builds(Frac1, st.integers(-12, 12), st.integers(1, 12))
+            upper = data.draw(st.lists(values, min_size=rank * rank, max_size=rank * rank))
+            p = SymmetricForm(rank, tuple(
+                tuple(upper[min(i, j) * rank + max(i, j)] for j in range(rank))
+                for i in range(rank)
+            ))
+        gens = cohomology_presentations(rho).h1.all_gens()
+        cocycles = checked_classes(gens, triangulate(genus), rho)
+        for a in cocycles:
+            for b in cocycles:
+                assert cup_checked(a, b, p) == cup_per_triangle(a, b, p)
 
     def test_rejects_cocycles_of_two_tables(self):
         rho = LatticeLocalSystem.trivial(1, 1)

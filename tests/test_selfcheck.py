@@ -8,8 +8,8 @@ from qtorus import (
     LatticeLocalSystem,
     class_of,
     cohomology_presentations,
-    cup_checked,
     cup_evaluate,
+    pair_cup,
     polarize,
     quad_from_bilinear,
     run_selfcheck,
@@ -26,9 +26,7 @@ SHIFT = Frac1(1, 7)
 def test_mismatch_record_replays(monkeypatch):
     # a shifted oracle disagrees on every case; the first record alone must
     # rebuild the local system, the level and both sides of the comparison
-    monkeypatch.setattr(
-        selfcheck, "cup_checked", lambda *args: cup_checked(*args) + SHIFT
-    )
+    monkeypatch.setattr(selfcheck, "pair_cup", lambda *args: pair_cup(*args) + SHIFT)
     result = run_selfcheck(5)
     assert not result.ok and result.mismatches
     record = json.loads(json.dumps(result.mismatches[0]))
@@ -74,6 +72,52 @@ def test_one_table_and_one_check_per_local_system(monkeypatch):
         assert seen == Counter(dict.fromkeys(faces, 1))
         assert table.t.genus == rho.genus and table.rank == rho.rank
         assert n == len(cohomology_presentations(rho).h1.all_gens())
+
+
+def test_one_cup_tensor_per_generator_pair(monkeypatch):
+    # the integer cup in Lambda (x) Lambda is built once per ordered pair of
+    # H^1 generators of each local system, however many levels pair it
+    generators = {}  # id(table) -> (table, H^1 generators of its local system)
+    tensors = Counter()  # id(table) -> cup_tensor calls
+    checked_classes = selfcheck.checked_classes
+    cup_tensor = selfcheck.cup_tensor
+
+    def recording_checked_classes(gens, t, rho):
+        cocycles = checked_classes(gens, t, rho)
+        assert list(gens) == list(cohomology_presentations(rho).h1.all_gens())
+        if cocycles:
+            generators[id(cocycles[0].table)] = (cocycles[0].table, len(gens))
+        return cocycles
+
+    def counting_cup_tensor(a, b):
+        tensors[id(a.table)] += 1
+        return cup_tensor(a, b)
+
+    monkeypatch.setattr(selfcheck, "checked_classes", recording_checked_classes)
+    monkeypatch.setattr(selfcheck, "cup_tensor", counting_cup_tensor)
+    result = run_selfcheck(5)
+    monkeypatch.undo()
+
+    assert result.ok and result.cases > 12  # several levels per local system
+    assert len(generators) == 12  # genus 1-2, rank 1-2, three families
+    assert tensors == Counter({key: f * f for key, (_, f) in generators.items()})
+
+
+def test_a_wrong_cup_tensor_fails_the_check(monkeypatch):
+    # the oracle-side twin of a wrong Gram matrix: one wrong entry of every
+    # cup tensor becomes a mismatch record, not an agreement
+    cup_tensor = selfcheck.cup_tensor
+
+    def off_by_one(a, b):
+        m = [list(row) for row in cup_tensor(a, b)]
+        m[0][0] += 1
+        return tuple(tuple(row) for row in m)
+
+    monkeypatch.setattr(selfcheck, "cup_tensor", off_by_one)
+    result = run_selfcheck(DEFAULT_SEED)
+    assert not result.ok and result.agreements < result.cases
+    record = result.mismatches[0]
+    assert record["closed"] != record["simplicial"]
 
 
 def test_one_gram_per_level_on_the_h1_generators(monkeypatch):
