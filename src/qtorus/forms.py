@@ -291,6 +291,53 @@ def is_linear(q: QuadraticForm) -> bool:
     return not any(q.offdiag) and not any(x.scale(2) for x in q.diag)
 
 
+_Probe = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (v, images of v)
+
+
+def probe_images(mon: Sequence[IntMatrix], r: int) -> list[_Probe]:
+    """The form-free half of the invariance test: (probe, its images) pairs.
+
+    The probes are the basis vectors of Z^r and their pairwise sums; the
+    images of v are the products a v with each generator a that is not the
+    identity. An image equal to v or to -v takes v's value under every
+    quadratic form, and a repeat adds nothing, so neither is kept; a probe
+    with no image left is dropped. On trivial monodromy no product is
+    formed at all.
+    """
+    identity = IntMatrix.identity(r)
+    moving = [a for a in mon if a != identity]
+    probes = [tuple(1 if t == i else 0 for t in range(r)) for i in range(r)]
+    probes += [
+        tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(r))
+        for i in range(r)
+        for j in range(i + 1, r)
+    ]
+    out = []
+    for v in probes:
+        minus_v = tuple(-x for x in v)
+        images = tuple(dict.fromkeys(
+            w for w in (a.mul_vec(v) for a in moving) if w != v and w != minus_v
+        ))
+        if images:
+            out.append((v, images))
+    return out
+
+
+def preserves(m: IntMatrix, n: int, images: Sequence[_Probe]) -> bool:
+    """Whether x -> x^T M x / n mod 1 takes each probe's value at its images.
+
+    ``images`` comes from :func:`probe_images`. Each probe's v^T M v is
+    summed once, and an image w matches it when w^T M w - v^T M v is
+    divisible by n. Integers only: no ``Frac1`` is built.
+    """
+    for v, ws in images:
+        value = _bilinear_sum(m, v, v)
+        for w in ws:
+            if (_bilinear_sum(m, w, w) - value) % n:
+                return False
+    return True
+
+
 def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
     """Whether the form is preserved by every generator's monodromy.
 
@@ -299,24 +346,10 @@ def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
     sums suffices: those values determine the form, since
     b(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j).
 
-    The values are compared on the integer numerators, Q(x) = x^T U x / N:
-    each probe's v^T U v is summed once, and w = a v matches it when
-    w^T U w - v^T U v is divisible by N.
+    This is :func:`preserves` on the integer numerators, Q(x) = x^T U x / N,
+    over the images of :func:`probe_images`.
     """
     r = q.rank
     if rho.rank != r:
         raise DimensionMismatch(f"local system rank {rho.rank} != form rank {r}")
-    u, n = q.numerators, q.denominator
-    probes = [tuple(1 if t == i else 0 for t in range(r)) for i in range(r)]
-    probes += [
-        tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(r))
-        for i in range(r)
-        for j in range(i + 1, r)
-    ]
-    values = [(v, _bilinear_sum(u, v, v)) for v in probes]
-    for a in rho.mon:
-        for v, value in values:
-            w = a.mul_vec(v)
-            if (_bilinear_sum(u, w, w) - value) % n:
-                return False
-    return True
+    return preserves(q.numerators, q.denominator, probe_images(rho.mon, r))

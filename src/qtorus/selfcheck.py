@@ -17,9 +17,16 @@ mismatch record rather than an internal error. Once per local system, each
 H^1 generator becomes a checked cocycle, all over one transport table
 (:func:`qtorus.cochain.checked_classes`), and each ordered pair of them its
 integer cup in Lambda (x) Lambda (:func:`qtorus.cochain.cup_tensor`), which
-no level enters. Each level then builds W once, and each (level, pair) costs
-one ``Frac1`` from W and one :func:`qtorus.cochain.pair_cup`: at most r^2
-``Frac1`` terms, whatever the genus.
+no level enters.
+
+Levels c / den are drawn by rejection. Each draw is tested on its integers,
+(c, den), against the probe images of the local system's monodromy, which
+are formed once (:func:`qtorus.forms.probe_images`); only an accepted draw
+builds its form. Omega depends on a level only through its pairing, so
+each distinct pairing of a local system builds W once and compares the
+routes once: one ``Frac1`` from W and one :func:`qtorus.cochain.pair_cup`
+per generator pair, at most r^2 ``Frac1`` terms, whatever the genus. Every
+level still counts as a case, and a failing level gets its own record.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ import random
 from dataclasses import dataclass
 
 from .cochain import checked_classes, cup_tensor, pair_cup, triangulate
-from .forms import BilinearData, Frac1, QuadraticForm, invariance_check, polarize
-from .forms import quad_from_bilinear
+from .forms import BilinearData, Frac1, QuadraticForm, SymmetricForm, polarize, preserves
+from .forms import probe_images, quad_from_bilinear
 from .gerbe import omega_numerators
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
@@ -72,17 +79,17 @@ def _local_system(rng: random.Random, genus: int, rank: int, family: str) -> Lat
 
 
 def _invariant_level(
-    rng: random.Random, rho: LatticeLocalSystem, den: int
+    rng: random.Random, r: int, images: list, den: int
 ) -> tuple[BilinearData, QuadraticForm] | None:
-    """Draw a level whose quadratic form the monodromy preserves.
+    """Draw a level c / den whose quadratic form the monodromy preserves.
 
-    Random c matrices are filtered through the invariance check; a handful of
-    rejection rounds is plenty because each family admits a structured
-    fallback (diagonal c for sign actions, a tuned corner for the shear).
-    Returns the level with the form that passed the check.
+    Random c matrices are filtered through the integer invariance test on
+    (c, den), since zeta = 1/den, against the local system's ``images``
+    (:func:`qtorus.forms.probe_images`); a handful of rejection rounds is
+    plenty because each family admits a structured fallback (diagonal c for
+    sign actions, a tuned corner for the shear). Only the accepted draw
+    becomes a ``BilinearData`` and a ``QuadraticForm``, returned together.
     """
-    zeta = Frac1(1, den)
-    r = rho.rank
     for attempt in range(40):
         if attempt < 30:
             c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
@@ -92,10 +99,23 @@ def _invariant_level(
             a = den * rng.randint(-1, 1)
             b = rng.randint(-3, 3)
             c = IntMatrix(2, 2, [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)])
-        level = BilinearData(c, zeta)
-        quad = quad_from_bilinear(level)
-        if invariance_check(quad, rho):
-            return level, quad
+        if preserves(c, den, images):
+            level = BilinearData(c, Frac1(1, den))
+            return level, quad_from_bilinear(level)
+    return None
+
+
+def _first_disagreement(
+    rho: LatticeLocalSystem, pairing: SymmetricForm, gens: list, cups: list
+) -> tuple[int, int, Frac1, Frac1] | None:
+    """The first generator pair (i, j) whose two routes differ, with both values."""
+    w = omega_numerators(rho, pairing, gens)
+    for i, row in enumerate(cups):
+        for j, cup in enumerate(row):
+            closed = Frac1(w.entry(i, j), pairing.denominator)
+            simplicial = pair_cup(cup, pairing)
+            if closed != simplicial:
+                return i, j, closed, simplicial
     return None
 
 
@@ -133,42 +153,35 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 gens = cohomology_presentations(rho).h1.all_gens()
                 cocycles = checked_classes(gens, surface, rho)
                 cups = [[cup_tensor(a, b) for b in cocycles] for a in cocycles]
+                images = probe_images(rho.mon, rank)
+                verdicts = {}  # pairing entries -> _first_disagreement
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
-                        drawn = _invariant_level(rng, rho, den)
+                        drawn = _invariant_level(rng, rank, images, den)
                         if drawn is None:
                             continue
                         level, quad = drawn
                         pairing = polarize(quad)
-                        w = omega_numerators(rho, pairing, gens)
-                        agree = True
-                        detail = None
-                        for i, gi in enumerate(gens):
-                            for j, gj in enumerate(gens):
-                                closed = Frac1(w.entry(i, j), pairing.denominator)
-                                simplicial = pair_cup(cups[i][j], pairing)
-                                if closed != simplicial:
-                                    agree = False
-                                    detail = {
-                                        "genus": genus,
-                                        "rank": rank,
-                                        "family": family,
-                                        "den": den,
-                                        "pair": [i, j],
-                                        "closed": str(closed),
-                                        "simplicial": str(simplicial),
-                                        "monodromy": [m.row_lists() for m in rho.mon],
-                                        "c_matrix": level.c.row_lists(),
-                                        "zeta": str(level.zeta),
-                                        "u": list(gi),
-                                        "v": list(gj),
-                                    }
-                                    break
-                            if not agree:
-                                break
+                        if pairing.entries not in verdicts:
+                            verdicts[pairing.entries] = _first_disagreement(rho, pairing, gens, cups)
+                        verdict = verdicts[pairing.entries]
                         cases += 1
-                        if agree:
+                        if verdict is None:
                             agreements += 1
-                        elif detail is not None:
-                            mismatches.append(detail)
+                            continue
+                        i, j, closed, simplicial = verdict
+                        mismatches.append({
+                            "genus": genus,
+                            "rank": rank,
+                            "family": family,
+                            "den": den,
+                            "pair": [i, j],
+                            "closed": str(closed),
+                            "simplicial": str(simplicial),
+                            "monodromy": [m.row_lists() for m in rho.mon],
+                            "c_matrix": level.c.row_lists(),
+                            "zeta": str(level.zeta),
+                            "u": list(gens[i]),
+                            "v": list(gens[j]),
+                        })
     return SelfCheckResult(seed=seed, cases=cases, agreements=agreements, mismatches=tuple(mismatches))

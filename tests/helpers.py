@@ -11,6 +11,7 @@ from qtorus import (
     IntMatrix,
     LatticeLocalSystem,
     LevelInput,
+    QuadraticForm,
     block_report,
     invariance_check,
     inverse_unimodular,
@@ -292,6 +293,33 @@ def random_invariant_level(
         if invariance_check(quad_from_bilinear(level), rho):
             return level
     return BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
+
+
+def invariant_level_by_forms(
+    rng: random.Random, rho: LatticeLocalSystem, den: int
+) -> tuple[BilinearData, QuadraticForm] | None:
+    """Selfcheck's level sampler with a full form and ``invariance_check`` per draw.
+
+    The reference for ``selfcheck._invariant_level``, which tests each draw's
+    integers directly: both must accept the same levels from the same
+    random numbers.
+    """
+    zeta = Frac1(1, den)
+    r = rho.rank
+    for attempt in range(40):
+        if attempt < 30:
+            c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
+        elif r == 1:
+            c = IntMatrix(1, 1, [rng.randint(-3, 3)])
+        else:
+            a = den * rng.randint(-1, 1)
+            b = rng.randint(-3, 3)
+            c = IntMatrix(2, 2, [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)])
+        level = BilinearData(c, zeta)
+        quad = quad_from_bilinear(level)
+        if invariance_check(quad, rho):
+            return level, quad
+    return None
 
 
 def dense_omega_numerators(rho: LatticeLocalSystem, pairing, gens) -> IntMatrix:

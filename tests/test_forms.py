@@ -24,9 +24,10 @@ from qtorus.errors import (
     NonSquareMatrix,
     NonUnimodular,
 )
-from qtorus.forms import HALF, ZERO
+from qtorus.forms import HALF, ZERO, preserves, probe_images
 
 from helpers import (
+    family_system,
     frac1_bilinear,
     frac1_quadratic,
     rand_matrix,
@@ -248,7 +249,7 @@ class TestInvarianceCheck:
         # on basis vectors and pairwise sums, for invariant and other forms
         verdicts = []
 
-        @settings(max_examples=150, deadline=None)
+        @settings(max_examples=300, deadline=None)
         @given(st.data())
         def check(data):
             genus = data.draw(st.integers(0, 3), label="genus")
@@ -280,6 +281,62 @@ class TestInvarianceCheck:
 
         check()
         assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+    def test_integer_test_matches_the_form(self):
+        # preserves on (num c, den) against the probe images is the check on
+        # the form num/den * (x^T c x), over every local system family, with
+        # identity generators among them
+        verdicts = []
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def check(data):
+            genus = data.draw(st.integers(1, 3), label="genus")
+            rank = data.draw(st.integers(1, 4), label="rank")
+            rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+            family = data.draw(st.sampled_from(("random", "trivial", "sign", "shear", "pair")))
+            if family == "random":
+                rho = random_local_system(rng, genus, rank)
+            else:
+                rho = family_system(rng, family, genus, rank)
+            if data.draw(st.booleans(), label="identity handle"):
+                one = IntMatrix.identity(rank)
+                rho = LatticeLocalSystem(rank, genus + 1, [one, one, *rho.mon])
+            bound = data.draw(st.sampled_from((3, 50)), label="entry bound")
+            c = IntMatrix(rank, rank, data.draw(
+                st.lists(st.integers(-bound, bound), min_size=rank * rank, max_size=rank * rank),
+                label="c",
+            ))
+            den = data.draw(st.integers(1, 12), label="den")
+            num = data.draw(st.integers(1, den), label="num")  # num = den: the zero phase
+            expected = invariance_check(quad_from_bilinear(BilinearData(c, Frac1(num, den))), rho)
+            scaled = IntMatrix(rank, rank, [num * x for x in c.entries])
+            assert preserves(scaled, den, probe_images(rho.mon, rank)) == expected
+            verdicts.append(expected)
+
+        check()
+        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+    def test_trivial_monodromy_forms_no_product(self, monkeypatch):
+        # identity generators move no probe, so a trivial system costs no
+        # product at all, however large its genus
+        products = []
+        mul_vec = IntMatrix.mul_vec
+
+        def counting_mul_vec(self, vec):
+            products.append(vec)
+            return mul_vec(self, vec)
+
+        q = quad_from_bilinear(BilinearData(rand_matrix(random.Random(3), 4, 4, -5, 5), frac(1, 7)))
+        swap = IntMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        one = IntMatrix.identity(4)
+        trivial = LatticeLocalSystem.trivial(4, 8)
+        moving = LatticeLocalSystem(4, 8, [swap, swap] + [one] * 14)
+        monkeypatch.setattr(IntMatrix, "mul_vec", counting_mul_vec)
+        assert invariance_check(q, trivial)
+        assert products == []
+        invariance_check(q, moving)
+        assert products  # the one moving handle is probed
 
 
 def test_symmetric_form_validation():

@@ -1,5 +1,8 @@
 import json
+import random
 from collections import Counter
+
+import pytest
 
 from qtorus import (
     BilinearData,
@@ -9,6 +12,7 @@ from qtorus import (
     class_of,
     cohomology_presentations,
     cup_evaluate,
+    invariance_check,
     pair_cup,
     polarize,
     quad_from_bilinear,
@@ -16,11 +20,24 @@ from qtorus import (
     triangulate,
 )
 from qtorus import cochain, gerbe, selfcheck
+from qtorus.forms import probe_images
 from qtorus.selfcheck import DEFAULT_SEED
 
-from helpers import pairing_on_cocycles_per_term
+from helpers import invariant_level_by_forms, pairing_on_cocycles_per_term
 
 SHIFT = Frac1(1, 7)
+DECK_SEEDS = (650473, 97695, 560286, 513761, 278011, 206466)  # the benchmark's selfcheck jobs
+
+
+def _off_by_one_gram(monkeypatch):
+    """One wrong entry of every P, so that the closed side disagrees."""
+    pairing_gram = gerbe._pairing_gram
+
+    def off_by_one(rho, b):
+        p = pairing_gram(rho, b)
+        return IntMatrix(p.rows, p.cols, [p.entries[0] + 1, *p.entries[1:]])
+
+    monkeypatch.setattr(gerbe, "_pairing_gram", off_by_one)
 
 
 def test_mismatch_record_replays(monkeypatch):
@@ -121,12 +138,18 @@ def test_a_wrong_cup_tensor_fails_the_check(monkeypatch):
 
 
 def test_one_gram_per_level_on_the_h1_generators(monkeypatch):
-    # the closed side is the reports' W = G^T P G, built once per level on
-    # the local system's H^1 generators, in integers: no Frac1 inside it
-    calls = []  # (rho, generators, Frac1 built inside) per call
+    # the closed side is the reports' W = G^T P G, built on the local
+    # system's H^1 generators, in integers: no Frac1 inside it. Two levels
+    # with the same pairing have the same omega, so W is built once per
+    # distinct (local system, pairing), and every level's pairing is checked
+    calls = []  # (rho, pairing entries, generators, Frac1 built inside) per call
+    levels = []  # (rho, pairing entries) per level
+    current = []  # the local system whose levels are being drawn
     created = [0]
     frac1_init = Frac1.__init__
     omega_numerators = selfcheck.omega_numerators
+    checked_classes = selfcheck.checked_classes
+    polarize = selfcheck.polarize
 
     def counting_init(self, num, den=1):
         created[0] += 1
@@ -135,32 +158,41 @@ def test_one_gram_per_level_on_the_h1_generators(monkeypatch):
     def counting_omega_numerators(rho, pairing, gens):
         before = created[0]
         w = omega_numerators(rho, pairing, gens)
-        calls.append((rho, [tuple(g) for g in gens], created[0] - before))
+        calls.append((rho, pairing.entries, [tuple(g) for g in gens], created[0] - before))
         return w
 
-    monkeypatch.setattr(Frac1, "__init__", counting_init)
+    def recording_checked_classes(gens, t, rho):
+        current[:] = [rho]
+        return checked_classes(gens, t, rho)
+
+    def recording_polarize(quad):
+        pairing = polarize(quad)
+        levels.append((current[0], pairing.entries))
+        return pairing
+
+    monkeypatch.setattr(selfcheck, "checked_classes", recording_checked_classes)
+    monkeypatch.setattr(selfcheck, "polarize", recording_polarize)
     monkeypatch.setattr(selfcheck, "omega_numerators", counting_omega_numerators)
+    monkeypatch.setattr(Frac1, "__init__", counting_init)
     result = run_selfcheck(5)
     monkeypatch.undo()
 
     assert result.ok
-    assert len(calls) == result.cases
-    assert len({id(rho) for rho, _, _ in calls}) == 12  # genus 1-2, rank 1-2, three families
-    for rho, gens, built in calls:
+    assert len(levels) == result.cases
+    built = [(id(rho), entries) for rho, entries, _, _ in calls]
+    assert len(built) == len(set(built))  # one W per (local system, pairing)
+    assert set(built) == {(id(rho), entries) for rho, entries in levels}
+    assert len(built) < result.cases  # some levels share a pairing
+    assert len({id(rho) for rho, _, _, _ in calls}) == 12  # genus 1-2, rank 1-2, three families
+    for rho, _, gens, frac1_built in calls:
         assert gens == [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
-        assert built == 0
+        assert frac1_built == 0
 
 
 def test_a_wrong_gram_matrix_fails_the_check(monkeypatch):
     # selfcheck runs the Gram route the reports run: one wrong entry of P
     # becomes a mismatch record, not an agreement and not an internal error
-    pairing_gram = gerbe._pairing_gram
-
-    def off_by_one(rho, b):
-        p = pairing_gram(rho, b)
-        return IntMatrix(p.rows, p.cols, [p.entries[0] + 1, *p.entries[1:]])
-
-    monkeypatch.setattr(gerbe, "_pairing_gram", off_by_one)
+    _off_by_one_gram(monkeypatch)
     result = run_selfcheck(DEFAULT_SEED)
     assert not result.ok and result.agreements < result.cases
     record = result.mismatches[0]
@@ -168,22 +200,79 @@ def test_a_wrong_gram_matrix_fails_the_check(monkeypatch):
 
 
 def test_each_level_form_built_once(monkeypatch):
-    # the form that passed the invariance check is the one the pairing uses
+    # draws are tested on their integers; only an accepted level builds its
+    # form, and that form is the one the pairing uses
     built = []
-    checked = []
+    polarized = []
     quad_from_bilinear = selfcheck.quad_from_bilinear
-    invariance_check = selfcheck.invariance_check
+    polarize = selfcheck.polarize
 
     def counting_quad(level):
-        built.append(level)
-        return quad_from_bilinear(level)
+        built.append(quad_from_bilinear(level))
+        return built[-1]
 
-    def counting_check(q, rho):
-        checked.append(q)
-        return invariance_check(q, rho)
+    def recording_polarize(quad):
+        polarized.append(quad)
+        return polarize(quad)
 
     monkeypatch.setattr(selfcheck, "quad_from_bilinear", counting_quad)
-    monkeypatch.setattr(selfcheck, "invariance_check", counting_check)
-    assert run_selfcheck(5).ok
+    monkeypatch.setattr(selfcheck, "polarize", recording_polarize)
+    result = run_selfcheck(5)
     monkeypatch.undo()
-    assert len(built) == len(checked) > 0
+    assert result.ok
+    assert len(built) == result.cases
+    assert all(q is p for q, p in zip(built, polarized, strict=True))
+
+
+def test_repeated_pairings_keep_one_record_per_level(monkeypatch):
+    # a pairing is checked once per local system, but each failing level
+    # still gets its own record, with its own level, and the records of one
+    # pairing agree on everything the check found
+    _off_by_one_gram(monkeypatch)
+    result = run_selfcheck(DEFAULT_SEED)
+    monkeypatch.undo()
+    assert not result.ok
+    assert len(result.mismatches) == result.cases - result.agreements
+
+    found = {}  # (local system, pairing entries) -> what each record found
+    for record in json.loads(json.dumps(result.mismatches)):
+        mon = [IntMatrix.from_rows(m) for m in record["monodromy"]]
+        rho = LatticeLocalSystem(record["rank"], record["genus"], mon)
+        level = BilinearData(IntMatrix.from_rows(record["c_matrix"]), Frac1.parse(record["zeta"]))
+        assert level.zeta == Frac1(1, record["den"])
+        quad = quad_from_bilinear(level)
+        assert invariance_check(quad, rho)
+        system = (record["genus"], record["rank"], record["family"], json.dumps(record["monodromy"]))
+        key = (system, polarize(quad).entries)
+        found.setdefault(key, []).append((record["pair"], record["closed"], record["simplicial"]))
+    assert any(len(seen) > 1 for seen in found.values())  # some pairings repeat
+    for seen in found.values():
+        assert all(x == seen[0] for x in seen)
+
+
+@pytest.mark.parametrize("seed", (1729, 5, 99, *DECK_SEEDS))
+def test_sampler_draws_as_the_form_route(seed, monkeypatch):
+    # the integer test on (c, den) accepts the same levels from the same
+    # random numbers as a full form and invariance_check per draw. stdout
+    # shows only counts, so this is what pins the random stream
+    verdicts = []
+    preserves = selfcheck.preserves
+
+    def recording_preserves(m, n, images):
+        verdicts.append(preserves(m, n, images))
+        return verdicts[-1]
+
+    monkeypatch.setattr(selfcheck, "preserves", recording_preserves)
+    fast, slow = random.Random(seed), random.Random(seed)
+    for genus in selfcheck._GENERA:
+        for rank in selfcheck._RANKS:
+            for family in selfcheck._FAMILIES:
+                rho = selfcheck._local_system(fast, genus, rank, family)
+                assert selfcheck._local_system(slow, genus, rank, family).mon == rho.mon
+                images = probe_images(rho.mon, rank)
+                for den in selfcheck._DENOMINATORS:
+                    for _ in range(selfcheck._LEVELS_PER_CELL):
+                        drawn = selfcheck._invariant_level(fast, rank, images, den)
+                        assert drawn == invariant_level_by_forms(slow, rho, den)
+                        assert fast.getstate() == slow.getstate()
+    assert verdicts.count(False) > 0 and verdicts.count(True) > 0  # draws were rejected
