@@ -28,7 +28,6 @@ from .cochain import (
     class_of,
     coboundary,
     cocycle_check,
-    cup_checked,
     cup_evaluate,
     cup_tensor,
     holonomies,
@@ -110,7 +109,6 @@ __all__ = [
     "coboundary",
     "cocycle_check",
     "cohomology_presentations",
-    "cup_checked",
     "cup_evaluate",
     "cup_tensor",
     "det",

@@ -7,9 +7,12 @@ newline. Exit codes: 0 success, 2 spec validation failure (a machine
 readable error object is printed), 3 internal invariant violation, which
 includes any disagreement between the two pairing routes in selfcheck.
 
-JSON reports and error objects are written by ``_dumps``, whose output is
-``json.dumps(value, indent=2)`` byte for byte plus a newline. It encodes a
-matrix shared by several blocks, such as omega, once per report.
+A block report's omega and pi2 characters arrive as integer residues over
+its denominator N; this module alone writes them as fractions, one string
+per residue that occurs. JSON reports and error objects are written by
+``_dumps``, whose output is ``json.dumps(value, indent=2)`` byte for byte
+plus a newline. It encodes a matrix shared by several blocks, such as
+omega, once per report.
 """
 
 from __future__ import annotations
@@ -259,14 +262,19 @@ def _run_surface(spec: JobSpec) -> dict:
 
 
 def _blocks_json(report: BlockReport) -> list[dict]:
-    # omega, radical_rank and block_dim are the level's, written into every
-    # block: the one omega list is rendered once and _dumps encodes it once
-    omega = _frac_matrix(report.omega)
+    # each residue that occurs is written as a fraction once. omega,
+    # radical_rank and block_dim are the level's, written into every block:
+    # the one omega list is rendered once and _dumps encodes it once
+    n = report.denominator
+    used = {x for row in report.omega for x in row}
+    used.update(x for b in report.blocks for x in b.pi2_character)
+    text = {x: str(Frac1(x, n)) for x in used}
+    omega = [[text[x] for x in row] for row in report.omega]
     return [
         {
             "component": list(b.component),
             "omega": omega,
-            "pi2_character": [str(x) for x in b.pi2_character],
+            "pi2_character": [text[x] for x in b.pi2_character],
             "radical_rank": report.radical_rank,
             "block_dim": report.block_dim,
         }

@@ -22,9 +22,8 @@ local system): the matrix of every face word, computed once with
 builds it or :func:`cup_evaluate` receives it; the check yields a
 :class:`Cocycle` carrying its front- and back-face values in the chart.
 :func:`checked_classes` builds a local system's cocycles over one table,
-and :func:`cup_tensor` and :func:`cup_checked` take checked cocycles with no
-further check, so a caller that pairs N cocycles at many levels checks each
-one once.
+and :func:`cup_tensor` takes checked cocycles with no further check, so a
+caller that pairs N cocycles at many levels checks each one once.
 
 The cup product factors through the coefficients: :func:`cup_tensor` sums
 the integer r x r cup of two checked cocycles in Lambda (x) Lambda over the
@@ -243,7 +242,7 @@ class Cocycle:
 
     Only this module makes one, after the check. ``front`` and ``back`` hold,
     triangle by triangle, the value on the front face [v0, v1] and on the back
-    face [v1, v2], both in the chart; :func:`cup_checked` pairs them.
+    face [v1, v2], both in the chart; :func:`cup_tensor` cups them.
     """
 
     cochain: TwistedCochain
@@ -359,17 +358,6 @@ def pair_cup(m: Sequence[Sequence[int]], pairing: SymmetricForm) -> Frac1:
     return total
 
 
-def cup_checked(a: Cocycle, b: Cocycle, pairing: SymmetricForm) -> Frac1:
-    """Pair two checked 1-cocycles of one local system against the fundamental class.
-
-    :func:`pair_cup` of :func:`cup_tensor`: the integer cup in
-    Lambda (x) Lambda, then the pairing's ``Frac1`` entries. The pairing
-    must be monodromy invariant for the result to be well defined; callers
-    own that check.
-    """
-    return pair_cup(cup_tensor(a, b), pairing)
-
-
 def cup_evaluate(
     c1: TwistedCochain,
     c2: TwistedCochain,
@@ -379,8 +367,10 @@ def cup_evaluate(
 ) -> Frac1:
     """Pair two 1-cocycles against the fundamental class.
 
-    Checks both arguments, then evaluates :func:`cup_checked`: their integer
-    cup in Lambda (x) Lambda, paired through the pairing's ``Frac1`` entries.
+    Checks both arguments, then takes their integer cup in Lambda (x) Lambda
+    with :func:`cup_tensor` and pairs it through the pairing's ``Frac1``
+    entries with :func:`pair_cup`. The pairing must be monodromy invariant
+    for the result to be well defined; callers own that check.
     """
     if c1.degree != 1 or c2.degree != 1:
         raise NotACocycle("cup evaluation is defined on a pair of 1-cocycles")
@@ -393,7 +383,7 @@ def cup_evaluate(
     b = _check(c2, table)
     if b is None:
         raise NotACocycle("second argument is not a cocycle")
-    return cup_checked(a, b, pairing)
+    return pair_cup(cup_tensor(a, b), pairing)
 
 
 def _class_of(h1_vector: Sequence[int], table: _Transports) -> Cocycle:

@@ -26,10 +26,11 @@ B times the signed sum S_j of j's letter transports is zero, so P costs
 time linear in the genus where it is block diagonal by handle.
 :func:`omega_numerators` returns W = G^T P G on a list of vectors G, formed
 row by row from the nonzero entries of P and of G only, since both are
-sparse; no dense product is formed. A report reads omega off as W / N on
-the H^1 generators, and the Heisenberg count reads W itself. Values become
-Q/Z fractions only at the end, each taken from one table that holds a
-single ``Frac1`` per residue mod N. Each report computes the cohomology
+sparse; no dense product is formed. A report holds omega as W's rows
+reduced once into [0, N), and the Heisenberg count reads the same rows; chi
+is held the same way. Both stay integer residues over the report's
+denominator N: only :mod:`qtorus.cli` writes them as Q/Z fractions, from one
+string per distinct residue. Each report computes the cohomology
 presentations once and hands them to the omega and pi2-character code.
 :mod:`qtorus.selfcheck` checks the same W against the simplicial machinery
 in :mod:`qtorus.cochain`, which computes the pairing along a completely
@@ -48,7 +49,6 @@ from .errors import BadComponent, DimensionMismatch, NotInvariant
 from .errors import InvariantViolation
 from .forms import (
     BilinearData,
-    Frac1,
     QuadraticForm,
     SymmetricForm,
     invariance_check,
@@ -180,39 +180,27 @@ def _combine(terms: list[tuple[int, Sequence[int]]], length: int) -> list[int]:
     return out
 
 
-class _Residues(dict):
-    """Frac1(x, N) by residue x in [0, N), each built once, when first read."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, x: int) -> Frac1:
-        value = self[x] = Frac1(x, self.n)
-        return value
-
-
 def _omega(
     rho: LatticeLocalSystem, pres: CohomologyPresentations, pairing: SymmetricForm
-) -> tuple[tuple[tuple[Frac1, ...], ...], IntMatrix]:
-    """(omega, W) on the H^1 generators, free generators first: omega = W / N.
+) -> tuple[tuple[int, ...], ...]:
+    """omega on the H^1 generators, free generators first: W's rows mod N.
 
-    omega is antisymmetric with zero diagonal on the free generators. The
-    checks run on the numerators W, row i against column i from the diagonal
-    on, so each pair is read once; a violation would mean the closed form and
-    the presentation disagree, which is an internal error, never a user one.
+    omega = W / N is antisymmetric with zero diagonal on the free generators.
+    The checks run on the reduced rows, row i against column i from the
+    diagonal on, so each pair is read once; a violation would mean the
+    closed form and the presentation disagree, which is an internal error,
+    never a user one.
     """
     n = pairing.denominator
     w = omega_numerators(rho, pairing, pres.h1.all_gens())
+    rows = tuple(tuple(x % n for x in w.row(i)) for i in range(w.rows))
     free = len(pres.h1.free_gens)
-    for i in range(w.rows):
-        row = w.row(i)
-        if any((x + y) % n for x, y in zip(row[i:], w.column(i)[i:])):
+    for i, row in enumerate(rows):
+        if any((x + col[i]) % n for x, col in zip(row[i:], rows[i:])):
             raise InvariantViolation("commutator pairing is not antisymmetric")
-        if i < free and row[i] % n:
+        if i < free and row[i]:
             raise InvariantViolation("commutator pairing has a nonzero free diagonal")
-    values = _Residues(n)
-    return tuple(tuple(values[x % n] for x in w.row(i)) for i in range(w.rows)), w
+    return rows
 
 
 def _pi2_characters(
@@ -220,8 +208,8 @@ def _pi2_characters(
     pres: CohomologyPresentations,
     pairing: SymmetricForm,
     reps: Sequence[tuple[int, ...]],
-) -> list[tuple[Frac1, ...]]:
-    """chi_d = (lambda^T B d) / N on the invariant basis lambda, for each rep d.
+) -> list[tuple[int, ...]]:
+    """chi_d = (lambda^T B d) mod N on the invariant basis lambda, for each rep d.
 
     chi(d + s) - chi(d) = b(lambda, s) by bilinearity, so chi is well defined
     on components exactly when b(lambda, (rho(x) - 1) e_l) vanishes for every
@@ -233,20 +221,20 @@ def _pi2_characters(
     for m in rho.mon:
         if any(x % n for x in (chi @ (m - eye)).entries):
             raise InvariantViolation("pi2 character depends on the component representative")
-    values = _Residues(n)
-    return [tuple(values[x % n] for x in chi.mul_vec(rep)) for rep in reps]
+    return [tuple(x % n for x in chi.mul_vec(rep)) for rep in reps]
 
 
 @dataclass(frozen=True)
 class GerbeBlock:
     """One component's share of its flat gerbe: the pi2 character chi_d.
 
+    chi_d is held as residues in [0, N) over the report's ``denominator``.
     omega, the radical rank and the block dimension do not depend on the
     component; they are the level's and live on :class:`BlockReport`.
     """
 
     component: tuple[int, ...]
-    pi2_character: tuple[Frac1, ...]
+    pi2_character: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -254,25 +242,31 @@ class BlockReport:
     """Everything the global tasks report, before serialization.
 
     omega, ``radical_rank`` and ``block_dim`` are per level and held once;
-    each block carries only what depends on its component.
+    each block carries only what depends on its component. omega and every
+    chi are residues in [0, N) over ``denominator``, the pairing's N: the
+    value x stands for x / N in Q/Z.
     """
 
     presentations: CohomologyPresentations
-    omega: tuple[tuple[Frac1, ...], ...]
+    denominator: int
+    omega: tuple[tuple[int, ...], ...]
     radical_rank: int
     block_dim: int
     blocks: tuple[GerbeBlock, ...]
 
 
-def _heisenberg_dimensions(n: int, w: IntMatrix, free_count: int) -> tuple[int, int]:
-    """(radical rank, block dimension) of omega = W / N on the free generators.
+def _heisenberg_dimensions(
+    n: int, rows: Sequence[Sequence[int]], free_count: int
+) -> tuple[int, int]:
+    """(radical rank, block dimension) of omega on the free generators.
 
-    A is the free block of W reduced into [0, N). The finite quotient is the
-    image of A on (Z/N)-coordinates, of order prod N / gcd(N, p_i) over the
-    pivots p_i of any diagonal form of A mod N, whatever the lift; that order
-    is a perfect square because omega is antisymmetric, and the block
-    dimension is its root. :func:`_order_mod` finds such pivots with every
-    entry kept in [0, N), so nothing grows and N is never factored.
+    A is the free block of omega's ``rows``, W reduced into [0, N). The
+    finite quotient is the image of A on (Z/N)-coordinates, of order
+    prod N / gcd(N, p_i) over the pivots p_i of any diagonal form of A mod N,
+    whatever the lift; that order is a perfect square because omega is
+    antisymmetric, and the block dimension is its root. :func:`_order_mod`
+    finds such pivots with every entry kept in [0, N), so nothing grows and
+    N is never factored.
 
     The radical rank is f minus the rank of A over Z, so it depends on the
     lift: for N = 3 the reduced lift [[0,1,1],[2,0,1],[2,2,0]] has rank 3
@@ -283,7 +277,7 @@ def _heisenberg_dimensions(n: int, w: IntMatrix, free_count: int) -> tuple[int, 
     entries stay within Hadamard's bound.
     """
     f = free_count
-    a = [[x % n for x in w.row(i)[:f]] for i in range(f)]
+    a = [list(row[:f]) for row in rows[:f]]
     order = _order_mod(n, a)
     dim = math.isqrt(order)
     if dim * dim != order:
@@ -393,10 +387,9 @@ def block_report(
     """Full block structure; presentations, omega and the chi check run once."""
     rho = level.rho
     pres = cohomology_presentations(rho)
-    omega, w = _omega(rho, pres, level.pairing)
-    radical_rank, block_dim = _heisenberg_dimensions(
-        level.pairing.denominator, w, len(pres.h1.free_gens)
-    )
+    n = level.pairing.denominator
+    omega = _omega(rho, pres, level.pairing)
+    radical_rank, block_dim = _heisenberg_dimensions(n, omega, len(pres.h1.free_gens))
     if components is None:
         reps = enumerate_components(pres, free_bound)
     else:
@@ -408,4 +401,4 @@ def block_report(
         GerbeBlock(rep, chi)
         for rep, chi in zip(reps, _pi2_characters(rho, pres, level.pairing, reps))
     )
-    return BlockReport(pres, omega, radical_rank, block_dim, blocks)
+    return BlockReport(pres, n, omega, radical_rank, block_dim, blocks)

@@ -368,9 +368,19 @@ def _accumulate_by_letter(acc_t: list[list[int]], block: range, f: IntMatrix) ->
         acc_t[x] = [s + y for s, y in zip(acc_t[x], f.column(a))]
 
 
+def closed(rep, residues) -> tuple[Frac1, ...]:
+    """A report's residues x in [0, N) as the Q/Z values x / N, N its denominator."""
+    return tuple(Frac1(x, rep.denominator) for x in residues)
+
+
+def omega_closed(rep) -> tuple[tuple[Frac1, ...], ...]:
+    """A report's omega as a matrix of Q/Z values."""
+    return tuple(closed(rep, row) for row in rep.omega)
+
+
 def omega_of(level: LevelInput):
-    """omega of a level, from a report with no components."""
-    return block_report(level, components=[]).omega
+    """omega of a level as Q/Z values, from a report with no components."""
+    return omega_closed(block_report(level, components=[]))
 
 
 def global_json(task: str, level: LevelInput, components=None) -> dict:
@@ -465,8 +475,9 @@ def cup_per_triangle(a, b, pairing) -> Frac1:
     """The cup of two checked cocycles, paired triangle by triangle.
 
     The sum over triangles of sign * b(front_a, back_b), each term one
-    :func:`frac1_bilinear`: the reference ``cochain.cup_checked``, which
-    pairs the integer cup in Lambda (x) Lambda once, is tested against.
+    :func:`frac1_bilinear`. ``cochain.pair_cup`` of ``cochain.cup_tensor``,
+    which pairs the integer cup in Lambda (x) Lambda once, is tested
+    against it.
     """
     total = Frac1(0)
     for tri, x, y in zip(a.table.t.triangles, a.front, b.back):

@@ -280,10 +280,8 @@ def test_criterion_07_block_dimensions():
 
             # brute force: count radical vectors of the pairing on (Z/n)^2g
             f = 2 * g
-            lift = [
-                [rep.omega[i][j].num * (n // rep.omega[i][j].den) for j in range(f)]
-                for i in range(f)
-            ]
+            assert rep.denominator == n
+            lift = rep.omega
             radical = 0
             for v in product(range(n), repeat=f):
                 if all(sum(lift[i][j] * v[j] for j in range(f)) % n == 0 for i in range(f)):

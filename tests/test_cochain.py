@@ -14,9 +14,10 @@ from qtorus import (
     coboundary,
     cocycle_check,
     cohomology_presentations,
-    cup_checked,
     cup_evaluate,
+    cup_tensor,
     holonomies,
+    pair_cup,
     polarize,
     quad_from_bilinear,
     triangulate,
@@ -299,7 +300,7 @@ class TestCheckedCup:
                 assert [a.cochain for a in cocycles] == [class_of(g, t, rho) for g in gens]
                 for a in cocycles:
                     for b in cocycles:
-                        assert cup_checked(a, b, p) == cup_evaluate(
+                        assert pair_cup(cup_tensor(a, b), p) == cup_evaluate(
                             a.cochain, b.cochain, p, t, rho
                         )
 
@@ -330,7 +331,7 @@ class TestCheckedCup:
         cocycles = checked_classes(gens, triangulate(genus), rho)
         for a in cocycles:
             for b in cocycles:
-                assert cup_checked(a, b, p) == cup_per_triangle(a, b, p)
+                assert pair_cup(cup_tensor(a, b), p) == cup_per_triangle(a, b, p)
 
     def test_rejects_cocycles_of_two_tables(self):
         rho = LatticeLocalSystem.trivial(1, 1)
@@ -338,14 +339,14 @@ class TestCheckedCup:
         (a,) = checked_classes([(1, 0)], t, rho)
         (b,) = checked_classes([(0, 1)], t, rho)
         with pytest.raises(ShapeMismatch):
-            cup_checked(a, b, scalar_pairing(1, 2))
+            pair_cup(cup_tensor(a, b), scalar_pairing(1, 2))
 
     def test_rejects_pairing_of_wrong_rank(self):
         rho = LatticeLocalSystem.trivial(1, 1)
         a, b = checked_classes([(1, 0), (0, 1)], triangulate(1), rho)
-        assert cup_checked(a, b, scalar_pairing(1, 2)) == Frac1(1, 2)
+        assert pair_cup(cup_tensor(a, b), scalar_pairing(1, 2)) == Frac1(1, 2)
         with pytest.raises(ShapeMismatch):
-            cup_checked(a, b, SymmetricForm(2, ((ZERO, ZERO), (ZERO, ZERO))))
+            pair_cup(cup_tensor(a, b), SymmetricForm(2, ((ZERO, ZERO), (ZERO, ZERO))))
 
 
 class TestHolonomies:

@@ -26,12 +26,14 @@ from qtorus.gerbe import _heisenberg_dimensions, omega_numerators
 from qtorus.lattice import inverse_unimodular, smith_normal_form
 
 from helpers import (
+    closed,
     dense_omega_numerators,
     family_system,
     fraction_rank,
     global_json,
     groups_json,
     heisenberg_by_smith,
+    omega_closed,
     omega_of,
     pairing_gram_by_letters,
     pairing_on_cocycles_per_term,
@@ -56,7 +58,8 @@ def sign_rep():
 
 
 def chi_of(level, component):
-    return block_report(level, components=[component]).blocks[0].pi2_character
+    rep = block_report(level, components=[component])
+    return closed(rep, rep.blocks[0].pi2_character)
 
 
 def section_space_json(level):
@@ -406,8 +409,11 @@ class TestCommutatorPairing:
         assert len(omega) == 1  # H^1 = Z/2: a single torsion generator
 
     def test_one_frac1_per_residue(self, monkeypatch):
-        # omega and chi read their values from one Frac1 per residue mod N,
-        # not one per entry: g4 r4 has 32 x 32 omega entries and N = 3
+        # omega and chi leave gerbe as residues mod N and build no Frac1; the
+        # renderer writes one Frac1 per residue, not one per entry: g4 r4 has
+        # 32 x 32 omega entries, 81 blocks and N = 3
+        from qtorus import cli
+
         level = trivial_level(4, 4, 3)
         rho, pairing = level.rho, level.pairing
         pres = cohomology_presentations(rho)
@@ -420,17 +426,31 @@ class TestCommutatorPairing:
             init(self, num, den)
 
         monkeypatch.setattr(Frac1, "__init__", counting)
-        omega, w = gerbe._omega(rho, pres, pairing)
-        assert w.rows == 32 and len(made) <= pairing.denominator
-        del made[:]
+        omega = gerbe._omega(rho, pres, pairing)
         chis = gerbe._pi2_characters(rho, pres, pairing, reps)
-        assert len(chis) == len(reps) == 81 and len(made) <= pairing.denominator
+        assert len(omega) == 32 and len(chis) == len(reps) == 81 and made == []
+        w = omega_numerators(rho, pairing, pres.h1.all_gens())
+        assert omega == tuple(tuple(x % pairing.denominator for x in w.row(i)) for i in range(32))
+        rep = block_report(level)
+        del made[:]
+        blocks = cli._blocks_json(rep)
+        assert len(blocks) == 81 and len(made) <= pairing.denominator
         monkeypatch.undo()
-        assert omega == tuple(tuple(Frac1(x, pairing.denominator) for x in w.row(i)) for i in range(32))
-        # N comes from the input and may be huge: the table holds only the
+        omega_text = [[str(x) for x in row] for row in omega_closed(rep)]
+        assert all(b["omega"] == omega_text for b in blocks)
+        for b, block in zip(blocks, rep.blocks):
+            assert b["pi2_character"] == [str(x) for x in closed(rep, block.pi2_character)]
+        # N comes from the input and may be huge: the renderer writes only the
         # residues that occur
         big = 10**12
-        assert omega_of(trivial_level(1, 1, big)) == ((ZERO, Frac1(2, big)), (Frac1(-2, big), ZERO))
+        rep = block_report(trivial_level(1, 1, big), components=[(0,)])
+        del made[:]
+        monkeypatch.setattr(Frac1, "__init__", counting)
+        (block,) = cli._blocks_json(rep)
+        assert len(made) <= 3  # the residues 0, 2 and N - 2
+        monkeypatch.undo()
+        assert block["omega"] == [["0/1", f"1/{big // 2}"], [f"{big // 2 - 1}/{big // 2}", "0/1"]]
+        assert omega_closed(rep) == ((ZERO, Frac1(2, big)), (Frac1(-2, big), ZERO))
 
 
 class TestPi2Character:
@@ -531,7 +551,7 @@ class TestBlockStructure:
             f = 2 * g
             from itertools import product as iproduct
 
-            omega = rep.omega
+            omega = omega_closed(rep)
             count = 0
             for v in iproduct(range(n), repeat=f):
                 if all(
@@ -573,7 +593,7 @@ class TestBlockStructure:
     def test_explicit_components_order(self):
         rep = block_report(trivial_level(1, 1, 4), components=[(2,), (0,)])
         assert [b.component for b in rep.blocks] == [(2,), (0,)]
-        assert rep.blocks[0].pi2_character == (ZERO,)  # b(1, 2) = 1 = 0 mod 1
+        assert closed(rep, rep.blocks[0].pi2_character) == (ZERO,)  # b(1, 2) = 1 = 0 mod 1
 
     def test_bad_component_length(self):
         with pytest.raises(BadComponent):
@@ -590,10 +610,14 @@ class TestBlockStructure:
         for w in (reduced, antisymmetric):
             order = math.prod(n // math.gcd(n, d) for d in smith_normal_form(w).diagonal())
             assert order == 9
-        # the radical rank is read from the lift reduced into [0, N) whatever
-        # lift is passed: rank 3, so 0, where the antisymmetric lift's rank would give 1
-        assert _heisenberg_dimensions(n, reduced, 3) == (0, 3)
-        assert _heisenberg_dimensions(n, antisymmetric, 3) == (0, 3)
+        # the radical rank is read from the lift reduced into [0, N), which is
+        # what a report holds: rank 3, so 0, where the antisymmetric lift's
+        # rank would give 1
+        assert fraction_rank(reduced) == 3 and fraction_rank(antisymmetric) == 2
+        assert [[x % n for x in row] for row in antisymmetric.row_lists()] == reduced.row_lists()
+        assert _heisenberg_dimensions(n, reduced.row_lists(), 3) == (0, 3)
+        rep = block_report(trivial_level(1, 1, 3))
+        assert rep.denominator == 3 and rep.omega == ((0, 2), (1, 0))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -602,20 +626,20 @@ class TestBlockStructure:
         radical, order = heisenberg_by_smith(n, w, f)
         dim = math.isqrt(order)
         if dim * dim == order:
-            assert _heisenberg_dimensions(n, w, f) == (radical, dim)
+            assert _heisenberg_dimensions(n, w.row_lists(), f) == (radical, dim)
         else:
             with pytest.raises(InvariantViolation, match="perfect square"):
-                _heisenberg_dimensions(n, w, f)
+                _heisenberg_dimensions(n, w.row_lists(), f)
 
     def test_lift_rank_is_exact(self):
         # 2^61 - 1 at N = 2^64: a lift rank read mod that prime would be 0
-        assert _heisenberg_dimensions(2**64, IntMatrix.from_rows([[2**61 - 1]]), 1) == (0, 2**32)
+        assert _heisenberg_dimensions(2**64, [[2**61 - 1]], 1) == (0, 2**32)
         # a repeated row keeps the rank below the nonzero count on any field
         w = IntMatrix.from_rows([[0, 1, 2], [5, 0, 3], [0, 1, 2]])
-        assert _heisenberg_dimensions(6, w, 3) == (1, 6)
+        assert _heisenberg_dimensions(6, w.row_lists(), 3) == (1, 6)
         assert heisenberg_by_smith(6, w, 3) == (1, 36)
         # full rank
-        assert _heisenberg_dimensions(3, IntMatrix.from_rows([[0, 1], [2, 0]]), 2) == (0, 3)
+        assert _heisenberg_dimensions(3, [[0, 1], [2, 0]], 2) == (0, 3)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -651,12 +675,12 @@ class TestBlockStructure:
         rep = block_report(level)
         blocks = global_json("global", level)["blocks"]
         assert len(blocks) == len(rep.blocks) == 3
-        omega = [[str(x) for x in row] for row in rep.omega]
+        omega = [[str(x) for x in row] for row in omega_closed(rep)]
         for b, block in zip(blocks, rep.blocks):
             assert b == {
                 "component": list(block.component),
                 "omega": omega,
-                "pi2_character": [str(x) for x in block.pi2_character],
+                "pi2_character": [str(x) for x in closed(rep, block.pi2_character)],
                 "radical_rank": rep.radical_rank,
                 "block_dim": rep.block_dim,
             }

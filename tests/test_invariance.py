@@ -71,9 +71,9 @@ def invariants(level: LevelInput):
     The free part is ``block_dim`` and the gcd multiset of omega's free block.
     """
     report = block_report(level, components=[])
-    n = level.pairing.denominator
+    n = report.denominator
     f = len(report.presentations.h1.free_gens)
-    w = [[x.num * (n // x.den) for x in row] for row in report.omega]
+    w = report.omega
     free = None
     if not any(map(any, w[f:])):
         free = report.block_dim, gcd_multiset(n, [row[:f] for row in w[:f]])

@@ -116,6 +116,18 @@ def test_h1_route_forms_no_dense_product():
     assert found == []
 
 
+def test_gerbe_holds_no_fractions():
+    # omega and chi leave gerbe as integer residues over the report's
+    # denominator N; only cli writes a residue as a Q/Z fraction
+    tree = parse("gerbe")
+    names = names_in(tree) | {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.alias, ast.ClassDef, ast.FunctionDef))
+    }
+    assert not names & {"Frac1", "_Residues"}
+
+
 def test_omega_forms_no_dense_product():
     # W = G^T P G is formed row by row from the nonzero entries of P and G;
     # IntMatrix's dense @ stays the plain product the cochain oracle reaches
@@ -203,7 +215,9 @@ def test_one_cohomology_object_per_local_system():
         if isinstance(node, ast.ClassDef) and node.name == "BlockReport"
     ]
     fields = [node.target.id for node in report.body if isinstance(node, ast.AnnAssign)]
-    assert fields == ["presentations", "omega", "radical_rank", "block_dim", "blocks"]
+    assert fields == [
+        "presentations", "denominator", "omega", "radical_rank", "block_dim", "blocks"
+    ]
 
 
 def integer_fields_of_forms():
