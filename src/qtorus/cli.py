@@ -3,9 +3,10 @@
 Reads a JSON job spec, runs one of the five tasks (local, surface, global,
 bunt, selfcheck) and writes a report to stdout. Output is deterministic:
 stable key order, canonical "num/den" fraction strings, a single trailing
-newline. Exit codes: 0 success, 2 spec validation failure (a machine
-readable error object is printed), 3 internal invariant violation, which
-includes any disagreement between the two pairing routes in selfcheck.
+newline. Exit codes: 0 success, 2 spec validation failure or a bad command
+line (a machine readable error object is printed), 3 internal invariant
+violation, which includes any disagreement between the two pairing routes in
+selfcheck.
 
 A block report's omega and pi2 characters arrive as integer residues over
 its denominator N; this module alone writes them as fractions, one string
@@ -22,7 +23,7 @@ import json
 import sys
 from itertools import product
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from .braided import standard_refinement
 from .errors import BadJobSpec, InvariantViolation, QtorusError
@@ -500,10 +501,17 @@ _PARSER.add_argument("--format", choices=("json", "text"), dest="fmt")
 _PARSER.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+def _command_line_error(message: str) -> NoReturn:
+    raise BadJobSpec(message, "")
 
+
+# a bad command line exits 2 with an error object, like a bad spec; -h still exits 0
+_PARSER.error = _command_line_error
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
+        args = _PARSER.parse_args(argv)
         if args.input is None:
             if args.task != "selfcheck":
                 raise BadJobSpec("--input is required for this task", "")

@@ -6,9 +6,11 @@ enter. There are two eliminations. :func:`smith_normal_form`, the
 cokernels and quotient generators. It keeps its row and column operations:
 replayed onto an identity they give a kernel basis, the last columns of
 ``V``, and replayed inverted onto B or X they give quotient generators
-``B @ U^-1`` and coordinates ``V^-1 @ X``. Determinants and inverses in
-GL(n, Z) read ``det A`` and the adjugate off one fraction-free Gauss-Jordan
-elimination of ``[A | I]``.
+``B @ U^-1`` and coordinates ``V^-1 @ X``. Its pivot search stops at the
+first unit, each column operation writes one entry, and the divisibility
+scan of the trailing block runs only at non-unit pivots. Determinants and
+inverses in GL(n, Z) read ``det A`` and the adjugate off one fraction-free
+Gauss-Jordan elimination of ``[A | I]``.
 """
 
 from __future__ import annotations
@@ -325,6 +327,13 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     keep intermediate coefficients small. The diagonal comes out nonnegative
     with each entry dividing the next.
 
+    The pivot search stops at the first unit, which no later entry can
+    replace. Column clearing runs only once the row pass has left column t
+    zero off row t, so each column operation writes one entry. The check
+    that the pivot divides the trailing block runs only at non-unit pivots,
+    since a unit divides everything. None of these shortcuts changes which
+    operations are logged, or their order.
+
     Each row operation on the working matrix is appended to the row log and
     each column operation to the column log (rows are negated, columns never
     are). The logs fix the transforms: ``u`` replays the row log on the rows
@@ -350,9 +359,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         row_ops.append((i, j, q))
 
     def col_add(i, j, q):
-        # col_i += q * col_j
-        for r in d:
-            r[i] += q * r[j]
+        # col_i += q * col_j, called only with j == t once the row pass has
+        # left column t zero off row t: the one entry that changes is d[t][i]
+        d[j][i] += q * d[j][j]
         col_ops.append((i, j, q))
 
     def row_negate(i):
@@ -360,12 +369,19 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         row_ops.append((i, i, -1))
 
     def find_pivot(t):
-        best = None
+        # the first entry of least absolute value in row-major order; a unit
+        # cannot be beaten under the strict <, so the first one ends the search
+        best, least = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+                e = row[j]
+                if e:
+                    size = abs(e)
+                    if size == 1:
+                        return i, j
+                    if best is None or size < least:
+                        best, least = (i, j), size
         return best
 
     t = 0
@@ -405,15 +421,11 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                         break
             if dirty:
                 continue
-            # pivot must divide the whole trailing block before we advance
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # pivot must divide the whole trailing block before we advance;
+            # a unit divides everything
+            if p == 1:
+                break
+            offender = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
             if offender is None:
                 break
             row_add(t, offender, 1)

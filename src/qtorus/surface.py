@@ -272,7 +272,8 @@ def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTri
     divisions are exact because each quotient is itself a minor of the input
     (Sylvester's identity). H2 must be the
     coinvariants: the ambient lattice modulo the images of all rho(x_j) - I,
-    read off one Smith diagonal.
+    read off one Smith diagonal. Each rho(x_j) - I is formed once and
+    stacked both ways, by rows for H0 and by columns for H2.
     """
     r = rho.rank
     eye = IntMatrix.identity(r)
@@ -280,8 +281,9 @@ def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTri
         stacked = IntMatrix.zeros(0, r)
         side = IntMatrix.zeros(r, 0)
     else:
-        stacked = vstack([m - eye for m in rho.mon])
-        side = hstack([m - eye for m in rho.mon])
+        diffs = [m - eye for m in rho.mon]
+        stacked = vstack(diffs)
+        side = hstack(diffs)
     h0_indep = FgAbGroup(r - _fraction_free_rank(stacked))
     h2_indep = smith_normal_form(side).cokernel()
     return triple.h0 == h0_indep and triple.h2 == h2_indep

@@ -19,7 +19,7 @@ from qtorus import (
     smith_normal_form,
 )
 from qtorus.errors import BadGeneratorIndex, ShapeMismatch
-from qtorus.lattice import QuotientPresentation
+from qtorus.lattice import QuotientPresentation, SnfResult, _Op
 
 
 class ImageNotInKernel(ValueError):
@@ -75,6 +75,107 @@ def fraction_rank(a: IntMatrix) -> int:
         if row == a.rows:
             break
     return rank_count
+
+
+def smith_by_full_scan(a: IntMatrix) -> SnfResult:
+    """The elimination of ``lattice.smith_normal_form`` with no shortcuts.
+
+    Every pivot scans the whole trailing block for the least entry, every
+    column operation walks all rows, and the divisibility check scans the
+    trailing block at every pivot, unit or not. The reference whose ``d``,
+    ``row_ops`` and ``col_ops`` the shortcut elimination must reproduce
+    exactly: ``h1``'s generators and omega replay those logs.
+    """
+    m, n = a.rows, a.cols
+    d = a.row_lists()
+    row_ops: list[_Op] = []
+    col_ops: list[_Op] = []
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        row_ops.append((i, j, 0))
+
+    def col_swap(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        col_ops.append((i, j, 0))
+
+    def row_add(i, j, q):
+        # row_i += q * row_j
+        d[i] = [s + q * t for s, t in zip(d[i], d[j])]
+        row_ops.append((i, j, q))
+
+    def col_add(i, j, q):
+        # col_i += q * col_j
+        for r in d:
+            r[i] += q * r[j]
+        col_ops.append((i, j, q))
+
+    def row_negate(i):
+        d[i] = [-s for s in d[i]]
+        row_ops.append((i, i, -1))
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                e = d[i][j]
+                if e != 0 and (best is None or abs(e) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        if pos[0] != t:
+            row_swap(t, pos[0])
+        if pos[1] != t:
+            col_swap(t, pos[1])
+        while True:
+            if d[t][t] < 0:
+                row_negate(t)
+            p = d[t][t]
+            dirty = False
+            for i in range(m):
+                if i != t and d[i][t] != 0:
+                    q = d[i][t] // p
+                    if q:
+                        row_add(i, t, -q)
+                    if d[i][t] != 0:
+                        # remainder is strictly smaller than p; promote it
+                        row_swap(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(n):
+                if j != t and d[t][j] != 0:
+                    q = d[t][j] // p
+                    if q:
+                        col_add(j, t, -q)
+                    if d[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # pivot must divide the whole trailing block before we advance
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_add(t, offender, 1)
+        t += 1
+
+    return SnfResult(IntMatrix.from_rows(d, n), tuple(row_ops), tuple(col_ops))
 
 
 def solve_exact(k: IntMatrix, g: IntMatrix) -> IntMatrix:

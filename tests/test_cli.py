@@ -419,6 +419,32 @@ class TestInterface:
         assert code == 0
         assert json.loads(out)["seed"] == 7
 
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["selfcheck", "--seed", "abc"], "invalid int value"),
+            (["nosuch"], "invalid choice"),
+            ([], "required"),
+        ],
+        ids=["bad_seed", "unknown_task", "no_task"],
+    )
+    def test_bad_command_line_prints_error_object(self, capsys, argv, needle):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""  # no argparse usage text
+        payload = json.loads(captured.out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["code"] == "bad_job_spec"
+        assert payload["path"] == ""
+        assert needle in payload["message"]
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["-h"])
+        assert exc.value.code == 0
+        assert "usage: qtorus" in capsys.readouterr().out
+
     def test_main_builds_no_parser(self, capsys, monkeypatch, tmp_path):
         # the command line is parsed by one parser, built when cli is imported
         built = []

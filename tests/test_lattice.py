@@ -15,11 +15,15 @@ from qtorus import (
 )
 from qtorus.errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
 from qtorus.lattice import _replay, hstack, vstack
+from qtorus.surface import build_complex
 
 from helpers import (
     ImageNotInKernel,
     fraction_rank,
     rand_matrix,
+    rand_unimodular,
+    random_local_system,
+    smith_by_full_scan,
     smith_form_inverse,
     solve_exact,
     subquotient,
@@ -132,6 +136,57 @@ def test_snf_transforms_replay_the_elimination(a, data):
         for name in order:
             assert getattr(fresh, name) == want[name]
         assert fresh.d == res.d == d
+
+
+@st.composite
+def unit_inputs(draw):
+    """Entries in {-1, 0, 1}: a unit pivot turns up early and ends the search."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return IntMatrix(m, n, draw(st.lists(st.integers(-1, 1), min_size=m * n, max_size=m * n)))
+
+
+@st.composite
+def scaled_inputs(draw):
+    """A matrix times 2, 3 or 6: no pivot is a unit, so the divisibility scan runs."""
+    a, k = draw(snf_inputs()), draw(st.sampled_from([2, 3, 6]))
+    return IntMatrix(a.rows, a.cols, [k * x for x in a.entries])
+
+
+@st.composite
+def coprime_diagonals(draw):
+    """diag(2, 3)-type blocks, maybe mixed by unimodular transforms: row_add(t, offender, 1) fires."""
+    diag = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 9, 10]), min_size=2, max_size=4))
+    m, n = len(diag) + draw(st.integers(0, 2)), len(diag) + draw(st.integers(0, 2))
+    a = IntMatrix(m, n, [diag[i] if i == j and i < len(diag) else 0 for i in range(m) for j in range(n)])
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        a = rand_unimodular(rng, m) @ a @ rand_unimodular(rng, n)
+    return a
+
+
+@st.composite
+def zero_inputs(draw):
+    """The zero matrix of any small shape, 0 x n and n x 0 among them."""
+    return IntMatrix.zeros(draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+
+
+@st.composite
+def differentials(draw):
+    """d0 or d1 of a random local system up to genus 13 and rank 4."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rho = random_local_system(rng, draw(st.integers(0, 13)), draw(st.integers(1, 4)))
+    cx = build_complex(rho)
+    return cx.d0 if draw(st.booleans()) else cx.d1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(snf_inputs(), unit_inputs(), scaled_inputs(), coprime_diagonals(), zero_inputs(), differentials()))
+def test_snf_logs_match_the_full_scan(a):
+    """The shortcuts change no logged operation: h1's generators and omega replay the logs."""
+    res, ref = smith_normal_form(a), smith_by_full_scan(a)
+    assert res.d == ref.d
+    assert res.row_ops == ref.row_ops
+    assert res.col_ops == ref.col_ops
 
 
 @pytest.mark.parametrize(
