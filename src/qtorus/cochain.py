@@ -17,8 +17,9 @@ monodromy of W. The orientation is normalized so that at genus 1 with
 trivial coefficients the a-loop cup b-loop evaluates to +1.
 
 Each public entry point builds one transport table for its (triangulation,
-local system): the matrix of every face word, computed once with
-``rho.word_matrix``. Every 1-cocycle is checked once, when :func:`class_of`
+local system): a list of 6g + 1 matrices, the 4g + 1 boundary prefixes, each
+one product from the previous, then the 2g generators. Each face holds the
+index of its transport. Every 1-cocycle is checked once, when :func:`class_of`
 builds it or :func:`cup_evaluate` receives it; the check yields a
 :class:`Cocycle` carrying its front- and back-face values in the chart.
 :func:`checked_classes` builds a local system's cocycles over one table,
@@ -48,7 +49,7 @@ from .errors import (
     UnsupportedGenus,
 )
 from .forms import ZERO, Frac1, SymmetricForm
-from .surface import LatticeLocalSystem, Word
+from .surface import LatticeLocalSystem
 
 Cell = tuple[str, object]  # ("vert","c"|"v"), ("rad",k), ("gen",j), ("tri",k)
 
@@ -62,7 +63,7 @@ _SLOT_ENDS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 @dataclass(frozen=True)
 class _Face:
     cell: Cell
-    word: Word  # transport from the chart to this face's position
+    at: int  # index of the transport from the chart to this face's position
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,8 @@ class TriangulatedSurface:
             j = 2 * (k // 4) + (0 if k % 4 in (0, 2) else 1)
             eps = 1 if k % 4 < 2 else -1
             self.side_letter.append((j, eps))
-        # boundary word prefixes: W_0 empty, W_{k+1} = W_k * letter_k
-        self.prefix_words: list[Word] = [()]
-        for k in range(n):
-            j, eps = self.side_letter[k]
-            self.prefix_words.append(self.prefix_words[k] + (eps * (j + 1),))
+        # a face's transport index (see _Transports): k for the boundary
+        # prefix of k sides, n + 1 + j for generator j alone
         self.triangles: list[_Triangle] = []
         for k in range(n):
             j, eps = self.side_letter[k]
@@ -100,12 +98,12 @@ class TriangulatedSurface:
             if eps == 1:
                 # ordered (cone, corner k, corner k+1); agrees with the polygon
                 # orientation, so it counts +1 in the fundamental cycle
-                faces = (_Face(gen, self.prefix_words[k]), _Face(rad_next, ()), _Face(rad_k, ()))
+                faces = (_Face(gen, k), _Face(rad_next, 0), _Face(rad_k, 0))
                 self.triangles.append(_Triangle(1, faces))
             else:
                 # ordered (cone, corner k+1, corner k): the side is traversed
                 # against the polygon, so the triangle counts -1
-                faces = (_Face(gen, self.prefix_words[k + 1]), _Face(rad_k, ()), _Face(rad_next, ()))
+                faces = (_Face(gen, k + 1), _Face(rad_k, 0), _Face(rad_next, 0))
                 self.triangles.append(_Triangle(-1, faces))
         self.edge_cells: list[Cell] = [("rad", k) for k in range(n)] + [
             ("gen", j) for j in range(2 * genus)
@@ -113,9 +111,9 @@ class TriangulatedSurface:
         # oriented edges: (tail face, head face) with transports into the chart
         self.edge_ends: dict[Cell, tuple[_Face, _Face]] = {}
         for k in range(n):
-            self.edge_ends[("rad", k)] = (_Face(_V_CONE, ()), _Face(_V_BASE, self.prefix_words[k]))
+            self.edge_ends[("rad", k)] = (_Face(_V_CONE, 0), _Face(_V_BASE, k))
         for j in range(2 * genus):
-            self.edge_ends[("gen", j)] = (_Face(_V_BASE, ()), _Face(_V_BASE, (j + 1,)))
+            self.edge_ends[("gen", j)] = (_Face(_V_BASE, 0), _Face(_V_BASE, n + 1 + j))
         self._validate()
 
     # -- structural checks -------------------------------------------------
@@ -214,11 +212,12 @@ def triangulate(genus: int) -> TriangulatedSurface:
 
 
 class _Transports:
-    """Monodromy of every face word of one triangulation under one local system.
+    """Monodromy of every face position of one triangulation under one local system.
 
-    The keys are the boundary prefix words ``t.prefix_words`` and the 2g
-    single-letter words at the heads of the generator edges; each matrix is
-    computed once, by ``rho.word_matrix``.
+    A list addressed by the faces' indices. Index k <= 4g is the boundary
+    prefix of k sides, index k - 1 times the matrix of the letter on side
+    k - 1, so the 4g prefixes cost 4g products; index 4g + 1 + j is
+    generator j, ``rho.mon[j]``.
     """
 
     def __init__(self, t: TriangulatedSurface, rho: LatticeLocalSystem):
@@ -226,14 +225,14 @@ class _Transports:
             raise ShapeMismatch(f"local system genus {rho.genus} != triangulation genus {t.genus}")
         self.t = t
         self.rank = rho.rank
-        self._matrices = {}
-        for word in (*t.prefix_words, *((j + 1,) for j in range(2 * t.genus))):
-            if word not in self._matrices:
-                self._matrices[word] = rho.word_matrix(word)
+        self._matrices = [rho.word_matrix(())]
+        for j, eps in t.side_letter:
+            self._matrices.append(self._matrices[-1] @ rho.matrix(eps * (j + 1)))
+        self._matrices += rho.mon
 
-    def move(self, word: Word, value: Sequence[int]) -> tuple[int, ...]:
-        """``value`` carried from the position over ``word`` back to the chart."""
-        return self._matrices[word].mul_vec(value)
+    def move(self, at: int, value: Sequence[int]) -> tuple[int, ...]:
+        """``value`` carried from the position with transport index ``at`` back to the chart."""
+        return self._matrices[at].mul_vec(value)
 
 
 @dataclass(frozen=True)
@@ -266,8 +265,8 @@ def _coboundary(c: TwistedCochain, table: _Transports) -> TwistedCochain:
         out: dict[Cell, tuple[int, ...]] = {}
         for cell in t.edge_cells:
             tail, head = t.edge_ends[cell]
-            hv = table.move(head.word, c.value(head.cell))
-            tv = table.move(tail.word, c.value(tail.cell))
+            hv = table.move(head.at, c.value(head.cell))
+            tv = table.move(tail.at, c.value(tail.cell))
             out[cell] = tuple(h - x for h, x in zip(hv, tv))
         return TwistedCochain(1, r, out)
     if c.degree == 1:
@@ -276,7 +275,7 @@ def _coboundary(c: TwistedCochain, table: _Transports) -> TwistedCochain:
             total = [0] * r
             for slot, face in enumerate(tri.faces):
                 sgn = 1 if slot != 1 else -1
-                moved = table.move(face.word, c.value(face.cell))
+                moved = table.move(face.at, c.value(face.cell))
                 for i in range(r):
                     total[i] += sgn * moved[i]
             out[("tri", k)] = tuple(total)
@@ -296,8 +295,8 @@ def _check(c: TwistedCochain, table: _Transports) -> Cocycle | None:
     if not _closed(c, table):
         return None
     tris = table.t.triangles
-    front = tuple(table.move(tri.faces[2].word, c.value(tri.faces[2].cell)) for tri in tris)
-    back = tuple(table.move(tri.faces[0].word, c.value(tri.faces[0].cell)) for tri in tris)
+    front = tuple(table.move(tri.faces[2].at, c.value(tri.faces[2].cell)) for tri in tris)
+    back = tuple(table.move(tri.faces[0].at, c.value(tri.faces[0].cell)) for tri in tris)
     return Cocycle(c, table, front, back)
 
 
@@ -400,12 +399,8 @@ def _class_of(h1_vector: Sequence[int], table: _Transports) -> Cocycle:
     values[("rad", 0)] = tuple(radial)
     for k in range(t.num_sides):
         j, eps = t.side_letter[k]
-        if eps == 1:
-            step = table.move(t.prefix_words[k], loop_values[j])
-            radial = [a + s for a, s in zip(radial, step)]
-        else:
-            step = table.move(t.prefix_words[k + 1], loop_values[j])
-            radial = [a - s for a, s in zip(radial, step)]
+        step = table.move(k if eps == 1 else k + 1, loop_values[j])
+        radial = [a + eps * s for a, s in zip(radial, step)]
         if k + 1 < t.num_sides:
             values[("rad", k + 1)] = tuple(radial)
     if any(radial):

@@ -58,6 +58,8 @@ class IntMatrix:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ShapeMismatch("ragged rows")
+        if cols is not None and cols != n:
+            raise ShapeMismatch(f"rows of length {n} given for {cols} columns")
         return cls(m, n, [x for r in rows for x in r])
 
     @classmethod

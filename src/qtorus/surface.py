@@ -193,11 +193,15 @@ class CohomologyPresentations:
         integer x with K x = d0: rows k: of V^-1 d0, snf(d1)'s column log
         replayed inverted onto d0. snf(x) gives H^1 = Z^cols(K) / im x, and
         its row log replayed inverted onto K's columns the generators K U^-1.
+        coker x must be ``triple.h1``, read off coker d0; a fault in the log
+        replays would make them differ.
         """
         snf1, d0 = self.snf1, self.complex.d0
         rows = _replay(snf1.col_ops, d0.row_lists(), True)[snf1.rank() :]
-        x = IntMatrix.from_rows(rows, d0.cols)
-        return _quotient_with_generators(smith_normal_form(x), snf1.kernel_basis())
+        snf = smith_normal_form(IntMatrix.from_rows(rows, d0.cols))
+        if snf.cokernel() != self.triple.h1:
+            raise InvariantViolation("H^1 from ker d1 / im d0 disagrees with coker d0")
+        return _quotient_with_generators(snf, snf1.kernel_basis())
 
     @cached_property
     def h2(self) -> QuotientPresentation:

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus import (
+    BilinearData,
     Frac1,
+    IntMatrix,
     LatticeLocalSystem,
     SymmetricForm,
     TwistedCochain,
@@ -24,6 +26,7 @@ from qtorus import (
 )
 from qtorus.errors import NotACocycle, NotInKernel, ShapeMismatch, UnsupportedGenus
 from qtorus.forms import ZERO
+from qtorus.gerbe import _pairing_gram, omega_numerators
 from qtorus.selfcheck import _local_system
 
 from helpers import cup_per_triangle, family_system, random_invariant_level, random_local_system
@@ -347,6 +350,61 @@ class TestCheckedCup:
         assert pair_cup(cup_tensor(a, b), scalar_pairing(1, 2)) == Frac1(1, 2)
         with pytest.raises(ShapeMismatch):
             pair_cup(cup_tensor(a, b), SymmetricForm(2, ((ZERO, ZERO), (ZERO, ZERO))))
+
+
+class TestReportScale:
+    # omega's closed form against the oracle on the systems reports run:
+    # g16 and g32 at rank 4, plus a g13 handle-pair system like the
+    # surface_twisted jobs. Each system draws 8 generator pairs, a generator
+    # and one of the 4r from it on, so that where the generators follow the
+    # coordinates some pairs hold a handle's two loops; W and the oracle see
+    # only the generators those pairs name
+    SYSTEMS = [(f, g) for g in (16, 32) for f in ("trivial", "sign", "shear")] + [("pair", 13)]
+    RANK, DEN, PAIRS = 4, 7, 8
+
+    def test_sampled_omega_entries_match_the_oracle(self):
+        # both routes sum the same term per relator letter over the cocycles
+        # class_of builds, so they agree at any level; a random c over 7
+        # reads more of P than the few levels these systems preserve
+        r = self.RANK
+        nonzero = 0
+        read_off_handle = set()  # systems whose sampled entries read P between two handles
+        for family, genus in self.SYSTEMS:
+            rng = random.Random(f"report-scale-{family}-g{genus}")
+            rho = family_system(rng, family, genus, r)
+            gens = cohomology_presentations(rho).h1.all_gens()
+            c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
+            p = polarize(quad_from_bilinear(BilinearData(c, Frac1(1, self.DEN))))
+            starts = [rng.randrange(len(gens)) for _ in range(self.PAIRS)]
+            pairs = [(i, (i + rng.randrange(4 * r)) % len(gens)) for i in starts]
+            used = sorted({i for pair in pairs for i in pair})
+            at = {i: k for k, i in enumerate(used)}
+            sampled = [gens[i] for i in used]
+            w = omega_numerators(rho, p, sampled)
+            cocycles = checked_classes(sampled, triangulate(genus), rho)
+            gram = _pairing_gram(rho, p.numerators)
+            for i, j in pairs:
+                closed = Frac1(w.entry(at[i], at[j]), p.denominator)
+                cup = cup_tensor(cocycles[at[i]], cocycles[at[j]])
+                assert closed == pair_cup(cup, p), (family, genus, i, j)
+                nonzero += bool(closed)
+                if off_handle_value(gram, 2 * r, gens[i], gens[j]) % p.denominator:
+                    read_off_handle.add((family, genus))
+        assert nonzero >= 10
+        # P's blocks between two handles come from _pairing_gram's finished
+        # rows; these systems' sampled entries depend on them
+        assert {("sign", 32), ("pair", 13)} <= read_off_handle
+
+
+def off_handle_value(gram, width, u, v):
+    """u^T P v over the entries of P whose row and column lie in different handles."""
+    return sum(
+        x * gram.entry(k, l) * y
+        for k, x in enumerate(u)
+        if x
+        for l, y in enumerate(v)
+        if y and k // width != l // width
+    )
 
 
 class TestHolonomies:

@@ -248,6 +248,13 @@ def test_empty_matrices_are_legal():
     assert det(IntMatrix.zeros(0, 0)) == 1
 
 
+def test_from_rows_checks_its_column_count():
+    assert IntMatrix.from_rows([[1, 2]], 2) == IntMatrix(1, 2, [1, 2])
+    assert IntMatrix.from_rows([], 3) == IntMatrix.zeros(0, 3)
+    with pytest.raises(ShapeMismatch):
+        IntMatrix.from_rows([[1, 2]], 3)
+
+
 def slow_det(m):
     """Leibniz expansion over all permutations, signed by cycle parity."""
     n = m.rows

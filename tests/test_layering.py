@@ -130,8 +130,8 @@ def test_gerbe_holds_no_fractions():
 
 def test_omega_forms_no_dense_product():
     # W = G^T P G is formed row by row from the nonzero entries of P and G;
-    # IntMatrix's dense @ stays the plain product the cochain oracle reaches
-    # through rho.word_matrix
+    # IntMatrix's dense @ stays the plain product the cochain oracle's
+    # transport table forms, one per boundary prefix
     funcs = [
         node
         for node in parse("gerbe").body

@@ -23,7 +23,7 @@ from qtorus import cochain, gerbe, selfcheck
 from qtorus.forms import probe_images
 from qtorus.selfcheck import DEFAULT_SEED
 
-from helpers import invariant_level_by_forms, pairing_on_cocycles_per_term
+from helpers import family_system, invariant_level_by_forms, pairing_on_cocycles_per_term
 
 SHIFT = Frac1(1, 7)
 DECK_SEEDS = (650473, 97695, 560286, 513761, 278011, 206466)  # the benchmark's selfcheck jobs
@@ -60,35 +60,67 @@ def test_mismatch_record_replays(monkeypatch):
     assert str(simplicial + SHIFT) == record["simplicial"]
 
 
-def test_one_table_and_one_check_per_local_system(monkeypatch):
-    # word_matrix runs once per distinct face word of each local system, and
-    # the coboundary once per cocycle built: one per H^1 generator
-    words = {}  # id(rho) -> (rho, Counter of words); holding rho keeps ids unique
-    runs = {}  # id(table) -> (table, coboundary runs)
-    word_matrix = LatticeLocalSystem.word_matrix
-    coboundary = cochain._coboundary
+def _count_table_products(monkeypatch):
+    """Spy on IntMatrix products: a list of (table, products it formed)."""
+    tables = []
+    matmul = IntMatrix.__matmul__
+    build = cochain._Transports.__init__
+    count = [0]
 
-    def counting_word_matrix(self, word):
-        words.setdefault(id(self), (self, Counter()))[1][word] += 1
-        return word_matrix(self, word)
+    def counting_matmul(self, other):
+        count[0] += 1
+        return matmul(self, other)
+
+    def counting_build(self, t, rho):
+        before = count[0]
+        build(self, t, rho)
+        tables.append((self, count[0] - before))
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(cochain._Transports, "__init__", counting_build)
+    return tables
+
+
+def test_one_table_and_one_check_per_local_system(monkeypatch):
+    # each local system's transport table forms 4g products, one per
+    # boundary prefix, and the coboundary runs once per cocycle built: one
+    # per H^1 generator
+    runs = {}  # id(table) -> (table, coboundary runs)
+    coboundary = cochain._coboundary
 
     def counting_coboundary(c, table):
         held, n = runs.get(id(table), (table, 0))
         runs[id(table)] = (held, n + 1)
         return coboundary(c, table)
 
-    monkeypatch.setattr(LatticeLocalSystem, "word_matrix", counting_word_matrix)
+    tables = _count_table_products(monkeypatch)
     monkeypatch.setattr(cochain, "_coboundary", counting_coboundary)
+    rhos = []  # the local systems selfcheck draws, in order
+    local_system = selfcheck._local_system
+
+    def recording_local_system(*args):
+        rhos.append(local_system(*args))
+        return rhos[-1]
+
+    monkeypatch.setattr(selfcheck, "_local_system", recording_local_system)
     assert run_selfcheck(5).ok
     monkeypatch.undo()
 
-    assert len(words) == len(runs) == 12  # genus 1-2, rank 1-2, three families
-    for (rho, seen), (table, n) in zip(words.values(), runs.values()):
-        t = triangulate(rho.genus)
-        faces = set(t.prefix_words) | {(j + 1,) for j in range(2 * rho.genus)}
-        assert seen == Counter(dict.fromkeys(faces, 1))
-        assert table.t.genus == rho.genus and table.rank == rho.rank
+    assert len(tables) == len(runs) == len(rhos) == 12  # genus 1-2, rank 1-2, three families
+    for rho, (table, products), (held, n) in zip(rhos, tables, runs.values()):
+        assert held is table and table.t.genus == rho.genus and table.rank == rho.rank
+        assert products == 4 * rho.genus
         assert n == len(cohomology_presentations(rho).h1.all_gens())
+
+
+def test_transport_table_work_is_linear_in_genus(monkeypatch):
+    # one product per boundary side keeps the table linear in the genus:
+    # 256 products at g64
+    rho = family_system(random.Random(64), "pair", 64, 4)
+    tables = _count_table_products(monkeypatch)
+    cochain.checked_classes((), triangulate(64), rho)
+    monkeypatch.undo()
+    assert [products for _, products in tables] == [256]
 
 
 def test_one_cup_tensor_per_generator_pair(monkeypatch):
