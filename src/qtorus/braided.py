@@ -10,7 +10,7 @@ double braiding) must be refinement independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, ShapeMismatch
 from .forms import ZERO, Frac1, QuadraticForm, _bilinear_sum, _over_common_denominator, evaluate
@@ -155,26 +155,13 @@ def balancing_check(b: BraidedData, lam1: Sequence[int], lam2: Sequence[int]) ->
     return lhs == double_braiding(b, lam1, lam2)
 
 
-PhaseFn = Callable[[Sequence[int], Sequence[int]], Frac1]
-
-
 def hexagon_check(
-    b: BraidedData,
-    lam1: Sequence[int],
-    lam2: Sequence[int],
-    lam3: Sequence[int],
-    phase: PhaseFn | None = None,
+    b: BraidedData, lam1: Sequence[int], lam2: Sequence[int], lam3: Sequence[int]
 ) -> bool:
-    """Additivity of the braiding phase in each slot on a triple.
-
-    ``phase`` defaults to the bilinear extension of beta; passing a corrupted
-    phase function is how tests exercise the failure mode.
-    """
-    c = phase if phase is not None else (lambda x, y: braiding_phase(b, x, y))
+    """Additivity of :func:`braiding_phase` in each slot on a triple."""
     s12 = tuple(x + y for x, y in zip(lam1, lam2))
     s23 = tuple(x + y for x, y in zip(lam2, lam3))
-    if c(s12, lam3) != c(lam1, lam3) + c(lam2, lam3):
+    c13 = braiding_phase(b, lam1, lam3)
+    if braiding_phase(b, s12, lam3) != c13 + braiding_phase(b, lam2, lam3):
         return False
-    if c(lam1, s23) != c(lam1, lam2) + c(lam1, lam3):
-        return False
-    return True
+    return braiding_phase(b, lam1, s23) == braiding_phase(b, lam1, lam2) + c13

@@ -27,12 +27,15 @@ if TYPE_CHECKING:  # forms sits below the topological layer and never imports it
     from .surface import LatticeLocalSystem
 
 
-def _echo(value: object, limit: int = 60) -> str:
-    """``repr(value)`` for an error message, cut to ``limit`` characters plus its length."""
+_ECHO_LIMIT = 60
+
+
+def _echo(value: object) -> str:
+    """``repr(value)`` for an error message, cut to ``_ECHO_LIMIT`` characters plus its length."""
     text = repr(value)
-    if len(text) <= limit:
+    if len(text) <= _ECHO_LIMIT:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 class Frac1:

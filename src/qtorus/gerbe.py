@@ -216,7 +216,7 @@ def _pi2_characters(
     generator x and basis vector e_l. That is checked once, for all reps.
     """
     n = pairing.denominator
-    chi = pres.h0_basis.transpose() @ pairing.numerators
+    chi = IntMatrix.from_rows(pres.h0_basis, rho.rank) @ pairing.numerators
     eye = IntMatrix.identity(rho.rank)
     for m in rho.mon:
         if any(x % n for x in (chi @ (m - eye)).entries):

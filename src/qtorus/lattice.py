@@ -3,10 +3,12 @@
 Everything here works with built-in arbitrary-precision ints; no floats ever
 enter. There are two eliminations. :func:`smith_normal_form`, the
 ``U @ A @ V = D`` decomposition with unimodular transforms, gives kernels,
-cokernels and quotient generators. It keeps its row and column operations:
-replayed onto an identity they give a kernel basis, the last columns of
-``V``, and replayed inverted onto B or X they give quotient generators
-``B @ U^-1`` and coordinates ``V^-1 @ X``. Its pivot search stops at the
+cokernels and quotient generators. It keeps its row and column operations,
+and only :class:`SnfResult` replays them: the column log onto an identity
+gives the kernel vectors, the last columns of ``V``; the row log inverted
+onto basis vectors gives :meth:`SnfResult.quotient`'s generators
+``B @ U^-1``; and :meth:`SnfResult.subquotient` reads ker a / im b off the
+coordinates ``V^-1 @ b`` and one more Smith form. Its pivot search stops at the
 first unit, each column operation writes one entry, and the divisibility
 scan of the trailing block runs only at non-unit pivots. Determinants and
 inverses in GL(n, Z) read ``det A`` and the adjugate off one fraction-free
@@ -216,8 +218,10 @@ class SnfResult:
     """Diagonal ``d`` with ``u @ a @ v == d``, ``u`` and ``v`` unimodular.
 
     The result keeps the elimination's row and column operations in order,
-    and each transform is built from them by :func:`_replay` when it is first
-    read, so a caller pays for exactly the transforms it reads.
+    and only its methods replay them (:func:`_replay`): each transform is
+    built when it is first read, and the kernel vectors, quotient and
+    subquotient generators replay a log onto just the rows they need, so a
+    caller pays for exactly what it reads.
     """
 
     d: IntMatrix
@@ -247,14 +251,41 @@ class SnfResult:
         torsion = tuple(x for x in self.diagonal() if x > 1)
         return FgAbGroup(self.d.rows - self.rank(), torsion)
 
-    def kernel_basis(self) -> IntMatrix:
-        """Saturated basis of ker(a) as columns: the columns rank: of v.
+    def kernel_basis(self) -> list[list[int]]:
+        """Saturated basis of ker(a) as vectors: the columns rank: of v.
 
-        The column log is replayed onto an identity and only those columns
-        are kept, so v itself is not built.
+        The column log is replayed onto an identity and only those rows are
+        kept, so v itself is not built.
         """
-        n = self.d.cols
-        return IntMatrix.from_columns(_replay(self.col_ops, _identity_rows(n))[self.rank() :], n)
+        return _replay(self.col_ops, _identity_rows(self.d.cols))[self.rank() :]
+
+    def quotient(self, basis: Sequence[Sequence[int]] | None = None) -> QuotientPresentation:
+        """Z^k / im(a), k = rows of a, with generators pushed to ambient vectors.
+
+        ``basis`` holds the k ambient vectors the quotient coordinates refer
+        to; None means the standard basis. With B those vectors as columns,
+        column i of B @ U^-1 generates the Z/diag[i] (or Z, past the rank)
+        summand; it is row i of the row log replayed inverted onto them.
+        """
+        k, r = self.d.rows, self.rank()
+        diag = self.diagonal()
+        push = _replay(self.row_ops, _identity_rows(k) if basis is None else list(basis), True)
+        free_gens = tuple(tuple(push[i]) for i in range(r, k))
+        torsion_gens = tuple(tuple(push[i]) for i in range(r) if diag[i] > 1)
+        return QuotientPresentation(self.cokernel(), free_gens, torsion_gens)
+
+    def subquotient(self, b: IntMatrix) -> QuotientPresentation:
+        """ker a / im b with generators in ker a; im b must lie in ker a.
+
+        With V the column transform and k the rank, K = V[:, k:] is a basis
+        of ker a and W = V^-1[k:, :] has W K = I. K has full column rank and
+        im b lies in ker a, so x = W b is the unique integer x with K x = b:
+        rows k: of V^-1 b, the column log replayed inverted onto b. snf(x)
+        gives ker a / im b = Z^cols(K) / im x, and its row log replayed
+        inverted onto the kernel vectors the generators K U^-1.
+        """
+        rows = _replay(self.col_ops, b.row_lists(), True)[self.rank() :]
+        return smith_normal_form(IntMatrix.from_rows(rows, b.cols)).quotient(self.kernel_basis())
 
 
 @dataclass(frozen=True)
@@ -461,19 +492,3 @@ class QuotientPresentation:
     def all_gens(self) -> tuple[tuple[int, ...], ...]:
         return self.free_gens + self.torsion_gens
 
-
-def _quotient_with_generators(snf: SnfResult, basis: IntMatrix | None) -> QuotientPresentation:
-    """Generators of Z^k / im(x), pushed to ambient coordinates via ``basis``.
-
-    ``snf`` is the Smith form of x. ``basis`` is an ambient-by-k matrix whose
-    columns the quotient coordinates refer to; None means the identity.
-    Column i of basis @ U^-1 generates the Z/diag[i] (or Z, past the rank)
-    summand; it is row i of the row log replayed inverted onto basis's columns.
-    """
-    k, r = snf.d.rows, snf.rank()
-    diag = snf.diagonal()
-    cols = _identity_rows(k) if basis is None else [basis.column(j) for j in range(basis.cols)]
-    push = _replay(snf.row_ops, cols, True)
-    free_gens = tuple(tuple(push[i]) for i in range(r, k))
-    torsion_gens = tuple(tuple(push[i]) for i in range(r) if diag[i] > 1)
-    return QuotientPresentation(snf.cokernel(), free_gens, torsion_gens)

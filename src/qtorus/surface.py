@@ -9,9 +9,9 @@ derivatives of the relator. A local system unwinds the relator once; its
 letter transports give the relation check, d1 and omega's Gram matrix.
 :func:`cohomology_presentations` is the one cohomology route. Its groups
 come from one Smith diagonal per differential and read no transform, so
-none is built. Generator representatives are built when first read: they
-read V of snf(d0) and snf(d1), replay the other logs, inverted, onto the
-matrices they apply to, and run one more Smith form for H^1.
+none is built. Generator representatives are built when first read, by the
+Smith forms themselves: H^0's basis is the kernel vectors of snf(d0), H^2 is
+snf(d1)'s quotient and H^1 its subquotient ker d1 / im d0.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .lattice import (
     IntMatrix,
     QuotientPresentation,
     SnfResult,
-    _quotient_with_generators,
-    _replay,
     hstack,
     inverse_unimodular,
     smith_normal_form,
@@ -167,10 +165,9 @@ class CohomologyTriple(NamedTuple):
 class CohomologyPresentations:
     """Cohomology groups, with generator representatives built when first read.
 
-    ``triple`` is read off the Smith diagonals of d0 and d1. ``h0_basis``
-    and ``h1`` replay the column log of one of those Smith forms for a
-    kernel basis, and ``h1`` runs one more Smith form, so each is built,
-    once, by its first reader.
+    ``triple`` is read off the Smith diagonals of d0 and d1. ``h0_basis``,
+    ``h1`` and ``h2`` ask those Smith forms for kernel vectors, a subquotient
+    and a quotient, so each is built, once, by its first reader.
     """
 
     triple: CohomologyTriple
@@ -179,34 +176,26 @@ class CohomologyPresentations:
     snf1: SnfResult = field(repr=False)  # of d1
 
     @cached_property
-    def h0_basis(self) -> IntMatrix:
-        """Columns: a basis of the invariant sublattice, the kernel columns of snf(d0)."""
+    def h0_basis(self) -> list[list[int]]:
+        """A basis of the invariant sublattice: the kernel vectors of snf(d0)."""
         return self.snf0.kernel_basis()
 
     @cached_property
     def h1(self) -> QuotientPresentation:
-        """H^1 with generators as vectors in Z^(2g r), inside ker d1.
+        """H^1 = ker d1 / im d0 with generators as vectors in Z^(2g r), inside ker d1.
 
-        With V the column transform of snf(d1) and k its rank, K = V[:, k:]
-        is a basis of ker d1 and W = V^-1[k:, :] has W K = I. K has full
-        column rank and im d0 lies in ker d1, so x = W d0 is the unique
-        integer x with K x = d0: rows k: of V^-1 d0, snf(d1)'s column log
-        replayed inverted onto d0. snf(x) gives H^1 = Z^cols(K) / im x, and
-        its row log replayed inverted onto K's columns the generators K U^-1.
-        coker x must be ``triple.h1``, read off coker d0; a fault in the log
-        replays would make them differ.
+        It is snf(d1)'s subquotient by d0, whose group must be ``triple.h1``,
+        read off coker d0; a fault in the log replays would make them differ.
         """
-        snf1, d0 = self.snf1, self.complex.d0
-        rows = _replay(snf1.col_ops, d0.row_lists(), True)[snf1.rank() :]
-        snf = smith_normal_form(IntMatrix.from_rows(rows, d0.cols))
-        if snf.cokernel() != self.triple.h1:
+        h1 = self.snf1.subquotient(self.complex.d0)
+        if h1.group != self.triple.h1:
             raise InvariantViolation("H^1 from ker d1 / im d0 disagrees with coker d0")
-        return _quotient_with_generators(snf, snf1.kernel_basis())
+        return h1
 
     @cached_property
     def h2(self) -> QuotientPresentation:
-        """H^2 = coker d1 with generators as vectors in Z^r, from U^-1 of snf(d1)."""
-        return _quotient_with_generators(self.snf1, None)
+        """H^2 = coker d1 with generators as vectors in Z^r: snf(d1)'s quotient."""
+        return self.snf1.quotient()
 
 
 def cohomology_presentations(rho: LatticeLocalSystem) -> CohomologyPresentations:

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from qtorus import braided
 from qtorus import (
     BilinearData,
     BraidedData,
@@ -216,16 +217,17 @@ class TestHexagon:
             l1, l2, l3 = rng.choice(vecs), rng.choice(vecs), rng.choice(vecs)
             assert hexagon_check(b, l1, l2, l3)
 
-    def test_corrupted_phase_fails_somewhere(self):
+    def test_corrupted_phase_fails_somewhere(self, monkeypatch):
         b = standard_refinement(rank2_halfpair())
 
-        def corrupted(lam, mu):
+        def corrupted(data, lam, mu):
             bad = QUARTER if lam == (1, 0) else ZERO
-            return braiding_phase(b, lam, mu) + bad
+            return braiding_phase(data, lam, mu) + bad
 
+        monkeypatch.setattr(braided, "braiding_phase", corrupted)
         vecs = list(product(range(-2, 3), repeat=2))
         assert not all(
-            hexagon_check(b, l1, l2, l3, phase=corrupted)
+            hexagon_check(b, l1, l2, l3)
             for l1 in vecs
             for l2 in vecs
             for l3 in vecs[:5]

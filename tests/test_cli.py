@@ -677,17 +677,18 @@ class TestTripwire:
         assert payload["code"] == "invariant_violation" and fault in payload["message"]
 
     def test_h1_routes_disagree_exits_three(self, capsys, monkeypatch, tmp_path):
-        # a fault in the replay that forms x moves coker x off coker d0's H^1
-        from qtorus import surface
+        # a fault in the replay that forms x, inside SnfResult.subquotient,
+        # moves coker x off coker d0's H^1
+        from qtorus import lattice
 
-        replay = surface._replay
+        replay = lattice._replay
 
         def faulty(ops, rows, inverse=False):
             out = replay(ops, rows, inverse)
             out[-1] = [out[-1][0] + 1, *out[-1][1:]]
             return out
 
-        monkeypatch.setattr(surface, "_replay", faulty)
+        monkeypatch.setattr(lattice, "_replay", faulty)
         out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, base_global_spec()))
         assert code == 3
         payload = json.loads(out)

@@ -69,8 +69,8 @@ def test_smith_form_takes_only_the_matrix():
         if isinstance(node, ast.Call)
         and "smith_normal_form" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    # d0, d1 and x for the cohomology, and the independent check's H2: all in
-    # surface, since gerbe counts Heisenberg blocks by elimination over Z/N
+    # d0, d1 and x for the cohomology (x in SnfResult.subquotient), and the
+    # independent check's H2; gerbe counts Heisenberg blocks over Z/N
     assert len(calls) == 4
     assert [c for c in calls if c[2:] != (1, [])] == []
 
@@ -91,21 +91,22 @@ def test_heisenberg_count_shares_no_rank_code():
     assert 61 not in constants  # nor spelled as a shift or a power
 
 
+def methods(module, cls_name, names):
+    """The named methods of a class, read off the module's source."""
+    (cls,) = [
+        node for node in parse(module).body if isinstance(node, ast.ClassDef) and node.name == cls_name
+    ]
+    found = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert sorted(f.name for f in found) == sorted(names)
+    return found
+
+
 def test_h1_route_forms_no_dense_product():
     # a Smith form's operation log is replayed onto the matrix that needs it:
     # no inverse transform is built and no product with one is formed
-    (presentations,) = [
-        node
-        for node in parse("surface").body
-        if isinstance(node, ast.ClassDef) and node.name == "CohomologyPresentations"
-    ]
-    (h1,) = [n for n in presentations.body if isinstance(n, ast.FunctionDef) and n.name == "h1"]
-    (push,) = [
-        node
-        for node in parse("lattice").body
-        if isinstance(node, ast.FunctionDef) and node.name == "_quotient_with_generators"
-    ]
-    for func in (h1, push):
+    funcs = methods("lattice", "SnfResult", {"quotient", "subquotient"})
+    funcs += methods("surface", "CohomologyPresentations", {"h1"})
+    for func in funcs:
         assert not [n for n in ast.walk(func) if isinstance(n, ast.MatMult)], func.name
     found = [
         (path.name, name)
@@ -114,6 +115,31 @@ def test_h1_route_forms_no_dense_product():
         if name in path.read_text()
     ]
     assert found == []
+
+
+def test_smith_form_logs_stay_in_lattice():
+    # only SnfResult replays its logs: kernel vectors, quotients and
+    # subquotients are asked of it, so no other module reads a log or
+    # imports lattice's private replay helpers
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text())
+        found += [(path.name, name) for name in names_in(tree) & {"row_ops", "col_ops"}]
+        found += [
+            (path.name, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "lattice"
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert found == []
+    assert "_quotient_with_generators" not in top_level_names(parse("lattice"))
+    # kernel vectors cross into surface and gerbe as rows, not as an IntMatrix
+    funcs = methods("lattice", "SnfResult", {"kernel_basis"})
+    funcs += methods("surface", "CohomologyPresentations", {"h0_basis"})
+    assert [ast.unparse(f.returns) for f in funcs] == ["list[list[int]]"] * 2
 
 
 def test_gerbe_holds_no_fractions():

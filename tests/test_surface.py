@@ -50,6 +50,11 @@ def spy_on_smith_forms(monkeypatch):
     return results
 
 
+def kernel_matrix(a):
+    """The kernel vectors of snf(a) as the columns of a matrix, for the dense helpers."""
+    return IntMatrix.from_columns(smith_normal_form(a).kernel_basis(), a.cols)
+
+
 def built(res):
     """The transforms of a Smith form that something has read, and so built."""
     return {"u", "v"} & vars(res).keys()
@@ -292,7 +297,7 @@ class TestGroupsOnlyRoute:
                 h = pres.triple
                 assert h.h1 == pres.h1.group
                 assert h.h2 == pres.h2.group
-                assert h.h0 == FgAbGroup(pres.h0_basis.cols)
+                assert h.h0 == FgAbGroup(len(pres.h0_basis))
                 assert invariants_coinvariants_check(rho, h)
                 torsion += bool(h.h1.torsion or h.h2.torsion)
         if family == "sign":
@@ -309,7 +314,7 @@ class TestGroupsOnlyRoute:
                 rho = family_system(rng, family, genus, rank)
                 cx = build_complex(rho)
                 h1 = cohomology_presentations(rho).triple.h1
-                assert h1 == subquotient(smith_normal_form(cx.d1).kernel_basis(), cx.d0)
+                assert h1 == subquotient(kernel_matrix(cx.d1), cx.d0)
                 torsion += bool(h1.torsion)
         if family == "sign":
             assert torsion >= 6
@@ -416,7 +421,7 @@ class TestPresentations:
         shapes += {"shear": [(9, 2)], "pair": [(13, 4)]}.get(family, [])
         for genus, rank in shapes:
             pres = cohomology_presentations(family_system(rng, family, genus, rank))
-            kernel = smith_normal_form(pres.complex.d1).kernel_basis()
+            kernel = kernel_matrix(pres.complex.d1)
             assert pres.h1 == subquotient_with_generators(kernel, pres.complex.d0)
 
     def test_generators_are_cocycles(self):
@@ -431,8 +436,8 @@ class TestPresentations:
 
     def test_h0_basis_is_invariant(self):
         pres = cohomology_presentations(LatticeLocalSystem.trivial(2, 1))
-        assert pres.h0_basis.cols == 2
-        assert (pres.complex.d0 @ pres.h0_basis).is_zero()
+        assert len(pres.h0_basis) == 2
+        assert (pres.complex.d0 @ IntMatrix.from_columns(pres.h0_basis, 2)).is_zero()
 
     def test_counts_match_groups(self):
         pres = cohomology_presentations(sign_rep())
