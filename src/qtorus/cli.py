@@ -57,6 +57,9 @@ REFINEMENT_NOTE = (
 )
 
 
+_STR, _INT = {str}, {int}  # type sets of an all-str and an all-int list; bool is neither
+
+
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadJobSpec("expected an integer", path)
@@ -64,11 +67,12 @@ def _as_int(value: Any, path: str) -> int:
 
 
 def _as_vector(value: Any, length: int, path: str) -> tuple[int, ...]:
+    """A list of ``length`` integers as a tuple; the first bad entry's path on failure."""
     if not isinstance(value, list) or len(value) != length:
         raise BadJobSpec(f"expected a list of {length} integers", path)
-    for i, x in enumerate(value):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise BadJobSpec("expected an integer", f"{path}[{i}]")
+    if set(map(type, value)) - _INT:
+        for i, x in enumerate(value):
+            _as_int(x, f"{path}[{i}]")
     return tuple(value)
 
 
@@ -400,59 +404,77 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _encode(value: Any, depth: int, out: list[str], memo: dict[tuple[int, int], str]) -> None:
+def _encode(
+    value: Any, depth: int, out: list[str], memo: dict[tuple[int, int], str], pads: list[str]
+) -> None:
     """Append ``value`` as indent-2 JSON at nesting ``depth`` to ``out``.
 
-    A list of lists (a matrix) is encoded once per depth and its text reused:
+    Values dispatch on their exact type, so a report holds plain ``str``,
+    ``int``, ``dict``, ``list``/``tuple``, ``None`` and bools; anything else,
+    a subclass included, is a ``TypeError``. A list whose items are all
+    ``str``, or all ``int`` (never ``bool``), is written with one join. A
+    list of lists (a matrix) is encoded once per depth and its text reused:
     every block of a report holds the same omega list. Keying by ``id`` is
     sound because the caller keeps every object alive for the whole call.
+    ``pads[d]`` is a newline and depth d's indent, built once per call of
+    :func:`_dumps`, when the first container at depth d - 1 is written.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
+    elif kind is int:
         out.append(int.__repr__(value))
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
-        pad = "\n" + "  " * (depth + 1)
+        if len(pads) == depth + 1:
+            pads.append(pads[depth] + "  ")
+        pad = pads[depth + 1]
         sep = "{" + pad
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out += (sep, _encode_str(key), ": ")
-            _encode(item, depth + 1, out, memo)
+            _encode(item, depth + 1, out, memo, pads)
             sep = "," + pad
-        out.append("\n" + "  " * depth + "}")
-    elif isinstance(value, (list, tuple)):
+        out += (pads[depth], "}")
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
-        matrix = isinstance(value[0], (list, tuple))
+        if len(pads) == depth + 1:
+            pads.append(pads[depth] + "  ")
+        pad = pads[depth + 1]
+        kinds = set(map(type, value))
+        if kinds == _STR or kinds == _INT:
+            items = map(_encode_str if kinds == _STR else int.__repr__, value)
+            out += ("[", pad, ("," + pad).join(items), pads[depth], "]")
+            return
+        matrix = type(value[0]) in (list, tuple)
         if matrix:
             key = (id(value), depth)
             if key in memo:
                 out.append(memo[key])
                 return
             whole, out = out, []
-        pad = "\n" + "  " * (depth + 1)
         sep = "[" + pad
         for item in value:
             out.append(sep)
-            _encode(item, depth + 1, out, memo)
+            _encode(item, depth + 1, out, memo, pads)
             sep = "," + pad
-        out.append("\n" + "  " * depth + "]")
+        out += (pads[depth], "]")
         if matrix:
             memo[key] = text = "".join(out)
             whole.append(text)
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _dumps(value: Any) -> str:
@@ -461,7 +483,7 @@ def _dumps(value: Any) -> str:
     Dict keys must be strings; every shared matrix is encoded once.
     """
     out: list[str] = []
-    _encode(value, 0, out, {})
+    _encode(value, 0, out, {}, ["\n"])
     out.append("\n")
     return "".join(out)
 

@@ -213,13 +213,15 @@ def _pi2_characters(
 
     chi(d + s) - chi(d) = b(lambda, s) by bilinearity, so chi is well defined
     on components exactly when b(lambda, (rho(x) - 1) e_l) vanishes for every
-    generator x and basis vector e_l. That is checked once, for all reps.
+    generator x and basis vector e_l. That is checked once, for all reps, on
+    each rho(x_j) - 1 read as block j of the complex's d0.
     """
     n = pairing.denominator
-    chi = IntMatrix.from_rows(pres.h0_basis, rho.rank) @ pairing.numerators
-    eye = IntMatrix.identity(rho.rank)
-    for m in rho.mon:
-        if any(x % n for x in (chi @ (m - eye)).entries):
+    r = rho.rank
+    chi = IntMatrix.from_rows(pres.h0_basis, r) @ pairing.numerators
+    d0, size = pres.complex.d0.entries, r * r
+    for j in range(2 * rho.genus):
+        if any(x % n for x in (chi @ IntMatrix(r, r, d0[j * size : (j + 1) * size])).entries):
             raise InvariantViolation("pi2 character depends on the component representative")
     return [tuple(x % n for x in chi.mul_vec(rep)) for rep in reps]
 

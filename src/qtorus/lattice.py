@@ -104,7 +104,12 @@ class IntMatrix:
         n, k, m = self.rows, self.cols, other.cols
         a, b = self._e, other._e
         cols = [b[j::m] for j in range(m)]
-        out = [sum(map(mul, a[i * k : (i + 1) * k], col)) for i in range(n) for col in cols]
+        out = [
+            sum(map(mul, row, col))
+            for i in range(n)
+            for row in [a[i * k : (i + 1) * k]]  # each row sliced once
+            for col in cols
+        ]
         return IntMatrix(n, m, out)
 
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -143,16 +144,20 @@ class CochainComplexSurface:
 
 
 def build_complex(rho: LatticeLocalSystem) -> CochainComplexSurface:
-    """Both differentials; block j of d1 sums eps * transport over generator j's letters."""
+    """Both differentials; block j of d1 sums eps * transport over generator j's letters.
+
+    Each block's sum runs on one flat list of r*r integers, and each block
+    becomes one matrix, whatever the number of its letters.
+    """
     g, r = rho.genus, rho.rank
     eye = IntMatrix.identity(r)
     if g == 0:
         return CochainComplexSurface(0, r, IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0))
     d0 = vstack([m - eye for m in rho.mon])
-    blocks = [IntMatrix.zeros(r, r)] * (2 * g)
+    sums = [[0] * (r * r) for _ in rho.mon]
     for j, eps, frame in rho.letter_frames:
-        blocks[j] = blocks[j] + frame if eps == 1 else blocks[j] - frame
-    return CochainComplexSurface(g, r, d0, hstack(blocks))
+        sums[j] = list(map(add if eps == 1 else sub, sums[j], frame.entries))
+    return CochainComplexSurface(g, r, d0, hstack([IntMatrix(r, r, s) for s in sums]))
 
 
 class CohomologyTriple(NamedTuple):
@@ -229,6 +234,9 @@ def _fraction_free_rank(a: IntMatrix) -> int:
     of the row-permuted input on the pivot rows and columns plus its own row
     and column, and p*x - x[col]*t is prev times the next such minor. A
     column with no pivot changes nothing, so this holds with columns skipped.
+    Each step rewrites every row below the pivot, and the elimination stops
+    once each row holds a pivot, so a wide input, fewer rows than columns,
+    costs at most ``rows`` steps on ``rows`` rows.
     """
     m = a.row_lists()
     rank_count = 0
@@ -259,24 +267,25 @@ def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTri
     """Cross-check a given triple's H0 and H2 against routes that never touch Fox derivatives.
 
     The check tests the triple it is given, normally the one a report has
-    already computed from ``rho``. H0 must be the invariant sublattice: its
-    rank is the corank of the stacked monodromy differences, found by
-    integer Bareiss elimination (:func:`_fraction_free_rank`), whose
+    already computed from ``rho``, and forms each rho(x_j) - I itself from
+    ``rho.mon`` rather than reading the complex's d0. H0 must be the
+    invariant sublattice: its rank is the corank of the stacked monodromy
+    differences, and rank A = rank A^T, so integer Bareiss elimination
+    (:func:`_fraction_free_rank`) runs on the r x 2gr transpose, the
+    (rho(x_j) - I)^T side by side, and stops after at most r pivots. Its
     divisions are exact because each quotient is itself a minor of the input
-    (Sylvester's identity). H2 must be the
-    coinvariants: the ambient lattice modulo the images of all rho(x_j) - I,
-    read off one Smith diagonal. Each rho(x_j) - I is formed once and
-    stacked both ways, by rows for H0 and by columns for H2.
+    (Sylvester's identity). H2 must be the coinvariants: the ambient lattice
+    modulo the images of all rho(x_j) - I, the blocks side by side, read off
+    one Smith diagonal.
     """
     r = rho.rank
     eye = IntMatrix.identity(r)
     if rho.genus == 0:
-        stacked = IntMatrix.zeros(0, r)
-        side = IntMatrix.zeros(r, 0)
+        wide = side = IntMatrix.zeros(r, 0)
     else:
         diffs = [m - eye for m in rho.mon]
-        stacked = vstack(diffs)
+        wide = vstack(diffs).transpose()
         side = hstack(diffs)
-    h0_indep = FgAbGroup(r - _fraction_free_rank(stacked))
+    h0_indep = FgAbGroup(r - _fraction_free_rank(wide))
     h2_indep = smith_normal_form(side).cokernel()
     return triple.h0 == h0_indep and triple.h2 == h2_indep

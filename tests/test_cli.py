@@ -584,6 +584,24 @@ class TestEmitter:
         with pytest.raises(TypeError):
             cli._dumps(bad)
 
+    @pytest.mark.parametrize("shape", ["list", "dict"])
+    def test_nesting_60_deep_equals_json_dumps(self, shape):
+        # every depth's indent is built on demand; no table caps the depth
+        value = [1, "leaf"] if shape == "list" else {"leaf": [True, 1]}
+        for depth in range(60):
+            value = [value] if shape == "list" else {f"k{depth}": value, "n": depth}
+        assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "items",
+        [[True, 1], [1, True], [0, False, 1], [True, True], ["a", True], [True, "a"],
+         [1, "1"], ["1", 1], ["a", None], [2**70, -1, 0]],
+    )
+    def test_mixed_scalar_lists_equal_json_dumps(self, items):
+        # only an all-str or all-int list takes the one-join path; a bool is no int
+        value = {"row": items, "rows": [items, items[::-1]], "tuple": tuple(items)}
+        assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
+
     def test_shared_omega_is_encoded_once(self, monkeypatch):
         spec = cli.JobSpec({
             "task": "global",

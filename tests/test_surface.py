@@ -352,6 +352,28 @@ class TestGroupsOnlyRoute:
             for wrong in altered(h.h2):
                 assert not invariants_coinvariants_check(rho, h._replace(h2=wrong))
 
+    def test_h0_check_eliminates_on_the_rank_rows(self, monkeypatch):
+        # rank A = rank A^T: at the handle-pair benchmark's genera and ranks the
+        # Bareiss oracle gets the r x 2gr side, not the 2gr x r stack, and it
+        # still rejects every altered H^0
+        shapes = []
+
+        def spy(a):
+            shapes.append((a.rows, a.cols))
+            return _fraction_free_rank(a)
+
+        monkeypatch.setattr(surface, "_fraction_free_rank", spy)
+        rng = random.Random("rank-rows")
+        for genus in range(8, 14):
+            for rank in (3, 4):
+                rho = family_system(rng, "pair", genus, rank)
+                h = cohomology_presentations(rho).triple
+                del shapes[:]
+                assert invariants_coinvariants_check(rho, h)
+                assert shapes == [(rho.rank, 2 * genus * rank)]
+                for wrong in altered(h.h0):
+                    assert not invariants_coinvariants_check(rho, h._replace(h0=wrong))
+
 
 class TestSingleWalk:
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear", "pair"])
@@ -464,7 +486,9 @@ def rank_cases(rng):
 
 
 def test_fraction_free_rank_matches_both_references():
-    for a in rank_cases(random.Random(37)):
-        want = fraction_rank(a)
-        assert _fraction_free_rank(a) == want
-        assert smith_normal_form(a).rank() == want
+    # each case and its transpose: the H^0 check hands over the wide side
+    for case in rank_cases(random.Random(37)):
+        for a in (case, case.transpose()):
+            want = fraction_rank(a)
+            assert _fraction_free_rank(a) == want
+            assert smith_normal_form(a).rank() == want
