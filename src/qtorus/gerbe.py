@@ -24,11 +24,14 @@ one handle at a time: a letter reaches only its own handle's rows, and a
 finished handle's rows take one block per later generator j, skipped when
 B times the signed sum S_j of j's letter transports is zero, so P costs
 time linear in the genus where it is block diagonal by handle.
-:func:`omega_numerators` returns W = G^T P G on a list of vectors G, formed
-row by row from the nonzero entries of P and of G only, since both are
-sparse; no dense product is formed. A report holds omega as W's rows
-reduced once into [0, N), and the Heisenberg count reads the same rows; chi
-is held the same way. Both stay integer residues over the report's
+:func:`omega_numerators` returns W = G^T P G on a list of vectors G,
+scattering P's nonzero entries over the supports of G's vectors, since
+both are sparse; no dense product or dense row is formed. A report holds
+omega as W's rows reduced once into [0, N), and the Heisenberg count reads
+the same rows. The components are lattice combinations of H^2's generators,
+each one vector sum away from a shorter combination, and chi, linear in the
+component, costs one pass over the rows of lambda^T B per component; it is
+held the same way. Both stay integer residues over the report's
 denominator N: only :mod:`qtorus.cli` writes them as Q/Z fractions, from one
 string per distinct residue. Each report computes the cohomology
 presentations once and hands them to the omega and pi2-character code.
@@ -41,12 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from itertools import compress
+from operator import add, mul
 from typing import Sequence
 
 from .errors import BadComponent, DimensionMismatch, NotInvariant
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ShapeMismatch
 from .forms import (
     BilinearData,
     QuadraticForm,
@@ -154,30 +157,36 @@ def omega_numerators(
     Each vector lists one lattice vector per generator loop (concatenated).
     P is built once from the pairing's numerators B over their common
     denominator N; nothing here is checked or reduced mod N. The product is
-    Gustavson's row by row: row i of PG, formed for the nonzero rows of P
-    only, adds x times row k of G for each nonzero x = P[i][k], and row j of
-    W adds y times row i of PG for each nonzero y = g_j[i] whose row of PG is
-    nonzero, so the work follows the nonzero entries.
+    Gustavson's, scattered over supports: one pass over ``gens`` lists each
+    coordinate's support as (generator, value) pairs. For each coordinate i
+    that some generator touches, every nonzero x = P[i][k] scatters x times
+    the support of k into one {generator: value} row of P G, which row a of
+    W then takes y times for each (a, y) in the support of i. So the work
+    follows the nonzero entries of P and G, and no dense row is formed.
     """
-    g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
+    size = 2 * rho.genus * rho.rank
+    coords = range(size)  # compress(coords, v) lists the indices of v's nonzero entries
+    support: list[list[tuple[int, int]]] = [[] for _ in coords]
+    for b, gen in enumerate(gens):
+        if len(gen) != size:
+            raise ShapeMismatch(f"vector of length {len(gen)} for {size} coordinates")
+        for i in compress(coords, gen):
+            support[i].append((b, gen[i]))
     p = _pairing_gram(rho, pairing.numerators)
-    pg = {}
-    for i in range(p.rows):
-        row = p.row(i)
-        if any(row):
-            out = _combine([(x, g.row(k)) for k, x in enumerate(row) if x], g.cols)
-            if any(out):
-                pg[i] = out
-    w = [_combine([(gen[i], out) for i, out in pg.items() if gen[i]], g.cols) for gen in gens]
-    return IntMatrix.from_rows(w, g.cols)
-
-
-def _combine(terms: list[tuple[int, Sequence[int]]], length: int) -> list[int]:
-    """The sum of x * row over the (x, row) terms, as a list of ``length``."""
-    out = [0] * length
-    for x, row in terms:
-        out = [s + x * t for s, t in zip(out, row)]
-    return out
+    w = [[0] * len(gens) for _ in gens]
+    for i, left in enumerate(support):
+        if left:
+            row = p.row(i)
+            pg: dict[int, int] = {}
+            for k in compress(coords, row):
+                x = row[k]
+                for b, y in support[k]:
+                    pg[b] = pg.get(b, 0) + x * y
+            for a, y in left:
+                w_a = w[a]
+                for b, s in pg.items():
+                    w_a[b] += y * s
+    return IntMatrix.from_rows(w, len(gens))
 
 
 def _omega(
@@ -223,7 +232,8 @@ def _pi2_characters(
     for j in range(2 * rho.genus):
         if any(x % n for x in (chi @ IntMatrix(r, r, d0[j * size : (j + 1) * size])).entries):
             raise InvariantViolation("pi2 character depends on the component representative")
-    return [tuple(x % n for x in chi.mul_vec(rep)) for rep in reps]
+    rows = chi.row_lists()
+    return [tuple(sum(map(mul, row, rep)) % n for row in rows) for rep in reps]
 
 
 @dataclass(frozen=True)
@@ -369,16 +379,21 @@ def _lift_rank(a: list[list[int]]) -> int:
 def enumerate_components(
     pres: CohomologyPresentations, free_bound: int = 1
 ) -> list[tuple[int, ...]]:
-    """Default component list: all torsion classes, free coordinates within a bound."""
+    """Default component list: all torsion classes, free coordinates within a bound.
+
+    The coefficients run in ``itertools.product`` order over the free, then
+    the torsion generators of H^2, the last generator fastest. Each multiple
+    c g is formed once, and each pass adds one generator's multiples to every
+    representative so far, so a representative costs one vector sum.
+    """
     h2 = pres.h2
-    gens = h2.all_gens()
     ranges = [range(-free_bound, free_bound + 1)] * len(h2.free_gens)
     ranges += [range(o) for o in h2.group.torsion]
-    r = pres.complex.rank
-    return [
-        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(r))
-        for coeffs in product(*ranges)
-    ]
+    reps = [(0,) * pres.complex.rank]
+    for g, coeffs in zip(h2.all_gens(), ranges):
+        multiples = [tuple(c * x for x in g) for c in coeffs]
+        reps = [tuple(map(add, rep, m)) for rep in reps for m in multiples]
+    return reps
 
 
 def block_report(

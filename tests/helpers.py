@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from qtorus import (
     BilinearData,
@@ -426,13 +427,30 @@ def invariant_level_by_forms(
 def dense_omega_numerators(rho: LatticeLocalSystem, pairing, gens) -> IntMatrix:
     """W = G^T P G through two dense ``IntMatrix`` products on the same P.
 
-    The reference for the row-by-row sparse product of
-    ``gerbe.omega_numerators``.
+    The reference for ``gerbe.omega_numerators``, which scatters P's nonzero
+    entries over the generators' supports.
     """
     from qtorus.gerbe import _pairing_gram
 
     g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
     return g.transpose() @ _pairing_gram(rho, pairing.numerators) @ g
+
+
+def components_by_product(pres, free_bound: int = 1) -> list[tuple[int, ...]]:
+    """Each component as one full sum over H^2's generators, in ``product`` order.
+
+    The reference for ``gerbe.enumerate_components``, which forms each
+    multiple of a generator once and adds one generator per pass.
+    """
+    h2 = pres.h2
+    gens = h2.all_gens()
+    ranges = [range(-free_bound, free_bound + 1)] * len(h2.free_gens)
+    ranges += [range(o) for o in h2.group.torsion]
+    r = pres.complex.rank
+    return [
+        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(r))
+        for coeffs in product(*ranges)
+    ]
 
 
 def pairing_gram_by_letters(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:

@@ -61,6 +61,13 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "global_signs_r3.txt").read_text()
 
+    def test_global_signs_bound2_text_bytes(self, capsys):
+        # H^2 = Z^2 + Z/2 at bound 2: 50 components, free coefficients outer,
+        # the torsion one inner, pinned in bytes
+        out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_signs_g2r3_bound2.json"))
+        assert code == 0
+        assert out == (GOLDEN / "global_signs_g2r3_bound2.txt").read_text()
+
     def test_surface_twisted_json_bytes(self, capsys):
         # handle pairs (T_i, T_i^k) at genus 13, rank 4: noncommuting monodromy
         out, code = run_main(capsys, "surface", "--input", str(GOLDEN / "surface_twisted_g13r4.json"))
@@ -187,7 +194,7 @@ class TestSchemas:
                 holder["rank"] = rank
                 zeroed.append((spec.name, task))
         assert {task for _, task in zeroed} == {"local", "surface", "global", "bunt"}
-        assert len(zeroed) == 8
+        assert len(zeroed) == 9
 
     def test_bunt_schema_is_global_plus_bun_t(self):
         glob, bunt = REPORT_SCHEMAS["global"], REPORT_SCHEMAS["bunt"]

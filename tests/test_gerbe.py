@@ -21,12 +21,14 @@ from qtorus import (
 )
 from qtorus import gerbe
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
+from qtorus.errors import ShapeMismatch
 from qtorus.forms import HALF, ZERO, SymmetricForm, polarize, quad_from_bilinear
 from qtorus.gerbe import _heisenberg_dimensions, omega_numerators
 from qtorus.lattice import inverse_unimodular, smith_normal_form
 
 from helpers import (
     closed,
+    components_by_product,
     dense_omega_numerators,
     family_system,
     fraction_rank,
@@ -282,6 +284,45 @@ class TestGramRoute:
         assert w == dense_omega_numerators(rho, pairing, vectors)
         assert omega_numerators(rho, pairing, []) == IntMatrix(0, 0, ())
 
+    @pytest.mark.parametrize("genus", [16, 32])
+    @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
+    def test_matches_the_dense_product_at_report_scale(self, family, genus):
+        # every H^1 generator of a rank 4 system, as a report pairs them
+        rng = random.Random(f"report-{family}-{genus}")
+        rho = family_system(rng, family, genus, 4)
+        level = BilinearData(rand_matrix(rng, 4, 4, -3, 3), Frac1(rng.randrange(1, 12), 12))
+        pairing = polarize(quad_from_bilinear(level))
+        gens = cohomology_presentations(rho).h1.all_gens()
+        w = omega_numerators(rho, pairing, gens)
+        assert w == dense_omega_numerators(rho, pairing, gens)
+        assert not w.is_zero()
+
+    def test_matches_the_dense_product_on_edge_supports(self):
+        rng = random.Random(29)
+        level = BilinearData(rand_matrix(rng, 3, 3, -3, 3), Frac1(5, 12))
+        pairing = polarize(quad_from_bilinear(level))
+        # f = 0: genus 0 has no coordinates at all
+        rho = LatticeLocalSystem.trivial(3, 0)
+        cases = [(rho, pairing, []), (rho, pairing, [(), ()])]
+        # f = 0: the sign rep's H^1 is a single torsion generator
+        sign = LevelInput(BilinearData(IntMatrix.identity(1), HALF), sign_rep())
+        pres = cohomology_presentations(sign.rho)
+        assert pres.h1.free_gens == () and len(pres.h1.torsion_gens) == 1
+        cases.append((sign.rho, sign.pairing, pres.h1.all_gens()))
+        # a coordinate that no vector touches, though P's row and column there
+        # are nonzero, and a vector given twice
+        rho = family_system(rng, "shear", 2, 3)
+        p = gerbe._pairing_gram(rho, pairing.numerators)
+        assert any(p.row(0)) and any(p.column(0))
+        u, v = ([0] + [rng.randint(-3, 3) for _ in range(11)] for _ in range(2))
+        cases += [(rho, pairing, vectors) for vectors in ([u, v], [u, v, u], [u, u])]
+        for case in cases:
+            assert omega_numerators(*case) == dense_omega_numerators(*case)
+        w = omega_numerators(rho, pairing, [u, v, u])
+        assert w.row(0) == w.row(2) and w.column(0) == w.column(2) and not w.is_zero()
+        with pytest.raises(ShapeMismatch):
+            omega_numerators(rho, pairing, [u, v[:-1]])
+
     def test_gram_matches_the_letter_walk(self):
         # P walked one handle at a time against the letter-by-letter walk over
         # every row, for any integer B: invariant levels alone would leave
@@ -468,6 +509,27 @@ class TestPi2Character:
         with pytest.raises(BadComponent):
             block_report(trivial_level(1, 1, 2), components=[(1, 0)])
 
+    @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
+    def test_characters_match_the_matrix_product(self, family):
+        # enumerated representatives and explicit ones far outside the
+        # enumerated box, small or wider than 64 bits, take the same route
+        rng = random.Random(f"chi-{family}")
+        checked = 0
+        for genus in range(1, 4):
+            for rank in range(1, 5):
+                level = family_level(rng, family, genus, rank)
+                rho, pairing = level.rho, level.pairing
+                pres = cohomology_presentations(rho)
+                chi = IntMatrix.from_rows(pres.h0_basis, rank) @ pairing.numerators
+                reps = enumerate_components(pres)
+                for bound in (7, 10**6, 2**70):
+                    reps.append(tuple(rng.randint(-bound, bound) for _ in range(rank)))
+                got = gerbe._pi2_characters(rho, pres, pairing, reps)
+                n = pairing.denominator
+                assert got == [tuple(x % n for x in chi.mul_vec(rep)) for rep in reps]
+                checked += any(any(c) for c in got)
+        assert checked  # some system has a nonzero character
+
     def test_constant_on_components(self):
         rng = random.Random(43)
         for _ in range(15):
@@ -589,6 +651,40 @@ class TestBlockStructure:
                         )
         assert len(set(expected)) == 36
         assert enumerate_components(pres) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.sampled_from([(), (2, 2), (2, 4), (3,)]),
+        st.booleans(),
+        st.integers(0, 2),
+        st.integers(0, 2**32),
+    )
+    def test_components_match_the_product_enumeration(self, free, torsion, acyclic, bound, seed):
+        # genus 1, monodromy (A, 1) with A block diagonal in a random basis:
+        # H^2 = Z^r / im(A - 1) takes a Z from each block [1], Z/2 from [-1],
+        # Z/3 from an order 3 rotation, Z/4 from [[5, 4], [1, 1]], and nothing
+        # from [[2, 1], [1, 1]], whose A - 1 is unimodular
+        blocks = [[[1]]] * free + [
+            {2: [[-1]], 3: [[0, -1], [1, -1]], 4: [[5, 4], [1, 1]]}[t] for t in torsion
+        ]
+        if acyclic or not blocks:  # rank 0 is not a system; H^2 = 0 needs a block
+            blocks.append([[2, 1], [1, 1]])
+        rank = sum(len(b) for b in blocks)
+        a = [[0] * rank for _ in range(rank)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                a[at + i][at : at + len(row)] = row
+            at += len(b)
+        t = rand_unimodular(random.Random(seed), rank)
+        a = t @ IntMatrix.from_rows(a) @ inverse_unimodular(t)
+        pres = cohomology_presentations(LatticeLocalSystem(rank, 1, [a, IntMatrix.identity(rank)]))
+        assert pres.h2.group == FgAbGroup(free, torsion)
+        reps = enumerate_components(pres, bound)
+        assert reps == components_by_product(pres, bound)
+        assert len(reps) == (2 * bound + 1) ** free * math.prod(torsion)
+        assert all(len(rep) == rank for rep in reps)
 
     def test_explicit_components_order(self):
         rep = block_report(trivial_level(1, 1, 4), components=[(2,), (0,)])

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from qtorus import (
     FgAbGroup,
     IntMatrix,
+    LatticeLocalSystem,
+    cohomology_presentations,
     det,
     inverse_unimodular,
     smith_normal_form,
 )
+from qtorus import lattice, surface
 from qtorus.errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
 from qtorus.lattice import _replay, hstack, vstack
 from qtorus.surface import build_complex
 
 from helpers import (
     ImageNotInKernel,
+    _int_power,
     fraction_rank,
     rand_matrix,
     rand_unimodular,
@@ -112,6 +116,32 @@ def snf_inputs(draw):
     return IntMatrix(m, n, draw(st.lists(entries, min_size=m * n, max_size=m * n)))
 
 
+@pytest.mark.parametrize("rank", range(6, 17))
+def test_snf_transforms_on_commuting_pairs(monkeypatch, rank):
+    # genus 3, three handle pairs (T, T^k) with T a product of 40 elementary
+    # operations; every Smith form the cohomology presentations run (d0, d1
+    # and H^1's subquotient) is checked
+    seen = []
+
+    def recording(a):
+        res = smith_normal_form(a)
+        seen.append((a, res))
+        return res
+
+    monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    monkeypatch.setattr(surface, "smith_normal_form", recording)
+    rng = random.Random(f"pairs-{rank}")
+    mats = []
+    for _ in range(3):
+        t = rand_unimodular(rng, rank, 40)
+        mats += [t, _int_power(t, rng.choice((-2, -1, 2)))]
+    cohomology_presentations(LatticeLocalSystem(rank, 3, mats)).h1
+    assert [a.rows for a, _ in seen] == [6 * rank, rank, 5 * rank]
+    for a, res in seen:
+        assert res.u @ a @ res.v == res.d
+        assert abs(det(res.u)) == 1 and abs(det(res.v)) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(snf_inputs(), st.data())
 def test_snf_transforms_replay_the_elimination(a, data):
@@ -121,6 +151,7 @@ def test_snf_transforms_replay_the_elimination(a, data):
     res = smith_normal_form(a)
     d = res.d
     assert res.u @ a @ res.v == d
+    assert abs(det(res.u)) == 1 and abs(det(res.v)) == 1
     # the logs replayed inverted onto a target give V^-1 X, and B U^-1 by columns
     c = data.draw(st.integers(0, 3))
     x, b = target(a.cols, c), target(c, a.rows)

@@ -155,9 +155,9 @@ def test_gerbe_holds_no_fractions():
 
 
 def test_omega_forms_no_dense_product():
-    # W = G^T P G is formed row by row from the nonzero entries of P and G;
-    # IntMatrix's dense @ stays the plain product the cochain oracle's
-    # transport table forms, one per boundary prefix
+    # W = G^T P G is scattered from P's nonzero entries over the generators'
+    # supports; IntMatrix's dense @ stays the plain product the cochain
+    # oracle's transport table forms, one per boundary prefix
     funcs = [
         node
         for node in parse("gerbe").body
@@ -166,6 +166,15 @@ def test_omega_forms_no_dense_product():
     assert len(funcs) == 2
     for func in funcs:
         assert not [n for n in ast.walk(func) if isinstance(n, ast.MatMult)], func.name
+
+
+def test_omega_has_no_dense_row_helper():
+    # the W product scatters into dicts over supports; the helper that summed
+    # x * row over whole dense rows of G and PG is gone
+    tree = parse("gerbe")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "omega_numerators" in defined
+    assert "_combine" not in defined | names_in(tree)
 
 
 def test_every_error_class_is_raised():
