@@ -22,11 +22,20 @@ no level enters.
 Levels c / den are drawn by rejection. Each draw is tested on its integers,
 (c, den), against the probe images of the local system's monodromy, which
 are formed once (:func:`qtorus.forms.probe_images`); only an accepted draw
-builds its form. Omega depends on a level only through its pairing, so
-each distinct pairing of a local system builds W once and compares the
-routes once: one ``Frac1`` from W and one :func:`qtorus.cochain.pair_cup`
-per generator pair, at most r^2 ``Frac1`` terms, whatever the genus. Every
-level still counts as a case, and a failing level gets its own record.
+builds its form. Both routes are linear in the level's numerators B: the
+cup factors through Lambda (x) Lambda, and P is built from B only through
+products B (eps F). So each local system compares the routes once, in
+integers, on the symmetric basis of Sym^2(Z^r): E_kk, and E_kl + E_lk for
+k < l, each a form over N = 2. That is r(r + 1) / 2 calls of
+:func:`qtorus.gerbe.omega_numerators`, and each entry W[i][j] is compared
+with the cup tensor's M[k][k], or M[k][l] + M[l][k]: no ``Frac1`` and no
+:func:`qtorus.cochain.pair_cup`. Every level's B is an integer combination
+of the basis, so agreement there is agreement at every level, drawn or
+not, and each drawn level counts as a case and an agreement with no W of
+its own. When the basis disagrees, each drawn level of that local system
+is polarized and compared in Q/Z as a report would read it, and a failing
+level gets its own record; if none fails, one record names the basis form,
+the generator pair and the two integers, so the run still fails.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ import random
 from dataclasses import dataclass
 
 from .cochain import checked_classes, cup_tensor, pair_cup, triangulate
-from .forms import BilinearData, Frac1, QuadraticForm, SymmetricForm, polarize, preserves
-from .forms import probe_images, quad_from_bilinear
+from .forms import HALF, ZERO, BilinearData, Frac1, QuadraticForm, SymmetricForm, polarize
+from .forms import preserves, probe_images, quad_from_bilinear
 from .gerbe import omega_numerators
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
@@ -119,6 +128,31 @@ def _first_disagreement(
     return None
 
 
+def _basis_disagreement(
+    rho: LatticeLocalSystem, gens: list, cups: list
+) -> tuple[int, int, int, int, int, int] | None:
+    """The first basis form (k, l) and generator pair (i, j) whose integers differ.
+
+    Returns (k, l, i, j, closed, simplicial): W[i][j] for the form with
+    numerators E_kl + E_lk (E_kk when k == l), and the cup tensor's matching
+    entry sum.
+    """
+    r = rho.rank
+    for k in range(r):
+        for l in range(k, r):
+            entries = tuple(
+                tuple(HALF if {a, b} == {k, l} else ZERO for b in range(r)) for a in range(r)
+            )
+            w = omega_numerators(rho, SymmetricForm(r, entries), gens)
+            for i, row in enumerate(cups):
+                for j, m in enumerate(row):
+                    closed = w.entry(i, j)
+                    simplicial = m[k][l] + m[l][k] if k < l else m[k][k]
+                    if closed != simplicial:
+                        return k, l, i, j, closed, simplicial
+    return None
+
+
 @dataclass(frozen=True)
 class SelfCheckResult:
     seed: int
@@ -128,7 +162,7 @@ class SelfCheckResult:
 
     @property
     def ok(self) -> bool:
-        return self.cases >= 100 and self.agreements == self.cases
+        return self.cases >= 100 and self.agreements == self.cases and not self.mismatches
 
     def to_json(self) -> dict:
         return {
@@ -154,18 +188,17 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 cocycles = checked_classes(gens, surface, rho)
                 cups = [[cup_tensor(a, b) for b in cocycles] for a in cocycles]
                 images = probe_images(rho.mon, rank)
-                verdicts = {}  # pairing entries -> _first_disagreement
+                basis = _basis_disagreement(rho, gens, cups)
+                recorded = len(mismatches)
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
                         drawn = _invariant_level(rng, rank, images, den)
                         if drawn is None:
                             continue
-                        level, quad = drawn
-                        pairing = polarize(quad)
-                        if pairing.entries not in verdicts:
-                            verdicts[pairing.entries] = _first_disagreement(rho, pairing, gens, cups)
-                        verdict = verdicts[pairing.entries]
                         cases += 1
+                        level, quad = drawn
+                        # once the basis agrees, no level builds a form or a W
+                        verdict = basis and _first_disagreement(rho, polarize(quad), gens, cups)
                         if verdict is None:
                             agreements += 1
                             continue
@@ -184,4 +217,18 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                             "u": list(gens[i]),
                             "v": list(gens[j]),
                         })
+                if basis is not None and len(mismatches) == recorded:
+                    k, l, i, j, closed, simplicial = basis
+                    mismatches.append({
+                        "genus": genus,
+                        "rank": rank,
+                        "family": family,
+                        "basis": [k, l],
+                        "pair": [i, j],
+                        "closed": closed,
+                        "simplicial": simplicial,
+                        "monodromy": [m.row_lists() for m in rho.mon],
+                        "u": list(gens[i]),
+                        "v": list(gens[j]),
+                    })
     return SelfCheckResult(seed=seed, cases=cases, agreements=agreements, mismatches=tuple(mismatches))

@@ -19,7 +19,7 @@ from qtorus import (
     cohomology_presentations,
     enumerate_components,
 )
-from qtorus import gerbe
+from qtorus import gerbe, selfcheck
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
 from qtorus.errors import ShapeMismatch
 from qtorus.forms import HALF, ZERO, SymmetricForm, polarize, quad_from_bilinear
@@ -283,6 +283,41 @@ class TestGramRoute:
         w = omega_numerators(rho, pairing, vectors)
         assert w == dense_omega_numerators(rho, pairing, vectors)
         assert omega_numerators(rho, pairing, []) == IntMatrix(0, 0, ())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_gram_is_linear_in_b(self, data):
+        # selfcheck compares the two routes only on a basis of the symmetric
+        # B, which covers every level because P, and with it W = G^T P G, is
+        # exactly linear in B: on the test families at rank 1-4 and on
+        # selfcheck's own, whose shears have rank 1 or 2
+        source = data.draw(st.sampled_from(["helpers", "selfcheck"]), label="source")
+        genus = data.draw(st.integers(1, 4), label="genus")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        if source == "helpers":
+            family = data.draw(st.sampled_from(["trivial", "sign", "shear", "pair"]), label="family")
+            rank = data.draw(st.integers(1, 4), label="rank")
+            rho = family_system(rng, family, genus, rank)
+        else:
+            family = data.draw(st.sampled_from(selfcheck._FAMILIES), label="family")
+            rank = data.draw(st.integers(1, 2), label="rank")
+            rho = selfcheck._local_system(rng, genus, rank, family)
+        entry = st.integers(-(2**40), 2**40)
+
+        def symmetric(label):
+            upper = data.draw(st.lists(entry, min_size=rank * (rank + 1) // 2,
+                                       max_size=rank * (rank + 1) // 2), label=label)
+            m = [[0] * rank for _ in range(rank)]
+            for (i, j), x in zip(((i, j) for i in range(rank) for j in range(i, rank)), upper):
+                m[i][j] = m[j][i] = x
+            return IntMatrix.from_rows(m)
+
+        b1, b2 = symmetric("B1"), symmetric("B2")
+        k = data.draw(entry, label="k")
+        p1, p2 = gerbe._pairing_gram(rho, b1), gerbe._pairing_gram(rho, b2)
+        assert gerbe._pairing_gram(rho, b1 + b2) == p1 + p2
+        kb1 = IntMatrix(rank, rank, [k * x for x in b1.entries])
+        assert gerbe._pairing_gram(rho, kb1) == IntMatrix(p1.rows, p1.cols, [k * x for x in p1.entries])
 
     @pytest.mark.parametrize("genus", [16, 32])
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])

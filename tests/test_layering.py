@@ -218,6 +218,35 @@ def test_selfcheck_checks_the_report_route():
     assert found == []
 
 
+def test_selfcheck_reaches_the_closed_route_through_omega_numerators():
+    # selfcheck imports one name from gerbe, the public W = G^T P G, and no
+    # private name of it; the basis comparison replaces any store of verdicts
+    # per pairing, so no pairing's entries are read and no dict is filled in
+    # a loop: the only dicts are the mismatch records, with literal keys
+    tree = parse("selfcheck")
+    from_gerbe = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "gerbe"
+        for alias in node.names
+    ]
+    assert from_gerbe == ["omega_numerators"]
+    assert "gerbe" not in names_in(tree)  # no module import to reach it by attribute
+    gerbe_private = {
+        node.name
+        for node in parse("gerbe").body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    assert gerbe_private and not names_in(tree) & gerbe_private
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "entries" for n in ast.walk(tree))
+    for node in ast.walk(tree):
+        assert not isinstance(node, (ast.DictComp, ast.SetComp))
+        if isinstance(node, ast.Dict):
+            assert node.keys and all(isinstance(k, ast.Constant) for k in node.keys)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id not in {"dict", "set", "lru_cache", "cache"}
+
+
 def test_one_cohomology_object_per_local_system():
     # cohomology_presentations is the one cohomology route, and a report
     # holds its triple once: no groups-only route, no pi-named copy of the
