@@ -20,15 +20,13 @@ cocycles, so it is built once as an integer Gram matrix P against the
 polarization's integer numerators B over its common denominator N (both
 held by the form), in one pass over the letter transports the local system
 stored when it unwound the relator (the same ones give d1). The pass goes
-one handle at a time: a letter reaches only its own handle's rows, and a
-finished handle's rows take one block per later generator j, skipped when
-B times the signed sum S_j of j's letter transports is zero, so P costs
-time linear in the genus where it is block diagonal by handle.
-:func:`omega_numerators` returns W = G^T P G on a list of vectors G,
-scattering P's nonzero entries over the supports of G's vectors, since
-both are sparse; no dense product or dense row is formed. A report holds
-omega as W's rows reduced once into [0, N), and the Heisenberg count reads
-the same rows. The components are lattice combinations of H^2's generators,
+one handle at a time, so P costs time linear in the genus where it is
+block diagonal by handle. P and W stay {column: entry} rows from the
+relator to the report: :func:`omega_numerators` scatters P's stored
+entries over the supports of the vectors G to give W = G^T P G, and a
+report checks each stored entry of W against its mirror and reduces it
+once into [0, N), in zero-filled rows that the Heisenberg count and the
+output read. The components are lattice combinations of H^2's generators,
 each one vector sum away from a shorter combination, and chi, linear in the
 component, costs one pass over the rows of lambda^T B per component; it is
 held the same way. Both stay integer residues over the report's
@@ -82,7 +80,7 @@ class LevelInput:
         self.pairing: SymmetricForm = polarize(self.quad)
 
 
-def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
+def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]:
     """Integer P of the closed form: omega(u, v) = u^T P v / N when b = B / N.
 
     Unwinding the relator turns the cup product against the fundamental
@@ -102,12 +100,13 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
     the sum of the products B (eps F) of j's letters, so it costs no further
     product, and the block is skipped when it is zero: on a trivial system,
     where S_j = 0, and whenever B kills the image of every S_j, as for
-    commuting shears x -> x + l(x) e_0 with b(e_0, -) = 0. P is then block
-    diagonal by handle, and the work grows linearly in the genus.
+    commuting shears x -> x + l(x) e_0 with b(e_0, -) = 0. P, held as
+    {column: entry} rows, is then block diagonal by handle, and its work and
+    storage grow linearly in the genus.
     """
     r = rho.rank
     size = 2 * rho.genus * r
-    p = [0] * (size * size)
+    p: list[dict[int, int]] = [{} for _ in range(size)]
     acc_t = [[0] * r for _ in range(size)]
     for h in range(rho.genus):
         start = 2 * h * r  # rows before it are finished; rows after it are still zero
@@ -118,13 +117,13 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
             bs[j] = bs[j] + bf if j in bs else bf
             if eps == -1:
                 _accumulate(acc_t, j * r, f)
-            _pair_rows(p, size, acc_t, range(start, start + 2 * r), j * r, bf)
+            _pair_rows(p, acc_t, range(start, start + 2 * r), j * r, bf)
             if eps == 1:
                 _accumulate(acc_t, j * r, f)
         for j, m in bs.items():
             if start and not m.is_zero():
-                _pair_rows(p, size, acc_t, range(start), j * r, m)
-    return IntMatrix(size, size, p)
+                _pair_rows(p, acc_t, range(start), j * r, m)
+    return p
 
 
 def _accumulate(acc_t: list[list[int]], at: int, f: IntMatrix) -> None:
@@ -134,35 +133,36 @@ def _accumulate(acc_t: list[list[int]], at: int, f: IntMatrix) -> None:
 
 
 def _pair_rows(
-    p: list[int], size: int, acc_t: list[list[int]], rows: range, at: int, m: IntMatrix
+    p: list[dict[int, int]], acc_t: list[list[int]], rows: range, at: int, m: IntMatrix
 ) -> None:
     """Add A^T M to P's block column from ``at`` on, over the nonzero ``rows`` of A^T."""
     cols = [m.column(c) for c in range(m.cols)]
     for x in rows:
         if any(acc_t[x]):
-            _pair_row(p, x * size + at, acc_t[x], cols)
+            _pair_row(p[x], at, acc_t[x], cols)
 
 
-def _pair_row(p: list[int], at: int, acc: list[int], cols: list[tuple[int, ...]]) -> None:
-    """Add acc^T times each column to P's flat entries from ``at`` on."""
+def _pair_row(row: dict[int, int], at: int, acc: list[int], cols: list[tuple[int, ...]]) -> None:
+    """Add acc^T times each column to P's ``row`` from column ``at`` on; a zero adds no key."""
     for c, col in enumerate(cols, at):
-        p[c] += sum(map(mul, acc, col))
+        if x := sum(map(mul, acc, col)):
+            row[c] = row.get(c, 0) + x
 
 
 def omega_numerators(
     rho: LatticeLocalSystem, pairing: SymmetricForm, gens: Sequence[Sequence[int]]
-) -> IntMatrix:
-    """W = G^T P G: omega(g_i, g_j) = W[i][j] / N on the vectors ``gens``.
+) -> list[dict[int, int]]:
+    """W = G^T P G: omega(g_i, g_j) = W[i].get(j, 0) / N on the vectors ``gens``.
 
     Each vector lists one lattice vector per generator loop (concatenated).
-    P is built once from the pairing's numerators B over their common
-    denominator N; nothing here is checked or reduced mod N. The product is
-    Gustavson's, scattered over supports: one pass over ``gens`` lists each
+    W comes as {generator: entry} rows, like P, built from the pairing's
+    numerators B over their denominator N, and is not checked or reduced mod
+    N. The product is Gustavson's: one pass over ``gens`` lists each
     coordinate's support as (generator, value) pairs. For each coordinate i
-    that some generator touches, every nonzero x = P[i][k] scatters x times
-    the support of k into one {generator: value} row of P G, which row a of
-    W then takes y times for each (a, y) in the support of i. So the work
-    follows the nonzero entries of P and G, and no dense row is formed.
+    that a generator touches, each stored x = P[i][k] scatters x times the
+    support of k into one row of P G, which row a of W takes y times for
+    each (a, y) in the support of i. So the work and the storage follow the
+    nonzero entries of P and G, and no dense row is formed.
     """
     size = 2 * rho.genus * rho.rank
     coords = range(size)  # compress(coords, v) lists the indices of v's nonzero entries
@@ -173,20 +173,18 @@ def omega_numerators(
         for i in compress(coords, gen):
             support[i].append((b, gen[i]))
     p = _pairing_gram(rho, pairing.numerators)
-    w = [[0] * len(gens) for _ in gens]
+    w: list[dict[int, int]] = [{} for _ in gens]
     for i, left in enumerate(support):
         if left:
-            row = p.row(i)
             pg: dict[int, int] = {}
-            for k in compress(coords, row):
-                x = row[k]
+            for k, x in p[i].items():
                 for b, y in support[k]:
                     pg[b] = pg.get(b, 0) + x * y
             for a, y in left:
                 w_a = w[a]
                 for b, s in pg.items():
-                    w_a[b] += y * s
-    return IntMatrix.from_rows(w, len(gens))
+                    w_a[b] = w_a.get(b, 0) + y * s
+    return w
 
 
 def _omega(
@@ -195,21 +193,23 @@ def _omega(
     """omega on the H^1 generators, free generators first: W's rows mod N.
 
     omega = W / N is antisymmetric with zero diagonal on the free generators.
-    The checks run on the reduced rows, row i against column i from the
-    diagonal on, so each pair is read once; a violation would mean the
-    closed form and the presentation disagree, which is an internal error,
-    never a user one.
+    Each stored entry of W is checked against its mirror, read as 0 when it
+    is missing, and reduced into zero-filled rows, the one dense form, which
+    the reports print. A violation would mean the closed form and the
+    presentation disagree, which is an internal error, never a user one.
     """
     n = pairing.denominator
     w = omega_numerators(rho, pairing, pres.h1.all_gens())
-    rows = tuple(tuple(x % n for x in w.row(i)) for i in range(w.rows))
     free = len(pres.h1.free_gens)
-    for i, row in enumerate(rows):
-        if any((x + col[i]) % n for x, col in zip(row[i:], rows[i:])):
-            raise InvariantViolation("commutator pairing is not antisymmetric")
-        if i < free and row[i]:
-            raise InvariantViolation("commutator pairing has a nonzero free diagonal")
-    return rows
+    rows = [[0] * len(w) for _ in w]
+    for i, row in enumerate(w):
+        for j, x in row.items():
+            if (x + w[j].get(i, 0)) % n:
+                raise InvariantViolation("commutator pairing is not antisymmetric")
+            if i == j < free and x % n:
+                raise InvariantViolation("commutator pairing has a nonzero free diagonal")
+            rows[i][j] = x % n
+    return tuple(map(tuple, rows))
 
 
 def _pi2_characters(

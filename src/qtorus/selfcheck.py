@@ -121,7 +121,7 @@ def _first_disagreement(
     w = omega_numerators(rho, pairing, gens)
     for i, row in enumerate(cups):
         for j, cup in enumerate(row):
-            closed = Frac1(w.entry(i, j), pairing.denominator)
+            closed = Frac1(w[i].get(j, 0), pairing.denominator)
             simplicial = pair_cup(cup, pairing)
             if closed != simplicial:
                 return i, j, closed, simplicial
@@ -146,7 +146,7 @@ def _basis_disagreement(
             w = omega_numerators(rho, SymmetricForm(r, entries), gens)
             for i, row in enumerate(cups):
                 for j, m in enumerate(row):
-                    closed = w.entry(i, j)
+                    closed = w[i].get(j, 0)
                     simplicial = m[k][l] + m[l][k] if k < l else m[k][k]
                     if closed != simplicial:
                         return k, l, i, j, closed, simplicial

@@ -424,16 +424,72 @@ def invariant_level_by_forms(
     return None
 
 
+def densify(rows) -> IntMatrix:
+    """The square matrix held as {column: entry} rows, as ``gerbe`` holds P and W.
+
+    A missing column reads as 0; a column outside the square raises, so no
+    stored entry is dropped from a comparison.
+    """
+    n = len(rows)
+    if any(not 0 <= j < n for row in rows for j in row):
+        raise ShapeMismatch(f"a stored column lies outside {n} columns")
+    return IntMatrix(n, n, [row.get(j, 0) for row in rows for j in range(n)])
+
+
 def dense_omega_numerators(rho: LatticeLocalSystem, pairing, gens) -> IntMatrix:
     """W = G^T P G through two dense ``IntMatrix`` products on the same P.
 
-    The reference for ``gerbe.omega_numerators``, which scatters P's nonzero
+    The reference for ``gerbe.omega_numerators``, which scatters P's stored
     entries over the generators' supports.
     """
     from qtorus.gerbe import _pairing_gram
 
     g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
-    return g.transpose() @ _pairing_gram(rho, pairing.numerators) @ g
+    return g.transpose() @ densify(_pairing_gram(rho, pairing.numerators)) @ g
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix held as {column: entry} rows, over Q.
+
+    Gaussian elimination on sparse ``Fraction`` rows, sharing nothing with
+    the eliminations of ``lattice`` or ``gerbe``: each step takes the last
+    remaining row as the pivot row and its least column as the pivot column,
+    and clears that column from every other remaining row. The determinant
+    is the product of the pivots times the sign of the permutation that
+    sends each row to its pivot column; a row that runs out of entries makes
+    it 0.
+    """
+    n = len(rows)
+    rest = {i: {j: Fraction(x) for j, x in row.items() if x} for i, row in enumerate(rows)}
+    column_of = [0] * n
+    det = Fraction(1)
+    while rest:
+        i, top = rest.popitem()
+        if not top:
+            return Fraction(0)
+        j = min(top)
+        p = top[j]
+        det *= p
+        column_of[i] = j
+        for row in rest.values():
+            if j in row:
+                q = row[j] / p
+                for c, t in top.items():
+                    x = row.get(c, 0) - q * t
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+    seen = [False] * n
+    for start in range(n):  # a cycle of even length is an odd permutation
+        k, length = start, 0
+        while not seen[k]:
+            seen[k] = True
+            k = column_of[k]
+            length += 1
+        if length and length % 2 == 0:
+            det = -det
+    return det
 
 
 def components_by_product(pres, free_bound: int = 1) -> list[tuple[int, ...]]:

@@ -29,7 +29,13 @@ from qtorus.forms import ZERO
 from qtorus.gerbe import _pairing_gram, omega_numerators
 from qtorus.selfcheck import _local_system
 
-from helpers import cup_per_triangle, family_system, random_invariant_level, random_local_system
+from helpers import (
+    cup_per_triangle,
+    densify,
+    family_system,
+    random_invariant_level,
+    random_local_system,
+)
 
 FIFTH = Frac1(1, 5)
 
@@ -380,9 +386,9 @@ class TestReportScale:
             used = sorted({i for pair in pairs for i in pair})
             at = {i: k for k, i in enumerate(used)}
             sampled = [gens[i] for i in used]
-            w = omega_numerators(rho, p, sampled)
+            w = densify(omega_numerators(rho, p, sampled))
             cocycles = checked_classes(sampled, triangulate(genus), rho)
-            gram = _pairing_gram(rho, p.numerators)
+            gram = densify(_pairing_gram(rho, p.numerators))
             for i, j in pairs:
                 closed = Frac1(w.entry(at[i], at[j]), p.denominator)
                 cup = cup_tensor(cocycles[at[i]], cocycles[at[j]])

@@ -30,7 +30,9 @@ from helpers import (
     closed,
     components_by_product,
     dense_omega_numerators,
+    densify,
     family_system,
+    fraction_det,
     fraction_rank,
     global_json,
     groups_json,
@@ -129,7 +131,7 @@ class TestLevelInput:
 
 def closed_form(pairing, rho, u, v):
     """omega(u, v) from the package's one closed form: entry (0, 1) of W on [u, v]."""
-    return Frac1(omega_numerators(rho, pairing, [u, v]).entry(0, 1), pairing.denominator)
+    return Frac1(densify(omega_numerators(rho, pairing, [u, v])).entry(0, 1), pairing.denominator)
 
 
 class TestPairingOnCocycles:
@@ -172,7 +174,7 @@ class TestPairingOnCocycles:
             level = LevelInput(random_invariant_level(rng, rho), rho)
             t = triangulate(g)
             gens = cohomology_presentations(rho).h1.all_gens()
-            w = omega_numerators(rho, level.pairing, gens)
+            w = densify(omega_numerators(rho, level.pairing, gens))
             for i, u in enumerate(gens):
                 for j, v in enumerate(gens):
                     slow = cup_evaluate(
@@ -234,7 +236,7 @@ class TestGramRoute:
                 n = 2 * genus * rank
                 vectors = list(cohomology_presentations(rho).h1.all_gens()[:3])
                 vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
-                w = omega_numerators(rho, p, vectors)
+                w = densify(omega_numerators(rho, p, vectors))
                 for i, u in enumerate(vectors):
                     for j, v in enumerate(vectors):
                         got = Frac1(w.entry(i, j), p.denominator)
@@ -280,9 +282,9 @@ class TestGramRoute:
         vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
         if data.draw(st.booleans(), label="with H^1 generators"):
             vectors = list(cohomology_presentations(rho).h1.all_gens()) + vectors
-        w = omega_numerators(rho, pairing, vectors)
+        w = densify(omega_numerators(rho, pairing, vectors))
         assert w == dense_omega_numerators(rho, pairing, vectors)
-        assert omega_numerators(rho, pairing, []) == IntMatrix(0, 0, ())
+        assert densify(omega_numerators(rho, pairing, [])) == IntMatrix(0, 0, ())
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -314,10 +316,10 @@ class TestGramRoute:
 
         b1, b2 = symmetric("B1"), symmetric("B2")
         k = data.draw(entry, label="k")
-        p1, p2 = gerbe._pairing_gram(rho, b1), gerbe._pairing_gram(rho, b2)
-        assert gerbe._pairing_gram(rho, b1 + b2) == p1 + p2
+        p1, p2 = densify(gerbe._pairing_gram(rho, b1)), densify(gerbe._pairing_gram(rho, b2))
+        assert densify(gerbe._pairing_gram(rho, b1 + b2)) == p1 + p2
         kb1 = IntMatrix(rank, rank, [k * x for x in b1.entries])
-        assert gerbe._pairing_gram(rho, kb1) == IntMatrix(p1.rows, p1.cols, [k * x for x in p1.entries])
+        assert densify(gerbe._pairing_gram(rho, kb1)) == IntMatrix(p1.rows, p1.cols, [k * x for x in p1.entries])
 
     @pytest.mark.parametrize("genus", [16, 32])
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
@@ -328,7 +330,7 @@ class TestGramRoute:
         level = BilinearData(rand_matrix(rng, 4, 4, -3, 3), Frac1(rng.randrange(1, 12), 12))
         pairing = polarize(quad_from_bilinear(level))
         gens = cohomology_presentations(rho).h1.all_gens()
-        w = omega_numerators(rho, pairing, gens)
+        w = densify(omega_numerators(rho, pairing, gens))
         assert w == dense_omega_numerators(rho, pairing, gens)
         assert not w.is_zero()
 
@@ -347,13 +349,13 @@ class TestGramRoute:
         # a coordinate that no vector touches, though P's row and column there
         # are nonzero, and a vector given twice
         rho = family_system(rng, "shear", 2, 3)
-        p = gerbe._pairing_gram(rho, pairing.numerators)
+        p = densify(gerbe._pairing_gram(rho, pairing.numerators))
         assert any(p.row(0)) and any(p.column(0))
         u, v = ([0] + [rng.randint(-3, 3) for _ in range(11)] for _ in range(2))
         cases += [(rho, pairing, vectors) for vectors in ([u, v], [u, v, u], [u, u])]
         for case in cases:
-            assert omega_numerators(*case) == dense_omega_numerators(*case)
-        w = omega_numerators(rho, pairing, [u, v, u])
+            assert densify(omega_numerators(*case)) == dense_omega_numerators(*case)
+        w = densify(omega_numerators(rho, pairing, [u, v, u]))
         assert w.row(0) == w.row(2) and w.column(0) == w.column(2) and not w.is_zero()
         with pytest.raises(ShapeMismatch):
             omega_numerators(rho, pairing, [u, v[:-1]])
@@ -378,7 +380,7 @@ class TestGramRoute:
                 rho = family_system(rng, family, genus, rank)
             entry = st.integers(-4, 4) | st.integers(-(2**70), 2**70)
             b = IntMatrix(rank, rank, data.draw(st.lists(entry, min_size=rank**2, max_size=rank**2)))
-            p = gerbe._pairing_gram(rho, b)
+            p = densify(gerbe._pairing_gram(rho, b))
             reference = pairing_gram_by_letters(rho, b)
             assert p == reference
             # a nonzero entry right of its row's handle block comes from a
@@ -439,6 +441,177 @@ class TestGramRoute:
         with pytest.raises(InvariantViolation, match="representative"):
             block_report(level)
 
+
+
+def shear_job_level(genus, rank, seed):
+    """A level of the benchmark's shear-job shape, seeded by the string ``seed``.
+
+    Each generator maps e_j to e_j + a_j e_0 for j > 0, the first with
+    a_1 = 1. These shears commute, and every term of c touching e_0 is a
+    multiple of the phase's denominator, so b(e_0, -) = 0 and the level is
+    invariant.
+    """
+    rng = random.Random(seed)
+    den = rng.randint(2, 6)
+    zeta = Frac1(rng.choice([k for k in range(1, den) if math.gcd(k, den) == 1]), den)
+    mats = []
+    for _ in range(2 * genus):
+        m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        m[0][1:] = [rng.randint(-3, 3) for _ in range(rank - 1)]
+        mats.append(m)
+    mats[0][0][1] = 1
+    c = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+    c[0][0] = den * rng.randint(-1, 1)
+    for j in range(1, rank):
+        c[j][0] = -c[0][j] + den * rng.randint(-1, 1)
+    rho = LatticeLocalSystem(rank, genus, [IntMatrix.from_rows(m) for m in mats])
+    return LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), rho)
+
+
+class TestSparseStorage:
+    # P and W are {column: entry} rows from the relator to the report: at
+    # g64 r4 they store what their block structure allows, not the
+    # (2gr)^2 = 262 144 entries of a dense P or the f^2 of a dense W
+    GENUS, RANK = 64, 4
+
+    def stored(self, level, gens):
+        """(entries P stores, entries W stores), after the bounds on both."""
+        rho, width = level.rho, 2 * self.RANK
+        p = gerbe._pairing_gram(rho, level.pairing.numerators)
+        assert len(p) == 2 * self.GENUS * self.RANK
+        for x, row in enumerate(p):  # one handle block per row, at most 2r entries
+            start = x // width * width
+            assert all(start <= k < start + width for k in row)
+        w = omega_numerators(rho, level.pairing, gens)
+        assert len(w) == len(gens) and sum(map(len, w)) <= width * len(gens)
+        return sum(map(len, p)), sum(map(len, w))
+
+    def test_trivial_monodromy(self):
+        g, r = self.GENUS, self.RANK
+        level = trivial_level(g, r, 6)  # c = I, zeta = 1/6
+        gens = cohomology_presentations(level.rho).h1.all_gens()
+        p, w = self.stored(level, gens)
+        assert p > 0 and w > 0
+        # a full B: each letter b and a^-1 pairs r rows with r columns
+        full = LevelInput(BilinearData(IntMatrix(r, r, [1] * r * r), Frac1(1, 7)), level.rho)
+        assert all(full.pairing.numerators.entries)
+        p, w = self.stored(full, gens)
+        assert p == r * 2 * g * r
+
+    def test_commuting_shears(self):
+        # the benchmark's genus_shear slot 0, variant 0 recipe, at g64 r4
+        level = shear_job_level(self.GENUS, self.RANK, "genus_shear:0:0")
+        assert not any(level.pairing.numerators.row(0))  # b(e_0, -) = 0
+        gens = cohomology_presentations(level.rho).h1.all_gens()
+        p, w = self.stored(level, gens)
+        assert p > 0 and w > 0
+
+
+class TestOmegaChecks:
+    # _omega reads only W's stored entries, each against its mirror, which
+    # reads as 0 when it is missing, and reduces them into zero-filled rows
+
+    @staticmethod
+    def omega(monkeypatch, rho, n, w):
+        """_omega on ``rho``'s H^1 generators, with omega_numerators returning ``w`` at N = n."""
+        monkeypatch.setattr(gerbe, "omega_numerators", lambda rho, pairing, gens: w)
+        pairing = SymmetricForm(1, ((Frac1(1, n),),))  # only its denominator is read
+        return gerbe._omega(rho, cohomology_presentations(rho), pairing)
+
+    def test_a_missing_entry_whose_mirror_is_nonzero_fails(self, monkeypatch):
+        rho = LatticeLocalSystem.trivial(1, 1)  # two free generators
+        for w in ([{1: 1}, {}], [{}, {0: 1}]):
+            with pytest.raises(InvariantViolation, match="not antisymmetric"):
+                self.omega(monkeypatch, rho, 4, w)
+
+    def test_stored_zeros_and_multiples_of_n_pass(self, monkeypatch):
+        rho = LatticeLocalSystem.trivial(1, 1)
+        for w in ([{0: 0, 1: 4}, {0: -8, 1: 0}], [{1: 4}, {}], [{}, {}], [{0: 4}, {}]):
+            assert self.omega(monkeypatch, rho, 4, w) == ((0, 0), (0, 0))
+        assert self.omega(monkeypatch, rho, 4, [{1: 5}, {0: -1}]) == ((0, 1), (3, 0))
+        assert self.omega(monkeypatch, rho, 4, [{1: -1}, {0: 9}]) == ((0, 3), (1, 0))
+
+    def test_diagonal(self, monkeypatch):
+        # a torsion generator's diagonal needs only 2 W[i][i] = 0 mod N; a
+        # free one's must be 0 mod N
+        rho = sign_rep()  # H^1 = Z/2, one torsion generator
+        assert self.omega(monkeypatch, rho, 4, [{0: 2}]) == ((2,),)
+        assert self.omega(monkeypatch, rho, 4, [{0: -6}]) == ((2,),)
+        with pytest.raises(InvariantViolation, match="not antisymmetric"):
+            self.omega(monkeypatch, rho, 4, [{0: 1}])
+        with pytest.raises(InvariantViolation, match="nonzero free diagonal"):
+            self.omega(monkeypatch, LatticeLocalSystem.trivial(1, 1), 4, [{0: 2}, {}])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_dense_product_mod_n(self, data):
+        family = data.draw(
+            st.sampled_from(["trivial", "sign", "shear", "pair", "sign rep"]), label="family"
+        )
+        genus = data.draw(st.integers(0, 4), label="genus")
+        rank = data.draw(st.integers(1, 4), label="rank")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        rho = sign_rep() if family == "sign rep" else family_system(rng, family, genus, rank)
+        pairing = LevelInput(random_invariant_level(rng, rho), rho).pairing
+        pres = cohomology_presentations(rho)
+        n = pairing.denominator
+        dense = dense_omega_numerators(rho, pairing, pres.h1.all_gens())
+        expected = tuple(tuple(x % n for x in dense.row(i)) for i in range(dense.rows))
+        assert gerbe._omega(rho, pres, pairing) == expected
+
+
+def unit_form(rank, n):
+    """B = I over N: the form with entries 1/N on the diagonal."""
+    return SymmetricForm(
+        rank, tuple(tuple(Frac1(1, n) if i == j else ZERO for j in range(rank)) for i in range(rank))
+    )
+
+
+def free_block(rho, pairing, gens, free):
+    """W's integer block on the first ``free`` vectors, as {column: entry} rows."""
+    w = omega_numerators(rho, pairing, gens)
+    return [{j: x for j, x in w[i].items() if j < free} for i in range(free)]
+
+
+def is_antisymmetric(rows):
+    return all(x == -rows[j].get(i, 0) for i, row in enumerate(rows) for j, x in row.items())
+
+
+class TestPoincareDuality:
+    # monodromy that preserves a unimodular integer form B exactly makes the
+    # cup pairing perfect on H^1's free part, so W's integer free block is
+    # antisymmetric with determinant 1: an oracle for every entry of W at
+    # report scale, where the cochain route samples a few. B = I is preserved
+    # by trivial and diagonal-sign monodromy
+
+    @pytest.mark.parametrize("genus", [16, 32])
+    @pytest.mark.parametrize("family", ["trivial", "sign"])
+    def test_free_block_is_unimodular(self, monkeypatch, family, genus):
+        rng = random.Random(f"duality-{family}-{genus}")
+        rho = family_system(rng, family, genus, 4)
+        pairing = unit_form(4, 5)
+        assert pairing.numerators == IntMatrix.identity(4)
+        pres = cohomology_presentations(rho)
+        gens, free = list(pres.h1.all_gens()), len(pres.h1.free_gens)
+        block = free_block(rho, pairing, gens, free)
+        assert free > 0 and is_antisymmetric(block) and fraction_det(block) == 1
+        # the check sees a sublattice of index 2: doubling a generator gives 4
+        doubled = [tuple(2 * x for x in gens[0])] + gens[1:]
+        block = free_block(rho, pairing, doubled, free)
+        assert is_antisymmetric(block) and fraction_det(block) == 4
+        # and selfcheck's P + 1 fault, on the diagonal of P at the first
+        # coordinate the free generators touch (0 on the trivial systems)
+        k = min(i for g in gens[:free] for i, x in enumerate(g) if x)
+        pairing_gram = gerbe._pairing_gram
+
+        def off_by_one(rho, b):
+            p = pairing_gram(rho, b)
+            p[k][k] = p[k].get(k, 0) + 1
+            return p
+
+        monkeypatch.setattr(gerbe, "_pairing_gram", off_by_one)
+        block = free_block(rho, pairing, gens, free)
+        assert not (is_antisymmetric(block) and fraction_det(block) == 1)
 
 def unit4(i):
     v = [0, 0, 0, 0]
@@ -505,7 +678,7 @@ class TestCommutatorPairing:
         omega = gerbe._omega(rho, pres, pairing)
         chis = gerbe._pi2_characters(rho, pres, pairing, reps)
         assert len(omega) == 32 and len(chis) == len(reps) == 81 and made == []
-        w = omega_numerators(rho, pairing, pres.h1.all_gens())
+        w = densify(omega_numerators(rho, pairing, pres.h1.all_gens()))
         assert omega == tuple(tuple(x % pairing.denominator for x in w.row(i)) for i in range(32))
         rep = block_report(level)
         del made[:]

@@ -23,6 +23,7 @@ from qtorus.surface import build_complex
 from helpers import (
     ImageNotInKernel,
     _int_power,
+    fraction_det,
     fraction_rank,
     rand_matrix,
     rand_unimodular,
@@ -340,6 +341,23 @@ def slow_det(m):
         total += sign * prod
     return total
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fraction_det_matches_leibniz(data):
+    # the determinant the Poincare duality check in test_gerbe reads, on
+    # {column: entry} rows with stored zeros, against the expansion above
+    n = data.draw(st.integers(0, 5), label="n")
+    entry = st.integers(-3, 3) | st.integers(-(2**40), 2**40)
+    entries = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    if n > 1 and data.draw(st.booleans(), label="a repeated row"):
+        entries[-n:] = entries[:n]
+    a = IntMatrix(n, n, entries)
+    rows = [
+        {j: x for j, x in enumerate(a.row(i)) if x or data.draw(st.booleans())} for i in range(a.rows)
+    ]
+    assert fraction_det(rows) == slow_det(a)
 
 ENTRIES = st.one_of(st.integers(-1, 1), st.integers(-6, 6), st.integers(-(2**70), 2**70))
 

@@ -168,6 +168,30 @@ def test_omega_forms_no_dense_product():
         assert not [n for n in ast.walk(func) if isinstance(n, ast.MatMult)], func.name
 
 
+
+def test_omega_builds_no_int_matrix():
+    # P and W stay {column: entry} rows from the relator to the report: the
+    # functions that build and read them construct no IntMatrix, so neither
+    # is ever held dense or converted to and fro
+    funcs = {
+        node.name: node
+        for node in parse("gerbe").body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in {"_pairing_gram", "_pair_rows", "_pair_row", "omega_numerators", "_omega"}
+    }
+    assert len(funcs) == 5
+    for name, func in funcs.items():
+        built = [
+            node.func
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and (
+                getattr(node.func, "id", None) == "IntMatrix"
+                or getattr(node.func, "attr", None) in {"from_rows", "from_columns", "zeros"}
+            )
+        ]
+        assert built == [], name
+
 def test_omega_has_no_dense_row_helper():
     # the W product scatters into dicts over supports; the helper that summed
     # x * row over whole dense rows of G and PG is gone

@@ -39,7 +39,8 @@ def _off_by_one_gram(monkeypatch):
 
     def off_by_one(rho, b):
         p = pairing_gram(rho, b)
-        return IntMatrix(p.rows, p.cols, [p.entries[0] + 1, *p.entries[1:]])
+        p[0][0] = p[0].get(0, 0) + 1
+        return p
 
     monkeypatch.setattr(gerbe, "_pairing_gram", off_by_one)
 
@@ -415,9 +416,9 @@ def test_a_fault_at_a_level_never_drawn_fails_the_check(monkeypatch, capsys):
 
     def wrong_at_target(rho, b):
         p = pairing_gram(rho, b)
-        if b.entries != target:
-            return p
-        return IntMatrix(p.rows, p.cols, [p.entries[0] + 1, *p.entries[1:]])
+        if b.entries == target:
+            p[0][0] = p[0].get(0, 0) + 1
+        return p
 
     drawn = []  # the numerators of every drawn level's pairing
     invariant_level = selfcheck._invariant_level
