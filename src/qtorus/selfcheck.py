@@ -21,8 +21,9 @@ no level enters.
 
 Levels c / den are drawn by rejection. Each draw is tested on its integers,
 (c, den), against the probe images of the local system's monodromy, which
-are formed once (:func:`qtorus.forms.probe_images`); only an accepted draw
-builds its form. Both routes are linear in the level's numerators B: the
+are formed once (:func:`qtorus.forms.probe_images`); an accepted draw is
+kept as its ``BilinearData``, and builds its ``QuadraticForm`` only if it
+is polarized, below. Both routes are linear in the level's numerators B: the
 cup factors through Lambda (x) Lambda, and P is built from B only through
 products B (eps F). So each local system compares the routes once, in
 integers, on the symmetric basis of Sym^2(Z^r): E_kk, and E_kl + E_lk for
@@ -33,9 +34,10 @@ with the cup tensor's M[k][k], or M[k][l] + M[l][k]: no ``Frac1`` and no
 of the basis, so agreement there is agreement at every level, drawn or
 not, and each drawn level counts as a case and an agreement with no W of
 its own. When the basis disagrees, each drawn level of that local system
-is polarized and compared in Q/Z as a report would read it, and a failing
-level gets its own record; if none fails, one record names the basis form,
-the generator pair and the two integers, so the run still fails.
+builds its form, is polarized and compared in Q/Z as a report would read
+it, and a failing level gets its own record; if none fails, one record
+names the basis form, the generator pair and the two integers, so the run
+still fails.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import random
 from dataclasses import dataclass
 
 from .cochain import checked_classes, cup_tensor, pair_cup, triangulate
-from .forms import HALF, ZERO, BilinearData, Frac1, QuadraticForm, SymmetricForm, polarize
+from .forms import HALF, ZERO, BilinearData, Frac1, SymmetricForm, polarize
 from .forms import preserves, probe_images, quad_from_bilinear
 from .gerbe import omega_numerators
 from .lattice import IntMatrix
@@ -87,9 +89,7 @@ def _local_system(rng: random.Random, genus: int, rank: int, family: str) -> Lat
     return LatticeLocalSystem(rank, genus, _shear_matrices(rng, genus, rank))
 
 
-def _invariant_level(
-    rng: random.Random, r: int, images: list, den: int
-) -> tuple[BilinearData, QuadraticForm] | None:
+def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> BilinearData | None:
     """Draw a level c / den whose quadratic form the monodromy preserves.
 
     Random c matrices are filtered through the integer invariance test on
@@ -97,7 +97,9 @@ def _invariant_level(
     (:func:`qtorus.forms.probe_images`); a handful of rejection rounds is
     plenty because each family admits a structured fallback (diagonal c for
     sign actions, a tuned corner for the shear). Only the accepted draw
-    becomes a ``BilinearData`` and a ``QuadraticForm``, returned together.
+    becomes a ``BilinearData``; no form is built here, since a level's
+    ``QuadraticForm`` is needed only when its local system's basis
+    disagrees and the level is polarized.
     """
     for attempt in range(40):
         if attempt < 30:
@@ -109,8 +111,7 @@ def _invariant_level(
             b = rng.randint(-3, 3)
             c = IntMatrix(2, 2, [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)])
         if preserves(c, den, images):
-            level = BilinearData(c, Frac1(1, den))
-            return level, quad_from_bilinear(level)
+            return BilinearData(c, Frac1(1, den))
     return None
 
 
@@ -192,13 +193,14 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 recorded = len(mismatches)
                 for den in _DENOMINATORS:
                     for _ in range(_LEVELS_PER_CELL):
-                        drawn = _invariant_level(rng, rank, images, den)
-                        if drawn is None:
+                        level = _invariant_level(rng, rank, images, den)
+                        if level is None:
                             continue
                         cases += 1
-                        level, quad = drawn
                         # once the basis agrees, no level builds a form or a W
-                        verdict = basis and _first_disagreement(rho, polarize(quad), gens, cups)
+                        verdict = basis and _first_disagreement(
+                            rho, polarize(quad_from_bilinear(level)), gens, cups
+                        )
                         if verdict is None:
                             agreements += 1
                             continue

@@ -12,7 +12,6 @@ from qtorus import (
     IntMatrix,
     LatticeLocalSystem,
     LevelInput,
-    QuadraticForm,
     block_report,
     invariance_check,
     inverse_unimodular,
@@ -399,12 +398,12 @@ def random_invariant_level(
 
 def invariant_level_by_forms(
     rng: random.Random, rho: LatticeLocalSystem, den: int
-) -> tuple[BilinearData, QuadraticForm] | None:
+) -> BilinearData | None:
     """Selfcheck's level sampler with a full form and ``invariance_check`` per draw.
 
     The reference for ``selfcheck._invariant_level``, which tests each draw's
-    integers directly: both must accept the same levels from the same
-    random numbers.
+    integers directly and builds no form: both must accept the same levels
+    from the same random numbers.
     """
     zeta = Frac1(1, den)
     r = rho.rank
@@ -420,7 +419,7 @@ def invariant_level_by_forms(
         level = BilinearData(c, zeta)
         quad = quad_from_bilinear(level)
         if invariance_check(quad, rho):
-            return level, quad
+            return level
     return None
 
 
@@ -658,3 +657,29 @@ def cup_per_triangle(a, b, pairing) -> Frac1:
     for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
         total = total + frac1_bilinear(pairing.entries, x, y).scale(tri.sign)
     return total
+
+
+def coboundary_per_face(c, t, rho) -> dict:
+    """The twisted coboundary of a 1-cochain, one face at a time, from words.
+
+    The reference for ``cochain.coboundary`` in degree 1. Each face's value
+    is carried to the chart by ``rho.word_matrix`` of the word its transport
+    index names, built afresh for that face: the first k polygon sides for
+    index k <= 4g, or generator j alone for index 4g + 1 + j. No transport
+    table, no shortcut at the empty prefix and no pass shared with the cup.
+    Returns {("tri", k): value}.
+    """
+    n = t.num_sides
+    out = {}
+    for k, tri in enumerate(t.triangles):
+        total = [0] * rho.rank
+        for slot, face in enumerate(tri.faces):
+            if face.at <= n:
+                word = tuple(eps * (j + 1) for j, eps in t.side_letter[: face.at])
+            else:
+                word = (face.at - n,)  # the letter of generator face.at - n - 1
+            moved = rho.word_matrix(word).mul_vec(c.value(face.cell))
+            sign = -1 if slot == 1 else 1
+            total = [x + sign * y for x, y in zip(total, moved)]
+        out[("tri", k)] = tuple(total)
+    return out

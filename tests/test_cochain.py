@@ -30,6 +30,7 @@ from qtorus.gerbe import _pairing_gram, omega_numerators
 from qtorus.selfcheck import _local_system
 
 from helpers import (
+    coboundary_per_face,
     cup_per_triangle,
     densify,
     family_system,
@@ -356,6 +357,101 @@ class TestCheckedCup:
         assert pair_cup(cup_tensor(a, b), scalar_pairing(1, 2)) == Frac1(1, 2)
         with pytest.raises(ShapeMismatch):
             pair_cup(cup_tensor(a, b), SymmetricForm(2, ((ZERO, ZERO), (ZERO, ZERO))))
+
+
+def _oracle_system(family, genus, rank):
+    """A seeded shear, pair or random local system."""
+    rng = random.Random(f"one-pass-{family}-{genus}-{rank}")
+    if family == "random":
+        return random_local_system(rng, genus, rank)
+    rho = family_system(rng, family, genus, rank)
+    # at rank > 1 these families move the faces off the chart's identity
+    assert rank == 1 or any(m != IntMatrix.identity(rank) for m in rho.mon)
+    return rho
+
+
+class TestOnePassCheck:
+    # the cocycle check carries each triangle's three faces to the chart once
+    # and reads both the coboundary and the cup's faces from those values;
+    # these tests pin what that pass must still see, on monodromy that makes
+    # faces at nonzero transport indices differ from the chart
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["shear", "pair", "random"])
+    def test_any_single_edge_perturbation_is_caught(self, family, genus, rank):
+        # every edge cell lies on two triangle sides, and a change there moves
+        # each side's coboundary by an invertible matrix times it, so the
+        # check must reject every single-edge perturbation of a cocycle
+        rho = _oracle_system(family, genus, rank)
+        rng = random.Random(f"perturb-{family}-{genus}-{rank}")
+        t = triangulate(rho.genus)
+        r = rho.rank
+        gens = cohomology_presentations(rho).h1.all_gens()
+        h1 = [0] * (2 * rho.genus * r)
+        for g in gens:
+            k = rng.choice((-2, -1, 1, 2))
+            h1 = [x + k * y for x, y in zip(h1, g)]
+        u = class_of(h1, t, rho)
+        assert cocycle_check(u, t, rho)
+        p = SymmetricForm(r, tuple(
+            tuple(Frac1(1, 2) if i == j else ZERO for j in range(r)) for i in range(r)
+        ))
+        cup_evaluate(u, u, p, t, rho)  # the unperturbed cocycle passes
+        for cell in t.cells_of_degree(1):
+            for i in range(r):
+                values = dict(u.values)
+                bumped = list(values[cell])
+                bumped[i] += rng.choice((-3, -2, -1, 1, 2, 3))
+                values[cell] = tuple(bumped)
+                bad = TwistedCochain(1, r, values)
+                assert not cocycle_check(bad, t, rho), (cell, i)
+                with pytest.raises(NotACocycle):
+                    cup_evaluate(bad, u, p, t, rho)
+                with pytest.raises(NotACocycle):
+                    cup_evaluate(u, bad, p, t, rho)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["shear", "pair", "random"])
+    def test_coboundary_matches_the_per_face_reference(self, family, genus, rank):
+        rho = _oracle_system(family, genus, rank)
+        rng = random.Random(f"coboundary-{family}-{genus}-{rank}")
+        t = triangulate(rho.genus)
+        for _ in range(3):
+            c = TwistedCochain(1, rho.rank, {
+                cell: tuple(rng.randint(-3, 3) for _ in range(rho.rank))
+                for cell in t.cells_of_degree(1)
+            })
+            assert coboundary(c, t, rho).values == coboundary_per_face(c, t, rho)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 8])
+    def test_matrix_vector_products_per_checked_cocycle(self, genus, monkeypatch):
+        # work guard: a checked cocycle costs one product per radial step and
+        # one per triangle face whose transport index is nonzero; index 0 is
+        # the identity and costs none. Of the 4g radial steps, side 0's reads
+        # the empty prefix; of the 12g faces, the 8g radial ones and triangle
+        # 0's generator face sit at index 0. So (4g - 1) + (4g - 1) = 8g - 2:
+        # the coboundary test and the cup's faces share one carried value per
+        # face, and the transport table itself is built by matrix products
+        rho = family_system(random.Random(f"guard-{genus}"), "pair", genus, 2)
+        t = triangulate(genus)
+        gens = cohomology_presentations(rho).h1.all_gens()
+        assert gens
+        steps = sum(1 for k, (_, eps) in enumerate(t.side_letter) if (k if eps == 1 else k + 1))
+        faces = sum(1 for tri in t.triangles for face in tri.faces if face.at)
+        calls = [0]
+        mul_vec = IntMatrix.mul_vec
+
+        def counting_mul_vec(self, vec):
+            calls[0] += 1
+            return mul_vec(self, vec)
+
+        monkeypatch.setattr(IntMatrix, "mul_vec", counting_mul_vec)
+        checked_classes(gens, t, rho)
+        monkeypatch.undo()
+        assert steps == faces == 4 * genus - 1
+        assert calls[0] == len(gens) * (steps + faces) == len(gens) * (8 * genus - 2)
 
 
 class TestReportScale:

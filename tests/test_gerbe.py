@@ -613,6 +613,23 @@ class TestPoincareDuality:
         block = free_block(rho, pairing, gens, free)
         assert not (is_antisymmetric(block) and fraction_det(block) == 1)
 
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("b,det_b", [([[2, 1], [1, 2]], 3), ([[3, 0], [0, 3]], 9)])
+    def test_free_block_det_is_det_b_to_the_2g(self, b, det_b, genus):
+        # on a trivial system H^1 is Z^(2g) (x) Z^r, and W is the intersection
+        # form (x) B, so its free block has |det| = |det B|^(2g) whatever B:
+        # 9, 81, 729 for [[2, 1], [1, 2]], and 3^(4g) for B = 3 I. Only for
+        # B = d I is that d^(2g r)
+        rho = LatticeLocalSystem.trivial(2, genus)
+        pairing = SymmetricForm(2, tuple(tuple(Frac1(x, 7) for x in row) for row in b))
+        assert pairing.numerators == IntMatrix.from_rows(b)
+        pres = cohomology_presentations(rho)
+        gens, free = list(pres.h1.all_gens()), len(pres.h1.free_gens)
+        assert free == len(gens) == 4 * genus
+        block = free_block(rho, pairing, gens, free)
+        assert is_antisymmetric(block)
+        assert abs(fraction_det(block)) == det_b ** (2 * genus)
+
 def unit4(i):
     v = [0, 0, 0, 0]
     v[i] = 1

@@ -10,6 +10,7 @@ from qtorus import (
     Frac1,
     IntMatrix,
     LatticeLocalSystem,
+    QuadraticForm,
     class_of,
     cohomology_presentations,
     cup_evaluate,
@@ -115,18 +116,21 @@ def _count_table_products(monkeypatch):
 
 def test_one_table_and_one_check_per_local_system(monkeypatch):
     # each local system's transport table forms 4g products, one per
-    # boundary prefix, and the coboundary runs once per cocycle built: one
-    # per H^1 generator
-    runs = {}  # id(table) -> (table, coboundary runs)
-    coboundary = cochain._coboundary
+    # boundary prefix, and the cocycle check, which carries a cochain's faces
+    # to the chart, runs once per cocycle built: one per H^1 generator, each
+    # one passing
+    runs = {}  # id(table) -> (table, check runs)
+    check = cochain._check
 
-    def counting_coboundary(c, table):
+    def counting_check(c, table):
         held, n = runs.get(id(table), (table, 0))
         runs[id(table)] = (held, n + 1)
-        return coboundary(c, table)
+        checked = check(c, table)
+        assert checked is not None and checked.table is table
+        return checked
 
     tables = _count_table_products(monkeypatch)
-    monkeypatch.setattr(cochain, "_coboundary", counting_coboundary)
+    monkeypatch.setattr(cochain, "_check", counting_check)
     rhos = []  # the local systems selfcheck draws, in order
     local_system = selfcheck._local_system
 
@@ -269,19 +273,35 @@ def test_a_wrong_gram_matrix_fails_the_check(monkeypatch):
 
 
 def test_each_level_form_built_once(monkeypatch):
-    # draws are tested on their integers; only an accepted level builds its
-    # form. A passing run polarizes none of them; when a local system's basis
-    # disagrees, each of its drawn levels is polarized from that same form
-    built = []  # (local system, form) per accepted draw
+    # draws are tested on their integers and kept as BilinearData; a level
+    # builds its form only to polarize it. A passing run builds no
+    # QuadraticForm at all; when a local system's basis disagrees, each of
+    # its drawn levels builds exactly one form, from that level, and that
+    # form is the one polarized
+    built = []  # (local system, level, form) per form built by selfcheck
+    forms_made = [0]  # every QuadraticForm constructed, by any caller
+    drawn = []  # (local system, level) per accepted draw
     polarized = []
     bases = []  # (local system, basis verdict) per local system
     quad_from_bilinear = selfcheck.quad_from_bilinear
     polarize = selfcheck.polarize
     basis_disagreement = selfcheck._basis_disagreement
+    invariant_level = selfcheck._invariant_level
+    quad_post_init = QuadraticForm.__post_init__
+
+    def counting_post_init(self):
+        forms_made[0] += 1
+        quad_post_init(self)
 
     def counting_quad(level):
-        built.append((bases[-1][0], quad_from_bilinear(level)))
-        return built[-1][1]
+        built.append((bases[-1][0], level, quad_from_bilinear(level)))
+        return built[-1][2]
+
+    def recording_invariant_level(*args):
+        level = invariant_level(*args)
+        if level is not None:
+            drawn.append((bases[-1][0], level))
+        return level
 
     def recording_polarize(quad):
         polarized.append(quad)
@@ -291,25 +311,31 @@ def test_each_level_form_built_once(monkeypatch):
         bases.append((rho, basis_disagreement(rho, gens, cups)))
         return bases[-1][1]
 
+    monkeypatch.setattr(QuadraticForm, "__post_init__", counting_post_init)
     monkeypatch.setattr(selfcheck, "quad_from_bilinear", counting_quad)
+    monkeypatch.setattr(selfcheck, "_invariant_level", recording_invariant_level)
     monkeypatch.setattr(selfcheck, "polarize", recording_polarize)
     monkeypatch.setattr(selfcheck, "_basis_disagreement", recording_basis_disagreement)
     result = run_selfcheck(5)
     assert result.ok
-    assert len(built) == result.cases
-    assert polarized == []
+    assert len(drawn) == result.cases > 0
+    assert built == [] and forms_made[0] == 0 and polarized == []
 
     built.clear()
+    drawn.clear()
     bases.clear()
     _off_by_one_gram(monkeypatch)
     result = run_selfcheck(5)
     monkeypatch.undo()
-    assert not result.ok and len(built) == result.cases
+    assert not result.ok and len(drawn) == result.cases
     failed = [rho for rho, verdict in bases if verdict is not None]
     assert failed
-    expected = [quad for rho, quad in built if any(rho is f for f in failed)]
-    assert len(polarized) == len(expected)
-    assert all(q is p for q, p in zip(expected, polarized))
+    expected = [(rho, level) for rho, level in drawn if any(rho is f for f in failed)]
+    assert [(rho, level) for rho, level, _ in built] == expected
+    assert all(level is drawn_level for (_, level, _), (_, drawn_level) in zip(built, expected))
+    assert forms_made[0] == len(built)
+    assert len(polarized) == len(built)
+    assert all(quad is p for (_, _, quad), p in zip(built, polarized))
 
 
 def test_repeated_pairings_keep_one_record_per_level(monkeypatch):
@@ -360,8 +386,8 @@ def test_sampler_draws_as_the_form_route(seed, monkeypatch):
                 images = probe_images(rho.mon, rank)
                 for den in selfcheck._DENOMINATORS:
                     for _ in range(selfcheck._LEVELS_PER_CELL):
-                        drawn = selfcheck._invariant_level(fast, rank, images, den)
-                        assert drawn == invariant_level_by_forms(slow, rho, den)
+                        level = selfcheck._invariant_level(fast, rank, images, den)
+                        assert level == invariant_level_by_forms(slow, rho, den)
                         assert fast.getstate() == slow.getstate()
     assert verdicts.count(False) > 0 and verdicts.count(True) > 0  # draws were rejected
 
@@ -426,7 +452,7 @@ def test_a_fault_at_a_level_never_drawn_fails_the_check(monkeypatch, capsys):
     def recording_invariant_level(rng, r, images, den):
         level = invariant_level(rng, r, images, den)
         if level is not None:
-            drawn.append(polarize(level[1]).numerators.entries)
+            drawn.append(polarize(quad_from_bilinear(level)).numerators.entries)
         return level
 
     monkeypatch.setattr(gerbe, "_pairing_gram", wrong_at_target)
