@@ -12,8 +12,9 @@ A block report's omega and pi2 characters arrive as integer residues over
 its denominator N; this module alone writes them as fractions, one string
 per residue that occurs. JSON reports and error objects are written by
 ``_dumps``, whose output is ``json.dumps(value, indent=2)`` byte for byte
-plus a newline. It encodes a matrix shared by several blocks, such as
-omega, once per report.
+plus a newline. It writes a list of same-keyed dicts, such as the blocks,
+from one template that holds the keys and every value the dicts share, such
+as omega, encoded once per report.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
+from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, NoReturn, Sequence
 
@@ -58,6 +59,7 @@ REFINEMENT_NOTE = (
 
 
 _STR, _INT = {str}, {int}  # type sets of an all-str and an all-int list; bool is neither
+_LISTS, _JOINED = {list, tuple}, (_STR, _INT)  # list types; item type sets written with one join
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -404,18 +406,14 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _encode(
-    value: Any, depth: int, out: list[str], memo: dict[tuple[int, int], str], pads: list[str]
-) -> None:
+def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
     """Append ``value`` as indent-2 JSON at nesting ``depth`` to ``out``.
 
     Values dispatch on their exact type, so a report holds plain ``str``,
     ``int``, ``dict``, ``list``/``tuple``, ``None`` and bools; anything else,
     a subclass included, is a ``TypeError``. A list whose items are all
-    ``str``, or all ``int`` (never ``bool``), is written with one join. A
-    list of lists (a matrix) is encoded once per depth and its text reused:
-    every block of a report holds the same omega list. Keying by ``id`` is
-    sound because the caller keeps every object alive for the whole call.
+    ``str``, or all ``int`` (never ``bool``), is written with one join, and
+    a list of two or more dicts with one key list by :func:`_encode_records`.
     ``pads[d]`` is a newline and depth d's indent, built once per call of
     :func:`_dumps`, when the first container at depth d - 1 is written.
     """
@@ -436,7 +434,7 @@ def _encode(
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out += (sep, _encode_str(key), ": ")
-            _encode(item, depth + 1, out, memo, pads)
+            _encode(item, depth + 1, out, pads)
             sep = "," + pad
         out += (pads[depth], "}")
     elif kind is list or kind is tuple:
@@ -447,26 +445,18 @@ def _encode(
             pads.append(pads[depth] + "  ")
         pad = pads[depth + 1]
         kinds = set(map(type, value))
-        if kinds == _STR or kinds == _INT:
+        if kinds in _JOINED:
             items = map(_encode_str if kinds == _STR else int.__repr__, value)
             out += ("[", pad, ("," + pad).join(items), pads[depth], "]")
             return
-        matrix = type(value[0]) in (list, tuple)
-        if matrix:
-            key = (id(value), depth)
-            if key in memo:
-                out.append(memo[key])
-                return
-            whole, out = out, []
+        if kinds == {dict} and len(value) > 1 and _encode_records(value, depth, out, pads):
+            return
         sep = "[" + pad
         for item in value:
             out.append(sep)
-            _encode(item, depth + 1, out, memo, pads)
+            _encode(item, depth + 1, out, pads)
             sep = "," + pad
         out += (pads[depth], "]")
-        if matrix:
-            memo[key] = text = "".join(out)
-            whole.append(text)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -477,13 +467,60 @@ def _encode(
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _encode_records(records: Sequence[dict], depth: int, out: list[str], pads: list[str]) -> bool:
+    """Write dicts sharing one nonempty key list from one template; False when keys differ.
+
+    Key text, and each value that is one object in every record (every
+    block's omega), are encoded once. A column of strs, or of nonempty lists
+    all of ints or all of strs, is type-checked once and written with one
+    join per record; any other value goes through :func:`_encode` one by one.
+    """
+    keys = list(records[0])
+    if not keys or any(list(d) != keys for d in records):
+        return False
+    while len(pads) < depth + 4:
+        pads.append(pads[-1] + "  ")
+    pad, inner, comma = pads[depth + 2], pads[depth + 3], "," + pads[depth + 3]
+    consts, columns = [""], []  # record text: consts[0], columns[0], consts[1], ...
+    for i, key in enumerate(keys):
+        consts[-1] += ("," if i else "{") + pad + _encode_str(key) + ": "  # TypeError unless str
+        col = [d[key] for d in records]
+        if all(v is col[0] for v in col):
+            consts[-1] += _text(col[0], depth + 2, pads)
+            continue
+        kinds = set(map(type, col))
+        if kinds == _STR:
+            columns.append(list(map(_encode_str, col)))
+        elif kinds <= _LISTS and all(col) and (leaves := set(map(type, chain(*col)))) in _JOINED:
+            enc = _encode_str if leaves == _STR else int.__repr__
+            columns.append([f"[{inner}{comma.join(map(enc, v))}{pad}]" for v in col])
+        else:
+            columns.append([_text(v, depth + 2, pads) for v in col])
+        consts.append("")
+    consts[-1] += pads[depth + 1] + "}"
+    sep = "[" + pads[depth + 1]
+    for row in zip(*columns) if columns else [()] * len(records):
+        out += (sep, *chain(*zip(consts, row)), consts[-1])
+        sep = "," + pads[depth + 1]
+    out += (pads[depth], "]")
+    return True
+
+
+def _text(value: Any, depth: int, pads: list[str]) -> str:
+    """``value`` as :func:`_encode` writes it at ``depth``, as one string."""
+    chunk: list[str] = []
+    _encode(value, depth, chunk, pads)
+    return "".join(chunk)
+
+
 def _dumps(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, plus a trailing newline.
 
-    Dict keys must be strings; every shared matrix is encoded once.
+    Dict keys must be strings. A list of same-keyed dicts is written from one
+    template, which encodes a value every record shares, such as omega, once.
     """
     out: list[str] = []
-    _encode(value, 0, out, {}, ["\n"])
+    _encode(value, 0, out, ["\n"])
     out.append("\n")
     return "".join(out)
 

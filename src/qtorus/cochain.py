@@ -18,15 +18,15 @@ trivial coefficients the a-loop cup b-loop evaluates to +1.
 
 Each public entry point builds one transport table for its (triangulation,
 local system): a list of 6g + 1 matrices, the 4g + 1 boundary prefixes, each
-one product from the previous, then the 2g generators. Each face holds the
-index of its transport; index 0 is the empty prefix, whose transport is the
-identity, so a value there is read as it is. Every 1-cocycle is checked
+the previous one times a letter, then the 2g generators. Each face holds the
+index of its transport; an identity factor or transport costs no product, and
+a value at an identity transport is read as it is. Every 1-cocycle is checked
 once, when :func:`class_of` builds it or :func:`cup_evaluate` receives it,
 in one pass: each triangle's three face values are carried to the chart
 once, the coboundary test reads their alternating sum, and the resulting
 :class:`Cocycle` keeps the front and back faces from the same values. At
-genus g the check costs 4g - 1 matrix-vector products, and a cocycle that
-:func:`class_of` builds costs 4g - 1 more for its radial walk.
+genus g the check costs at most 4g - 1 matrix-vector products, and a cocycle
+that :func:`class_of` builds at most 4g - 1 more for its radial walk.
 :func:`checked_classes` builds a local system's cocycles over one table,
 and :func:`cup_tensor` takes checked cocycles with no further check, so a
 caller that pairs N cocycles at many levels checks each one once.
@@ -219,10 +219,10 @@ def triangulate(genus: int) -> TriangulatedSurface:
 class _Transports:
     """Monodromy of every face position of one triangulation under one local system.
 
-    A list addressed by the faces' indices. Index k <= 4g is the boundary
-    prefix of k sides, index k - 1 times the matrix of the letter on side
-    k - 1, so the 4g prefixes cost 4g products; index 4g + 1 + j is
-    generator j, ``rho.mon[j]``.
+    A list addressed by the faces' indices, None for the identity. Index
+    k <= 4g is the boundary prefix of k sides, index k - 1 times the letter
+    on side k - 1, a product unless one factor is the identity; index
+    4g + 1 + j is generator j, ``rho.mon[j]``.
     """
 
     def __init__(self, t: TriangulatedSurface, rho: LatticeLocalSystem):
@@ -230,19 +230,21 @@ class _Transports:
             raise ShapeMismatch(f"local system genus {rho.genus} != triangulation genus {t.genus}")
         self.t = t
         self.rank = rho.rank
-        self._matrices = [rho.word_matrix(())]
+        eye = rho.word_matrix(())
+        self._matrices = [None]
         for j, eps in t.side_letter:
-            self._matrices.append(self._matrices[-1] @ rho.matrix(eps * (j + 1)))
-        self._matrices += rho.mon
+            prefix, step = self._matrices[-1], rho.matrix(eps * (j + 1))
+            prefix = step if prefix is None else prefix if step == eye else prefix @ step
+            self._matrices.append(None if prefix == eye else prefix)
+        self._matrices += [None if m == eye else m for m in rho.mon]
 
     def move(self, at: int, value: tuple[int, ...]) -> tuple[int, ...]:
         """``value`` carried from the position with transport index ``at`` back to the chart.
 
-        Index 0 is the empty prefix, whose transport is the identity, so the
-        value comes back unchanged with no product; two of each triangle's
-        three faces sit there.
+        An identity transport, as at index 0 where two of each triangle's
+        three faces sit, returns the value unchanged with no product.
         """
-        return self._matrices[at].mul_vec(value) if at else value
+        return value if (m := self._matrices[at]) is None else m.mul_vec(value)
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,7 @@ def _coboundary(c: TwistedCochain, table: _Transports) -> TwistedCochain:
 
 
 def _check(c: TwistedCochain, table: _Transports) -> Cocycle | None:
-    """The checked form of a 1-cochain, or None when its coboundary is nonzero."""
-    _check_compat(c, table)
+    """The checked form of a compatible 1-cochain, or None when its coboundary is nonzero."""
     faces = _chart_faces(c, table)
     if any(map(any, _alternating_sums(faces))):
         return None
@@ -326,9 +327,9 @@ def cocycle_check(c: TwistedCochain, t: TriangulatedSurface, rho: LatticeLocalSy
     Degree-2 cochains are cocycles vacuously: the complex stops there.
     """
     table = _Transports(t, rho)
+    _check_compat(c, table)
     if c.degree == 1:
         return _check(c, table) is not None
-    _check_compat(c, table)
     return c.degree == 2 or not any(map(any, _coboundary(c, table).values.values()))
 
 
@@ -391,9 +392,11 @@ def cup_evaluate(
     if pairing.rank != rho.rank:
         raise ShapeMismatch(f"pairing rank {pairing.rank} != local system rank {rho.rank}")
     table = _Transports(t, rho)
+    _check_compat(c1, table)
     a = _check(c1, table)
     if a is None:
         raise NotACocycle("first argument is not a cocycle")
+    _check_compat(c2, table)
     b = _check(c2, table)
     if b is None:
         raise NotACocycle("second argument is not a cocycle")
@@ -420,7 +423,9 @@ def _class_of(h1_vector: Sequence[int], table: _Transports) -> Cocycle:
             values[("rad", k + 1)] = tuple(radial)
     if any(radial):
         raise NotInKernel("holonomy data does not close up around the polygon")
-    checked = _check(TwistedCochain(1, r, values), table)
+    cochain = object.__new__(TwistedCochain)  # length-r int tuples per edge: no __post_init__
+    cochain.__dict__.update(degree=1, rank=r, values=values)
+    checked = _check(cochain, table)
     if checked is None:
         raise InvariantViolation("the radial walk closed up on a non-cocycle")
     return checked

@@ -102,18 +102,20 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]
     where S_j = 0, and whenever B kills the image of every S_j, as for
     commuting shears x -> x + l(x) e_0 with b(e_0, -) = 0. P, held as
     {column: entry} rows, is then block diagonal by handle, and its work and
-    storage grow linearly in the genus.
+    storage grow linearly in the genus. An identity frame forms no product:
+    B (eps I) is B or -B, and -B is formed once per call.
     """
     r = rho.rank
     size = 2 * rho.genus * r
     p: list[dict[int, int]] = [{} for _ in range(size)]
     acc_t = [[0] * r for _ in range(size)]
+    eye, signed_b = IntMatrix.identity(r), {1: b, -1: -b}
     for h in range(rho.genus):
         start = 2 * h * r  # rows before it are finished; rows after it are still zero
         bs: dict[int, IntMatrix] = {}  # B S_j, summed over the letters of j
         for j, eps, frame in rho.letter_frames[4 * h : 4 * h + 4]:
             f = frame if eps == 1 else -frame
-            bf = b @ f
+            bf = signed_b[eps] if frame == eye else b @ f
             bs[j] = bs[j] + bf if j in bs else bf
             if eps == -1:
                 _accumulate(acc_t, j * r, f)

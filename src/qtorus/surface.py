@@ -64,13 +64,14 @@ class SurfaceGroup:
 class LatticeLocalSystem:
     """Monodromy data: one unimodular matrix per generator, relation enforced.
 
-    Each generator is inverted once, at construction, and ``mon_inv`` keeps
-    the inverses in generator order; a matrix with no integer inverse fails
-    that inversion, which is the unimodularity check.
+    Each generator other than the identity is inverted once, at construction;
+    ``mon_inv`` keeps the inverses in generator order. A matrix with no
+    integer inverse fails that inversion, which is the unimodularity check.
 
     ``letter_frames`` holds a (generator index, exponent, transport) triple
     per relator letter. The transport is the monodromy of the relator prefix
-    ending just before a positive letter, or just after a negative one.
+    ending just before a positive letter, or just after a negative one; a
+    step from an identity prefix or by an identity letter forms no product.
     """
 
     def __init__(self, rank: int, genus: int, mon: Sequence[IntMatrix]):
@@ -81,12 +82,13 @@ class LatticeLocalSystem:
         mon = tuple(mon)
         if len(mon) != 2 * genus:
             raise DimensionMismatch(f"need {2 * genus} matrices for genus {genus}, got {len(mon)}")
+        eye = IntMatrix.identity(rank)
         inv = []
         for idx, m in enumerate(mon):
             if not m.is_square() or m.rows != rank:
                 raise DimensionMismatch(f"monodromy matrix {idx} must be {rank}x{rank}")
             try:
-                inv.append(inverse_unimodular(m))
+                inv.append(m if m == eye else inverse_unimodular(m))
             except NonUnimodular:
                 raise NonUnimodular(f"monodromy matrix {idx} is not unimodular") from None
         self.rank = rank
@@ -94,16 +96,16 @@ class LatticeLocalSystem:
         self.mon = mon
         self.mon_inv = tuple(inv)
         frames = []
-        prefix = IntMatrix.identity(rank)
+        prefix = eye
         for letter in SurfaceGroup(genus).relator():
             j = abs(letter) - 1
             if letter > 0:
                 frames.append((j, 1, prefix))
-                prefix = prefix @ self.matrix(letter)
-            else:
-                prefix = prefix @ self.matrix(letter)
+            step = self.matrix(letter)
+            prefix = step if prefix == eye else prefix if step == eye else prefix @ step
+            if letter < 0:
                 frames.append((j, -1, prefix))
-        if prefix != IntMatrix.identity(rank):
+        if prefix != eye:
             raise RelationViolated("monodromy violates the surface relation")
         self.letter_frames = tuple(frames)
 

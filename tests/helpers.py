@@ -659,6 +659,28 @@ def cup_per_triangle(a, b, pairing) -> Frac1:
     return total
 
 
+def transport_word(t, at: int) -> tuple[int, ...]:
+    """The word a transport index names: the first ``at`` polygon sides for
+    ``at`` <= 4g, or generator ``at`` - 4g - 1 alone."""
+    n = t.num_sides
+    return tuple(eps * (j + 1) for j, eps in t.side_letter[:at]) if at <= n else (at - n,)
+
+
+def moves(t, rho, at: int) -> bool:
+    """Whether the transport at index ``at`` differs from the identity, from its word."""
+    return rho.word_matrix(transport_word(t, at)) != IntMatrix.identity(rho.rank)
+
+
+def table_products(t, rho) -> int:
+    """Products a transport table needs: one per polygon side whose prefix
+    before it and whose letter both differ from the identity."""
+    eye = IntMatrix.identity(rho.rank)
+    return sum(
+        moves(t, rho, k) and rho.word_matrix((eps * (j + 1),)) != eye
+        for k, (j, eps) in enumerate(t.side_letter)
+    )
+
+
 def coboundary_per_face(c, t, rho) -> dict:
     """The twisted coboundary of a 1-cochain, one face at a time, from words.
 
@@ -669,16 +691,11 @@ def coboundary_per_face(c, t, rho) -> dict:
     table, no shortcut at the empty prefix and no pass shared with the cup.
     Returns {("tri", k): value}.
     """
-    n = t.num_sides
     out = {}
     for k, tri in enumerate(t.triangles):
         total = [0] * rho.rank
         for slot, face in enumerate(tri.faces):
-            if face.at <= n:
-                word = tuple(eps * (j + 1) for j, eps in t.side_letter[: face.at])
-            else:
-                word = (face.at - n,)  # the letter of generator face.at - n - 1
-            moved = rho.word_matrix(word).mul_vec(c.value(face.cell))
+            moved = rho.word_matrix(transport_word(t, face.at)).mul_vec(c.value(face.cell))
             sign = -1 if slot == 1 else 1
             total = [x + sign * y for x, y in zip(total, moved)]
         out[("tri", k)] = tuple(total)

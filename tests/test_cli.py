@@ -556,6 +556,43 @@ def trees_sharing_a_list(draw):
     }
 
 
+FIELD_KEYS = st.lists(STRINGS, min_size=1, max_size=4, unique=True)
+# what one column of a record list holds: int lists (empty, bool or 2**70
+# among them sometimes), str lists, str leaves, or any tree
+COLUMNS = [
+    st.lists(st.integers(-3, 3) | st.just(2**70), min_size=1, max_size=4),
+    st.lists(st.integers(-3, 3) | st.booleans(), max_size=3),
+    st.lists(STRINGS, min_size=1, max_size=3),
+    STRINGS,
+    TREES,
+]
+
+
+@st.composite
+def record_lists(draw):
+    """Lists (or tuples) of dicts mostly sharing one key list.
+
+    Each value of a column is the column's one shared object, an equal copy
+    of it, or a fresh draw; a record sometimes lists the keys in another order.
+    """
+    keys = draw(FIELD_KEYS)
+    kinds = {k: draw(st.sampled_from(COLUMNS)) for k in keys}
+    shared = {k: draw(kinds[k]) for k in keys}
+    records = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(keys)) if draw(st.integers(0, 3)) == 0 else keys
+        how = {k: draw(st.sampled_from(("shared", "copy", "own"))) for k in order}
+        records.append({
+            k: shared[k] if how[k] == "shared"
+            else json.loads(json.dumps(shared[k])) if how[k] == "copy"
+            else draw(kinds[k])
+            for k in order
+        })
+    if draw(st.booleans()):
+        records = tuple(records)
+    return records if draw(st.booleans()) else {"deeper": [records, {"x": records}]}
+
+
 def count_strings(value):
     """Strings an encoder writes for ``value``: dict keys and string leaves."""
     if isinstance(value, str):
@@ -590,6 +627,26 @@ class TestEmitter:
         # reports hold neither; json.dumps would accept both
         with pytest.raises(TypeError):
             cli._dumps(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_lists())
+    def test_record_lists_equal_json_dumps(self, value):
+        # a list of same-keyed dicts is written from one template
+        assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("records", [1, 2, 3])
+    @pytest.mark.parametrize("bad", ["float", "shared float", "int key", "nested float"])
+    def test_record_lists_raise_type_error_like_one_record(self, records, bad):
+        # the template and the generic path, one record, reject the same values
+        shared = 0.5
+        def record(i):
+            if bad == "int key":
+                return {"a": i, 1: "x"}
+            if bad == "nested float":
+                return {"a": [i], "b": {"c": [1.5]}}
+            return {"a": i, "b": shared if bad == "shared float" else i + 0.5}
+        with pytest.raises(TypeError):
+            cli._dumps([record(i) for i in range(records)])
 
     @pytest.mark.parametrize("shape", ["list", "dict"])
     def test_nesting_60_deep_equals_json_dumps(self, shape):
@@ -630,8 +687,44 @@ class TestEmitter:
         monkeypatch.setattr(cli, "_encode_str", counting)
         out = cli._dumps(report)
         assert out == json.dumps(report, indent=2) + "\n"
-        # every string once, except omega's 32 x 32 entries: once, not 81 times
-        assert len(encoded) == count_strings(report) - 80 * 32 * 32
+        # every string once, except omega's 32 x 32 entries and the 5 block
+        # keys, which the blocks' one template writes once, not 81 times
+        assert len(blocks[0]) == 5
+        assert len(encoded) == count_strings(report) - 80 * 32 * 32 - 80 * 5
+
+    def test_level_wide_block_fields_are_encoded_once(self, monkeypatch):
+        # omega, radical_rank and block_dim are the same objects in every
+        # block, so _encode sees each once; component and pi2_character, the
+        # fields that vary, are joined, never encoded value by value
+        spec = cli.JobSpec({
+            "task": "global",
+            "surface": {"genus": 2, "rank": 3},
+            "level": {"c_matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "zeta": "1/4"},
+        })
+        report = cli._run_global(spec)
+        blocks = report["blocks"]
+        assert len(blocks) == 27
+        seen = []  # the values _encode receives as block fields
+        inside = [False]
+        encode = cli._encode
+
+        def spy(value, depth, *args):
+            if value is blocks:
+                inside[0] = True
+                encode(value, depth, *args)
+                inside[0] = False
+                return
+            if inside[0] and depth == 3:  # report, blocks, block, field
+                seen.append(value)
+            encode(value, depth, *args)
+
+        monkeypatch.setattr(cli, "_encode", spy)
+        out = cli._dumps(report)
+        assert out == json.dumps(report, indent=2) + "\n"
+        assert len({tuple(b["component"]) for b in blocks}) == 27
+        assert len({tuple(b["pi2_character"]) for b in blocks}) > 1
+        assert len(seen) == 3 and seen[0] is blocks[0]["omega"]
+        assert seen[1:] == [blocks[0]["radical_rank"], blocks[0]["block_dim"]]
 
 
 class TestTripwire:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,8 @@ from qtorus import (
     inverse_unimodular,
     smith_normal_form,
 )
-from qtorus import lattice, surface
+from qtorus import cli, cochain, lattice, surface, triangulate
+from qtorus.gerbe import _pairing_gram
 from qtorus.lattice import hstack
 from qtorus.surface import _fraction_free_rank
 from qtorus.errors import (
@@ -28,11 +30,13 @@ from helpers import (
     family_system,
     fox_derivative,
     fraction_rank,
+    moves,
     rand_matrix,
     rand_unimodular,
     random_local_system,
     subquotient,
     subquotient_with_generators,
+    table_products,
 )
 
 
@@ -492,3 +496,75 @@ def test_fraction_free_rank_matches_both_references():
             want = fraction_rank(a)
             assert _fraction_free_rank(a) == want
             assert smith_normal_form(a).rank() == want
+
+
+class TestIdentityTransports:
+    # a transport equal to the identity forms no product and inverts nothing,
+    # in the relator walk, omega's Gram walk and the oracle's transport table;
+    # -I is not the identity, so its products are still formed
+
+    @staticmethod
+    def _spy(monkeypatch) -> Counter:
+        counts = Counter()
+        matmul, gauss_jordan = IntMatrix.__matmul__, lattice._gauss_jordan
+
+        def counting_matmul(self, other):
+            counts["products"] += 1
+            return matmul(self, other)
+
+        def counting_gauss_jordan(a):
+            counts["inversions"] += 1
+            return gauss_jordan(a)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+        monkeypatch.setattr(lattice, "_gauss_jordan", counting_gauss_jordan)
+        return counts
+
+    @staticmethod
+    def _walks(rho, b, counts) -> list[Counter]:
+        """The counts each walk adds: relator walk, Gram walk, transport table."""
+        steps = []
+        for walk in (
+            lambda: LatticeLocalSystem(rho.rank, rho.genus, rho.mon),
+            lambda: _pairing_gram(rho, b),
+            lambda: cochain._Transports(triangulate(rho.genus), rho),
+        ):
+            before = Counter(counts)
+            walk()
+            steps.append(counts - before)
+        return steps
+
+    def test_the_trivial_components_shape_forms_no_product(self, monkeypatch):
+        # the g4 r4 shape of the benchmark's components jobs, end to end
+        rho = LatticeLocalSystem.trivial(4, 4)
+        counts = self._spy(monkeypatch)
+        assert self._walks(rho, IntMatrix.identity(4), counts) == [Counter()] * 3
+        spec = cli.JobSpec({
+            "task": "global",
+            "surface": {"genus": 4, "rank": 4},
+            "level": {"c_matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                      "zeta": "1/4"},
+        })
+        cli._run_global(spec)
+        assert counts["inversions"] == 0
+
+    def test_a_sign_system_with_minus_identity_still_forms_products(self, monkeypatch):
+        # generators -I, I, diag(1, -1), -I: the identity costs nothing, the
+        # others as many products as the non-identity transports their words
+        # name, and each non-identity generator is inverted once
+        eye = IntMatrix.identity(2)
+        flip = IntMatrix.from_rows([[1, 0], [0, -1]])
+        rho = LatticeLocalSystem(2, 2, [-eye, eye, flip, -eye])
+        t = triangulate(2)
+        walk = table_products(t, rho)  # the relator is the polygon's boundary word
+        frames = sum(
+            moves(t, rho, k if eps == 1 else k + 1) for k, (_, eps) in enumerate(t.side_letter)
+        )
+        counts = self._spy(monkeypatch)
+        steps = self._walks(rho, IntMatrix.from_rows([[2, 1], [1, 2]]), counts)
+        assert walk > 0 and frames > 0
+        assert steps == [
+            Counter(products=walk, inversions=3),
+            Counter(products=frames),
+            Counter(products=walk),
+        ]
