@@ -9,7 +9,6 @@ double braiding) must be refinement independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, ShapeMismatch
@@ -17,25 +16,27 @@ from .forms import ZERO, Frac1, QuadraticForm, _bilinear_sum, _over_common_denom
 from .lattice import IntMatrix
 
 
-@dataclass(frozen=True)
 class GradedObject:
     """Finite-support multiplicity function on the grading lattice."""
 
-    rank: int
-    support: Mapping[tuple[int, ...], int]
+    __slots__ = ("rank", "support")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, support: Mapping[tuple[int, ...], int]):
         clean = {}
-        for vec, mult in self.support.items():
+        for vec, mult in support.items():
             v = tuple(vec)
             if any(isinstance(x, bool) or not isinstance(x, int) for x in (*v, mult)):
                 raise ShapeMismatch(f"support vector {v} and multiplicity {mult!r} must be integers")
-            if len(v) != self.rank:
-                raise DimensionMismatch(f"support vector {v} has wrong length for rank {self.rank}")
+            if len(v) != rank:
+                raise DimensionMismatch(f"support vector {v} has wrong length for rank {rank}")
             if mult < 1:
                 raise ShapeMismatch(f"multiplicity of {v} must be >= 1, got {mult}")
             clean[v] = mult
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "support", clean)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GradedObject is immutable")
 
     def items(self):
         return sorted(self.support.items())
@@ -60,7 +61,6 @@ def fuse(v: GradedObject, w: GradedObject) -> GradedObject:
     return GradedObject(v.rank, out)
 
 
-@dataclass(frozen=True)
 class BraidedData:
     """A quadratic form together with a braiding refinement beta.
 
@@ -72,26 +72,34 @@ class BraidedData:
     beta = M / ``denominator`` entry by entry.
     """
 
-    quad: QuadraticForm
-    beta: tuple[tuple[Frac1, ...], ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    numerators: IntMatrix = field(init=False, repr=False, compare=False)
+    __slots__ = ("quad", "beta", "denominator", "numerators")
 
-    def __post_init__(self):
-        r = self.quad.rank
-        if len(self.beta) != r or any(len(row) != r for row in self.beta):
+    def __init__(self, quad: QuadraticForm, beta: tuple[tuple[Frac1, ...], ...]):
+        r = quad.rank
+        if len(beta) != r or any(len(row) != r for row in beta):
             raise DimensionMismatch("beta must be a square matrix matching the form's rank")
         for i in range(r):
-            if self.beta[i][i] != self.quad.diag[i]:
+            if beta[i][i] != quad.diag[i]:
                 raise ShapeMismatch(f"beta[{i}][{i}] must equal the form's value on e_{i}")
             for j in range(i + 1, r):
-                if self.beta[i][j] + self.beta[j][i] != self.quad.b_basis(i, j):
+                if beta[i][j] + beta[j][i] != quad.b_basis(i, j):
                     raise ShapeMismatch(
                         f"beta[{i}][{j}] + beta[{j}][{i}] must symmetrize to the polarization"
                     )
-        n, nums = _over_common_denominator([x for row in self.beta for x in row])
+        n, nums = _over_common_denominator([x for row in beta for x in row])
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "denominator", n)
         object.__setattr__(self, "numerators", IntMatrix(r, r, nums))
+
+    def __setattr__(self, *_):
+        raise AttributeError("BraidedData is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BraidedData) and (self.quad, self.beta) == (other.quad, other.beta)
+
+    def __hash__(self) -> int:
+        return hash((self.quad, self.beta))
 
     @property
     def rank(self) -> int:
@@ -136,7 +144,7 @@ def braiding_phase(b: BraidedData, lam: Sequence[int], mu: Sequence[int]) -> Fra
     r = b.rank
     if len(lam) != r or len(mu) != r:
         raise DimensionMismatch(f"vectors must have length {r}")
-    return Frac1(_bilinear_sum(b.numerators, lam, mu), b.denominator)
+    return Frac1(_bilinear_sum(b.numerators.entries, lam, mu), b.denominator)
 
 
 def double_braiding(b: BraidedData, lam: Sequence[int], mu: Sequence[int]) -> Frac1:

@@ -43,8 +43,7 @@ arithmetic with the closed route it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     InvariantViolation,
@@ -65,14 +64,12 @@ _V_BASE: Cell = ("vert", "v")
 _SLOT_ENDS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
-@dataclass(frozen=True)
-class _Face:
+class _Face(NamedTuple):
     cell: Cell
     at: int  # index of the transport from the chart to this face's position
 
 
-@dataclass(frozen=True)
-class _Triangle:
+class _Triangle(NamedTuple):
     sign: int  # contribution to the fundamental cycle
     faces: tuple[_Face, _Face, _Face]  # slots d0, d1, d2
 
@@ -186,26 +183,39 @@ class TriangulatedSurface:
         raise ShapeMismatch(f"no cells in degree {degree}")
 
 
-@dataclass(frozen=True)
 class TwistedCochain:
     """Vector-valued cochain; values are read in the polygon chart."""
 
-    degree: int
-    rank: int
-    values: Mapping[Cell, tuple[int, ...]]
+    __slots__ = ("degree", "rank", "values")
 
-    def __post_init__(self):
-        if self.degree not in (0, 1, 2):
-            raise ShapeMismatch(f"degree must be 0, 1 or 2, got {self.degree}")
+    def __init__(self, degree: int, rank: int, values: Mapping[Cell, tuple[int, ...]]):
+        if degree not in (0, 1, 2):
+            raise ShapeMismatch(f"degree must be 0, 1 or 2, got {degree}")
         clean = {}
-        for cell, vec in self.values.items():
+        for cell, vec in values.items():
             v = tuple(vec)
             if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
                 raise ShapeMismatch(f"value at {cell} has a non-integer entry: {v}")
-            if len(v) != self.rank:
-                raise ShapeMismatch(f"value at {cell} has length {len(v)}, expected {self.rank}")
+            if len(v) != rank:
+                raise ShapeMismatch(f"value at {cell} has length {len(v)}, expected {rank}")
             clean[cell] = v
-        object.__setattr__(self, "values", clean)
+        self._set(degree, rank, clean)
+
+    def _set(self, degree: int, rank: int, values: dict[Cell, tuple[int, ...]]) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TwistedCochain is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TwistedCochain) and (
+            (self.degree, self.rank, self.values) == (other.degree, other.rank, other.values)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.rank, self.values))
 
     def value(self, cell: Cell) -> tuple[int, ...]:
         return self.values[cell]
@@ -247,7 +257,6 @@ class _Transports:
         return value if (m := self._matrices[at]) is None else m.mul_vec(value)
 
 
-@dataclass(frozen=True)
 class Cocycle:
     """A 1-cochain that passed the cocycle check, with its cup faces transported.
 
@@ -256,10 +265,27 @@ class Cocycle:
     face [v1, v2], both in the chart; :func:`cup_tensor` cups them.
     """
 
-    cochain: TwistedCochain
-    table: _Transports = field(repr=False, compare=False)
-    front: tuple[tuple[int, ...], ...]
-    back: tuple[tuple[int, ...], ...]
+    __slots__ = ("cochain", "table", "front", "back")
+
+    def __init__(
+        self, cochain: TwistedCochain, table: _Transports,
+        front: tuple[tuple[int, ...], ...], back: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "cochain", cochain)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "front", front)
+        object.__setattr__(self, "back", back)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Cocycle is immutable")
+
+    def __eq__(self, other) -> bool:  # the transport table is not compared
+        return isinstance(other, Cocycle) and (
+            (self.cochain, self.front, self.back) == (other.cochain, other.front, other.back)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cochain, self.front, self.back))
 
 
 def _check_compat(c: TwistedCochain, table: _Transports) -> None:
@@ -423,8 +449,8 @@ def _class_of(h1_vector: Sequence[int], table: _Transports) -> Cocycle:
             values[("rad", k + 1)] = tuple(radial)
     if any(radial):
         raise NotInKernel("holonomy data does not close up around the polygon")
-    cochain = object.__new__(TwistedCochain)  # length-r int tuples per edge: no __post_init__
-    cochain.__dict__.update(degree=1, rank=r, values=values)
+    cochain = object.__new__(TwistedCochain)  # length-r int tuples per edge: no validation
+    cochain._set(1, r, values)
     checked = _check(cochain, table)
     if checked is None:
         raise InvariantViolation("the radial walk closed up on a non-cocycle")

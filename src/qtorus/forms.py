@@ -16,7 +16,6 @@ single ``Frac1`` at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -124,9 +123,9 @@ def _over_common_denominator(values: Sequence[Frac1]) -> tuple[int, list[int]]:
     return n, [x.num * (n // x.den) for x in values]
 
 
-def _bilinear_sum(m: IntMatrix, x: Sequence[int], y: Sequence[int]) -> int:
-    """x^T M y over the integers; the caller checks the lengths."""
-    r, e = m.cols, m.entries
+def _bilinear_sum(e: Sequence[int], x: Sequence[int], y: Sequence[int]) -> int:
+    """x^T M y over the integers, M given row by row in ``e``; the caller checks the lengths."""
+    r = len(y)
     total = 0
     for i, xi in enumerate(x):
         if xi:
@@ -134,23 +133,31 @@ def _bilinear_sum(m: IntMatrix, x: Sequence[int], y: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class BilinearData:
     """Integer matrix plus phase; the raw presentation of a level."""
 
-    c: IntMatrix
-    zeta: Frac1
+    __slots__ = ("c", "zeta")
 
-    def __post_init__(self):
-        if not self.c.is_square():
-            raise NonSquareMatrix(f"level matrix must be square, got {self.c.rows}x{self.c.cols}")
+    def __init__(self, c: IntMatrix, zeta: Frac1):
+        if not c.is_square():
+            raise NonSquareMatrix(f"level matrix must be square, got {c.rows}x{c.cols}")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "zeta", zeta)
+
+    def __setattr__(self, *_):
+        raise AttributeError("BilinearData is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BilinearData) and (self.c, self.zeta) == (other.c, other.zeta)
+
+    def __hash__(self) -> int:
+        return hash((self.c, self.zeta))
 
     @property
     def rank(self) -> int:
         return self.c.rows
 
 
-@dataclass(frozen=True)
 class QuadraticForm:
     """Quadratic form on Z^rank, stored by its basis values.
 
@@ -166,28 +173,38 @@ class QuadraticForm:
     diagonal, ``offdiag`` above it.
     """
 
-    rank: int
-    diag: tuple[Frac1, ...]
-    offdiag: tuple[Frac1, ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    numerators: IntMatrix = field(init=False, repr=False, compare=False)
+    __slots__ = ("rank", "diag", "offdiag", "denominator", "numerators")
 
-    def __post_init__(self):
-        r = self.rank
-        if len(self.diag) != r:
-            raise DimensionMismatch(f"need {r} diagonal values, got {len(self.diag)}")
+    def __init__(self, rank: int, diag: tuple[Frac1, ...], offdiag: tuple[Frac1, ...]):
+        r = rank
+        if len(diag) != r:
+            raise DimensionMismatch(f"need {r} diagonal values, got {len(diag)}")
         want = r * (r - 1) // 2
-        if len(self.offdiag) != want:
-            raise DimensionMismatch(f"need {want} off-diagonal values, got {len(self.offdiag)}")
-        n, nums = _over_common_denominator(self.diag + self.offdiag)
-        diag, above = iter(nums[:r]), iter(nums[r:])  # offdiag is row-major, like u
+        if len(offdiag) != want:
+            raise DimensionMismatch(f"need {want} off-diagonal values, got {len(offdiag)}")
+        n, nums = _over_common_denominator(diag + offdiag)
+        diagonal, above = iter(nums[:r]), iter(nums[r:])  # offdiag is row-major, like u
         u = [
-            next(diag) if i == j else next(above) if i < j else 0
+            next(diagonal) if i == j else next(above) if i < j else 0
             for i in range(r)
             for j in range(r)
         ]
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "offdiag", offdiag)
         object.__setattr__(self, "denominator", n)
         object.__setattr__(self, "numerators", IntMatrix(r, r, u))
+
+    def __setattr__(self, *_):
+        raise AttributeError("QuadraticForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuadraticForm) and (
+            (self.rank, self.diag, self.offdiag) == (other.rank, other.diag, other.offdiag)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.diag, self.offdiag))
 
     def _off_index(self, i: int, j: int) -> int:
         # i < j assumed; row-major position in the strict upper triangle
@@ -211,7 +228,6 @@ class QuadraticForm:
         )
 
 
-@dataclass(frozen=True)
 class SymmetricForm:
     """Symmetric Q/Z-valued bilinear form given by its full value matrix.
 
@@ -219,21 +235,31 @@ class SymmetricForm:
     b(x, y) = x^T B y / ``denominator``.
     """
 
-    rank: int
-    entries: tuple[tuple[Frac1, ...], ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    numerators: IntMatrix = field(init=False, repr=False, compare=False)
+    __slots__ = ("rank", "entries", "denominator", "numerators")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rank or any(len(r) != self.rank for r in self.entries):
+    def __init__(self, rank: int, entries: tuple[tuple[Frac1, ...], ...]):
+        if len(entries) != rank or any(len(r) != rank for r in entries):
             raise DimensionMismatch("entry matrix does not match rank")
-        for i in range(self.rank):
+        for i in range(rank):
             for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise DimensionMismatch("entry matrix is not symmetric")
-        n, nums = _over_common_denominator([x for row in self.entries for x in row])
+        n, nums = _over_common_denominator([x for row in entries for x in row])
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "denominator", n)
-        object.__setattr__(self, "numerators", IntMatrix(self.rank, self.rank, nums))
+        object.__setattr__(self, "numerators", IntMatrix(rank, rank, nums))
+
+    def __setattr__(self, *_):
+        raise AttributeError("SymmetricForm is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SymmetricForm) and (
+            (self.rank, self.entries) == (other.rank, other.entries)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.entries))
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Frac1:
         return Frac1(self.numerator(x, y), self.denominator)
@@ -243,7 +269,7 @@ class SymmetricForm:
         r = self.rank
         if len(x) != r or len(y) != r:
             raise DimensionMismatch(f"vectors must have length {r}")
-        return _bilinear_sum(self.numerators, x, y)
+        return _bilinear_sum(self.numerators.entries, x, y)
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -274,7 +300,7 @@ def evaluate(q: QuadraticForm, gamma: Sequence[int]) -> Frac1:
     r = q.rank
     if len(gamma) != r:
         raise DimensionMismatch(f"vector of length {len(gamma)} against rank {r}")
-    return Frac1(_bilinear_sum(q.numerators, gamma, gamma), q.denominator)
+    return Frac1(_bilinear_sum(q.numerators.entries, gamma, gamma), q.denominator)
 
 
 def polarize(q: QuadraticForm) -> SymmetricForm:
@@ -326,12 +352,14 @@ def probe_images(mon: Sequence[IntMatrix], r: int) -> list[_Probe]:
     return out
 
 
-def preserves(m: IntMatrix, n: int, images: Sequence[_Probe]) -> bool:
+def preserves(m: Sequence[int], n: int, images: Sequence[_Probe]) -> bool:
     """Whether x -> x^T M x / n mod 1 takes each probe's value at its images.
 
-    ``images`` comes from :func:`probe_images`. Each probe's v^T M v is
-    summed once, and an image w matches it when w^T M w - v^T M v is
-    divisible by n. Integers only: no ``Frac1`` is built.
+    ``m`` holds M's entries row by row, as ``IntMatrix.entries`` does, so a
+    caller tests a candidate without building a matrix. ``images`` comes
+    from :func:`probe_images`. Each probe's v^T M v is summed once, and an
+    image w matches it when w^T M w - v^T M v is divisible by n. Integers
+    only: no ``Frac1`` is built.
     """
     for v, ws in images:
         value = _bilinear_sum(m, v, v)
@@ -355,4 +383,4 @@ def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
     r = q.rank
     if rho.rank != r:
         raise DimensionMismatch(f"local system rank {rho.rank} != form rank {r}")
-    return preserves(q.numerators, q.denominator, probe_images(rho.mon, r))
+    return preserves(q.numerators.entries, q.denominator, probe_images(rho.mon, r))

@@ -41,10 +41,9 @@ separate route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadComponent, DimensionMismatch, NotInvariant
 from .errors import InvariantViolation, ShapeMismatch
@@ -238,8 +237,7 @@ def _pi2_characters(
     return [tuple(sum(map(mul, row, rep)) % n for row in rows) for rep in reps]
 
 
-@dataclass(frozen=True)
-class GerbeBlock:
+class GerbeBlock(NamedTuple):
     """One component's share of its flat gerbe: the pi2 character chi_d.
 
     chi_d is held as residues in [0, N) over the report's ``denominator``.
@@ -251,8 +249,7 @@ class GerbeBlock:
     pi2_character: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     """Everything the global tasks report, before serialization.
 
     omega, ``radical_rank`` and ``block_dim`` are per level and held once;

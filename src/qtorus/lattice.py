@@ -17,10 +17,9 @@ Gauss-Jordan elimination of ``[A | I]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
 
@@ -218,7 +217,6 @@ def det(a: IntMatrix) -> int:
     return _gauss_jordan(a)[0]
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """Diagonal ``d`` with ``u @ a @ v == d``, ``u`` and ``v`` unimodular.
 
@@ -229,9 +227,23 @@ class SnfResult:
     caller pays for exactly what it reads.
     """
 
-    d: IntMatrix
-    row_ops: tuple[_Op, ...] = field(repr=False)
-    col_ops: tuple[_Op, ...] = field(repr=False)
+    __slots__ = ("d", "row_ops", "col_ops", "__dict__")  # __dict__ holds u and v once read
+
+    def __init__(self, d: IntMatrix, row_ops: tuple[_Op, ...], col_ops: tuple[_Op, ...]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "row_ops", row_ops)
+        object.__setattr__(self, "col_ops", col_ops)
+
+    def __setattr__(self, *_):
+        raise AttributeError("SnfResult is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SnfResult) and (
+            (self.d, self.row_ops, self.col_ops) == (other.d, other.row_ops, other.col_ops)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.row_ops, self.col_ops))
 
     # a column operation on V is a row operation on V^T: v's columns are replayed as rows
     @cached_property
@@ -293,7 +305,6 @@ class SnfResult:
         return smith_normal_form(IntMatrix.from_rows(rows, b.cols)).quotient(self.kernel_basis())
 
 
-@dataclass(frozen=True)
 class FgAbGroup:
     """Canonical form of a finitely generated abelian group.
 
@@ -301,17 +312,29 @@ class FgAbGroup:
     the next. Equality is structural equality of canonical forms.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ShapeMismatch("negative free rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ShapeMismatch(f"torsion {self.torsion} is not a divisibility chain")
-        if any(t < 2 for t in self.torsion):
+                raise ShapeMismatch(f"torsion {torsion} is not a divisibility chain")
+        if any(t < 2 for t in torsion):
             raise ShapeMismatch("torsion entries must be >= 2")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __setattr__(self, *_):
+        raise AttributeError("FgAbGroup is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FgAbGroup) and (
+            (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.free_rank, self.torsion))
 
     def order(self) -> int | None:
         """Group order, None when infinite."""
@@ -482,8 +505,7 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, a.rows, adj if d == 1 else [-x for x in adj])
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(NamedTuple):
     """A quotient group together with chosen generator representatives.
 
     Representatives live in the ambient lattice. Free generators come first,

@@ -43,7 +43,7 @@ still fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cochain import checked_classes, cup_tensor, pair_cup, triangulate
 from .forms import HALF, ZERO, BilinearData, Frac1, SymmetricForm, polarize
@@ -96,22 +96,23 @@ def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> Bili
     (c, den), since zeta = 1/den, against the local system's ``images``
     (:func:`qtorus.forms.probe_images`); a handful of rejection rounds is
     plenty because each family admits a structured fallback (diagonal c for
-    sign actions, a tuned corner for the shear). Only the accepted draw
-    becomes a ``BilinearData``; no form is built here, since a level's
+    sign actions, a tuned corner for the shear). A draw is tested as its
+    flat list of entries; only the accepted one becomes an ``IntMatrix`` and
+    a ``BilinearData``. No form is built here, since a level's
     ``QuadraticForm`` is needed only when its local system's basis
     disagrees and the level is polarized.
     """
     for attempt in range(40):
         if attempt < 30:
-            c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
+            c = [rng.randint(-3, 3) for _ in range(r * r)]
         elif r == 1:
-            c = IntMatrix(1, 1, [rng.randint(-3, 3)])
+            c = [rng.randint(-3, 3)]
         else:
             a = den * rng.randint(-1, 1)
             b = rng.randint(-3, 3)
-            c = IntMatrix(2, 2, [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)])
+            c = [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)]
         if preserves(c, den, images):
-            return BilinearData(c, Frac1(1, den))
+            return BilinearData(IntMatrix(r, r, c), Frac1(1, den))
     return None
 
 
@@ -154,8 +155,7 @@ def _basis_disagreement(
     return None
 
 
-@dataclass(frozen=True)
-class SelfCheckResult:
+class SelfCheckResult(NamedTuple):
     seed: int
     cases: int
     agreements: int

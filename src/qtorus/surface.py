@@ -16,7 +16,6 @@ snf(d1)'s quotient and H^1 its subquotient ker d1 / im d0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, sub
 from typing import NamedTuple, Sequence
@@ -42,15 +41,24 @@ from .lattice import (
 Word = tuple[int, ...]  # signed 1-based generator letters; -k is the inverse of k
 
 
-@dataclass(frozen=True)
 class SurfaceGroup:
     """Genus-g surface group presentation data."""
 
-    genus: int
+    __slots__ = ("genus",)
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int):
+        if genus < 0:
             raise DimensionMismatch("genus must be >= 0")
+        object.__setattr__(self, "genus", genus)
+
+    def __setattr__(self, *_):
+        raise AttributeError("SurfaceGroup is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SurfaceGroup) and self.genus == other.genus
+
+    def __hash__(self) -> int:
+        return hash((self.genus,))
 
     def relator(self) -> Word:
         """The boundary word prod a_i b_i a_i^-1 b_i^-1 as signed letters."""
@@ -126,23 +134,39 @@ class LatticeLocalSystem:
         return out
 
 
-@dataclass(frozen=True)
 class CochainComplexSurface:
-    """The three-term cochain complex of a lattice local system."""
+    """The three-term cochain complex of a lattice local system.
 
-    genus: int
-    rank: int
-    d0: IntMatrix  # (2g r) x r, stacked rho(x_j) - I
-    d1: IntMatrix  # r x (2g r), Fox derivative blocks of the relator
+    ``d0`` is (2g r) x r, the stacked rho(x_j) - I; ``d1`` is r x (2g r),
+    the Fox derivative blocks of the relator.
+    """
 
-    def __post_init__(self):
-        g, r = self.genus, self.rank
-        if (self.d0.rows, self.d0.cols) != (2 * g * r, r):
+    __slots__ = ("genus", "rank", "d0", "d1")
+
+    def __init__(self, genus: int, rank: int, d0: IntMatrix, d1: IntMatrix):
+        g, r = genus, rank
+        if (d0.rows, d0.cols) != (2 * g * r, r):
             raise DimensionMismatch("d0 has the wrong shape")
-        if (self.d1.rows, self.d1.cols) != (r, 2 * g * r):
+        if (d1.rows, d1.cols) != (r, 2 * g * r):
             raise DimensionMismatch("d1 has the wrong shape")
-        if 2 * g * r and not (self.d1 @ self.d0).is_zero():
+        if 2 * g * r and not (d1 @ d0).is_zero():
             raise InvariantViolation("d1 . d0 != 0; the complex is inconsistent")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
+
+    def __setattr__(self, *_):
+        raise AttributeError("CochainComplexSurface is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CochainComplexSurface) and (
+            (self.genus, self.rank, self.d0, self.d1)
+            == (other.genus, other.rank, other.d0, other.d1)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.rank, self.d0, self.d1))
 
 
 def build_complex(rho: LatticeLocalSystem) -> CochainComplexSurface:
@@ -168,7 +192,6 @@ class CohomologyTriple(NamedTuple):
     h2: FgAbGroup
 
 
-@dataclass(frozen=True)
 class CohomologyPresentations:
     """Cohomology groups, with generator representatives built when first read.
 
@@ -177,10 +200,28 @@ class CohomologyPresentations:
     and a quotient, so each is built, once, by its first reader.
     """
 
-    triple: CohomologyTriple
-    complex: CochainComplexSurface
-    snf0: SnfResult = field(repr=False)  # of d0
-    snf1: SnfResult = field(repr=False)  # of d1
+    __slots__ = ("triple", "complex", "snf0", "snf1", "__dict__")  # __dict__ holds what is read
+
+    def __init__(
+        self, triple: CohomologyTriple, complex: CochainComplexSurface,
+        snf0: SnfResult, snf1: SnfResult,  # of d0 and of d1
+    ):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "snf0", snf0)
+        object.__setattr__(self, "snf1", snf1)
+
+    def __setattr__(self, *_):
+        raise AttributeError("CohomologyPresentations is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CohomologyPresentations) and (
+            (self.triple, self.complex, self.snf0, self.snf1)
+            == (other.triple, other.complex, other.snf0, other.snf1)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.triple, self.complex, self.snf0, self.snf1))
 
     @cached_property
     def h0_basis(self) -> list[list[int]]:

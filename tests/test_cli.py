@@ -1,6 +1,8 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -741,9 +743,8 @@ class TestTripwire:
 
     @pytest.mark.parametrize("fault", ["independent_check", "euler"])
     def test_surface_failed_check_exits_three(self, capsys, monkeypatch, fault):
-        from dataclasses import replace
-
         from qtorus import FgAbGroup
+        from qtorus.surface import CohomologyPresentations
 
         if fault == "independent_check":
             monkeypatch.setattr(cli, "invariants_coinvariants_check", lambda rho, h: False)
@@ -754,7 +755,8 @@ class TestTripwire:
                 # H^1 one rank larger: H^0 and H^2 still pass their check
                 pres = real(rho)
                 h1 = FgAbGroup(pres.triple.h1.free_rank + 1, pres.triple.h1.torsion)
-                return replace(pres, triple=pres.triple._replace(h1=h1))
+                triple = pres.triple._replace(h1=h1)
+                return CohomologyPresentations(triple, pres.complex, pres.snf0, pres.snf1)
 
             monkeypatch.setattr(cli, "cohomology_presentations", shifted)
         spec = GOLDEN / "surface_signs_g2r2.json"
@@ -824,3 +826,56 @@ class TestTripwire:
         assert code == 3
         payload = json.loads(out)
         assert payload["code"] == "invariant_violation"
+
+
+class TestValueClasses:
+    # the CLI starts without dataclasses: the layers' value classes are
+    # NamedTuples and plain classes that refuse assignment themselves
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # -S keeps site-packages' .pth files from loading modules of their own
+        src = Path(__file__).parents[1] / "src"
+        code = "import sys, qtorus.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
+
+    @staticmethod
+    def instances():
+        from qtorus import (
+            BilinearData, GradedObject, LatticeLocalSystem, LevelInput, SurfaceGroup, block_report,
+            checked_classes, cohomology_presentations, polarize, quad_from_bilinear,
+            standard_refinement, triangulate,
+        )
+        from qtorus.forms import Frac1
+        from qtorus.lattice import IntMatrix
+        from qtorus.selfcheck import SelfCheckResult
+
+        rho = LatticeLocalSystem(2, 1, [IntMatrix.identity(2), IntMatrix(2, 2, [1, 1, 0, 1])])
+        pres = cohomology_presentations(rho)
+        level = BilinearData(IntMatrix(2, 2, [0, 0, 0, 1]), Frac1(1, 2))
+        quad = quad_from_bilinear(level)
+        report = block_report(LevelInput(level, rho))
+        t = triangulate(1)
+        cocycle = checked_classes(pres.h1.all_gens(), t, rho)[0]
+        return [
+            pres.triple.h1, pres.snf0, pres.h1, SurfaceGroup(1), pres.complex, pres, level, quad,
+            polarize(quad), standard_refinement(quad), GradedObject(2, {(0, 1): 1}),
+            report.blocks[0], report, cocycle.cochain, cocycle, t.triangles[0],
+            t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
+        ]
+
+    def test_instances_refuse_assignment(self):
+        objects = self.instances()
+        assert len({type(obj) for obj in objects}) == 18
+        for obj in objects:
+            cls = type(obj)
+            names = getattr(cls, "_fields", None) or [n for n in cls.__slots__ if n != "__dict__"]
+            assert names, cls.__name__
+            for name in names:
+                before = getattr(obj, name)
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+                assert getattr(obj, name) is before, (cls.__name__, name)

@@ -529,7 +529,7 @@ class TestHolonomies:
 
 class TestOneValidation:
     # class_of's cochain is built from checked integer slices, so neither
-    # TwistedCochain.__post_init__ nor _check_compat runs on it; a cochain
+    # TwistedCochain.__init__ nor _check_compat runs on it; a cochain
     # from outside keeps both checks at every entry point
 
     @staticmethod
@@ -545,17 +545,17 @@ class TestOneValidation:
 
         rho, t, u, _ = self._system()
         runs = []
-        post_init, compat = TwistedCochain.__post_init__, cochain._check_compat
+        init, compat = TwistedCochain.__init__, cochain._check_compat
 
-        def counting_post_init(c):
-            runs.append("post_init")
-            post_init(c)
+        def counting_init(c, *args):
+            runs.append("init")
+            init(c, *args)
 
         def counting_compat(c, table):
             runs.append("compat")
             compat(c, table)
 
-        monkeypatch.setattr(TwistedCochain, "__post_init__", counting_post_init)
+        monkeypatch.setattr(TwistedCochain, "__init__", counting_init)
         monkeypatch.setattr(cochain, "_check_compat", counting_compat)
         assert class_of(holonomies(u, t), t, rho) == u
         assert runs == []

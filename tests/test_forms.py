@@ -310,7 +310,7 @@ class TestInvarianceCheck:
             den = data.draw(st.integers(1, 12), label="den")
             num = data.draw(st.integers(1, den), label="num")  # num = den: the zero phase
             expected = invariance_check(quad_from_bilinear(BilinearData(c, Frac1(num, den))), rho)
-            scaled = IntMatrix(rank, rank, [num * x for x in c.entries])
+            scaled = [num * x for x in c.entries]
             assert preserves(scaled, den, probe_images(rho.mon, rank)) == expected
             verdicts.append(expected)
 

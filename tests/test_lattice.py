@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -10,6 +9,7 @@ from qtorus import (
     FgAbGroup,
     IntMatrix,
     LatticeLocalSystem,
+    SnfResult,
     cohomology_presentations,
     det,
     inverse_unimodular,
@@ -163,7 +163,7 @@ def test_snf_transforms_replay_the_elimination(a, data):
     names = ("u", "v")
     want = {name: getattr(res, name) for name in names}
     for order in permutations(names):
-        fresh = replace(res)  # the same elimination, nothing read yet
+        fresh = SnfResult(res.d, res.row_ops, res.col_ops)  # the same elimination, none read yet
         assert vars(fresh).keys().isdisjoint(names)
         for name in order:
             assert getattr(fresh, name) == want[name]

@@ -309,16 +309,24 @@ def test_one_cohomology_object_per_local_system():
 
 
 def integer_fields_of_forms():
-    """Names of the fields the forms derive at construction (``field(init=False)``)."""
+    """Names of the fields the forms derive at construction.
+
+    These are the attributes ``__init__`` sets, by ``object.__setattr__(self,
+    name, ...)``, that are not among its parameters.
+    """
     out = set()
     for cls in parse("forms").body:
         if not (isinstance(cls, ast.ClassDef) and cls.name in {"SymmetricForm", "QuadraticForm"}):
             continue
-        for node in cls.body:
-            if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call):
-                init = {kw.arg: kw.value for kw in node.value.keywords}.get("init")
-                if isinstance(init, ast.Constant) and init.value is False:
-                    out.add(node.target.id)
+        (init,) = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+        for node in ast.walk(init):
+            if (
+                isinstance(node, ast.Call)
+                and "__setattr__" in names_in(node.func)
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                out.add(node.args[1].value)
+        out -= {arg.arg for arg in init.args.args}
     return out
 
 
