@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import DimensionMismatch, ShapeMismatch, _Frozen
 from .forms import ZERO, Frac1, QuadraticForm, _bilinear_sum, _over_common_denominator, evaluate
 from .lattice import IntMatrix
 
 
-class GradedObject:
+class GradedObject(_Frozen):
     """Finite-support multiplicity function on the grading lattice."""
 
     __slots__ = ("rank", "support")
@@ -35,18 +35,8 @@ class GradedObject:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "support", clean)
 
-    def __setattr__(self, *_):
-        raise AttributeError("GradedObject is immutable")
-
     def items(self):
         return sorted(self.support.items())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedObject)
-            and self.rank == other.rank
-            and dict(self.support) == dict(other.support)
-        )
 
 
 def fuse(v: GradedObject, w: GradedObject) -> GradedObject:
@@ -61,7 +51,7 @@ def fuse(v: GradedObject, w: GradedObject) -> GradedObject:
     return GradedObject(v.rank, out)
 
 
-class BraidedData:
+class BraidedData(_Frozen):
     """A quadratic form together with a braiding refinement beta.
 
     Constraints: beta[i][i] = Q(e_i), and beta[i][j] + beta[j][i] = b(e_i, e_j)
@@ -91,15 +81,6 @@ class BraidedData:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "denominator", n)
         object.__setattr__(self, "numerators", IntMatrix(r, r, nums))
-
-    def __setattr__(self, *_):
-        raise AttributeError("BraidedData is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BraidedData) and (self.quad, self.beta) == (other.quad, other.beta)
-
-    def __hash__(self) -> int:
-        return hash((self.quad, self.beta))
 
     @property
     def rank(self) -> int:

@@ -51,6 +51,7 @@ from .errors import (
     NotInKernel,
     ShapeMismatch,
     UnsupportedGenus,
+    _Frozen,
 )
 from .forms import ZERO, Frac1, SymmetricForm
 from .surface import LatticeLocalSystem
@@ -183,7 +184,7 @@ class TriangulatedSurface:
         raise ShapeMismatch(f"no cells in degree {degree}")
 
 
-class TwistedCochain:
+class TwistedCochain(_Frozen):
     """Vector-valued cochain; values are read in the polygon chart."""
 
     __slots__ = ("degree", "rank", "values")
@@ -205,17 +206,6 @@ class TwistedCochain:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TwistedCochain is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwistedCochain) and (
-            (self.degree, self.rank, self.values) == (other.degree, other.rank, other.values)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.rank, self.values))
 
     def value(self, cell: Cell) -> tuple[int, ...]:
         return self.values[cell]
@@ -257,7 +247,7 @@ class _Transports:
         return value if (m := self._matrices[at]) is None else m.mul_vec(value)
 
 
-class Cocycle:
+class Cocycle(_Frozen):
     """A 1-cochain that passed the cocycle check, with its cup faces transported.
 
     Only this module makes one, after the check. ``front`` and ``back`` hold,
@@ -275,17 +265,6 @@ class Cocycle:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "front", front)
         object.__setattr__(self, "back", back)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Cocycle is immutable")
-
-    def __eq__(self, other) -> bool:  # the transport table is not compared
-        return isinstance(other, Cocycle) and (
-            (self.cochain, self.front, self.back) == (other.cochain, other.front, other.back)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cochain, self.front, self.back))
 
 
 def _check_compat(c: TwistedCochain, table: _Transports) -> None:

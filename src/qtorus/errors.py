@@ -1,10 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the value classes' base.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
-stable error objects without string-matching messages.
+stable error objects without string-matching messages. :class:`_Frozen` is
+here because every layer imports this module.
 """
 
 from __future__ import annotations
+
+
+class _Frozen:
+    """Base of the slotted value classes: ``__init__`` sets each field once
+    through ``object.__setattr__``, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class QtorusError(Exception):

@@ -6,11 +6,11 @@ c gamma) and only the symmetrization of c matters. Values live in Q/Z and are
 represented by reduced fractions, so every comparison in this module is
 exact.
 
-Forms are built from, compared by and printed through their ``Frac1``
-values. Each form also derives, once at construction, one integer matrix of
-numerators over one common denominator N, the lcm of its values'
-denominators; an evaluation sums integers against that matrix and builds a
-single ``Frac1`` at the end.
+Forms are built from and printed through their ``Frac1`` values. Each
+form also derives, once at construction, one integer matrix of numerators
+over one common denominator N, the lcm of its values' denominators; an
+evaluation sums integers against that matrix and builds a single ``Frac1``
+at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import BadFraction, DimensionMismatch, NonSquareMatrix
+from .errors import BadFraction, DimensionMismatch, NonSquareMatrix, _Frozen
 from .lattice import IntMatrix
 
 if TYPE_CHECKING:  # forms sits below the topological layer and never imports it
@@ -37,7 +37,7 @@ def _echo(value: object) -> str:
     return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
-class Frac1:
+class Frac1(_Frozen):
     """An element of Q/Z as a reduced fraction with 0 <= num < den.
 
     Construction normalizes mod 1, so ``Frac1(9, 2)`` is ``1/2``. Supports
@@ -56,9 +56,6 @@ class Frac1:
         g = math.gcd(num, den)
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Frac1 is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "Frac1":
@@ -133,7 +130,7 @@ def _bilinear_sum(e: Sequence[int], x: Sequence[int], y: Sequence[int]) -> int:
     return total
 
 
-class BilinearData:
+class BilinearData(_Frozen):
     """Integer matrix plus phase; the raw presentation of a level."""
 
     __slots__ = ("c", "zeta")
@@ -144,21 +141,12 @@ class BilinearData:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "zeta", zeta)
 
-    def __setattr__(self, *_):
-        raise AttributeError("BilinearData is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BilinearData) and (self.c, self.zeta) == (other.c, other.zeta)
-
-    def __hash__(self) -> int:
-        return hash((self.c, self.zeta))
-
     @property
     def rank(self) -> int:
         return self.c.rows
 
 
-class QuadraticForm:
+class QuadraticForm(_Frozen):
     """Quadratic form on Z^rank, stored by its basis values.
 
     ``diag[i]`` is the value on the i-th basis vector; ``offdiag`` holds the
@@ -195,17 +183,6 @@ class QuadraticForm:
         object.__setattr__(self, "denominator", n)
         object.__setattr__(self, "numerators", IntMatrix(r, r, u))
 
-    def __setattr__(self, *_):
-        raise AttributeError("QuadraticForm is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadraticForm) and (
-            (self.rank, self.diag, self.offdiag) == (other.rank, other.diag, other.offdiag)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.diag, self.offdiag))
-
     def _off_index(self, i: int, j: int) -> int:
         # i < j assumed; row-major position in the strict upper triangle
         return i * (2 * self.rank - i - 3) // 2 + j - 1
@@ -228,7 +205,7 @@ class QuadraticForm:
         )
 
 
-class SymmetricForm:
+class SymmetricForm(_Frozen):
     """Symmetric Q/Z-valued bilinear form given by its full value matrix.
 
     ``numerators`` is the integer matrix B, derived at construction, with
@@ -249,17 +226,6 @@ class SymmetricForm:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "denominator", n)
         object.__setattr__(self, "numerators", IntMatrix(rank, rank, nums))
-
-    def __setattr__(self, *_):
-        raise AttributeError("SymmetricForm is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymmetricForm) and (
-            (self.rank, self.entries) == (other.rank, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.entries))
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Frac1:
         return Frac1(self.numerator(x, y), self.denominator)

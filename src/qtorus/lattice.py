@@ -21,12 +21,12 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
+from .errors import NonSquareMatrix, NonUnimodular, ShapeMismatch, _Frozen
 
 _Op = tuple[int, int, int]  # (i, j, q), one line operation; see _replay
 
 
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Immutable integer matrix, row-major storage.
 
     Entries are stored as given, so callers pass ints; ``cli`` checks the
@@ -34,7 +34,7 @@ class IntMatrix:
     they show up naturally as boundary maps of degenerate complexes.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         if rows < 0 or cols < 0:
@@ -46,10 +46,7 @@ class IntMatrix:
             )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", e)
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntMatrix is immutable")
+        object.__setattr__(self, "entries", e)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -78,30 +75,26 @@ class IntMatrix:
         return cls(rows, len(columns), [x for row in zip(*columns) for x in row])
 
     def entry(self, i: int, j: int) -> int:
-        return self._e[i * self.cols + j]
+        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return self._e[j :: self.cols] if self.cols else ()
+        return self.entries[j :: self.cols] if self.cols else ()
 
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return self._e
-
     def transpose(self) -> "IntMatrix":
         n = self.cols
-        return IntMatrix(n, self.rows, [x for j in range(n) for x in self._e[j::n]])
+        return IntMatrix(n, self.rows, [x for j in range(n) for x in self.entries[j::n]])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply ({self.rows},{self.cols}) by ({other.rows},{other.cols})")
         n, k, m = self.rows, self.cols, other.cols
-        a, b = self._e, other._e
+        a, b = self.entries, other.entries
         cols = [b[j::m] for j in range(m)]
         out = [
             sum(map(mul, row, col))
@@ -115,18 +108,18 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ShapeMismatch(f"vector of length {len(vec)} against {self.cols} columns")
         k = self.cols
-        return tuple(sum(map(mul, self._e[i * k : (i + 1) * k], vec)) for i in range(self.rows))
+        return tuple(sum(map(mul, self.entries[i * k : (i + 1) * k], vec)) for i in range(self.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
+        return IntMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
+        return IntMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-a for a in self._e])
+        return IntMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -136,18 +129,18 @@ class IntMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._e)
+        return all(x == 0 for x in self.entries)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._e == other._e
+            and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self.row_lists()})"
@@ -217,7 +210,7 @@ def det(a: IntMatrix) -> int:
     return _gauss_jordan(a)[0]
 
 
-class SnfResult:
+class SnfResult(_Frozen):
     """Diagonal ``d`` with ``u @ a @ v == d``, ``u`` and ``v`` unimodular.
 
     The result keeps the elimination's row and column operations in order,
@@ -233,17 +226,6 @@ class SnfResult:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "row_ops", row_ops)
         object.__setattr__(self, "col_ops", col_ops)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SnfResult is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SnfResult) and (
-            (self.d, self.row_ops, self.col_ops) == (other.d, other.row_ops, other.col_ops)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.row_ops, self.col_ops))
 
     # a column operation on V is a row operation on V^T: v's columns are replayed as rows
     @cached_property
@@ -305,7 +287,7 @@ class SnfResult:
         return smith_normal_form(IntMatrix.from_rows(rows, b.cols)).quotient(self.kernel_basis())
 
 
-class FgAbGroup:
+class FgAbGroup(_Frozen):
     """Canonical form of a finitely generated abelian group.
 
     ``torsion`` is the divisibility chain, each entry at least 2 and dividing
@@ -324,9 +306,6 @@ class FgAbGroup:
             raise ShapeMismatch("torsion entries must be >= 2")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FgAbGroup is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FgAbGroup) and (

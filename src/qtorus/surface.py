@@ -23,10 +23,11 @@ from typing import NamedTuple, Sequence
 from .errors import (
     BadGeneratorIndex,
     DimensionMismatch,
+    InvariantViolation,
     NonUnimodular,
     RelationViolated,
+    _Frozen,
 )
-from .errors import InvariantViolation
 from .lattice import (
     FgAbGroup,
     IntMatrix,
@@ -41,7 +42,7 @@ from .lattice import (
 Word = tuple[int, ...]  # signed 1-based generator letters; -k is the inverse of k
 
 
-class SurfaceGroup:
+class SurfaceGroup(_Frozen):
     """Genus-g surface group presentation data."""
 
     __slots__ = ("genus",)
@@ -50,15 +51,6 @@ class SurfaceGroup:
         if genus < 0:
             raise DimensionMismatch("genus must be >= 0")
         object.__setattr__(self, "genus", genus)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SurfaceGroup is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SurfaceGroup) and self.genus == other.genus
-
-    def __hash__(self) -> int:
-        return hash((self.genus,))
 
     def relator(self) -> Word:
         """The boundary word prod a_i b_i a_i^-1 b_i^-1 as signed letters."""
@@ -134,7 +126,7 @@ class LatticeLocalSystem:
         return out
 
 
-class CochainComplexSurface:
+class CochainComplexSurface(_Frozen):
     """The three-term cochain complex of a lattice local system.
 
     ``d0`` is (2g r) x r, the stacked rho(x_j) - I; ``d1`` is r x (2g r),
@@ -155,18 +147,6 @@ class CochainComplexSurface:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "d1", d1)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CochainComplexSurface is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CochainComplexSurface) and (
-            (self.genus, self.rank, self.d0, self.d1)
-            == (other.genus, other.rank, other.d0, other.d1)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.genus, self.rank, self.d0, self.d1))
 
 
 def build_complex(rho: LatticeLocalSystem) -> CochainComplexSurface:
@@ -192,7 +172,7 @@ class CohomologyTriple(NamedTuple):
     h2: FgAbGroup
 
 
-class CohomologyPresentations:
+class CohomologyPresentations(_Frozen):
     """Cohomology groups, with generator representatives built when first read.
 
     ``triple`` is read off the Smith diagonals of d0 and d1. ``h0_basis``,
@@ -210,18 +190,6 @@ class CohomologyPresentations:
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "snf0", snf0)
         object.__setattr__(self, "snf1", snf1)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CohomologyPresentations is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CohomologyPresentations) and (
-            (self.triple, self.complex, self.snf0, self.snf1)
-            == (other.triple, other.complex, other.snf0, other.snf1)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.triple, self.complex, self.snf0, self.snf1))
 
     @cached_property
     def h0_basis(self) -> list[list[int]]:

@@ -7,23 +7,56 @@ from itertools import product
 
 from qtorus import (
     BilinearData,
+    BraidedData,
     FgAbGroup,
     Frac1,
+    GradedObject,
     IntMatrix,
     LatticeLocalSystem,
     LevelInput,
+    QuadraticForm,
+    SymmetricForm,
+    TwistedCochain,
     block_report,
     invariance_check,
     inverse_unimodular,
     quad_from_bilinear,
     smith_normal_form,
 )
-from qtorus.errors import BadGeneratorIndex, ShapeMismatch
+from qtorus.errors import BadGeneratorIndex, ShapeMismatch, _Frozen
 from qtorus.lattice import QuotientPresentation, SnfResult, _Op
 
 
 class ImageNotInKernel(ValueError):
     """:func:`solve_exact` found no integer solution."""
+
+
+# the fields that make two instances the same value; the derived
+# denominator and numerators follow from them
+_VALUE_FIELDS = {
+    BilinearData: ("c", "zeta"),
+    QuadraticForm: ("rank", "diag", "offdiag"),
+    SymmetricForm: ("rank", "entries"),
+    BraidedData: ("quad", "beta"),
+    GradedObject: ("rank", "support"),
+    TwistedCochain: ("degree", "rank", "values"),
+}
+
+
+def fields(value):
+    """``value`` as something that compares by value.
+
+    Only ``IntMatrix``, ``Frac1`` and ``FgAbGroup`` define equality; the
+    other value classes compare by identity. An instance of one of them
+    becomes its class name and its value fields, each converted in turn;
+    any other value is returned as it is.
+    """
+    names = _VALUE_FIELDS.get(type(value))
+    if names is not None:
+        return (type(value).__name__, *(fields(getattr(value, n)) for n in names))
+    if isinstance(value, _Frozen) and type(value).__eq__ is object.__eq__:
+        raise TypeError(f"no value fields listed for {type(value).__name__}")
+    return value
 
 
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:

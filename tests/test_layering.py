@@ -219,6 +219,21 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised) == []
 
 
+def test_value_classes_share_one_immutability_base():
+    # _Frozen alone refuses assignment, and only the classes the package
+    # compares by value define equality and hashing
+    defined = {"__setattr__": set(), "__eq__": set(), "__hash__": set()}
+    for path in SRC.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:  # a def, or an assignment such as "__hash__ = None"
+                    names = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+                    for name in {getattr(node, "name", None), *names} & defined.keys():
+                        defined[name].add(cls.name)
+    assert defined["__setattr__"] == {"_Frozen"}
+    assert defined["__eq__"] | defined["__hash__"] == {"IntMatrix", "Frac1", "FgAbGroup"}
+
+
 def test_selfcheck_checks_the_report_route():
     # the package has one closed form of omega: reports (through _omega) and
     # selfcheck both call omega_numerators, and selfcheck reads its raw W
