@@ -9,6 +9,7 @@ double braiding) must be refinement independent.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, ShapeMismatch, _Frozen
@@ -17,7 +18,11 @@ from .lattice import IntMatrix
 
 
 class GradedObject(_Frozen):
-    """Finite-support multiplicity function on the grading lattice."""
+    """Finite-support multiplicity function on the grading lattice.
+
+    ``support`` is a read-only view of the multiplicities the constructor
+    accepted.
+    """
 
     __slots__ = ("rank", "support")
 
@@ -33,7 +38,7 @@ class GradedObject(_Frozen):
                 raise ShapeMismatch(f"multiplicity of {v} must be >= 1, got {mult}")
             clean[v] = mult
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "support", clean)
+        object.__setattr__(self, "support", MappingProxyType(clean))
 
     def items(self):
         return sorted(self.support.items())

@@ -43,6 +43,7 @@ arithmetic with the closed route it checks.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -185,7 +186,10 @@ class TriangulatedSurface:
 
 
 class TwistedCochain(_Frozen):
-    """Vector-valued cochain; values are read in the polygon chart."""
+    """Vector-valued cochain; values are read in the polygon chart.
+
+    ``values`` is a read-only view, so a checked cochain stays as checked.
+    """
 
     __slots__ = ("degree", "rank", "values")
 
@@ -205,7 +209,7 @@ class TwistedCochain(_Frozen):
     def _set(self, degree: int, rank: int, values: dict[Cell, tuple[int, ...]]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", MappingProxyType(values))
 
     def value(self, cell: Cell) -> tuple[int, ...]:
         return self.values[cell]

@@ -5,39 +5,31 @@ word-combinatorial formula over the surface relator (:mod:`qtorus.gerbe`)
 and an explicit simplicial route that triangulates the polygon model,
 promotes kernel vectors to twisted cocycles, and evaluates cup products
 against the fundamental cycle (:mod:`qtorus.cochain`). This module runs
-both over a seeded grid of surfaces, local systems, and levels and demands
-entry-exact equality. The grid covers genus 1 and 2, rank 1 and 2, three
-monodromy families, and level denominators up to 6. A mismatch record
-carries the monodromy, the level and the two generator vectors, so it
-replays without the grid.
+both over a seeded grid of surfaces and local systems and demands
+entry-exact equality. The grid covers genus 1 and 2, rank 1 and 2, and
+three monodromy families.
 
 The closed side is the one reports run: the numerators W = G^T P G of
 :func:`qtorus.gerbe.omega_numerators`, read raw, so a wrong W becomes a
 mismatch record rather than an internal error. Once per local system, each
 H^1 generator becomes a checked cocycle, all over one transport table
 (:func:`qtorus.cochain.checked_classes`), and each ordered pair of them its
-integer cup in Lambda (x) Lambda (:func:`qtorus.cochain.cup_tensor`), which
-no level enters.
+integer cup in Lambda (x) Lambda (:func:`qtorus.cochain.cup_tensor`).
 
-Levels c / den are drawn by rejection. Each draw is tested on its integers,
-(c, den), against the probe images of the local system's monodromy, which
-are formed once (:func:`qtorus.forms.probe_images`); an accepted draw is
-kept as its ``BilinearData``, and builds its ``QuadraticForm`` only if it
-is polarized, below. Both routes are linear in the level's numerators B: the
-cup factors through Lambda (x) Lambda, and P is built from B only through
-products B (eps F). So each local system compares the routes once, in
-integers, on the symmetric basis of Sym^2(Z^r): E_kk, and E_kl + E_lk for
-k < l, each a form over N = 2. That is r(r + 1) / 2 calls of
-:func:`qtorus.gerbe.omega_numerators`, and each entry W[i][j] is compared
-with the cup tensor's M[k][k], or M[k][l] + M[l][k]: no ``Frac1`` and no
-:func:`qtorus.cochain.pair_cup`. Every level's B is an integer combination
-of the basis, so agreement there is agreement at every level, drawn or
-not, and each drawn level counts as a case and an agreement with no W of
-its own. When the basis disagrees, each drawn level of that local system
-builds its form, is polarized and compared in Q/Z as a report would read
-it, and a failing level gets its own record; if none fails, one record
-names the basis form, the generator pair and the two integers, so the run
-still fails.
+Both routes are linear in a level's integer numerators B, so each local
+system compares them once, in integers, on the symmetric basis of
+Sym^2(Z^r): E_kk, and E_kl + E_lk for k < l, each a form over N = 2. Each
+entry W[i][j] of the basis form's W is compared with the cup tensor's
+M[k][k], or M[k][l] + M[l][k]. Every level's B is an integer combination
+of the basis, so agreement there is agreement at every level. A local
+system whose basis disagrees gets one record: the basis form, the
+generator pair, the two integers, the monodromy and both generators, so it
+replays without the grid.
+
+Levels c / den, with den up to 6, are drawn by rejection, each draw
+tested on its integers against the probe images of the monodromy
+(:func:`qtorus.forms.probe_images`). A drawn level is a case, and an
+agreement when its local system's basis agreed; no level builds a form.
 """
 
 from __future__ import annotations
@@ -45,9 +37,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .cochain import checked_classes, cup_tensor, pair_cup, triangulate
-from .forms import HALF, ZERO, BilinearData, Frac1, SymmetricForm, polarize
-from .forms import preserves, probe_images, quad_from_bilinear
+from .cochain import checked_classes, cup_tensor, triangulate
+from .forms import HALF, ZERO, SymmetricForm, preserves, probe_images
 from .gerbe import omega_numerators
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
@@ -89,18 +80,15 @@ def _local_system(rng: random.Random, genus: int, rank: int, family: str) -> Lat
     return LatticeLocalSystem(rank, genus, _shear_matrices(rng, genus, rank))
 
 
-def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> BilinearData | None:
+def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> list[int] | None:
     """Draw a level c / den whose quadratic form the monodromy preserves.
 
     Random c matrices are filtered through the integer invariance test on
     (c, den), since zeta = 1/den, against the local system's ``images``
     (:func:`qtorus.forms.probe_images`); a handful of rejection rounds is
     plenty because each family admits a structured fallback (diagonal c for
-    sign actions, a tuned corner for the shear). A draw is tested as its
-    flat list of entries; only the accepted one becomes an ``IntMatrix`` and
-    a ``BilinearData``. No form is built here, since a level's
-    ``QuadraticForm`` is needed only when its local system's basis
-    disagrees and the level is polarized.
+    sign actions, a tuned corner for the shear). Returns the accepted c as
+    its flat list of entries, or None; no matrix or form is built.
     """
     for attempt in range(40):
         if attempt < 30:
@@ -112,21 +100,7 @@ def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> Bili
             b = rng.randint(-3, 3)
             c = [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)]
         if preserves(c, den, images):
-            return BilinearData(IntMatrix(r, r, c), Frac1(1, den))
-    return None
-
-
-def _first_disagreement(
-    rho: LatticeLocalSystem, pairing: SymmetricForm, gens: list, cups: list
-) -> tuple[int, int, Frac1, Frac1] | None:
-    """The first generator pair (i, j) whose two routes differ, with both values."""
-    w = omega_numerators(rho, pairing, gens)
-    for i, row in enumerate(cups):
-        for j, cup in enumerate(row):
-            closed = Frac1(w[i].get(j, 0), pairing.denominator)
-            simplicial = pair_cup(cup, pairing)
-            if closed != simplicial:
-                return i, j, closed, simplicial
+            return c
     return None
 
 
@@ -190,47 +164,26 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 cups = [[cup_tensor(a, b) for b in cocycles] for a in cocycles]
                 images = probe_images(rho.mon, rank)
                 basis = _basis_disagreement(rho, gens, cups)
-                recorded = len(mismatches)
-                for den in _DENOMINATORS:
-                    for _ in range(_LEVELS_PER_CELL):
-                        level = _invariant_level(rng, rank, images, den)
-                        if level is None:
-                            continue
-                        cases += 1
-                        # once the basis agrees, no level builds a form or a W
-                        verdict = basis and _first_disagreement(
-                            rho, polarize(quad_from_bilinear(level)), gens, cups
-                        )
-                        if verdict is None:
-                            agreements += 1
-                            continue
-                        i, j, closed, simplicial = verdict
-                        mismatches.append({
-                            "genus": genus,
-                            "rank": rank,
-                            "family": family,
-                            "den": den,
-                            "pair": [i, j],
-                            "closed": str(closed),
-                            "simplicial": str(simplicial),
-                            "monodromy": [m.row_lists() for m in rho.mon],
-                            "c_matrix": level.c.row_lists(),
-                            "zeta": str(level.zeta),
-                            "u": list(gens[i]),
-                            "v": list(gens[j]),
-                        })
-                if basis is not None and len(mismatches) == recorded:
-                    k, l, i, j, closed, simplicial = basis
-                    mismatches.append({
-                        "genus": genus,
-                        "rank": rank,
-                        "family": family,
-                        "basis": [k, l],
-                        "pair": [i, j],
-                        "closed": closed,
-                        "simplicial": simplicial,
-                        "monodromy": [m.row_lists() for m in rho.mon],
-                        "u": list(gens[i]),
-                        "v": list(gens[j]),
-                    })
+                drawn = sum(
+                    _invariant_level(rng, rank, images, den) is not None
+                    for den in _DENOMINATORS
+                    for _ in range(_LEVELS_PER_CELL)
+                )
+                cases += drawn
+                if basis is None:
+                    agreements += drawn
+                    continue
+                k, l, i, j, closed, simplicial = basis
+                mismatches.append({
+                    "genus": genus,
+                    "rank": rank,
+                    "family": family,
+                    "basis": [k, l],
+                    "pair": [i, j],
+                    "closed": closed,
+                    "simplicial": simplicial,
+                    "monodromy": [m.row_lists() for m in rho.mon],
+                    "u": list(gens[i]),
+                    "v": list(gens[j]),
+                })
     return SelfCheckResult(seed=seed, cases=cases, agreements=agreements, mismatches=tuple(mismatches))

@@ -815,6 +815,45 @@ class TestTripwire:
         jsonschema.validate(payload, ERROR_SCHEMA)
         assert payload["code"] == "invariant_violation" and "H^1" in payload["message"]
 
+    def test_inconsistent_complex_exits_three(self, capsys, monkeypatch):
+        # one wrong entry of d1, in the column where d0's first block is -2 I:
+        # d1 . d0 != 0, which the complex refuses before any Smith form
+        from qtorus import IntMatrix, surface
+
+        stack = surface.hstack
+
+        def faulty(mats):
+            m = stack(mats)
+            return IntMatrix(m.rows, m.cols, [m.entries[0] + 1, *m.entries[1:]])
+
+        monkeypatch.setattr(surface, "hstack", faulty)
+        spec = GOLDEN / "surface_signs_g2r2.json"
+        out, code = run_main(capsys, "surface", "--input", str(spec), "--format", "json")
+        assert code == 3
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["code"] == "invariant_violation" and "d1 . d0" in payload["message"]
+
+    def test_radial_walk_on_a_non_cocycle_exits_three(self, capsys, monkeypatch):
+        # one wrong coboundary entry on the first triangle: the cocycle check
+        # refuses the cochain the radial walk closed up, and selfcheck stops
+        # with an internal error rather than a mismatch record
+        from qtorus import cochain
+
+        sums = cochain._alternating_sums
+
+        def faulty(faces):
+            out = sums(faces)
+            out[0] = tuple(x + 1 for x in out[0])
+            return out
+
+        monkeypatch.setattr(cochain, "_alternating_sums", faulty)
+        out, code = run_main(capsys, "selfcheck")
+        assert code == 3
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["code"] == "invariant_violation" and "radial walk" in payload["message"]
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, tmp_path):
         from qtorus.errors import InvariantViolation
 
@@ -892,3 +931,20 @@ class TestValueClasses:
             with pytest.raises(AttributeError) as refused:
                 setattr(obj, type(obj).__slots__[0], None)
             assert str(refused.value) == f"{type(obj).__name__} is immutable"
+
+    def test_held_dicts_refuse_item_assignment(self):
+        # a checked cocycle's cochain values and a graded object's support are
+        # read-only views: an edit can neither undo the cocycle check nor store
+        # a multiplicity the constructor refuses
+        from qtorus import Cocycle, GradedObject
+
+        objects = {type(obj): obj for obj in self.instances()}
+        values = objects[Cocycle].cochain.values
+        cell, before = next(iter(values.items()))
+        with pytest.raises(TypeError):
+            values[cell] = (99, 99)
+        assert values[cell] == before
+        graded = objects[GradedObject]
+        with pytest.raises(TypeError):
+            graded.support[(0, 0)] = -3
+        assert graded.items() == [((0, 1), 1)]

@@ -286,6 +286,20 @@ def test_selfcheck_reaches_the_closed_route_through_omega_numerators():
             assert node.func.id not in {"dict", "set", "lru_cache", "cache"}
 
 
+def test_selfcheck_has_no_route_in_q_mod_z():
+    # selfcheck compares the routes once, in integers, on the symmetric basis:
+    # it names no level pairing in Q/Z, neither to compare with nor to record
+    tree = parse("selfcheck")
+    named = names_in(tree) | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    } | {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    banned = {"pair_cup", "polarize", "quad_from_bilinear", "Frac1", "_first_disagreement"}
+    assert not named & banned
+
+
 def test_one_cohomology_object_per_local_system():
     # cohomology_presentations is the one cohomology route, and a report
     # holds its triple once: no groups-only route, no pi-named copy of the

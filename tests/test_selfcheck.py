@@ -11,10 +11,7 @@ from qtorus import (
     IntMatrix,
     LatticeLocalSystem,
     QuadraticForm,
-    class_of,
     cohomology_presentations,
-    cup_evaluate,
-    invariance_check,
     polarize,
     quad_from_bilinear,
     run_selfcheck,
@@ -27,9 +24,7 @@ from qtorus.selfcheck import DEFAULT_SEED
 from helpers import (
     dense_omega_numerators,
     family_system,
-    fields,
     invariant_level_by_forms,
-    pairing_on_cocycles_per_term,
     table_products,
 )
 
@@ -46,6 +41,19 @@ def _off_by_one_gram(monkeypatch):
         return p
 
     monkeypatch.setattr(gerbe, "_pairing_gram", off_by_one)
+
+
+def _off_by_one_gram_at(monkeypatch, target):
+    """One wrong entry of P only for the level numerators ``target``, flat."""
+    pairing_gram = gerbe._pairing_gram
+
+    def wrong_at_target(rho, b):
+        p = pairing_gram(rho, b)
+        if b.entries == target:
+            p[0][0] = p[0].get(0, 0) + 1
+        return p
+
+    monkeypatch.setattr(gerbe, "_pairing_gram", wrong_at_target)
 
 
 def _off_by_one_cup_tensor(monkeypatch):
@@ -73,26 +81,35 @@ def _record_system(record):
     return LatticeLocalSystem(record["rank"], record["genus"], mon)
 
 
+def _replay(record):
+    """A basis record's (closed, simplicial), recomputed from its fields alone.
+
+    The closed side is ``dense_omega_numerators`` on the record's basis form
+    and its two generators, the simplicial side selfcheck's ``cup_tensor`` of
+    their checked classes, so a record made under a fault replays under it.
+    """
+    rho = _record_system(record)
+    k, l = record["basis"]
+    u, v = record["u"], record["v"]
+    closed = dense_omega_numerators(rho, _basis_form(rho.rank, k, l), [u, v]).entry(0, 1)
+    a, b = cochain.checked_classes([u, v], triangulate(rho.genus), rho)
+    m = selfcheck.cup_tensor(a, b)
+    return closed, (m[k][l] + m[l][k] if k < l else m[k][k])
+
+
 def test_mismatch_record_replays(monkeypatch):
-    # a shifted cup tensor disagrees at every level that pairs its [0][0]
-    # entry nontrivially; the first record alone must rebuild the local
-    # system, the level and both sides of the comparison
+    # a shifted cup tensor disagrees on the basis form E_00 of every local
+    # system it fails; each record alone must rebuild the local system, the
+    # basis form and both sides of the comparison, and with the fault undone
+    # the two sides it names agree
     _off_by_one_cup_tensor(monkeypatch)
     result = run_selfcheck(5)
     assert not result.ok and result.mismatches
-    record = json.loads(json.dumps(result.mismatches[0]))
-    assert "c_matrix" in record  # a level record, not a basis record
-
-    rho = _record_system(record)
-    level = BilinearData(IntMatrix.from_rows(record["c_matrix"]), Frac1.parse(record["zeta"]))
-    pairing = polarize(quad_from_bilinear(level))
-    u, v = record["u"], record["v"]
-    assert str(pairing_on_cocycles_per_term(pairing, rho, u, v)) == record["closed"]
-
-    tri = triangulate(rho.genus)
-    simplicial = cup_evaluate(class_of(u, tri, rho), class_of(v, tri, rho), pairing, tri, rho)
-    assert str(simplicial + pairing.entries[0][0]) == record["simplicial"]
-    assert record["closed"] != record["simplicial"]
+    records = json.loads(json.dumps(result.mismatches))
+    assert all(r["basis"] == [0, 0] and r["closed"] != r["simplicial"] for r in records)
+    assert [_replay(r) for r in records] == [(r["closed"], r["simplicial"]) for r in records]
+    monkeypatch.undo()
+    assert [_replay(r) for r in records] == [(r["closed"], r["closed"]) for r in records]
 
 
 def _count_table_products(monkeypatch):
@@ -236,12 +253,8 @@ def test_one_gram_per_basis_form_on_the_h1_generators(monkeypatch):
         events.append(("draw", current[0]))
         return invariant_level(*args)
 
-    def no_polarize(quad):
-        raise AssertionError("a level was polarized in a passing run")
-
     monkeypatch.setattr(selfcheck, "checked_classes", recording_checked_classes)
     monkeypatch.setattr(selfcheck, "_invariant_level", recording_invariant_level)
-    monkeypatch.setattr(selfcheck, "polarize", no_polarize)
     monkeypatch.setattr(selfcheck, "omega_numerators", counting_omega_numerators)
     monkeypatch.setattr(Frac1, "__init__", counting_init)
     result = run_selfcheck(5)
@@ -277,96 +290,77 @@ def test_a_wrong_gram_matrix_fails_the_check(monkeypatch):
     assert record["closed"] != record["simplicial"]
 
 
-def test_each_level_form_built_once(monkeypatch):
-    # draws are tested on their integers and kept as BilinearData; a level
-    # builds its form only to polarize it. A passing run builds no
-    # QuadraticForm at all; when a local system's basis disagrees, each of
-    # its drawn levels builds exactly one form, from that level, and that
-    # form is the one polarized
-    built = []  # (local system, level, form) per form built by selfcheck
+def test_no_level_builds_a_form(monkeypatch):
+    # a draw is tested on its integers and returned as its flat list of
+    # entries: neither a passing run nor one whose basis disagrees builds a
+    # QuadraticForm, and every accepted draw is a case
     forms_made = [0]  # every QuadraticForm constructed, by any caller
-    drawn = []  # (local system, level) per accepted draw
-    polarized = []
-    bases = []  # (local system, basis verdict) per local system
-    quad_from_bilinear = selfcheck.quad_from_bilinear
-    polarize = selfcheck.polarize
-    basis_disagreement = selfcheck._basis_disagreement
-    invariant_level = selfcheck._invariant_level
+    drawn = []  # the entries of each accepted draw
     quad_init = QuadraticForm.__init__
+    invariant_level = selfcheck._invariant_level
 
     def counting_init(self, *args):
         forms_made[0] += 1
         quad_init(self, *args)
 
-    def counting_quad(level):
-        built.append((bases[-1][0], level, quad_from_bilinear(level)))
-        return built[-1][2]
-
-    def recording_invariant_level(*args):
-        level = invariant_level(*args)
-        if level is not None:
-            drawn.append((bases[-1][0], level))
-        return level
-
-    def recording_polarize(quad):
-        polarized.append(quad)
-        return polarize(quad)
-
-    def recording_basis_disagreement(rho, gens, cups):
-        bases.append((rho, basis_disagreement(rho, gens, cups)))
-        return bases[-1][1]
+    def recording_invariant_level(rng, r, images, den):
+        c = invariant_level(rng, r, images, den)
+        if c is not None:
+            assert len(c) == r * r and all(type(x) is int for x in c)
+            drawn.append(c)
+        return c
 
     monkeypatch.setattr(QuadraticForm, "__init__", counting_init)
-    monkeypatch.setattr(selfcheck, "quad_from_bilinear", counting_quad)
     monkeypatch.setattr(selfcheck, "_invariant_level", recording_invariant_level)
-    monkeypatch.setattr(selfcheck, "polarize", recording_polarize)
-    monkeypatch.setattr(selfcheck, "_basis_disagreement", recording_basis_disagreement)
     result = run_selfcheck(5)
-    assert result.ok
-    assert len(drawn) == result.cases > 0
-    assert built == [] and forms_made[0] == 0 and polarized == []
+    assert result.ok and len(drawn) == result.cases > 0 and forms_made[0] == 0
 
-    built.clear()
     drawn.clear()
-    bases.clear()
     _off_by_one_gram(monkeypatch)
     result = run_selfcheck(5)
     monkeypatch.undo()
-    assert not result.ok and len(drawn) == result.cases
-    failed = [rho for rho, verdict in bases if verdict is not None]
-    assert failed
-    expected = [(rho, level) for rho, level in drawn if any(rho is f for f in failed)]
-    assert [(rho, level) for rho, level, _ in built] == expected
-    assert all(level is drawn_level for (_, level, _), (_, drawn_level) in zip(built, expected))
-    assert forms_made[0] == len(built)
-    assert len(polarized) == len(built)
-    assert all(quad is p for (_, _, quad), p in zip(built, polarized))
+    assert not result.ok and len(drawn) == result.cases > 0 and forms_made[0] == 0
 
 
-def test_repeated_pairings_keep_one_record_per_level(monkeypatch):
-    # once a local system's basis disagrees, each of its drawn levels is
-    # checked in Q/Z and each failing level gets its own record, with its own
-    # level, and the records of one pairing agree on everything they found
-    _off_by_one_gram(monkeypatch)
+def test_one_record_per_failing_system(monkeypatch):
+    # P wrong at the rank 2 numerators E_00 fails the basis of some local
+    # systems; each of them gets exactly one record, the basis record of its
+    # first disagreement, and its drawn levels count as cases but not as
+    # agreements, while every other system's levels are agreements
+    verdicts = []  # (local system, basis verdict) per local system
+    drawn = []  # levels drawn per local system, in the same order
+    basis_disagreement = selfcheck._basis_disagreement
+    invariant_level = selfcheck._invariant_level
+
+    def recording_basis_disagreement(rho, gens, cups):
+        verdicts.append((rho, basis_disagreement(rho, gens, cups)))
+        drawn.append(0)
+        return verdicts[-1][1]
+
+    def counting_invariant_level(*args):
+        c = invariant_level(*args)
+        drawn[-1] += c is not None
+        return c
+
+    monkeypatch.setattr(selfcheck, "_basis_disagreement", recording_basis_disagreement)
+    monkeypatch.setattr(selfcheck, "_invariant_level", counting_invariant_level)
+    _off_by_one_gram_at(monkeypatch, (1, 0, 0, 0))
     result = run_selfcheck(DEFAULT_SEED)
+    records = json.loads(json.dumps(result.mismatches))
+    assert not result.ok and len(verdicts) == 12  # genus 1-2, rank 1-2, three families
+    failed = [(rho, verdict) for rho, verdict in verdicts if verdict is not None]
+    assert 0 < len(failed) == len(records) < len(verdicts)
+    assert result.cases == sum(drawn)
+    assert result.agreements == sum(n for n, (_, v) in zip(drawn, verdicts) if v is None)
+    keys = ["genus", "rank", "family", "basis", "pair", "closed", "simplicial", "monodromy", "u", "v"]
+    for record, (rho, (k, l, i, j, closed, simplicial)) in zip(records, failed):
+        assert list(record) == keys
+        assert (record["genus"], record["rank"]) == (rho.genus, rho.rank)
+        assert record["monodromy"] == [m.row_lists() for m in rho.mon]
+        assert (record["basis"], record["pair"]) == ([k, l], [i, j])
+        assert _replay(record) == (record["closed"], record["simplicial"]) == (closed, simplicial)
     monkeypatch.undo()
-    assert not result.ok
-    assert len(result.mismatches) == result.cases - result.agreements
-
-    found = {}  # (local system, pairing entries) -> what each record found
-    for record in json.loads(json.dumps(result.mismatches)):
-        mon = [IntMatrix.from_rows(m) for m in record["monodromy"]]
-        rho = LatticeLocalSystem(record["rank"], record["genus"], mon)
-        level = BilinearData(IntMatrix.from_rows(record["c_matrix"]), Frac1.parse(record["zeta"]))
-        assert level.zeta == Frac1(1, record["den"])
-        quad = quad_from_bilinear(level)
-        assert invariance_check(quad, rho)
-        system = (record["genus"], record["rank"], record["family"], json.dumps(record["monodromy"]))
-        key = (system, polarize(quad).entries)
-        found.setdefault(key, []).append((record["pair"], record["closed"], record["simplicial"]))
-    assert any(len(seen) > 1 for seen in found.values())  # some pairings repeat
-    for seen in found.values():
-        assert all(x == seen[0] for x in seen)
+    assert all(closed == simplicial for closed, simplicial in map(_replay, records))
 
 
 @pytest.mark.parametrize("seed", (1729, 5, 99, *DECK_SEEDS))
@@ -391,35 +385,36 @@ def test_sampler_draws_as_the_form_route(seed, monkeypatch):
                 images = probe_images(rho.mon, rank)
                 for den in selfcheck._DENOMINATORS:
                     for _ in range(selfcheck._LEVELS_PER_CELL):
-                        level = selfcheck._invariant_level(fast, rank, images, den)
-                        assert fields(level) == fields(invariant_level_by_forms(slow, rho, den))
+                        c = selfcheck._invariant_level(fast, rank, images, den)
+                        level = invariant_level_by_forms(slow, rho, den)
+                        assert c == (None if level is None else list(level.c.entries))
                         assert fast.getstate() == slow.getstate()
     assert verdicts.count(False) > 0 and verdicts.count(True) > 0  # draws were rejected
 
 
-# sha256 of `qtorus selfcheck --seed s` stdout, as recorded from the
-# comparison per level in Q/Z: (correct, under _off_by_one_gram)
+# sha256 of `qtorus selfcheck --seed s` stdout: (correct, under
+# _off_by_one_gram, where each failing local system writes one basis record)
 STDOUT_SHA256 = {
     1729: ("aed24eb47f5ba8a9f0a03c368b495f04a0888eb51395617aac7351b19f06f743",
-           "a86e87e409989206d96054c85a2f7e037f84ac7873489a0191e6f10262142720"),
+           "dd57705c629f7562996ee84eae45899506b22345c99e21f3368e4b31d63d0ebf"),
     650473: ("d01eb072a019d01481cce03dee7038fc2a7f537196fd7137873d9aba95c6411e",
-             "fa90196bd99eaaf36f72911fdf646fa34ff443104fc2dc6db41f89beec03c106"),
+             "ddde587cc0b12bf5699d3f5c65b63dcda516d67c7b9dd93bf8b5bcf872434725"),
     97695: ("cc92433639f0ab91522ceb2a79af926c154d1ee468ffcf87f64eb1e178b186f7",
-            "c9aed18e5680ca42ed4c23cb466c0cfdd512f9c9a56f6cbb5c4279850a24d2f3"),
+            "622eeadabc704f2ddaf0c3de7de72fbe502ecfcebab74666968124d931794277"),
     560286: ("d79ba82d0ed94fdaa7b1b6e58ea708b2ebd434b98adcffcc098063a499d0c411",
-             "fb8e247be59d00f3da82d5e5e144f692d5061541e5d00a7c09558ba748b38d6f"),
+             "f5086eda8c8552df5be29f6d866df621733194e015c2aaeea775ddeac11cf910"),
     513761: ("2c924bdddcb3fa9ae3e08d59850585347c56da7ee2328d90249dff4cc22ebd8d",
-             "0ea2caa52f6df01f4f099d311224c510af73c4afd52350419fe751507e6ec200"),
+             "5b89bb94610fb2feca2558f8b2fff498141640ddf7ed947cf28cf06997bfcbe5"),
     278011: ("9b29c618b59e634fad57450fd5597354832031ff680af2db16690d5864be048c",
-             "d4be9f04ff4dfa27ede97263a533af3d3bca4bc4b022f0f3f06f63b7cb3d297d"),
+             "378e66996e45d29e6a9794d9cd1a72fbf66b7fc9fdb4a4b95d722aa97f808bcc"),
     206466: ("cd85d5d9a232896c33d7c9d049d1529950ebddb6d786ef81a8fc1e2a48fbf28b",
-             "0d296ee8e291030e34c4aac4000ea8f7fd3722ba53e788394e66876a7b979fcb"),
+             "b186937a697d39ef30fd12d8736bb68eeb9864d09b21a98adcee3de9d1c9c2bb"),
     1: ("727cdba3b0804fef98aba926245498b3d66dd561776367ee7034044a718fba2c",
-        "5830303180c1ca6e2a753348af379176de10db1f368ca0d24dddb4adf2cbab8c"),
+        "2e53ec73ec3380776f669763e96d72d73594ff75e6ccf72955f56a44d05ea8ff"),
     7: ("f52bc20dd84ee04949fdfe54c859a4e5b38774b35cc0fbf0a1b67f5085cde823",
-        "6fcd83e6babfdcc0181a0b15734684848e6e7f1750b250a6420ab86a3e7ea63e"),
+        "39c3c9bc9c5ebac619b27605fb79b169200047d22d5a1f600982204f589bdd5c"),
     99: ("9cb023447d07b9804088002b1146e26b64071c11352933391d73acd59257a5d8",
-         "6d2938b4a87cc761d6379c2cfa7232c3f31eb6a4c04c01bd02c3312c2257b6f2"),
+         "5cd2a426aceae7d50afadd7323fb2ae65e9c45b2c01367bed3304cb3e38f7665"),
 }
 
 
@@ -430,8 +425,8 @@ def _selfcheck_stdout(capsys, seed):
 
 @pytest.mark.parametrize("seed", STDOUT_SHA256)
 def test_stdout_is_pinned(seed, capsys, monkeypatch):
-    # the comparison on the basis writes the bytes of the comparison per
-    # level in Q/Z, both when the routes agree and when P is wrong
+    # the routes agree and exit 0, or P is wrong and the run exits 3 with
+    # one basis record per failing local system
     correct, wrong_gram = STDOUT_SHA256[seed]
     assert _selfcheck_stdout(capsys, seed) == (correct, 0)
     _off_by_one_gram(monkeypatch)
@@ -443,39 +438,27 @@ def test_a_fault_at_a_level_never_drawn_fails_the_check(monkeypatch, capsys):
     # 18 has: a comparison at the drawn levels alone passes, the one on the
     # basis fails with a record that replays to its two integers
     target = (1, 0, 0, 0)
-    pairing_gram = gerbe._pairing_gram
-
-    def wrong_at_target(rho, b):
-        p = pairing_gram(rho, b)
-        if b.entries == target:
-            p[0][0] = p[0].get(0, 0) + 1
-        return p
-
     drawn = []  # the numerators of every drawn level's pairing
     invariant_level = selfcheck._invariant_level
 
     def recording_invariant_level(rng, r, images, den):
-        level = invariant_level(rng, r, images, den)
-        if level is not None:
+        c = invariant_level(rng, r, images, den)
+        if c is not None:
+            level = BilinearData(IntMatrix(r, r, c), Frac1(1, den))
             drawn.append(polarize(quad_from_bilinear(level)).numerators.entries)
-        return level
+        return c
 
-    monkeypatch.setattr(gerbe, "_pairing_gram", wrong_at_target)
+    _off_by_one_gram_at(monkeypatch, target)
     monkeypatch.setattr(selfcheck, "_invariant_level", recording_invariant_level)
     code = cli.main(["selfcheck", "--seed", "18"])
     report = json.loads(capsys.readouterr().out)
     assert len(drawn) == report["cases"] and target not in drawn
-    assert code == 3 and not report["ok"] and report["agreements"] == report["cases"]
+    assert code == 3 and not report["ok"] and report["agreements"] < report["cases"]
     assert report["mismatches"] and all("basis" in m for m in report["mismatches"])
 
     record = report["mismatches"][0]
     assert record["rank"] == 2 and record["basis"] == [0, 0]
-    rho = _record_system(record)
-    form = _basis_form(rho.rank, *record["basis"])
-    u, v = record["u"], record["v"]
-    assert dense_omega_numerators(rho, form, [u, v]).entry(0, 1) == record["closed"]
-    a, b = cochain.checked_classes([u, v], triangulate(rho.genus), rho)
-    m = cochain.cup_tensor(a, b)
-    assert m[0][0] == record["simplicial"] != record["closed"]
+    assert _replay(record) == (record["closed"], record["simplicial"])
+    assert record["closed"] != record["simplicial"]
     monkeypatch.undo()
-    assert dense_omega_numerators(rho, form, [u, v]).entry(0, 1) == record["simplicial"]
+    assert _replay(record) == (record["simplicial"], record["simplicial"])
