@@ -338,8 +338,8 @@ def preserves(m: Sequence[int], n: int, images: Sequence[_Probe]) -> bool:
 def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
     """Whether the form is preserved by every generator's monodromy.
 
-    The local system proved each generator unimodular when it inverted it,
-    so only the values are compared. Checking basis vectors and pairwise
+    The local system proved every generator unimodular when it inverted
+    each handle's product ba, so only the values are compared. Checking basis vectors and pairwise
     sums suffices: those values determine the form, since
     b(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j).
 

@@ -206,6 +206,28 @@ BUNT_REPORT_SCHEMA = {
     },
 }
 
+INDEX_PAIR = {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 2, "maxItems": 2}
+
+SELFCHECK_MISMATCH = {
+    "type": "object",
+    "required": [
+        "genus", "rank", "family", "basis", "pair", "closed", "simplicial", "monodromy", "u", "v",
+    ],
+    "additionalProperties": False,
+    "properties": {
+        "genus": {"type": "integer", "minimum": 1},
+        "rank": {"type": "integer", "minimum": 1},
+        "family": {"enum": ["trivial", "signs", "shear"]},
+        "basis": INDEX_PAIR,
+        "pair": INDEX_PAIR,
+        "closed": {"type": "integer"},
+        "simplicial": {"type": "integer"},
+        "monodromy": {"type": "array", "items": INT_MATRIX},
+        "u": INT_VECTOR,
+        "v": INT_VECTOR,
+    },
+}
+
 SELFCHECK_REPORT_SCHEMA = {
     "type": "object",
     "required": ["task", "seed", "cases", "agreements", "mismatches", "ok"],
@@ -215,7 +237,7 @@ SELFCHECK_REPORT_SCHEMA = {
         "seed": {"type": "integer"},
         "cases": {"type": "integer", "minimum": 0},
         "agreements": {"type": "integer", "minimum": 0},
-        "mismatches": {"type": "array"},
+        "mismatches": {"type": "array", "items": SELFCHECK_MISMATCH},
         "ok": {"type": "boolean"},
     },
 }

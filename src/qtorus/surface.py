@@ -5,8 +5,9 @@ relator prod [a_i, b_i]. Coefficients are lattice local systems: unimodular
 integer matrices assigned to the generators, subject to the surface relation.
 The cochain complex has one cell in degree 0 and 2 and 2g cells in degree 1;
 its differentials are the stacked (rho(x_j) - I) blocks and the Fox
-derivatives of the relator. A local system unwinds the relator once; its
-letter transports give the relation check, d1 and omega's Gram matrix.
+derivatives of the relator. A local system unwinds the relator once, a
+handle at a time; its letter transports give the relation check, d1 and
+omega's Gram matrix.
 :func:`cohomology_presentations` is the one cohomology route. Its groups
 come from one Smith diagonal per differential and read no transform, so
 none is built. Generator representatives are built when first read, by the
@@ -33,6 +34,7 @@ from .lattice import (
     IntMatrix,
     QuotientPresentation,
     SnfResult,
+    det,
     hstack,
     inverse_unimodular,
     smith_normal_form,
@@ -61,17 +63,28 @@ class SurfaceGroup(_Frozen):
         return tuple(word)
 
 
+def _times(x: IntMatrix, y: IntMatrix, eye: IntMatrix) -> IntMatrix:
+    """x @ y, with no product formed when either factor is the identity."""
+    return y if x == eye else x if y == eye else x @ y
+
+
 class LatticeLocalSystem:
     """Monodromy data: one unimodular matrix per generator, relation enforced.
 
-    Each generator other than the identity is inverted once, at construction;
-    ``mon_inv`` keeps the inverses in generator order. A matrix with no
-    integer inverse fails that inversion, which is the unimodularity check.
+    Construction unwinds the relator one handle (a, b) at a time. It forms
+    ab and ba and runs one elimination per handle, inverting ba unless ba is
+    the identity: det(ba) = det a * det b, so an integer inverse of ba proves
+    both generators unimodular, and a matrix with none fails the inversion.
+    The commutator [a, b] is the identity, with no product formed, when
+    ab == ba, and ab (ba)^-1 otherwise. ``mon_inv`` is built when first read,
+    in generator order, from the handle's inverse: a^-1 = (ba)^-1 b and
+    b^-1 = a (ba)^-1.
 
     ``letter_frames`` holds a (generator index, exponent, transport) triple
     per relator letter. The transport is the monodromy of the relator prefix
-    ending just before a positive letter, or just after a negative one; a
-    step from an identity prefix or by an identity letter forms no product.
+    ending just before a positive letter, or just after a negative one: on a
+    handle with prefix P they are P, Pa, P'b and P', with P' = P[a, b]. A
+    product with an identity factor is not formed.
     """
 
     def __init__(self, rank: int, genus: int, mon: Sequence[IntMatrix]):
@@ -82,32 +95,49 @@ class LatticeLocalSystem:
         mon = tuple(mon)
         if len(mon) != 2 * genus:
             raise DimensionMismatch(f"need {2 * genus} matrices for genus {genus}, got {len(mon)}")
-        eye = IntMatrix.identity(rank)
-        inv = []
         for idx, m in enumerate(mon):
             if not m.is_square() or m.rows != rank:
                 raise DimensionMismatch(f"monodromy matrix {idx} must be {rank}x{rank}")
+        eye = IntMatrix.identity(rank)
+        frames = []
+        handle_inv = []  # (ba)^-1 per handle
+        prefix = eye
+        for i in range(genus):
+            a, b = mon[2 * i], mon[2 * i + 1]
+            ab, ba = _times(a, b, eye), _times(b, a, eye)
             try:
-                inv.append(m if m == eye else inverse_unimodular(m))
+                ba_inv = ba if ba == eye else inverse_unimodular(ba)
             except NonUnimodular:
-                raise NonUnimodular(f"monodromy matrix {idx} is not unimodular") from None
+                bad = 2 * i if abs(det(a)) != 1 else 2 * i + 1
+                raise NonUnimodular(f"monodromy matrix {bad} is not unimodular") from None
+            handle_inv.append(ba_inv)
+            after = prefix if ab == ba else _times(prefix, ab @ ba_inv, eye)
+            frames += [
+                (2 * i, 1, prefix),
+                (2 * i + 1, 1, _times(prefix, a, eye)),
+                (2 * i, -1, _times(after, b, eye)),
+                (2 * i + 1, -1, after),
+            ]
+            prefix = after
+        if prefix != eye:
+            raise RelationViolated("monodromy violates the surface relation")
         self.rank = rank
         self.genus = genus
         self.mon = mon
-        self.mon_inv = tuple(inv)
-        frames = []
-        prefix = eye
-        for letter in SurfaceGroup(genus).relator():
-            j = abs(letter) - 1
-            if letter > 0:
-                frames.append((j, 1, prefix))
-            step = self.matrix(letter)
-            prefix = step if prefix == eye else prefix if step == eye else prefix @ step
-            if letter < 0:
-                frames.append((j, -1, prefix))
-        if prefix != eye:
-            raise RelationViolated("monodromy violates the surface relation")
         self.letter_frames = tuple(frames)
+        self._handle_inv = tuple(handle_inv)
+
+    @cached_property
+    def mon_inv(self) -> tuple[IntMatrix, ...]:
+        """The generators' inverses, in generator order, from each handle's (ba)^-1."""
+        eye = IntMatrix.identity(self.rank)
+        inv = []
+        for a, b, ba_inv in zip(self.mon[::2], self.mon[1::2], self._handle_inv):
+            inv += [
+                a if a == eye else _times(ba_inv, b, eye),
+                b if b == eye else _times(a, ba_inv, eye),
+            ]
+        return tuple(inv)
 
     @classmethod
     def trivial(cls, rank: int, genus: int) -> "LatticeLocalSystem":

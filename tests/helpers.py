@@ -15,6 +15,7 @@ from qtorus import (
     LatticeLocalSystem,
     LevelInput,
     QuadraticForm,
+    SurfaceGroup,
     SymmetricForm,
     TwistedCochain,
     block_report,
@@ -307,6 +308,29 @@ def smith_form_inverse(a: IntMatrix) -> IntMatrix:
     snf = smith_normal_form(a)
     assert all(x == 1 for x in snf.diagonal())
     return snf.v @ snf.u
+
+
+def reference_walk(rho: LatticeLocalSystem) -> tuple[list, list[IntMatrix]]:
+    """(letter frames, generator inverses) from the relator walked one letter at a time.
+
+    The reference ``rho.letter_frames`` and ``rho.mon_inv`` are tested
+    against. Each generator is inverted by :func:`smith_form_inverse`, so no
+    fraction-free elimination runs, and every prefix step is multiplied out,
+    identity factors included.
+    """
+    inv = [smith_form_inverse(m) for m in rho.mon]
+    frames = []
+    prefix = IntMatrix.identity(rho.rank)
+    for letter in SurfaceGroup(rho.genus).relator():
+        j = abs(letter) - 1
+        if letter > 0:
+            frames.append((j, 1, prefix))
+            prefix = prefix @ rho.mon[j]
+        else:
+            prefix = prefix @ inv[j]
+            frames.append((j, -1, prefix))
+    assert prefix == IntMatrix.identity(rho.rank)
+    return frames, inv
 
 
 def heisenberg_by_smith(n: int, w: IntMatrix, free_count: int) -> tuple[int, int]:

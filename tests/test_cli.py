@@ -316,6 +316,24 @@ class TestValidation:
         assert code == 2
         assert json.loads(out)["code"] == "non_unimodular"
 
+    def test_misshapen_matrix_reported_before_non_unimodular(self, capsys, tmp_path):
+        # the spec parser checks every matrix's shape before the local system
+        # inverts anything, so a misshapen matrix 3 wins over a bad matrix 0
+        eye = [[1, 0], [0, 1]]
+        mono = [[[2, 0], [0, 1]], eye, eye, [[1, 0], [0, 1], [0, 0]]]
+        spec = {"task": "surface", "surface": {"genus": 2, "rank": 2, "monodromy": mono}}
+        out, code = run_main(capsys, "surface", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert (payload["code"], payload["path"]) == ("bad_job_spec", "surface.monodromy[3]")
+        spec["surface"]["monodromy"][3] = eye
+        out, code = run_main(capsys, "surface", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        assert (payload["code"], payload["path"]) == ("non_unimodular", "surface.monodromy")
+        assert payload["message"] == "monodromy matrix 0 is not unimodular"
+
     def test_relation_violation(self, capsys, tmp_path):
         mono = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
         spec = base_global_spec(surface={"genus": 1, "rank": 2, "monodromy": mono})

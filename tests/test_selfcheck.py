@@ -3,9 +3,11 @@ import json
 import random
 from collections import Counter
 
+import jsonschema
 import pytest
 
 from qtorus import (
+    REPORT_SCHEMAS,
     BilinearData,
     Frac1,
     IntMatrix,
@@ -156,6 +158,7 @@ def test_one_table_and_one_check_per_local_system(monkeypatch):
 
     def recording_local_system(*args):
         rhos.append(local_system(*args))
+        rhos[-1].mon_inv  # built when first read: outside the table, so not its products
         return rhos[-1]
 
     monkeypatch.setattr(selfcheck, "_local_system", recording_local_system)
@@ -174,6 +177,7 @@ def test_transport_table_work_is_linear_in_genus(monkeypatch):
     # genus: at most 256 at g64, fewer where a prefix or letter is the identity
     rho = family_system(random.Random(64), "pair", 64, 4)
     t = triangulate(64)
+    rho.mon_inv  # built when first read: before the spy, so not the table's products
     tables = _count_table_products(monkeypatch)
     cochain.checked_classes((), t, rho)
     monkeypatch.undo()
@@ -431,6 +435,20 @@ def test_stdout_is_pinned(seed, capsys, monkeypatch):
     assert _selfcheck_stdout(capsys, seed) == (correct, 0)
     _off_by_one_gram(monkeypatch)
     assert _selfcheck_stdout(capsys, seed) == (wrong_gram, 3)
+
+
+def test_mismatch_records_follow_the_schema(monkeypatch, capsys):
+    # under the P + 1 fault each failing system writes one basis record, and
+    # the report schema types every record; a record of another shape fails
+    _off_by_one_gram(monkeypatch)
+    code = cli.main(["selfcheck", "--seed", "1729"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["mismatches"]
+    jsonschema.validate(report, REPORT_SCHEMAS["selfcheck"])
+    record = report["mismatches"][0]
+    for bad in ({"cell": "x"}, dict(record, cell="x"), dict(record, basis=[0])):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(report, mismatches=[bad]), REPORT_SCHEMAS["selfcheck"])
 
 
 def test_a_fault_at_a_level_never_drawn_fails_the_check(monkeypatch, capsys):

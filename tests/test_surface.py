@@ -34,6 +34,7 @@ from helpers import (
     rand_matrix,
     rand_unimodular,
     random_local_system,
+    reference_walk,
     subquotient,
     subquotient_with_generators,
     table_products,
@@ -97,8 +98,9 @@ class TestLocalSystemValidation:
             LatticeLocalSystem(1, 1, [two, IntMatrix.identity(1)])
 
     def test_construction_runs_no_smith_form(self, monkeypatch):
-        # inverting each generator is the unimodularity check, and the
-        # inversion is a fraction-free elimination, not a Smith form
+        # inverting each handle's product ba is the unimodularity check, the
+        # inversion is a fraction-free elimination, not a Smith form, and the
+        # generators' inverses, built when first read, take products only
         mats = family_system(random.Random("no-snf"), "pair", 3, 3).mon
         calls = []
 
@@ -396,11 +398,120 @@ class TestSingleWalk:
                 assert build_complex(rho).d1 == fox
 
 
+def _handle_products(rho) -> list[IntMatrix]:
+    """ba for each handle (a, b), in handle order."""
+    return [b @ a for a, b in zip(rho.mon[::2], rho.mon[1::2])]
+
+
+class TestHandleWalk:
+    # construction unwinds the relator a handle at a time and inverts only
+    # ba; the reference walks it a letter at a time, inverting each
+    # generator by its Smith form
+
+    @staticmethod
+    def _systems():
+        rng = random.Random("handle-walk")
+        for _ in range(60):
+            yield random_local_system(rng, rng.randint(1, 4), rng.randint(1, 4))
+        for family in ("trivial", "sign", "shear", "pair"):
+            for genus in range(1, 5):
+                for rank in range(1, 5):
+                    yield family_system(rng, family, genus, rank)
+
+    def test_frames_d1_and_inverses_match_the_letter_walk(self):
+        noncommuting = 0
+        for rho in self._systems():
+            frames, inv = reference_walk(rho)
+            eye = IntMatrix.identity(rho.rank)
+            assert list(rho.letter_frames) == frames
+            blocks = [IntMatrix.zeros(rho.rank, rho.rank)] * len(rho.mon)
+            for j, eps, frame in frames:
+                blocks[j] = blocks[j] + frame if eps == 1 else blocks[j] - frame
+            assert build_complex(rho).d1 == hstack(blocks)
+            assert "mon_inv" not in vars(rho)  # built when first read
+            assert rho.mon_inv == tuple(inv)
+            assert all(m_inv @ m == eye for m, m_inv in zip(rho.mon, rho.mon_inv))
+            noncommuting += any(a @ b != b @ a for a, b in zip(rho.mon[::2], rho.mon[1::2]))
+        assert noncommuting >= 5  # random_local_system's [p, q, q, p] handles
+
+    def test_at_most_one_elimination_per_handle(self, monkeypatch):
+        # construction inverts each ba that is not I, and nothing else;
+        # reading the inverses afterwards eliminates nothing
+        inverted, eliminations = [], []
+        gauss_jordan = lattice._gauss_jordan
+
+        def spy(a):
+            inverted.append(a)
+            return inverse_unimodular(a)
+
+        def counting(a):
+            eliminations.append(a)
+            return gauss_jordan(a)
+
+        monkeypatch.setattr(surface, "inverse_unimodular", spy)
+        monkeypatch.setattr(lattice, "_gauss_jordan", counting)
+        for rho in self._systems():
+            eye = IntMatrix.identity(rho.rank)
+            del inverted[:], eliminations[:]
+            built = LatticeLocalSystem(rho.rank, rho.genus, rho.mon)
+            assert inverted == [ba for ba in _handle_products(rho) if ba != eye]
+            assert len(eliminations) == len(inverted) <= rho.genus
+            built.mon_inv
+            assert len(eliminations) == len(inverted)
+
+    def test_a_handle_with_ba_identity_is_not_inverted(self, monkeypatch):
+        # b = a^-1: ab = ba = I, so the first handle's commutator, frames and
+        # inverses are read off its generators, with no product past ab and
+        # ba and no elimination; the second handle (s, s) inverts ss once
+        t = IntMatrix.from_rows([[2, 1], [1, 1]])
+        t_inv = IntMatrix.from_rows([[1, -1], [-1, 2]])
+        s = IntMatrix.from_rows([[1, 1], [0, 1]])
+        counts = TestIdentityTransports._spy(monkeypatch)
+        rho = LatticeLocalSystem(2, 2, [t, t_inv, s, s])
+        assert counts == Counter(products=4, inversions=1)  # ab and ba on each handle
+        assert rho.letter_frames[:4] == ((0, 1, IntMatrix.identity(2)), (1, 1, t), (0, -1, t_inv),
+                                         (1, -1, IntMatrix.identity(2)))
+        before = Counter(counts)
+        assert rho.mon_inv[:2] == (t_inv, t)
+        assert counts - before == Counter(products=2)  # the second handle's two
+        monkeypatch.undo()
+        assert list(rho.letter_frames) == reference_walk(rho)[0]
+
+    @pytest.mark.parametrize("bad", ["a", "b"])
+    @pytest.mark.parametrize("commuting", [True, False], ids=["commuting", "noncommuting"])
+    def test_a_non_unimodular_generator_is_named(self, bad, commuting):
+        # one elimination of ba fails for either factor; det names the first
+        # bad one. The handle follows a good one, so its indices are 2 and 3
+        t = IntMatrix.from_rows([[1, 1], [0, 1]])
+        pairs = {
+            (True, "a"): ([[2, 0], [0, 1]], [[1, 0], [0, -1]]),
+            (True, "b"): ([[1, 1], [0, 1]], [[3, 0], [0, 3]]),
+            (False, "a"): ([[2, 1], [0, 1]], [[1, 0], [1, 1]]),
+            (False, "b"): ([[1, 1], [0, 1]], [[1, 0], [1, 0]]),  # b singular
+        }
+        a, b = (IntMatrix.from_rows(m) for m in pairs[commuting, bad])
+        assert (a @ b == b @ a) == commuting
+        with pytest.raises(NonUnimodular, match=f"^monodromy matrix {2 if bad == 'a' else 3} is"):
+            LatticeLocalSystem(2, 2, [t, t @ t, a, b])
+
+    def test_shapes_are_checked_before_unimodularity(self):
+        # a misshapen matrix 3 is reported before a non-unimodular matrix 0,
+        # since every shape is checked before any product is formed
+        eye = IntMatrix.identity(2)
+        bad = IntMatrix.from_rows([[2, 0], [0, 1]])
+        tall = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+        with pytest.raises(DimensionMismatch, match="^monodromy matrix 3 must be 2x2$"):
+            LatticeLocalSystem(2, 2, [bad, eye, eye, tall])
+        with pytest.raises(NonUnimodular, match="^monodromy matrix 0 is not unimodular$"):
+            LatticeLocalSystem(2, 2, [bad, eye, eye, eye])
+
+
 class TestPresentations:
     @pytest.mark.parametrize("family", ["sign", "pair"])
     def test_only_the_monodromy_is_inverted(self, family, monkeypatch):
         # the quotient generators replay the row log of the Smith form that
-        # made them, inverted, onto the basis they are pushed through
+        # made them, inverted, onto the basis they are pushed through; only
+        # the handle products ba that differ from I are inverted
         mats = family_system(random.Random(f"inv-{family}"), family, 3, 3).mon
         inverted = []
 
@@ -412,7 +523,7 @@ class TestPresentations:
         monkeypatch.setattr(lattice, "inverse_unimodular", spy)
         rho = LatticeLocalSystem(3, 3, mats)
         cohomology_presentations(rho)
-        assert inverted == list(mats)
+        assert inverted == [ba for ba in _handle_products(rho) if ba != IntMatrix.identity(3)]
 
     def test_three_smith_forms_and_none_of_the_kernel_basis(self, monkeypatch):
         # each representative is built by its first reader: h0_basis replays
@@ -500,8 +611,9 @@ def test_fraction_free_rank_matches_both_references():
 
 class TestIdentityTransports:
     # a transport equal to the identity forms no product and inverts nothing,
-    # in the relator walk, omega's Gram walk and the oracle's transport table;
-    # -I is not the identity, so its products are still formed
+    # in the relator walk, the generators' inverses, omega's Gram walk and the
+    # oracle's transport table; -I is not the identity, so its products are
+    # still formed
 
     @staticmethod
     def _spy(monkeypatch) -> Counter:
@@ -522,10 +634,11 @@ class TestIdentityTransports:
 
     @staticmethod
     def _walks(rho, b, counts) -> list[Counter]:
-        """The counts each walk adds: relator walk, Gram walk, transport table."""
+        """The counts each walk adds: relator walk, inverses, Gram walk, transport table."""
         steps = []
         for walk in (
             lambda: LatticeLocalSystem(rho.rank, rho.genus, rho.mon),
+            lambda: rho.mon_inv,  # built when first read, so the table reads it built
             lambda: _pairing_gram(rho, b),
             lambda: cochain._Transports(triangulate(rho.genus), rho),
         ):
@@ -538,7 +651,7 @@ class TestIdentityTransports:
         # the g4 r4 shape of the benchmark's components jobs, end to end
         rho = LatticeLocalSystem.trivial(4, 4)
         counts = self._spy(monkeypatch)
-        assert self._walks(rho, IntMatrix.identity(4), counts) == [Counter()] * 3
+        assert self._walks(rho, IntMatrix.identity(4), counts) == [Counter()] * 4
         spec = cli.JobSpec({
             "task": "global",
             "surface": {"genus": 4, "rank": 4},
@@ -549,22 +662,28 @@ class TestIdentityTransports:
         assert counts["inversions"] == 0
 
     def test_a_sign_system_with_minus_identity_still_forms_products(self, monkeypatch):
-        # generators -I, I, diag(1, -1), -I: the identity costs nothing, the
-        # others as many products as the non-identity transports their words
-        # name, and each non-identity generator is inverted once
+        # generators -I, I, diag(1, -1), -I: the identity costs nothing. The
+        # relator walk inverts each handle's ba (-I, then diag(-1, 1)) and
+        # forms ab and ba on the second handle only; both handles commute and
+        # every prefix is I, so no frame is a product. The inverses of
+        # diag(1, -1) and -I are one product each, (ba)^-1 b and a (ba)^-1;
+        # the Gram walk and the table form as many products as the
+        # non-identity transports their words name
         eye = IntMatrix.identity(2)
         flip = IntMatrix.from_rows([[1, 0], [0, -1]])
         rho = LatticeLocalSystem(2, 2, [-eye, eye, flip, -eye])
         t = triangulate(2)
-        walk = table_products(t, rho)  # the relator is the polygon's boundary word
+        twin = LatticeLocalSystem(2, 2, rho.mon)  # its words read its inverses, not rho's
+        walk = table_products(t, twin)  # the relator is the polygon's boundary word
         frames = sum(
-            moves(t, rho, k if eps == 1 else k + 1) for k, (_, eps) in enumerate(t.side_letter)
+            moves(t, twin, k if eps == 1 else k + 1) for k, (_, eps) in enumerate(t.side_letter)
         )
         counts = self._spy(monkeypatch)
         steps = self._walks(rho, IntMatrix.from_rows([[2, 1], [1, 2]]), counts)
         assert walk > 0 and frames > 0
         assert steps == [
-            Counter(products=walk, inversions=3),
+            Counter(products=2, inversions=2),
+            Counter(products=2),
             Counter(products=frames),
             Counter(products=walk),
         ]
