@@ -18,10 +18,10 @@ omega is computed here by a closed word-combinatorial formula over the
 surface relator, and only here. That formula is bilinear in the two
 cocycles, so it is built once as an integer Gram matrix P against the
 polarization's integer numerators B over its common denominator N (both
-held by the form), in one pass over the letter transports the local system
-stored when it unwound the relator (the same ones give d1). The pass goes
-one handle at a time, so P costs time linear in the genus where it is
-block diagonal by handle. P and W stay {column: entry} rows from the
+held by the form). Each handle's blocks are one closed form in the four
+letter transports the local system stored when it unwound the relator (the
+same ones give d1), so P costs time linear in the genus where it is block
+diagonal by handle. P and W stay {column: entry} rows from the
 relator to the report: :func:`omega_numerators` scatters P's stored
 entries over the supports of the vectors G to give W = G^T P G, and a
 report checks each stored entry of W against its mirror and reduces it
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import BadComponent, DimensionMismatch, NotInvariant
@@ -82,72 +82,72 @@ class LevelInput:
 def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]:
     """Integer P of the closed form: omega(u, v) = u^T P v / N when b = B / N.
 
-    Unwinding the relator turns the cup product against the fundamental
-    class into a sum over letters: each letter value of v pairs under b with
-    the sum of u's earlier letter values, and an inverted letter adds its own
-    value to that sum before it pairs. The running sum is linear in u, kept
-    here as the rows of A^T (2gr x r). A letter of generator j with transport
-    F and exponent eps adds A^T B (eps F) to block column j and (eps F)^T to
-    the rows of block j of A^T.
+    The cup product against the fundamental class is a sum over relator
+    letters, each letter value of v paired under b with the sum of u's
+    earlier ones (an inverted letter adds its own value first). On a handle
+    whose letters have transports X, Y, Z, Q (``rho.letter_frames``), with
+    d1 blocks S_a = X - Z and S_b = Y - Q, that sum closes into
 
-    The relator is walked one handle, a b a^-1 b^-1, at a time. A row of A^T
-    belongs to one generator: it is zero until that generator's first letter,
-    and once its handle's four letters are done it holds its final sum, a
-    column of S_m = sum of eps F over the letters of generator m (block m of
-    d1). So a letter pairs only the 2r rows of its own handle, and each later
-    generator j adds one block, A^T B S_j, to the finished rows. B S_j is
-    the sum of the products B (eps F) of j's letters, so it costs no further
-    product, and the block is skipped when it is zero: on a trivial system,
-    where S_j = 0, and whenever B kills the image of every S_j, as for
-    commuting shears x -> x + l(x) e_0 with b(e_0, -) = 0. P, held as
-    {column: entry} rows, is then block diagonal by handle, and its work and
-    storage grow linearly in the genus. An identity frame forms no product:
-    B (eps I) is B or -B, and -B is formed once per call.
+        P_aa = -S_a^T B Z    P_ab = X^T B Y - S_a^T B Q
+        P_ba = -Y^T B Z      P_bb = -S_b^T B Q,
+
+    and the rows of each generator m of an earlier handle gain S_m^T B S_j
+    in the block of each generator j of this one, except on rows where
+    S_m^T B vanishes or where S_j = 0. With D = -S the column blocks are
+    [D_a^T B; -Y^T B] Z and [D_a^T B; D_b^T B] Q + [X^T B Y; 0]; an identity
+    frame forms no product, so a trivial handle is P_ab = B, P_ba = -B. Each
+    handle's 2r rows are written once, storing no zero.
     """
-    r = rho.rank
-    size = 2 * rho.genus * r
-    p: list[dict[int, int]] = [{} for _ in range(size)]
-    acc_t = [[0] * r for _ in range(size)]
-    eye, signed_b = IntMatrix.identity(r), {1: b, -1: -b}
+    r, w = rho.rank, 2 * rho.rank
+    eye, zero = (((1,) + (0,) * r) * r)[: r * r], [0] * (r * r)  # I: a 1 every r + 1 entries
+    pos, neg = list(b.entries), [-x for x in b.entries]
+    p: list[dict[int, int]] = []
+    done_rows, done_left = [], []  # earlier rows with a nonzero row of D^T B; those rows, stacked
     for h in range(rho.genus):
-        start = 2 * h * r  # rows before it are finished; rows after it are still zero
-        bs: dict[int, IntMatrix] = {}  # B S_j, summed over the letters of j
-        for j, eps, frame in rho.letter_frames[4 * h : 4 * h + 4]:
-            f = frame if eps == 1 else -frame
-            bf = signed_b[eps] if frame == eye else b @ f
-            bs[j] = bs[j] + bf if j in bs else bf
-            if eps == -1:
-                _accumulate(acc_t, j * r, f)
-            _pair_rows(p, acc_t, range(start, start + 2 * r), j * r, bf)
-            if eps == 1:
-                _accumulate(acc_t, j * r, f)
-        for j, m in bs.items():
-            if start and not m.is_zero():
-                _pair_rows(p, acc_t, range(start), j * r, m)
+        x, y, z, q = [frame.entries for _, _, frame in rho.letter_frames[4 * h : 4 * h + 4]]
+        d_a = list(map(sub, z, x)) if z != x else zero
+        d_b = list(map(sub, q, y)) if q != y else zero
+        left_a = zero if d_a is zero else _tmul(d_a, pos, r)  # D_a^T B
+        dq = left_a + (zero if d_b is zero else _tmul(d_b, pos, r))  # D^T B on the 2r rows
+        first = left_a + (neg if y == eye else _tmul(y, neg, r))
+        first = first if z == eye else _mul(first, z, r)
+        xb = pos if x == eye else _tmul(x, pos, r)
+        second = (xb if y == eye else _mul(xb, y, r)) + zero
+        if linked := any(dq):
+            second = list(map(add, second, dq if q == eye else _mul(dq, q, r)))
+        cols = range(h * w, h * w + w)
+        if done_rows and (d_a is not zero or d_b is not zero):
+            off_a, off_b = _mul(done_left, d_a, r), _mul(done_left, d_b, r)
+            for k, row in enumerate(done_rows):
+                vals = off_a[k * r : k * r + r] + off_b[k * r : k * r + r]
+                p[row].update(compress(zip(cols, vals), vals))
+        for i in range(w):
+            vals = first[i * r : i * r + r] + second[i * r : i * r + r]
+            p.append(dict(compress(zip(cols, vals), vals)))
+            if linked and any(lv := dq[i * r : i * r + r]):
+                done_rows.append(len(p) - 1)
+                done_left += lv
     return p
 
 
-def _accumulate(acc_t: list[list[int]], at: int, f: IntMatrix) -> None:
-    """Add the letter's value map (eps F)^T to the rows of its block, from ``at`` on."""
-    for x in range(f.cols):
-        acc_t[at + x] = [s + y for s, y in zip(acc_t[at + x], f.column(x))]
+def _tmul(x: Sequence[int], y: Sequence[int], r: int) -> list[int]:
+    """x^T y for r x r x and y, row-major: a row of y per nonzero entry of x."""
+    out = [0] * (r * r)
+    for k in compress(range(r * r), x):
+        c, i, j = x[k], k % r * r, k - k % r
+        row = y[j : j + r]
+        out[i : i + r] = map(add, out[i : i + r], row if c == 1 else [c * t for t in row])
+    return out
 
 
-def _pair_rows(
-    p: list[dict[int, int]], acc_t: list[list[int]], rows: range, at: int, m: IntMatrix
-) -> None:
-    """Add A^T M to P's block column from ``at`` on, over the nonzero ``rows`` of A^T."""
-    cols = [m.column(c) for c in range(m.cols)]
-    for x in rows:
-        if any(acc_t[x]):
-            _pair_row(p[x], at, acc_t[x], cols)
-
-
-def _pair_row(row: dict[int, int], at: int, acc: list[int], cols: list[tuple[int, ...]]) -> None:
-    """Add acc^T times each column to P's ``row`` from column ``at`` on; a zero adds no key."""
-    for c, col in enumerate(cols, at):
-        if x := sum(map(mul, acc, col)):
-            row[c] = row.get(c, 0) + x
+def _mul(a: Sequence[int], f: Sequence[int], r: int) -> list[int]:
+    """a f for a with r columns and r x r f, row-major: a column of a per nonzero entry of f."""
+    out = [0] * len(a)
+    for k in compress(range(r * r), f):
+        c, j = f[k], k % r
+        col = a[k // r :: r]
+        out[j::r] = map(add, out[j::r], col if c == 1 else [c * t for t in col])
+    return out
 
 
 def omega_numerators(

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from qtorus import (
     BilinearData,
@@ -568,11 +569,12 @@ def components_by_product(pres, free_bound: int = 1) -> list[tuple[int, ...]]:
 def pairing_gram_by_letters(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
     """P of the closed form, one relator letter at a time over every row of A^T.
 
-    The reference for ``gerbe._pairing_gram``, which walks the relator one
-    handle at a time. Each letter of generator j with transport F and
-    exponent eps adds A^T B (eps F) to block column j, over every nonzero row
-    of the running sums A^T, and (eps F)^T to the rows of block j of A^T; an
-    inverted letter adds its value before it pairs, a positive one after.
+    The reference for ``gerbe._pairing_gram``, which closes each handle's
+    four letters into one formula in their transports, block by block. Here
+    each letter of generator j with transport F and exponent eps adds
+    A^T B (eps F) to block column j, over every nonzero row of the running
+    sums A^T, and (eps F)^T to the rows of block j of A^T; an inverted letter
+    adds its value before it pairs, a positive one after.
     """
     r = rho.rank
     size = 2 * rho.genus * r
@@ -607,6 +609,20 @@ def closed(rep, residues) -> tuple[Frac1, ...]:
 def omega_closed(rep) -> tuple[tuple[Frac1, ...], ...]:
     """A report's omega as a matrix of Q/Z values."""
     return tuple(closed(rep, row) for row in rep.omega)
+
+
+def image_order(b: IntMatrix, n: int) -> int:
+    """|B (Z/N)^r|: the distinct residues of B x mod N over every x in (Z/N)^r.
+
+    On a trivial local system omega is the intersection form tensored with
+    B / N, so its Heisenberg group is that of A^(2g) with A = B (Z/N)^r, and
+    the block dimension is |A|^g, the abelian Chern-Simons count. It
+    enumerates all N^r vectors and runs no elimination.
+    """
+    rows = b.row_lists()
+    return len({
+        tuple(sum(map(mul, row, x)) % n for row in rows) for x in product(range(n), repeat=b.cols)
+    })
 
 
 def omega_of(level: LevelInput):
@@ -714,6 +730,25 @@ def cup_per_triangle(a, b, pairing) -> Frac1:
     for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
         total = total + frac1_bilinear(pairing.entries, x, y).scale(tri.sign)
     return total
+
+
+def cup_matrix(cocycles, b: IntMatrix) -> IntMatrix:
+    """The integer W of the simplicial route on every pair: F diag(sign B) K^T.
+
+    Row i of F stacks cocycle i's ``front`` faces over the triangles, row j
+    of K cocycle j's ``back`` faces, and diag(sign B) puts sign(t) B on
+    triangle t's block, so W[i][j] = sum over t of sign(t) front_i^T B back_j,
+    the numerators over N of every cup pair at once. It reads only the
+    checked cocycles' faces and B: no closed form, no elimination.
+    """
+    signs = [tri.sign for tri in cocycles[0].table.t.triangles]
+    rows = b.row_lists()
+    bk = [  # diag(sign B) K^T, one column per cocycle
+        [s * sum(map(mul, row, y)) for s, y in zip(signs, c.back) for row in rows]
+        for c in cocycles
+    ]
+    fronts = [[x for face in c.front for x in face] for c in cocycles]
+    return IntMatrix.from_rows([[sum(map(mul, f, col)) for col in bk] for f in fronts])
 
 
 def transport_word(t, at: int) -> tuple[int, ...]:

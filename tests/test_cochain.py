@@ -31,6 +31,7 @@ from qtorus.selfcheck import _local_system
 
 from helpers import (
     coboundary_per_face,
+    cup_matrix,
     cup_per_triangle,
     densify,
     family_system,
@@ -503,6 +504,25 @@ class TestReportScale:
         # P's blocks between two handles come from _pairing_gram's finished
         # rows; these systems' sampled entries depend on them
         assert {("sign", 32), ("pair", 13)} <= read_off_handle
+
+
+class TestWholeGram:
+    # every entry of W at report scale, not a sample: the closed form's
+    # G^T P G against the simplicial cup of all pairs at once, in integers,
+    # so a fault in any block of P, on or off the handles, or in G shows
+    RANK, DEN = 4, 7
+
+    @pytest.mark.parametrize("family, genus", [("trivial", 16), ("sign", 16), ("shear", 16), ("pair", 13)])
+    def test_every_omega_entry_matches_the_oracle(self, family, genus):
+        r = self.RANK
+        rng = random.Random(f"whole-w-{family}-g{genus}")
+        rho = family_system(rng, family, genus, r)
+        gens = cohomology_presentations(rho).h1.all_gens()
+        c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
+        p = polarize(quad_from_bilinear(BilinearData(c, Frac1(1, self.DEN))))
+        w = densify(omega_numerators(rho, p, gens))
+        assert w.rows == len(gens) >= 2 * (genus - 1) * r and not w.is_zero()
+        assert w == cup_matrix(checked_classes(gens, triangulate(genus), rho), p.numerators)
 
 
 def off_handle_value(gram, width, u, v):

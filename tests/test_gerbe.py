@@ -36,6 +36,7 @@ from helpers import (
     global_json,
     groups_json,
     heisenberg_by_smith,
+    image_order,
     omega_closed,
     omega_of,
     pairing_gram_by_letters,
@@ -365,7 +366,7 @@ class TestGramRoute:
             omega_numerators(rho, pairing, [u, v[:-1]])
 
     def test_gram_matches_the_letter_walk(self):
-        # P walked one handle at a time against the letter-by-letter walk over
+        # P's per-handle closed form against the letter-by-letter walk over
         # every row, for any integer B: invariant levels alone would leave
         # B S_j = 0 on the commuting families, and the term that a later
         # generator adds to finished rows would never run
@@ -401,20 +402,26 @@ class TestGramRoute:
 
     @pytest.mark.parametrize("family", ["trivial", "shear"])
     def test_gram_work_grows_linearly_in_genus(self, monkeypatch, family):
-        # the letters of a handle pair only its own 2r rows, at most 5r row
-        # pairings per handle (r after b, 2r after each inverse); with B S_j = 0
-        # no finished row is paired again. The letter-by-letter walk pairs
-        # every nonzero row at every letter, about 4g^2 r row pairings.
+        # the closed form forms its products (each with an r x r factor) only
+        # on a handle's own frames: none where a frame is the identity, so
+        # none on a trivial system, and with B S_j = 0 no earlier row gains an
+        # off-handle block. A commuting shear handle (X = Q = I) forms -Y^T B,
+        # B Y and D_b^T B when a != I, and D_a^T B and [D_a^T B; -Y^T B] Z
+        # when b != I: at most 5 per handle, where the letter-by-letter walk
+        # pairs every nonzero row at every letter, about 4g^2 r row pairings
         calls = [0]
-        pair_row = gerbe._pair_row
 
-        def counting(*args):
-            calls[0] += 1
-            pair_row(*args)
+        def counting(product):
+            def spy(*args):
+                calls[0] += 1
+                return product(*args)
+            return spy
 
-        monkeypatch.setattr(gerbe, "_pair_row", counting)
+        monkeypatch.setattr(gerbe, "_tmul", counting(gerbe._tmul))
+        monkeypatch.setattr(gerbe, "_mul", counting(gerbe._mul))
         rank = 2
         rng = random.Random(f"gram-work-{family}")
+        eye = IntMatrix.identity(rank)
         for genus in (4, 8, 16):
             if family == "trivial":
                 rho = LatticeLocalSystem.trivial(rank, genus)
@@ -428,9 +435,11 @@ class TestGramRoute:
             calls[0] = 0
             gerbe._pairing_gram(rho, level.pairing.numerators)
             if family == "trivial":
-                assert calls[0] == 2 * rank * genus  # letters b and a^-1 pair r rows each
+                assert calls[0] == 0
             else:
-                assert rank * genus <= calls[0] <= 5 * rank * genus
+                a, b = rho.mon[::2], rho.mon[1::2]
+                expected = sum(3 * (x != eye) + 2 * (y != eye) for x, y in zip(a, b))
+                assert genus <= calls[0] == expected <= 5 * genus
 
     def test_non_invariant_shift_raises(self):
         flip = IntMatrix.from_rows([[1, 0], [0, -1]])
@@ -814,6 +823,42 @@ def free_blocks(draw):
         rows[i][j] if i < f and j < f else draw(residue) for i in range(size) for j in range(size)
     ]
     return n, IntMatrix(size, size, entries), f
+
+
+class TestChernSimonsCount:
+    # on a trivial system block_dim is |A|^g with A = B (Z/N)^r, B / N the
+    # level's polarization: each case is one global report, against a count
+    # of A by enumeration that shares no elimination with the report
+
+    @staticmethod
+    def check(genus, c, zeta):
+        r = len(c)
+        level = LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), LatticeLocalSystem.trivial(r, genus))
+        (block,) = global_json("global", level, components=[(0,) * r])["blocks"]
+        order = image_order(level.pairing.numerators, level.pairing.denominator)
+        assert block["block_dim"] == order**genus, (genus, c, str(zeta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_small_levels(self, data):
+        rank = data.draw(st.integers(1, 3), label="rank")
+        genus = data.draw(st.integers(1, 4), label="genus")
+        den = data.draw(st.integers(1, 8), label="den")
+        zeta = Frac1(data.draw(st.integers(0, den - 1), label="num"), den)
+        entry = st.integers(-4, 4)
+        c = data.draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=rank, max_size=rank), label="c")
+        if data.draw(st.booleans(), label="degenerate"):  # a zero row, or a repeated one
+            c[-1] = [0] * rank if rank == 1 or data.draw(st.booleans()) else list(c[0])
+        self.check(genus, c, zeta)
+
+    @pytest.mark.parametrize("c, zeta", [
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], Frac1(1, 6)),
+        ([[1, 2, 0, 0], [0, 2, 0, 0], [0, 0, 3, 1], [0, 0, 0, 0]], Frac1(5, 6)),
+        ([[2, 1, 0, 3], [1, 0, 2, 0], [0, 2, 4, 1], [3, 0, 1, 2]], Frac1(3, 8)),
+        ([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 7]], Frac1(1, 7)),
+    ])
+    def test_genus_16_rank_4(self, c, zeta):
+        self.check(16, c, zeta)
 
 
 class TestBlockStructure:

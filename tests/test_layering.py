@@ -177,7 +177,7 @@ def test_omega_builds_no_int_matrix():
         node.name: node
         for node in parse("gerbe").body
         if isinstance(node, ast.FunctionDef)
-        and node.name in {"_pairing_gram", "_pair_rows", "_pair_row", "omega_numerators", "_omega"}
+        and node.name in {"_pairing_gram", "_tmul", "_mul", "omega_numerators", "_omega"}
     }
     assert len(funcs) == 5
     for name, func in funcs.items():

@@ -14,7 +14,7 @@ from qtorus import (
     inverse_unimodular,
     smith_normal_form,
 )
-from qtorus import cli, cochain, lattice, surface, triangulate
+from qtorus import cli, cochain, gerbe, lattice, surface, triangulate
 from qtorus.gerbe import _pairing_gram
 from qtorus.lattice import hstack
 from qtorus.surface import _fraction_free_rank
@@ -30,7 +30,6 @@ from helpers import (
     family_system,
     fox_derivative,
     fraction_rank,
-    moves,
     rand_matrix,
     rand_unimodular,
     random_local_system,
@@ -611,12 +610,13 @@ def test_fraction_free_rank_matches_both_references():
 
 class TestIdentityTransports:
     # a transport equal to the identity forms no product and inverts nothing,
-    # in the relator walk, the generators' inverses, omega's Gram walk and the
+    # in the relator walk, the generators' inverses, omega's Gram matrix and the
     # oracle's transport table; -I is not the identity, so its products are
     # still formed
 
     @staticmethod
     def _spy(monkeypatch) -> Counter:
+        # a product is an IntMatrix @ or one of the Gram matrix's flat products
         counts = Counter()
         matmul, gauss_jordan = IntMatrix.__matmul__, lattice._gauss_jordan
 
@@ -628,13 +628,21 @@ class TestIdentityTransports:
             counts["inversions"] += 1
             return gauss_jordan(a)
 
+        def counting(product):
+            def spy(*args):
+                counts["products"] += 1
+                return product(*args)
+            return spy
+
         monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
         monkeypatch.setattr(lattice, "_gauss_jordan", counting_gauss_jordan)
+        monkeypatch.setattr(gerbe, "_tmul", counting(gerbe._tmul))
+        monkeypatch.setattr(gerbe, "_mul", counting(gerbe._mul))
         return counts
 
     @staticmethod
     def _walks(rho, b, counts) -> list[Counter]:
-        """The counts each walk adds: relator walk, inverses, Gram walk, transport table."""
+        """The counts each walk adds: relator walk, inverses, Gram matrix, transport table."""
         steps = []
         for walk in (
             lambda: LatticeLocalSystem(rho.rank, rho.genus, rho.mon),
@@ -666,24 +674,26 @@ class TestIdentityTransports:
         # relator walk inverts each handle's ba (-I, then diag(-1, 1)) and
         # forms ab and ba on the second handle only; both handles commute and
         # every prefix is I, so no frame is a product. The inverses of
-        # diag(1, -1) and -I are one product each, (ba)^-1 b and a (ba)^-1;
-        # the Gram walk and the table form as many products as the
-        # non-identity transports their words name
+        # diag(1, -1) and -I are one product each, (ba)^-1 b and a (ba)^-1.
+        # The Gram matrix's frames are X, Y, Z, Q = I, -I, I, I on the first
+        # handle, which forms D_b^T B, -Y^T B and B Y (D_a = Z - X = 0), and
+        # I, diag(1, -1), -I, I on the second, which forms D_a^T B, D_b^T B,
+        # -Y^T B, [D_a^T B; -Y^T B] Z and B Y, and the off-handle blocks of the
+        # first handle's rows with D_a and with D_b. The table forms as many
+        # products as the non-identity transports its words name
         eye = IntMatrix.identity(2)
         flip = IntMatrix.from_rows([[1, 0], [0, -1]])
         rho = LatticeLocalSystem(2, 2, [-eye, eye, flip, -eye])
+        assert [frame for _, _, frame in rho.letter_frames] == [eye, -eye, eye, eye, eye, flip, -eye, eye]
         t = triangulate(2)
         twin = LatticeLocalSystem(2, 2, rho.mon)  # its words read its inverses, not rho's
         walk = table_products(t, twin)  # the relator is the polygon's boundary word
-        frames = sum(
-            moves(t, twin, k if eps == 1 else k + 1) for k, (_, eps) in enumerate(t.side_letter)
-        )
         counts = self._spy(monkeypatch)
         steps = self._walks(rho, IntMatrix.from_rows([[2, 1], [1, 2]]), counts)
-        assert walk > 0 and frames > 0
+        assert walk > 0
         assert steps == [
             Counter(products=2, inversions=2),
             Counter(products=2),
-            Counter(products=frames),
+            Counter(products=3 + 7),
             Counter(products=walk),
         ]
