@@ -19,10 +19,10 @@ surface relator, and only here. That formula is bilinear in the two
 cocycles, so it is built once as an integer Gram matrix P against the
 polarization's integer numerators B over its common denominator N (both
 held by the form). Each handle's blocks are one closed form in the four
-letter transports the local system stored when it unwound the relator (the
-same ones give d1), so P costs time linear in the genus where it is block
-diagonal by handle. P and W stay {column: entry} rows from the
-relator to the report: :func:`omega_numerators` scatters P's stored
+letter transports and the two d1 blocks of the handle's record, stored when
+the local system unwound the relator, so P costs time linear in the genus
+where it is block diagonal by handle. P and W stay {column: entry} rows
+from the relator to the report: :func:`omega_numerators` scatters P's stored
 entries over the supports of the vectors G to give W = G^T P G, and a
 report checks each stored entry of W against its mirror and reduces it
 once into [0, N), in zero-filled rows that the Heisenberg count and the
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import add, mul, sub
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import BadComponent, DimensionMismatch, NotInvariant
@@ -85,8 +85,8 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]
     The cup product against the fundamental class is a sum over relator
     letters, each letter value of v paired under b with the sum of u's
     earlier ones (an inverted letter adds its own value first). On a handle
-    whose letters have transports X, Y, Z, Q (``rho.letter_frames``), with
-    d1 blocks S_a = X - Z and S_b = Y - Q, that sum closes into
+    whose letters have transports X, Y, Z, Q, with d1 blocks S_a = X - Z and
+    S_b = Y - Q (``rho.handles`` holds all six), that sum closes into
 
         P_aa = -S_a^T B Z    P_ab = X^T B Y - S_a^T B Q
         P_ba = -Y^T B Z      P_bb = -S_b^T B Q,
@@ -95,20 +95,17 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]
     in the block of each generator j of this one, except on rows where
     S_m^T B vanishes or where S_j = 0. With D = -S the column blocks are
     [D_a^T B; -Y^T B] Z and [D_a^T B; D_b^T B] Q + [X^T B Y; 0]; an identity
-    frame forms no product, so a trivial handle is P_ab = B, P_ba = -B. Each
-    handle's 2r rows are written once, storing no zero.
+    transport forms no product, so a trivial handle is P_ab = B, P_ba = -B.
+    Each handle's 2r rows are written once, storing no zero.
     """
     r, w = rho.rank, 2 * rho.rank
     eye, zero = (((1,) + (0,) * r) * r)[: r * r], [0] * (r * r)  # I: a 1 every r + 1 entries
     pos, neg = list(b.entries), [-x for x in b.entries]
     p: list[dict[int, int]] = []
-    done_rows, done_left = [], []  # earlier rows with a nonzero row of D^T B; those rows, stacked
-    for h in range(rho.genus):
-        x, y, z, q = [frame.entries for _, _, frame in rho.letter_frames[4 * h : 4 * h + 4]]
-        d_a = list(map(sub, z, x)) if z != x else zero
-        d_b = list(map(sub, q, y)) if q != y else zero
-        left_a = zero if d_a is zero else _tmul(d_a, pos, r)  # D_a^T B
-        dq = left_a + (zero if d_b is zero else _tmul(d_b, pos, r))  # D^T B on the 2r rows
+    done_rows, done_left = [], []  # earlier rows with a nonzero row of S^T B; those rows, stacked
+    for h, (x, y, z, q, s_a, s_b, _) in enumerate(rho.handles):
+        left_a = _tmul(s_a, neg, r) if any(s_a) else zero  # D_a^T B = S_a^T (-B)
+        dq = left_a + (_tmul(s_b, neg, r) if any(s_b) else zero)  # D^T B on the 2r rows
         first = left_a + (neg if y == eye else _tmul(y, neg, r))
         first = first if z == eye else _mul(first, z, r)
         xb = pos if x == eye else _tmul(x, pos, r)
@@ -116,8 +113,8 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]
         if linked := any(dq):
             second = list(map(add, second, dq if q == eye else _mul(dq, q, r)))
         cols = range(h * w, h * w + w)
-        if done_rows and (d_a is not zero or d_b is not zero):
-            off_a, off_b = _mul(done_left, d_a, r), _mul(done_left, d_b, r)
+        if done_rows and (any(s_a) or any(s_b)):
+            off_a, off_b = _mul(done_left, s_a, r), _mul(done_left, s_b, r)
             for k, row in enumerate(done_rows):
                 vals = off_a[k * r : k * r + r] + off_b[k * r : k * r + r]
                 p[row].update(compress(zip(cols, vals), vals))
@@ -126,7 +123,7 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]
             p.append(dict(compress(zip(cols, vals), vals)))
             if linked and any(lv := dq[i * r : i * r + r]):
                 done_rows.append(len(p) - 1)
-                done_left += lv
+                done_left += [-t for t in lv]  # S^T B
     return p
 
 

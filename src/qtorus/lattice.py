@@ -299,11 +299,11 @@ class FgAbGroup(_Frozen):
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
         if free_rank < 0:
             raise ShapeMismatch("negative free rank")
+        if any(t < 2 for t in torsion):  # before the chain scan, which divides by each entry
+            raise ShapeMismatch("torsion entries must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ShapeMismatch(f"torsion {torsion} is not a divisibility chain")
-        if any(t < 2 for t in torsion):
-            raise ShapeMismatch("torsion entries must be >= 2")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
 

@@ -6,8 +6,8 @@ integer matrices assigned to the generators, subject to the surface relation.
 The cochain complex has one cell in degree 0 and 2 and 2g cells in degree 1;
 its differentials are the stacked (rho(x_j) - I) blocks and the Fox
 derivatives of the relator. A local system unwinds the relator once, a
-handle at a time; its letter transports give the relation check, d1 and
-omega's Gram matrix.
+handle at a time, into one :class:`Handle` record per handle: its four
+letter transports and d1's two blocks, which d1 and omega's Gram matrix read.
 :func:`cohomology_presentations` is the one cohomology route. Its groups
 come from one Smith diagonal per differential and read no transform, so
 none is built. Generator representatives are built when first read, by the
@@ -18,7 +18,7 @@ snf(d1)'s quotient and H^1 its subquotient ker d1 / im d0.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, sub
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -68,6 +68,23 @@ def _times(x: IntMatrix, y: IntMatrix, eye: IntMatrix) -> IntMatrix:
     return y if x == eye else x if y == eye else x @ y
 
 
+class Handle(NamedTuple):
+    """One handle (a, b) of the relator walk; all but ``ba_inv``, (ba)^-1, flat and row-major.
+
+    x, y, z, q transport the letters a, b, a^-1, b^-1: with P the relator
+    prefix before the handle and P' = P[a, b], they are P, Pa, P'b and P'.
+    ``s_a`` = x - z and ``s_b`` = y - q are d1's blocks for a and b.
+    """
+
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    z: tuple[int, ...]
+    q: tuple[int, ...]
+    s_a: tuple[int, ...]
+    s_b: tuple[int, ...]
+    ba_inv: IntMatrix
+
+
 class LatticeLocalSystem:
     """Monodromy data: one unimodular matrix per generator, relation enforced.
 
@@ -78,13 +95,8 @@ class LatticeLocalSystem:
     The commutator [a, b] is the identity, with no product formed, when
     ab == ba, and ab (ba)^-1 otherwise. ``mon_inv`` is built when first read,
     in generator order, from the handle's inverse: a^-1 = (ba)^-1 b and
-    b^-1 = a (ba)^-1.
-
-    ``letter_frames`` holds a (generator index, exponent, transport) triple
-    per relator letter. The transport is the monodromy of the relator prefix
-    ending just before a positive letter, or just after a negative one: on a
-    handle with prefix P they are P, Pa, P'b and P', with P' = P[a, b]. A
-    product with an identity factor is not formed.
+    b^-1 = a (ba)^-1. ``handles`` holds one :class:`Handle` per handle, in
+    relator order; a transport product with an identity factor is not formed.
     """
 
     def __init__(self, rank: int, genus: int, mon: Sequence[IntMatrix]):
@@ -99,8 +111,7 @@ class LatticeLocalSystem:
             if not m.is_square() or m.rows != rank:
                 raise DimensionMismatch(f"monodromy matrix {idx} must be {rank}x{rank}")
         eye = IntMatrix.identity(rank)
-        frames = []
-        handle_inv = []  # (ba)^-1 per handle
+        handles = []
         prefix = eye
         for i in range(genus):
             a, b = mon[2 * i], mon[2 * i + 1]
@@ -110,32 +121,27 @@ class LatticeLocalSystem:
             except NonUnimodular:
                 bad = 2 * i if abs(det(a)) != 1 else 2 * i + 1
                 raise NonUnimodular(f"monodromy matrix {bad} is not unimodular") from None
-            handle_inv.append(ba_inv)
             after = prefix if ab == ba else _times(prefix, ab @ ba_inv, eye)
-            frames += [
-                (2 * i, 1, prefix),
-                (2 * i + 1, 1, _times(prefix, a, eye)),
-                (2 * i, -1, _times(after, b, eye)),
-                (2 * i + 1, -1, after),
-            ]
+            x, y = prefix.entries, _times(prefix, a, eye).entries
+            z, q = _times(after, b, eye).entries, after.entries
+            handles.append(Handle(x, y, z, q, tuple(map(sub, x, z)), tuple(map(sub, y, q)), ba_inv))
             prefix = after
         if prefix != eye:
             raise RelationViolated("monodromy violates the surface relation")
         self.rank = rank
         self.genus = genus
         self.mon = mon
-        self.letter_frames = tuple(frames)
-        self._handle_inv = tuple(handle_inv)
+        self.handles = tuple(handles)
 
     @cached_property
     def mon_inv(self) -> tuple[IntMatrix, ...]:
         """The generators' inverses, in generator order, from each handle's (ba)^-1."""
         eye = IntMatrix.identity(self.rank)
         inv = []
-        for a, b, ba_inv in zip(self.mon[::2], self.mon[1::2], self._handle_inv):
+        for a, b, h in zip(self.mon[::2], self.mon[1::2], self.handles):
             inv += [
-                a if a == eye else _times(ba_inv, b, eye),
-                b if b == eye else _times(a, ba_inv, eye),
+                a if a == eye else _times(h.ba_inv, b, eye),
+                b if b == eye else _times(a, h.ba_inv, eye),
             ]
         return tuple(inv)
 
@@ -180,20 +186,14 @@ class CochainComplexSurface(_Frozen):
 
 
 def build_complex(rho: LatticeLocalSystem) -> CochainComplexSurface:
-    """Both differentials; block j of d1 sums eps * transport over generator j's letters.
-
-    Each block's sum runs on one flat list of r*r integers, and each block
-    becomes one matrix, whatever the number of its letters.
-    """
+    """Both differentials; d1 is each handle's blocks S_a and S_b, side by side."""
     g, r = rho.genus, rho.rank
     eye = IntMatrix.identity(r)
     if g == 0:
         return CochainComplexSurface(0, r, IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0))
     d0 = vstack([m - eye for m in rho.mon])
-    sums = [[0] * (r * r) for _ in rho.mon]
-    for j, eps, frame in rho.letter_frames:
-        sums[j] = list(map(add if eps == 1 else sub, sums[j], frame.entries))
-    return CochainComplexSurface(g, r, d0, hstack([IntMatrix(r, r, s) for s in sums]))
+    d1 = hstack([IntMatrix(r, r, s) for h in rho.handles for s in (h.s_a, h.s_b)])
+    return CochainComplexSurface(g, r, d0, d1)
 
 
 class CohomologyTriple(NamedTuple):

@@ -277,8 +277,8 @@ def fox_derivative(word, gen_index: int, rho: LatticeLocalSystem) -> IntMatrix:
 
     Follows the product rule d(uv) = du + rho(u) dv with d(x^-1) = -rho(x)^-1
     on the generator itself. The reference that ``build_complex``'s d1,
-    summed from ``rho.letter_frames``, is tested against. ``word`` holds
-    signed 1-based generator letters; -k is the inverse of k.
+    stacked from the blocks in ``rho.handles``, is tested against. ``word``
+    holds signed 1-based generator letters; -k is the inverse of k.
     """
     if not 0 <= gen_index < len(rho.mon):
         raise BadGeneratorIndex(f"generator index {gen_index} out of range")
@@ -314,10 +314,10 @@ def smith_form_inverse(a: IntMatrix) -> IntMatrix:
 def reference_walk(rho: LatticeLocalSystem) -> tuple[list, list[IntMatrix]]:
     """(letter frames, generator inverses) from the relator walked one letter at a time.
 
-    The reference ``rho.letter_frames`` and ``rho.mon_inv`` are tested
-    against. Each generator is inverted by :func:`smith_form_inverse`, so no
-    fraction-free elimination runs, and every prefix step is multiplied out,
-    identity factors included.
+    The reference ``rho.handles`` and ``rho.mon_inv`` are tested against,
+    and the letters the per-letter references here walk. Each generator is
+    inverted by :func:`smith_form_inverse`, so no fraction-free elimination
+    runs, and every prefix step is multiplied out, identity factors included.
     """
     inv = [smith_form_inverse(m) for m in rho.mon]
     frames = []
@@ -574,13 +574,14 @@ def pairing_gram_by_letters(rho: LatticeLocalSystem, b: IntMatrix) -> IntMatrix:
     each letter of generator j with transport F and exponent eps adds
     A^T B (eps F) to block column j, over every nonzero row of the running
     sums A^T, and (eps F)^T to the rows of block j of A^T; an inverted letter
-    adds its value before it pairs, a positive one after.
+    adds its value before it pairs, a positive one after. The letters come
+    from :func:`reference_walk`, not from the walk under test.
     """
     r = rho.rank
     size = 2 * rho.genus * r
     p = [[0] * size for _ in range(size)]
     acc_t = [[0] * r for _ in range(size)]
-    for j, eps, frame in rho.letter_frames:
+    for j, eps, frame in reference_walk(rho)[0]:
         f = frame if eps == 1 else -frame
         block = range(j * r, (j + 1) * r)
         if eps == -1:
@@ -675,13 +676,16 @@ def frac1_quadratic(q, gamma) -> Frac1:
 
 
 def pairing_on_cocycles_per_term(pairing, rho, u, v) -> Frac1:
-    """The closed form as a sum of per-letter Frac1 terms, walking both vectors per pair."""
+    """The closed form as a sum of per-letter Frac1 terms, walking both vectors per pair.
+
+    The letters come from :func:`reference_walk`, not from the walk under test.
+    """
     r = rho.rank
     u_blocks = [tuple(u[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
     v_blocks = [tuple(v[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
     total = Frac1(0)
     acc = (0,) * r
-    for j, eps, frame in rho.letter_frames:
+    for j, eps, frame in reference_walk(rho)[0]:
         u_k = tuple(eps * x for x in frame.mul_vec(u_blocks[j]))
         v_k = tuple(eps * x for x in frame.mul_vec(v_blocks[j]))
         total = total + frac1_bilinear(pairing.entries, acc, v_k)
@@ -697,13 +701,14 @@ def letter_walk(rho, u) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
     ``right[k]`` is letter k's value, eps times its transport applied to the
     vector's block; ``left[k]`` is the sum of the earlier letters' values,
     plus letter k's own value when the letter is inverted. The closed form of
-    two vectors is the sum over k of b(left_u[k], right_v[k]).
+    two vectors is the sum over k of b(left_u[k], right_v[k]). The letters
+    come from :func:`reference_walk`, not from the walk under test.
     """
     r = rho.rank
     left = []
     right = []
     acc = (0,) * r
-    for j, eps, frame in rho.letter_frames:
+    for j, eps, frame in reference_walk(rho)[0]:
         u_k = tuple(eps * x for x in frame.mul_vec(u[j * r : (j + 1) * r]))
         after = tuple(a + x for a, x in zip(acc, u_k))
         left.append(after if eps == -1 else acc)

@@ -828,15 +828,21 @@ def free_blocks(draw):
 class TestChernSimonsCount:
     # on a trivial system block_dim is |A|^g with A = B (Z/N)^r, B / N the
     # level's polarization: each case is one global report, against a count
-    # of A by enumeration that shares no elimination with the report
+    # of A by enumeration that shares no elimination with the report. A
+    # diagonal sign system with diagonal c splits into rank-1 systems, whose
+    # count is a closed form in B's diagonal
 
     @staticmethod
-    def check(genus, c, zeta):
-        r = len(c)
-        level = LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), LatticeLocalSystem.trivial(r, genus))
-        (block,) = global_json("global", level, components=[(0,) * r])["blocks"]
-        order = image_order(level.pairing.numerators, level.pairing.denominator)
-        assert block["block_dim"] == order**genus, (genus, c, str(zeta))
+    def report(c, zeta, rho):
+        """(the level's pairing, block_dim of one global report)."""
+        level = LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), rho)
+        (block,) = global_json("global", level, components=[(0,) * rho.rank])["blocks"]
+        return level.pairing, block["block_dim"]
+
+    def check(self, genus, c, zeta):
+        pairing, block_dim = self.report(c, zeta, LatticeLocalSystem.trivial(len(c), genus))
+        order = image_order(pairing.numerators, pairing.denominator)
+        assert block_dim == order**genus, (genus, c, str(zeta))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -859,6 +865,41 @@ class TestChernSimonsCount:
     ])
     def test_genus_16_rank_4(self, c, zeta):
         self.check(16, c, zeta)
+
+    def test_genus_32_rank_4(self):
+        self.check(32, [[2, 1, 0, 3], [1, 0, 2, 0], [0, 2, 4, 1], [3, 0, 1, 2]], Frac1(3, 8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_diagonal_sign_systems(self, data):
+        # coordinate k is the rank-1 system of its signs: its free H^1 has
+        # rank f_k = 2g when every sign is +1 and 2g - 2 otherwise, and
+        # omega there is the intersection form times b_kk / N, so
+        # block_dim = prod_k (N / gcd(N, b_kk))^(f_k / 2)
+        rank = data.draw(st.integers(1, 3), label="rank")
+        genus = data.draw(st.integers(1, 4), label="genus")
+        den = data.draw(st.integers(1, 8), label="den")
+        zeta = Frac1(data.draw(st.integers(0, den - 1), label="num"), den)
+        diag = data.draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank), label="diag")
+        c = [[diag[k] if k == i else 0 for k in range(rank)] for i in range(rank)]
+        sign = st.sampled_from([1, -1])
+        signs = [  # signs[k][j]: the sign of generator j on coordinate k
+            [1] * (2 * genus) if data.draw(st.booleans(), label=f"plus {k}")
+            else data.draw(st.lists(sign, min_size=2 * genus, max_size=2 * genus), label=f"signs {k}")
+            for k in range(rank)
+        ]
+        mon = [
+            IntMatrix.from_rows([[signs[k][j] if k == i else 0 for k in range(rank)] for i in range(rank)])
+            for j in range(2 * genus)
+        ]
+        pairing, block_dim = self.report(c, zeta, LatticeLocalSystem(rank, genus, mon))
+        b, n = pairing.numerators, pairing.denominator
+        assert not any(b.entry(i, k) for i in range(rank) for k in range(rank) if i != k)
+        want = 1
+        for k in range(rank):
+            f_k = 2 * genus if set(signs[k]) == {1} else 2 * genus - 2
+            want *= (n // math.gcd(n, b.entry(k, k))) ** (f_k // 2)
+        assert block_dim == want, (genus, diag, signs, str(zeta))
 
 
 class TestBlockStructure:

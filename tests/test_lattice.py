@@ -432,10 +432,13 @@ def test_stacking():
 
 
 def test_fgabgroup_validation_and_order():
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeMismatch):
         FgAbGroup(0, (4, 2))  # not a divisibility chain
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeMismatch):
         FgAbGroup(0, (1,))  # trivial divisor not allowed
+    for zero in ((0, 2), (0, 0)):  # a zero entry is refused before anything divides by it
+        with pytest.raises(ShapeMismatch, match=">= 2"):
+            FgAbGroup(0, zero)
     g = FgAbGroup(1, (2, 6))
     assert g.order() is None
     assert FgAbGroup(0, (2, 6)).order() == 12

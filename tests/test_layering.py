@@ -39,7 +39,7 @@ def test_cochain_oracle_avoids_optimized_paths():
     modules = {m.rpartition(".")[2] for m in imported_modules(tree)}
     assert not modules & {"gerbe", "lattice"}
     forbidden = {
-        "letter_frames",
+        "handles",
         "build_complex",
         "fox_derivative",
         "cohomology_presentations",

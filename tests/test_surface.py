@@ -402,6 +402,23 @@ def _handle_products(rho) -> list[IntMatrix]:
     return [b @ a for a, b in zip(rho.mon[::2], rho.mon[1::2])]
 
 
+def _records(frames, rank) -> tuple[list[tuple], list[IntMatrix]]:
+    """A letter walk grouped by handle: (X, Y, Z, Q, S_a, S_b) flat per handle, and d1's blocks.
+
+    Each generator's block sums eps * transport over its letters, so S_a and
+    S_b come from the letters, not from the closed form X - Z and Y - Q.
+    """
+    blocks = [IntMatrix.zeros(rank, rank)] * (len(frames) // 2)
+    for j, eps, frame in frames:
+        blocks[j] = blocks[j] + frame if eps == 1 else blocks[j] - frame
+    records = [
+        tuple(frame.entries for _, _, frame in frames[4 * h : 4 * h + 4])
+        + (blocks[2 * h].entries, blocks[2 * h + 1].entries)
+        for h in range(len(frames) // 4)
+    ]
+    return records, blocks
+
+
 class TestHandleWalk:
     # construction unwinds the relator a handle at a time and inverts only
     # ba; the reference walks it a letter at a time, inverting each
@@ -422,10 +439,9 @@ class TestHandleWalk:
         for rho in self._systems():
             frames, inv = reference_walk(rho)
             eye = IntMatrix.identity(rho.rank)
-            assert list(rho.letter_frames) == frames
-            blocks = [IntMatrix.zeros(rho.rank, rho.rank)] * len(rho.mon)
-            for j, eps, frame in frames:
-                blocks[j] = blocks[j] + frame if eps == 1 else blocks[j] - frame
+            records, blocks = _records(frames, rho.rank)
+            assert [h[:6] for h in rho.handles] == records
+            assert [h.ba_inv for h in rho.handles] == [a @ b for a, b in zip(inv[::2], inv[1::2])]
             assert build_complex(rho).d1 == hstack(blocks)
             assert "mon_inv" not in vars(rho)  # built when first read
             assert rho.mon_inv == tuple(inv)
@@ -459,7 +475,7 @@ class TestHandleWalk:
             assert len(eliminations) == len(inverted)
 
     def test_a_handle_with_ba_identity_is_not_inverted(self, monkeypatch):
-        # b = a^-1: ab = ba = I, so the first handle's commutator, frames and
+        # b = a^-1: ab = ba = I, so the first handle's commutator, transports and
         # inverses are read off its generators, with no product past ab and
         # ba and no elimination; the second handle (s, s) inverts ss once
         t = IntMatrix.from_rows([[2, 1], [1, 1]])
@@ -468,13 +484,14 @@ class TestHandleWalk:
         counts = TestIdentityTransports._spy(monkeypatch)
         rho = LatticeLocalSystem(2, 2, [t, t_inv, s, s])
         assert counts == Counter(products=4, inversions=1)  # ab and ba on each handle
-        assert rho.letter_frames[:4] == ((0, 1, IntMatrix.identity(2)), (1, 1, t), (0, -1, t_inv),
-                                         (1, -1, IntMatrix.identity(2)))
+        eye = IntMatrix.identity(2)
+        assert rho.handles[0] == (eye.entries, t.entries, t_inv.entries, eye.entries,
+                                  (eye - t_inv).entries, (t - eye).entries, eye)
         before = Counter(counts)
         assert rho.mon_inv[:2] == (t_inv, t)
         assert counts - before == Counter(products=2)  # the second handle's two
         monkeypatch.undo()
-        assert list(rho.letter_frames) == reference_walk(rho)[0]
+        assert [h[:6] for h in rho.handles] == _records(reference_walk(rho)[0], 2)[0]
 
     @pytest.mark.parametrize("bad", ["a", "b"])
     @pytest.mark.parametrize("commuting", [True, False], ids=["commuting", "noncommuting"])
@@ -675,16 +692,18 @@ class TestIdentityTransports:
         # forms ab and ba on the second handle only; both handles commute and
         # every prefix is I, so no frame is a product. The inverses of
         # diag(1, -1) and -I are one product each, (ba)^-1 b and a (ba)^-1.
-        # The Gram matrix's frames are X, Y, Z, Q = I, -I, I, I on the first
-        # handle, which forms D_b^T B, -Y^T B and B Y (D_a = Z - X = 0), and
+        # The Gram matrix's transports are X, Y, Z, Q = I, -I, I, I on the first
+        # handle, which forms D_b^T B, -Y^T B and B Y (D_a = -S_a = 0), and
         # I, diag(1, -1), -I, I on the second, which forms D_a^T B, D_b^T B,
         # -Y^T B, [D_a^T B; -Y^T B] Z and B Y, and the off-handle blocks of the
-        # first handle's rows with D_a and with D_b. The table forms as many
+        # first handle's rows with S_a and with S_b. The table forms as many
         # products as the non-identity transports its words name
         eye = IntMatrix.identity(2)
         flip = IntMatrix.from_rows([[1, 0], [0, -1]])
         rho = LatticeLocalSystem(2, 2, [-eye, eye, flip, -eye])
-        assert [frame for _, _, frame in rho.letter_frames] == [eye, -eye, eye, eye, eye, flip, -eye, eye]
+        transports = [eye, -eye, eye, eye, eye, flip, -eye, eye]
+        assert [f for h in rho.handles for f in h[:4]] == [m.entries for m in transports]
+        assert not any(rho.handles[0].s_a)
         t = triangulate(2)
         twin = LatticeLocalSystem(2, 2, rho.mon)  # its words read its inverses, not rho's
         walk = table_products(t, twin)  # the relator is the polygon's boundary word
