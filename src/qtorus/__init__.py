@@ -23,15 +23,8 @@ from .braided import (
 from .cochain import (
     Cocycle,
     TriangulatedSurface,
-    TwistedCochain,
     checked_classes,
-    class_of,
-    coboundary,
-    cocycle_check,
-    cup_evaluate,
     cup_tensor,
-    holonomies,
-    pair_cup,
     triangulate,
 )
 from .errors import InvariantViolation, QtorusError
@@ -99,17 +92,12 @@ __all__ = [
     "SurfaceGroup",
     "SymmetricForm",
     "TriangulatedSurface",
-    "TwistedCochain",
     "balancing_check",
     "block_report",
     "braiding_phase",
     "build_complex",
     "checked_classes",
-    "class_of",
-    "coboundary",
-    "cocycle_check",
     "cohomology_presentations",
-    "cup_evaluate",
     "cup_tensor",
     "det",
     "double_braiding",
@@ -117,12 +105,10 @@ __all__ = [
     "evaluate",
     "fuse",
     "hexagon_check",
-    "holonomies",
     "invariance_check",
     "invariants_coinvariants_check",
     "inverse_unimodular",
     "is_linear",
-    "pair_cup",
     "perturb_refinement",
     "polarize",
     "quad_from_bilinear",

@@ -68,10 +68,6 @@ class UnsupportedGenus(QtorusError):
     code = "unsupported_genus"
 
 
-class NotACocycle(QtorusError):
-    code = "not_a_cocycle"
-
-
 class NotInKernel(QtorusError):
     code = "not_in_kernel"
 

@@ -315,15 +315,6 @@ class FgAbGroup(_Frozen):
     def __hash__(self) -> int:
         return hash((self.free_rank, self.torsion))
 
-    def order(self) -> int | None:
-        """Group order, None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
-
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 

@@ -18,7 +18,6 @@ from qtorus import (
     QuadraticForm,
     SurfaceGroup,
     SymmetricForm,
-    TwistedCochain,
     block_report,
     invariance_check,
     inverse_unimodular,
@@ -41,7 +40,6 @@ _VALUE_FIELDS = {
     SymmetricForm: ("rank", "entries"),
     BraidedData: ("quad", "beta"),
     GradedObject: ("rank", "support"),
-    TwistedCochain: ("degree", "rank", "values"),
 }
 
 
@@ -347,6 +345,22 @@ def heisenberg_by_smith(n: int, w: IntMatrix, free_count: int) -> tuple[int, int
     a = IntMatrix(f, f, [w.entry(i, j) % n for i in range(f) for j in range(f)])
     diag = smith_normal_form(a).diagonal()
     return f - sum(1 for d in diag if d), math.prod(n // math.gcd(n, d) for d in diag)
+
+
+def full_block_dim(report) -> int:
+    """The Heisenberg block dimension of a report's omega on all of H^1.
+
+    The square root of the order :func:`heisenberg_by_smith` gives over
+    every row and column of omega, torsion generators included, not only
+    over its free block as v1's ``block_dim`` is. Raises when that order is
+    not a square.
+    """
+    w = report.omega
+    order = heisenberg_by_smith(report.denominator, IntMatrix.from_rows(w, len(w)), len(w))[1]
+    root = math.isqrt(order)
+    if root * root != order:
+        raise ValueError(f"omega's order {order} on all of H^1 is not a square")
+    return root
 
 
 def random_local_system(rng: random.Random, genus: int, rank: int) -> LatticeLocalSystem:
@@ -723,20 +737,6 @@ def pairing_on_walks(pairing, u_walk, v_walk) -> Frac1:
     return Frac1(total, pairing.denominator)
 
 
-def cup_per_triangle(a, b, pairing) -> Frac1:
-    """The cup of two checked cocycles, paired triangle by triangle.
-
-    The sum over triangles of sign * b(front_a, back_b), each term one
-    :func:`frac1_bilinear`. ``cochain.pair_cup`` of ``cochain.cup_tensor``,
-    which pairs the integer cup in Lambda (x) Lambda once, is tested
-    against it.
-    """
-    total = Frac1(0)
-    for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
-        total = total + frac1_bilinear(pairing.entries, x, y).scale(tri.sign)
-    return total
-
-
 def cup_matrix(cocycles, b: IntMatrix) -> IntMatrix:
     """The integer W of the simplicial route on every pair: F diag(sign B) K^T.
 
@@ -778,22 +778,44 @@ def table_products(t, rho) -> int:
     )
 
 
-def coboundary_per_face(c, t, rho) -> dict:
-    """The twisted coboundary of a 1-cochain, one face at a time, from words.
+def coboundary_per_face(values, t, rho) -> list[tuple[int, ...]]:
+    """The twisted coboundary of a 1-cochain's edge values, one face at a time, from words.
 
-    The reference for ``cochain.coboundary`` in degree 1. Each face's value
-    is carried to the chart by ``rho.word_matrix`` of the word its transport
-    index names, built afresh for that face: the first k polygon sides for
-    index k <= 4g, or generator j alone for index 4g + 1 + j. No transport
-    table, no shortcut at the empty prefix and no pass shared with the cup.
-    Returns {("tri", k): value}.
+    The reference for the cocycle check's one pass, ``cochain._chart_faces``
+    and ``_alternating_sums``. Each face's value is carried to the chart by
+    ``rho.word_matrix`` of the word its transport index names, built afresh
+    for that face: the first k polygon sides for index k <= 4g, or
+    generator j alone for index 4g + 1 + j. No transport table, no shortcut
+    at the empty prefix and no pass shared with the cup. Returns one value
+    per triangle.
     """
-    out = {}
-    for k, tri in enumerate(t.triangles):
+    out = []
+    for tri in t.triangles:
         total = [0] * rho.rank
         for slot, face in enumerate(tri.faces):
-            moved = rho.word_matrix(transport_word(t, face.at)).mul_vec(c.value(face.cell))
+            moved = rho.word_matrix(transport_word(t, face.at)).mul_vec(values[face.cell])
             sign = -1 if slot == 1 else 1
             total = [x + sign * y for x, y in zip(total, moved)]
-        out[("tri", k)] = tuple(total)
+        out.append(tuple(total))
     return out
+
+
+def vertex_coboundary(cone, base, t, rho) -> dict:
+    """The twisted coboundary of the 0-cochain with values ``cone`` and ``base``, from words.
+
+    Radial edge k runs from the cone point, in the chart, to the boundary
+    vertex at polygon corner k, reached through the first k sides; loop j
+    runs from the boundary vertex at corner 0 to its copy across generator
+    j. Each edge's value is its head's value carried to the chart by
+    ``rho.word_matrix`` of that word, minus its tail's. Returns one value
+    per edge, so a cocycle plus it is a cohomologous cocycle.
+    """
+    n = t.num_sides
+    ends = {("rad", k): (cone, k) for k in range(n)}
+    ends.update({("gen", j): (base, n + 1 + j) for j in range(2 * t.genus)})
+    return {
+        cell: tuple(
+            h - x for h, x in zip(rho.word_matrix(transport_word(t, at)).mul_vec(base), tail)
+        )
+        for cell, (tail, at) in ends.items()
+    }

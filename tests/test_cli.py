@@ -920,13 +920,13 @@ class TestValueClasses:
         return [
             pres.triple.h1, pres.snf0, pres.h1, SurfaceGroup(1), pres.complex, pres, level, quad,
             polarize(quad), standard_refinement(quad), GradedObject(2, {(0, 1): 1}),
-            report.blocks[0], report, cocycle.cochain, cocycle, t.triangles[0],
+            report.blocks[0], report, cocycle, t.triangles[0],
             t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
         ]
 
     def test_instances_refuse_assignment(self):
         objects = self.instances()
-        assert len({type(obj) for obj in objects}) == 18
+        assert len({type(obj) for obj in objects}) == 17
         for obj in objects:
             cls = type(obj)
             names = getattr(cls, "_fields", None) or [n for n in cls.__slots__ if n != "__dict__"]
@@ -943,7 +943,7 @@ class TestValueClasses:
         from qtorus.lattice import IntMatrix
 
         slotted = [obj for obj in objects if not hasattr(obj, "_fields")]
-        assert len(slotted) == 12
+        assert len(slotted) == 11
         for obj in [*slotted, IntMatrix.identity(1), Frac1(1, 2)]:
             assert isinstance(obj, _Frozen)
             with pytest.raises(AttributeError) as refused:
@@ -951,13 +951,13 @@ class TestValueClasses:
             assert str(refused.value) == f"{type(obj).__name__} is immutable"
 
     def test_held_dicts_refuse_item_assignment(self):
-        # a checked cocycle's cochain values and a graded object's support are
+        # a checked cocycle's values and a graded object's support are
         # read-only views: an edit can neither undo the cocycle check nor store
         # a multiplicity the constructor refuses
         from qtorus import Cocycle, GradedObject
 
         objects = {type(obj): obj for obj in self.instances()}
-        values = objects[Cocycle].cochain.values
+        values = objects[Cocycle].values
         cell, before = next(iter(values.items()))
         with pytest.raises(TypeError):
             values[cell] = (99, 99)

@@ -28,6 +28,7 @@ from qtorus.lattice import inverse_unimodular, smith_normal_form
 from helpers import (
     closed,
     components_by_product,
+    cup_matrix,
     dense_omega_numerators,
     densify,
     family_system,
@@ -170,22 +171,18 @@ class TestPairingOnCocycles:
                 assert closed_form(p, rho, u, v) == ZERO
 
     def test_matches_simplicial_route(self):
-        from qtorus import class_of, cup_evaluate, triangulate
+        # W against the simplicial cup of every pair, exactly over Z
+        from qtorus import checked_classes, triangulate
 
         rng = random.Random(41)
         for _ in range(12):
             g, r = rng.randint(1, 2), rng.randint(1, 2)
             rho = random_local_system(rng, g, r)
             level = LevelInput(random_invariant_level(rng, rho), rho)
-            t = triangulate(g)
             gens = cohomology_presentations(rho).h1.all_gens()
             w = densify(omega_numerators(rho, level.pairing, gens))
-            for i, u in enumerate(gens):
-                for j, v in enumerate(gens):
-                    slow = cup_evaluate(
-                        class_of(u, t, rho), class_of(v, t, rho), level.pairing, t, rho
-                    )
-                    assert Frac1(w.entry(i, j), level.pairing.denominator) == slow
+            cocycles = checked_classes(gens, triangulate(g), rho)
+            assert w == cup_matrix(cocycles, level.pairing.numerators)
 
 
 def family_level(rng, family, genus, rank):

@@ -36,7 +36,13 @@ from qtorus import (
     smith_normal_form,
 )
 
-from helpers import family_system, rand_unimodular, random_invariant_level, random_local_system
+from helpers import (
+    family_system,
+    full_block_dim,
+    rand_unimodular,
+    random_invariant_level,
+    random_local_system,
+)
 
 
 def handle_slide(rho: LatticeLocalSystem, handle: int, on_b: bool) -> LatticeLocalSystem:
@@ -121,3 +127,20 @@ def test_moves_keep_the_invariants(move):
         seen["blocks"] += free is not None and free[0] > 1
     # the moves must meet torsion in H^1, omega on it and nontrivial blocks
     assert seen["torsion"] >= 20 and seen["torsion_pairs"] >= 5 and seen["blocks"] >= 20, seen
+
+
+def test_full_block_dim_reads_the_torsion_rows():
+    # omega on all of H^1, torsion generators included, has a square order
+    # on every level (full_block_dim raises otherwise); it is v1's block_dim
+    # where omega pairs no torsion, and differs from it on some level where
+    # it does, so the torsion rows are read
+    differs = 0
+    for level, _ in cases():
+        report = block_report(level, components=[])
+        dim = full_block_dim(report)
+        f = len(report.presentations.h1.free_gens)
+        if any(map(any, report.omega[f:])):
+            differs += dim != report.block_dim
+        else:
+            assert dim == report.block_dim
+    assert differs >= 1

@@ -440,8 +440,6 @@ def test_fgabgroup_validation_and_order():
         with pytest.raises(ShapeMismatch, match=">= 2"):
             FgAbGroup(0, zero)
     g = FgAbGroup(1, (2, 6))
-    assert g.order() is None
-    assert FgAbGroup(0, (2, 6)).order() == 12
     assert g.to_json() == {"free_rank": 1, "torsion": [2, 6]}
 
 

@@ -37,7 +37,7 @@ def imported_modules(tree):
 def test_cochain_oracle_avoids_optimized_paths():
     tree = parse("cochain")
     modules = {m.rpartition(".")[2] for m in imported_modules(tree)}
-    assert not modules & {"gerbe", "lattice"}
+    assert not modules & {"gerbe", "lattice", "forms"}
     forbidden = {
         "handles",
         "build_complex",
@@ -337,34 +337,15 @@ def test_one_cohomology_object_per_local_system():
     ]
 
 
-def integer_fields_of_forms():
-    """Names of the fields the forms derive at construction.
-
-    These are the attributes ``__init__`` sets, by ``object.__setattr__(self,
-    name, ...)``, that are not among its parameters.
-    """
-    out = set()
-    for cls in parse("forms").body:
-        if not (isinstance(cls, ast.ClassDef) and cls.name in {"SymmetricForm", "QuadraticForm"}):
-            continue
-        (init,) = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
-        for node in ast.walk(init):
-            if (
-                isinstance(node, ast.Call)
-                and "__setattr__" in names_in(node.func)
-                and isinstance(node.args[1], ast.Constant)
-            ):
-                out.add(node.args[1].value)
-        out -= {arg.arg for arg in init.args.args}
-    return out
-
-
-def test_cochain_oracle_evaluates_pairings_itself():
-    # the cup product sums the pairing's Frac1 entries with its own code: it
-    # calls none of the forms' evaluators and reads none of their integer fields
-    fields = integer_fields_of_forms()
-    assert {"denominator", "numerators"} <= fields
-    assert not names_in(parse("cochain")) & ({"evaluate", "numerator", "_bilinear_sum"} | fields)
+def test_cochain_oracle_exposes_only_what_selfcheck_calls():
+    # the oracle keeps the one route selfcheck runs: every public function of
+    # cochain is named in selfcheck, so no per-pair entry point grows back
+    public = {
+        node.name
+        for node in parse("cochain").body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public and public <= names_in(parse("selfcheck"))
 
 
 def test_reports_have_one_json_path():
