@@ -60,7 +60,6 @@ from .surface import (
     CochainComplexSurface,
     CohomologyTriple,
     LatticeLocalSystem,
-    SurfaceGroup,
     build_complex,
     cohomology_presentations,
     invariants_coinvariants_check,
@@ -89,7 +88,6 @@ __all__ = [
     "REPORT_SCHEMAS",
     "SelfCheckResult",
     "SnfResult",
-    "SurfaceGroup",
     "SymmetricForm",
     "TriangulatedSurface",
     "balancing_check",

@@ -40,9 +40,6 @@ class GradedObject(_Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "support", MappingProxyType(clean))
 
-    def items(self):
-        return sorted(self.support.items())
-
 
 def fuse(v: GradedObject, w: GradedObject) -> GradedObject:
     """Tensor product on supports: convolution of multiplicity functions."""

@@ -19,15 +19,17 @@ genus 1 with trivial coefficients the a-loop cup b-loop evaluates to +1.
 The oracle has one route. :func:`checked_classes` builds one transport
 table for its (triangulation, local system): a list of 6g + 1 matrices,
 the 4g + 1 boundary prefixes, each the previous one times a letter, then
-the 2g generators. Each face holds the index of its transport; an identity
-factor or transport costs no product, and a value at an identity transport
-is read as it is. Each H^1 vector becomes the 1-cochain with that holonomy
-on the generator loops, its radial values forced triangle by triangle
-around the polygon, and is checked once, in one pass: each triangle's
-three face values are carried to the chart once, the coboundary test reads
-their alternating sum, and the resulting :class:`Cocycle` keeps the front
-and back faces from the same values. At genus g the radial walk and the
-check each cost at most 4g - 1 matrix-vector products.
+the 2g generators, each letter's matrix read by index off the local
+system's ``mon`` or ``mon_inv``. Each face holds the index of its
+transport; an identity factor or transport costs no product, and a value at
+an identity transport is read as it is. Each H^1 vector becomes the
+1-cochain with that holonomy on the generator loops, its radial values
+forced triangle by triangle around the polygon, and is checked once, in one
+pass: each triangle's three face values are carried to the chart once, the
+coboundary test reads their alternating sum, and the resulting
+:class:`Cocycle` keeps the front and back faces from the same values. At
+genus g the radial walk and the check each cost at most 4g - 1
+matrix-vector products.
 
 :func:`cup_tensor` sums the integer r x r cup of two checked cocycles in
 Lambda (x) Lambda over the triangles. No level enters: the caller pairs the
@@ -164,21 +166,23 @@ class _Transports:
     A list addressed by the faces' indices, None for the identity. Index
     k <= 4g is the boundary prefix of k sides, index k - 1 times the letter
     on side k - 1, a product unless one factor is the identity; index
-    4g + 1 + j is generator j, ``rho.mon[j]``.
+    4g + 1 + j is generator j, ``rho.mon[j]``; a letter x_j^-1 reads
+    ``rho.mon_inv[j]``. A matrix is the identity when its entries are I's.
     """
 
     def __init__(self, t: TriangulatedSurface, rho: LatticeLocalSystem):
         if rho.genus != t.genus:
             raise ShapeMismatch(f"local system genus {rho.genus} != triangulation genus {t.genus}")
         self.t = t
-        self.rank = rho.rank
-        eye = rho.word_matrix(())
+        r = self.rank = rho.rank
+        eye = (((1,) + (0,) * r) * r)[: r * r]  # I's entries: a 1 every r + 1 places
         self._matrices = [None]
         for j, eps in t.side_letter:
-            prefix, step = self._matrices[-1], rho.matrix(eps * (j + 1))
-            prefix = step if prefix is None else prefix if step == eye else prefix @ step
-            self._matrices.append(None if prefix == eye else prefix)
-        self._matrices += [None if m == eye else m for m in rho.mon]
+            prefix, step = self._matrices[-1], (rho.mon if eps == 1 else rho.mon_inv)[j]
+            if step.entries != eye:
+                prefix = step if prefix is None else prefix @ step
+            self._matrices.append(None if prefix is None or prefix.entries == eye else prefix)
+        self._matrices += [None if m.entries == eye else m for m in rho.mon]
 
     def move(self, at: int, value: tuple[int, ...]) -> tuple[int, ...]:
         """``value`` carried from the position with transport index ``at`` back to the chart.

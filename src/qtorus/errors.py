@@ -60,10 +60,6 @@ class RelationViolated(QtorusError):
     code = "relation_violated"
 
 
-class BadGeneratorIndex(QtorusError):
-    code = "bad_generator_index"
-
-
 class UnsupportedGenus(QtorusError):
     code = "unsupported_genus"
 

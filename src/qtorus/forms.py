@@ -183,17 +183,10 @@ class QuadraticForm(_Frozen):
         object.__setattr__(self, "denominator", n)
         object.__setattr__(self, "numerators", IntMatrix(r, r, u))
 
-    def _off_index(self, i: int, j: int) -> int:
-        # i < j assumed; row-major position in the strict upper triangle
-        return i * (2 * self.rank - i - 3) // 2 + j - 1
-
     def b_basis(self, i: int, j: int) -> Frac1:
-        """Polarization value on a pair of basis vectors."""
-        if i == j:
-            return self.diag[i].scale(2)
-        if i > j:
-            i, j = j, i
-        return self.offdiag[self._off_index(i, j)]
+        """Polarization value on a pair of basis vectors: (U + U^T)[i][j] / N."""
+        u, r = self.numerators.entries, self.rank
+        return Frac1(u[i * r + j] + u[j * r + i], self.denominator)
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         if self.rank != other.rank:
@@ -228,14 +221,11 @@ class SymmetricForm(_Frozen):
         object.__setattr__(self, "numerators", IntMatrix(rank, rank, nums))
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Frac1:
-        return Frac1(self.numerator(x, y), self.denominator)
-
-    def numerator(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """x^T B y: the value b(x, y) times the denominator, not reduced."""
+        """b(x, y) = x^T B y / N, summed in integers and reduced once."""
         r = self.rank
         if len(x) != r or len(y) != r:
             raise DimensionMismatch(f"vectors must have length {r}")
-        return _bilinear_sum(self.numerators.entries, x, y)
+        return Frac1(_bilinear_sum(self.numerators.entries, x, y), self.denominator)
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)

@@ -148,19 +148,19 @@ def _mul(a: Sequence[int], f: Sequence[int], r: int) -> list[int]:
 
 
 def omega_numerators(
-    rho: LatticeLocalSystem, pairing: SymmetricForm, gens: Sequence[Sequence[int]]
+    rho: LatticeLocalSystem, numerators: IntMatrix, gens: Sequence[Sequence[int]]
 ) -> list[dict[int, int]]:
     """W = G^T P G: omega(g_i, g_j) = W[i].get(j, 0) / N on the vectors ``gens``.
 
-    Each vector lists one lattice vector per generator loop (concatenated).
-    W comes as {generator: entry} rows, like P, built from the pairing's
-    numerators B over their denominator N, and is not checked or reduced mod
-    N. The product is Gustavson's: one pass over ``gens`` lists each
-    coordinate's support as (generator, value) pairs. For each coordinate i
-    that a generator touches, each stored x = P[i][k] scatters x times the
-    support of k into one row of P G, which row a of W takes y times for
-    each (a, y) in the support of i. So the work and the storage follow the
-    nonzero entries of P and G, and no dense row is formed.
+    ``numerators`` is the integer B of a pairing b = B / N; N never enters,
+    so W is linear in B. Each vector lists one lattice vector per generator
+    loop (concatenated). W comes as {generator: entry} rows, like P, and is
+    not checked or reduced mod N. The product is Gustavson's: one pass over
+    ``gens`` lists each coordinate's support as (generator, value) pairs.
+    For each coordinate i that a generator touches, each stored x = P[i][k]
+    scatters x times the support of k into one row of P G, which row a of W
+    takes y times for each (a, y) in the support of i. So the work and the
+    storage follow the nonzero entries of P and G, and no dense row is formed.
     """
     size = 2 * rho.genus * rho.rank
     coords = range(size)  # compress(coords, v) lists the indices of v's nonzero entries
@@ -170,7 +170,7 @@ def omega_numerators(
             raise ShapeMismatch(f"vector of length {len(gen)} for {size} coordinates")
         for i in compress(coords, gen):
             support[i].append((b, gen[i]))
-    p = _pairing_gram(rho, pairing.numerators)
+    p = _pairing_gram(rho, numerators)
     w: list[dict[int, int]] = [{} for _ in gens]
     for i, left in enumerate(support):
         if left:
@@ -197,7 +197,7 @@ def _omega(
     presentation disagree, which is an internal error, never a user one.
     """
     n = pairing.denominator
-    w = omega_numerators(rho, pairing, pres.h1.all_gens())
+    w = omega_numerators(rho, pairing.numerators, pres.h1.all_gens())
     free = len(pres.h1.free_gens)
     rows = [[0] * len(w) for _ in w]
     for i, row in enumerate(w):

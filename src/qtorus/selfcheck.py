@@ -18,13 +18,13 @@ integer cup in Lambda (x) Lambda (:func:`qtorus.cochain.cup_tensor`).
 
 Both routes are linear in a level's integer numerators B, so each local
 system compares them once, in integers, on the symmetric basis of
-Sym^2(Z^r): E_kk, and E_kl + E_lk for k < l, each a form over N = 2. Each
-entry W[i][j] of the basis form's W is compared with the cup tensor's
-M[k][k], or M[k][l] + M[l][k]. Every level's B is an integer combination
-of the basis, so agreement there is agreement at every level. A local
-system whose basis disagrees gets one record: the basis form, the
-generator pair, the two integers, the monodromy and both generators, so it
-replays without the grid.
+Sym^2(Z^r): E_kk, and E_kl + E_lk for k < l, each an integer B with no
+denominator. Each entry W[i][j] of the basis matrix's W is compared with
+the cup tensor's M[k][k], or M[k][l] + M[l][k]. Every level's B is an
+integer combination of the basis, so agreement there is agreement at every
+level. A local system whose basis disagrees gets one record: the basis
+matrix, the generator pair, the two integers, the monodromy and both
+generators, so it replays without the grid.
 
 Levels c / den, with den up to 6, are drawn by rejection, each draw
 tested on its integers against the probe images of the monodromy
@@ -38,7 +38,8 @@ import random
 from typing import NamedTuple
 
 from .cochain import checked_classes, cup_tensor, triangulate
-from .forms import HALF, ZERO, SymmetricForm, preserves, probe_images
+from .errors import InvariantViolation, NotInKernel
+from .forms import preserves, probe_images
 from .gerbe import omega_numerators
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
@@ -107,19 +108,16 @@ def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> list
 def _basis_disagreement(
     rho: LatticeLocalSystem, gens: list, cups: list
 ) -> tuple[int, int, int, int, int, int] | None:
-    """The first basis form (k, l) and generator pair (i, j) whose integers differ.
+    """The first basis matrix (k, l) and generator pair (i, j) whose integers differ.
 
-    Returns (k, l, i, j, closed, simplicial): W[i][j] for the form with
-    numerators E_kl + E_lk (E_kk when k == l), and the cup tensor's matching
-    entry sum.
+    Returns (k, l, i, j, closed, simplicial): W[i][j] for B = E_kl + E_lk
+    (E_kk when k == l), and the cup tensor's matching entry sum.
     """
     r = rho.rank
     for k in range(r):
         for l in range(k, r):
-            entries = tuple(
-                tuple(HALF if {a, b} == {k, l} else ZERO for b in range(r)) for a in range(r)
-            )
-            w = omega_numerators(rho, SymmetricForm(r, entries), gens)
+            basis = IntMatrix(r, r, [int({a, b} == {k, l}) for a in range(r) for b in range(r)])
+            w = omega_numerators(rho, basis, gens)
             for i, row in enumerate(cups):
                 for j, m in enumerate(row):
                     closed = w[i].get(j, 0)
@@ -160,7 +158,11 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
             for family in _FAMILIES:
                 rho = _local_system(rng, genus, rank, family)
                 gens = cohomology_presentations(rho).h1.all_gens()
-                cocycles = checked_classes(gens, surface, rho)
+                try:
+                    cocycles = checked_classes(gens, surface, rho)
+                except NotInKernel:  # the routes disagree on H^1; selfcheck reads no user data
+                    where = f"genus {genus}, rank {rank}, {family}"
+                    raise InvariantViolation(f"the radial walk fails on H^1: {where}") from None
                 cups = [[cup_tensor(a, b) for b in cocycles] for a in cocycles]
                 images = probe_images(rho.mon, rank)
                 basis = _basis_disagreement(rho, gens, cups)

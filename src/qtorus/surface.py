@@ -5,8 +5,8 @@ relator prod [a_i, b_i]. Coefficients are lattice local systems: unimodular
 integer matrices assigned to the generators, subject to the surface relation.
 The cochain complex has one cell in degree 0 and 2 and 2g cells in degree 1;
 its differentials are the stacked (rho(x_j) - I) blocks and the Fox
-derivatives of the relator. A local system unwinds the relator once, a
-handle at a time, into one :class:`Handle` record per handle: its four
+derivatives of the relator, which no word holds: a local system unwinds it
+once, a handle at a time, into one :class:`Handle` per handle, its four
 letter transports and d1's two blocks, which d1 and omega's Gram matrix read.
 :func:`cohomology_presentations` is the one cohomology route. Its groups
 come from one Smith diagonal per differential and read no transform, so
@@ -22,7 +22,6 @@ from operator import sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    BadGeneratorIndex,
     DimensionMismatch,
     InvariantViolation,
     NonUnimodular,
@@ -40,27 +39,6 @@ from .lattice import (
     smith_normal_form,
     vstack,
 )
-
-Word = tuple[int, ...]  # signed 1-based generator letters; -k is the inverse of k
-
-
-class SurfaceGroup(_Frozen):
-    """Genus-g surface group presentation data."""
-
-    __slots__ = ("genus",)
-
-    def __init__(self, genus: int):
-        if genus < 0:
-            raise DimensionMismatch("genus must be >= 0")
-        object.__setattr__(self, "genus", genus)
-
-    def relator(self) -> Word:
-        """The boundary word prod a_i b_i a_i^-1 b_i^-1 as signed letters."""
-        word: list[int] = []
-        for i in range(self.genus):
-            a, b = 2 * i + 1, 2 * i + 2
-            word += [a, b, -a, -b]
-        return tuple(word)
 
 
 def _times(x: IntMatrix, y: IntMatrix, eye: IntMatrix) -> IntMatrix:
@@ -97,6 +75,7 @@ class LatticeLocalSystem:
     in generator order, from the handle's inverse: a^-1 = (ba)^-1 b and
     b^-1 = a (ba)^-1. ``handles`` holds one :class:`Handle` per handle, in
     relator order; a transport product with an identity factor is not formed.
+    The letters x_j and x_j^-1 have the matrices ``mon[j]`` and ``mon_inv[j]``.
     """
 
     def __init__(self, rank: int, genus: int, mon: Sequence[IntMatrix]):
@@ -148,18 +127,6 @@ class LatticeLocalSystem:
     @classmethod
     def trivial(cls, rank: int, genus: int) -> "LatticeLocalSystem":
         return cls(rank, genus, [IntMatrix.identity(rank)] * (2 * genus))
-
-    def matrix(self, letter: int) -> IntMatrix:
-        """Matrix of a signed generator letter."""
-        if letter == 0 or abs(letter) > len(self.mon):
-            raise BadGeneratorIndex(f"letter {letter} out of range for {len(self.mon)} generators")
-        return self.mon[letter - 1] if letter > 0 else self.mon_inv[-letter - 1]
-
-    def word_matrix(self, word: Word) -> IntMatrix:
-        out = IntMatrix.identity(self.rank)
-        for letter in word:
-            out = out @ self.matrix(letter)
-        return out
 
 
 class CochainComplexSurface(_Frozen):

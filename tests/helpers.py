@@ -16,7 +16,6 @@ from qtorus import (
     LatticeLocalSystem,
     LevelInput,
     QuadraticForm,
-    SurfaceGroup,
     SymmetricForm,
     block_report,
     invariance_check,
@@ -24,12 +23,16 @@ from qtorus import (
     quad_from_bilinear,
     smith_normal_form,
 )
-from qtorus.errors import BadGeneratorIndex, ShapeMismatch, _Frozen
+from qtorus.errors import ShapeMismatch, _Frozen
 from qtorus.lattice import QuotientPresentation, SnfResult, _Op
 
 
 class ImageNotInKernel(ValueError):
     """:func:`solve_exact` found no integer solution."""
+
+
+class BadLetter(ValueError):
+    """A generator index or a signed letter outside a local system's generators."""
 
 
 # the fields that make two instances the same value; the derived
@@ -270,6 +273,26 @@ def subquotient_with_generators(
     )
 
 
+def relator(genus: int) -> tuple[int, ...]:
+    """The surface relator prod a_i b_i a_i^-1 b_i^-1 as signed 1-based letters; -k inverts k."""
+    return tuple(x for i in range(genus) for x in (2 * i + 1, 2 * i + 2, -2 * i - 1, -2 * i - 2))
+
+
+def letter_matrix(rho: LatticeLocalSystem, letter: int) -> IntMatrix:
+    """``rho.mon[k - 1]`` for the letter k > 0, ``rho.mon_inv[k - 1]`` for -k."""
+    if letter == 0 or abs(letter) > len(rho.mon):
+        raise BadLetter(f"letter {letter} out of range for {len(rho.mon)} generators")
+    return rho.mon[letter - 1] if letter > 0 else rho.mon_inv[-letter - 1]
+
+
+def word_matrix(rho: LatticeLocalSystem, word) -> IntMatrix:
+    """The product of a word's letter matrices, every factor multiplied out; I for ()."""
+    out = IntMatrix.identity(rho.rank)
+    for letter in word:
+        out = out @ letter_matrix(rho, letter)
+    return out
+
+
 def fox_derivative(word, gen_index: int, rho: LatticeLocalSystem) -> IntMatrix:
     """Matrix of the Fox derivative of a word with respect to one generator.
 
@@ -279,23 +302,17 @@ def fox_derivative(word, gen_index: int, rho: LatticeLocalSystem) -> IntMatrix:
     holds signed 1-based generator letters; -k is the inverse of k.
     """
     if not 0 <= gen_index < len(rho.mon):
-        raise BadGeneratorIndex(f"generator index {gen_index} out of range")
+        raise BadLetter(f"generator index {gen_index} out of range")
     result = IntMatrix.zeros(rho.rank, rho.rank)
     prefix = IntMatrix.identity(rho.rank)
     for letter in word:
-        if letter == 0 or abs(letter) > len(rho.mon):
-            raise BadGeneratorIndex(f"letter {letter} out of range")
-        j = abs(letter) - 1
-        if letter > 0:
-            if j == gen_index:
-                result = result + prefix
-            prefix = prefix @ rho.matrix(letter)
-        else:
-            step = rho.matrix(letter)  # inverse matrix
-            prefix = prefix @ step
-            if j == gen_index:
-                # d(x^-1) contributes -rho(prefix x^-1)
-                result = result - prefix
+        j, step = abs(letter) - 1, letter_matrix(rho, letter)
+        if letter > 0 and j == gen_index:
+            result = result + prefix
+        prefix = prefix @ step
+        if letter < 0 and j == gen_index:
+            # d(x^-1) contributes -rho(prefix x^-1)
+            result = result - prefix
     return result
 
 
@@ -320,7 +337,7 @@ def reference_walk(rho: LatticeLocalSystem) -> tuple[list, list[IntMatrix]]:
     inv = [smith_form_inverse(m) for m in rho.mon]
     frames = []
     prefix = IntMatrix.identity(rho.rank)
-    for letter in SurfaceGroup(rho.genus).relator():
+    for letter in relator(rho.genus):
         j = abs(letter) - 1
         if letter > 0:
             frames.append((j, 1, prefix))
@@ -507,16 +524,16 @@ def densify(rows) -> IntMatrix:
     return IntMatrix(n, n, [row.get(j, 0) for row in rows for j in range(n)])
 
 
-def dense_omega_numerators(rho: LatticeLocalSystem, pairing, gens) -> IntMatrix:
+def dense_omega_numerators(rho: LatticeLocalSystem, numerators: IntMatrix, gens) -> IntMatrix:
     """W = G^T P G through two dense ``IntMatrix`` products on the same P.
 
     The reference for ``gerbe.omega_numerators``, which scatters P's stored
-    entries over the generators' supports.
+    entries over the generators' supports; both take a pairing's integer B.
     """
     from qtorus.gerbe import _pairing_gram
 
     g = IntMatrix.from_columns(gens, 2 * rho.genus * rho.rank)
-    return g.transpose() @ densify(_pairing_gram(rho, pairing.numerators)) @ g
+    return g.transpose() @ densify(_pairing_gram(rho, numerators)) @ g
 
 
 def fraction_det(rows) -> Fraction:
@@ -733,7 +750,8 @@ def letter_walk(rho, u) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
 
 def pairing_on_walks(pairing, u_walk, v_walk) -> Frac1:
     """The closed form from two :func:`letter_walk` results, one integer sum over N."""
-    total = sum(pairing.numerator(x, y) for x, y in zip(u_walk[0], v_walk[1]))
+    b = pairing.numerators
+    total = sum(sum(map(mul, x, b.mul_vec(y))) for x, y in zip(u_walk[0], v_walk[1]))
     return Frac1(total, pairing.denominator)
 
 
@@ -765,7 +783,7 @@ def transport_word(t, at: int) -> tuple[int, ...]:
 
 def moves(t, rho, at: int) -> bool:
     """Whether the transport at index ``at`` differs from the identity, from its word."""
-    return rho.word_matrix(transport_word(t, at)) != IntMatrix.identity(rho.rank)
+    return word_matrix(rho, transport_word(t, at)) != IntMatrix.identity(rho.rank)
 
 
 def table_products(t, rho) -> int:
@@ -773,7 +791,7 @@ def table_products(t, rho) -> int:
     before it and whose letter both differ from the identity."""
     eye = IntMatrix.identity(rho.rank)
     return sum(
-        moves(t, rho, k) and rho.word_matrix((eps * (j + 1),)) != eye
+        moves(t, rho, k) and word_matrix(rho, (eps * (j + 1),)) != eye
         for k, (j, eps) in enumerate(t.side_letter)
     )
 
@@ -783,7 +801,7 @@ def coboundary_per_face(values, t, rho) -> list[tuple[int, ...]]:
 
     The reference for the cocycle check's one pass, ``cochain._chart_faces``
     and ``_alternating_sums``. Each face's value is carried to the chart by
-    ``rho.word_matrix`` of the word its transport index names, built afresh
+    :func:`word_matrix` of the word its transport index names, built afresh
     for that face: the first k polygon sides for index k <= 4g, or
     generator j alone for index 4g + 1 + j. No transport table, no shortcut
     at the empty prefix and no pass shared with the cup. Returns one value
@@ -793,7 +811,7 @@ def coboundary_per_face(values, t, rho) -> list[tuple[int, ...]]:
     for tri in t.triangles:
         total = [0] * rho.rank
         for slot, face in enumerate(tri.faces):
-            moved = rho.word_matrix(transport_word(t, face.at)).mul_vec(values[face.cell])
+            moved = word_matrix(rho, transport_word(t, face.at)).mul_vec(values[face.cell])
             sign = -1 if slot == 1 else 1
             total = [x + sign * y for x, y in zip(total, moved)]
         out.append(tuple(total))
@@ -807,7 +825,7 @@ def vertex_coboundary(cone, base, t, rho) -> dict:
     vertex at polygon corner k, reached through the first k sides; loop j
     runs from the boundary vertex at corner 0 to its copy across generator
     j. Each edge's value is its head's value carried to the chart by
-    ``rho.word_matrix`` of that word, minus its tail's. Returns one value
+    :func:`word_matrix` of that word, minus its tail's. Returns one value
     per edge, so a cocycle plus it is a cohomologous cocycle.
     """
     n = t.num_sides
@@ -815,7 +833,7 @@ def vertex_coboundary(cone, base, t, rho) -> dict:
     ends.update({("gen", j): (base, n + 1 + j) for j in range(2 * t.genus)})
     return {
         cell: tuple(
-            h - x for h, x in zip(rho.word_matrix(transport_word(t, at)).mul_vec(base), tail)
+            h - x for h, x in zip(word_matrix(rho, transport_word(t, at)).mul_vec(base), tail)
         )
         for cell, (tail, at) in ends.items()
     }

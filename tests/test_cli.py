@@ -790,12 +790,16 @@ class TestTripwire:
         from qtorus import BilinearData, Frac1, IntMatrix, LatticeLocalSystem, LevelInput, gerbe
         from qtorus.errors import InvariantViolation
 
-        numerators = gerbe.omega_numerators
+        omega_numerators = gerbe.omega_numerators
+        # base_global_spec's level: genus 1, rank 1, c = [[1]], zeta = 1/4
+        rho = LatticeLocalSystem.trivial(1, 1)
+        level = LevelInput(BilinearData(IntMatrix.identity(1), Frac1(1, 4)), rho)
+        n = level.pairing.denominator
+        assert n % 2 == 0
 
-        def faulty(rho, pairing, gens):
-            w = numerators(rho, pairing, gens)
-            n = pairing.denominator
-            assert n % 2 == 0 and len(gens) == 2
+        def faulty(rho, numerators, gens):
+            w = omega_numerators(rho, numerators, gens)
+            assert numerators == level.pairing.numerators and len(gens) == 2
             if fault == "not antisymmetric":
                 w[0][1] = w[0].get(1, 0) + 1
             else:  # W[0][0] = N/2 keeps 2 W[0][0] = 0 mod N, so only this check sees it
@@ -803,9 +807,6 @@ class TestTripwire:
             return w
 
         monkeypatch.setattr(gerbe, "omega_numerators", faulty)
-        # base_global_spec's level: genus 1, rank 1, c = [[1]], zeta = 1/4
-        rho = LatticeLocalSystem.trivial(1, 1)
-        level = LevelInput(BilinearData(IntMatrix.identity(1), Frac1(1, 4)), rho)
         with pytest.raises(InvariantViolation, match=fault):
             gerbe.block_report(level)
         out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, base_global_spec()))
@@ -872,6 +873,31 @@ class TestTripwire:
         jsonschema.validate(payload, ERROR_SCHEMA)
         assert payload["code"] == "invariant_violation" and "radial walk" in payload["message"]
 
+    def test_wrong_generator_inverse_exits_three(self, capsys, monkeypatch):
+        # the oracle reads x_j^-1 off rho.mon_inv: one wrong entry of
+        # mon_inv[0] keeps the radial walk from closing on an H^1 generator
+        # of the report route. The routes disagree, and selfcheck takes no
+        # user data, so this is an internal error, not not_in_kernel's exit 2
+        from qtorus import IntMatrix, selfcheck
+
+        local_system = selfcheck._local_system
+
+        def faulty(rng, genus, rank, family):
+            rho = local_system(rng, genus, rank, family)
+            if rank == 2:
+                first = list(rho.mon_inv[0].entries)
+                first[1] += 1
+                rho.mon_inv = (IntMatrix(2, 2, first), *rho.mon_inv[1:])
+            return rho
+
+        monkeypatch.setattr(selfcheck, "_local_system", faulty)
+        out, code = run_main(capsys, "selfcheck")
+        assert code == 3
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["code"] == "invariant_violation"
+        assert "genus 1, rank 2, trivial" in payload["message"]
+
     def test_invariant_violation_exits_three(self, capsys, monkeypatch, tmp_path):
         from qtorus.errors import InvariantViolation
 
@@ -902,9 +928,8 @@ class TestValueClasses:
     @staticmethod
     def instances():
         from qtorus import (
-            BilinearData, GradedObject, LatticeLocalSystem, LevelInput, SurfaceGroup, block_report,
-            checked_classes, cohomology_presentations, polarize, quad_from_bilinear,
-            standard_refinement, triangulate,
+            BilinearData, GradedObject, LatticeLocalSystem, LevelInput, block_report, checked_classes,
+            cohomology_presentations, polarize, quad_from_bilinear, standard_refinement, triangulate,
         )
         from qtorus.forms import Frac1
         from qtorus.lattice import IntMatrix
@@ -918,7 +943,7 @@ class TestValueClasses:
         t = triangulate(1)
         cocycle = checked_classes(pres.h1.all_gens(), t, rho)[0]
         return [
-            pres.triple.h1, pres.snf0, pres.h1, SurfaceGroup(1), pres.complex, pres, level, quad,
+            pres.triple.h1, pres.snf0, pres.h1, pres.complex, pres, level, quad,
             polarize(quad), standard_refinement(quad), GradedObject(2, {(0, 1): 1}),
             report.blocks[0], report, cocycle, t.triangles[0],
             t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
@@ -926,7 +951,7 @@ class TestValueClasses:
 
     def test_instances_refuse_assignment(self):
         objects = self.instances()
-        assert len({type(obj) for obj in objects}) == 17
+        assert len({type(obj) for obj in objects}) == 16
         for obj in objects:
             cls = type(obj)
             names = getattr(cls, "_fields", None) or [n for n in cls.__slots__ if n != "__dict__"]
@@ -943,7 +968,7 @@ class TestValueClasses:
         from qtorus.lattice import IntMatrix
 
         slotted = [obj for obj in objects if not hasattr(obj, "_fields")]
-        assert len(slotted) == 11
+        assert len(slotted) == 10
         for obj in [*slotted, IntMatrix.identity(1), Frac1(1, 2)]:
             assert isinstance(obj, _Frozen)
             with pytest.raises(AttributeError) as refused:
@@ -965,4 +990,4 @@ class TestValueClasses:
         graded = objects[GradedObject]
         with pytest.raises(TypeError):
             graded.support[(0, 0)] = -3
-        assert graded.items() == [((0, 1), 1)]
+        assert dict(graded.support) == {(0, 1): 1}

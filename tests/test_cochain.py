@@ -381,7 +381,7 @@ class TestReportScale:
             used = sorted({i for pair in pairs for i in pair})
             at = {i: k for k, i in enumerate(used)}
             sampled = [gens[i] for i in used]
-            w = densify(omega_numerators(rho, p, sampled))
+            w = densify(omega_numerators(rho, p.numerators, sampled))
             cocycles = checked_classes(sampled, triangulate(genus), rho)
             gram = densify(_pairing_gram(rho, p.numerators))
             for i, j in pairs:
@@ -411,7 +411,7 @@ class TestWholeGram:
         gens = cohomology_presentations(rho).h1.all_gens()
         c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
         p = polarize(quad_from_bilinear(BilinearData(c, Frac1(1, self.DEN))))
-        w = densify(omega_numerators(rho, p, gens))
+        w = densify(omega_numerators(rho, p.numerators, gens))
         assert w.rows == len(gens) >= 2 * (genus - 1) * r and not w.is_zero()
         assert w == cup_matrix(checked_classes(gens, triangulate(genus), rho), p.numerators)
 

@@ -137,7 +137,8 @@ class TestLevelInput:
 
 def closed_form(pairing, rho, u, v):
     """omega(u, v) from the package's one closed form: entry (0, 1) of W on [u, v]."""
-    return Frac1(densify(omega_numerators(rho, pairing, [u, v])).entry(0, 1), pairing.denominator)
+    w = densify(omega_numerators(rho, pairing.numerators, [u, v]))
+    return Frac1(w.entry(0, 1), pairing.denominator)
 
 
 class TestPairingOnCocycles:
@@ -180,7 +181,7 @@ class TestPairingOnCocycles:
             rho = random_local_system(rng, g, r)
             level = LevelInput(random_invariant_level(rng, rho), rho)
             gens = cohomology_presentations(rho).h1.all_gens()
-            w = densify(omega_numerators(rho, level.pairing, gens))
+            w = densify(omega_numerators(rho, level.pairing.numerators, gens))
             cocycles = checked_classes(gens, triangulate(g), rho)
             assert w == cup_matrix(cocycles, level.pairing.numerators)
 
@@ -238,7 +239,7 @@ class TestGramRoute:
                 n = 2 * genus * rank
                 vectors = list(cohomology_presentations(rho).h1.all_gens()[:3])
                 vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
-                w = densify(omega_numerators(rho, p, vectors))
+                w = densify(omega_numerators(rho, p.numerators, vectors))
                 for i, u in enumerate(vectors):
                     for j, v in enumerate(vectors):
                         got = Frac1(w.entry(i, j), p.denominator)
@@ -284,9 +285,9 @@ class TestGramRoute:
         vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
         if data.draw(st.booleans(), label="with H^1 generators"):
             vectors = list(cohomology_presentations(rho).h1.all_gens()) + vectors
-        w = densify(omega_numerators(rho, pairing, vectors))
-        assert w == dense_omega_numerators(rho, pairing, vectors)
-        assert densify(omega_numerators(rho, pairing, [])) == IntMatrix(0, 0, ())
+        w = densify(omega_numerators(rho, pairing.numerators, vectors))
+        assert w == dense_omega_numerators(rho, pairing.numerators, vectors)
+        assert densify(omega_numerators(rho, pairing.numerators, [])) == IntMatrix(0, 0, ())
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -332,8 +333,8 @@ class TestGramRoute:
         level = BilinearData(rand_matrix(rng, 4, 4, -3, 3), Frac1(rng.randrange(1, 12), 12))
         pairing = polarize(quad_from_bilinear(level))
         gens = cohomology_presentations(rho).h1.all_gens()
-        w = densify(omega_numerators(rho, pairing, gens))
-        assert w == dense_omega_numerators(rho, pairing, gens)
+        w = densify(omega_numerators(rho, pairing.numerators, gens))
+        assert w == dense_omega_numerators(rho, pairing.numerators, gens)
         assert not w.is_zero()
 
     def test_matches_the_dense_product_on_edge_supports(self):
@@ -342,25 +343,26 @@ class TestGramRoute:
         pairing = polarize(quad_from_bilinear(level))
         # f = 0: genus 0 has no coordinates at all
         rho = LatticeLocalSystem.trivial(3, 0)
-        cases = [(rho, pairing, []), (rho, pairing, [(), ()])]
+        b = pairing.numerators
+        cases = [(rho, b, []), (rho, b, [(), ()])]
         # f = 0: the sign rep's H^1 is a single torsion generator
         sign = LevelInput(BilinearData(IntMatrix.identity(1), HALF), sign_rep())
         pres = cohomology_presentations(sign.rho)
         assert pres.h1.free_gens == () and len(pres.h1.torsion_gens) == 1
-        cases.append((sign.rho, sign.pairing, pres.h1.all_gens()))
+        cases.append((sign.rho, sign.pairing.numerators, pres.h1.all_gens()))
         # a coordinate that no vector touches, though P's row and column there
         # are nonzero, and a vector given twice
         rho = family_system(rng, "shear", 2, 3)
-        p = densify(gerbe._pairing_gram(rho, pairing.numerators))
+        p = densify(gerbe._pairing_gram(rho, b))
         assert any(p.row(0)) and any(p.column(0))
         u, v = ([0] + [rng.randint(-3, 3) for _ in range(11)] for _ in range(2))
-        cases += [(rho, pairing, vectors) for vectors in ([u, v], [u, v, u], [u, u])]
+        cases += [(rho, b, vectors) for vectors in ([u, v], [u, v, u], [u, u])]
         for case in cases:
             assert densify(omega_numerators(*case)) == dense_omega_numerators(*case)
-        w = densify(omega_numerators(rho, pairing, [u, v, u]))
+        w = densify(omega_numerators(rho, b, [u, v, u]))
         assert w.row(0) == w.row(2) and w.column(0) == w.column(2) and not w.is_zero()
         with pytest.raises(ShapeMismatch):
-            omega_numerators(rho, pairing, [u, v[:-1]])
+            omega_numerators(rho, b, [u, v[:-1]])
 
     def test_gram_matches_the_letter_walk(self):
         # P's per-handle closed form against the letter-by-letter walk over
@@ -492,7 +494,7 @@ class TestSparseStorage:
         for x, row in enumerate(p):  # one handle block per row, at most 2r entries
             start = x // width * width
             assert all(start <= k < start + width for k in row)
-        w = omega_numerators(rho, level.pairing, gens)
+        w = omega_numerators(rho, level.pairing.numerators, gens)
         assert len(w) == len(gens) and sum(map(len, w)) <= width * len(gens)
         return sum(map(len, p)), sum(map(len, w))
 
@@ -524,7 +526,7 @@ class TestOmegaChecks:
     @staticmethod
     def omega(monkeypatch, rho, n, w):
         """_omega on ``rho``'s H^1 generators, with omega_numerators returning ``w`` at N = n."""
-        monkeypatch.setattr(gerbe, "omega_numerators", lambda rho, pairing, gens: w)
+        monkeypatch.setattr(gerbe, "omega_numerators", lambda rho, numerators, gens: w)
         pairing = SymmetricForm(1, ((Frac1(1, n),),))  # only its denominator is read
         return gerbe._omega(rho, cohomology_presentations(rho), pairing)
 
@@ -565,7 +567,7 @@ class TestOmegaChecks:
         pairing = LevelInput(random_invariant_level(rng, rho), rho).pairing
         pres = cohomology_presentations(rho)
         n = pairing.denominator
-        dense = dense_omega_numerators(rho, pairing, pres.h1.all_gens())
+        dense = dense_omega_numerators(rho, pairing.numerators, pres.h1.all_gens())
         expected = tuple(tuple(x % n for x in dense.row(i)) for i in range(dense.rows))
         assert gerbe._omega(rho, pres, pairing) == expected
 
@@ -579,7 +581,7 @@ def unit_form(rank, n):
 
 def free_block(rho, pairing, gens, free):
     """W's integer block on the first ``free`` vectors, as {column: entry} rows."""
-    w = omega_numerators(rho, pairing, gens)
+    w = omega_numerators(rho, pairing.numerators, gens)
     return [{j: x for j, x in w[i].items() if j < free} for i in range(free)]
 
 
@@ -705,7 +707,7 @@ class TestCommutatorPairing:
         omega = gerbe._omega(rho, pres, pairing)
         chis = gerbe._pi2_characters(rho, pres, pairing, reps)
         assert len(omega) == 32 and len(chis) == len(reps) == 81 and made == []
-        w = densify(omega_numerators(rho, pairing, pres.h1.all_gens()))
+        w = densify(omega_numerators(rho, pairing.numerators, pres.h1.all_gens()))
         assert omega == tuple(tuple(x % pairing.denominator for x in w.row(i)) for i in range(32))
         rep = block_report(level)
         del made[:]

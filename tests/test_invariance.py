@@ -23,6 +23,8 @@ change it.
 
 import math
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -144,3 +146,49 @@ def test_full_block_dim_reads_the_torsion_rows():
         else:
             assert dim == report.block_dim
     assert differs >= 1
+
+
+def image_order(n: int, omega, moduli) -> int:
+    """|{x^T omega mod N : x in D}| for D = prod Z/m_i, by meet in the middle, with no elimination.
+
+    Row i of omega must be killed by m_i, so that x -> x^T omega is a
+    homomorphism on D; the image then has |D| / |kernel| elements. The
+    coordinates split into two halves of near-equal size; x^T omega mod N
+    is tabulated over each half, and the kernel is counted as the pairs of
+    values, one from each table, that sum to 0 mod N.
+    """
+    assert all(not any(m * x % n for x in row) for m, row in zip(moduli, omega))
+    size = math.prod(moduli)
+    cut, left = 0, 1
+    while left * left < size:
+        left *= moduli[cut]
+        cut += 1
+
+    def table(rows, ms):
+        columns = range(len(omega))
+        return Counter(
+            tuple(sum(c * row[j] for c, row in zip(xs, rows)) % n for j in columns)
+            for xs in product(*map(range, ms))
+        )
+
+    low, high = table(omega[:cut], moduli[:cut]), table(omega[cut:], moduli[cut:])
+    kernel = sum(k * high[tuple(-x % n for x in v)] for v, k in low.items())
+    assert size % kernel == 0
+    return size // kernel
+
+
+def test_full_block_dim_counts_the_image_of_omega():
+    # ROADMAP item 25's enumeration: the square of full_block_dim is the
+    # number of functionals omega(x, -) as x runs over D = (Z/N)^f x prod Z/t_i,
+    # H^1 with its free part read mod N, counted without a Smith form
+    checked = torsion_pairs = 0
+    for level, _ in cases():
+        report = block_report(level, components=[])
+        n, h1 = report.denominator, report.presentations.triple.h1
+        moduli = (n,) * h1.free_rank + h1.torsion
+        if math.prod(moduli) > 50_000:
+            continue
+        assert image_order(n, report.omega, moduli) == full_block_dim(report) ** 2
+        checked += 1
+        torsion_pairs += any(map(any, report.omega[h1.free_rank:]))
+    assert checked >= 64 and torsion_pairs >= 16, (checked, torsion_pairs)

@@ -47,6 +47,38 @@ def test_cochain_oracle_avoids_optimized_paths():
     assert not names_in(tree) & forbidden
 
 
+def test_cochain_reads_only_the_monodromy_off_a_local_system():
+    # the oracle reads a letter's matrix by index off mon or mon_inv, so no
+    # letter or word API, handle record or differential of surface reaches
+    # it; a local system it takes is read by attribute or handed to another
+    # function of cochain, which this test reads too
+    tree = parse("cochain")
+    own = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    read, params = set(), 0
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for arg in func.args.args:
+            if getattr(arg.annotation, "id", None) != "LatticeLocalSystem":
+                continue
+            params += 1
+            bases, passed = set(), set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == arg.arg:
+                    read.add(node.attr)
+                    bases.add(id(node.value))
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in own:
+                    passed |= {id(a) for a in node.args if getattr(a, "id", None) == arg.arg}
+            uses = {
+                id(node)
+                for node in ast.walk(func)
+                if isinstance(node, ast.Name) and node.id == arg.arg and isinstance(node.ctx, ast.Load)
+            }
+            assert uses <= bases | passed, func.name
+    assert params >= 2  # checked_classes and the transport table
+    assert read and read <= {"mon", "mon_inv", "rank", "genus"}, read
+
+
 def test_fraction_free_rank_uses_no_lattice_function():
     lattice_functions = {
         node.name for node in parse("lattice").body if isinstance(node, ast.FunctionDef)
@@ -296,7 +328,10 @@ def test_selfcheck_has_no_route_in_q_mod_z():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     } | {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    banned = {"pair_cup", "polarize", "quad_from_bilinear", "Frac1", "_first_disagreement"}
+    banned = {
+        "pair_cup", "polarize", "quad_from_bilinear", "Frac1", "_first_disagreement",
+        "SymmetricForm", "HALF", "ZERO",
+    }
     assert not named & banned
 
 

@@ -20,7 +20,7 @@ from qtorus import (
     triangulate,
 )
 from qtorus import cli, cochain, gerbe, selfcheck
-from qtorus.forms import HALF, ZERO, SymmetricForm, probe_images
+from qtorus.forms import probe_images
 from qtorus.selfcheck import DEFAULT_SEED
 
 from helpers import (
@@ -70,12 +70,9 @@ def _off_by_one_cup_tensor(monkeypatch):
     monkeypatch.setattr(selfcheck, "cup_tensor", off_by_one)
 
 
-def _basis_form(rank, k, l):
-    """The basis form with numerators E_kl + E_lk (E_kk when k == l) over N = 2."""
-    entries = tuple(
-        tuple(HALF if {a, b} == {k, l} else ZERO for b in range(rank)) for a in range(rank)
-    )
-    return SymmetricForm(rank, entries)
+def _basis_matrix(rank, k, l):
+    """The basis element E_kl + E_lk (E_kk when k == l) of Sym^2(Z^r), an integer B."""
+    return IntMatrix.from_rows([[int({a, b} == {k, l}) for b in range(rank)] for a in range(rank)])
 
 
 def _record_system(record):
@@ -86,23 +83,23 @@ def _record_system(record):
 def _replay(record):
     """A basis record's (closed, simplicial), recomputed from its fields alone.
 
-    The closed side is ``dense_omega_numerators`` on the record's basis form
+    The closed side is ``dense_omega_numerators`` on the record's basis matrix
     and its two generators, the simplicial side selfcheck's ``cup_tensor`` of
     their checked classes, so a record made under a fault replays under it.
     """
     rho = _record_system(record)
     k, l = record["basis"]
     u, v = record["u"], record["v"]
-    closed = dense_omega_numerators(rho, _basis_form(rho.rank, k, l), [u, v]).entry(0, 1)
+    closed = dense_omega_numerators(rho, _basis_matrix(rho.rank, k, l), [u, v]).entry(0, 1)
     a, b = cochain.checked_classes([u, v], triangulate(rho.genus), rho)
     m = selfcheck.cup_tensor(a, b)
     return closed, (m[k][l] + m[l][k] if k < l else m[k][k])
 
 
 def test_mismatch_record_replays(monkeypatch):
-    # a shifted cup tensor disagrees on the basis form E_00 of every local
+    # a shifted cup tensor disagrees on the basis matrix E_00 of every local
     # system it fails; each record alone must rebuild the local system, the
-    # basis form and both sides of the comparison, and with the fault undone
+    # basis matrix and both sides of the comparison, and with the fault undone
     # the two sides it names agree
     _off_by_one_cup_tensor(monkeypatch)
     result = run_selfcheck(5)
@@ -228,9 +225,10 @@ def test_one_gram_per_basis_form_on_the_h1_generators(monkeypatch):
     # the closed side is the reports' W = G^T P G, built on the local
     # system's H^1 generators, in integers: no Frac1 inside it. W is linear
     # in the level's numerators, so each local system builds one W per
-    # element of the symmetric basis E_kk, E_kl + E_lk (k < l), over N = 2,
-    # before any level is drawn, and no level builds a W or a form of its own
-    events = []  # ("W", rho, numerators, denominator, generators, Frac1 built) or ("draw", rho)
+    # element of the symmetric basis E_kk, E_kl + E_lk (k < l), an integer B
+    # with no denominator, before any level is drawn, and no level builds a W
+    # or a form of its own
+    events = []  # ("W", rho, numerators, generators, Frac1 built) or ("draw", rho)
     current = []  # the local system whose levels are being drawn
     created = [0]
     frac1_init = Frac1.__init__
@@ -242,11 +240,11 @@ def test_one_gram_per_basis_form_on_the_h1_generators(monkeypatch):
         created[0] += 1
         frac1_init(self, num, den)
 
-    def counting_omega_numerators(rho, pairing, gens):
+    def counting_omega_numerators(rho, numerators, gens):
         before = created[0]
-        w = omega_numerators(rho, pairing, gens)
+        w = omega_numerators(rho, numerators, gens)
         gens = [tuple(g) for g in gens]
-        events.append(("W", rho, pairing.numerators, pairing.denominator, gens, created[0] - before))
+        events.append(("W", rho, numerators, gens, created[0] - before))
         return w
 
     def recording_checked_classes(gens, t, rho):
@@ -276,10 +274,10 @@ def test_one_gram_per_basis_form_on_the_h1_generators(monkeypatch):
         first_draw = next(n for n, e in enumerate(mine) if e[0] == "draw")
         assert all(e[0] == "draw" for e in mine[first_draw:])  # no W once levels are drawn
         r = rho.rank
-        basis = [_basis_form(r, k, l).numerators for k in range(r) for l in range(k, r)]
-        assert [(b, n) for _, _, b, n, _, _ in mine[:first_draw]] == [(b, 2) for b in basis]
+        basis = [_basis_matrix(r, k, l) for k in range(r) for l in range(k, r)]
+        assert [b for _, _, b, _, _ in mine[:first_draw]] == basis
         h1 = [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
-        for _, _, _, _, gens, frac1_built in mine[:first_draw]:
+        for _, _, _, gens, frac1_built in mine[:first_draw]:
             assert gens == h1
             assert frac1_built == 0
 
