@@ -1,10 +1,11 @@
 """Braided and ribbon data of the graded fiber category.
 
 Objects are lattice-graded with one-dimensional pieces, so all structure
-constants are Q/Z phases. A braiding refinement is a matrix beta whose
-symmetrization is pinned to the polarization of the quadratic form; the
-choice of refinement is not canonical, and everything observable (twist,
-double braiding) must be refinement independent.
+constants are Q/Z phases. A braiding refinement is a bilinear form
+beta = M / N, one integer matrix over one denominator, and its quadratic
+form is q(lam) = beta(lam, lam), so the twist and the double braiding are
+read off beta alone. The choice of refinement is not canonical, and
+everything observable (twist, double braiding) is refinement independent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, ShapeMismatch, _Frozen
-from .forms import ZERO, Frac1, QuadraticForm, _bilinear_sum, _over_common_denominator, evaluate
+from .forms import Frac1, QuadraticForm, _bilinear_sum, _reduced, evaluate
 from .lattice import IntMatrix
 
 
@@ -54,69 +55,42 @@ def fuse(v: GradedObject, w: GradedObject) -> GradedObject:
 
 
 class BraidedData(_Frozen):
-    """A quadratic form together with a braiding refinement beta.
+    """A braiding refinement beta = M / N and the quadratic form it refines.
 
-    Constraints: beta[i][i] = Q(e_i), and beta[i][j] + beta[j][i] = b(e_i, e_j)
-    for i != j. Any two refinements of the same form differ by an
+    ``numerators`` is M, reduced into [0, N) over the least ``denominator``
+    N; ``quad`` is QuadraticForm(M, N), q(lam) = beta(lam, lam). So
+    beta[i][i] = q(e_i) and beta[i][j] + beta[j][i] = b(e_i, e_j) hold by
+    construction. Any two refinements of the same form differ by an
     antisymmetric matrix of phases.
-
-    ``numerators`` is the integer matrix M, derived at construction, with
-    beta = M / ``denominator`` entry by entry.
     """
 
-    __slots__ = ("quad", "beta", "denominator", "numerators")
+    __slots__ = ("rank", "quad", "denominator", "numerators")
 
-    def __init__(self, quad: QuadraticForm, beta: tuple[tuple[Frac1, ...], ...]):
-        r = quad.rank
-        if len(beta) != r or any(len(row) != r for row in beta):
-            raise DimensionMismatch("beta must be a square matrix matching the form's rank")
-        for i in range(r):
-            if beta[i][i] != quad.diag[i]:
-                raise ShapeMismatch(f"beta[{i}][{i}] must equal the form's value on e_{i}")
-            for j in range(i + 1, r):
-                if beta[i][j] + beta[j][i] != quad.b_basis(i, j):
-                    raise ShapeMismatch(
-                        f"beta[{i}][{j}] + beta[{j}][{i}] must symmetrize to the polarization"
-                    )
-        n, nums = _over_common_denominator([x for row in beta for x in row])
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "beta", beta)
+    def __init__(self, numerators: IntMatrix, denominator: int):
+        n, m = _reduced(numerators, denominator)
+        object.__setattr__(self, "rank", m.rows)
+        object.__setattr__(self, "quad", QuadraticForm(m, n))
         object.__setattr__(self, "denominator", n)
-        object.__setattr__(self, "numerators", IntMatrix(r, r, nums))
-
-    @property
-    def rank(self) -> int:
-        return self.quad.rank
+        object.__setattr__(self, "numerators", m)
 
 
 def standard_refinement(q: QuadraticForm) -> BraidedData:
-    """Upper-triangular refinement: all of b(e_i, e_j) on the i < j side."""
-    r = q.rank
-    beta = tuple(
-        tuple(
-            q.diag[i] if i == j else (q.b_basis(i, j) if i < j else ZERO)
-            for j in range(r)
-        )
-        for i in range(r)
-    )
-    return BraidedData(q, beta)
+    """Upper-triangular refinement: all of b(e_i, e_j) on the i < j side, beta = U / N."""
+    return BraidedData(q.numerators, q.denominator)
 
 
-def perturb_refinement(b: BraidedData, eps: Sequence[Sequence[Frac1]]) -> BraidedData:
-    """Shift a refinement by an antisymmetric phase matrix (zero diagonal)."""
-    r = b.rank
-    if len(eps) != r or any(len(row) != r for row in eps):
+def perturb_refinement(b: BraidedData, eps: IntMatrix, denominator: int) -> BraidedData:
+    """Shift a refinement by the phases eps / denominator: antisymmetric, zero diagonal mod 1."""
+    r, n = b.rank, b.denominator
+    if (eps.rows, eps.cols) != (r, r):
         raise DimensionMismatch("perturbation must be a rank-sized square matrix")
-    for i in range(r):
-        if eps[i][i]:
-            raise ShapeMismatch("perturbation diagonal must vanish")
-        for j in range(i + 1, r):
-            if eps[i][j] + eps[j][i] != ZERO:
-                raise ShapeMismatch("perturbation must be antisymmetric")
-    beta = tuple(
-        tuple(b.beta[i][j] + eps[i][j] for j in range(r)) for i in range(r)
-    )
-    return BraidedData(b.quad, beta)
+    d, eps = _reduced(eps, denominator)
+    if any(eps.entry(i, i) for i in range(r)):
+        raise ShapeMismatch("perturbation diagonal must vanish")
+    if any(x % d for x in (eps + eps.transpose()).entries):
+        raise ShapeMismatch("perturbation must be antisymmetric")
+    pairs = zip(b.numerators.entries, eps.entries)
+    return BraidedData(IntMatrix(r, r, [x * d + y * n for x, y in pairs]), n * d)
 
 
 def braiding_phase(b: BraidedData, lam: Sequence[int], mu: Sequence[int]) -> Frac1:

@@ -33,7 +33,6 @@ from .forms import (
     Frac1,
     _echo,
     evaluate,
-    is_linear,
     polarize,
     quad_from_bilinear,
 )
@@ -181,8 +180,9 @@ class JobSpec:
         ]
 
 
-def _frac_matrix(rows: Sequence[Sequence[Frac1]]) -> list[list[str]]:
-    return [[str(x) for x in row] for row in rows]
+def _frac_matrix(m: IntMatrix, n: int) -> list[list[str]]:
+    """The values x / n of an integer matrix, as "num/den" strings row by row."""
+    return [[str(Frac1(x, n)) for x in row] for row in m.row_lists()]
 
 
 def _surface_json(rho: LatticeLocalSystem) -> dict:
@@ -221,7 +221,8 @@ def _run_local(spec: JobSpec) -> dict:
     pairing = polarize(quad)
     braided = standard_refinement(quad)
     bound = _twist_bound(level.rank)
-    linear = is_linear(quad)
+    linear = pairing.is_zero()  # is_linear(quad), on the polarization already built
+    u = quad.numerators
     table = []
     for vec in product(range(-bound, bound + 1), repeat=level.rank):
         table.append({"vector": list(vec), "twist": str(evaluate(quad, vec))})
@@ -230,8 +231,8 @@ def _run_local(spec: JobSpec) -> dict:
         "level": _level_json(level),
         "rank": level.rank,
         "quadratic_form": {
-            "diag": [str(x) for x in quad.diag],
-            "polarization": _frac_matrix(pairing.entries),
+            "diag": [str(Frac1(u.entry(i, i), quad.denominator)) for i in range(level.rank)],
+            "polarization": _frac_matrix(pairing.numerators, pairing.denominator),
         },
         "twist_table": {"bound": bound, "entries": table},
         "is_linear": linear,
@@ -239,7 +240,7 @@ def _run_local(spec: JobSpec) -> dict:
         "pi2_layer": {"description": "(Q/Z)^rank", "rank": level.rank},
         "refinement": {
             "convention": "upper_triangular",
-            "beta": _frac_matrix(braided.beta),
+            "beta": _frac_matrix(braided.numerators, braided.denominator),
         },
     }
 

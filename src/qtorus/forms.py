@@ -2,15 +2,14 @@
 
 A level on the lattice Z^r is presented by an integer matrix c together with
 a phase zeta in Q/Z; the attached quadratic form is gamma -> zeta * (gamma^T
-c gamma) and only the symmetrization of c matters. Values live in Q/Z and are
-represented by reduced fractions, so every comparison in this module is
-exact.
+c gamma) and only the symmetrization of c matters.
 
-Forms are built from and printed through their ``Frac1`` values. Each
-form also derives, once at construction, one integer matrix of numerators
-over one common denominator N, the lcm of its values' denominators; an
-evaluation sums integers against that matrix and builds a single ``Frac1``
-at the end.
+A form is one integer matrix of numerators over one denominator N, reduced
+into [0, N) over the least N, the lcm of its values' reduced denominators;
+so forms with equal values hold equal fields, and every comparison is
+exact. An evaluation sums integers against the matrix and builds a single
+``Frac1``, a reduced fraction in Q/Z, at the end. ``Frac1`` appears only
+there and as a level's zeta.
 """
 
 from __future__ import annotations
@@ -107,17 +106,19 @@ class Frac1(_Frozen):
         return f"Frac1({self.num}, {self.den})"
 
 
-ZERO = Frac1(0)
-HALF = Frac1(1, 2)
+def _reduced(m: IntMatrix, n: int) -> tuple[int, IntMatrix]:
+    """(N, M): the square matrix m / n with entries reduced into [0, N) over the least N.
 
-
-def _over_common_denominator(values: Sequence[Frac1]) -> tuple[int, list[int]]:
-    """(N, numerators): each value is its numerator over N, the lcm of the denominators.
-
-    Both are determined by the values, since ``Frac1`` is reduced.
+    N is n / gcd(n, m's entries mod n), the lcm of the entries' reduced
+    denominators as values in Q/Z.
     """
-    n = math.lcm(*[x.den for x in values])
-    return n, [x.num * (n // x.den) for x in values]
+    if not m.is_square():
+        raise NonSquareMatrix(f"form matrix must be square, got {m.rows}x{m.cols}")
+    if n < 1:
+        raise BadFraction(f"denominator must be positive, got {n}")
+    e = [x % n for x in m.entries]
+    g = math.gcd(n, *e)
+    return n // g, IntMatrix(m.rows, m.cols, [x // g for x in e])
 
 
 def _bilinear_sum(e: Sequence[int], x: Sequence[int], y: Sequence[int]) -> int:
@@ -147,78 +148,55 @@ class BilinearData(_Frozen):
 
 
 class QuadraticForm(_Frozen):
-    """Quadratic form on Z^rank, stored by its basis values.
+    """Quadratic form Q(x) = x^T M x / N on Z^rank, for any square integer M.
 
-    ``diag[i]`` is the value on the i-th basis vector; ``offdiag`` holds the
-    polarization values b(e_i, e_j) for i < j in row-major order. The
-    polarization on the diagonal is forced to 2*diag[i], so it is not stored.
-    Note the off-diagonal data is the b value itself, not half of it: halving
-    is not well defined in Q/Z, and a quadratic form here need not come from
-    half a symmetric matrix.
-
-    ``numerators`` is the upper-triangular integer matrix U, derived at
-    construction, with Q(x) = x^T U x / ``denominator``: ``diag`` on its
-    diagonal, ``offdiag`` above it.
+    Only M's symmetrization enters, so the form stores the canonical
+    upper-triangular U as ``numerators``: U_ii = M_ii and U_ij = M_ij + M_ji
+    for i < j, reduced into [0, N) over the least ``denominator`` N. So
+    Q(e_i) = U_ii / N, and U_ij / N is the polarization b(e_i, e_j) itself,
+    not half of it: halving is not well defined in Q/Z, and a quadratic
+    form here need not come from half a symmetric matrix.
     """
 
-    __slots__ = ("rank", "diag", "offdiag", "denominator", "numerators")
+    __slots__ = ("rank", "denominator", "numerators")
 
-    def __init__(self, rank: int, diag: tuple[Frac1, ...], offdiag: tuple[Frac1, ...]):
-        r = rank
-        if len(diag) != r:
-            raise DimensionMismatch(f"need {r} diagonal values, got {len(diag)}")
-        want = r * (r - 1) // 2
-        if len(offdiag) != want:
-            raise DimensionMismatch(f"need {want} off-diagonal values, got {len(offdiag)}")
-        n, nums = _over_common_denominator(diag + offdiag)
-        diagonal, above = iter(nums[:r]), iter(nums[r:])  # offdiag is row-major, like u
+    def __init__(self, numerators: IntMatrix, denominator: int):
+        n, m = _reduced(numerators, denominator)
+        r, e = m.rows, m.entries
         u = [
-            next(diagonal) if i == j else next(above) if i < j else 0
+            e[i * r + i] if i == j else e[i * r + j] + e[j * r + i] if i < j else 0
             for i in range(r)
             for j in range(r)
         ]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
+        n, m = _reduced(IntMatrix(r, r, u), n)
+        object.__setattr__(self, "rank", r)
         object.__setattr__(self, "denominator", n)
-        object.__setattr__(self, "numerators", IntMatrix(r, r, u))
-
-    def b_basis(self, i: int, j: int) -> Frac1:
-        """Polarization value on a pair of basis vectors: (U + U^T)[i][j] / N."""
-        u, r = self.numerators.entries, self.rank
-        return Frac1(u[i * r + j] + u[j * r + i], self.denominator)
+        object.__setattr__(self, "numerators", m)
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         if self.rank != other.rank:
             raise DimensionMismatch("cannot add forms of different rank")
-        return QuadraticForm(
-            self.rank,
-            tuple(a + b for a, b in zip(self.diag, other.diag)),
-            tuple(a + b for a, b in zip(self.offdiag, other.offdiag)),
-        )
+        n, m, r = self.denominator, other.denominator, self.rank
+        pairs = zip(self.numerators.entries, other.numerators.entries)
+        return QuadraticForm(IntMatrix(r, r, [a * m + b * n for a, b in pairs]), n * m)
 
 
 class SymmetricForm(_Frozen):
-    """Symmetric Q/Z-valued bilinear form given by its full value matrix.
+    """Symmetric Q/Z-valued bilinear form b(x, y) = x^T B y / N.
 
-    ``numerators`` is the integer matrix B, derived at construction, with
-    b(x, y) = x^T B y / ``denominator``.
+    ``numerators`` is B, symmetric mod N, with entries reduced into [0, N)
+    over the least ``denominator`` N.
     """
 
-    __slots__ = ("rank", "entries", "denominator", "numerators")
+    __slots__ = ("rank", "denominator", "numerators")
 
-    def __init__(self, rank: int, entries: tuple[tuple[Frac1, ...], ...]):
-        if len(entries) != rank or any(len(r) != rank for r in entries):
-            raise DimensionMismatch("entry matrix does not match rank")
-        for i in range(rank):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise DimensionMismatch("entry matrix is not symmetric")
-        n, nums = _over_common_denominator([x for row in entries for x in row])
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, numerators: IntMatrix, denominator: int):
+        n, b = _reduced(numerators, denominator)
+        if b != b.transpose():
+            raise DimensionMismatch("entry matrix is not symmetric")
+        object.__setattr__(self, "rank", b.rows)
         object.__setattr__(self, "denominator", n)
-        object.__setattr__(self, "numerators", IntMatrix(rank, rank, nums))
+        object.__setattr__(self, "numerators", b)
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> Frac1:
         """b(x, y) = x^T B y / N, summed in integers and reduced once."""
@@ -228,30 +206,20 @@ class SymmetricForm(_Frozen):
         return Frac1(_bilinear_sum(self.numerators.entries, x, y), self.denominator)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return self.numerators.is_zero()
 
 
 def quad_from_bilinear(data: BilinearData) -> QuadraticForm:
-    """Quadratic form gamma -> zeta * (gamma^T c gamma).
-
-    Only c + c^T enters, matching the fact that the assignment depends on the
-    symmetrization of c alone.
-    """
+    """Quadratic form gamma -> zeta * (gamma^T c gamma): zeta.num * c over zeta.den."""
     c, zeta = data.c, data.zeta
-    r = c.rows
-    diag = tuple(zeta.scale(c.entry(i, i)) for i in range(r))
-    off = tuple(
-        zeta.scale(c.entry(i, j) + c.entry(j, i)) for i in range(r) for j in range(i + 1, r)
-    )
-    return QuadraticForm(r, diag, off)
+    return QuadraticForm(IntMatrix(c.rows, c.cols, [zeta.num * x for x in c.entries]), zeta.den)
 
 
 def evaluate(q: QuadraticForm, gamma: Sequence[int]) -> Frac1:
     """Value of the form on an arbitrary lattice vector.
 
-    Expands through the basis values: quadratic terms pick up square
-    coefficients, cross terms the polarization. The sum runs over the
-    integer numerators, gamma^T U gamma, and is reduced mod 1 once.
+    Quadratic terms pick up square coefficients, cross terms the
+    polarization: the integer sum gamma^T U gamma, reduced mod 1 once.
     """
     r = q.rank
     if len(gamma) != r:
@@ -260,20 +228,16 @@ def evaluate(q: QuadraticForm, gamma: Sequence[int]) -> Frac1:
 
 
 def polarize(q: QuadraticForm) -> SymmetricForm:
-    """Symmetric form b(x, y) = Q(x+y) - Q(x) - Q(y), as a value matrix."""
-    rows = tuple(
-        tuple(q.b_basis(i, j) for j in range(q.rank)) for i in range(q.rank)
-    )
-    return SymmetricForm(q.rank, rows)
+    """Symmetric form b(x, y) = Q(x+y) - Q(x) - Q(y): B = U + U^T over Q's N."""
+    return SymmetricForm(q.numerators + q.numerators.transpose(), q.denominator)
 
 
 def is_linear(q: QuadraticForm) -> bool:
     """True when the form is a homomorphism to Q/Z, i.e. its polarization vanishes.
 
-    Linear forms take values in {0, 1/2}: twice each diagonal value is a
-    polarization entry, hence zero.
+    Linear forms take values in {0, 1/2}: b(e_i, e_i) = 2 Q(e_i) vanishes.
     """
-    return not any(q.offdiag) and not any(x.scale(2) for x in q.diag)
+    return polarize(q).is_zero()
 
 
 _Probe = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (v, images of v)

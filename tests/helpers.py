@@ -35,15 +35,41 @@ class BadLetter(ValueError):
     """A generator index or a signed letter outside a local system's generators."""
 
 
-# the fields that make two instances the same value; the derived
-# denominator and numerators follow from them
+# the fields that make two instances the same value; a refinement's
+# quadratic form follows from its numerators and denominator
 _VALUE_FIELDS = {
     BilinearData: ("c", "zeta"),
-    QuadraticForm: ("rank", "diag", "offdiag"),
-    SymmetricForm: ("rank", "entries"),
-    BraidedData: ("quad", "beta"),
+    QuadraticForm: ("rank", "denominator", "numerators"),
+    SymmetricForm: ("rank", "denominator", "numerators"),
+    BraidedData: ("denominator", "numerators"),
     GradedObject: ("rank", "support"),
 }
+
+ZERO, HALF = Frac1(0), Frac1(1, 2)
+
+
+def over_lcm(rows) -> tuple[IntMatrix, int]:
+    """A square matrix of ``Frac1`` values as (M, N): N the lcm of their
+    denominators, M their numerators over N."""
+    n = math.lcm(*(x.den for row in rows for x in row))
+    return IntMatrix.from_rows([[x.num * (n // x.den) for x in row] for row in rows], len(rows)), n
+
+
+def quadratic_form(diag, offdiag) -> QuadraticForm:
+    """The form with Q(e_i) = diag[i] and polarization b(e_i, e_j) = the
+    next ``offdiag`` value for i < j, row by row."""
+    r, above = len(diag), iter(offdiag)
+    rows = [
+        [diag[i] if i == j else next(above) if i < j else ZERO for j in range(r)]
+        for i in range(r)
+    ]
+    return QuadraticForm(*over_lcm(rows))
+
+
+def frac1_rows(form) -> tuple[tuple[Frac1, ...], ...]:
+    """A form's or refinement's numerators over its denominator, as ``Frac1`` values."""
+    n = form.denominator
+    return tuple(tuple(Frac1(x, n) for x in row) for row in form.numerators.row_lists())
 
 
 def fields(value):
@@ -696,20 +722,32 @@ def frac1_bilinear(entries, x, y) -> Frac1:
     return total
 
 
-def frac1_quadratic(q, gamma) -> Frac1:
-    """Q(gamma) from the basis values: squares on the diagonal, polarization above it."""
+def frac1_quadratic(diag, offdiag, gamma) -> Frac1:
+    """Q(gamma) from the basis values: squares on the diagonal, the
+    polarization values ``offdiag`` (row by row, i < j) on the cross terms."""
     total = Frac1(0)
+    above = iter(offdiag)
     for i, xi in enumerate(gamma):
-        total = total + q.diag[i].scale(xi * xi)
-        for j in range(i + 1, q.rank):
-            total = total + q.b_basis(i, j).scale(xi * gamma[j])
+        total = total + diag[i].scale(xi * xi)
+        for j in range(i + 1, len(gamma)):
+            total = total + next(above).scale(xi * gamma[j])
     return total
 
 
-def pairing_on_cocycles_per_term(pairing, rho, u, v) -> Frac1:
+def pairing_values(level: BilinearData) -> tuple[tuple[Frac1, ...], ...]:
+    """A level's polarization zeta (c + c^T) as ``Frac1`` values, read off the level alone."""
+    c, zeta = level.c, level.zeta
+    return tuple(
+        tuple(zeta.scale(c.entry(i, j) + c.entry(j, i)) for j in range(c.cols))
+        for i in range(c.rows)
+    )
+
+
+def pairing_on_cocycles_per_term(entries, rho, u, v) -> Frac1:
     """The closed form as a sum of per-letter Frac1 terms, walking both vectors per pair.
 
-    The letters come from :func:`reference_walk`, not from the walk under test.
+    ``entries`` is the pairing's matrix of ``Frac1`` values. The letters come
+    from :func:`reference_walk`, not from the walk under test.
     """
     r = rho.rank
     u_blocks = [tuple(u[j * r : (j + 1) * r]) for j in range(2 * rho.genus)]
@@ -719,9 +757,9 @@ def pairing_on_cocycles_per_term(pairing, rho, u, v) -> Frac1:
     for j, eps, frame in reference_walk(rho)[0]:
         u_k = tuple(eps * x for x in frame.mul_vec(u_blocks[j]))
         v_k = tuple(eps * x for x in frame.mul_vec(v_blocks[j]))
-        total = total + frac1_bilinear(pairing.entries, acc, v_k)
+        total = total + frac1_bilinear(entries, acc, v_k)
         if eps == -1:
-            total = total + frac1_bilinear(pairing.entries, u_k, v_k)
+            total = total + frac1_bilinear(entries, u_k, v_k)
         acc = tuple(a + x for a, x in zip(acc, u_k))
     return total
 

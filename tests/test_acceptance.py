@@ -33,15 +33,18 @@ from qtorus import (
     standard_refinement,
     twist,
 )
-from qtorus.forms import HALF, ZERO, QuadraticForm
 from qtorus.selfcheck import DEFAULT_SEED
 
 from helpers import (
+    HALF,
+    ZERO,
     global_json,
     groups_json,
     letter_walk,
     omega_of,
+    over_lcm,
     pairing_on_walks,
+    quadratic_form,
     rand_matrix,
     random_invariant_level,
     random_local_system,
@@ -83,7 +86,7 @@ def test_criterion_01_ribbon_twist():
         r = rng.randint(1, 4)
         q = random_level(rng, r, 12)
         base = standard_refinement(q)
-        bent = perturb_refinement(base, random_antisym(rng, r, 12))
+        bent = perturb_refinement(base, *over_lcm(random_antisym(rng, r, 12)))
         for _ in range(50):
             lam = tuple(rng.randint(-6, 6) for _ in range(r))
             want = evaluate(q, lam)
@@ -98,7 +101,7 @@ def test_criterion_02_double_braiding():
         q = random_level(rng, r, 12)
         pol = polarize(q)
         base = standard_refinement(q)
-        bent = perturb_refinement(base, random_antisym(rng, r, 12))
+        bent = perturb_refinement(base, *over_lcm(random_antisym(rng, r, 12)))
         for _ in range(50):
             lam = tuple(rng.randint(-6, 6) for _ in range(r))
             mu = tuple(rng.randint(-6, 6) for _ in range(r))
@@ -183,18 +186,18 @@ def test_criterion_03_linearity_in_the_level():
 
 
 def _all_forms(max_den):
+    """Each form's basis values, diagonal then polarization, and the form."""
     vals = farey(max_den)
     for d in vals:
-        yield QuadraticForm(1, (d,), ())
+        yield (d,), quadratic_form((d,), ())
     for d1 in vals:
         for d2 in vals:
             for off in vals:
-                yield QuadraticForm(2, (d1, d2), (off,))
+                yield (d1, d2, off), quadratic_form((d1, d2), (off,))
 
 
-def _half_valued(q):
-    ok = {ZERO, HALF}
-    return all(x in ok for x in q.diag) and all(x in ok for x in q.offdiag)
+def _half_valued(values):
+    return all(x in {ZERO, HALF} for x in values)
 
 
 def _unit_pairs(rho):
@@ -219,10 +222,10 @@ def test_criterion_04_linear_level_criterion():
     middle_leg_failures = 0
     unit_pairs = {r: _unit_pairs(LatticeLocalSystem.trivial(r, 1)) for r in (1, 2)}
     total = 0
-    for q in _all_forms(12):
+    for values, q in _all_forms(12):
         total += 1
         lin = is_linear(q)
-        halfy = _half_valued(q)
+        halfy = _half_valued(values)
         if lin:
             assert halfy
         elif halfy:

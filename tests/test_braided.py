@@ -10,7 +10,6 @@ from qtorus import (
     Frac1,
     GradedObject,
     IntMatrix,
-    QuadraticForm,
     balancing_check,
     braiding_phase,
     double_braiding,
@@ -24,23 +23,31 @@ from qtorus import (
     twist,
 )
 from qtorus.errors import DimensionMismatch, ShapeMismatch
-from qtorus.forms import HALF, ZERO
 
-from helpers import fields, frac1_bilinear, rand_matrix
+from helpers import (
+    HALF,
+    ZERO,
+    fields,
+    frac1_bilinear,
+    frac1_rows,
+    over_lcm,
+    quadratic_form,
+    rand_matrix,
+)
 
 QUARTER = Frac1(1, 4)
 
 
 def quarter_square():
-    return QuadraticForm(1, (QUARTER,), ())
+    return quadratic_form((QUARTER,), ())
 
 
 def rank2_halfpair():
-    return QuadraticForm(2, (ZERO, ZERO), (HALF,))
+    return quadratic_form((ZERO, ZERO), (HALF,))
 
 
 def antisym_perturbations(rank, dens=(2, 3, 4), bound=2):
-    """All antisymmetric eps with entries m/den, |m| <= bound."""
+    """All antisymmetric eps with entries m/den, |m| <= bound, as (M, N)."""
     slots = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
     for den in dens:
         for choice in product(range(-bound, bound + 1), repeat=len(slots)):
@@ -48,27 +55,49 @@ def antisym_perturbations(rank, dens=(2, 3, 4), bound=2):
             for (i, j), m in zip(slots, choice):
                 eps[i][j] = Frac1(m, den)
                 eps[j][i] = -Frac1(m, den)
-            yield eps
+            yield over_lcm(eps)
 
 
 class TestStandardRefinement:
     def test_zero_form(self):
-        b = standard_refinement(QuadraticForm(2, (ZERO, ZERO), (ZERO,)))
-        assert all(x == ZERO for row in b.beta for x in row)
+        b = standard_refinement(quadratic_form((ZERO, ZERO), (ZERO,)))
+        assert frac1_rows(b) == ((ZERO, ZERO), (ZERO, ZERO))
 
     def test_rank_one_forced(self):
-        assert standard_refinement(quarter_square()).beta == ((QUARTER,),)
+        assert frac1_rows(standard_refinement(quarter_square())) == ((QUARTER,),)
 
     def test_upper_triangular_convention(self):
         b = standard_refinement(rank2_halfpair())
-        assert b.beta == ((ZERO, HALF), (ZERO, ZERO))
+        assert frac1_rows(b) == ((ZERO, HALF), (ZERO, ZERO))
 
-    def test_constraints_enforced(self):
-        q = rank2_halfpair()
-        with pytest.raises(ShapeMismatch):
-            BraidedData(q, ((ZERO, ZERO), (ZERO, ZERO)))  # fails symmetrization
-        with pytest.raises(ShapeMismatch):
-            BraidedData(q, ((HALF, HALF), (ZERO, ZERO)))  # wrong diagonal
+    def test_constraints_hold_by_construction(self):
+        # beta[i][i] = q(e_i) and beta[i][j] + beta[j][i] = b(e_i, e_j): the
+        # form is derived from beta, so no refinement can break them
+        rng = random.Random("refinement-constraints")
+        for rank in range(4):
+            for _ in range(30):
+                n = rng.randint(1, 24)
+                b = BraidedData(rand_matrix(rng, rank, rank, -40, 40), n)
+                beta, pol = frac1_rows(b), polarize(b.quad)
+                for i in range(rank):
+                    e_i = tuple(int(k == i) for k in range(rank))
+                    assert beta[i][i] == evaluate(b.quad, e_i)
+                    for j in range(rank):
+                        e_j = tuple(int(k == j) for k in range(rank))
+                        if i != j:
+                            assert beta[i][j] + beta[j][i] == pol.evaluate(e_i, e_j)
+
+    def test_perturbation_must_be_antisymmetric(self):
+        b = standard_refinement(rank2_halfpair())
+        with pytest.raises(ShapeMismatch, match="diagonal"):
+            perturb_refinement(b, IntMatrix.from_rows([[3, 0], [0, 0]]), 6)
+        with pytest.raises(ShapeMismatch, match="antisymmetric"):
+            perturb_refinement(b, IntMatrix.from_rows([[0, 1], [1, 0]]), 3)
+        with pytest.raises(DimensionMismatch):
+            perturb_refinement(b, IntMatrix.identity(1), 2)
+        # entries are read mod 1: 1/2 + 1/2 = 0 and a diagonal 2/2 both vanish
+        shifted = perturb_refinement(b, IntMatrix.from_rows([[2, 1], [1, 0]]), 2)
+        assert frac1_rows(shifted) == ((ZERO, ZERO), (HALF, ZERO))
 
 
 class TestBraidingPhase:
@@ -96,27 +125,40 @@ class TestBraidingPhase:
             for _ in range(20):
                 den = rng.randint(1, 12)
                 c = rand_matrix(rng, rank, rank, -5, 5)
-                q = quad_from_bilinear(BilinearData(c, Frac1(rng.randrange(den), den)))
+                zeta = Frac1(rng.randrange(den), den)
+                q = quad_from_bilinear(BilinearData(c, zeta))
                 eps = [[ZERO] * rank for _ in range(rank)]
                 for i in range(rank):
                     for j in range(i + 1, rank):
                         eps[i][j] = Frac1(rng.randint(-30, 30), rng.randint(1, 12))
                         eps[j][i] = -eps[i][j]
-                b = perturb_refinement(standard_refinement(q), eps)
+                # the standard refinement's values zeta c_ii on the diagonal and
+                # zeta (c_ij + c_ji) above it, shifted by eps
+                upper = [
+                    [c.entry(i, j) + c.entry(j, i) if i < j else 0 for j in range(rank)]
+                    for i in range(rank)
+                ]
+                for i in range(rank):
+                    upper[i][i] = c.entry(i, i)
+                beta = [
+                    [eps[i][j] + zeta.scale(x) for j, x in enumerate(row)]
+                    for i, row in enumerate(upper)
+                ]
+                b = perturb_refinement(standard_refinement(q), *over_lcm(eps))
                 for _ in range(5):
                     lam = [rng.randint(-2**70, 2**70) for _ in range(rank)]
                     mu = [rng.choice((0, 1, -3, rng.randint(-2**70, 2**70))) for _ in range(rank)]
-                    assert braiding_phase(b, lam, mu) == frac1_bilinear(b.beta, lam, mu)
+                    assert braiding_phase(b, lam, mu) == frac1_bilinear(beta, lam, mu)
 
     def test_common_denominator_and_numerators(self):
         q = quad_from_bilinear(BilinearData(IntMatrix.from_rows([[1, 1], [0, 2]]), Frac1(1, 6)))
         b = standard_refinement(q)  # beta = [[1/6, 1/6], [0, 1/3]]
         assert b.denominator == 6
         assert b.numerators == IntMatrix.from_rows([[1, 1], [0, 2]])
-        shifted = perturb_refinement(b, [[ZERO, QUARTER], [-QUARTER, ZERO]])
+        shifted = perturb_refinement(b, IntMatrix.from_rows([[0, 1], [-1, 0]]), 4)
         assert shifted.denominator == 12
         assert shifted.numerators == IntMatrix.from_rows([[2, 5], [9, 4]])
-        again = perturb_refinement(b, [[ZERO, ZERO], [ZERO, ZERO]])
+        again = perturb_refinement(b, IntMatrix.zeros(2, 2), 1)
         assert fields(again) == fields(b)
 
 
@@ -144,7 +186,7 @@ class TestDoubleBraiding:
             base = standard_refinement(q)
             vecs = list(product(range(-1, 2), repeat=r))
             for eps in antisym_perturbations(r):
-                b = perturb_refinement(base, eps)
+                b = perturb_refinement(base, *eps)
                 for lam in vecs:
                     for mu in vecs:
                         assert double_braiding(b, lam, mu) == pol.evaluate(lam, mu)
@@ -162,7 +204,7 @@ class TestTwist:
         assert twist(standard_refinement(quarter_square()), (3,)) == QUARTER
 
     def test_linear_level(self):
-        q = QuadraticForm(1, (HALF,), ())  # Q(n) = n/2
+        q = quadratic_form((HALF,), ())  # Q(n) = n/2
         assert twist(standard_refinement(q), (1,)) == HALF
 
     def test_depends_only_on_form(self):
@@ -170,7 +212,7 @@ class TestTwist:
         q = quad_from_bilinear(BilinearData(rand_matrix(rng, 2, 2, -3, 3), Frac1(1, 6)))
         base = standard_refinement(q)
         for eps in antisym_perturbations(2, dens=(3,), bound=1):
-            b = perturb_refinement(base, eps)
+            b = perturb_refinement(base, *eps)
             for lam in product(range(-2, 3), repeat=2):
                 assert twist(b, lam) == evaluate(q, lam)
 

@@ -1,7 +1,10 @@
 import argparse
+import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +19,8 @@ from qtorus import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = Path(__file__).parent / "inputs"
+# pinned by TestGolden::test_seeded_local_and_trivial_global_deck_bytes
+DECK_SHA256 = "6e434e959be9faa1a1fd632d29615e9850b7791287bacbab69d615351fba1e9c"
 
 
 def run_main(capsys, *argv):
@@ -92,6 +97,37 @@ class TestGolden:
         out, code = run_main(capsys, "selfcheck", "--input", str(GOLDEN / "selfcheck.json"))
         assert code == 0
         assert out == (GOLDEN / "selfcheck.out.json").read_text()
+
+    def test_seeded_local_and_trivial_global_deck_bytes(self, capsys, tmp_path):
+        # one sha256 over stdout and exit code of 48 local jobs (rank 1-4,
+        # zeta denominators 1-12, c entries in [-5, 5]) and 24 trivial global
+        # jobs at genus 1-2 on the same levels, in json and text
+        rng = random.Random(43)
+        levels = []
+        for k in range(48):
+            rank = 1 + k % 4
+            den = rng.randint(1, 12)
+            num = rng.choice([a for a in range(den) if math.gcd(a, den) == 1])
+            c = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(rank)]
+            levels.append((rank, {"c_matrix": c, "zeta": f"{num}/{den}"}))
+        jobs = [
+            {"task": "local", "level": level, "output_format": ("json", "text")[k % 2]}
+            for k, (_, level) in enumerate(levels)
+        ]
+        jobs += [
+            {
+                "task": "global",
+                "surface": {"genus": 1 + k % 2, "rank": rank},
+                "level": level,
+                "output_format": ("json", "text")[k // 2 % 2],
+            }
+            for k, (rank, level) in enumerate(levels[::2])
+        ]
+        digest = hashlib.sha256()
+        for job in jobs:
+            out, code = run_main(capsys, job["task"], "--input", write_spec(tmp_path, job))
+            digest.update(f"{code}\n".encode() + out.encode())
+        assert digest.hexdigest() == DECK_SHA256
 
     def test_repeat_runs_identical(self, capsys):
         first, _ = run_main(capsys, "global", "--input", str(GOLDEN / "global_unit_quarter.json"))

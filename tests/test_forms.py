@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qtorus import (
     BilinearData,
+    BraidedData,
     Frac1,
     IntMatrix,
     LatticeLocalSystem,
@@ -24,13 +26,18 @@ from qtorus.errors import (
     NonSquareMatrix,
     NonUnimodular,
 )
-from qtorus.forms import HALF, ZERO, preserves, probe_images
+from qtorus.forms import preserves, probe_images
 
 from helpers import (
+    HALF,
+    ZERO,
     family_system,
     fields,
     frac1_bilinear,
     frac1_quadratic,
+    frac1_rows,
+    over_lcm,
+    quadratic_form,
     rand_matrix,
     random_invariant_level,
     random_local_system,
@@ -110,23 +117,23 @@ class TestEvaluate:
             assert evaluate(q, v) == evaluate(q, tuple(-x for x in v))
 
     def test_stored_diag_path(self):
-        q = QuadraticForm(1, (frac(1, 4),), ())
+        q = quadratic_form((frac(1, 4),), ())
         assert evaluate(q, (2,)) == ZERO
         assert evaluate(q, (3,)) == frac(1, 4)
 
     def test_dimension_guard(self):
-        q = QuadraticForm(2, (ZERO, ZERO), (HALF,))
+        q = quadratic_form((ZERO, ZERO), (HALF,))
         with pytest.raises(DimensionMismatch):
             evaluate(q, (1,))
 
 
 class TestPolarize:
     def test_zero_form(self):
-        q = QuadraticForm(2, (ZERO, ZERO), (ZERO,))
+        q = quadratic_form((ZERO, ZERO), (ZERO,))
         assert polarize(q).is_zero()
 
     def test_quarter_square_gives_half_product(self):
-        q = QuadraticForm(1, (frac(1, 4),), ())
+        q = quadratic_form((frac(1, 4),), ())
         b = polarize(q)
         for m in range(-4, 5):
             for n in range(-4, 5):
@@ -193,17 +200,17 @@ def test_level_space_is_additive():
 
 class TestLinearity:
     def test_zero_is_linear(self):
-        assert is_linear(QuadraticForm(1, (ZERO,), ()))
+        assert is_linear(quadratic_form((ZERO,), ()))
 
     def test_half_square_is_linear(self):
         # Q(n) = n^2/2 equals n/2 mod 1
-        q = QuadraticForm(1, (HALF,), ())
+        q = quadratic_form((HALF,), ())
         assert is_linear(q)
         for n in range(-6, 7):
             assert evaluate(q, (n,)) in (ZERO, HALF)
 
     def test_third_square_is_not_linear(self):
-        q = QuadraticForm(1, (frac(1, 3),), ())
+        q = quadratic_form((frac(1, 3),), ())
         assert not is_linear(q)
         assert polarize(q).evaluate((1,), (1,)) == frac(2, 3)
 
@@ -211,9 +218,9 @@ class TestLinearity:
 def test_is_linear_marks_e_infinity_levels():
     # the e_infinity flag of a local report: the zero form of rank 2 and 1/2
     # are linear, 1/4 is not
-    assert is_linear(QuadraticForm(2, (ZERO, ZERO), (ZERO,)))
-    assert not is_linear(QuadraticForm(1, (frac(1, 4),), ()))
-    assert is_linear(QuadraticForm(1, (HALF,), ()))
+    assert is_linear(quadratic_form((ZERO, ZERO), (ZERO,)))
+    assert not is_linear(quadratic_form((frac(1, 4),), ()))
+    assert is_linear(quadratic_form((HALF,), ()))
 
 
 def genus_one(a):
@@ -228,16 +235,16 @@ class TestInvarianceCheck:
         assert invariance_check(q, genus_one(IntMatrix.identity(3)))
 
     def test_negation_always_passes(self):
-        q = QuadraticForm(1, (frac(1, 3),), ())
+        q = quadratic_form((frac(1, 3),), ())
         assert invariance_check(q, genus_one(IntMatrix(1, 1, [-1])))
 
     def test_swap_detects_asymmetric_diagonal(self):
-        q = QuadraticForm(2, (frac(1, 3), ZERO), (ZERO,))
+        q = quadratic_form((frac(1, 3), ZERO), (ZERO,))
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert not invariance_check(q, genus_one(swap))
 
     def test_error_paths(self):
-        q = QuadraticForm(2, (ZERO, ZERO), (ZERO,))
+        q = quadratic_form((ZERO, ZERO), (ZERO,))
         with pytest.raises(DimensionMismatch):
             invariance_check(q, genus_one(IntMatrix.identity(3)))
         # a matrix with no integer inverse never reaches the check: the local
@@ -267,7 +274,7 @@ class TestInvarianceCheck:
                     max_size=rank * (rank + 1) // 2,
                 )
                 drawn = data.draw(values, label="values")
-                q = QuadraticForm(rank, tuple(drawn[:rank]), tuple(drawn[rank:]))
+                q = quadratic_form(tuple(drawn[:rank]), tuple(drawn[rank:]))
             unit = [tuple(int(t == i) for t in range(rank)) for i in range(rank)]
             probes = unit + [
                 tuple(x + y for x, y in zip(unit[i], unit[j]))
@@ -342,8 +349,8 @@ class TestInvarianceCheck:
 
 def test_symmetric_form_validation():
     with pytest.raises(Exception):
-        SymmetricForm(2, ((ZERO, HALF), (ZERO, ZERO)))  # not symmetric
-    s = SymmetricForm(2, ((ZERO, HALF), (HALF, ZERO)))
+        SymmetricForm(*over_lcm(((ZERO, HALF), (ZERO, ZERO))))  # not symmetric
+    s = SymmetricForm(*over_lcm(((ZERO, HALF), (HALF, ZERO))))
     assert s.evaluate((1, 0), (0, 1)) == HALF
     with pytest.raises(DimensionMismatch):
         s.evaluate((1,), (0, 1))
@@ -374,23 +381,21 @@ class TestIntegerEvaluators:
                 for i in range(rank):
                     for j in range(i, rank):
                         rows[i][j] = rows[j][i] = _random_value(rng)
-                b = SymmetricForm(rank, tuple(map(tuple, rows)))
+                b = SymmetricForm(*over_lcm(rows))
                 for _ in range(5):
                     x, y = _random_vector(rng, rank), _random_vector(rng, rank)
-                    assert b.evaluate(x, y) == frac1_bilinear(b.entries, x, y)
+                    assert b.evaluate(x, y) == frac1_bilinear(rows, x, y)
 
     def test_quadratic_evaluate_matches_per_entry_sum(self):
         rng = random.Random("quadratic-integer")
         for rank in range(5):
             for _ in range(40):
-                q = QuadraticForm(
-                    rank,
-                    tuple(_random_value(rng) for _ in range(rank)),
-                    tuple(_random_value(rng) for _ in range(rank * (rank - 1) // 2)),
-                )
+                diag = tuple(_random_value(rng) for _ in range(rank))
+                offdiag = tuple(_random_value(rng) for _ in range(rank * (rank - 1) // 2))
+                q = quadratic_form(diag, offdiag)
                 for _ in range(5):
                     gamma = _random_vector(rng, rank)
-                    assert evaluate(q, gamma) == frac1_quadratic(q, gamma)
+                    assert evaluate(q, gamma) == frac1_quadratic(diag, offdiag, gamma)
 
     def test_equal_forms_built_differently(self):
         rng = random.Random("equal-forms")
@@ -413,20 +418,66 @@ class TestIntegerEvaluators:
                 assert fields(b1) == fields(b2)
                 assert (b1.denominator, b1.numerators) == (b2.denominator, b2.numerators)
                 # entries given unreduced or shifted by integers are the same values
-                unreduced = tuple(
-                    tuple(Frac1(3 * x.num + 15 * x.den, 3 * x.den) for x in row)
-                    for row in b1.entries
-                )
-                b3 = SymmetricForm(rank, unreduced)
+                n = b1.denominator
+                unreduced = IntMatrix(rank, rank, [3 * x + 15 * n for x in b1.numerators.entries])
+                b3 = SymmetricForm(unreduced, 3 * n)
                 assert fields(b3) == fields(b1)
                 assert (b3.denominator, b3.numerators) == (b1.denominator, b1.numerators)
 
     def test_common_denominator_is_the_lcm(self):
-        b = SymmetricForm(2, ((frac(1, 4), frac(1, 6)), (frac(1, 6), ZERO)))
+        # 1/4 and 1/6 given over 24 are stored over 12
+        b = SymmetricForm(IntMatrix.from_rows([[6, 4], [4, 0]]), 24)
         assert b.denominator == 12
         assert b.numerators == IntMatrix.from_rows([[3, 2], [2, 0]])
-        q = QuadraticForm(3, (HALF, ZERO, frac(2, 3)), (frac(1, 4), ZERO, frac(5, 6)))
+        # Q(e_i) = 1/2, 0, 2/3 and b = 1/4, 0, 5/6 above the diagonal, from a
+        # matrix whose lower triangle carries part of the polarization
+        q = QuadraticForm(IntMatrix.from_rows([[12, 2, 0], [4, 0, 7], [0, 13, 16]]), 24)
         assert q.denominator == 12
         assert q.numerators == IntMatrix.from_rows([[6, 3, 0], [0, 0, 10], [0, 0, 8]])
-        empty = SymmetricForm(0, ())
+        by_values = quadratic_form((HALF, ZERO, frac(2, 3)), (frac(1, 4), ZERO, frac(5, 6)))
+        assert fields(q) == fields(by_values)
+        empty = SymmetricForm(IntMatrix(0, 0, ()), 5)
         assert (empty.denominator, empty.evaluate((), ())) == (1, ZERO)
+
+
+class TestLeastDenominator:
+    """Each form holds its matrix reduced into [0, N) over the least N."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rank=st.integers(0, 4),
+        entries=st.lists(st.integers(-10**6, 10**6) | st.integers(-2**70, 2**70), min_size=16),
+        n=st.integers(1, 60) | st.integers(1, 2**40),
+        k=st.integers(1, 30),
+    )
+    def test_scaled_inputs_and_the_lcm(self, rank, entries, n, k):
+        m = IntMatrix(rank, rank, entries[: rank * rank])
+        sym = m + m.transpose()
+        # each class's own Q/Z values, one Frac1 per entry: the basis values of
+        # Q, the entries of b, and the entries of beta
+        quad_values = [Frac1(m.entry(i, i), n) for i in range(rank)] + [
+            Frac1(m.entry(i, j) + m.entry(j, i), n) for i in range(rank) for j in range(i + 1, rank)
+        ]
+        sym_values = [[Frac1(x, n) for x in row] for row in sym.row_lists()]
+        beta_values = [[Frac1(x, n) for x in row] for row in m.row_lists()]
+        cases = [
+            (QuadraticForm, m, quad_values),
+            (SymmetricForm, sym, [x for row in sym_values for x in row]),
+            (BraidedData, m, [x for row in beta_values for x in row]),
+        ]
+        for cls, matrix, values in cases:
+            form = cls(matrix, n)
+            scaled = cls(IntMatrix(rank, rank, [k * x for x in matrix.entries]), k * n)
+            assert fields(scaled) == fields(form)
+            assert all(0 <= x < form.denominator for x in form.numerators.entries)
+            assert form.denominator == math.lcm(*(x.den for x in values))
+        assert frac1_rows(SymmetricForm(sym, n)) == tuple(map(tuple, sym_values))
+        assert frac1_rows(BraidedData(m, n)) == tuple(map(tuple, beta_values))
+
+    def test_rejects_a_non_square_matrix_or_denominator_below_one(self):
+        for cls in (QuadraticForm, SymmetricForm, BraidedData):
+            with pytest.raises(NonSquareMatrix):
+                cls(IntMatrix.zeros(1, 2), 3)
+            for n in (0, -4):
+                with pytest.raises(BadFraction):
+                    cls(IntMatrix.identity(2), n)

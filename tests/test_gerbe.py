@@ -21,11 +21,13 @@ from qtorus import (
 from qtorus import gerbe, selfcheck
 from qtorus.errors import BadComponent, DimensionMismatch, InvariantViolation, NotInvariant
 from qtorus.errors import ShapeMismatch
-from qtorus.forms import HALF, ZERO, SymmetricForm, polarize, quad_from_bilinear
+from qtorus.forms import SymmetricForm, polarize, quad_from_bilinear
 from qtorus.gerbe import _heisenberg_dimensions, omega_numerators
 from qtorus.lattice import inverse_unimodular, smith_normal_form
 
 from helpers import (
+    HALF,
+    ZERO,
     closed,
     components_by_product,
     cup_matrix,
@@ -34,6 +36,7 @@ from helpers import (
     family_system,
     fraction_det,
     fraction_rank,
+    full_block_dim,
     global_json,
     groups_json,
     heisenberg_by_smith,
@@ -42,6 +45,7 @@ from helpers import (
     omega_of,
     pairing_gram_by_letters,
     pairing_on_cocycles_per_term,
+    pairing_values,
     rand_matrix,
     rand_unimodular,
     random_invariant_level,
@@ -240,10 +244,11 @@ class TestGramRoute:
                 vectors = list(cohomology_presentations(rho).h1.all_gens()[:3])
                 vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
                 w = densify(omega_numerators(rho, p.numerators, vectors))
+                values = pairing_values(level.bilinear)
                 for i, u in enumerate(vectors):
                     for j, v in enumerate(vectors):
                         got = Frac1(w.entry(i, j), p.denominator)
-                        assert got == pairing_on_cocycles_per_term(p, rho, u, v)
+                        assert got == pairing_on_cocycles_per_term(values, rho, u, v)
 
     @pytest.mark.parametrize("family", ["trivial", "sign", "shear"])
     def test_matches_per_pair_reference(self, family):
@@ -253,9 +258,10 @@ class TestGramRoute:
             for rank in range(1, 4):
                 level = family_level(rng, family, genus, rank)
                 gens = cohomology_presentations(level.rho).h1.all_gens()
+                values = pairing_values(level.bilinear)
                 reference = tuple(
                     tuple(
-                        pairing_on_cocycles_per_term(level.pairing, level.rho, u, v)
+                        pairing_on_cocycles_per_term(values, level.rho, u, v)
                         for v in gens
                     )
                     for u in gens
@@ -445,9 +451,7 @@ class TestGramRoute:
         rho = LatticeLocalSystem(2, 1, [flip, IntMatrix.identity(2)])
         level = LevelInput(BilinearData(IntMatrix.identity(2), Frac1(1, 3)), rho)
         # the flip negates b(e_0, e_1) = 1/3, so b(e_0, (rho(a) - 1) e_1) = -2/3
-        level.pairing = SymmetricForm(
-            2, ((Frac1(2, 3), Frac1(1, 3)), (Frac1(1, 3), Frac1(2, 3)))
-        )
+        level.pairing = SymmetricForm(IntMatrix.from_rows([[2, 1], [1, 2]]), 3)
         with pytest.raises(InvariantViolation, match="representative"):
             block_report(level, components=[(0, 0)])
         with pytest.raises(InvariantViolation, match="representative"):
@@ -527,7 +531,7 @@ class TestOmegaChecks:
     def omega(monkeypatch, rho, n, w):
         """_omega on ``rho``'s H^1 generators, with omega_numerators returning ``w`` at N = n."""
         monkeypatch.setattr(gerbe, "omega_numerators", lambda rho, numerators, gens: w)
-        pairing = SymmetricForm(1, ((Frac1(1, n),),))  # only its denominator is read
+        pairing = SymmetricForm(IntMatrix(1, 1, [1]), n)  # only its denominator is read
         return gerbe._omega(rho, cohomology_presentations(rho), pairing)
 
     def test_a_missing_entry_whose_mirror_is_nonzero_fails(self, monkeypatch):
@@ -574,9 +578,7 @@ class TestOmegaChecks:
 
 def unit_form(rank, n):
     """B = I over N: the form with entries 1/N on the diagonal."""
-    return SymmetricForm(
-        rank, tuple(tuple(Frac1(1, n) if i == j else ZERO for j in range(rank)) for i in range(rank))
-    )
+    return SymmetricForm(IntMatrix.identity(rank), n)
 
 
 def free_block(rho, pairing, gens, free):
@@ -633,7 +635,7 @@ class TestPoincareDuality:
         # 9, 81, 729 for [[2, 1], [1, 2]], and 3^(4g) for B = 3 I. Only for
         # B = d I is that d^(2g r)
         rho = LatticeLocalSystem.trivial(2, genus)
-        pairing = SymmetricForm(2, tuple(tuple(Frac1(x, 7) for x in row) for row in b))
+        pairing = SymmetricForm(IntMatrix.from_rows(b), 7)
         assert pairing.numerators == IntMatrix.from_rows(b)
         pres = cohomology_presentations(rho)
         gens, free = list(pres.h1.all_gens()), len(pres.h1.free_gens)
@@ -833,15 +835,17 @@ class TestChernSimonsCount:
 
     @staticmethod
     def report(c, zeta, rho):
-        """(the level's pairing, block_dim of one global report)."""
+        """(the level, block_dim of one global report)."""
         level = LevelInput(BilinearData(IntMatrix.from_rows(c), zeta), rho)
         (block,) = global_json("global", level, components=[(0,) * rho.rank])["blocks"]
-        return level.pairing, block["block_dim"]
+        return level, block["block_dim"]
 
     def check(self, genus, c, zeta):
-        pairing, block_dim = self.report(c, zeta, LatticeLocalSystem.trivial(len(c), genus))
-        order = image_order(pairing.numerators, pairing.denominator)
+        level, block_dim = self.report(c, zeta, LatticeLocalSystem.trivial(len(c), genus))
+        order = image_order(level.pairing.numerators, level.pairing.denominator)
         assert block_dim == order**genus, (genus, c, str(zeta))
+        # ROADMAP item 25's count on all of H^1 is the same |A|^g here
+        assert full_block_dim(block_report(level, components=[])) == order**genus
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -891,8 +895,8 @@ class TestChernSimonsCount:
             IntMatrix.from_rows([[signs[k][j] if k == i else 0 for k in range(rank)] for i in range(rank)])
             for j in range(2 * genus)
         ]
-        pairing, block_dim = self.report(c, zeta, LatticeLocalSystem(rank, genus, mon))
-        b, n = pairing.numerators, pairing.denominator
+        level, block_dim = self.report(c, zeta, LatticeLocalSystem(rank, genus, mon))
+        b, n = level.pairing.numerators, level.pairing.denominator
         assert not any(b.entry(i, k) for i in range(rank) for k in range(rank) if i != k)
         want = 1
         for k in range(rank):

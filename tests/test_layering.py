@@ -186,6 +186,45 @@ def test_gerbe_holds_no_fractions():
     assert not names & {"Frac1", "_Residues"}
 
 
+def test_forms_store_one_matrix_over_one_denominator():
+    # a form holds its integer numerators over one denominator, and a
+    # refinement the quadratic form it derives; no Frac1 copy beside them
+    slots = {}
+    owners = {"forms": {"QuadraticForm", "SymmetricForm"}, "braided": {"BraidedData"}}
+    for module, names in owners.items():
+        for node in parse(module).body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__slots__":
+                        slots[node.name] = set(ast.literal_eval(stmt.value))
+    assert set(slots) == {"QuadraticForm", "SymmetricForm", "BraidedData"}
+    for name, fields in slots.items():
+        assert fields <= {"rank", "quad", "denominator", "numerators"}, name
+
+
+def test_forms_build_frac1_only_at_the_edges():
+    # forms and braided build a Frac1 (by its constructor or by scaling one)
+    # inside Frac1 itself or as a value a function returns
+    for module in ("forms", "braided"):
+        tree = parse(module)
+        allowed = set()
+        for node in ast.walk(tree):
+            in_frac1 = isinstance(node, ast.ClassDef) and node.name == "Frac1"
+            if in_frac1 or isinstance(node, ast.Return):
+                allowed.update(map(id, ast.walk(node)))
+        built = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == "Frac1")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "scale")
+            )
+        ]
+        assert built, module
+        assert [ast.unparse(node) for node in built if id(node) not in allowed] == [], module
+
+
 def test_omega_forms_no_dense_product():
     # W = G^T P G is scattered from P's nonzero entries over the generators'
     # supports; IntMatrix's dense @ stays the plain product the cochain
