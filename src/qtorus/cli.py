@@ -3,10 +3,11 @@
 Reads a JSON job spec, runs one of the five tasks (local, surface, global,
 bunt, selfcheck) and writes a report to stdout. Output is deterministic:
 stable key order, canonical "num/den" fraction strings, a single trailing
-newline. Exit codes: 0 success, 2 spec validation failure or a bad command
-line (a machine readable error object is printed), 3 internal invariant
-violation, which includes any disagreement between the two pairing routes in
-selfcheck.
+newline. Exit codes: 0 success, 2 spec validation failure, a bad command
+line or a job that needs more memory than there is (a machine readable error
+object is printed), 3 internal invariant violation, which includes any
+disagreement between the two pairing routes in selfcheck. The spec and its
+``surface`` and ``level`` objects refuse unknown keys.
 
 A block report's omega and pi2 characters arrive as integer residues over
 its denominator N; this module alone writes them as fractions, one string
@@ -88,6 +89,23 @@ def _as_matrix(value: Any, size: int | None, path: str) -> IntMatrix:
     return IntMatrix(n, n, [x for row in rows for x in row])
 
 
+def _known_keys(raw: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    """Refuse the first key of ``raw`` outside ``known``; its path is ``prefix`` plus the key."""
+    for key in raw:
+        if key not in known:
+            # a short key is its own path; a long one is cut like the message
+            shown = _echo(key)
+            path = prefix + (key if shown == repr(key) else shown)
+            raise BadJobSpec(f"unknown field {shown}", path)
+
+
+def _surface_object(raw: Any) -> dict:
+    if not isinstance(raw, dict):
+        raise BadJobSpec("surface must be an object", "surface")
+    _known_keys(raw, ("genus", "rank", "monodromy"), "surface.")
+    return raw
+
+
 def _surface_rank(surface: dict) -> int:
     rank = _as_int(surface.get("rank"), "surface.rank")
     if rank < 1:
@@ -101,12 +119,9 @@ class JobSpec:
     def __init__(self, raw: Any):
         if not isinstance(raw, dict):
             raise BadJobSpec("job spec must be a JSON object", "")
-        known = {"task", "surface", "level", "components", "component_bound", "output_format"}
-        for key in raw:
-            if key not in known:
-                # a short key is its own path; a long one is cut like the message
-                shown = _echo(key)
-                raise BadJobSpec(f"unknown field {shown}", key if shown == repr(key) else shown)
+        _known_keys(
+            raw, ("task", "surface", "level", "components", "component_bound", "output_format")
+        )
         task = raw.get("task")
         if task not in TASKS:
             raise BadJobSpec(f"task must be one of {', '.join(TASKS)}", "task")
@@ -134,9 +149,7 @@ class JobSpec:
             raise BadJobSpec(f"task {task!r} requires a level block", "level")
 
     def local_system(self) -> LatticeLocalSystem:
-        s = self.surface_raw
-        if not isinstance(s, dict):
-            raise BadJobSpec("surface must be an object", "surface")
+        s = _surface_object(self.surface_raw)
         genus = _as_int(s.get("genus"), "surface.genus")
         rank = _surface_rank(s)
         if not 0 <= genus <= sys.maxsize // 2:  # 2g monodromy matrices must fit a list
@@ -161,6 +174,7 @@ class JobSpec:
         lv = self.level_raw
         if not isinstance(lv, dict):
             raise BadJobSpec("level must be an object", "level")
+        _known_keys(lv, ("c_matrix", "zeta"), "level.")
         c = _as_matrix(lv.get("c_matrix"), rank_hint, "level.c_matrix")
         try:
             zeta = Frac1.parse(lv.get("zeta"))
@@ -213,9 +227,7 @@ def _twist_bound(rank: int) -> int:
 def _run_local(spec: JobSpec) -> dict:
     rank_hint = None
     if spec.surface_raw is not None:
-        if not isinstance(spec.surface_raw, dict):
-            raise BadJobSpec("surface must be an object", "surface")
-        rank_hint = _surface_rank(spec.surface_raw)
+        rank_hint = _surface_rank(_surface_object(spec.surface_raw))
     level = spec.level(rank_hint)
     quad = quad_from_bilinear(level)
     pairing = polarize(quad)
@@ -599,6 +611,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         output, code = run(spec, seed=args.seed)
     except QtorusError as err:
         sys.stdout.write(_error_payload(err.code, err.message, err.path))
+        return 2
+    except MemoryError:
+        # the job asked for more memory than the process can have, such as a
+        # genus whose 2g monodromy matrices fit a list index but not memory
+        message = "the job needs more memory than is available"
+        sys.stdout.write(_error_payload("resource_limit", message, ""))
         return 2
     except InvariantViolation as err:
         sys.stdout.write(_error_payload("invariant_violation", str(err), ""))

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtorus import ERROR_SCHEMA, REPORT_SCHEMAS
-from qtorus import cli
+from qtorus import cli, selfcheck
+from qtorus.schemas import SELFCHECK_MISMATCH
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = Path(__file__).parent / "inputs"
@@ -234,6 +235,28 @@ class TestSchemas:
         assert {task for _, task in zeroed} == {"local", "surface", "global", "bunt"}
         assert len(zeroed) == 9
 
+    def test_published_schemas_are_pinned_and_closed(self):
+        # the file is the published contract; every object in it is closed
+        # and requires each of its properties, in order
+        published = (Path(__file__).parent / "published_schemas.json").read_text()
+        current = {"error": ERROR_SCHEMA, "reports": REPORT_SCHEMAS}
+        assert published == json.dumps(current, indent=2) + "\n"
+        objects, stack = set(), [json.loads(published)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                if node.get("type") == "object":
+                    assert node["additionalProperties"] is False
+                    assert node["required"] == list(node["properties"])
+                    objects.add(json.dumps(node))
+                stack.extend(node.values())
+            elif isinstance(node, list):
+                stack.extend(node)
+        assert len(objects) == 21
+        assert set(REPORT_SCHEMAS) == set(cli.TASKS)
+        family = SELFCHECK_MISMATCH["properties"]["family"]
+        assert family["enum"] == list(selfcheck._FAMILIES)
+
     def test_bunt_schema_is_global_plus_bun_t(self):
         glob, bunt = REPORT_SCHEMAS["global"], REPORT_SCHEMAS["bunt"]
         assert set(bunt["required"]) == set(glob["required"]) | {"bun_t"}
@@ -345,6 +368,57 @@ class TestValidation:
         payload = json.loads(out)
         jsonschema.validate(payload, ERROR_SCHEMA)
         assert (payload["code"], payload["path"]) == ("bad_job_spec", "surface.genus")
+
+    def test_genus_past_memory_exits_2(self, capsys, tmp_path):
+        # within the list index limit, the 2g identity matrices of the trivial
+        # system still ask for more memory than there is: the list's size
+        # check raises MemoryError before anything is allocated
+        spec = base_global_spec(surface={"genus": sys.maxsize // 2, "rank": 1})
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert (payload["code"], payload["path"]) == ("resource_limit", "")
+
+    @pytest.mark.parametrize("task", ["local", "surface", "global", "bunt"])
+    def test_unknown_surface_key(self, capsys, tmp_path, task):
+        # a misspelt monodromy used to be dropped, leaving the trivial system
+        # (pi1 = Z^2 where the intended system gives Z/2)
+        spec = base_global_spec(
+            task=task, surface={"genus": 1, "rank": 1, "monodrmy": [[[-1]], [[1]]]}
+        )
+        out, code = run_main(capsys, task, "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "bad_job_spec",
+            "message": "unknown field 'monodrmy'",
+            "path": "surface.monodrmy",
+        }
+
+    @pytest.mark.parametrize("task", ["local", "global", "bunt"])
+    def test_unknown_level_key(self, capsys, tmp_path, task):
+        spec = base_global_spec(task=task, level={"c_matrix": [[1]], "zeta": "1/4", "eta": 0})
+        out, code = run_main(capsys, task, "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "bad_job_spec",
+            "message": "unknown field 'eta'",
+            "path": "level.eta",
+        }
+
+    def test_unknown_nested_key_path_is_bounded(self, capsys, tmp_path):
+        spec = base_global_spec(surface={"genus": 1, "rank": 1, "k" * 100000: 1})
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        assert len(out.encode()) < 1024
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload["path"].startswith("surface.'kkk")
+        assert payload["path"].endswith("(100002 characters)")
 
     def test_non_unimodular_monodromy(self, capsys, tmp_path):
         spec = base_global_spec(surface={"genus": 1, "rank": 1, "monodromy": [[[2]], [[1]]]})
