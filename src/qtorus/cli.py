@@ -6,8 +6,10 @@ stable key order, canonical "num/den" fraction strings, a single trailing
 newline. Exit codes: 0 success, 2 spec validation failure, a bad command
 line or a job that needs more memory than there is (a machine readable error
 object is printed), 3 internal invariant violation, which includes any
-disagreement between the two pairing routes in selfcheck. The spec and its
-``surface`` and ``level`` objects refuse unknown keys.
+disagreement between the two pairing routes in selfcheck. Every object of a
+spec is checked, whatever the task; the spec and its ``surface`` and
+``level`` objects refuse unknown keys. Report integers are written at any
+length.
 
 A block report's omega and pi2 characters arrive as integer residues over
 its denominator N; this module alone writes them as fractions, one string
@@ -68,10 +70,11 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
-def _as_vector(value: Any, length: int, path: str) -> tuple[int, ...]:
-    """A list of ``length`` integers as a tuple; the first bad entry's path on failure."""
-    if not isinstance(value, list) or len(value) != length:
-        raise BadJobSpec(f"expected a list of {length} integers", path)
+def _as_vector(value: Any, length: int | None, path: str) -> tuple[int, ...]:
+    """A list of ``length`` integers (any number if None) as a tuple; first bad path on failure."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise BadJobSpec(f"expected a list of {size}integers", path)
     if set(map(type, value)) - _INT:
         for i, x in enumerate(value):
             _as_int(x, f"{path}[{i}]")
@@ -99,24 +102,15 @@ def _known_keys(raw: dict, known: tuple[str, ...], prefix: str = "") -> None:
             raise BadJobSpec(f"unknown field {shown}", path)
 
 
-def _surface_object(raw: Any) -> dict:
-    if not isinstance(raw, dict):
-        raise BadJobSpec("surface must be an object", "surface")
-    _known_keys(raw, ("genus", "rank", "monodromy"), "surface.")
-    return raw
-
-
-def _surface_rank(surface: dict) -> int:
-    rank = _as_int(surface.get("rank"), "surface.rank")
-    if rank < 1:
-        raise BadJobSpec("rank must be positive", "surface.rank")
-    return rank
-
-
 class JobSpec:
-    """Validated job description; raw JSON in, typed fields out."""
+    """The job spec of a ``command`` task; raw JSON in, typed fields out.
 
-    def __init__(self, raw: Any):
+    Every object is parsed, whatever the task: the surface into ``rho``, the
+    level into ``bilinear`` of rho's rank, and the components into vectors of
+    that rank, or of any length with no surface. An absent object is None.
+    """
+
+    def __init__(self, raw: Any, command: str):
         if not isinstance(raw, dict):
             raise BadJobSpec("job spec must be a JSON object", "")
         _known_keys(
@@ -125,15 +119,14 @@ class JobSpec:
         task = raw.get("task")
         if task not in TASKS:
             raise BadJobSpec(f"task must be one of {', '.join(TASKS)}", "task")
+        if task != command:
+            raise BadJobSpec(f"spec task {task!r} does not match command {command!r}", "task")
         self.task: str = task
         fmt = raw.get("output_format", "json")
         if fmt not in ("json", "text"):
             raise BadJobSpec("output_format must be 'json' or 'text'", "output_format")
         self.output_format: str = fmt
 
-        self.surface_raw = raw.get("surface")
-        self.level_raw = raw.get("level")
-        self.components_raw = raw.get("components")
         self.component_bound = 1
         if "component_bound" in raw:
             bound = _as_int(raw["component_bound"], "component_bound")
@@ -141,17 +134,24 @@ class JobSpec:
                 raise BadJobSpec("component_bound must be nonnegative", "component_bound")
             self.component_bound = bound
 
-        need_surface = task in ("surface", "global", "bunt")
-        need_level = task in ("local", "global", "bunt")
-        if need_surface and self.surface_raw is None:
+        surface, level, vectors = (raw.get(key) for key in ("surface", "level", "components"))
+        if task in ("surface", "global", "bunt") and surface is None:
             raise BadJobSpec(f"task {task!r} requires a surface block", "surface")
-        if need_level and self.level_raw is None:
+        if task in ("local", "global", "bunt") and level is None:
             raise BadJobSpec(f"task {task!r} requires a level block", "level")
+        self.rho = None if surface is None else self.local_system(surface)
+        rank = None if self.rho is None else self.rho.rank
+        self.bilinear = None if level is None else self.level(level, rank)
+        self.component_vectors = None if vectors is None else self.components(vectors, rank)
 
-    def local_system(self) -> LatticeLocalSystem:
-        s = _surface_object(self.surface_raw)
+    def local_system(self, s: Any) -> LatticeLocalSystem:
+        if not isinstance(s, dict):
+            raise BadJobSpec("surface must be an object", "surface")
+        _known_keys(s, ("genus", "rank", "monodromy"), "surface.")
         genus = _as_int(s.get("genus"), "surface.genus")
-        rank = _surface_rank(s)
+        rank = _as_int(s.get("rank"), "surface.rank")
+        if rank < 1:
+            raise BadJobSpec("rank must be positive", "surface.rank")
         if not 0 <= genus <= sys.maxsize // 2:  # 2g monodromy matrices must fit a list
             raise BadJobSpec(f"genus must be between 0 and {sys.maxsize // 2}", "surface.genus")
         mon_raw = s.get("monodromy")
@@ -160,22 +160,18 @@ class JobSpec:
                 return LatticeLocalSystem.trivial(rank, genus)
             if not isinstance(mon_raw, list):
                 raise BadJobSpec("monodromy must be a list of matrices", "surface.monodromy")
-            mats = [
-                _as_matrix(m, rank, f"surface.monodromy[{i}]")
-                for i, m in enumerate(mon_raw)
-            ]
+            mats = [_as_matrix(m, rank, f"surface.monodromy[{i}]") for i, m in enumerate(mon_raw)]
             return LatticeLocalSystem(rank, genus, mats)
         except QtorusError as err:
             if not err.path:
                 err.path = "surface.monodromy"
             raise
 
-    def level(self, rank_hint: int | None = None) -> BilinearData:
-        lv = self.level_raw
+    def level(self, lv: Any, rank: int | None) -> BilinearData:
         if not isinstance(lv, dict):
             raise BadJobSpec("level must be an object", "level")
         _known_keys(lv, ("c_matrix", "zeta"), "level.")
-        c = _as_matrix(lv.get("c_matrix"), rank_hint, "level.c_matrix")
+        c = _as_matrix(lv.get("c_matrix"), rank, "level.c_matrix")
         try:
             zeta = Frac1.parse(lv.get("zeta"))
         except QtorusError as err:
@@ -183,15 +179,10 @@ class JobSpec:
             raise
         return BilinearData(c, zeta)
 
-    def components(self, rank: int) -> list[tuple[int, ...]] | None:
-        if self.components_raw is None:
-            return None
-        if not isinstance(self.components_raw, list):
+    def components(self, vs: Any, rank: int | None) -> list[tuple[int, ...]]:
+        if not isinstance(vs, list):
             raise BadJobSpec("components must be a list of integer vectors", "components")
-        return [
-            _as_vector(v, rank, f"components[{i}]")
-            for i, v in enumerate(self.components_raw)
-        ]
+        return [_as_vector(v, rank, f"components[{i}]") for i, v in enumerate(vs)]
 
 
 def _frac_matrix(m: IntMatrix, n: int) -> list[list[str]]:
@@ -225,10 +216,7 @@ def _twist_bound(rank: int) -> int:
 
 
 def _run_local(spec: JobSpec) -> dict:
-    rank_hint = None
-    if spec.surface_raw is not None:
-        rank_hint = _surface_rank(_surface_object(spec.surface_raw))
-    level = spec.level(rank_hint)
+    level = spec.bilinear
     quad = quad_from_bilinear(level)
     pairing = polarize(quad)
     braided = standard_refinement(quad)
@@ -259,7 +247,7 @@ def _run_local(spec: JobSpec) -> dict:
 
 def _run_surface(spec: JobSpec) -> dict:
     # a failed check exits 3, like every other internal disagreement
-    rho = spec.local_system()
+    rho = spec.rho
     h = cohomology_presentations(rho).triple
     euler = h.h0.free_rank - h.h1.free_rank + h.h2.free_rank
     expected = (2 - 2 * rho.genus) * rho.rank
@@ -312,11 +300,11 @@ def _run_global(spec: JobSpec) -> dict:
     The moduli of T-bundles on the curve has the section space's homotopy
     groups, with pi0 labelled by the first Chern class.
     """
-    rho = spec.local_system()
-    level = LevelInput(spec.level(rho.rank), rho)
+    rho = spec.rho
+    level = LevelInput(spec.bilinear, rho)
     report = block_report(
         level,
-        components=spec.components(rho.rank),
+        components=spec.component_vectors,
         free_bound=spec.component_bound,
     )
     section = _section_json(report.presentations.triple)
@@ -539,9 +527,16 @@ def _dumps(value: Any) -> str:
 
 
 def _emit(report: dict, fmt: str) -> str:
-    if fmt == "text":
-        return _render_text(report)
-    return _dumps(report)
+    # a report integer may pass the interpreter's str(int) digit limit, which
+    # json.load keeps for the input; Python before 3.10.7 has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _render_text(report) if fmt == "text" else _dumps(report)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def run(spec: JobSpec, seed: int = DEFAULT_SEED) -> tuple[str, int]:
@@ -601,11 +596,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 # ValueError: bad syntax or bytes, or an integer past the digit
                 # limit; RecursionError: nesting deeper than the decoder allows
                 raise BadJobSpec(f"input is not valid JSON: {err}", "")
-        spec = JobSpec(raw)
-        if spec.task != args.task:
-            raise BadJobSpec(
-                f"spec task {spec.task!r} does not match command {args.task!r}", "task"
-            )
+        spec = JobSpec(raw, args.task)
         if args.fmt:
             spec.output_format = args.fmt
         output, code = run(spec, seed=args.seed)

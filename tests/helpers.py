@@ -703,7 +703,7 @@ def global_json(task: str, level: LevelInput, components=None) -> dict:
     }
     if components is not None:
         raw["components"] = [list(c) for c in components]
-    return cli._run_global(cli.JobSpec(raw))
+    return cli._run_global(cli.JobSpec(raw, task))
 
 
 def groups_json(triple) -> dict:

@@ -524,6 +524,86 @@ class TestValidation:
         payload = json.loads(out)
         assert payload == {"code": "bad_job_spec", "message": message, "path": where + suffix}
 
+    # the smallest valid spec of each task, before the object under test is added
+    MINIMAL = {
+        "local": {"task": "local", "level": {"c_matrix": [[1]], "zeta": "1/4"}},
+        "surface": {"task": "surface", "surface": {"genus": 1, "rank": 1}},
+        "selfcheck": {"task": "selfcheck"},
+    }
+    # (task, objects added, payload): each object is one the task does not read
+    UNUSED_OBJECT_FAULTS = {
+        "local-surface": (
+            "local",
+            {"surface": {"genus": "x", "rank": 1, "monodromy": 5}},
+            ("bad_job_spec", "expected an integer", "surface.genus"),
+        ),
+        "local-monodromy": (
+            "local",
+            {"surface": {"genus": 1, "rank": 1, "monodromy": [[[2]], [[1]]]}},
+            ("non_unimodular", "monodromy matrix 0 is not unimodular", "surface.monodromy"),
+        ),
+        "local-genus_past_memory": (
+            "local",
+            {"surface": {"genus": sys.maxsize // 2, "rank": 1}},
+            ("resource_limit", "the job needs more memory than is available", ""),
+        ),
+        "surface-level": (
+            "surface",
+            {"level": 7, "components": "junk"},
+            ("bad_job_spec", "level must be an object", "level"),
+        ),
+        "surface-components": (
+            "surface",
+            {"components": "junk"},
+            ("bad_job_spec", "components must be a list of integer vectors", "components"),
+        ),
+        "selfcheck-surface": (
+            "selfcheck",
+            {"surface": 5},
+            ("bad_job_spec", "surface must be an object", "surface"),
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", UNUSED_OBJECT_FAULTS)
+    def test_objects_a_task_does_not_read_are_checked(self, capsys, tmp_path, fault):
+        task, objects, (code, message, path) = self.UNUSED_OBJECT_FAULTS[fault]
+        spec = {**self.MINIMAL[task], **objects}
+        out, exit_code = run_main(capsys, task, "--input", write_spec(tmp_path, spec))
+        assert exit_code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {"code": code, "message": message, "path": path}
+
+    def test_unused_objects_change_no_output(self, capsys, tmp_path):
+        # a valid surface and components on a local job are parsed, then unread
+        plain = write_spec(tmp_path, self.MINIMAL["local"], "plain.json")
+        extra = {"surface": {"genus": 2, "rank": 1}, "components": [[0], [1]]}
+        spec = write_spec(tmp_path, {**self.MINIMAL["local"], **extra}, "extra.json")
+        assert run_main(capsys, "local", "--input", spec) == run_main(
+            capsys, "local", "--input", plain
+        )
+
+    @pytest.mark.parametrize(
+        "objects",
+        [
+            {"surface": {"genus": "x", "rank": 1}},
+            {"level": 7},
+            {"components": "junk"},
+        ],
+        ids=["surface", "level", "components"],
+    )
+    def test_task_mismatch_wins_over_a_bad_object(self, capsys, tmp_path, objects):
+        spec = base_global_spec(**objects)
+        out, code = run_main(capsys, "local", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "bad_job_spec",
+            "message": "spec task 'global' does not match command 'local'",
+            "path": "task",
+        }
+
 
 class TestInterface:
     def test_stdin_input(self, capsys, monkeypatch):
@@ -616,6 +696,51 @@ class TestInterface:
         payload = self._error_exit(capsys, tmp_path, text)
         assert payload["code"] == "bad_job_spec"
         assert "not valid JSON" in payload["message"]
+
+    # x = 8 * 10**4299 and N = 10**3000 + 1, each input integer within the
+    # 4300-digit limit; the report integers 2x - 2 and N**2 are not, and are
+    # spelt out as digit strings so that no str(int) call is needed here
+    X = 8 * 10**4299
+    LONG_REPORT_INTEGERS = {
+        "surface": (
+            {
+                "task": "surface",
+                "surface": {
+                    "genus": 1,
+                    "rank": 2,
+                    "monodromy": [[[X, X - 1], [X + 1, X]], [[1, 0], [0, 1]]],
+                },
+            },
+            "15" + "9" * 4298 + "8",  # 2x - 2, the torsion of H^2
+        ),
+        "global": (
+            {
+                "task": "global",
+                "surface": {"genus": 2, "rank": 1},
+                "level": {"c_matrix": [[1]], "zeta": "1/1" + "0" * 2999 + "1"},
+            },
+            "1" + "0" * 2999 + "2" + "0" * 2999 + "1",  # N**2, the block dimension
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("task", LONG_REPORT_INTEGERS)
+    def test_report_integers_past_digit_limit(self, capsys, tmp_path, task, fmt):
+        spec, digits = self.LONG_REPORT_INTEGERS[task]
+        assert len(digits) in (4301, 6001)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        path = write_spec(tmp_path, spec)
+        out, code = run_main(capsys, task, "--input", path, "--format", fmt)
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        if fmt == "text":
+            assert (f"pi0 = Z/{digits}," if task == "surface" else f"block_dim {digits},") in out
+            return
+        report = json.loads(out, parse_int=str)  # digit strings, read past the limit
+        if task == "surface":
+            assert report["cohomology"]["h2"]["torsion"] == [digits]
+        else:
+            assert report["blocks"] and all(b["block_dim"] == digits for b in report["blocks"])
 
     def test_zeta_past_digit_limit(self, capsys, tmp_path):
         level = {"c_matrix": [[1]], "zeta": "1/" + "7" * 5000}
@@ -802,7 +927,7 @@ class TestEmitter:
             "surface": {"genus": 4, "rank": 4},
             "level": {"c_matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                       "zeta": "1/4"},
-        })
+        }, "global")
         report = cli._run_global(spec)
         blocks = report["blocks"]
         omega = blocks[0]["omega"]
@@ -830,7 +955,7 @@ class TestEmitter:
             "task": "global",
             "surface": {"genus": 2, "rank": 3},
             "level": {"c_matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "zeta": "1/4"},
-        })
+        }, "global")
         report = cli._run_global(spec)
         blocks = report["blocks"]
         assert len(blocks) == 27

@@ -662,7 +662,7 @@ class TestIdentityTransports:
             "surface": {"genus": 4, "rank": 4},
             "level": {"c_matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                       "zeta": "1/4"},
-        })
+        }, "global")
         cli._run_global(spec)
         assert counts["inversions"] == 0
 
