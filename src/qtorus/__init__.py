@@ -10,12 +10,8 @@ dimension counts), plus a batch CLI.
 
 from .braided import (
     BraidedData,
-    GradedObject,
-    balancing_check,
     braiding_phase,
     double_braiding,
-    fuse,
-    hexagon_check,
     perturb_refinement,
     standard_refinement,
     twist,
@@ -78,7 +74,6 @@ __all__ = [
     "FgAbGroup",
     "Frac1",
     "GerbeBlock",
-    "GradedObject",
     "IntMatrix",
     "InvariantViolation",
     "LatticeLocalSystem",
@@ -90,7 +85,6 @@ __all__ = [
     "SnfResult",
     "SymmetricForm",
     "TriangulatedSurface",
-    "balancing_check",
     "block_report",
     "braiding_phase",
     "build_complex",
@@ -101,8 +95,6 @@ __all__ = [
     "double_braiding",
     "enumerate_components",
     "evaluate",
-    "fuse",
-    "hexagon_check",
     "invariance_check",
     "invariants_coinvariants_check",
     "inverse_unimodular",

@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, NoReturn, Sequence
 
 from .braided import standard_refinement
-from .errors import BadJobSpec, InvariantViolation, QtorusError
+from .errors import BadJobSpec, InvariantViolation, QtorusError, ResourceLimit
 from .forms import (
     BilinearData,
     Frac1,
@@ -607,7 +607,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the job asked for more memory than the process can have, such as a
         # genus whose 2g monodromy matrices fit a list index but not memory
         message = "the job needs more memory than is available"
-        sys.stdout.write(_error_payload("resource_limit", message, ""))
+        sys.stdout.write(_error_payload(ResourceLimit.code, message, ""))
         return 2
     except InvariantViolation as err:
         sys.stdout.write(_error_payload("invariant_violation", str(err), ""))

@@ -76,6 +76,10 @@ class BadComponent(QtorusError):
     code = "bad_component"
 
 
+class ResourceLimit(QtorusError):
+    code = "resource_limit"
+
+
 class BadFraction(QtorusError):
     code = "bad_fraction"
 

@@ -46,7 +46,7 @@ from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .errors import BadComponent, DimensionMismatch, NotInvariant
-from .errors import InvariantViolation, ShapeMismatch
+from .errors import InvariantViolation, ResourceLimit, ShapeMismatch
 from .forms import (
     BilinearData,
     QuadraticForm,
@@ -372,6 +372,10 @@ def _lift_rank(a: list[list[int]]) -> int:
     return rank
 
 
+# most representatives the default component list may hold
+MAX_COMPONENTS = 2**20
+
+
 def enumerate_components(
     pres: CohomologyPresentations, free_bound: int = 1
 ) -> list[tuple[int, ...]]:
@@ -380,9 +384,14 @@ def enumerate_components(
     The coefficients run in ``itertools.product`` order over the free, then
     the torsion generators of H^2, the last generator fastest. Each multiple
     c g is formed once, and each pass adds one generator's multiples to every
-    representative so far, so a representative costs one vector sum.
+    representative so far, so a representative costs one vector sum. A list
+    longer than ``MAX_COMPONENTS`` is refused before any of it is built.
     """
     h2 = pres.h2
+    count = (2 * free_bound + 1) ** len(h2.free_gens) * math.prod(h2.group.torsion)
+    if count > MAX_COMPONENTS:
+        message = f"more than {MAX_COMPONENTS} default components; list the components to report"
+        raise ResourceLimit(message, "components")
     ranges = [range(-free_bound, free_bound + 1)] * len(h2.free_gens)
     ranges += [range(o) for o in h2.group.torsion]
     reps = [(0,) * pres.complex.rank]

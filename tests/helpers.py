@@ -11,7 +11,6 @@ from qtorus import (
     BraidedData,
     FgAbGroup,
     Frac1,
-    GradedObject,
     IntMatrix,
     LatticeLocalSystem,
     LevelInput,
@@ -42,7 +41,6 @@ _VALUE_FIELDS = {
     QuadraticForm: ("rank", "denominator", "numerators"),
     SymmetricForm: ("rank", "denominator", "numerators"),
     BraidedData: ("denominator", "numerators"),
-    GradedObject: ("rank", "support"),
 }
 
 ZERO, HALF = Frac1(0), Frac1(1, 2)

@@ -380,6 +380,42 @@ class TestValidation:
         jsonschema.validate(payload, ERROR_SCHEMA)
         assert (payload["code"], payload["path"]) == ("resource_limit", "")
 
+    @staticmethod
+    def shear_torsion_spec(x, **overrides):
+        # genus 1, monodromy [[1, x], [0, 1]] and I: H^2 = Z + Z/x
+        surface = {"genus": 1, "rank": 2, "monodromy": [[[1, x], [0, 1]], [[1, 0], [0, 1]]]}
+        level = {"c_matrix": [[0, 0], [0, 1]], "zeta": "1/4"}
+        return base_global_spec(surface=surface, level=level, **overrides)
+
+    def test_huge_h2_torsion_exits_2_before_listing_components(self, capsys, tmp_path):
+        # the default list would hold 3 (10^4200 + 7) components; its length is
+        # checked before any of it is built, where walking it used to fill memory
+        spec = self.shear_torsion_spec(10**4200 + 7)
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "resource_limit",
+            "message": "more than 1048576 default components; list the components to report",
+            "path": "components",
+        }
+
+    @pytest.mark.parametrize(("order", "want"), [(8, 0), (9, 2)])
+    def test_component_cap_boundary(self, capsys, tmp_path, monkeypatch, order, want):
+        # component_bound 0 lists exactly the H^2 torsion order's components
+        from qtorus import gerbe
+
+        monkeypatch.setattr(gerbe, "MAX_COMPONENTS", 8)
+        spec = self.shear_torsion_spec(order, component_bound=0)
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == want
+        payload = json.loads(out)
+        if want:
+            assert (payload["code"], payload["path"]) == ("resource_limit", "components")
+        else:
+            assert len(payload["blocks"]) == 8
+
     @pytest.mark.parametrize("task", ["local", "surface", "global", "bunt"])
     def test_unknown_surface_key(self, capsys, tmp_path, task):
         # a misspelt monodromy used to be dropped, leaving the trivial system
@@ -1163,7 +1199,7 @@ class TestValueClasses:
     @staticmethod
     def instances():
         from qtorus import (
-            BilinearData, GradedObject, LatticeLocalSystem, LevelInput, block_report, checked_classes,
+            BilinearData, LatticeLocalSystem, LevelInput, block_report, checked_classes,
             cohomology_presentations, polarize, quad_from_bilinear, standard_refinement, triangulate,
         )
         from qtorus.forms import Frac1
@@ -1179,14 +1215,13 @@ class TestValueClasses:
         cocycle = checked_classes(pres.h1.all_gens(), t, rho)[0]
         return [
             pres.triple.h1, pres.snf0, pres.h1, pres.complex, pres, level, quad,
-            polarize(quad), standard_refinement(quad), GradedObject(2, {(0, 1): 1}),
-            report.blocks[0], report, cocycle, t.triangles[0],
-            t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
+            polarize(quad), standard_refinement(quad), report.blocks[0], report, cocycle,
+            t.triangles[0], t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
         ]
 
     def test_instances_refuse_assignment(self):
         objects = self.instances()
-        assert len({type(obj) for obj in objects}) == 16
+        assert len({type(obj) for obj in objects}) == 15
         for obj in objects:
             cls = type(obj)
             names = getattr(cls, "_fields", None) or [n for n in cls.__slots__ if n != "__dict__"]
@@ -1203,7 +1238,7 @@ class TestValueClasses:
         from qtorus.lattice import IntMatrix
 
         slotted = [obj for obj in objects if not hasattr(obj, "_fields")]
-        assert len(slotted) == 10
+        assert len(slotted) == 9
         for obj in [*slotted, IntMatrix.identity(1), Frac1(1, 2)]:
             assert isinstance(obj, _Frozen)
             with pytest.raises(AttributeError) as refused:
@@ -1211,10 +1246,9 @@ class TestValueClasses:
             assert str(refused.value) == f"{type(obj).__name__} is immutable"
 
     def test_held_dicts_refuse_item_assignment(self):
-        # a checked cocycle's values and a graded object's support are
-        # read-only views: an edit can neither undo the cocycle check nor store
-        # a multiplicity the constructor refuses
-        from qtorus import Cocycle, GradedObject
+        # a checked cocycle's values are a read-only view: an edit cannot undo
+        # the cocycle check
+        from qtorus import Cocycle
 
         objects = {type(obj): obj for obj in self.instances()}
         values = objects[Cocycle].values
@@ -1222,7 +1256,3 @@ class TestValueClasses:
         with pytest.raises(TypeError):
             values[cell] = (99, 99)
         assert values[cell] == before
-        graded = objects[GradedObject]
-        with pytest.raises(TypeError):
-            graded.support[(0, 0)] = -3
-        assert dict(graded.support) == {(0, 1): 1}
