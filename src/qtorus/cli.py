@@ -82,14 +82,21 @@ def _as_vector(value: Any, length: int | None, path: str) -> tuple[int, ...]:
 
 
 def _as_matrix(value: Any, size: int | None, path: str) -> IntMatrix:
-    """Square integer matrix from a nonempty list of rows; ``size`` fixes n."""
+    """Square integer matrix from a nonempty list of rows; ``size`` fixes n.
+
+    The rows are flattened and type-checked in one pass; only a failing
+    matrix is checked row by row, for the first bad path.
+    """
     if not (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
         raise BadJobSpec("expected a square integer matrix", path)
     n = len(value)
     if size is not None and n != size:
         raise BadJobSpec(f"expected a {size}x{size} matrix", path)
-    rows = [_as_vector(r, n, f"{path}[{i}]") for i, r in enumerate(value)]
-    return IntMatrix(n, n, [x for row in rows for x in row])
+    flat = [x for row in value for x in row]
+    if set(map(type, flat)) - _INT or any(len(row) != n for row in value):
+        for i, row in enumerate(value):  # the first bad row raises
+            _as_vector(row, n, f"{path}[{i}]")
+    return IntMatrix(n, n, flat)
 
 
 def _known_keys(raw: dict, known: tuple[str, ...], prefix: str = "") -> None:
@@ -207,6 +214,10 @@ def _section_json(h: CohomologyTriple) -> dict:
     return {"pi0": h.h2.to_json(), "pi1": h.h1.to_json(), "pi2": h.h0.to_json()}
 
 
+# most rows a local report's twist table may hold
+MAX_TWIST_ROWS = 2**20
+
+
 def _twist_bound(rank: int) -> int:
     if rank == 1:
         return 3
@@ -217,10 +228,13 @@ def _twist_bound(rank: int) -> int:
 
 def _run_local(spec: JobSpec) -> dict:
     level = spec.bilinear
+    bound = _twist_bound(level.rank)
+    if (2 * bound + 1) ** level.rank > MAX_TWIST_ROWS:
+        message = f"more than {MAX_TWIST_ROWS} twist table rows at rank {level.rank}"
+        raise ResourceLimit(message, "level.c_matrix")
     quad = quad_from_bilinear(level)
     pairing = polarize(quad)
     braided = standard_refinement(quad)
-    bound = _twist_bound(level.rank)
     linear = pairing.is_zero()  # is_linear(quad), on the polarization already built
     u = quad.numerators
     table = []

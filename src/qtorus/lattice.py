@@ -10,9 +10,12 @@ onto basis vectors gives :meth:`SnfResult.quotient`'s generators
 ``B @ U^-1``; and :meth:`SnfResult.subquotient` reads ker a / im b off the
 coordinates ``V^-1 @ b`` and one more Smith form. Its pivot search stops at the
 first unit, each column operation writes one entry, and the divisibility
-scan of the trailing block runs only at non-unit pivots. Determinants and
-inverses in GL(n, Z) read ``det A`` and the adjugate off one fraction-free
-Gauss-Jordan elimination of ``[A | I]``.
+scan of the trailing block runs only at non-unit pivots. Its steps are
+written inline on the working rows; the tests pin its logs to a reference
+that scans the whole trailing block at every step. There is no stacking
+helper: callers such as ``surface`` write d0, d1 and the oracle's blocks as
+flat entry lists. Determinants and inverses in GL(n, Z) read ``det A`` and
+the adjugate off one fraction-free Gauss-Jordan elimination of ``[A | I]``.
 """
 
 from __future__ import annotations
@@ -144,31 +147,6 @@ class IntMatrix(_Frozen):
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self.row_lists()})"
-
-
-def hstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    if not mats:
-        raise ShapeMismatch("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeMismatch("row count mismatch in hstack")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return IntMatrix(rows, sum(m.cols for m in mats), out)
-
-
-def vstack(mats: Sequence[IntMatrix]) -> IntMatrix:
-    if not mats:
-        raise ShapeMismatch("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ShapeMismatch("column count mismatch in vstack")
-    out = []
-    for m in mats:
-        out.extend(m.entries)
-    return IntMatrix(sum(m.rows for m in mats), cols, out)
 
 
 def _gauss_jordan(a: IntMatrix) -> tuple[int, list[int] | None]:
@@ -365,92 +343,81 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     since a unit divides everything. None of these shortcuts changes which
     operations are logged, or their order.
 
-    Each row operation on the working matrix is appended to the row log and
-    each column operation to the column log (rows are negated, columns never
-    are). The logs fix the transforms: ``u`` replays the row log on the rows
-    of an identity and ``v`` the column log on the columns.
+    Each step, a swap, an addition of a multiple of one line to another or
+    a row's negation, is written inline on the working rows and appended to
+    the row log or the column log (columns are never negated). The logs fix
+    the transforms: ``u`` replays the row log on the rows of an identity and
+    ``v`` the column log on the columns. The tests pin both logs and the
+    diagonal to ``smith_by_full_scan``, which scans the whole trailing block
+    at every step.
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
     row_ops: list[_Op] = []
     col_ops: list[_Op] = []
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        row_ops.append((i, j, 0))
-
-    def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        col_ops.append((i, j, 0))
-
-    def row_add(i, j, q):
-        # row_i += q * row_j
-        d[i] = [s + q * t for s, t in zip(d[i], d[j])]
-        row_ops.append((i, j, q))
-
-    def col_add(i, j, q):
-        # col_i += q * col_j, called only with j == t once the row pass has
-        # left column t zero off row t: the one entry that changes is d[t][i]
-        d[j][i] += q * d[j][j]
-        col_ops.append((i, j, q))
-
-    def row_negate(i):
-        d[i] = [-s for s in d[i]]
-        row_ops.append((i, i, -1))
-
-    def find_pivot(t):
-        # the first entry of least absolute value in row-major order; a unit
-        # cannot be beaten under the strict <, so the first one ends the search
-        best, least = None, 0
+    for t in range(min(m, n)):
+        # the pivot: the first entry of least absolute value in row-major
+        # order; a unit cannot be beaten under the strict <, so the first one
+        # ends the search
+        pos, least = None, 0
         for i in range(t, m):
             row = d[i]
             for j in range(t, n):
                 e = row[j]
-                if e:
-                    size = abs(e)
-                    if size == 1:
-                        return i, j
-                    if best is None or size < least:
-                        best, least = (i, j), size
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pos = find_pivot(t)
+                if e and (pos is None or abs(e) < least):
+                    pos, least = (i, j), abs(e)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if pos is None:
             break
-        if pos[0] != t:
-            row_swap(t, pos[0])
-        if pos[1] != t:
-            col_swap(t, pos[1])
+        pi, pj = pos
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+            row_ops.append((t, pi, 0))
+        if pj != t:
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            col_ops.append((t, pj, 0))
         while True:
-            if d[t][t] < 0:
-                row_negate(t)
-            p = d[t][t]
-            dirty = False
+            top = d[t]
+            if top[t] < 0:
+                d[t] = top = [-s for s in top]
+                row_ops.append((t, t, -1))
+            p = top[t]
+            promoted = False
             for i in range(m):
-                if i != t and d[i][t] != 0:
-                    q = d[i][t] // p
+                row = d[i]
+                if row[t] and i != t:
+                    q = row[t] // p
                     if q:
-                        row_add(i, t, -q)
-                    if d[i][t] != 0:
-                        # remainder is strictly smaller than p; promote it
-                        row_swap(t, i)
-                        dirty = True
+                        # row_i -= q * row_t
+                        d[i] = row = [s - q * u for s, u in zip(row, top)]
+                        row_ops.append((i, t, -q))
+                    if row[t]:
+                        # the remainder is strictly smaller than p; promote it
+                        d[t], d[i] = row, top
+                        row_ops.append((t, i, 0))
+                        promoted = True
                         break
-            if dirty:
+            if promoted:
                 continue
             for j in range(n):
-                if j != t and d[t][j] != 0:
-                    q = d[t][j] // p
+                if top[j] and j != t:
+                    q = top[j] // p
                     if q:
-                        col_add(j, t, -q)
-                    if d[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
+                        # col_j -= q * col_t; the row pass has left column t
+                        # zero off row t, so only row t's entry changes
+                        top[j] -= q * p
+                        col_ops.append((j, t, -q))
+                    if top[j]:
+                        for row in d:
+                            row[t], row[j] = row[j], row[t]
+                        col_ops.append((t, j, 0))
+                        promoted = True
                         break
-            if dirty:
+            if promoted:
                 continue
             # pivot must divide the whole trailing block before we advance;
             # a unit divides everything
@@ -459,8 +426,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             offender = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
             if offender is None:
                 break
-            row_add(t, offender, 1)
-        t += 1
+            # row_t += row_offender
+            d[t] = [s + u for s, u in zip(top, d[offender])]
+            row_ops.append((t, offender, 1))
 
     return SnfResult(IntMatrix.from_rows(d, n), tuple(row_ops), tuple(col_ops))
 

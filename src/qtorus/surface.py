@@ -8,6 +8,7 @@ its differentials are the stacked (rho(x_j) - I) blocks and the Fox
 derivatives of the relator, which no word holds: a local system unwinds it
 once, a handle at a time, into one :class:`Handle` per handle, its four
 letter transports and d1's two blocks, which d1 and omega's Gram matrix read.
+Both differentials are written as flat entry lists, with no block matrix.
 :func:`cohomology_presentations` is the one cohomology route. Its groups
 come from one Smith diagonal per differential and read no transform, so
 none is built. Generator representatives are built when first read, by the
@@ -34,10 +35,8 @@ from .lattice import (
     QuotientPresentation,
     SnfResult,
     det,
-    hstack,
     inverse_unimodular,
     smith_normal_form,
-    vstack,
 )
 
 
@@ -153,14 +152,26 @@ class CochainComplexSurface(_Frozen):
 
 
 def build_complex(rho: LatticeLocalSystem) -> CochainComplexSurface:
-    """Both differentials; d1 is each handle's blocks S_a and S_b, side by side."""
-    g, r = rho.genus, rho.rank
-    eye = IntMatrix.identity(r)
-    if g == 0:
-        return CochainComplexSurface(0, r, IntMatrix.zeros(0, r), IntMatrix.zeros(r, 0))
-    d0 = vstack([m - eye for m in rho.mon])
-    d1 = hstack([IntMatrix(r, r, s) for h in rho.handles for s in (h.s_a, h.s_b)])
-    return CochainComplexSurface(g, r, d0, d1)
+    """Both differentials, written flat: no per-generator matrix is formed.
+
+    d0 is each rho(x_j) with 1 subtracted on its diagonal, one below the
+    other; row i of d1 is row i of each handle's blocks S_a and S_b, side by
+    side.
+    """
+    r = rho.rank
+    d0: list[int] = []
+    for m in rho.mon:
+        block = list(m.entries)
+        for k in range(0, r * r, r + 1):
+            block[k] -= 1
+        d0 += block
+    d1: list[int] = []
+    for k in range(0, r * r, r):
+        for h in rho.handles:
+            d1 += h.s_a[k : k + r]
+            d1 += h.s_b[k : k + r]
+    width = 2 * rho.genus * r
+    return CochainComplexSurface(rho.genus, r, IntMatrix(width, r, d0), IntMatrix(r, width, d1))
 
 
 class CohomologyTriple(NamedTuple):
@@ -284,16 +295,20 @@ def invariants_coinvariants_check(rho: LatticeLocalSystem, triple: CohomologyTri
     divisions are exact because each quotient is itself a minor of the input
     (Sylvester's identity). H2 must be the coinvariants: the ambient lattice
     modulo the images of all rho(x_j) - I, the blocks side by side, read off
-    one Smith diagonal.
+    one Smith diagonal. Both wide matrices are written flat, row by row,
+    from the entries of ``rho.mon``; no block is formed or transposed.
     """
     r = rho.rank
-    eye = IntMatrix.identity(r)
-    if rho.genus == 0:
-        wide = side = IntMatrix.zeros(r, 0)
-    else:
-        diffs = [m - eye for m in rho.mon]
-        wide = vstack(diffs).transpose()
-        side = hstack(diffs)
-    h0_indep = FgAbGroup(r - _fraction_free_rank(wide))
-    h2_indep = smith_normal_form(side).cokernel()
+    wide: list[int] = []  # row i: column i of each rho(x_j) - I
+    side: list[int] = []  # row i: row i of each rho(x_j) - I
+    for i in range(r):
+        for m in rho.mon:
+            column, row = list(m.entries[i::r]), list(m.entries[i * r : (i + 1) * r])
+            column[i] -= 1
+            row[i] -= 1
+            wide += column
+            side += row
+    width = 2 * rho.genus * r
+    h0_indep = FgAbGroup(r - _fraction_free_rank(IntMatrix(r, width, wide)))
+    h2_indep = smith_normal_form(IntMatrix(r, width, side)).cokernel()
     return triple.h0 == h0_indep and triple.h2 == h2_indep

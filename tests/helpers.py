@@ -322,7 +322,7 @@ def fox_derivative(word, gen_index: int, rho: LatticeLocalSystem) -> IntMatrix:
 
     Follows the product rule d(uv) = du + rho(u) dv with d(x^-1) = -rho(x)^-1
     on the generator itself. The reference that ``build_complex``'s d1,
-    stacked from the blocks in ``rho.handles``, is tested against. ``word``
+    written from the blocks in ``rho.handles``, is tested against. ``word``
     holds signed 1-based generator letters; -k is the inverse of k.
     """
     if not 0 <= gen_index < len(rho.mon):
@@ -338,6 +338,14 @@ def fox_derivative(word, gen_index: int, rho: LatticeLocalSystem) -> IntMatrix:
             # d(x^-1) contributes -rho(prefix x^-1)
             result = result - prefix
     return result
+
+
+def hstack(mats) -> IntMatrix:
+    """The matrices side by side, one row of each per row; they share a row count."""
+    if not mats or any(m.rows != mats[0].rows for m in mats):
+        raise ShapeMismatch("hstack needs matrices with one row count")
+    out = [x for i in range(mats[0].rows) for m in mats for x in m.row(i)]
+    return IntMatrix(mats[0].rows, sum(m.cols for m in mats), out)
 
 
 def smith_form_inverse(a: IntMatrix) -> IntMatrix:

@@ -416,6 +416,41 @@ class TestValidation:
         else:
             assert len(payload["blocks"]) == 8
 
+    @pytest.mark.parametrize("rank", [13, 30])
+    def test_twist_table_past_the_cap_exits_2(self, capsys, tmp_path, monkeypatch, rank):
+        # 3^rank rows is past 2^20 from rank 13 on; the table is refused
+        # before its first row, so an evaluation fails the test fast
+        def evaluate(quad, vec):
+            raise AssertionError("a twist table row was built")
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        spec = {"task": "local", "level": {"c_matrix": identity, "zeta": "1/4"}}
+        out, code = run_main(capsys, "local", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "resource_limit",
+            "message": f"more than 1048576 twist table rows at rank {rank}",
+            "path": "level.c_matrix",
+        }
+
+    def test_twist_table_under_the_cap_is_built(self, tmp_path, monkeypatch):
+        # rank 12, 3^12 = 531441 rows, is the largest table under the cap: its
+        # first row is evaluated, and the test stops there
+        class FirstRow(Exception):
+            pass
+
+        def evaluate(quad, vec):
+            raise FirstRow(vec)
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        identity = [[int(i == j) for j in range(12)] for i in range(12)]
+        spec = {"task": "local", "level": {"c_matrix": identity, "zeta": "1/4"}}
+        with pytest.raises(FirstRow):
+            cli.main(["local", "--input", write_spec(tmp_path, spec)])
+
     @pytest.mark.parametrize("task", ["local", "surface", "global", "bunt"])
     def test_unknown_surface_key(self, capsys, tmp_path, task):
         # a misspelt monodromy used to be dropped, leaving the trivial system
@@ -536,6 +571,8 @@ class TestValidation:
         "float": ([[1, 0], [0, 1.5]], "expected an integer", "[1][1]"),
         "string": ([[1, "0"], [0, 1]], "expected an integer", "[0][1]"),
         "ragged": ([[1, 0], [0]], "expected a list of 2 integers", "[1]"),
+        # four entries in all, but not two per row
+        "long_and_short": ([[1, 0, 0], [1]], "expected a list of 2 integers", "[0]"),
         "wrong_size": ([[1]], "expected a 2x2 matrix", ""),
         "empty": ([], "expected a square integer matrix", ""),
         "scalar": (1, "expected a square integer matrix", ""),
@@ -1110,13 +1147,13 @@ class TestTripwire:
         # d1 . d0 != 0, which the complex refuses before any Smith form
         from qtorus import IntMatrix, surface
 
-        stack = surface.hstack
+        complex_ = surface.CochainComplexSurface
 
-        def faulty(mats):
-            m = stack(mats)
-            return IntMatrix(m.rows, m.cols, [m.entries[0] + 1, *m.entries[1:]])
+        def faulty(genus, rank, d0, d1):
+            d1 = IntMatrix(d1.rows, d1.cols, [d1.entries[0] + 1, *d1.entries[1:]])
+            return complex_(genus, rank, d0, d1)
 
-        monkeypatch.setattr(surface, "hstack", faulty)
+        monkeypatch.setattr(surface, "CochainComplexSurface", faulty)
         spec = GOLDEN / "surface_signs_g2r2.json"
         out, code = run_main(capsys, "surface", "--input", str(spec), "--format", "json")
         assert code == 3

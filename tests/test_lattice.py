@@ -17,7 +17,7 @@ from qtorus import (
 )
 from qtorus import lattice, surface
 from qtorus.errors import NonSquareMatrix, NonUnimodular, ShapeMismatch
-from qtorus.lattice import _replay, hstack, vstack
+from qtorus.lattice import _replay
 from qtorus.surface import build_complex
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     _int_power,
     fraction_det,
     fraction_rank,
+    hstack,
     rand_matrix,
     rand_unimodular,
     random_local_system,
@@ -211,10 +212,37 @@ def differentials(draw):
     return cx.d0 if draw(st.booleans()) else cx.d1
 
 
+@st.composite
+def oracle_sides(draw):
+    """The invariants/coinvariants check's r x 2gr input: the blocks rho(x_j) - I side by side."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rho = random_local_system(rng, draw(st.integers(0, 13)), draw(st.integers(1, 4)))
+    eye = IntMatrix.identity(rho.rank)
+    return hstack([m - eye for m in rho.mon]) if rho.mon else IntMatrix.zeros(rho.rank, 0)
+
+
+@st.composite
+def subquotient_inputs(draw):
+    """H^1's second Smith form: rows rank: of d0 replayed inverted through snf(d1)'s column log."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cx = build_complex(random_local_system(rng, draw(st.integers(0, 13)), draw(st.integers(1, 4))))
+    snf1 = smith_normal_form(cx.d1)
+    return IntMatrix.from_rows(_replay(snf1.col_ops, cx.d0.row_lists(), True)[snf1.rank() :], cx.d0.cols)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(snf_inputs(), unit_inputs(), scaled_inputs(), coprime_diagonals(), zero_inputs(), differentials()))
+@given(
+    st.one_of(
+        snf_inputs(), unit_inputs(), scaled_inputs(), coprime_diagonals(), zero_inputs(),
+        differentials(), oracle_sides(), subquotient_inputs(),
+    )
+)
 def test_snf_logs_match_the_full_scan(a):
-    """The shortcuts change no logged operation: h1's generators and omega replay the logs."""
+    """The inlined steps change no logged operation: h1's generators and omega replay the logs.
+
+    The draws cover every Smith form a report runs: d0, d1, H^1's subquotient
+    input and the coinvariants check's blocks side by side.
+    """
     res, ref = smith_normal_form(a), smith_by_full_scan(a)
     assert res.d == ref.d
     assert res.row_ops == ref.row_ops
@@ -425,10 +453,12 @@ def test_solve_exact():
 
 
 def test_stacking():
-    a = IntMatrix.from_rows([[1, 2]])
-    b = IntMatrix.from_rows([[3, 4]])
-    assert vstack([a, b]) == IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert hstack([a, b]) == IntMatrix.from_rows([[1, 2, 3, 4]])
+    # the test-side hstack that the Fox-derivative references use
+    a = IntMatrix.from_rows([[1, 2], [5, 6]])
+    b = IntMatrix.from_rows([[3], [7]])
+    assert hstack([a, b]) == IntMatrix.from_rows([[1, 2, 3], [5, 6, 7]])
+    with pytest.raises(ShapeMismatch):
+        hstack([a, IntMatrix.from_rows([[3]])])
 
 
 def test_fgabgroup_validation_and_order():

@@ -15,7 +15,6 @@ from qtorus import (
 )
 from qtorus import cli, cochain, gerbe, lattice, surface, triangulate
 from qtorus.gerbe import _pairing_gram
-from qtorus.lattice import hstack
 from qtorus.surface import _fraction_free_rank
 from qtorus.errors import (
     DimensionMismatch,
@@ -29,6 +28,7 @@ from helpers import (
     family_system,
     fox_derivative,
     fraction_rank,
+    hstack,
     rand_matrix,
     rand_unimodular,
     random_local_system,
