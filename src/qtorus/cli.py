@@ -417,6 +417,7 @@ def _render_text(report: dict) -> str:
     if report["task"] == "selfcheck":
         lines.append(f"seed: {report['seed']}")
         lines.append(f"cases: {report['cases']}, agreements: {report['agreements']}")
+        lines.extend(f"mismatch: {json.dumps(m)}" for m in report["mismatches"])
         lines.append("ok" if report["ok"] else "FAILED")
     return "\n".join(lines) + "\n"
 

@@ -24,15 +24,16 @@ the local system unwound the relator, so P costs time linear in the genus
 where it is block diagonal by handle. P and W stay {column: entry} rows
 from the relator to the report: :func:`omega_numerators` scatters P's stored
 entries over the supports of the vectors G to give W = G^T P G, and a
-report checks each stored entry of W against its mirror and reduces it
-once into [0, N), in zero-filled rows that the Heisenberg count and the
-output read. The components are lattice combinations of H^2's generators,
-each one vector sum away from a shorter combination, and chi, linear in the
-component, costs one pass over the rows of lambda^T B per component; it is
-held the same way. Both stay integer residues over the report's
-denominator N: only :mod:`qtorus.cli` writes them as Q/Z fractions, from one
-string per distinct residue. Each report computes the cohomology
-presentations once and hands them to the omega and pi2-character code.
+report checks each stored entry of W against its mirror and reduces it once
+into [0, N), in zero-filled rows that the output reads; the Heisenberg count
+reads their free block once into {column: residue} rows. The components are
+lattice combinations of H^2's generators, each one vector sum away from a
+shorter combination, and chi, linear in the component, costs one pass over
+the rows of lambda^T B per component; it is held the same way. Both stay
+integer residues over the report's denominator N: only :mod:`qtorus.cli`
+writes them as Q/Z fractions, from one string per distinct residue. Each
+report computes the cohomology presentations once and hands them to the
+omega and pi2-character code.
 :mod:`qtorus.selfcheck` checks the same W against the simplicial machinery
 in :mod:`qtorus.cochain`, which computes the pairing along a completely
 separate route.
@@ -268,24 +269,23 @@ def _heisenberg_dimensions(
 ) -> tuple[int, int]:
     """(radical rank, block dimension) of omega on the free generators.
 
-    A is the free block of omega's ``rows``, W reduced into [0, N). The
-    finite quotient is the image of A on (Z/N)-coordinates, of order
-    prod N / gcd(N, p_i) over the pivots p_i of any diagonal form of A mod N,
-    whatever the lift; that order is a perfect square because omega is
-    antisymmetric, and the block dimension is its root. :func:`_order_mod`
-    finds such pivots with every entry kept in [0, N), so nothing grows and
-    N is never factored.
+    A is the free block of omega's ``rows``, W reduced into [0, N), read once
+    into {column: residue} rows that store no zero; both eliminations take
+    them. The image of A on (Z/N)-coordinates has order prod N / gcd(N, p_i)
+    over the pivots p_i of any diagonal form of A mod N, whatever the lift,
+    a perfect square because omega is antisymmetric; the block dimension is
+    its root. :func:`_order_mod` finds such pivots with every entry kept in
+    [0, N), so nothing grows and N is never factored.
 
     The radical rank is f minus the rank of A over Z, so it depends on the
     lift: for N = 3 the reduced lift [[0,1,1],[2,0,1],[2,2,0]] has rank 3
     (radical rank 0), while the antisymmetric lift [[0,1,1],[-1,0,1],
     [-1,-1,0]] of the same omega has rank 2. Reports always use the reduced
     lift, so the value is deterministic; the block dimension agrees for both.
-    :func:`_lift_rank` computes that rank exactly, by one elimination whose
-    entries stay within Hadamard's bound.
+    :func:`_lift_rank` computes that rank exactly, within Hadamard's bound.
     """
     f = free_count
-    a = [list(row[:f]) for row in rows[:f]]
+    a = [dict(compress(enumerate(row), row[:f])) for row in rows[:f]]  # stops at column f
     order = _order_mod(n, a)
     dim = math.isqrt(order)
     if dim * dim != order:
@@ -293,64 +293,64 @@ def _heisenberg_dimensions(
     return f - _lift_rank(a), dim
 
 
-def _order_mod(n: int, a: list[list[int]]) -> int:
-    """Order of the row module of ``a`` (entries in [0, n)) over Z/n.
+def _order_mod(n: int, a: Sequence[dict[int, int]]) -> int:
+    """Order of the row module over Z/n of the {column: residue} rows ``a``.
 
-    Euclidean elimination mod n: the smallest nonzero residue p is the pivot,
-    its column and then its row are reduced by integer quotients, and any
-    nonzero remainder, smaller than p, becomes the next pivot. A pivot alone
-    in its row and column adds a factor n / gcd(n, p) and its row leaves.
+    Euclidean elimination mod n on a copy of the rows. The pivot p is the
+    least stored residue, in the shortest row among equal ones (Markowitz's
+    row count, against fill-in); the scan stops at a lone 1. Other rows lose
+    integer multiples of the pivot row, and a nonzero remainder, below p,
+    becomes a later pivot. Once its column is clear, the column pass reduces
+    the pivot row mod p; a pivot left alone adds a factor n / gcd(n, p).
     Every operation is unimodular, so the pivots form a diagonal form of
     ``a`` mod n, and no divisibility chain is needed for the order.
     """
-    rows = [row[:] for row in a if any(row)]
+    rows = [dict(row) for row in a if row]
     order = 1
     while rows:
         top, p = None, n
         for row in rows:
-            x = min(filter(None, row))
-            if x < p:
+            x = min(row.values())
+            if x < p or x == p and len(row) < len(top):
                 top, p = row, x
-                if p == 1:  # no residue is smaller
+                if p == 1 == len(row):  # no pivot is better
                     break
-        j = top.index(p)
+        j = next(c for c, x in top.items() if x == p)
         rest = []
         for row in rows:
             if row is not top:
-                if row[j]:
+                if j in row:
                     q = row[j] // p
-                    row = [(s - q * t) % n for s, t in zip(row, top)]
-                if any(row):
+                    for c, t in top.items():
+                        row[c] = (row.get(c, 0) - q * t) % n
+                    row = {c: s for c, s in row.items() if s}
+                if row:
                     rest.append(row)
-        if not any(row[j] for row in rest):
+        if not any(j in row for row in rest):
             # column j is clear, so a column operation only changes the pivot row
-            top = [x % p for x in top]
-            top[j] = p
-            if not (any(top[:j]) or any(top[j + 1 :])):
+            top = {c: x % p for c, x in top.items() if x % p}
+            if top:
+                top[j] = p
+            else:  # the pivot is alone
                 order *= n // math.gcd(n, p)
-                for row in rest:  # column j is zero there from now on
-                    del row[j]
-                rows = rest
-                continue
-        rows = rest + [top]
+        rows = rest + [top] if top else rest
     return order
 
 
-def _lift_rank(a: list[list[int]]) -> int:
-    """Rank of ``a`` over Q by fraction-free elimination on primitive rows.
+def _lift_rank(a: Sequence[dict[int, int]]) -> int:
+    """Rank over Q of the {column: entry} rows ``a`` by fraction-free elimination.
 
-    Rows are held sparse, as {column: entry}. The last row is the pivot row
-    and its entry p of least absolute value, in column j, the pivot. Each
-    row with x = row[j] != 0 becomes (p * row - x * pivot_row) divided by
-    the gcd of its entries, which clears column j, and leaves if it is zero;
-    rows with x = 0 are not touched, so the work follows the nonzero entries.
-    After k pivots a row spans the line of vectors in the span of itself and
-    the pivot rows that vanish on the pivot columns, as Bareiss's row of
-    (k + 1)-minors does, so a primitive row is that minor row over its
-    content: with H the product of the norms of ``a``'s nonzero rows, no
-    entry exceeds H, and none exceeds 2 H^2 before the division.
+    The last row is the pivot row and its entry p of least absolute value,
+    in column j, the pivot. Each row with x = row[j] != 0 becomes (p * row -
+    x * pivot_row) over the gcd of its entries, which clears column j, and
+    leaves if it is zero; other rows are not touched. After k pivots a row
+    spans the line of vectors in the span of itself and the pivot rows that
+    vanish on the pivot columns, as Bareiss's row of (k + 1)-minors does, so
+    a primitive row is that minor row over its content: with H the product
+    of the norms of ``a``'s rows, no entry exceeds H, and none exceeds 2 H^2
+    before the division.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a if any(row)]
+    rows = [row for row in a if row]
     rank = 0
     while rows:
         top = rows.pop()

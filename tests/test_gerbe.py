@@ -790,18 +790,28 @@ HEISENBERG_MODULI = (1, 4, 8, 9, 27, 32, 6, 12, 30, 36, 210, 2**89 - 1)
 def free_blocks(draw):
     """(N, W, f): W's leading f x f block has entries in [0, N).
 
-    The block is antisymmetric mod N with zero diagonal, or arbitrary. Its
-    entries come from a palette of a few residues, so a pivot often fails to
-    divide its row and column. Some indices are zeroed in both row and
-    column, and one may repeat another in both, which keeps the lift's rank
-    below the count of nonzero rows and columns. W may have further rows and
-    columns, as torsion generators give it, which the count must not read.
+    The block is antisymmetric mod N with zero diagonal, or arbitrary, or,
+    for N below 2^10, a wider sparse one: f from 8 to 16 and at most three
+    stored residues a row, where ties between equal pivots and fill-in
+    arise. Its entries come from a palette of a few residues, so a pivot
+    often fails to divide its row and column. Some indices are zeroed in
+    both row and column, and in a block that is not sparse one may repeat
+    another in both, which keeps the lift's rank below the count of nonzero
+    rows and columns. W may have further rows and columns, as torsion
+    generators give it, which the count must not read. (2^89 - 1 stays at
+    f <= 7: the integer Smith form of a 16 x 16 block with 89-bit entries is
+    slow.)
     """
     n = draw(st.sampled_from(HEISENBERG_MODULI))
-    f = draw(st.integers(0, 7))
+    sparse = n < 2**10 and draw(st.booleans())
+    f = draw(st.integers(8, 16) if sparse else st.integers(0, 7))
     residue = st.sampled_from(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
     rows = [[0] * f for _ in range(f)]
-    if draw(st.booleans()):
+    if sparse:
+        for row in rows:
+            for j in draw(st.sets(st.integers(0, f - 1), max_size=3)):
+                row[j] = draw(residue)
+    elif draw(st.booleans()):
         for i in range(f):
             for j in range(i + 1, f):
                 x = draw(residue)
@@ -814,7 +824,7 @@ def free_blocks(draw):
             rows[i] = [0] * f
             for row in rows:
                 row[i] = 0
-    if f >= 2 and draw(st.booleans()):
+    if f >= 2 and not sparse and draw(st.booleans()):
         i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
         rows[j] = list(rows[i])
         for row in rows:
@@ -871,6 +881,16 @@ class TestChernSimonsCount:
 
     def test_genus_32_rank_4(self):
         self.check(32, [[2, 1, 0, 3], [1, 0, 2, 0], [0, 2, 4, 1], [3, 0, 1, 2]], Frac1(3, 8))
+
+    @pytest.mark.parametrize("genus", [64, 128])
+    def test_large_genus_rank_4(self, genus):
+        # the report's block_dim alone: full_block_dim's integer Smith form
+        # over all of H^1 is the slow part at this size
+        c = [[2, 1, 0, 3], [1, 0, 2, 0], [0, 2, 4, 1], [3, 0, 1, 2]]
+        rho = LatticeLocalSystem.trivial(4, genus)
+        level = LevelInput(BilinearData(IntMatrix.from_rows(c), Frac1(3, 8)), rho)
+        order = image_order(level.pairing.numerators, level.pairing.denominator)
+        assert block_report(level, components=[]).block_dim == order**genus
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1038,6 +1058,8 @@ class TestBlockStructure:
     def test_heisenberg_count_matches_the_smith_route(self, data):
         n, w, f = data.draw(free_blocks())
         radical, order = heisenberg_by_smith(n, w, f)
+        a = [{j: x for j in range(f) if (x := w.entry(i, j))} for i in range(f)]
+        assert gerbe._order_mod(n, a) == order  # the order, not only whether it is a square
         dim = math.isqrt(order)
         if dim * dim == order:
             assert _heisenberg_dimensions(n, w.row_lists(), f) == (radical, dim)
@@ -1077,7 +1099,7 @@ class TestBlockStructure:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gerbe, "math", types.SimpleNamespace(gcd=gcd))
-            rank = gerbe._lift_rank(a)
+            rank = gerbe._lift_rank([{j: x for j, x in enumerate(row) if x} for row in a])
         assert rank == fraction_rank(IntMatrix(f, f, [x for row in a for x in row]))
         assert max(seen, default=0) <= bound
 

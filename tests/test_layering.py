@@ -263,6 +263,30 @@ def test_omega_builds_no_int_matrix():
         ]
         assert built == [], name
 
+def test_heisenberg_count_builds_no_dense_row():
+    # both eliminations read the one list of {column: residue} rows that
+    # _heisenberg_dimensions builds: one _order_mod, and neither function
+    # forms a zero-filled row, copies a dense row or builds an IntMatrix
+    tree = parse("gerbe")
+    names = {"_order_mod", "_lift_rank"}
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert sorted(d.name for d in defs) == ["_lift_rank", "_order_mod"]
+    for func in defs:
+        for node in ast.walk(func):
+            zeros = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, ast.List) for side in (node.left, node.right))
+            )
+            whole_copy = (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Slice)
+                and node.slice.lower is node.slice.upper is node.slice.step is None
+            )
+            matrix = isinstance(node, ast.Name) and node.id == "IntMatrix"
+            assert not (zeros or whole_copy or matrix), (func.name, ast.unparse(node))
+
+
 def test_omega_has_no_dense_row_helper():
     # the W product scatters into dicts over supports; the helper that summed
     # x * row over whole dense rows of G and PG is gone

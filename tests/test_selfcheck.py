@@ -435,6 +435,31 @@ def test_stdout_is_pinned(seed, capsys, monkeypatch):
     assert _selfcheck_stdout(capsys, seed) == (wrong_gram, 3)
 
 
+def test_text_report_writes_every_mismatch(monkeypatch, capsys):
+    # W[0][1] + 1 at genus 2, rank 2 fails the run; the text report writes
+    # each mismatch record on its own line before FAILED, as compact JSON,
+    # so the lines read back to the JSON report's records
+    omega_numerators = selfcheck.omega_numerators
+
+    def off_by_one(rho, numerators, gens):
+        w = omega_numerators(rho, numerators, gens)
+        if (rho.genus, rho.rank) == (2, 2):
+            w[0][1] = w[0].get(1, 0) + 1
+        return w
+
+    monkeypatch.setattr(selfcheck, "omega_numerators", off_by_one)
+    out = {}
+    for fmt in ("json", "text"):
+        code = cli.main(["selfcheck", "--format", fmt])
+        out[fmt] = code, capsys.readouterr().out
+    report = json.loads(out["json"][1])
+    lines = out["text"][1].splitlines()
+    assert out["json"][0] == out["text"][0] == 3 and report["mismatches"]
+    records = [line for line in lines if line.startswith("mismatch: ")]
+    assert lines[-1 - len(records) :] == records + ["FAILED"]
+    assert [json.loads(line.removeprefix("mismatch: ")) for line in records] == report["mismatches"]
+
+
 def test_mismatch_records_follow_the_schema(monkeypatch, capsys):
     # under the P + 1 fault each failing system writes one basis record, and
     # the report schema types every record; a record of another shape fails
