@@ -272,9 +272,9 @@ def _heisenberg_dimensions(
     A is the free block of omega's ``rows``, W reduced into [0, N), read once
     into {column: residue} rows that store no zero; both eliminations take
     them. The image of A on (Z/N)-coordinates has order prod N / gcd(N, p_i)
-    over the pivots p_i of any diagonal form of A mod N, whatever the lift,
-    a perfect square because omega is antisymmetric; the block dimension is
-    its root. :func:`_order_mod` finds such pivots with every entry kept in
+    over the pivots p_i of a Howell basis of A mod N, whatever the lift, a
+    perfect square because omega is antisymmetric; the block dimension is
+    its root. :func:`_order_mod` builds that basis with every entry kept in
     [0, N), so nothing grows and N is never factored.
 
     The radical rank is f minus the rank of A over Z, so it depends on the
@@ -294,47 +294,44 @@ def _heisenberg_dimensions(
 
 
 def _order_mod(n: int, a: Sequence[dict[int, int]]) -> int:
-    """Order of the row module over Z/n of the {column: residue} rows ``a``.
+    """Order of the row module M over Z/n of the {column: residue} rows ``a``.
 
-    Euclidean elimination mod n on a copy of the rows. The pivot p is the
-    least stored residue, in the shortest row among equal ones (Markowitz's
-    row count, against fill-in); the scan stops at a lone 1. Other rows lose
-    integer multiples of the pivot row, and a nonzero remainder, below p,
-    becomes a later pivot. Once its column is clear, the column pass reduces
-    the pivot row mod p; a pivot left alone adds a factor n / gcd(n, p).
-    Every operation is unimodular, so the pivots form a diagonal form of
-    ``a`` mod n, and no divisibility chain is needed for the order.
+    Each copied row is inserted into a Howell basis, one row per pivot
+    column j with pivot p_j: a row popped at its least column j becomes the
+    basis row if there is none, else a two-row Euclid on column j (floor
+    quotients, entries kept in [0, n)) leaves the gcd row in the basis and
+    pushes the remainder, which starts past j. A basis row set or replaced
+    pushes its annihilator multiple (n / gcd(n, p_j)) row, which starts past
+    j too. The basis and the stack span M throughout, so the basis does at
+    the end, with Howell's property: each c row_j with c p_j = 0 mod n lies
+    in the span of the rows past j. So each element of M is exactly one sum
+    of c_j row_j with 0 <= c_j < n / gcd(n, p_j) (the least column where two
+    differ tells them apart), and |M| is the product of those orders. The
+    stack empties: a row pushed from column j starts past j, and the pivot
+    at j only changes to a proper divisor of itself.
     """
-    rows = [dict(row) for row in a if row]
-    order = 1
-    while rows:
-        top, p = None, n
-        for row in rows:
-            x = min(row.values())
-            if x < p or x == p and len(row) < len(top):
-                top, p = row, x
-                if p == 1 == len(row):  # no pivot is better
-                    break
-        j = next(c for c, x in top.items() if x == p)
-        rest = []
-        for row in rows:
-            if row is not top:
-                if j in row:
-                    q = row[j] // p
-                    for c, t in top.items():
-                        row[c] = (row.get(c, 0) - q * t) % n
-                    row = {c: s for c, s in row.items() if s}
-                if row:
-                    rest.append(row)
-        if not any(j in row for row in rest):
-            # column j is clear, so a column operation only changes the pivot row
-            top = {c: x % p for c, x in top.items() if x % p}
-            if top:
-                top[j] = p
-            else:  # the pivot is alone
-                order *= n // math.gcd(n, p)
-        rows = rest + [top] if top else rest
-    return order
+    stack = [dict(row) for row in a]
+    basis: dict[int, dict[int, int]] = {}
+    while stack:
+        row = stack.pop()
+        if not row:
+            continue
+        j = min(row)
+        old = basis.get(j)
+        top, row = (old, row) if old else (row, {})
+        while j in row:  # Euclid on column j: top keeps the gcd, row ends 0 there
+            q = row[j] // top[j]
+            for c, t in top.items():
+                row[c] = (row.get(c, 0) - q * t) % n
+            row = {c: s for c, s in row.items() if s}
+            if j in row:
+                top, row = row, top
+        stack.append(row)
+        if top is not old:
+            basis[j] = top
+            m = n // math.gcd(n, top[j])
+            stack.append({c: s for c, t in top.items() if (s := m * t % n)})
+    return math.prod(n // math.gcd(n, row[j]) for j, row in basis.items())
 
 
 def _lift_rank(a: Sequence[dict[int, int]]) -> int:

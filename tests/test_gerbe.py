@@ -792,15 +792,14 @@ def free_blocks(draw):
 
     The block is antisymmetric mod N with zero diagonal, or arbitrary, or,
     for N below 2^10, a wider sparse one: f from 8 to 16 and at most three
-    stored residues a row, where ties between equal pivots and fill-in
-    arise. Its entries come from a palette of a few residues, so a pivot
-    often fails to divide its row and column. Some indices are zeroed in
-    both row and column, and in a block that is not sparse one may repeat
-    another in both, which keeps the lift's rank below the count of nonzero
-    rows and columns. W may have further rows and columns, as torsion
-    generators give it, which the count must not read. (2^89 - 1 stays at
-    f <= 7: the integer Smith form of a 16 x 16 block with 89-bit entries is
-    slow.)
+    stored residues a row, where fill-in arises. Its entries come from a
+    palette of a few residues, so a pivot often fails to divide the entries
+    below it. Some indices are zeroed in both row and column, and in a block
+    that is not sparse one may repeat another in both, which keeps the
+    lift's rank below the count of nonzero rows and columns. W may have
+    further rows and columns, as torsion generators give it, which the count
+    must not read. (2^89 - 1 stays at f <= 7: the integer Smith form of a
+    16 x 16 block with 89-bit entries is slow.)
     """
     n = draw(st.sampled_from(HEISENBERG_MODULI))
     sparse = n < 2**10 and draw(st.booleans())
@@ -1066,6 +1065,45 @@ class TestBlockStructure:
         else:
             with pytest.raises(InvariantViolation, match="perfect square"):
                 _heisenberg_dimensions(n, w.row_lists(), f)
+
+    @pytest.mark.parametrize("n, row, order", [
+        (4, {0: 2, 1: 1}, 4),  # <(2, 1)> is Z/4: 2 (2, 1) = (0, 2)
+        (12, {0: 6, 1: 4, 2: 3}, 12),
+        (8, {0: 4, 1: 2}, 4),
+    ])
+    def test_order_counts_annihilator_multiples(self, n, row, order):
+        # the pivot p alone has order n / gcd(n, p), but that multiple of the
+        # row is not zero past the pivot column, and the count must reach it
+        assert gerbe._order_mod(n, [row]) == order
+
+    def test_order_at_scale_with_a_large_modulus(self):
+        # the bench's shear recipe at g64 r4 with zeta 1 / p, p = 2^61 - 1:
+        # shears in row 0, c[0][0] = 0 and c[j][0] = -c[0][j] mod p, so the
+        # level is invariant. The order is one of the module, so permuting
+        # the rows or the columns of the free block must not change it.
+        p, genus, rank = 2**61 - 1, 64, 4
+        rng = random.Random(61)
+        mats = []
+        for _ in range(2 * genus):
+            m = IntMatrix.identity(rank).row_lists()
+            m[0][1:] = [rng.randint(-3, 3) for _ in range(1, rank)]
+            mats.append(m)
+        mats[0][0][1] = 1
+        c = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+        c[0][0] = p * rng.randint(-1, 1)
+        for j in range(1, rank):
+            c[j][0] = -c[0][j] + p * rng.randint(-1, 1)
+        rho = LatticeLocalSystem(rank, genus, [IntMatrix.from_rows(m) for m in mats])
+        level = LevelInput(BilinearData(IntMatrix.from_rows(c), Frac1(1, p)), rho)
+        pres = cohomology_presentations(rho)
+        n, f = level.pairing.denominator, len(pres.h1.free_gens)
+        omega = gerbe._omega(rho, pres, level.pairing)
+        a = [{j: x for j, x in enumerate(row[:f]) if x} for row in omega[:f]]
+        order = gerbe._order_mod(n, a)
+        perm = random.Random(62).sample(range(f), f)
+        assert gerbe._order_mod(n, [a[i] for i in perm]) == order
+        assert gerbe._order_mod(n, [{perm[j]: x for j, x in row.items()} for row in a]) == order
+        assert _heisenberg_dimensions(n, omega, f)[1] ** 2 == order
 
     def test_lift_rank_is_exact(self):
         # 2^61 - 1 at N = 2^64: a lift rank read mod that prime would be 0
