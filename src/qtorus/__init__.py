@@ -20,7 +20,7 @@ from .cochain import (
     Cocycle,
     TriangulatedSurface,
     checked_classes,
-    cup_tensor,
+    cup_tensors,
     triangulate,
 )
 from .errors import InvariantViolation, QtorusError
@@ -90,7 +90,7 @@ __all__ = [
     "build_complex",
     "checked_classes",
     "cohomology_presentations",
-    "cup_tensor",
+    "cup_tensors",
     "det",
     "double_braiding",
     "enumerate_components",

@@ -39,7 +39,7 @@ from .forms import (
     polarize,
     quad_from_bilinear,
 )
-from .gerbe import BlockReport, LevelInput, block_report
+from .gerbe import MAX_DENSE_CELLS, BlockReport, LevelInput, block_report
 from .lattice import IntMatrix
 from .selfcheck import DEFAULT_SEED, run_selfcheck
 from .surface import (
@@ -159,6 +159,9 @@ class JobSpec:
         rank = _as_int(s.get("rank"), "surface.rank")
         if rank < 1:
             raise BadJobSpec("rank must be positive", "surface.rank")
+        if rank * rank > MAX_DENSE_CELLS:  # each monodromy matrix, and I, is rank x rank
+            message = f"more than {MAX_DENSE_CELLS} cells in a {rank} x {rank} matrix"
+            raise ResourceLimit(message, "surface.rank")
         if not 0 <= genus <= sys.maxsize // 2:  # 2g monodromy matrices must fit a list
             raise BadJobSpec(f"genus must be between 0 and {sys.maxsize // 2}", "surface.genus")
         mon_raw = s.get("monodromy")

@@ -17,28 +17,25 @@ W picks up the monodromy of W. The orientation is normalized so that at
 genus 1 with trivial coefficients the a-loop cup b-loop evaluates to +1.
 
 The oracle has one route. :func:`checked_classes` builds one transport
-table for its (triangulation, local system): a list of 6g + 1 matrices,
-the 4g + 1 boundary prefixes, each the previous one times a letter, then
-the 2g generators, each letter's matrix read by index off the local
-system's ``mon`` or ``mon_inv``. Each face holds the index of its
-transport; an identity factor or transport costs no product, and a value at
-an identity transport is read as it is. Each H^1 vector becomes the
-1-cochain with that holonomy on the generator loops, its radial values
-forced triangle by triangle around the polygon, and is checked once, in one
-pass: each triangle's three face values are carried to the chart once, the
-coboundary test reads their alternating sum, and the resulting
-:class:`Cocycle` keeps the front and back faces from the same values. At
-genus g the radial walk and the check each cost at most 4g - 1
-matrix-vector products.
+table for its (triangulation, local system), the 4g + 1 boundary prefixes,
+and takes its k H^1 vectors together: each edge holds an r x k block,
+column i for vector i, and a transport other than the identity moves a
+block as one r x r by r x k product. The radial walk forces the radial
+blocks triangle by triangle around the polygon, and one check carries each
+triangle's three face blocks to the chart once: the coboundary test reads
+their alternating sum, and :class:`CheckedClasses` keeps the front and back
+faces from the same blocks. At genus g the walk and the check each cost at
+most 4g - 1 block products, however many vectors the batch holds.
 
-:func:`cup_tensor` sums the integer r x r cup of two checked cocycles in
-Lambda (x) Lambda over the triangles. No level enters: the caller pairs the
-tensor with a level's numerators, so the oracle reads no form and shares
-no arithmetic with the closed route it checks.
+:func:`cup_tensors` sums the integer r x r cup of every ordered pair of a
+batch's cocycles in Lambda (x) Lambda at once. No level enters: the caller
+pairs each tensor with a level's numerators, so the oracle reads no form
+and shares no arithmetic with the closed route it checks.
 """
 
 from __future__ import annotations
 
+from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -46,6 +43,7 @@ from .errors import InvariantViolation, NotInKernel, ShapeMismatch, UnsupportedG
 from .surface import LatticeLocalSystem
 
 Cell = tuple[str, int]  # an edge: ("rad", k) or ("gen", j)
+Block = tuple[tuple[int, ...], ...]  # r rows of k entries: row a holds entry a of each vector
 
 # face slot -> (tail position, head position) in the ordered triangle
 _SLOT_ENDS = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
@@ -77,7 +75,7 @@ class TriangulatedSurface:
             eps = 1 if k % 4 < 2 else -1
             self.side_letter.append((j, eps))
         # a face's transport index (see _Transports): k for the boundary
-        # prefix of k sides, n + 1 + j for generator j alone
+        # prefix of k sides
         self.triangles: list[_Triangle] = []
         for k in range(n):
             j, eps = self.side_letter[k]
@@ -160,14 +158,22 @@ def triangulate(genus: int) -> TriangulatedSurface:
     return TriangulatedSurface(genus)
 
 
+def _times(m, block: Block) -> Block:
+    """The r x r matrix ``m`` times an r x k block: row a sums the block's rows times m's row a."""
+    r = len(block)
+    return tuple(
+        tuple(map(sum, zip(*map(map, (x.__mul__ for x in m.entries[a * r : (a + 1) * r]), block))))
+        for a in range(r)
+    )
+
+
 class _Transports:
     """Monodromy of every face position of one triangulation under one local system.
 
-    A list addressed by the faces' indices, None for the identity. Index
-    k <= 4g is the boundary prefix of k sides, index k - 1 times the letter
-    on side k - 1, a product unless one factor is the identity; index
-    4g + 1 + j is generator j, ``rho.mon[j]``; a letter x_j^-1 reads
-    ``rho.mon_inv[j]``. A matrix is the identity when its entries are I's.
+    A list addressed by the faces' indices, None for the identity (entries
+    I's): index k <= 4g is the boundary prefix of k sides, index k - 1 times
+    the letter on side k - 1, a product unless one factor is the identity.
+    x_j reads ``rho.mon[j]``, and x_j^-1 reads ``rho.mon_inv[j]``.
     """
 
     def __init__(self, t: TriangulatedSurface, rho: LatticeLocalSystem):
@@ -182,126 +188,120 @@ class _Transports:
             if step.entries != eye:
                 prefix = step if prefix is None else prefix @ step
             self._matrices.append(None if prefix is None or prefix.entries == eye else prefix)
-        self._matrices += [None if m.entries == eye else m for m in rho.mon]
 
-    def move(self, at: int, value: tuple[int, ...]) -> tuple[int, ...]:
-        """``value`` carried from the position with transport index ``at`` back to the chart.
-
-        An identity transport, as at index 0 where two of each triangle's
-        three faces sit, returns the value unchanged with no product.
-        """
-        return value if (m := self._matrices[at]) is None else m.mul_vec(value)
+    def move(self, at: int, block: Block) -> Block:
+        """``block`` carried from transport index ``at`` to the chart; no product at I."""
+        return block if (m := self._matrices[at]) is None else _times(m, block)
 
 
-class Cocycle(_Frozen):
-    """A 1-cochain that passed the cocycle check, with its cup faces transported.
+class Cocycle(NamedTuple):
+    """One vector's column of a :class:`CheckedClasses`: its edge values, read-only, and faces."""
 
-    Only this module makes one, after the check. ``values`` is a read-only
-    view of its integer vector on each edge, in the chart, so a checked
-    cocycle stays as checked. ``front`` and ``back`` hold, triangle by
-    triangle, the value on the front face [v0, v1] and on the back face
-    [v1, v2], both in the chart; :func:`cup_tensor` cups them.
+    values: Mapping[Cell, tuple[int, ...]]
+    table: _Transports
+    front: tuple[tuple[int, ...], ...]
+    back: tuple[tuple[int, ...], ...]
+
+
+class CheckedClasses(_Frozen):
+    """k 1-cochains over one transport table that passed the cocycle check together.
+
+    ``blocks`` is a read-only view of the r x k block on each edge, ``front``
+    and ``back`` the blocks on each triangle's front face [v0, v1] and back
+    face [v1, v2], all in the chart. ``classes[i]`` builds vector i's view.
     """
 
-    __slots__ = ("values", "table", "front", "back")
+    __slots__ = ("blocks", "table", "front", "back", "count")
 
-    def __init__(
-        self, values: Mapping[Cell, tuple[int, ...]], table: _Transports,
-        front: tuple[tuple[int, ...], ...], back: tuple[tuple[int, ...], ...],
-    ):
-        object.__setattr__(self, "values", MappingProxyType(values))
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "front", front)
-        object.__setattr__(self, "back", back)
+    def __init__(self, blocks: dict[Cell, Block], table: _Transports, front, back, count: int):
+        fields = (MappingProxyType(blocks), table, front, back, count)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
+    def __len__(self) -> int:
+        return self.count
 
-def _chart_faces(
-    values: Mapping[Cell, tuple[int, ...]], table: _Transports
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Each triangle's three face values of a 1-cochain in the chart, slots d0, d1, d2.
-
-    The one pass that transports a 1-cochain: its coboundary and its cup's
-    front and back faces are all read from these values.
-    """
-    move = table.move
-    return [
-        tuple(move(face.at, values[face.cell]) for face in tri.faces) for tri in table.t.triangles
-    ]
+    def __getitem__(self, i: int) -> Cocycle:
+        i = range(self.count)[i]  # past the end raises IndexError, which ends iteration
+        col = itemgetter(i)
+        values = {cell: tuple(map(col, block)) for cell, block in self.blocks.items()}
+        front, back = (tuple(tuple(map(col, b)) for b in side) for side in (self.front, self.back))
+        return Cocycle(MappingProxyType(values), self.table, front, back)
 
 
-def _alternating_sums(faces: list[tuple[tuple[int, ...], ...]]) -> list[tuple[int, ...]]:
-    """d0 - d1 + d2 on each triangle: the coboundary's value there."""
-    return [tuple(x - y + z for x, y, z in zip(d0, d1, d2)) for d0, d1, d2 in faces]
+def _chart_faces(blocks: Mapping[Cell, Block], table: _Transports) -> list[tuple[Block, ...]]:
+    """Each triangle's three face blocks in the chart, slots d0, d1, d2: the one
+    pass that transports a batch, read by its coboundary and its cup."""
+    return [tuple(table.move(f.at, blocks[f.cell]) for f in tri.faces) for tri in table.t.triangles]
 
 
-def _check(values: Mapping[Cell, tuple[int, ...]], table: _Transports) -> Cocycle | None:
-    """The checked form of a 1-cochain's edge values, or None when its coboundary is nonzero."""
-    faces = _chart_faces(values, table)
-    if any(map(any, _alternating_sums(faces))):
+def _alternating_sums(faces: list[tuple[Block, ...]]) -> list[list[list[int]]]:
+    """d0 - d1 + d2 on each triangle, row by row: the coboundary's block there."""
+    return [[[x - y + z for x, y, z in zip(*rows)] for rows in zip(*face)] for face in faces]
+
+
+def _check(blocks: dict[Cell, Block], table: _Transports, count: int) -> CheckedClasses | None:
+    """The checked batch of ``count`` 1-cochains' edge blocks, or None if one is no cocycle."""
+    faces = _chart_faces(blocks, table)
+    if any(any(map(any, s)) for s in _alternating_sums(faces)):
         return None
-    return Cocycle(values, table, tuple(f[2] for f in faces), tuple(f[0] for f in faces))
+    front, back = (tuple(f[slot] for f in faces) for slot in (2, 0))
+    return CheckedClasses(blocks, table, front, back, count)
 
 
-def cup_tensor(a: Cocycle, b: Cocycle) -> tuple[tuple[int, ...], ...]:
-    """The cup of two checked 1-cocycles of one local system in Lambda (x) Lambda.
+def cup_tensors(classes: CheckedClasses) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """The cup of every ordered pair (i, j) of a batch's 1-cocycles in Lambda (x) Lambda.
 
-    An r x r integer matrix M, evaluated on the fundamental cycle by the
-    front face/back face rule: on each ordered triangle, the value of ``a``
-    on the edge out of the first vertex times the value of ``b`` on the edge
-    into the last vertex, both transported to the chart, so that
-    M[k][l] = sum over triangles of sign * front_a[k] * back_b[l]. No level
-    enters; the caller pairs M with one.
+    Each is an r x r integer matrix M, evaluated on the fundamental cycle by
+    the front face/back face rule: M[k][l] = sum over triangles of sign *
+    front_i[k] * back_j[l], both in the chart. Row k of the signed front
+    blocks, read across the triangles, is one vector per cocycle, as is row
+    l of the back blocks, so each entry is one dot product. No level
+    enters; the caller pairs each M with one.
     """
-    if a.table is not b.table:
-        raise ShapeMismatch("the cocycles were built over different transport tables")
-    r = a.table.rank
-    m = [[0] * r for _ in range(r)]
-    for tri, x, y in zip(a.table.t.triangles, a.front, b.back):
-        for xk, row in zip(x, m):
-            if xk:
-                xk *= tri.sign
-                for l, yl in enumerate(y):
-                    if yl:
-                        row[l] += xk * yl
-    return tuple(tuple(row) for row in m)
-
-
-def _class_of(h1_vector: Sequence[int], table: _Transports) -> Cocycle:
-    t, r = table.t, table.rank
-    g = t.genus
-    vec = tuple(h1_vector)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in vec):
-        raise ShapeMismatch(f"holonomy vector {vec} has a non-integer entry")
-    if len(vec) != 2 * g * r:
-        raise ShapeMismatch(f"expected a vector of length {2 * g * r}, got {len(vec)}")
-    loop_values = [vec[j * r : (j + 1) * r] for j in range(2 * g)]
-    values: dict[Cell, tuple[int, ...]] = {("gen", j): loop_values[j] for j in range(2 * g)}
-    radial = [0] * r
-    values[("rad", 0)] = tuple(radial)
-    for k in range(t.num_sides):
-        j, eps = t.side_letter[k]
-        step = table.move(k if eps == 1 else k + 1, loop_values[j])
-        radial = [a + eps * s for a, s in zip(radial, step)]
-        if k + 1 < t.num_sides:
-            values[("rad", k + 1)] = tuple(radial)
-    if any(radial):
-        raise NotInKernel("holonomy data does not close up around the polygon")
-    checked = _check(values, table)
-    if checked is None:
-        raise InvariantViolation("the radial walk closed up on a non-cocycle")
-    return checked
+    r, n, front = classes.table.rank, classes.count, classes.front
+    signs = [tri.sign for tri in classes.table.t.triangles]
+    fronts = [list(zip(*(map(s.__mul__, f[k]) for s, f in zip(signs, front)))) for k in range(r)]
+    by_row = [list(zip(*(b[l] for b in classes.back))) for l in range(r)]
+    backs = [y[j] for j in range(n) for y in by_row]  # ordered (j, l)
+    cups = []
+    for i in range(n):
+        # row k of M for i and every j: all (j, l) entries, cut into r-entry rows
+        rows = [zip(*[iter([sum(map(mul, fk[i], y)) for y in backs])] * r) for fk in fronts]
+        cups.append(list(zip(*rows)))
+    return cups
 
 
 def checked_classes(
     h1_vectors: Sequence[Sequence[int]], t: TriangulatedSurface, rho: LatticeLocalSystem
-) -> tuple[Cocycle, ...]:
-    """The checked 1-cocycle of each H^1 vector, all over one transport table.
+) -> CheckedClasses:
+    """The checked 1-cocycles of the H^1 vectors, one batch over one transport table.
 
-    Each vector lists one integer vector per generator loop (concatenated,
-    generator-major), the cocycle's value on that loop. Values on the radial
-    edges are forced by the cocycle condition triangle by triangle around
-    the polygon; the walk closes up exactly when the vector lies in the
-    kernel of the degree-1 differential, otherwise NotInKernel is raised.
+    Each vector lists its value on each generator loop, generator-major. The
+    radial blocks are forced triangle by triangle around the polygon; the
+    walk closes up exactly when every vector lies in the kernel of the
+    degree-1 differential, otherwise NotInKernel is raised.
     """
     table = _Transports(t, rho)
-    return tuple(_class_of(v, table) for v in h1_vectors)
+    g, r = t.genus, table.rank
+    vecs = [tuple(v) for v in h1_vectors]
+    for vec in vecs:
+        if set(map(type, vec)) - {int}:  # bool is no int here
+            raise ShapeMismatch(f"holonomy vector {vec} has a non-integer entry")
+        if len(vec) != 2 * g * r:
+            raise ShapeMismatch(f"expected a vector of length {2 * g * r}, got {len(vec)}")
+    entries = list(zip(*vecs)) or [()] * (2 * g * r)  # row c: entry c of every vector
+    loops = [tuple(entries[j * r : (j + 1) * r]) for j in range(2 * g)]
+    radial = ((0,) * len(vecs),) * r
+    blocks = {("rad", 0): radial, **{("gen", j): loop for j, loop in enumerate(loops)}}
+    for k, (j, eps) in enumerate(t.side_letter):
+        step = table.move(k if eps == 1 else k + 1, loops[j])
+        radial = tuple(map(tuple, map(map, [add if eps == 1 else sub] * r, radial, step)))
+        if k + 1 < t.num_sides:
+            blocks[("rad", k + 1)] = radial
+    if any(map(any, radial)):
+        raise NotInKernel("holonomy data does not close up around the polygon")
+    checked = _check(blocks, table, len(vecs))
+    if checked is None:
+        raise InvariantViolation("the radial walk closed up on a non-cocycle")
+    return checked

@@ -371,6 +371,9 @@ def _lift_rank(a: Sequence[dict[int, int]]) -> int:
 
 # most representatives the default component list may hold
 MAX_COMPONENTS = 2**20
+# most cells a dense matrix of a job may hold: a report's H^1 objects are
+# (2 g r) x (2 g r), as is omega, and a local system's matrices r x r
+MAX_DENSE_CELLS = 2**26
 
 
 def enumerate_components(
@@ -403,8 +406,17 @@ def block_report(
     components: Sequence[Sequence[int]] | None = None,
     free_bound: int = 1,
 ) -> BlockReport:
-    """Full block structure; presentations, omega and the chi check run once."""
+    """Full block structure; presentations, omega and the chi check run once.
+
+    H^1's generators are read off a dense (2 g r) x (2 g r) transform, and
+    omega is written as that many cells: past ``MAX_DENSE_CELLS`` the report
+    is refused before either is built.
+    """
     rho = level.rho
+    size = 2 * rho.genus * rho.rank
+    if size * size > MAX_DENSE_CELLS:
+        message = f"more than {MAX_DENSE_CELLS} cells in H^1's {size} x {size} matrices"
+        raise ResourceLimit(message, "surface")
     pres = cohomology_presentations(rho)
     n = level.pairing.denominator
     omega = _omega(rho, pres, level.pairing)

@@ -11,10 +11,11 @@ three monodromy families.
 
 The closed side is the one reports run: the numerators W = G^T P G of
 :func:`qtorus.gerbe.omega_numerators`, read raw, so a wrong W becomes a
-mismatch record rather than an internal error. Once per local system, each
-H^1 generator becomes a checked cocycle, all over one transport table
-(:func:`qtorus.cochain.checked_classes`), and each ordered pair of them its
-integer cup in Lambda (x) Lambda (:func:`qtorus.cochain.cup_tensor`).
+mismatch record rather than an internal error. Once per local system, the
+H^1 generators become one batch of checked cocycles over one transport table
+(:func:`qtorus.cochain.checked_classes`), and one call gives every ordered
+pair of them its integer cup in Lambda (x) Lambda
+(:func:`qtorus.cochain.cup_tensors`).
 
 Both routes are linear in a level's integer numerators B, so each local
 system compares them once, in integers, on the symmetric basis of
@@ -37,7 +38,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .cochain import checked_classes, cup_tensor, triangulate
+from .cochain import checked_classes, cup_tensors, triangulate
 from .errors import InvariantViolation, NotInKernel
 from .forms import preserves, probe_images
 from .gerbe import omega_numerators
@@ -159,11 +160,11 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                 rho = _local_system(rng, genus, rank, family)
                 gens = cohomology_presentations(rho).h1.all_gens()
                 try:
-                    cocycles = checked_classes(gens, surface, rho)
+                    classes = checked_classes(gens, surface, rho)
                 except NotInKernel:  # the routes disagree on H^1; selfcheck reads no user data
                     where = f"genus {genus}, rank {rank}, {family}"
                     raise InvariantViolation(f"the radial walk fails on H^1: {where}") from None
-                cups = [[cup_tensor(a, b) for b in cocycles] for a in cocycles]
+                cups = cup_tensors(classes)
                 images = probe_images(rho.mon, rank)
                 basis = _basis_disagreement(rho, gens, cups)
                 drawn = sum(

@@ -22,6 +22,7 @@ from qtorus import (
     quad_from_bilinear,
     smith_normal_form,
 )
+from qtorus import cochain
 from qtorus.errors import ShapeMismatch, _Frozen
 from qtorus.lattice import QuotientPresentation, SnfResult, _Op
 
@@ -816,6 +817,16 @@ def cup_matrix(cocycles, b: IntMatrix) -> IntMatrix:
     ]
     fronts = [[x for face in c.front for x in face] for c in cocycles]
     return IntMatrix.from_rows([[sum(map(mul, f, col)) for col in bk] for f in fronts])
+
+
+def check_values(values, table):
+    """One 1-cochain's edge values through the oracle's batch check, as a batch of one.
+
+    Each value becomes a one-column block; returns the checked cocycle's
+    per-vector view, or None when the check refuses the cochain.
+    """
+    checked = cochain._check({cell: tuple((x,) for x in v) for cell, v in values.items()}, table, 1)
+    return None if checked is None else checked[0]
 
 
 def transport_word(t, at: int) -> tuple[int, ...]:

@@ -451,6 +451,75 @@ class TestValidation:
         with pytest.raises(FirstRow):
             cli.main(["local", "--input", write_spec(tmp_path, spec)])
 
+    @pytest.mark.parametrize("task", ["global", "bunt"])
+    def test_dense_h1_past_the_cap_exits_2(self, capsys, tmp_path, monkeypatch, task):
+        # at genus 100000, H^1's generators would be read off a 200000 x 200000
+        # transform and omega would fill as many cells; the report is refused
+        # before the cohomology is computed
+        from qtorus import gerbe
+
+        def cohomology_presentations(rho):
+            raise AssertionError("the cohomology was computed")
+
+        monkeypatch.setattr(gerbe, "cohomology_presentations", cohomology_presentations)
+        spec = base_global_spec(task=task, surface={"genus": 100000, "rank": 1})
+        out, code = run_main(capsys, task, "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "resource_limit",
+            "message": "more than 67108864 cells in H^1's 200000 x 200000 matrices",
+            "path": "surface",
+        }
+
+    @pytest.mark.parametrize(("cap", "want"), [(16, 0), (15, 2)])
+    def test_dense_h1_cap_boundary(self, capsys, tmp_path, monkeypatch, cap, want):
+        # genus 1, rank 2: H^1's matrices are 4 x 4, 16 cells
+        from qtorus import gerbe
+
+        monkeypatch.setattr(gerbe, "MAX_DENSE_CELLS", cap)
+        level = {"c_matrix": [[0, 0], [0, 1]], "zeta": "1/4"}
+        spec = base_global_spec(surface={"genus": 1, "rank": 2}, level=level)
+        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+        assert code == want
+        if want:
+            assert (json.loads(out)["code"], json.loads(out)["path"]) == ("resource_limit", "surface")
+
+    @pytest.mark.parametrize("monodromy", [None, []], ids=["trivial", "listed"])
+    def test_rank_past_the_cap_exits_2(self, capsys, tmp_path, monkeypatch, monodromy):
+        # at genus 0 a rank 100000 local system still holds a 100000 x 100000
+        # identity; the rank is refused before any local system is built
+        class Unbuilt:
+            def __init__(self, *args):
+                raise AssertionError("a local system was built")
+
+            trivial = classmethod(__init__)
+
+        monkeypatch.setattr(cli, "LatticeLocalSystem", Unbuilt)
+        surface = {"genus": 0, "rank": 100000}
+        if monodromy is not None:
+            surface["monodromy"] = monodromy
+        spec = {"task": "surface", "surface": surface}
+        out, code = run_main(capsys, "surface", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "resource_limit",
+            "message": "more than 67108864 cells in a 100000 x 100000 matrix",
+            "path": "surface.rank",
+        }
+
+    @pytest.mark.parametrize(("cap", "want"), [(4, 0), (3, 2)])
+    def test_rank_cap_boundary(self, capsys, tmp_path, monkeypatch, cap, want):
+        monkeypatch.setattr(cli, "MAX_DENSE_CELLS", cap)
+        spec = {"task": "surface", "surface": {"genus": 1, "rank": 2}}
+        out, code = run_main(capsys, "surface", "--input", write_spec(tmp_path, spec))
+        assert code == want
+        if want:
+            assert (json.loads(out)["code"], json.loads(out)["path"]) == ("resource_limit", "surface.rank")
+
     @pytest.mark.parametrize("task", ["local", "surface", "global", "bunt"])
     def test_unknown_surface_key(self, capsys, tmp_path, task):
         # a misspelt monodromy used to be dropped, leaving the trivial system
@@ -1171,7 +1240,7 @@ class TestTripwire:
 
         def faulty(faces):
             out = sums(faces)
-            out[0] = tuple(x + 1 for x in out[0])
+            out[0] = [[x + 1 for x in row] for row in out[0]]
             return out
 
         monkeypatch.setattr(cochain, "_alternating_sums", faulty)
@@ -1249,16 +1318,16 @@ class TestValueClasses:
         quad = quad_from_bilinear(level)
         report = block_report(LevelInput(level, rho))
         t = triangulate(1)
-        cocycle = checked_classes(pres.h1.all_gens(), t, rho)[0]
+        classes = checked_classes(pres.h1.all_gens(), t, rho)
         return [
             pres.triple.h1, pres.snf0, pres.h1, pres.complex, pres, level, quad,
-            polarize(quad), standard_refinement(quad), report.blocks[0], report, cocycle,
-            t.triangles[0], t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
+            polarize(quad), standard_refinement(quad), report.blocks[0], report, classes,
+            classes[0], t.triangles[0], t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
         ]
 
     def test_instances_refuse_assignment(self):
         objects = self.instances()
-        assert len({type(obj) for obj in objects}) == 15
+        assert len({type(obj) for obj in objects}) == 16
         for obj in objects:
             cls = type(obj)
             names = getattr(cls, "_fields", None) or [n for n in cls.__slots__ if n != "__dict__"]
@@ -1283,13 +1352,14 @@ class TestValueClasses:
             assert str(refused.value) == f"{type(obj).__name__} is immutable"
 
     def test_held_dicts_refuse_item_assignment(self):
-        # a checked cocycle's values are a read-only view: an edit cannot undo
-        # the cocycle check
+        # a checked batch's blocks and each cocycle's values are read-only
+        # views: an edit cannot undo the cocycle check
         from qtorus import Cocycle
+        from qtorus.cochain import CheckedClasses
 
         objects = {type(obj): obj for obj in self.instances()}
-        values = objects[Cocycle].values
-        cell, before = next(iter(values.items()))
-        with pytest.raises(TypeError):
-            values[cell] = (99, 99)
-        assert values[cell] == before
+        for values in (objects[Cocycle].values, objects[CheckedClasses].blocks):
+            cell, before = next(iter(values.items()))
+            with pytest.raises(TypeError):
+                values[cell] = (99, 99)
+            assert values[cell] == before

@@ -13,7 +13,7 @@ from qtorus import (
     checked_classes,
     cochain,
     cohomology_presentations,
-    cup_tensor,
+    cup_tensors,
     polarize,
     quad_from_bilinear,
     triangulate,
@@ -22,6 +22,7 @@ from qtorus.errors import NotInKernel, ShapeMismatch, UnsupportedGenus
 from qtorus.gerbe import _pairing_gram, omega_numerators
 
 from helpers import (
+    check_values,
     coboundary_per_face,
     cup_matrix,
     densify,
@@ -81,7 +82,7 @@ class TestCoboundary:
             t = triangulate(g)
             cone, base = (tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(2))
             values = vertex_coboundary(cone, base, t, rho)
-            assert cochain._check(values, cochain._Transports(t, rho)) is not None
+            assert check_values(values, cochain._Transports(t, rho)) is not None
 
     def test_wrong_rank_rejected(self):
         # a vector of a rank-1 system is too short for the rank-2 system
@@ -138,24 +139,26 @@ class TestClassOf:
 class TestCup:
     def test_orientation_normalization(self):
         # a cup b = +1 at genus one with trivial coefficients
-        a, b = checked_classes([(1, 0), (0, 1)], triangulate(1), LatticeLocalSystem.trivial(1, 1))
-        assert cup_tensor(a, b) == ((1,),)
-        assert cup_tensor(b, a) == ((-1,),)
+        cups = cup_tensors(
+            checked_classes([(1, 0), (0, 1)], triangulate(1), LatticeLocalSystem.trivial(1, 1))
+        )
+        assert cups[0][1] == ((1,),)
+        assert cups[1][0] == ((-1,),)
 
     def test_cup_squares_vanish(self):
         vecs = ((1, 0), (0, 1), (2, 3))
-        for c in checked_classes(vecs, triangulate(1), LatticeLocalSystem.trivial(1, 1)):
-            assert cup_tensor(c, c) == ((0,),)
+        cups = cup_tensors(checked_classes(vecs, triangulate(1), LatticeLocalSystem.trivial(1, 1)))
+        assert [cups[i][i] for i in range(3)] == [((0,),)] * 3
 
     def test_symplectic_intersection_form(self):
         # trivial coefficients: the generator loops pair symplectically
         for g in (1, 2):
             rho = LatticeLocalSystem.trivial(1, g)
             vecs = [basis_vec(2 * g, j) for j in range(2 * g)]
-            classes = checked_classes(vecs, triangulate(g), rho)
+            cups = cup_tensors(checked_classes(vecs, triangulate(g), rho))
             for i in range(2 * g):
                 for j in range(2 * g):
-                    got = cup_tensor(classes[i], classes[j])
+                    got = cups[i][j]
                     if i % 2 == 0 and j == i + 1:
                         assert got == ((1,),)
                     elif j % 2 == 0 and i == j + 1:
@@ -177,18 +180,18 @@ class TestCup:
             n = len(gens)
             sums = [tuple(map(add, gens[iu], gens[iv])) for iu in range(n) for iv in range(n)]
             cocycles = checked_classes([*gens, *sums], t, rho)
-            classes = cocycles[:n]
+            classes = tuple(cocycles)[:n]
+            cups = cup_tensors(cocycles)
             # antisymmetric against an invariant level: W + W^T vanishes mod N
             w = cup_matrix(classes, p.numerators)
             for i in range(n):
                 for j in range(n):
                     assert (w.entry(i, j) + w.entry(j, i)) % p.denominator == 0
             # additivity in the first slot, exactly in Lambda (x) Lambda
-            for k, s in enumerate(cocycles[n:]):
-                u, v = classes[k // n], classes[k % n]
-                for c in classes:
-                    left = cup_tensor(s, c)
-                    right = [map(add, x, y) for x, y in zip(cup_tensor(u, c), cup_tensor(v, c))]
+            for k in range(n * n):
+                for c in range(n):
+                    left = cups[n + k][c]
+                    right = [map(add, x, y) for x, y in zip(cups[k // n][c], cups[k % n][c])]
                     assert left == tuple(map(tuple, right))
 
     def test_coboundary_insensitive(self):
@@ -206,7 +209,7 @@ class TestCup:
             u, v = checked_classes(gens[:2], t, rho)
             cone, base = (tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(2))
             d = vertex_coboundary(cone, base, t, rho)
-            shifted = cochain._check(
+            shifted = check_values(
                 {cell: tuple(map(add, x, d[cell])) for cell, x in u.values.items()}, u.table
             )
             assert shifted is not None
@@ -220,8 +223,8 @@ class TestCup:
         t = triangulate(1)
         (good,) = checked_classes([(0, 1)], t, sign_rep())
         bad = {cell: ((1,) if cell == ("gen", 0) else (0,)) for cell in t.edge_cells}
-        assert cochain._check(bad, good.table) is None
-        assert cochain._check(good.values, good.table) is not None
+        assert check_values(bad, good.table) is None
+        assert check_values(good.values, good.table) is not None
 
 
 class TestCheckedCup:
@@ -251,17 +254,9 @@ class TestCheckedCup:
         if not cocycles:
             return
         w = cup_matrix(cocycles, b)
-        for i, a in enumerate(cocycles):
-            for j, c in enumerate(cocycles):
-                assert paired(cup_tensor(a, c), b) == w.entry(i, j)
-
-    def test_rejects_cocycles_of_two_tables(self):
-        rho = LatticeLocalSystem.trivial(1, 1)
-        t = triangulate(1)
-        (a,) = checked_classes([(1, 0)], t, rho)
-        (b,) = checked_classes([(0, 1)], t, rho)
-        with pytest.raises(ShapeMismatch):
-            cup_tensor(a, b)
+        for i, row in enumerate(cup_tensors(cocycles)):
+            for j, m in enumerate(row):
+                assert paired(m, b) == w.entry(i, j)
 
 
 def _oracle_system(family, genus, rank):
@@ -304,7 +299,7 @@ class TestOnePassCheck:
                 bumped = list(values[cell])
                 bumped[i] += rng.choice((-3, -2, -1, 1, 2, 3))
                 values[cell] = tuple(bumped)
-                assert cochain._check(values, u.table) is None, (cell, i)
+                assert check_values(values, u.table) is None, (cell, i)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -314,23 +309,29 @@ class TestOnePassCheck:
         rng = random.Random(f"coboundary-{family}-{genus}-{rank}")
         t = triangulate(rho.genus)
         table = cochain._Transports(t, rho)
-        for _ in range(3):
-            values = {
-                cell: tuple(rng.randint(-3, 3) for _ in range(rho.rank)) for cell in t.edge_cells
-            }
-            sums = cochain._alternating_sums(cochain._chart_faces(values, table))
-            assert sums == coboundary_per_face(values, t, rho)
+        for k in (1, 3):
+            # a batch of k cochains: column i of each block is cochain i's value
+            values = [
+                {cell: tuple(rng.randint(-3, 3) for _ in range(rho.rank)) for cell in t.edge_cells}
+                for _ in range(k)
+            ]
+            blocks = {cell: tuple(zip(*(v[cell] for v in values))) for cell in t.edge_cells}
+            sums = cochain._alternating_sums(cochain._chart_faces(blocks, table))
+            for i, v in enumerate(values):
+                column = [tuple(row[i] for row in block) for block in sums]
+                assert column == coboundary_per_face(v, t, rho)
 
     @pytest.mark.parametrize("genus", [1, 2, 3, 8])
     def test_matrix_vector_products_per_checked_cocycle(self, genus, monkeypatch):
-        # work guard: a checked cocycle costs one product per radial step and
-        # one per triangle face whose transport is not the identity. Of the 4g
-        # radial steps, side 0's reads the empty prefix; of the 12g faces, the
-        # 8g radial ones and triangle 0's generator face sit there, so each
-        # count is at most 4g - 1. The rest are counted from the words the
-        # indices name: the coboundary test and the cup's faces share one
-        # carried value per face, and the transport table itself is built by
-        # matrix products
+        # work guard: a batch of checked cocycles costs one block product per
+        # radial step and one per triangle face whose transport is not the
+        # identity, the same for one H^1 vector, a matrix-vector product each,
+        # as for all of them. Of the 4g radial steps, side 0's reads the empty
+        # prefix; of the 12g faces, the 8g radial ones and triangle 0's
+        # generator face sit there, so each count is at most 4g - 1. The rest
+        # are counted from the words the indices name: the coboundary test and
+        # the cup's faces share one carried block per face, and the transport
+        # table itself is built by matrix products
         rho = family_system(random.Random(f"guard-{genus}"), "pair", genus, 2)
         t = triangulate(genus)
         gens = cohomology_presentations(rho).h1.all_gens()
@@ -339,18 +340,64 @@ class TestOnePassCheck:
             moves(t, rho, k if eps == 1 else k + 1) for k, (_, eps) in enumerate(t.side_letter)
         )
         faces = sum(moves(t, rho, face.at) for tri in t.triangles for face in tri.faces)
-        calls = [0]
-        mul_vec = IntMatrix.mul_vec
+        calls = []  # the number of vectors in each product's block
+        times = cochain._times
 
-        def counting_mul_vec(self, vec):
-            calls[0] += 1
-            return mul_vec(self, vec)
+        def counting_times(m, block):
+            calls.append(len(block[0]))
+            return times(m, block)
 
-        monkeypatch.setattr(IntMatrix, "mul_vec", counting_mul_vec)
+        monkeypatch.setattr(cochain, "_times", counting_times)
+        checked_classes(gens[:1], t, rho)
+        one = list(calls)
+        calls.clear()
         checked_classes(gens, t, rho)
         monkeypatch.undo()
         assert 0 < steps <= 4 * genus - 1 and 0 < faces <= 4 * genus - 1
-        assert calls[0] == len(gens) * (steps + faces)
+        assert len(gens) > 1
+        assert one == [1] * (steps + faces) and calls == [len(gens)] * (steps + faces)
+
+
+def _batch_vectors(rho, rng):
+    """A local system's H^1 generators and three random integer combinations of them."""
+    gens = [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
+    combos = []
+    for _ in range(3):
+        coefficients = [rng.randint(-2, 2) for _ in gens]
+        combos.append(tuple(map(sum, zip(*([c * x for x in g] for c, g in zip(coefficients, gens))))))
+    return gens + combos
+
+
+class TestAllPairsCup:
+    # the oracle carries one column per vector through the walk, the check and
+    # the cup; a column mixed up anywhere on the way pairs the wrong vectors
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["shear", "pair", "random"])
+    def test_each_entry_is_the_cup_of_its_two_vector_batch(self, family, genus, rank):
+        rho = _oracle_system(family, genus, rank)
+        t = triangulate(genus)
+        vecs = _batch_vectors(rho, random.Random(f"pairs-{family}-{genus}-{rank}"))
+        cups = cup_tensors(checked_classes(vecs, t, rho))
+        assert len(cups) == len(vecs) and all(len(row) == len(vecs) for row in cups)
+        for i, u in enumerate(vecs):
+            for j, v in enumerate(vecs):
+                assert cups[i][j] == cup_tensors(checked_classes([u, v], t, rho))[0][1], (i, j)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["shear", "pair", "random"])
+    def test_permuting_the_vectors_permutes_the_cups(self, family, genus, rank):
+        rho = _oracle_system(family, genus, rank)
+        t = triangulate(genus)
+        rng = random.Random(f"permute-{family}-{genus}-{rank}")
+        vecs = _batch_vectors(rho, rng)
+        order = list(range(len(vecs)))
+        rng.shuffle(order)
+        cups = cup_tensors(checked_classes(vecs, t, rho))
+        permuted = cup_tensors(checked_classes([vecs[k] for k in order], t, rho))
+        assert permuted == [[cups[a][b] for b in order] for a in order]
 
 
 class TestReportScale:
@@ -382,11 +429,11 @@ class TestReportScale:
             at = {i: k for k, i in enumerate(used)}
             sampled = [gens[i] for i in used]
             w = densify(omega_numerators(rho, p.numerators, sampled))
-            cocycles = checked_classes(sampled, triangulate(genus), rho)
+            cups = cup_tensors(checked_classes(sampled, triangulate(genus), rho))
             gram = densify(_pairing_gram(rho, p.numerators))
             for i, j in pairs:
                 closed = w.entry(at[i], at[j])
-                cup = cup_tensor(cocycles[at[i]], cocycles[at[j]])
+                cup = cups[at[i]][at[j]]
                 assert closed == paired(cup, p.numerators), (family, genus, i, j)
                 nonzero += bool(closed % p.denominator)
                 if off_handle_value(gram, 2 * r, gens[i], gens[j]) % p.denominator:

@@ -504,7 +504,7 @@ def test_public_api_is_pinned():
         "InvariantViolation", "LatticeLocalSystem", "LevelInput", "QtorusError", "QuadraticForm",
         "REPORT_SCHEMAS", "SelfCheckResult", "SnfResult", "SymmetricForm", "TriangulatedSurface",
         "block_report", "braiding_phase", "build_complex", "checked_classes",
-        "cohomology_presentations", "cup_tensor", "det", "double_braiding", "enumerate_components",
+        "cohomology_presentations", "cup_tensors", "det", "double_braiding", "enumerate_components",
         "evaluate", "invariance_check", "invariants_coinvariants_check", "inverse_unimodular",
         "is_linear", "perturb_refinement", "polarize", "quad_from_bilinear", "run_selfcheck",
         "smith_normal_form", "standard_refinement", "triangulate", "twist",

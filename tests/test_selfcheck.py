@@ -60,14 +60,16 @@ def _off_by_one_gram_at(monkeypatch, target):
 
 def _off_by_one_cup_tensor(monkeypatch):
     """One wrong entry of every cup tensor, so that the oracle side disagrees."""
-    cup_tensor = selfcheck.cup_tensor
+    cup_tensors = selfcheck.cup_tensors
 
-    def off_by_one(a, b):
-        m = [list(row) for row in cup_tensor(a, b)]
-        m[0][0] += 1
-        return tuple(tuple(row) for row in m)
+    def off_by_one(classes):
+        cups = cup_tensors(classes)
+        for row in cups:
+            for j, m in enumerate(row):
+                row[j] = ((m[0][0] + 1, *m[0][1:]), *m[1:])
+        return cups
 
-    monkeypatch.setattr(selfcheck, "cup_tensor", off_by_one)
+    monkeypatch.setattr(selfcheck, "cup_tensors", off_by_one)
 
 
 def _basis_matrix(rank, k, l):
@@ -84,15 +86,14 @@ def _replay(record):
     """A basis record's (closed, simplicial), recomputed from its fields alone.
 
     The closed side is ``dense_omega_numerators`` on the record's basis matrix
-    and its two generators, the simplicial side selfcheck's ``cup_tensor`` of
+    and its two generators, the simplicial side selfcheck's ``cup_tensors`` of
     their checked classes, so a record made under a fault replays under it.
     """
     rho = _record_system(record)
     k, l = record["basis"]
     u, v = record["u"], record["v"]
     closed = dense_omega_numerators(rho, _basis_matrix(rho.rank, k, l), [u, v]).entry(0, 1)
-    a, b = cochain.checked_classes([u, v], triangulate(rho.genus), rho)
-    m = selfcheck.cup_tensor(a, b)
+    m = selfcheck.cup_tensors(cochain.checked_classes([u, v], triangulate(rho.genus), rho))[0][1]
     return closed, (m[k][l] + m[l][k] if k < l else m[k][k])
 
 
@@ -136,16 +137,16 @@ def test_one_table_and_one_check_per_local_system(monkeypatch):
     # each local system's transport table forms one product per boundary
     # prefix whose previous prefix and letter both differ from the identity,
     # counted from their words, and the cocycle check, which carries a
-    # cochain's faces to the chart, runs once per cocycle built: one per H^1
-    # generator, each one passing
-    runs = {}  # id(table) -> (table, check runs)
+    # batch's faces to the chart, runs once per local system, on one batch
+    # that holds every H^1 generator, and passes
+    runs = {}  # id(table) -> (table, check runs, vectors checked)
     check = cochain._check
 
-    def counting_check(c, table):
-        held, n = runs.get(id(table), (table, 0))
-        runs[id(table)] = (held, n + 1)
-        checked = check(c, table)
-        assert checked is not None and checked.table is table
+    def counting_check(blocks, table, count):
+        held, n, _ = runs.get(id(table), (table, 0, 0))
+        runs[id(table)] = (held, n + 1, count)
+        checked = check(blocks, table, count)
+        assert checked is not None and checked.table is table and len(checked) == count
         return checked
 
     tables = _count_table_products(monkeypatch)
@@ -163,10 +164,10 @@ def test_one_table_and_one_check_per_local_system(monkeypatch):
     monkeypatch.undo()
 
     assert len(tables) == len(runs) == len(rhos) == 12  # genus 1-2, rank 1-2, three families
-    for rho, (table, products), (held, n) in zip(rhos, tables, runs.values()):
+    for rho, (table, products), (held, n, count) in zip(rhos, tables, runs.values()):
         assert held is table and table.t.genus == rho.genus and table.rank == rho.rank
         assert products == table_products(table.t, rho) <= 4 * rho.genus
-        assert n == len(cohomology_presentations(rho).h1.all_gens())
+        assert n == 1 and count == len(cohomology_presentations(rho).h1.all_gens())
 
 
 def test_transport_table_work_is_linear_in_genus(monkeypatch):
@@ -184,30 +185,34 @@ def test_transport_table_work_is_linear_in_genus(monkeypatch):
 
 def test_one_cup_tensor_per_generator_pair(monkeypatch):
     # the integer cup in Lambda (x) Lambda is built once per ordered pair of
-    # H^1 generators of each local system, however many levels pair it
+    # H^1 generators of each local system, however many levels pair it: one
+    # all-pairs call per local system, on the batch of all its generators
     generators = {}  # id(table) -> (table, H^1 generators of its local system)
-    tensors = Counter()  # id(table) -> cup_tensor calls
+    calls = Counter()  # id(table) -> cup_tensors calls
+    tensors = Counter()  # id(table) -> cup tensors returned
     checked_classes = selfcheck.checked_classes
-    cup_tensor = selfcheck.cup_tensor
+    cup_tensors = selfcheck.cup_tensors
 
     def recording_checked_classes(gens, t, rho):
-        cocycles = checked_classes(gens, t, rho)
+        classes = checked_classes(gens, t, rho)
         assert list(gens) == list(cohomology_presentations(rho).h1.all_gens())
-        if cocycles:
-            generators[id(cocycles[0].table)] = (cocycles[0].table, len(gens))
-        return cocycles
+        generators[id(classes.table)] = (classes.table, len(gens))
+        return classes
 
-    def counting_cup_tensor(a, b):
-        tensors[id(a.table)] += 1
-        return cup_tensor(a, b)
+    def counting_cup_tensors(classes):
+        cups = cup_tensors(classes)
+        calls[id(classes.table)] += 1
+        tensors[id(classes.table)] += sum(map(len, cups))
+        return cups
 
     monkeypatch.setattr(selfcheck, "checked_classes", recording_checked_classes)
-    monkeypatch.setattr(selfcheck, "cup_tensor", counting_cup_tensor)
+    monkeypatch.setattr(selfcheck, "cup_tensors", counting_cup_tensors)
     result = run_selfcheck(5)
     monkeypatch.undo()
 
     assert result.ok and result.cases > 12  # several levels per local system
     assert len(generators) == 12  # genus 1-2, rank 1-2, three families
+    assert calls == Counter(dict.fromkeys(generators, 1))
     assert tensors == Counter({key: f * f for key, (_, f) in generators.items()})
 
 
