@@ -10,6 +10,11 @@ so forms with equal values hold equal fields, and every comparison is
 exact. An evaluation sums integers against the matrix and builds a single
 ``Frac1``, a reduced fraction in Q/Z, at the end. ``Frac1`` appears only
 there and as a level's zeta.
+
+A level must be fixed by the monodromy. The one test of that is
+:func:`preserves`, D = A^T M A - M per generator A in integers, on a
+form-free half gathered once per local system (:func:`moving_columns`);
+``invariance_check`` and ``selfcheck``'s sampler both call it.
 """
 
 from __future__ import annotations
@@ -240,67 +245,58 @@ def is_linear(q: QuadraticForm) -> bool:
     return polarize(q).is_zero()
 
 
-_Probe = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (v, images of v)
+_Columns = tuple[tuple[int, ...], ...]  # a generator's columns A e_0, ..., A e_(r-1)
 
 
-def probe_images(mon: Sequence[IntMatrix], r: int) -> list[_Probe]:
-    """The form-free half of the invariance test: (probe, its images) pairs.
+def moving_columns(mon: Sequence[IntMatrix], r: int) -> list[_Columns]:
+    """The form-free half of the invariance test: the columns of each moving generator.
 
-    The probes are the basis vectors of Z^r and their pairwise sums; the
-    images of v are the products a v with each generator a that is not the
-    identity. An image equal to v or to -v takes v's value under every
-    quadratic form, and a repeat adds nothing, so neither is kept; a probe
-    with no image left is dropped. On trivial monodromy no product is
-    formed at all.
+    (-A)^T M (-A) = A^T M A, so each generator is kept once up to sign, and
+    I and -I, which move no form, not at all: on trivial monodromy the list
+    is empty and no generator is negated.
     """
-    identity = IntMatrix.identity(r)
-    moving = [a for a in mon if a != identity]
-    probes = [tuple(1 if t == i else 0 for t in range(r)) for i in range(r)]
-    probes += [
-        tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(r))
-        for i in range(r)
-        for j in range(i + 1, r)
-    ]
-    out = []
-    for v in probes:
-        minus_v = tuple(-x for x in v)
-        images = tuple(dict.fromkeys(
-            w for w in (a.mul_vec(v) for a in moving) if w != v and w != minus_v
-        ))
-        if images:
-            out.append((v, images))
-    return out
+    still = (IntMatrix.identity(r), -IntMatrix.identity(r))
+    kept = dict.fromkeys(min(a.entries, (-a).entries) for a in mon if a not in still)
+    return [tuple(e[j::r] for j in range(r)) for e in kept]
 
 
-def preserves(m: Sequence[int], n: int, images: Sequence[_Probe]) -> bool:
-    """Whether x -> x^T M x / n mod 1 takes each probe's value at its images.
+def preserves(m: Sequence[int], n: int, moving: Sequence[_Columns]) -> bool:
+    """Whether x -> x^T M x / n mod 1 is fixed by each generator in ``moving``.
 
-    ``m`` holds M's entries row by row, as ``IntMatrix.entries`` does, so a
-    caller tests a candidate without building a matrix. ``images`` comes
-    from :func:`probe_images`. Each probe's v^T M v is summed once, and an
-    image w matches it when w^T M w - v^T M v is divisible by n. Integers
-    only: no ``Frac1`` is built.
+    ``m`` holds M's entries row by row, so a caller tests a candidate
+    without building a matrix; ``moving`` comes from :func:`moving_columns`.
+    For A with columns a_j, Q(Ax) - Q(x) = x^T D x / n with D = A^T M A - M,
+    which vanishes for every x exactly when n divides each D_jj and each
+    D_ij + D_ji, i < j. M a_j is formed once per column, and the conditions
+    on column j are tested before the next one is formed: O(r^3) integer
+    work per generator, up to the first condition that fails.
     """
-    for v, ws in images:
-        value = _bilinear_sum(m, v, v)
-        for w in ws:
-            if (_bilinear_sum(m, w, w) - value) % n:
+    if not moving:
+        return True
+    r = len(moving[0])
+    rows = [m[k * r : (k + 1) * r] for k in range(r)]
+    for cols in moving:
+        done = []  # (i, a_i, M a_i) for the columns i < j
+        for j, a in enumerate(cols):
+            ma = [sum(map(mul, row, a)) for row in rows]
+            if (sum(map(mul, a, ma)) - m[j * r + j]) % n:
                 return False
+            for i, b, mb in done:
+                cross = sum(map(mul, b, ma)) + sum(map(mul, a, mb))
+                if (cross - m[i * r + j] - m[j * r + i]) % n:
+                    return False
+            done.append((j, a, ma))
     return True
 
 
 def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
-    """Whether the form is preserved by every generator's monodromy.
+    """Whether every generator's monodromy fixes the form: :func:`preserves` on its numerators.
 
-    The local system proved every generator unimodular when it inverted
-    each handle's product ba, so only the values are compared. Checking basis vectors and pairwise
-    sums suffices: those values determine the form, since
-    b(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j).
-
-    This is :func:`preserves` on the integer numerators, Q(x) = x^T U x / N,
-    over the images of :func:`probe_images`.
+    The local system proved its generators unimodular when it inverted each
+    handle's product ba, so only values are compared: one D = A^T U A - U
+    per distinct moving generator A, O(g r^3) in all.
     """
     r = q.rank
     if rho.rank != r:
         raise DimensionMismatch(f"local system rank {rho.rank} != form rank {r}")
-    return preserves(q.numerators.entries, q.denominator, probe_images(rho.mon, r))
+    return preserves(q.numerators.entries, q.denominator, moving_columns(rho.mon, r))

@@ -76,7 +76,7 @@ class LevelInput:
         self.rho = rho
         self.quad: QuadraticForm = quad_from_bilinear(bilinear)
         if not invariance_check(self.quad, rho):
-            raise NotInvariant("the level's quadratic form is not monodromy invariant")
+            raise NotInvariant("the level's quadratic form is not monodromy invariant", "level")
         self.pairing: SymmetricForm = polarize(self.quad)
 
 

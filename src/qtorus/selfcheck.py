@@ -28,9 +28,9 @@ matrix, the generator pair, the two integers, the monodromy and both
 generators, so it replays without the grid.
 
 Levels c / den, with den up to 6, are drawn by rejection, each draw
-tested on its integers against the probe images of the monodromy
-(:func:`qtorus.forms.probe_images`). A drawn level is a case, and an
-agreement when its local system's basis agreed; no level builds a form.
+tested on its integers by the reports' :func:`qtorus.forms.preserves`.
+A drawn level is a case, and an agreement when its local system's basis
+agreed; no level builds a form.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .cochain import checked_classes, cup_tensors, triangulate
 from .errors import InvariantViolation, NotInKernel
-from .forms import preserves, probe_images
+from .forms import moving_columns, preserves
 from .gerbe import omega_numerators
 from .lattice import IntMatrix
 from .surface import LatticeLocalSystem, cohomology_presentations
@@ -82,12 +82,12 @@ def _local_system(rng: random.Random, genus: int, rank: int, family: str) -> Lat
     return LatticeLocalSystem(rank, genus, _shear_matrices(rng, genus, rank))
 
 
-def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> list[int] | None:
+def _invariant_level(rng: random.Random, r: int, moving: list, den: int) -> list[int] | None:
     """Draw a level c / den whose quadratic form the monodromy preserves.
 
     Random c matrices are filtered through the integer invariance test on
-    (c, den), since zeta = 1/den, against the local system's ``images``
-    (:func:`qtorus.forms.probe_images`); a handful of rejection rounds is
+    (c, den), since zeta = 1/den, against the local system's ``moving``
+    (:func:`qtorus.forms.moving_columns`); a handful of rejection rounds is
     plenty because each family admits a structured fallback (diagonal c for
     sign actions, a tuned corner for the shear). Returns the accepted c as
     its flat list of entries, or None; no matrix or form is built.
@@ -101,7 +101,7 @@ def _invariant_level(rng: random.Random, r: int, images: list, den: int) -> list
             a = den * rng.randint(-1, 1)
             b = rng.randint(-3, 3)
             c = [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)]
-        if preserves(c, den, images):
+        if preserves(c, den, moving):
             return c
     return None
 
@@ -165,10 +165,10 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                     where = f"genus {genus}, rank {rank}, {family}"
                     raise InvariantViolation(f"the radial walk fails on H^1: {where}") from None
                 cups = cup_tensors(classes)
-                images = probe_images(rho.mon, rank)
+                moving = moving_columns(rho.mon, rank)
                 basis = _basis_disagreement(rho, gens, cups)
                 drawn = sum(
-                    _invariant_level(rng, rank, images, den) is not None
+                    _invariant_level(rng, rank, moving, den) is not None
                     for den in _DENOMINATORS
                     for _ in range(_LEVELS_PER_CELL)
                 )

@@ -17,6 +17,7 @@ from qtorus import (
     QuadraticForm,
     SymmetricForm,
     block_report,
+    evaluate,
     invariance_check,
     inverse_unimodular,
     quad_from_bilinear,
@@ -518,14 +519,32 @@ def random_invariant_level(
     return BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
 
 
+def probe_vectors(r: int) -> list[tuple[int, ...]]:
+    """The basis vectors of Z^r and their pairwise sums, whose values determine a form."""
+    unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+    return unit + [tuple(map(sum, zip(unit[i], unit[j]))) for i in range(r) for j in range(i + 1, r)]
+
+
+def fixed_on_probes(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
+    """Whether Q(a v) == Q(v) as ``Frac1`` values for every generator a and probe v.
+
+    The Q/Z reference for ``forms.invariance_check``: it moves vectors, not
+    matrices, and compares values that ``evaluate`` reduced mod 1, so it
+    shares no code with the integer test.
+    """
+    probes = probe_vectors(q.rank)
+    return all(evaluate(q, a.mul_vec(v)) == evaluate(q, v) for a in rho.mon for v in probes)
+
+
 def invariant_level_by_forms(
     rng: random.Random, rho: LatticeLocalSystem, den: int
 ) -> BilinearData | None:
-    """Selfcheck's level sampler with a full form and ``invariance_check`` per draw.
+    """Selfcheck's level sampler with a full form, decided on Q/Z values per draw.
 
     The reference for ``selfcheck._invariant_level``, which tests each draw's
-    integers directly and builds no form: both must accept the same levels
-    from the same random numbers.
+    integers with ``forms.preserves`` and builds no form: both must accept
+    the same levels from the same random numbers. Each draw here is decided
+    by :func:`fixed_on_probes`.
     """
     zeta = Frac1(1, den)
     r = rho.rank
@@ -539,8 +558,7 @@ def invariant_level_by_forms(
             b = rng.randint(-3, 3)
             c = IntMatrix(2, 2, [a, b, -b - a + den * rng.randint(-1, 1), rng.randint(-3, 3)])
         level = BilinearData(c, zeta)
-        quad = quad_from_bilinear(level)
-        if invariance_check(quad, rho):
+        if fixed_on_probes(quad_from_bilinear(level), rho):
             return level
     return None
 

@@ -624,9 +624,11 @@ class TestValidation:
             surface={"genus": 1, "rank": 2, "monodromy": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]},
             level={"c_matrix": [[1, 0], [0, 0]], "zeta": "1/3"},
         )
-        out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
-        assert code == 2
-        assert json.loads(out)["code"] == "not_invariant"
+        for task in ("global", "bunt"):
+            out, code = run_main(capsys, task, "--input", write_spec(tmp_path, dict(spec, task=task)))
+            assert code == 2
+            payload = json.loads(out)
+            assert (payload["code"], payload["path"]) == ("not_invariant", "level")
 
     def test_bad_component_length(self, capsys, tmp_path):
         out, code = run_main(

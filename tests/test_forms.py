@@ -12,6 +12,7 @@ from qtorus import (
     Frac1,
     IntMatrix,
     LatticeLocalSystem,
+    LevelInput,
     QuadraticForm,
     SymmetricForm,
     evaluate,
@@ -20,26 +21,29 @@ from qtorus import (
     polarize,
     quad_from_bilinear,
 )
+from qtorus import forms
 from qtorus.errors import (
     BadFraction,
     DimensionMismatch,
     NonSquareMatrix,
     NonUnimodular,
+    NotInvariant,
 )
-from qtorus.forms import preserves, probe_images
+from qtorus.forms import moving_columns, preserves
 
 from helpers import (
     HALF,
     ZERO,
     family_system,
     fields,
+    fixed_on_probes,
     frac1_bilinear,
     frac1_quadratic,
     frac1_rows,
     over_lcm,
     quadratic_form,
     rand_matrix,
-    random_invariant_level,
+    rand_unimodular,
     random_local_system,
 )
 
@@ -254,19 +258,27 @@ class TestInvarianceCheck:
 
     def test_matches_the_frac1_route(self):
         # the check on integer numerators against Q(a v) == Q(v) as Q/Z values,
-        # on basis vectors and pairwise sums, for invariant and other forms
+        # on basis vectors and pairwise sums. The levels are invariant ones,
+        # drawn by that Q/Z route, the same with one entry bumped by 1 / 2N,
+        # and other forms; added handles (-I, A), (A, -A) and (A, A) bring
+        # the negated identity, negated and repeated generators in
         verdicts = []
 
         @settings(max_examples=300, deadline=None)
         @given(st.data())
         def check(data):
             genus = data.draw(st.integers(0, 3), label="genus")
-            rank = data.draw(st.integers(1, 4), label="rank")
+            rank = data.draw(st.integers(1, 8), label="rank")
             rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
             rho = random_local_system(rng, genus, rank)
-            if data.draw(st.booleans(), label="invariant level"):
-                q = quad_from_bilinear(random_invariant_level(rng, rho))
-            else:
+            mon = list(rho.mon)
+            minus_one = -IntMatrix.identity(rank)
+            for handle in data.draw(st.lists(st.sampled_from(("-I", "-A", "A")), max_size=3)):
+                a = rng.choice(rho.mon) if rho.mon else rand_unimodular(rng, rank)
+                mon += {"-I": [minus_one, a], "-A": [a, -a], "A": [a, a]}[handle]
+            rho = LatticeLocalSystem(rank, len(mon) // 2, mon)
+            kind = data.draw(st.sampled_from(("invariant", "bumped", "other")), label="level")
+            if kind == "other":
                 den = data.draw(st.integers(1, 12) | st.integers(2, 2**70), label="denominator")
                 values = st.lists(
                     st.integers(0, den - 1).map(lambda x: frac(x, den)),
@@ -275,25 +287,48 @@ class TestInvarianceCheck:
                 )
                 drawn = data.draw(values, label="values")
                 q = quadratic_form(tuple(drawn[:rank]), tuple(drawn[rank:]))
-            unit = [tuple(int(t == i) for t in range(rank)) for i in range(rank)]
-            probes = unit + [
-                tuple(x + y for x, y in zip(unit[i], unit[j]))
-                for i in range(rank)
-                for j in range(i + 1, rank)
-            ]
-            expected = all(
-                evaluate(q, a.mul_vec(v)) == evaluate(q, v) for a in rho.mon for v in probes
-            )
+            else:
+                for _ in range(60):
+                    den = rng.randint(2, 6)
+                    level = BilinearData(rand_matrix(rng, rank, rank, -3, 3), frac(1, den))
+                    q = quad_from_bilinear(level)
+                    if fixed_on_probes(q, rho):
+                        break
+                if kind == "bumped":
+                    u = [2 * x for x in q.numerators.entries]
+                    u[rng.randrange(rank * rank)] += 1
+                    q = QuadraticForm(IntMatrix(rank, rank, u), 2 * q.denominator)
+            expected = fixed_on_probes(q, rho)
             assert invariance_check(q, rho) == expected
-            verdicts.append(expected)
+            verdicts.append((kind, expected))
 
         check()
-        assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+        kinds = {("invariant", True), ("bumped", True), ("bumped", False), ("other", True), ("other", False)}
+        assert kinds <= set(verdicts)
+        assert sum(v for _, v in verdicts) >= 10 and sum(not v for _, v in verdicts) >= 10
+
+    @pytest.mark.parametrize("genus, rank", [(2, 64), (64, 4)])
+    def test_unipotent_shears_at_rank(self, genus, rank):
+        # 2g shears x -> x + (v . x) e_0 fix a level that is zero on row and
+        # column 0, and U_00 bumped moves it: Q(A e_j) - Q(e_j) = v_j^2 U_00
+        rng = random.Random(rank)
+        mon = []
+        for _ in range(2 * genus):
+            e = list(IntMatrix.identity(rank).entries)
+            e[1:rank] = [rng.choice((-2, -1, 1, 2)) for _ in range(rank - 1)]
+            mon.append(IntMatrix(rank, rank, e))
+        rho = LatticeLocalSystem(rank, genus, mon)
+        c = [0 if 0 in (i, j) else rng.randint(-3, 3) for i in range(rank) for j in range(rank)]
+        level = LevelInput(BilinearData(IntMatrix(rank, rank, c), frac(1, 6)), rho)
+        assert level.quad.numerators.entries[0] == 0
+        c[0] = 1
+        with pytest.raises(NotInvariant):
+            LevelInput(BilinearData(IntMatrix(rank, rank, c), frac(1, 6)), rho)
 
     def test_integer_test_matches_the_form(self):
-        # preserves on (num c, den) against the probe images is the check on
-        # the form num/den * (x^T c x), over every local system family, with
-        # identity generators among them
+        # preserves on (num c, den) against the moving generators is the
+        # check on the form num/den * (x^T c x), over every local system
+        # family, with identity generators among them
         verdicts = []
 
         @settings(max_examples=200, deadline=None)
@@ -319,32 +354,38 @@ class TestInvarianceCheck:
             num = data.draw(st.integers(1, den), label="num")  # num = den: the zero phase
             expected = invariance_check(quad_from_bilinear(BilinearData(c, Frac1(num, den))), rho)
             scaled = [num * x for x in c.entries]
-            assert preserves(scaled, den, probe_images(rho.mon, rank)) == expected
+            assert preserves(scaled, den, moving_columns(rho.mon, rank)) == expected
             verdicts.append(expected)
 
         check()
         assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
     def test_trivial_monodromy_forms_no_product(self, monkeypatch):
-        # identity generators move no probe, so a trivial system costs no
-        # product at all, however large its genus
+        # the identity and its negative move no form, so a trivial system,
+        # or one whose every generator is one of them, has an empty
+        # form-free half and the test multiplies nothing, at any genus; a
+        # generator and its negative are kept once
         products = []
-        mul_vec = IntMatrix.mul_vec
+        mul = forms.mul
 
-        def counting_mul_vec(self, vec):
-            products.append(vec)
-            return mul_vec(self, vec)
+        def counting_mul(x, y):
+            products.append((x, y))
+            return mul(x, y)
 
         q = quad_from_bilinear(BilinearData(rand_matrix(random.Random(3), 4, 4, -5, 5), frac(1, 7)))
         swap = IntMatrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         one = IntMatrix.identity(4)
         trivial = LatticeLocalSystem.trivial(4, 8)
-        moving = LatticeLocalSystem(4, 8, [swap, swap] + [one] * 14)
-        monkeypatch.setattr(IntMatrix, "mul_vec", counting_mul_vec)
-        assert invariance_check(q, trivial)
+        signs = LatticeLocalSystem(4, 8, [one, -one, -one, -one] * 4)
+        moving = LatticeLocalSystem(4, 8, [swap, -swap, -one, swap] + [one] * 12)
+        monkeypatch.setattr(forms, "mul", counting_mul)
+        for rho in (trivial, signs):
+            assert moving_columns(rho.mon, 4) == []
+            assert invariance_check(q, rho)
         assert products == []
+        assert [IntMatrix.from_columns(a, 4) for a in moving_columns(moving.mon, 4)] == [-swap]
         invariance_check(q, moving)
-        assert products  # the one moving handle is probed
+        assert products  # the one moving generator is multiplied out
 
 
 def test_symmetric_form_validation():

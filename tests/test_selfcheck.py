@@ -20,7 +20,7 @@ from qtorus import (
     triangulate,
 )
 from qtorus import cli, cochain, gerbe, selfcheck
-from qtorus.forms import probe_images
+from qtorus.forms import moving_columns
 from qtorus.selfcheck import DEFAULT_SEED
 
 from helpers import (
@@ -310,8 +310,8 @@ def test_no_level_builds_a_form(monkeypatch):
         forms_made[0] += 1
         quad_init(self, *args)
 
-    def recording_invariant_level(rng, r, images, den):
-        c = invariant_level(rng, r, images, den)
+    def recording_invariant_level(rng, r, moving, den):
+        c = invariant_level(rng, r, moving, den)
         if c is not None:
             assert len(c) == r * r and all(type(x) is int for x in c)
             drawn.append(c)
@@ -373,13 +373,14 @@ def test_one_record_per_failing_system(monkeypatch):
 @pytest.mark.parametrize("seed", (1729, 5, 99, *DECK_SEEDS))
 def test_sampler_draws_as_the_form_route(seed, monkeypatch):
     # the integer test on (c, den) accepts the same levels from the same
-    # random numbers as a full form and invariance_check per draw. stdout
-    # shows only counts, so this is what pins the random stream
+    # random numbers as a full form compared on Q/Z values at probe vectors
+    # per draw. stdout shows only counts, so this is what pins the random
+    # stream
     verdicts = []
     preserves = selfcheck.preserves
 
-    def recording_preserves(m, n, images):
-        verdicts.append(preserves(m, n, images))
+    def recording_preserves(m, n, moving):
+        verdicts.append(preserves(m, n, moving))
         return verdicts[-1]
 
     monkeypatch.setattr(selfcheck, "preserves", recording_preserves)
@@ -389,10 +390,10 @@ def test_sampler_draws_as_the_form_route(seed, monkeypatch):
             for family in selfcheck._FAMILIES:
                 rho = selfcheck._local_system(fast, genus, rank, family)
                 assert selfcheck._local_system(slow, genus, rank, family).mon == rho.mon
-                images = probe_images(rho.mon, rank)
+                moving = moving_columns(rho.mon, rank)
                 for den in selfcheck._DENOMINATORS:
                     for _ in range(selfcheck._LEVELS_PER_CELL):
-                        c = selfcheck._invariant_level(fast, rank, images, den)
+                        c = selfcheck._invariant_level(fast, rank, moving, den)
                         level = invariant_level_by_forms(slow, rho, den)
                         assert c == (None if level is None else list(level.c.entries))
                         assert fast.getstate() == slow.getstate()
@@ -487,8 +488,8 @@ def test_a_fault_at_a_level_never_drawn_fails_the_check(monkeypatch, capsys):
     drawn = []  # the numerators of every drawn level's pairing
     invariant_level = selfcheck._invariant_level
 
-    def recording_invariant_level(rng, r, images, den):
-        c = invariant_level(rng, r, images, den)
+    def recording_invariant_level(rng, r, moving, den):
+        c = invariant_level(rng, r, moving, den)
         if c is not None:
             level = BilinearData(IntMatrix(r, r, c), Frac1(1, den))
             drawn.append(polarize(quad_from_bilinear(level)).numerators.entries)
