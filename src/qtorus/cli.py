@@ -287,14 +287,16 @@ def _run_surface(spec: JobSpec) -> dict:
 
 
 def _blocks_json(report: BlockReport) -> list[dict]:
-    # each residue that occurs is written as a fraction once. omega,
-    # radical_rank and block_dim are the level's, written into every block:
-    # the one omega list is rendered once and _dumps encodes it once
-    n = report.denominator
-    used = {x for row in report.omega for x in row}
+    # each residue that occurs, and 0, is one fraction; omega's sparse rows
+    # become v1's dense rows here alone. omega, radical_rank and block_dim are
+    # the level's, in every block: one omega list, rendered and encoded once
+    used = {0, *(x for row in report.omega for x in row.values())}
     used.update(x for b in report.blocks for x in b.pi2_character)
-    text = {x: str(Frac1(x, n)) for x in used}
-    omega = [[text[x] for x in row] for row in report.omega]
+    text = {x: str(Frac1(x, report.denominator)) for x in used}
+    omega = [[text[0]] * len(report.omega) for _ in report.omega]
+    for cells, row in zip(omega, report.omega):
+        for j, x in row.items():
+            cells[j] = text[x]
     return [
         {
             "component": list(b.component),

@@ -23,17 +23,17 @@ letter transports and the two d1 blocks of the handle's record, stored when
 the local system unwound the relator, so P costs time linear in the genus
 where it is block diagonal by handle. P and W stay {column: entry} rows
 from the relator to the report: :func:`omega_numerators` scatters P's stored
-entries over the supports of the vectors G to give W = G^T P G, and a
-report checks each stored entry of W against its mirror and reduces it once
-into [0, N), in zero-filled rows that the output reads; the Heisenberg count
-reads their free block once into {column: residue} rows. The components are
-lattice combinations of H^2's generators, each one vector sum away from a
-shorter combination, and chi, linear in the component, costs one pass over
-the rows of lambda^T B per component; it is held the same way. Both stay
-integer residues over the report's denominator N: only :mod:`qtorus.cli`
-writes them as Q/Z fractions, from one string per distinct residue. Each
-report computes the cohomology presentations once and hands them to the
-omega and pi2-character code.
+entries over the supports of the vectors G to give W = G^T P G. A report
+checks each stored entry of W against its mirror and holds W mod N as
+{column: residue} rows that store no zero, omega's one form: the Heisenberg
+count reads its free block, and only :mod:`qtorus.cli` lays it out densely.
+The components are lattice combinations of H^2's generators, each one
+vector sum away from a shorter combination, and chi, linear in the
+component, costs one pass over the rows of lambda^T B per component; it is
+held the same way. Both stay integer residues over the report's denominator
+N: only :mod:`qtorus.cli` writes them as Q/Z fractions, from one string per
+distinct residue. Each report computes the cohomology presentations once
+and hands them to the omega and pi2-character code.
 :mod:`qtorus.selfcheck` checks the same W against the simplicial machinery
 in :mod:`qtorus.cochain`, which computes the pairing along a completely
 separate route.
@@ -188,27 +188,25 @@ def omega_numerators(
 
 def _omega(
     rho: LatticeLocalSystem, pres: CohomologyPresentations, pairing: SymmetricForm
-) -> tuple[tuple[int, ...], ...]:
+) -> list[dict[int, int]]:
     """omega on the H^1 generators, free generators first: W's rows mod N.
 
     omega = W / N is antisymmetric with zero diagonal on the free generators.
     Each stored entry of W is checked against its mirror, read as 0 when it
-    is missing, and reduced into zero-filled rows, the one dense form, which
-    the reports print. A violation would mean the closed form and the
-    presentation disagree, which is an internal error, never a user one.
+    is missing; the rows keep each nonzero residue in [0, N) as {column:
+    residue}. A violation would mean the closed form and the presentation
+    disagree, which is an internal error, never a user one.
     """
     n = pairing.denominator
     w = omega_numerators(rho, pairing.numerators, pres.h1.all_gens())
     free = len(pres.h1.free_gens)
-    rows = [[0] * len(w) for _ in w]
     for i, row in enumerate(w):
         for j, x in row.items():
             if (x + w[j].get(i, 0)) % n:
                 raise InvariantViolation("commutator pairing is not antisymmetric")
             if i == j < free and x % n:
                 raise InvariantViolation("commutator pairing has a nonzero free diagonal")
-            rows[i][j] = x % n
-    return tuple(map(tuple, rows))
+    return [{j: s for j, x in row.items() if (s := x % n)} for row in w]
 
 
 def _pi2_characters(
@@ -251,31 +249,30 @@ class BlockReport(NamedTuple):
     """Everything the global tasks report, before serialization.
 
     omega, ``radical_rank`` and ``block_dim`` are per level and held once;
-    each block carries only what depends on its component. omega and every
-    chi are residues in [0, N) over ``denominator``, the pairing's N: the
-    value x stands for x / N in Q/Z.
+    each block carries only what depends on its component. omega, one {column:
+    residue} row per H^1 generator storing no zero, and every chi are residues
+    x in [0, N) over ``denominator``, the pairing's N, standing for x / N.
     """
 
     presentations: CohomologyPresentations
     denominator: int
-    omega: tuple[tuple[int, ...], ...]
+    omega: list[dict[int, int]]
     radical_rank: int
     block_dim: int
     blocks: tuple[GerbeBlock, ...]
 
 
 def _heisenberg_dimensions(
-    n: int, rows: Sequence[Sequence[int]], free_count: int
+    n: int, rows: Sequence[dict[int, int]], free_count: int
 ) -> tuple[int, int]:
     """(radical rank, block dimension) of omega on the free generators.
 
-    A is the free block of omega's ``rows``, W reduced into [0, N), read once
-    into {column: residue} rows that store no zero; both eliminations take
-    them. The image of A on (Z/N)-coordinates has order prod N / gcd(N, p_i)
-    over the pivots p_i of a Howell basis of A mod N, whatever the lift, a
-    perfect square because omega is antisymmetric; the block dimension is
-    its root. :func:`_order_mod` builds that basis with every entry kept in
-    [0, N), so nothing grows and N is never factored.
+    A, the free block of omega's {column: residue} ``rows``, is their first f
+    rows cut at column f; both eliminations take it. The image of A on
+    (Z/N)-coordinates has order prod N / gcd(N, p_i) over the pivots p_i of
+    a Howell basis of A mod N, whatever the lift, a perfect square because
+    omega is antisymmetric; the block dimension is its root. :func:`_order_mod`
+    builds that basis with entries in [0, N): nothing grows, N is never factored.
 
     The radical rank is f minus the rank of A over Z, so it depends on the
     lift: for N = 3 the reduced lift [[0,1,1],[2,0,1],[2,2,0]] has rank 3
@@ -285,7 +282,7 @@ def _heisenberg_dimensions(
     :func:`_lift_rank` computes that rank exactly, within Hadamard's bound.
     """
     f = free_count
-    a = [dict(compress(enumerate(row), row[:f])) for row in rows[:f]]  # stops at column f
+    a = [{j: x for j, x in row.items() if j < f} for row in rows[:f]]
     order = _order_mod(n, a)
     dim = math.isqrt(order)
     if dim * dim != order:
@@ -409,8 +406,8 @@ def block_report(
     """Full block structure; presentations, omega and the chi check run once.
 
     H^1's generators are read off a dense (2 g r) x (2 g r) transform, and
-    omega is written as that many cells: past ``MAX_DENSE_CELLS`` the report
-    is refused before either is built.
+    the writer lays omega out as that many cells: past ``MAX_DENSE_CELLS``
+    the report is refused before either is built.
     """
     rho = level.rho
     size = 2 * rho.genus * rho.rank

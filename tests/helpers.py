@@ -406,8 +406,8 @@ def full_block_dim(report) -> int:
     over its free block as v1's ``block_dim`` is. Raises when that order is
     not a square.
     """
-    w = report.omega
-    order = heisenberg_by_smith(report.denominator, IntMatrix.from_rows(w, len(w)), len(w))[1]
+    w = densify(report.omega)
+    order = heisenberg_by_smith(report.denominator, w, w.rows)[1]
     root = math.isqrt(order)
     if root * root != order:
         raise ValueError(f"omega's order {order} on all of H^1 is not a square")
@@ -506,17 +506,79 @@ def _inverse(m: IntMatrix) -> IntMatrix:
 def random_invariant_level(
     rng: random.Random, rho: LatticeLocalSystem, max_den: int = 6
 ) -> BilinearData:
-    """Random level preserved by the monodromy; trivial level as a safety net."""
+    """Random level preserved by the monodromy, its phase's numerator nonzero where one exists.
+
+    Random tries come first. Where none is invariant, as is usual at rank 3
+    and up with moving monodromy, the level is a random nonzero invariant
+    form mod p from :func:`invariant_form_mod`, for p in 2, 3, 5 in random
+    order; only a system with none of them gets the zero phase. Each level
+    returned is checked by :func:`fixed_on_probes`.
+    """
     r = rho.rank
     for _ in range(60):
-        den = rng.randint(1, max_den)
-        num = rng.randrange(den) if den > 1 else 0
-        zeta = Frac1(num, den)
-        c = rand_matrix(rng, r, r, -3, 3)
-        level = BilinearData(c, zeta)
+        den = rng.randint(2, max_den)
+        level = BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(rng.randrange(1, den), den))
         if invariance_check(quad_from_bilinear(level), rho):
-            return level
-    return BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
+            break
+    else:
+        for p in rng.sample((2, 3, 5), 3):
+            if u := invariant_form_mod(rng, rho, p):
+                level = BilinearData(u, Frac1(rng.randrange(1, p), p))
+                break
+        else:
+            level = BilinearData(rand_matrix(rng, r, r, -3, 3), Frac1(0, 1))
+    assert fixed_on_probes(quad_from_bilinear(level), rho)
+    return level
+
+
+def invariant_form_mod(rng: random.Random, rho: LatticeLocalSystem, p: int) -> IntMatrix | None:
+    """A random upper-triangular U, nonzero mod the prime p, with x^T U x / p kept by every generator.
+
+    The unknowns are U's entries u_kl, k <= l. For a generator A, D = A^T U A
+    - U gives Q(A x) - Q(x) = x^T D x / p, which vanishes for every x exactly
+    when p divides each D_ii and each D_ij + D_ji, i < j: their coefficients
+    in u_kl are A_ki A_li - [kl = ii] and A_ki A_lj + A_kj A_li - [kl = ij].
+    U is a random nonzero vector of that map's kernel mod p, found by
+    Gauss-Jordan elimination here, with nothing from ``forms``; None when
+    the kernel is 0.
+    """
+    r = rho.rank
+    pairs = [(k, l) for k in range(r) for l in range(k, r)]
+    rows = [
+        [(a[k * r + i] * a[l * r + j] + (i != j) * a[k * r + j] * a[l * r + i] - ((k, l) == (i, j))) % p
+         for k, l in pairs]
+        for a in (m.entries for m in rho.mon)
+        for i, j in pairs
+    ]
+    pivots: list[int] = []  # pivot column of each reduced row, rows[:len(pivots)]
+    for c in range(len(pairs)):
+        t = next((t for t in range(len(pivots), len(rows)) if rows[t][c]), None)
+        if t is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[t] = rows[t], rows[top]
+        inv = pow(rows[top][c], -1, p)
+        rows[top] = [x * inv % p for x in rows[top]]
+        for t in range(len(rows)):
+            if t != top and rows[t][c]:
+                f = rows[t][c]
+                rows[t] = [(x - f * y) % p for x, y in zip(rows[t], rows[top])]
+        pivots.append(c)
+    free = [c for c in range(len(pairs)) if c not in pivots]
+    if not free:
+        return None
+    coeffs = [0] * len(free)
+    while not any(coeffs):
+        coeffs = [rng.randrange(p) for _ in free]
+    u = [0] * len(pairs)
+    for c, x in zip(free, coeffs):
+        u[c] = x
+        for row, pc in zip(rows, pivots):  # a pivot unknown is minus its row's free part
+            u[pc] = (u[pc] - row[c] * x) % p
+    entries = [0] * (r * r)
+    for (k, l), x in zip(pairs, u):
+        entries[k * r + l] = x
+    return IntMatrix(r, r, entries)
 
 
 def probe_vectors(r: int) -> list[tuple[int, ...]]:
@@ -573,6 +635,11 @@ def densify(rows) -> IntMatrix:
     if any(not 0 <= j < n for row in rows for j in row):
         raise ShapeMismatch(f"a stored column lies outside {n} columns")
     return IntMatrix(n, n, [row.get(j, 0) for row in rows for j in range(n)])
+
+
+def sparse_rows(w: IntMatrix) -> list[dict[int, int]]:
+    """The {column: entry} rows of ``w`` that store no zero: the inverse of :func:`densify`."""
+    return [{j: x for j, x in enumerate(row) if x} for row in w.row_lists()]
 
 
 def dense_omega_numerators(rho: LatticeLocalSystem, numerators: IntMatrix, gens) -> IntMatrix:
@@ -690,8 +757,8 @@ def closed(rep, residues) -> tuple[Frac1, ...]:
 
 
 def omega_closed(rep) -> tuple[tuple[Frac1, ...], ...]:
-    """A report's omega as a matrix of Q/Z values."""
-    return tuple(closed(rep, row) for row in rep.omega)
+    """A report's omega, held as {column: residue} rows, as a dense matrix of Q/Z values."""
+    return tuple(closed(rep, row) for row in densify(rep.omega).row_lists())
 
 
 def image_order(b: IntMatrix, n: int) -> int:

@@ -38,6 +38,7 @@ from qtorus.selfcheck import DEFAULT_SEED
 from helpers import (
     HALF,
     ZERO,
+    densify,
     global_json,
     groups_json,
     letter_walk,
@@ -284,7 +285,7 @@ def test_criterion_07_block_dimensions():
             # brute force: count radical vectors of the pairing on (Z/n)^2g
             f = 2 * g
             assert rep.denominator == n
-            lift = rep.omega
+            lift = densify(rep.omega).row_lists()
             radical = 0
             for v in product(range(n), repeat=f):
                 if all(sum(lift[i][j] * v[j] for j in range(f)) % n == 0 for i in range(f)):

@@ -22,6 +22,10 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = Path(__file__).parent / "inputs"
 # pinned by TestGolden::test_seeded_local_and_trivial_global_deck_bytes
 DECK_SHA256 = "6e434e959be9faa1a1fd632d29615e9850b7791287bacbab69d615351fba1e9c"
+# stdout of the two tests/inputs specs, pinned by TestSchemas' large-input
+# tests and by the CI's installed console script step
+BUNT_SHEAR_G24R4_SHA256 = "3a1c10d8c58002b806e59b9b80aff752403fc5e2337ad151993f689362cef22b"
+GLOBAL_SHEAR_G48R4_SHA256 = "34547bf3cd8acaca3c1271f01bd277c2a0b51808e36e8e7ed545709b7e006c61"
 
 
 def run_main(capsys, *argv):
@@ -275,6 +279,8 @@ class TestSchemas:
         # not finish; elimination mod N keeps every entry below N
         out, code = run_main(capsys, "bunt", "--input", str(INPUTS / "bunt_shear_g24r4.json"))
         assert code == 0
+        # the goldens stop at genus 3: the whole 16 MB report is pinned here
+        assert hashlib.sha256(out.encode()).hexdigest() == BUNT_SHEAR_G24R4_SHA256
         report = json.loads(out)
         blocks = report["blocks"]
         assert len(blocks) == 27
@@ -289,6 +295,7 @@ class TestSchemas:
         # and a dense integer elimination of the 380 x 380 block took about 1.2 s
         out, code = run_main(capsys, "global", "--input", str(INPUTS / "global_shear_g48r4.json"))
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GLOBAL_SHEAR_G48R4_SHA256
         (block,) = json.loads(out)["blocks"]
         assert block["radical_rank"] == 188
         assert block["block_dim"] == 6319748715279270675921934218987893281199411530039296

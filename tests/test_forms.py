@@ -40,6 +40,7 @@ from helpers import (
     frac1_bilinear,
     frac1_quadratic,
     frac1_rows,
+    invariant_form_mod,
     over_lcm,
     quadratic_form,
     rand_matrix,
@@ -386,6 +387,47 @@ class TestInvarianceCheck:
         assert [IntMatrix.from_columns(a, 4) for a in moving_columns(moving.mon, 4)] == [-swap]
         invariance_check(q, moving)
         assert products  # the one moving generator is multiplied out
+
+    def test_helper_solves_for_an_invariant_form_mod_p(self):
+        # helpers.invariant_form_mod, random_invariant_level's fallback, solves
+        # D = A^T U A - U mod p with no code from forms: each U it returns is
+        # upper triangular, nonzero mod p and fixed on the probes, and it
+        # returns None exactly where no nonzero upper-triangular U mod p passes
+        # invariance_check, found by trying every U. Rank 3 gets the most
+        # draws: a solver that drops the A_kj A_li term of D_ij + D_ji still
+        # passes at rank 2 and fails on a few rank-3 systems
+        rng = random.Random(11)
+        seen = {"found": 0, "none": 0}
+        for family in ("shear", "pair", "random"):
+            for rank, draws in ((1, 2), (2, 4), (3, 12)):
+                for _ in range(draws):
+                    genus = rng.randint(1, 2)
+                    if family == "random":
+                        rho = random_local_system(rng, genus, rank)
+                    else:
+                        rho = family_system(rng, family, genus, rank)
+                    for p in (2, 3):
+                        u = invariant_form_mod(rng, rho, p)
+                        exists = any(
+                            invariance_check(quad_from_bilinear(BilinearData(m, frac(1, p))), rho)
+                            for m in nonzero_upper_triangular(rank, p)
+                        )
+                        assert (u is not None) == exists, (family, rank, p)
+                        if u is not None:
+                            assert all(u.entry(i, j) == 0 for i in range(rank) for j in range(i))
+                            assert any(x % p for x in u.entries)
+                            assert fixed_on_probes(quad_from_bilinear(BilinearData(u, frac(1, p))), rho)
+                        seen["found" if exists else "none"] += 1
+        assert seen["found"] >= 20 and seen["none"] >= 5, seen
+
+
+def nonzero_upper_triangular(rank, p):
+    """Every upper-triangular integer matrix with entries in [0, p), but the zero one."""
+    cells = [(i, j) for i in range(rank) for j in range(i, rank)]
+    for values in product(range(p), repeat=len(cells)):
+        if any(values):
+            entries = dict(zip(cells, values))
+            yield IntMatrix(rank, rank, [entries.get((i, j), 0) for i in range(rank) for j in range(rank)])
 
 
 def test_symmetric_form_validation():

@@ -50,7 +50,31 @@ from helpers import (
     rand_unimodular,
     random_invariant_level,
     random_local_system,
+    sparse_rows,
 )
+
+
+def shear_system(rng, genus, rank):
+    """The bench's shear monodromy: shears in row 0, the first one nonzero."""
+    mats = []
+    for _ in range(2 * genus):
+        m = IntMatrix.identity(rank).row_lists()
+        m[0][1:] = [rng.randint(-3, 3) for _ in range(1, rank)]
+        mats.append(m)
+    mats[0][0][1] = 1
+    return LatticeLocalSystem(rank, genus, [IntMatrix.from_rows(m) for m in mats])
+
+
+def shear_c(rng, rank, p):
+    """The bench's level matrix for shears in row 0, with zeta over p.
+
+    c[0][0] = 0 and c[j][0] = -c[0][j], each mod p, so every shear keeps it.
+    """
+    c = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+    c[0][0] = p * rng.randint(-1, 1)
+    for j in range(1, rank):
+        c[j][0] = -c[0][j] + p * rng.randint(-1, 1)
+    return IntMatrix.from_rows(c)
 
 
 def trivial_level(genus, rank, zeta_den, c=None):
@@ -525,7 +549,8 @@ class TestSparseStorage:
 
 class TestOmegaChecks:
     # _omega reads only W's stored entries, each against its mirror, which
-    # reads as 0 when it is missing, and reduces them into zero-filled rows
+    # reads as 0 when it is missing, and keeps the nonzero residues mod N as
+    # {column: residue} rows: an entry that is 0 mod N is not stored
 
     @staticmethod
     def omega(monkeypatch, rho, n, w):
@@ -543,16 +568,16 @@ class TestOmegaChecks:
     def test_stored_zeros_and_multiples_of_n_pass(self, monkeypatch):
         rho = LatticeLocalSystem.trivial(1, 1)
         for w in ([{0: 0, 1: 4}, {0: -8, 1: 0}], [{1: 4}, {}], [{}, {}], [{0: 4}, {}]):
-            assert self.omega(monkeypatch, rho, 4, w) == ((0, 0), (0, 0))
-        assert self.omega(monkeypatch, rho, 4, [{1: 5}, {0: -1}]) == ((0, 1), (3, 0))
-        assert self.omega(monkeypatch, rho, 4, [{1: -1}, {0: 9}]) == ((0, 3), (1, 0))
+            assert self.omega(monkeypatch, rho, 4, w) == [{}, {}]
+        assert self.omega(monkeypatch, rho, 4, [{1: 5}, {0: -1}]) == [{1: 1}, {0: 3}]
+        assert self.omega(monkeypatch, rho, 4, [{1: -1}, {0: 9}]) == [{1: 3}, {0: 1}]
 
     def test_diagonal(self, monkeypatch):
         # a torsion generator's diagonal needs only 2 W[i][i] = 0 mod N; a
         # free one's must be 0 mod N
         rho = sign_rep()  # H^1 = Z/2, one torsion generator
-        assert self.omega(monkeypatch, rho, 4, [{0: 2}]) == ((2,),)
-        assert self.omega(monkeypatch, rho, 4, [{0: -6}]) == ((2,),)
+        assert self.omega(monkeypatch, rho, 4, [{0: 2}]) == [{0: 2}]
+        assert self.omega(monkeypatch, rho, 4, [{0: -6}]) == [{0: 2}]
         with pytest.raises(InvariantViolation, match="not antisymmetric"):
             self.omega(monkeypatch, rho, 4, [{0: 1}])
         with pytest.raises(InvariantViolation, match="nonzero free diagonal"):
@@ -572,8 +597,9 @@ class TestOmegaChecks:
         pres = cohomology_presentations(rho)
         n = pairing.denominator
         dense = dense_omega_numerators(rho, pairing.numerators, pres.h1.all_gens())
-        expected = tuple(tuple(x % n for x in dense.row(i)) for i in range(dense.rows))
-        assert gerbe._omega(rho, pres, pairing) == expected
+        omega = gerbe._omega(rho, pres, pairing)
+        assert all(all(row.values()) for row in omega)  # no zero is stored
+        assert densify(omega) == IntMatrix(dense.rows, dense.cols, [x % n for x in dense.entries])
 
 
 def unit_form(rank, n):
@@ -710,7 +736,7 @@ class TestCommutatorPairing:
         chis = gerbe._pi2_characters(rho, pres, pairing, reps)
         assert len(omega) == 32 and len(chis) == len(reps) == 81 and made == []
         w = densify(omega_numerators(rho, pairing.numerators, pres.h1.all_gens()))
-        assert omega == tuple(tuple(x % pairing.denominator for x in w.row(i)) for i in range(32))
+        assert densify(omega) == IntMatrix(32, 32, [x % pairing.denominator for x in w.entries])
         rep = block_report(level)
         del made[:]
         blocks = cli._blocks_json(rep)
@@ -1048,9 +1074,9 @@ class TestBlockStructure:
         # rank would give 1
         assert fraction_rank(reduced) == 3 and fraction_rank(antisymmetric) == 2
         assert [[x % n for x in row] for row in antisymmetric.row_lists()] == reduced.row_lists()
-        assert _heisenberg_dimensions(n, reduced.row_lists(), 3) == (0, 3)
+        assert _heisenberg_dimensions(n, sparse_rows(reduced), 3) == (0, 3)
         rep = block_report(trivial_level(1, 1, 3))
-        assert rep.denominator == 3 and rep.omega == ((0, 2), (1, 0))
+        assert rep.denominator == 3 and rep.omega == [{1: 2}, {0: 1}]
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1061,10 +1087,10 @@ class TestBlockStructure:
         assert gerbe._order_mod(n, a) == order  # the order, not only whether it is a square
         dim = math.isqrt(order)
         if dim * dim == order:
-            assert _heisenberg_dimensions(n, w.row_lists(), f) == (radical, dim)
+            assert _heisenberg_dimensions(n, sparse_rows(w), f) == (radical, dim)
         else:
             with pytest.raises(InvariantViolation, match="perfect square"):
-                _heisenberg_dimensions(n, w.row_lists(), f)
+                _heisenberg_dimensions(n, sparse_rows(w), f)
 
     @pytest.mark.parametrize("n, row, order", [
         (4, {0: 2, 1: 1}, 4),  # <(2, 1)> is Z/4: 2 (2, 1) = (0, 2)
@@ -1077,43 +1103,48 @@ class TestBlockStructure:
         assert gerbe._order_mod(n, [row]) == order
 
     def test_order_at_scale_with_a_large_modulus(self):
-        # the bench's shear recipe at g64 r4 with zeta 1 / p, p = 2^61 - 1:
-        # shears in row 0, c[0][0] = 0 and c[j][0] = -c[0][j] mod p, so the
-        # level is invariant. The order is one of the module, so permuting
-        # the rows or the columns of the free block must not change it.
-        p, genus, rank = 2**61 - 1, 64, 4
-        rng = random.Random(61)
-        mats = []
-        for _ in range(2 * genus):
-            m = IntMatrix.identity(rank).row_lists()
-            m[0][1:] = [rng.randint(-3, 3) for _ in range(1, rank)]
-            mats.append(m)
-        mats[0][0][1] = 1
-        c = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
-        c[0][0] = p * rng.randint(-1, 1)
-        for j in range(1, rank):
-            c[j][0] = -c[0][j] + p * rng.randint(-1, 1)
-        rho = LatticeLocalSystem(rank, genus, [IntMatrix.from_rows(m) for m in mats])
-        level = LevelInput(BilinearData(IntMatrix.from_rows(c), Frac1(1, p)), rho)
+        # the bench's shear recipe at g64 r4 with zeta 1 / p, p = 2^61 - 1.
+        # The order is one of the module, so permuting the rows or the
+        # columns of the free block must not change it.
+        p, rng = 2**61 - 1, random.Random(61)
+        rho = shear_system(rng, 64, 4)
+        level = LevelInput(BilinearData(shear_c(rng, 4, p), Frac1(1, p)), rho)
         pres = cohomology_presentations(rho)
         n, f = level.pairing.denominator, len(pres.h1.free_gens)
         omega = gerbe._omega(rho, pres, level.pairing)
-        a = [{j: x for j, x in enumerate(row[:f]) if x} for row in omega[:f]]
+        a = [{j: x for j, x in enumerate(row[:f]) if x} for row in densify(omega).row_lists()[:f]]
         order = gerbe._order_mod(n, a)
         perm = random.Random(62).sample(range(f), f)
         assert gerbe._order_mod(n, [a[i] for i in perm]) == order
         assert gerbe._order_mod(n, [{perm[j]: x for j, x in row.items()} for row in a]) == order
         assert _heisenberg_dimensions(n, omega, f)[1] ** 2 == order
 
+    @pytest.mark.parametrize("family", ["shear", "trivial"])
+    def test_omega_entries_grow_linearly_in_genus(self, family):
+        # a report holds omega as W's checked {column: residue} rows, which
+        # store no zero: at rank 4 and one level c their entries grow about
+        # 2x per genus doubling, where zero-filled rows would hold (8 g)^2
+        # cells, 4x (15 376 -> 63 504 -> 258 064 at shear)
+        c = shear_c(random.Random(0), 4, 6) if family == "shear" else IntMatrix.identity(4)
+        counts = []
+        for genus in (16, 32, 64):
+            if family == "shear":
+                rho = shear_system(random.Random(genus), genus, 4)
+            else:
+                rho = LatticeLocalSystem.trivial(4, genus)
+            level = LevelInput(BilinearData(c, Frac1(1, 6)), rho)
+            counts.append(sum(map(len, block_report(level, components=[]).omega)))
+        assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+
     def test_lift_rank_is_exact(self):
         # 2^61 - 1 at N = 2^64: a lift rank read mod that prime would be 0
-        assert _heisenberg_dimensions(2**64, [[2**61 - 1]], 1) == (0, 2**32)
+        assert _heisenberg_dimensions(2**64, [{0: 2**61 - 1}], 1) == (0, 2**32)
         # a repeated row keeps the rank below the nonzero count on any field
         w = IntMatrix.from_rows([[0, 1, 2], [5, 0, 3], [0, 1, 2]])
-        assert _heisenberg_dimensions(6, w.row_lists(), 3) == (1, 6)
+        assert _heisenberg_dimensions(6, sparse_rows(w), 3) == (1, 6)
         assert heisenberg_by_smith(6, w, 3) == (1, 36)
         # full rank
-        assert _heisenberg_dimensions(3, [[0, 1], [2, 0]], 2) == (0, 3)
+        assert _heisenberg_dimensions(3, [{1: 1}, {0: 2}], 2) == (0, 3)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -39,6 +39,7 @@ from qtorus import (
 )
 
 from helpers import (
+    densify,
     family_system,
     full_block_dim,
     rand_unimodular,
@@ -81,9 +82,9 @@ def invariants(level: LevelInput):
     report = block_report(level, components=[])
     n = report.denominator
     f = len(report.presentations.h1.free_gens)
-    w = report.omega
+    w = densify(report.omega).row_lists()
     free = None
-    if not any(map(any, w[f:])):
+    if not any(report.omega[f:]):  # the rows store no zero
         free = report.block_dim, gcd_multiset(n, [row[:f] for row in w[:f]])
     return report.presentations.triple, gcd_multiset(n, w), free
 
@@ -141,7 +142,7 @@ def test_full_block_dim_reads_the_torsion_rows():
         report = block_report(level, components=[])
         dim = full_block_dim(report)
         f = len(report.presentations.h1.free_gens)
-        if any(map(any, report.omega[f:])):
+        if any(report.omega[f:]):
             differs += dim != report.block_dim
         else:
             assert dim == report.block_dim
@@ -188,7 +189,8 @@ def test_full_block_dim_counts_the_image_of_omega():
         moduli = (n,) * h1.free_rank + h1.torsion
         if math.prod(moduli) > 50_000:
             continue
-        assert image_order(n, report.omega, moduli) == full_block_dim(report) ** 2
+        omega = densify(report.omega).row_lists()
+        assert image_order(n, omega, moduli) == full_block_dim(report) ** 2
         checked += 1
-        torsion_pairs += any(map(any, report.omega[h1.free_rank:]))
+        torsion_pairs += any(report.omega[h1.free_rank:])
     assert checked >= 64 and torsion_pairs >= 16, (checked, torsion_pairs)

@@ -264,13 +264,14 @@ def test_omega_builds_no_int_matrix():
         assert built == [], name
 
 def test_heisenberg_count_builds_no_dense_row():
-    # both eliminations read the one list of {column: residue} rows that
-    # _heisenberg_dimensions builds: one _order_mod, and neither function
-    # forms a zero-filled row, copies a dense row or builds an IntMatrix
+    # omega is W's checked {column: residue} rows from _omega on, and both
+    # eliminations read the one list of rows that _heisenberg_dimensions
+    # cuts from them: none of the four forms a zero-filled row, copies a
+    # dense row or builds an IntMatrix
     tree = parse("gerbe")
-    names = {"_order_mod", "_lift_rank"}
+    names = {"_omega", "_heisenberg_dimensions", "_order_mod", "_lift_rank"}
     defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in names]
-    assert sorted(d.name for d in defs) == ["_lift_rank", "_order_mod"]
+    assert sorted(d.name for d in defs) == sorted(names)
     for func in defs:
         for node in ast.walk(func):
             zeros = (
