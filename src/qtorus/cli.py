@@ -15,9 +15,9 @@ A block report's omega and pi2 characters arrive as integer residues over
 its denominator N; this module alone writes them as fractions, one string
 per residue that occurs. JSON reports and error objects are written by
 ``_dumps``, whose output is ``json.dumps(value, indent=2)`` byte for byte
-plus a newline. It writes a list of same-keyed dicts, such as the blocks,
-from one template that holds the keys and every value the dicts share, such
-as omega, encoded once per report.
+plus a newline. A global report holds its ``BlockReport``, which ``_dumps``
+writes as v1's block list, with omega encoded once, and the text renderer
+reads; other same-keyed dicts, such as the twist table, share one template.
 """
 
 from __future__ import annotations
@@ -286,27 +286,20 @@ def _run_surface(spec: JobSpec) -> dict:
     }
 
 
-def _blocks_json(report: BlockReport) -> list[dict]:
-    # each residue that occurs, and 0, is one fraction; omega's sparse rows
-    # become v1's dense rows here alone. omega, radical_rank and block_dim are
-    # the level's, in every block: one omega list, rendered and encoded once
+def _fractions(report: BlockReport) -> dict[int, str]:
+    """"num/den" for 0 and each residue in omega or a character: one Frac1 per residue."""
     used = {0, *(x for row in report.omega for x in row.values())}
-    used.update(x for b in report.blocks for x in b.pi2_character)
-    text = {x: str(Frac1(x, report.denominator)) for x in used}
-    omega = [[text[0]] * len(report.omega) for _ in report.omega]
-    for cells, row in zip(omega, report.omega):
-        for j, x in row.items():
-            cells[j] = text[x]
-    return [
-        {
-            "component": list(b.component),
-            "omega": omega,
-            "pi2_character": [text[x] for x in b.pi2_character],
-            "radical_rank": report.radical_rank,
-            "block_dim": report.block_dim,
-        }
-        for b in report.blocks
-    ]
+    used.update(chain.from_iterable(b.pi2_character for b in report.blocks))
+    return {x: str(Frac1(x, report.denominator)) for x in used}
+
+
+def _omega_cells(report: BlockReport, text: dict[int, str]) -> list[list[str]]:
+    """omega's sparse rows as v1's dense rows of ``text`` strings, here alone."""
+    cells = [[text[0]] * len(report.omega) for _ in report.omega]
+    for row, sparse in zip(cells, report.omega):
+        for j, x in sparse.items():
+            row[j] = text[x]
+    return cells
 
 
 def _conventions_json() -> dict:
@@ -340,7 +333,7 @@ def _run_global(spec: JobSpec) -> dict:
             "pi2": section["pi2"],
         }
     out["section_space"] = section
-    out["blocks"] = _blocks_json(report)
+    out["blocks"] = report
     out["conventions"] = _conventions_json()
     return out
 
@@ -384,40 +377,27 @@ def _render_text(report: dict) -> str:
         for row in report["refinement"]["beta"]:
             lines.append("  " + "  ".join(row))
     if "section_space" in report:
-        ss = report["section_space"]
-        lines.append(
-            "section space: pi0 = {}, pi1 = {}, pi2 = {}".format(
-                _render_group(ss["pi0"]),
-                _render_group(ss["pi1"]),
-                _render_group(ss["pi2"]),
-            )
-        )
+        pi = [_render_group(report["section_space"][k]) for k in ("pi0", "pi1", "pi2")]
+        lines.append("section space: pi0 = {}, pi1 = {}, pi2 = {}".format(*pi))
     if report["task"] == "surface":
         e = report["euler"]
         lines.append(f"euler: computed {e['computed']}, expected {e['expected']}")
         lines.append("independent invariants/coinvariants check: passed")
     if "bun_t" in report:
         bt = report["bun_t"]
-        lines.append(
-            "bun_t: pi0 = {} (labels: {}), pi1 = {}, pi2 = {}".format(
-                _render_group(bt["pi0"]),
-                bt["component_label"],
-                _render_group(bt["pi1"]),
-                _render_group(bt["pi2"]),
-            )
-        )
+        pi = [_render_group(bt[k]) for k in ("pi0", "pi1", "pi2")]
+        label = f"pi0 = {pi[0]} (labels: {bt['component_label']}), pi1 = {pi[1]}, pi2 = {pi[2]}"
+        lines.append("bun_t: " + label)
     if "blocks" in report:
-        lines.append(f"blocks: {len(report['blocks'])}")
-        for b in report["blocks"]:
-            comp = ",".join(str(x) for x in b["component"])
-            lines.append(
-                f"  component ({comp}): block_dim {b['block_dim']}, "
-                f"radical_rank {b['radical_rank']}, "
-                f"chi = [{', '.join(b['pi2_character'])}]"
-            )
-        if report["blocks"]:
+        rep, text = report["blocks"], _fractions(report["blocks"])
+        lines.append(f"blocks: {len(rep.blocks)}")
+        shared = f"block_dim {rep.block_dim}, radical_rank {rep.radical_rank}"
+        for b in rep.blocks:
+            comp, chi = ",".join(map(str, b.component)), map(text.__getitem__, b.pi2_character)
+            lines.append(f"  component ({comp}): {shared}, chi = [{', '.join(chi)}]")
+        if rep.blocks:
             lines.append("omega (shared by all components):")
-            omega = report["blocks"][0]["omega"]
+            omega = _omega_cells(rep, text)
             lines.extend(["  " + "  ".join(row) for row in omega] or ["  (trivial)"])
     if report["task"] == "selfcheck":
         lines.append(f"seed: {report['seed']}")
@@ -431,10 +411,12 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
     """Append ``value`` as indent-2 JSON at nesting ``depth`` to ``out``.
 
     Values dispatch on their exact type, so a report holds plain ``str``,
-    ``int``, ``dict``, ``list``/``tuple``, ``None`` and bools; anything else,
-    a subclass included, is a ``TypeError``. A list whose items are all
-    ``str``, or all ``int`` (never ``bool``), is written with one join, and
-    a list of two or more dicts with one key list by :func:`_encode_records`.
+    ``int``, ``dict``, ``list``/``tuple``, ``None``, bools and a
+    ``BlockReport``, which :func:`_encode_blocks` writes as v1's list of
+    blocks; anything else, a subclass included, is a ``TypeError``. A list
+    whose items are all ``str``, or all ``int`` (never ``bool``), is written
+    with one join, and a list of two or more dicts with one key list by
+    :func:`_encode_records`.
     ``pads[d]`` is a newline and depth d's indent, built once per call of
     :func:`_dumps`, when the first container at depth d - 1 is written.
     """
@@ -484,6 +466,8 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
+    elif kind is BlockReport:
+        _encode_blocks(value, depth, out, pads)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -491,10 +475,9 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
 def _encode_records(records: Sequence[dict], depth: int, out: list[str], pads: list[str]) -> bool:
     """Write dicts sharing one nonempty key list from one template; False when keys differ.
 
-    Key text, and each value that is one object in every record (every
-    block's omega), are encoded once. A column of strs, or of nonempty lists
-    all of ints or all of strs, is type-checked once and written with one
-    join per record; any other value goes through :func:`_encode` one by one.
+    Key text is encoded once. A column of strs, or of nonempty lists all of
+    ints or all of strs, is type-checked once and written with one join per
+    record; any other value goes through :func:`_encode` one by one.
     """
     keys = list(records[0])
     if not keys or any(list(d) != keys for d in records):
@@ -506,9 +489,6 @@ def _encode_records(records: Sequence[dict], depth: int, out: list[str], pads: l
     for i, key in enumerate(keys):
         consts[-1] += ("," if i else "{") + pad + _encode_str(key) + ": "  # TypeError unless str
         col = [d[key] for d in records]
-        if all(v is col[0] for v in col):
-            consts[-1] += _text(col[0], depth + 2, pads)
-            continue
         kinds = set(map(type, col))
         if kinds == _STR:
             columns.append(list(map(_encode_str, col)))
@@ -527,6 +507,35 @@ def _encode_records(records: Sequence[dict], depth: int, out: list[str], pads: l
     return True
 
 
+def _encode_blocks(report: BlockReport, depth: int, out: list[str], pads: list[str]) -> None:
+    """Append ``report``'s blocks as v1's list of block dicts at nesting ``depth``.
+
+    Each residue's fraction, omega's dense text, the keys, the radical rank
+    and the block dimension are encoded once: a block appends the joins of
+    its component and its character between the same three pieces.
+    """
+    if not report.blocks:
+        out.append("[]")
+        return
+    while len(pads) < depth + 5:
+        pads.append(pads[-1] + "  ")
+    p1, p2, p3, p4 = pads[depth + 1 : depth + 5]
+    text = {x: _encode_str(s) for x, s in _fractions(report).items()}
+    rows = [f"[{p4}{(',' + p4).join(row)}{p3}]" for row in _omega_cells(report, text)]
+    omega = f"[{p3}{(',' + p3).join(rows)}{p2}]" if rows else "[]"
+    chi_pad = p3 if report.blocks[0].pi2_character else ""  # chi has H^0's rank, maybe 0
+    head = f'{p1}{{{p2}"component": [{p3}'
+    mid = f'{p2}],{p2}"omega": {omega},{p2}"pi2_character": [{chi_pad}'
+    tail = f'{chi_pad and p2}],{p2}"radical_rank": {report.radical_rank},{p2}"block_dim": '
+    tail += f"{report.block_dim}{p1}}}"
+    sep, comma, later = "[" + head, "," + p3, "," + head
+    for b in report.blocks:
+        chi = map(text.__getitem__, b.pi2_character)
+        out += (sep, comma.join(map(int.__repr__, b.component)), mid, comma.join(chi), tail)
+        sep = later
+    out += (pads[depth], "]")
+
+
 def _text(value: Any, depth: int, pads: list[str]) -> str:
     """``value`` as :func:`_encode` writes it at ``depth``, as one string."""
     chunk: list[str] = []
@@ -537,8 +546,10 @@ def _text(value: Any, depth: int, pads: list[str]) -> str:
 def _dumps(value: Any) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, plus a trailing newline.
 
-    Dict keys must be strings. A list of same-keyed dicts is written from one
-    template, which encodes a value every record shares, such as omega, once.
+    Dict keys must be strings. A ``BlockReport`` is written as the list of
+    block dicts v1 prints, into the same chunk list, with omega encoded once.
+    Any other list of same-keyed dicts is written from one template, which
+    encodes a value every record shares once.
     """
     out: list[str] = []
     _encode(value, 0, out, ["\n"])

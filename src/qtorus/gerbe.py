@@ -29,11 +29,11 @@ checks each stored entry of W against its mirror and holds W mod N as
 count reads its free block, and only :mod:`qtorus.cli` lays it out densely.
 The components are lattice combinations of H^2's generators, each one
 vector sum away from a shorter combination, and chi, linear in the
-component, costs one pass over the rows of lambda^T B per component; it is
-held the same way. Both stay integer residues over the report's denominator
-N: only :mod:`qtorus.cli` writes them as Q/Z fractions, from one string per
-distinct residue. Each report computes the cohomology presentations once
-and hands them to the omega and pi2-character code.
+component, is one pass over the rows of lambda^T B with the components as
+coordinate columns; it is held the same way. Both stay integer residues over
+the report's denominator N: only :mod:`qtorus.cli` writes them as Q/Z
+fractions, from one string per distinct residue. Each report computes the
+cohomology presentations once and hands them to the omega and chi code.
 :mod:`qtorus.selfcheck` checks the same W against the simplicial machinery
 in :mod:`qtorus.cochain`, which computes the pairing along a completely
 separate route.
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import add, mul
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import BadComponent, DimensionMismatch, NotInvariant
@@ -215,12 +215,14 @@ def _pi2_characters(
     pairing: SymmetricForm,
     reps: Sequence[tuple[int, ...]],
 ) -> list[tuple[int, ...]]:
-    """chi_d = (lambda^T B d) mod N on the invariant basis lambda, for each rep d.
+    """chi_d = (lambda^T B d) mod N on the invariant basis lambda, for every rep d at once.
 
     chi(d + s) - chi(d) = b(lambda, s) by bilinearity, so chi is well defined
     on components exactly when b(lambda, (rho(x) - 1) e_l) vanishes for every
     generator x and basis vector e_l. That is checked once, for all reps, on
-    each rho(x_j) - 1 read as block j of the complex's d0.
+    each rho(x_j) - 1 read as block j of the complex's d0. The reps are then
+    r coordinate columns: each nonzero entry c of a row of lambda^T B adds c
+    times its column over all reps at once, and each row reduces mod N once.
     """
     n = pairing.denominator
     r = rho.rank
@@ -229,8 +231,13 @@ def _pi2_characters(
     for j in range(2 * rho.genus):
         if any(x % n for x in (chi @ IntMatrix(r, r, d0[j * size : (j + 1) * size])).entries):
             raise InvariantViolation("pi2 character depends on the component representative")
-    rows = chi.row_lists()
-    return [tuple(sum(map(mul, row, rep)) % n for row in rows) for rep in reps]
+    cols, values = list(zip(*reps)), []
+    for row in chi.row_lists():
+        acc = [0] * len(reps)
+        for c, col in compress(zip(row, cols), row):
+            acc = list(map(add, acc, col if c == 1 else map(c.__mul__, col)))
+        values.append([x % n for x in acc])
+    return list(zip(*values)) if values else [()] * len(reps)
 
 
 class GerbeBlock(NamedTuple):
@@ -251,7 +258,8 @@ class BlockReport(NamedTuple):
     omega, ``radical_rank`` and ``block_dim`` are per level and held once;
     each block carries only what depends on its component. omega, one {column:
     residue} row per H^1 generator storing no zero, and every chi are residues
-    x in [0, N) over ``denominator``, the pairing's N, standing for x / N.
+    x in [0, N) over ``denominator``, the pairing's N, standing for x / N;
+    :mod:`qtorus.cli` writes v1's block list from the report as it stands.
     """
 
     presentations: CohomologyPresentations

@@ -198,12 +198,14 @@ class SnfResult(_Frozen):
     caller pays for exactly what it reads.
     """
 
-    __slots__ = ("d", "row_ops", "col_ops", "__dict__")  # __dict__ holds u and v once read
+    __slots__ = ("d", "row_ops", "col_ops", "__dict__")  # __dict__: u and v once read, d's diagonal
 
     def __init__(self, d: IntMatrix, row_ops: tuple[_Op, ...], col_ops: tuple[_Op, ...]):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "row_ops", row_ops)
         object.__setattr__(self, "col_ops", col_ops)
+        diag = tuple(d.entry(i, i) for i in range(min(d.rows, d.cols)))  # read by most methods
+        self.__dict__.update(_diagonal=diag, _rank=len(diag) - diag.count(0))
 
     # a column operation on V is a row operation on V^T: v's columns are replayed as rows
     @cached_property
@@ -217,11 +219,10 @@ class SnfResult(_Frozen):
         return IntMatrix.from_columns(_replay(self.col_ops, _identity_rows(n)), n)
 
     def diagonal(self) -> tuple[int, ...]:
-        k = min(self.d.rows, self.d.cols)
-        return tuple(self.d.entry(i, i) for i in range(k))
+        return self._diagonal
 
     def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
+        return self._rank
 
     def cokernel(self) -> FgAbGroup:
         """Canonical form of Z^rows / (a . Z^cols)."""

@@ -1,5 +1,6 @@
 """Shared generators for randomized tests. Everything is seed-driven."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -780,8 +781,51 @@ def omega_of(level: LevelInput):
     return omega_closed(block_report(level, components=[]))
 
 
+def pi2_characters_reference(pres, pairing, reps) -> list[tuple[int, ...]]:
+    """chi_d = lambda^T B d mod N, one rep d and one invariant vector lambda at a time.
+
+    Plain sums over the entries of ``pres.h0_basis`` and the pairing's B,
+    with no matrix product: the reference for ``gerbe._pi2_characters``.
+    """
+    n, b = pairing.denominator, pairing.numerators
+    r = b.rows
+    return [
+        tuple(
+            sum(lam[i] * b.entries[i * r + j] * d[j] for i in range(r) for j in range(r)) % n
+            for lam in pres.h0_basis
+        )
+        for d in reps
+    ]
+
+
+def blocks_v1(report) -> list[dict]:
+    """A ``BlockReport``'s blocks as the v1 JSON objects, built one dict per block.
+
+    Each block repeats the level's omega, radical rank and block dimension;
+    omega's sparse rows are laid out densely and every residue x written as
+    the fraction x / N. The reference for the CLI's block writer.
+    """
+    used = {0, *(x for row in report.omega for x in row.values())}
+    used.update(x for b in report.blocks for x in b.pi2_character)
+    text = {x: str(Frac1(x, report.denominator)) for x in used}
+    omega = [[text[0]] * len(report.omega) for _ in report.omega]
+    for cells, row in zip(omega, report.omega):
+        for j, x in row.items():
+            cells[j] = text[x]
+    return [
+        {
+            "component": list(b.component),
+            "omega": omega,
+            "pi2_character": [text[x] for x in b.pi2_character],
+            "radical_rank": report.radical_rank,
+            "block_dim": report.block_dim,
+        }
+        for b in report.blocks
+    ]
+
+
 def global_json(task: str, level: LevelInput, components=None) -> dict:
-    """The CLI's ``global`` or ``bunt`` report for a level, before serialization."""
+    """The CLI's ``global`` or ``bunt`` report for a level, as its JSON output reads back."""
     from qtorus import cli
 
     raw = {
@@ -795,7 +839,7 @@ def global_json(task: str, level: LevelInput, components=None) -> dict:
     }
     if components is not None:
         raw["components"] = [list(c) for c in components]
-    return cli._run_global(cli.JobSpec(raw, task))
+    return json.loads(cli._dumps(cli._run_global(cli.JobSpec(raw, task))))
 
 
 def groups_json(triple) -> dict:

@@ -14,9 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtorus import ERROR_SCHEMA, REPORT_SCHEMAS
+from qtorus import (
+    ERROR_SCHEMA,
+    REPORT_SCHEMAS,
+    BilinearData,
+    Frac1,
+    IntMatrix,
+    LatticeLocalSystem,
+    LevelInput,
+    block_report,
+    cohomology_presentations,
+)
 from qtorus import cli, selfcheck
 from qtorus.schemas import SELFCHECK_MISMATCH
+
+from helpers import blocks_v1, random_invariant_level, random_local_system
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = Path(__file__).parent / "inputs"
@@ -26,6 +38,13 @@ DECK_SHA256 = "6e434e959be9faa1a1fd632d29615e9850b7791287bacbab69d615351fba1e9c"
 # tests and by the CI's installed console script step
 BUNT_SHEAR_G24R4_SHA256 = "3a1c10d8c58002b806e59b9b80aff752403fc5e2337ad151993f689362cef22b"
 GLOBAL_SHEAR_G48R4_SHA256 = "34547bf3cd8acaca3c1271f01bd277c2a0b51808e36e8e7ed545709b7e006c61"
+# stdout of tests/inputs/global_trivial_g4r4.json, the benchmark's largest
+# global shape (81 blocks, a 32 x 32 omega), in each format; pinned by
+# TestSchemas::test_genus_4_rank_4_global_bytes and the same CI step
+GLOBAL_TRIVIAL_G4R4_SHA256 = {
+    "json": "c815d29e063eee2f97c3a42d34a2edfade0d3f90399f3dc81ebe448e5ac08e0d",
+    "text": "1995ffdba7d58a3c9922e820a099389545201bf530172618e1ef838659a28c85",
+}
 
 
 def run_main(capsys, *argv):
@@ -299,6 +318,18 @@ class TestSchemas:
         (block,) = json.loads(out)["blocks"]
         assert block["radical_rank"] == 188
         assert block["block_dim"] == 6319748715279270675921934218987893281199411530039296
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_genus_4_rank_4_global_bytes(self, capsys, fmt):
+        # the goldens stop at 27 blocks; this 1.5 MB report is the
+        # benchmark's largest components job
+        spec = str(INPUTS / "global_trivial_g4r4.json")
+        out, code = run_main(capsys, "global", "--input", spec, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GLOBAL_TRIVIAL_G4R4_SHA256[fmt]
+        if fmt == "json":
+            blocks = json.loads(out)["blocks"]
+            assert len(blocks) == 81 and len(blocks[0]["omega"]) == 32
 
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})
@@ -1073,17 +1104,12 @@ class TestEmitter:
         assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
 
     def test_shared_omega_is_encoded_once(self, monkeypatch):
-        spec = cli.JobSpec({
-            "task": "global",
-            "surface": {"genus": 4, "rank": 4},
-            "level": {"c_matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-                      "zeta": "1/4"},
-        }, "global")
-        report = cli._run_global(spec)
-        blocks = report["blocks"]
-        omega = blocks[0]["omega"]
-        assert len(blocks) == 81 and len(omega) == 32
-        assert all(b["omega"] is omega for b in blocks)
+        # g4 r4: 81 blocks share a 32 x 32 omega, written from one table of
+        # encoded residues, so no cell of omega is encoded on its own
+        spec = json.loads((INPUTS / "global_trivial_g4r4.json").read_text())
+        report = cli._run_global(cli.JobSpec(spec, "global"))
+        v1 = blocks_v1(report["blocks"])
+        assert len(v1) == 81 and len(v1[0]["omega"]) == 32
         encoded = []
 
         def counting(text):
@@ -1092,45 +1118,128 @@ class TestEmitter:
 
         monkeypatch.setattr(cli, "_encode_str", counting)
         out = cli._dumps(report)
-        assert out == json.dumps(report, indent=2) + "\n"
-        # every string once, except omega's 32 x 32 entries and the 5 block
-        # keys, which the blocks' one template writes once, not 81 times
-        assert len(blocks[0]) == 5
-        assert len(encoded) == count_strings(report) - 80 * 32 * 32 - 80 * 5
+        assert out == json.dumps({**report, "blocks": v1}, indent=2) + "\n"
+        # every string outside the blocks once, then each residue's
+        # fraction once; the omega cells include 0, which the table holds
+        fractions = {x for row in v1[0]["omega"] for x in row}
+        fractions.update(x for b in v1 for x in b["pi2_character"])
+        assert "0/1" in fractions and len(fractions) <= 4
+        assert len(encoded) == count_strings({**report, "blocks": []}) + len(fractions)
 
     def test_level_wide_block_fields_are_encoded_once(self, monkeypatch):
-        # omega, radical_rank and block_dim are the same objects in every
-        # block, so _encode sees each once; component and pi2_character, the
-        # fields that vary, are joined, never encoded value by value
+        # omega, radical_rank, block_dim and the keys are written into one
+        # piece each per report; a block appends the joins of its component
+        # and its character between those pieces, and _encode sees no field
         spec = cli.JobSpec({
             "task": "global",
             "surface": {"genus": 2, "rank": 3},
             "level": {"c_matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "zeta": "1/4"},
         }, "global")
-        report = cli._run_global(spec)
-        blocks = report["blocks"]
-        assert len(blocks) == 27
-        seen = []  # the values _encode receives as block fields
-        inside = [False]
+        rep = cli._run_global(spec)["blocks"]
+        v1 = blocks_v1(rep)
+        assert len(v1) == 27 and len({tuple(b["pi2_character"]) for b in v1}) > 1
+        seen = []
         encode = cli._encode
 
         def spy(value, depth, *args):
-            if value is blocks:
-                inside[0] = True
-                encode(value, depth, *args)
-                inside[0] = False
-                return
-            if inside[0] and depth == 3:  # report, blocks, block, field
-                seen.append(value)
+            seen.append(value)
             encode(value, depth, *args)
 
         monkeypatch.setattr(cli, "_encode", spy)
-        out = cli._dumps(report)
-        assert out == json.dumps(report, indent=2) + "\n"
-        assert len({tuple(b["component"]) for b in blocks}) == 27
-        assert len({tuple(b["pi2_character"]) for b in blocks}) > 1
-        assert len(seen) == 3 and seen[0] is blocks[0]["omega"]
-        assert seen[1:] == [blocks[0]["radical_rank"], blocks[0]["block_dim"]]
+        out: list[str] = []
+        cli._encode(rep, 0, out, ["\n"])
+        assert seen == [rep]
+        assert "".join(out) == json.dumps(v1, indent=2)
+        # five pieces a block, then the closing indent and bracket
+        assert len(out) == 5 * 27 + 2
+        pieces = [out[k : k + 5] for k in range(0, 5 * 27, 5)]
+        for b, (sep, comp, mid, chi, tail) in zip(v1, pieces):
+            assert comp == ",\n      ".join(map(str, b["component"]))
+            assert chi == ",\n      ".join(json.dumps(x) for x in b["pi2_character"])
+            assert mid is pieces[0][2] and tail is pieces[0][4]
+            assert sep is pieces[-1][0] or b is v1[0]
+        assert '"omega"' in pieces[0][2] and '"block_dim"' in pieces[0][4]
+
+
+@st.composite
+def block_reports(draw):
+    """A ``BlockReport`` of a drawn level, with enumerated or drawn components.
+
+    Systems come from ``random_local_system`` at genus 0-2 and rank 1-3, so
+    omega may be empty (genus 0) and H^0 may be 0 (empty characters); a
+    level may instead be a trivial system's with zeta = k / 10^12. Drawn
+    components may be none, repeat, be negative or be +-2^70.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    genus, rank = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rho = random_local_system(rng, genus, rank)
+        level = LevelInput(random_invariant_level(rng, rho), rho)
+    else:
+        rho = LatticeLocalSystem.trivial(rank, genus)
+        c = IntMatrix(rank, rank, draw(st.lists(st.integers(-3, 3), min_size=rank * rank,
+                                                max_size=rank * rank)))
+        level = LevelInput(BilinearData(c, Frac1(draw(st.integers(1, 10**12)), 10**12)), rho)
+    h2 = cohomology_presentations(rho).triple.h2
+    if draw(st.booleans()) and 3**h2.free_rank * math.prod(h2.torsion) <= 100:
+        return block_report(level)
+    entry = st.one_of(st.integers(-5, 5), st.sampled_from([2**70, -(2**70)]))
+    pool = draw(st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=3))
+    return block_report(level, components=draw(st.lists(st.sampled_from(pool), max_size=5)))
+
+
+def big_n_level():
+    # c + c^T = [[2, 1], [1, 2]] has content 1, so N is zeta's 10^12
+    c = IntMatrix.from_rows([[1, 1], [0, 1]])
+    return LevelInput(BilinearData(c, Frac1(1, 10**12)), LatticeLocalSystem.trivial(2, 1))
+
+
+BLOCK_CASES = {
+    "no components": lambda: block_report(
+        LevelInput(BilinearData(IntMatrix.identity(1), Frac1(1, 4)),
+                   LatticeLocalSystem.trivial(1, 1)), components=[]),
+    "genus 0": lambda: block_report(
+        LevelInput(BilinearData(IntMatrix.identity(2), Frac1(1, 4)),
+                   LatticeLocalSystem.trivial(2, 0))),
+    "H^0 = 0": lambda: block_report(
+        LevelInput(BilinearData(IntMatrix.identity(1), Frac1(1, 2)),
+                   LatticeLocalSystem(1, 1, [IntMatrix.identity(1), -IntMatrix.identity(1)]))),
+    "N = 10^12": lambda: block_report(big_n_level(), components=[(0, 0), (1, -1), (3, 5)]),
+    "2^70 entries": lambda: block_report(
+        big_n_level(), components=[(2**70, -(2**70)), (-(2**70), 1), (2**70, -(2**70))]),
+}
+
+
+class TestBlockWriter:
+    """The ``BlockReport`` writer against v1's per-block dicts and ``json.dumps``."""
+
+    @staticmethod
+    def check(rep):
+        want = blocks_v1(rep)
+        assert cli._dumps({"blocks": rep}) == json.dumps({"blocks": want}, indent=2) + "\n"
+        # at other nesting depths too, and beside other values
+        value = [{"x": rep, "y": [1, "a"]}, rep]
+        assert cli._dumps(value) == json.dumps([{"x": want, "y": [1, "a"]}, want], indent=2) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_reports())
+    def test_equals_json_dumps_of_v1_blocks(self, rep):
+        self.check(rep)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_edge_cases_equal_json_dumps(self, case):
+        rep = BLOCK_CASES[case]()
+        self.check(rep)
+        if case == "no components":
+            assert rep.blocks == ()
+        elif case == "genus 0":
+            assert rep.omega == [] and len(rep.blocks) == 9
+        elif case == "H^0 = 0":
+            assert rep.blocks and all(b.pi2_character == () for b in rep.blocks)
+        elif case == "N = 10^12":
+            assert rep.denominator == 10**12
+        else:
+            assert rep.blocks[0] == rep.blocks[2] and rep.blocks[0].component[0] == 2**70
 
 
 class TestTripwire:
@@ -1200,6 +1309,36 @@ class TestTripwire:
         payload = json.loads(out)
         jsonschema.validate(payload, ERROR_SCHEMA)
         assert payload["code"] == "invariant_violation" and fault in payload["message"]
+
+    def test_pi2_character_check_exits_three(self, capsys, monkeypatch, tmp_path):
+        # b = [[2, 1], [1, 2]] / 3 in place of the level's 2I / 3: the flip
+        # negates b(e_0, e_1), so lambda^T B on lambda = e_0 is not invariant
+        from qtorus import SymmetricForm
+        from qtorus.errors import InvariantViolation
+
+        flip = [[1, 0], [0, -1]]
+        rho = LatticeLocalSystem(2, 1, [IntMatrix.from_rows(flip), IntMatrix.identity(2)])
+        level = LevelInput(BilinearData(IntMatrix.identity(2), Frac1(1, 3)), rho)
+        moved = SymmetricForm(IntMatrix.from_rows([[2, 1], [1, 2]]), 3)
+
+        class Moved(LevelInput):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.pairing = moved
+
+        with pytest.raises(InvariantViolation, match="representative"):
+            block_report(Moved(level.bilinear, rho))
+        monkeypatch.setattr(cli, "LevelInput", Moved)
+        spec = base_global_spec(surface={"genus": 1, "rank": 2, "monodromy": [flip, [[1, 0], [0, 1]]]},
+                                level={"c_matrix": [[1, 0], [0, 1]], "zeta": "1/3"})
+        for components in (None, [[0, 0], [1, -1]]):
+            if components is not None:
+                spec["components"] = components
+            out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
+            assert code == 3
+            payload = json.loads(out)
+            assert payload["code"] == "invariant_violation"
+            assert "representative" in payload["message"]
 
     def test_h1_routes_disagree_exits_three(self, capsys, monkeypatch, tmp_path):
         # a fault in the replay that forms x, inside SnfResult.subquotient,

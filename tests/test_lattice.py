@@ -95,6 +95,20 @@ def test_snf_random_contract_and_rank_oracle():
         assert res.rank() == fraction_rank(a) == smith_normal_form(a).rank()
 
 
+def test_snf_diagonal_and_rank_are_read_once(monkeypatch):
+    # the methods that read the diagonal and the rank, each several times,
+    # leave d's entries alone once the form is built
+    a = IntMatrix.from_rows([[2, 4, 0], [6, 8, 0], [0, 0, 0], [1, 1, 0]])
+    res = smith_normal_form(a)
+    reads = []
+    entry = IntMatrix.entry
+    monkeypatch.setattr(IntMatrix, "entry", lambda m, i, j: reads.append(m) or entry(m, i, j))
+    assert res.diagonal() == (1, 2, 0) and res.rank() == 2
+    assert res.cokernel() == FgAbGroup(2, (2,))
+    res.quotient(), res.kernel_basis(), res.subquotient(IntMatrix.zeros(3, 1))
+    assert res.diagonal() is res.diagonal() and all(m is not res.d for m in reads)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 5),
