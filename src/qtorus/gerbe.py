@@ -21,9 +21,10 @@ polarization's integer numerators B over its common denominator N (both
 held by the form). Each handle's blocks are one closed form in the four
 letter transports and the two d1 blocks of the handle's record, stored when
 the local system unwound the relator, so P costs time linear in the genus
-where it is block diagonal by handle. P and W stay {column: entry} rows
-from the relator to the report: :func:`omega_numerators` scatters P's stored
-entries over the supports of the vectors G to give W = G^T P G. A report
+where it is block diagonal by handle. P, G and W stay {column: entry} rows
+from the relator and the Smith logs to the report: :func:`omega_numerators`
+scatters P's stored entries over the supports of H^1's generator rows G to
+give W = G^T P G, so no dense P, G, P G or W is formed. A report
 checks each stored entry of W against its mirror and holds W mod N as
 {column: residue} rows that store no zero, omega's one form: the Heisenberg
 count reads its free block, and only :mod:`qtorus.cli` lays it out densely.
@@ -149,28 +150,28 @@ def _mul(a: Sequence[int], f: Sequence[int], r: int) -> list[int]:
 
 
 def omega_numerators(
-    rho: LatticeLocalSystem, numerators: IntMatrix, gens: Sequence[Sequence[int]]
+    rho: LatticeLocalSystem, numerators: IntMatrix, gens: Sequence[dict[int, int]]
 ) -> list[dict[int, int]]:
-    """W = G^T P G: omega(g_i, g_j) = W[i].get(j, 0) / N on the vectors ``gens``.
+    """W = G^T P G: omega(g_i, g_j) = W[i].get(j, 0) / N on the rows ``gens``.
 
     ``numerators`` is the integer B of a pairing b = B / N; N never enters,
-    so W is linear in B. Each vector lists one lattice vector per generator
-    loop (concatenated). W comes as {generator: entry} rows, like P, and is
-    not checked or reduced mod N. The product is Gustavson's: one pass over
+    so W is linear in B. Each generator is a {coordinate: entry} row, one
+    lattice vector per generator loop (concatenated), as H^1 holds it. W
+    comes as {generator: entry} rows, like P, and is not checked or reduced
+    mod N. The product is Gustavson's: one pass over the stored entries of
     ``gens`` lists each coordinate's support as (generator, value) pairs.
     For each coordinate i that a generator touches, each stored x = P[i][k]
     scatters x times the support of k into one row of P G, which row a of W
     takes y times for each (a, y) in the support of i. So the work and the
-    storage follow the nonzero entries of P and G, and no dense row is formed.
+    storage follow the stored entries of P and G; no dense row is formed.
     """
     size = 2 * rho.genus * rho.rank
-    coords = range(size)  # compress(coords, v) lists the indices of v's nonzero entries
-    support: list[list[tuple[int, int]]] = [[] for _ in coords]
+    support: list[list[tuple[int, int]]] = [[] for _ in range(size)]
     for b, gen in enumerate(gens):
-        if len(gen) != size:
-            raise ShapeMismatch(f"vector of length {len(gen)} for {size} coordinates")
-        for i in compress(coords, gen):
-            support[i].append((b, gen[i]))
+        for i, x in gen.items():
+            if not 0 <= i < size:
+                raise ShapeMismatch(f"coordinate {i} outside {size} coordinates")
+            support[i].append((b, x))
     p = _pairing_gram(rho, numerators)
     w: list[dict[int, int]] = [{} for _ in gens]
     for i, left in enumerate(support):
@@ -218,25 +219,26 @@ def _pi2_characters(
     """chi_d = (lambda^T B d) mod N on the invariant basis lambda, for every rep d at once.
 
     chi(d + s) - chi(d) = b(lambda, s) by bilinearity, so chi is well defined
-    on components exactly when b(lambda, (rho(x) - 1) e_l) vanishes for every
-    generator x and basis vector e_l. That is checked once, for all reps, on
-    each rho(x_j) - 1 read as block j of the complex's d0. The reps are then
-    r coordinate columns: each nonzero entry c of a row of lambda^T B adds c
-    times its column over all reps at once, and each row reduces mod N once.
+    on components exactly when lambda^T B (rho(x_j) - 1) vanishes mod N for
+    every generator x_j. Line k holds row k of every block rho(x_j) - 1 of
+    the complex's d0, side by side, then coordinate k of every rep. One pass
+    per row of lambda^T B sums c times line k over its nonzero entries c:
+    the first 2g r sums must vanish mod N, and the rest are the row's chi.
     """
     n = pairing.denominator
-    r = rho.rank
+    r, w = rho.rank, 2 * rho.genus * rho.rank
     chi = IntMatrix.from_rows(pres.h0_basis, r) @ pairing.numerators
-    d0, size = pres.complex.d0.entries, r * r
-    for j in range(2 * rho.genus):
-        if any(x % n for x in (chi @ IntMatrix(r, r, d0[j * size : (j + 1) * size])).entries):
-            raise InvariantViolation("pi2 character depends on the component representative")
-    cols, values = list(zip(*reps)), []
+    d0 = pres.complex.d0.entries
+    lines = [[x for s in range(k * r, w * r, r * r) for x in d0[s : s + r]] for k in range(r)]
+    lines = [line + [d[k] for d in reps] for k, line in enumerate(lines)]
+    values = []
     for row in chi.row_lists():
-        acc = [0] * len(reps)
-        for c, col in compress(zip(row, cols), row):
-            acc = list(map(add, acc, col if c == 1 else map(c.__mul__, col)))
-        values.append([x % n for x in acc])
+        acc = [0] * (w + len(reps))
+        for c, line in compress(zip(row, lines), row):
+            acc = list(map(add, acc, line if c == 1 else map(c.__mul__, line)))
+        if any(x % n for x in acc[:w]):
+            raise InvariantViolation("pi2 character depends on the component representative")
+        values.append([x % n for x in acc[w:]])
     return list(zip(*values)) if values else [()] * len(reps)
 
 
@@ -376,8 +378,8 @@ def _lift_rank(a: Sequence[dict[int, int]]) -> int:
 
 # most representatives the default component list may hold
 MAX_COMPONENTS = 2**20
-# most cells a dense matrix of a job may hold: a report's H^1 objects are
-# (2 g r) x (2 g r), as is omega, and a local system's matrices r x r
+# most cells a dense matrix of a job may hold: v1 writes a report's omega as
+# up to (2 g r) x (2 g r) cells, and a local system's matrices are r x r
 MAX_DENSE_CELLS = 2**26
 
 
@@ -399,8 +401,10 @@ def enumerate_components(
         raise ResourceLimit(message, "components")
     ranges = [range(-free_bound, free_bound + 1)] * len(h2.free_gens)
     ranges += [range(o) for o in h2.group.torsion]
-    reps = [(0,) * pres.complex.rank]
-    for g, coeffs in zip(h2.all_gens(), ranges):
+    r = pres.complex.rank
+    reps = [(0,) * r]
+    for row, coeffs in zip(h2.all_gens(), ranges):
+        g = [row.get(i, 0) for i in range(r)]
         multiples = [tuple(c * x for x in g) for c in coeffs]
         reps = [tuple(map(add, rep, m)) for rep in reps for m in multiples]
     return reps
@@ -413,9 +417,9 @@ def block_report(
 ) -> BlockReport:
     """Full block structure; presentations, omega and the chi check run once.
 
-    H^1's generators are read off a dense (2 g r) x (2 g r) transform, and
-    the writer lays omega out as that many cells: past ``MAX_DENSE_CELLS``
-    the report is refused before either is built.
+    H^1's generators and omega are sparse rows, but v1's writer lays omega
+    out as up to (2 g r) x (2 g r) cells: past ``MAX_DENSE_CELLS`` the
+    report is refused before anything is built.
     """
     rho = level.rho
     size = 2 * rho.genus * rho.rank

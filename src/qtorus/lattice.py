@@ -4,12 +4,13 @@ Everything here works with built-in arbitrary-precision ints; no floats ever
 enter. There are two eliminations. :func:`smith_normal_form`, the
 ``U @ A @ V = D`` decomposition with unimodular transforms, gives kernels,
 cokernels and quotient generators. It keeps its row and column operations,
-and only :class:`SnfResult` replays them: the column log onto an identity
-gives the kernel vectors, the last columns of ``V``; the row log inverted
-onto basis vectors gives :meth:`SnfResult.quotient`'s generators
+and only :class:`SnfResult` replays them, onto {coordinate: entry} rows that
+store no zero, so a generator costs what it stores: the column log onto unit
+rows gives the kernel vectors, the last columns of ``V``; the row log
+inverted onto basis vectors gives :meth:`SnfResult.quotient`'s generators
 ``B @ U^-1``; and :meth:`SnfResult.subquotient` reads ker a / im b off the
-coordinates ``V^-1 @ b`` and one more Smith form. Its pivot search stops at the
-first unit, each column operation writes one entry, and the divisibility
+coordinates ``V^-1 @ b`` and one more Smith form. Its pivot search stops at
+the first unit, each column operation writes one entry, and the divisibility
 scan of the trailing block runs only at non-unit pivots. Its steps are
 written inline on the working rows; the tests pin its logs to a reference
 that scans the whole trailing block at every step. There is no stacking
@@ -21,12 +22,14 @@ the adjugate off one fraction-free Gauss-Jordan elimination of ``[A | I]``.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonSquareMatrix, NonUnimodular, ShapeMismatch, _Frozen
 
 _Op = tuple[int, int, int]  # (i, j, q), one line operation; see _replay
+_Row = dict[int, int]  # {coordinate: entry}, storing no zero; see _replay
 
 
 class IntMatrix(_Frozen):
@@ -70,6 +73,11 @@ class IntMatrix(_Frozen):
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, [0] * (rows * cols))
+
+    @classmethod
+    def from_sparse(cls, rows: Sequence[_Row], cols: int) -> "IntMatrix":
+        """The matrix whose row i is ``rows[i]``, a {column: entry} row; a missing column is 0."""
+        return cls(len(rows), cols, [row.get(j, 0) for row in rows for j in range(cols)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntMatrix":
@@ -159,7 +167,7 @@ def _gauss_jordan(a: IntMatrix) -> tuple[int, list[int] | None]:
     bound holds. The end is [D*I | D*a^-1] with D the permuted determinant.
     """
     n = a.rows
-    rows = [list(a.row(i)) + e for i, e in enumerate(_identity_rows(n))]
+    rows = [list(a.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
     sign = prev = 1
     for k in range(n):
         for pivot in range(k, n):
@@ -194,8 +202,8 @@ class SnfResult(_Frozen):
     The result keeps the elimination's row and column operations in order,
     and only its methods replay them (:func:`_replay`): each transform is
     built when it is first read, and the kernel vectors, quotient and
-    subquotient generators replay a log onto just the rows they need, so a
-    caller pays for exactly what it reads.
+    subquotient generators replay a log onto just the rows they need, as
+    {coordinate: entry} rows, so a caller pays for what it reads.
     """
 
     __slots__ = ("d", "row_ops", "col_ops", "__dict__")  # __dict__: u and v once read, d's diagonal
@@ -211,12 +219,12 @@ class SnfResult(_Frozen):
     @cached_property
     def u(self) -> IntMatrix:
         m = self.d.rows
-        return IntMatrix.from_rows(_replay(self.row_ops, _identity_rows(m)), m)
+        return IntMatrix.from_sparse(_replay(self.row_ops, _unit_rows(m)), m)
 
     @cached_property
     def v(self) -> IntMatrix:
         n = self.d.cols
-        return IntMatrix.from_columns(_replay(self.col_ops, _identity_rows(n)), n)
+        return IntMatrix.from_sparse(_replay(self.col_ops, _unit_rows(n)), n).transpose()
 
     def diagonal(self) -> tuple[int, ...]:
         return self._diagonal
@@ -229,28 +237,27 @@ class SnfResult(_Frozen):
         torsion = tuple(x for x in self.diagonal() if x > 1)
         return FgAbGroup(self.d.rows - self.rank(), torsion)
 
-    def kernel_basis(self) -> list[list[int]]:
-        """Saturated basis of ker(a) as vectors: the columns rank: of v.
+    def kernel_basis(self) -> list[_Row]:
+        """Saturated basis of ker(a) as {coordinate: entry} rows: the columns rank: of v.
 
-        The column log is replayed onto an identity and only those rows are
-        kept, so v itself is not built.
+        The column log is replayed onto the unit rows {i: 1} and only those
+        rows are kept, so v itself is not built.
         """
-        return _replay(self.col_ops, _identity_rows(self.d.cols))[self.rank() :]
+        return _replay(self.col_ops, _unit_rows(self.d.cols))[self.rank() :]
 
-    def quotient(self, basis: Sequence[Sequence[int]] | None = None) -> QuotientPresentation:
-        """Z^k / im(a), k = rows of a, with generators pushed to ambient vectors.
+    def quotient(self, basis: Sequence[_Row] | None = None) -> QuotientPresentation:
+        """Z^k / im(a), k = rows of a, with generators pushed to ambient {coordinate: entry} rows.
 
-        ``basis`` holds the k ambient vectors the quotient coordinates refer
-        to; None means the standard basis. With B those vectors as columns,
-        column i of B @ U^-1 generates the Z/diag[i] (or Z, past the rank)
-        summand; it is row i of the row log replayed inverted onto them.
+        ``basis`` holds the k ambient rows the quotient coordinates refer to;
+        None means the unit rows. With B those vectors as columns, column i
+        of B @ U^-1 generates the Z/diag[i] (or Z, past the rank) summand; it
+        is row i of the row log replayed inverted onto them.
         """
         k, r = self.d.rows, self.rank()
         diag = self.diagonal()
-        push = _replay(self.row_ops, _identity_rows(k) if basis is None else list(basis), True)
-        free_gens = tuple(tuple(push[i]) for i in range(r, k))
-        torsion_gens = tuple(tuple(push[i]) for i in range(r) if diag[i] > 1)
-        return QuotientPresentation(self.cokernel(), free_gens, torsion_gens)
+        push = _replay(self.row_ops, _unit_rows(k) if basis is None else list(map(dict, basis)), True)
+        torsion_gens = tuple(push[i] for i in range(r) if diag[i] > 1)
+        return QuotientPresentation(self.cokernel(), tuple(push[r:]), torsion_gens)
 
     def subquotient(self, b: IntMatrix) -> QuotientPresentation:
         """ker a / im b with generators in ker a; im b must lie in ker a.
@@ -262,8 +269,11 @@ class SnfResult(_Frozen):
         gives ker a / im b = Z^cols(K) / im x, and its row log replayed
         inverted onto the kernel vectors the generators K U^-1.
         """
-        rows = _replay(self.col_ops, b.row_lists(), True)[self.rank() :]
-        return smith_normal_form(IntMatrix.from_rows(rows, b.cols)).quotient(self.kernel_basis())
+        rows: list[_Row] = [{} for _ in range(b.rows)]
+        for p in compress(range(len(b.entries)), b.entries):
+            rows[p // b.cols][p % b.cols] = b.entries[p]
+        x = _replay(self.col_ops, rows, True)[self.rank() :]
+        return smith_normal_form(IntMatrix.from_sparse(x, b.cols)).quotient(self.kernel_basis())
 
 
 class FgAbGroup(_Frozen):
@@ -298,21 +308,21 @@ class FgAbGroup(_Frozen):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+def _unit_rows(n: int) -> list[_Row]:
+    return [{i: 1} for i in range(n)]
 
 
-def _replay(ops: Sequence[_Op], rows: list, inverse: bool = False) -> list:
+def _replay(ops: Sequence[_Op], rows: list[_Row], inverse: bool = False) -> list[_Row]:
     """Rows of E_k ... E_1 X: the logged operations E_1, ..., E_k applied in order to X.
 
-    ``rows`` holds X's rows and is permuted in place; changed rows are new
-    lists. An operation ``(i, j, q)`` acts on lines: it swaps lines i and j
-    when q == 0, negates line i when i == j, and adds q times line j to line
-    i otherwise. With ``inverse`` each one is applied as the transpose of its
-    inverse, which leaves swaps and negations as they are and turns
+    ``rows`` holds X's rows as {coordinate: entry} dicts that store no zero;
+    the list and its rows are changed in place, and no zero is stored. An
+    operation ``(i, j, q)`` acts on lines: it swaps lines i and j when
+    q == 0, negates line i when i == j, and adds q times line j to line i
+    otherwise, merged over line j's stored entries, dropping each entry that
+    cancels. So an operation costs the entries it reads, not a line's length.
+    With ``inverse`` each one is applied as the transpose of its inverse,
+    which leaves swaps and negations as they are and turns
     line_i += q*line_j into line_j -= q*line_i; the rows are then those of
     (E_1^-1 ... E_k^-1)^T X: V^-1 X for a column log, whose operations are
     those of V^T, and (B U^-1)^T for a row log and X = B^T.
@@ -322,11 +332,16 @@ def _replay(ops: Sequence[_Op], rows: list, inverse: bool = False) -> list:
         if not q:
             x[i], x[j] = x[j], x[i]
         elif i == j:
-            x[i] = [-s for s in x[i]]
+            x[i] = {k: -s for k, s in x[i].items()}
         else:
             if inverse:
                 i, j, q = j, i, -q
-            x[i] = [s + q * t for s, t in zip(x[i], x[j])]
+            row = x[i]
+            for k, t in x[j].items():
+                if s := row.get(k, 0) + q * t:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
     return x
 
 
@@ -347,8 +362,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     Each step, a swap, an addition of a multiple of one line to another or
     a row's negation, is written inline on the working rows and appended to
     the row log or the column log (columns are never negated). The logs fix
-    the transforms: ``u`` replays the row log on the rows of an identity and
-    ``v`` the column log on the columns. The tests pin both logs and the
+    the transforms: ``u`` replays the row log on the unit rows and ``v`` the
+    column log on the unit columns. The tests pin both logs and the
     diagonal to ``smith_by_full_scan``, which scans the whole trailing block
     at every step.
     """
@@ -447,14 +462,15 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
 class QuotientPresentation(NamedTuple):
     """A quotient group together with chosen generator representatives.
 
-    Representatives live in the ambient lattice. Free generators come first,
-    then torsion generators in divisibility-chain order.
+    Representatives live in the ambient lattice as {coordinate: entry} rows
+    that store no zero. Free generators come first, then torsion generators
+    in divisibility-chain order.
     """
 
     group: FgAbGroup
-    free_gens: tuple[tuple[int, ...], ...]
-    torsion_gens: tuple[tuple[int, ...], ...]  # orders match group.torsion
+    free_gens: tuple[_Row, ...]
+    torsion_gens: tuple[_Row, ...]  # orders match group.torsion
 
-    def all_gens(self) -> tuple[tuple[int, ...], ...]:
+    def all_gens(self) -> tuple[_Row, ...]:
         return self.free_gens + self.torsion_gens
 

@@ -11,10 +11,11 @@ three monodromy families.
 
 The closed side is the one reports run: the numerators W = G^T P G of
 :func:`qtorus.gerbe.omega_numerators`, read raw, so a wrong W becomes a
-mismatch record rather than an internal error. Once per local system, the
-H^1 generators become one batch of checked cocycles over one transport table
-(:func:`qtorus.cochain.checked_classes`), and one call gives every ordered
-pair of them its integer cup in Lambda (x) Lambda
+mismatch record rather than an internal error. W takes H^1's generators as
+the presentation's {coordinate: entry} rows. Once per local system, they
+are laid out as dense vectors that become one batch of checked cocycles
+over one transport table (:func:`qtorus.cochain.checked_classes`), and one
+call gives every ordered pair of them its integer cup in Lambda (x) Lambda
 (:func:`qtorus.cochain.cup_tensors`).
 
 Both routes are linear in a level's integer numerators B, so each local
@@ -159,8 +160,9 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
             for family in _FAMILIES:
                 rho = _local_system(rng, genus, rank, family)
                 gens = cohomology_presentations(rho).h1.all_gens()
+                vectors = [[g.get(i, 0) for i in range(2 * genus * rank)] for g in gens]
                 try:
-                    classes = checked_classes(gens, surface, rho)
+                    classes = checked_classes(vectors, surface, rho)
                 except NotInKernel:  # the routes disagree on H^1; selfcheck reads no user data
                     where = f"genus {genus}, rank {rank}, {family}"
                     raise InvariantViolation(f"the radial walk fails on H^1: {where}") from None
@@ -186,7 +188,7 @@ def run_selfcheck(seed: int = DEFAULT_SEED) -> SelfCheckResult:
                     "closed": closed,
                     "simplicial": simplicial,
                     "monodromy": [m.row_lists() for m in rho.mon],
-                    "u": list(gens[i]),
-                    "v": list(gens[j]),
+                    "u": vectors[i],
+                    "v": vectors[j],
                 })
     return SelfCheckResult(seed=seed, cases=cases, agreements=agreements, mismatches=tuple(mismatches))

@@ -13,7 +13,9 @@ Both differentials are written as flat entry lists, with no block matrix.
 come from one Smith diagonal per differential and read no transform, so
 none is built. Generator representatives are built when first read, by the
 Smith forms themselves: H^0's basis is the kernel vectors of snf(d0), H^2 is
-snf(d1)'s quotient and H^1 its subquotient ker d1 / im d0.
+snf(d1)'s quotient and H^1 its subquotient ker d1 / im d0. Generators stay
+the {coordinate: entry} rows the logs were replayed onto, not (2g r)^2
+cells; only H^0's r-long basis is laid out as lists.
 """
 
 from __future__ import annotations
@@ -201,12 +203,12 @@ class CohomologyPresentations(_Frozen):
 
     @cached_property
     def h0_basis(self) -> list[list[int]]:
-        """A basis of the invariant sublattice: the kernel vectors of snf(d0)."""
-        return self.snf0.kernel_basis()
+        """A basis of the invariant sublattice: the kernel vectors of snf(d0), as r-long lists."""
+        return IntMatrix.from_sparse(self.snf0.kernel_basis(), self.complex.rank).row_lists()
 
     @cached_property
     def h1(self) -> QuotientPresentation:
-        """H^1 = ker d1 / im d0 with generators as vectors in Z^(2g r), inside ker d1.
+        """H^1 = ker d1 / im d0 with generators as {coordinate: entry} rows of Z^(2g r), in ker d1.
 
         It is snf(d1)'s subquotient by d0, whose group must be ``triple.h1``,
         read off coker d0; a fault in the log replays would make them differ.
@@ -218,7 +220,7 @@ class CohomologyPresentations(_Frozen):
 
     @cached_property
     def h2(self) -> QuotientPresentation:
-        """H^2 = coker d1 with generators as vectors in Z^r: snf(d1)'s quotient."""
+        """H^2 = coker d1 with generators as {coordinate: entry} rows of Z^r: snf(d1)'s quotient."""
         return self.snf1.quotient()
 
 

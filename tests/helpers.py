@@ -293,11 +293,8 @@ def subquotient_with_generators(
     snf = smith_normal_form(x)
     push = ker_basis_mat @ inverse_unimodular(snf.u)
     diag, r = snf.diagonal(), snf.rank()
-    return QuotientPresentation(
-        snf.cokernel(),
-        tuple(push.column(i) for i in range(r, x.rows)),
-        tuple(push.column(i) for i in range(r) if diag[i] > 1),
-    )
+    gens = supports(push.column(i) for i in range(x.rows))  # as the presentation holds them
+    return QuotientPresentation(snf.cokernel(), tuple(gens[r:]), tuple(gens[i] for i in range(r) if diag[i] > 1))
 
 
 def relator(genus: int) -> tuple[int, ...]:
@@ -643,11 +640,22 @@ def sparse_rows(w: IntMatrix) -> list[dict[int, int]]:
     return [{j: x for j, x in enumerate(row) if x} for row in w.row_lists()]
 
 
+def supports(vectors) -> list[dict[int, int]]:
+    """Dense vectors as the {coordinate: entry} rows that store no zero, as H^1 holds its generators."""
+    return [{i: x for i, x in enumerate(vec) if x} for vec in vectors]
+
+
+def h1_vectors(pres) -> list[tuple[int, ...]]:
+    """H^1's generator rows laid out as dense 2g r-long vectors, as the cochain oracle takes them."""
+    return [tuple(vec) for vec in IntMatrix.from_sparse(pres.h1.all_gens(), pres.complex.d0.rows).row_lists()]
+
+
 def dense_omega_numerators(rho: LatticeLocalSystem, numerators: IntMatrix, gens) -> IntMatrix:
     """W = G^T P G through two dense ``IntMatrix`` products on the same P.
 
     The reference for ``gerbe.omega_numerators``, which scatters P's stored
-    entries over the generators' supports; both take a pairing's integer B.
+    entries over the generators' supports; both take a pairing's integer B,
+    and this one the generators as dense vectors.
     """
     from qtorus.gerbe import _pairing_gram
 
@@ -711,7 +719,7 @@ def components_by_product(pres, free_bound: int = 1) -> list[tuple[int, ...]]:
     ranges += [range(o) for o in h2.group.torsion]
     r = pres.complex.rank
     return [
-        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(r))
+        tuple(sum(c * g.get(i, 0) for c, g in zip(coeffs, gens)) for i in range(r))
         for coeffs in product(*ranges)
     ]
 
@@ -779,6 +787,22 @@ def image_order(b: IntMatrix, n: int) -> int:
 def omega_of(level: LevelInput):
     """omega of a level as Q/Z values, from a report with no components."""
     return omega_closed(block_report(level, components=[]))
+
+
+def pi2_character_check_reference(rho, pres, pairing) -> bool:
+    """Whether lambda^T B (rho(x_j) - 1) vanishes mod N for every lambda of H^0 and every x_j.
+
+    One generator and one invariant vector at a time, by plain sums over the
+    entries of ``rho.mon``, not d0: the reference for the well-definedness
+    check of ``gerbe._pi2_characters``, which sums lines of d0's entries.
+    """
+    n, b, r = pairing.denominator, pairing.numerators, rho.rank
+    return not any(
+        sum(lam[i] * b.entry(i, k) * (m.entry(k, l) - (k == l)) for i in range(r) for k in range(r)) % n
+        for m in rho.mon
+        for lam in pres.h0_basis
+        for l in range(r)
+    )
 
 
 def pi2_characters_reference(pres, pairing, reps) -> list[tuple[int, ...]]:

@@ -28,7 +28,7 @@ from qtorus import (
 from qtorus import cli, selfcheck
 from qtorus.schemas import SELFCHECK_MISMATCH
 
-from helpers import blocks_v1, random_invariant_level, random_local_system
+from helpers import blocks_v1, h1_vectors, random_invariant_level, random_local_system
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = Path(__file__).parent / "inputs"
@@ -44,6 +44,13 @@ GLOBAL_SHEAR_G48R4_SHA256 = "34547bf3cd8acaca3c1271f01bd277c2a0b51808e36e8e7ed54
 GLOBAL_TRIVIAL_G4R4_SHA256 = {
     "json": "c815d29e063eee2f97c3a42d34a2edfade0d3f90399f3dc81ebe448e5ac08e0d",
     "text": "1995ffdba7d58a3c9922e820a099389545201bf530172618e1ef838659a28c85",
+}
+# stdout of tests/inputs/bunt_shear_g8r16.json, the benchmark's shear recipe
+# at genus 8, rank 16 on one component, in each format; pinned by
+# TestSchemas::test_genus_8_rank_16_shear_bytes and the same CI step
+BUNT_SHEAR_G8R16_SHA256 = {
+    "json": "ed6bc839be0c2ef3fa576157ebe2abdf73f7f626849ef35e60bc78a7b35c127a",
+    "text": "f51dac8c84ab4e7b72c7e90892d76b729298cede5ea667164ad79d779b0b2aa2",
 }
 
 
@@ -330,6 +337,16 @@ class TestSchemas:
         if fmt == "json":
             blocks = json.loads(out)["blocks"]
             assert len(blocks) == 81 and len(blocks[0]["omega"]) == 32
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_genus_8_rank_16_shear_bytes(self, capsys, fmt):
+        # H^1's 241 generators store 467 entries, up to 452 bits wide, so the
+        # Smith logs' sparse replay merges wide integers; the 1.1 MB report
+        # is pinned whole
+        spec = str(INPUTS / "bunt_shear_g8r16.json")
+        out, code = run_main(capsys, "bunt", "--input", spec, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BUNT_SHEAR_G8R16_SHA256[fmt]
 
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})
@@ -1342,14 +1359,15 @@ class TestTripwire:
 
     def test_h1_routes_disagree_exits_three(self, capsys, monkeypatch, tmp_path):
         # a fault in the replay that forms x, inside SnfResult.subquotient,
-        # moves coker x off coker d0's H^1
+        # moves coker x off coker d0's H^1: 1 more at coordinate 0 of the
+        # last {coordinate: entry} row
         from qtorus import lattice
 
         replay = lattice._replay
 
         def faulty(ops, rows, inverse=False):
             out = replay(ops, rows, inverse)
-            out[-1] = [out[-1][0] + 1, *out[-1][1:]]
+            out[-1] = {**out[-1], 0: out[-1].get(0, 0) + 1}
             return out
 
         monkeypatch.setattr(lattice, "_replay", faulty)
@@ -1466,7 +1484,7 @@ class TestValueClasses:
         quad = quad_from_bilinear(level)
         report = block_report(LevelInput(level, rho))
         t = triangulate(1)
-        classes = checked_classes(pres.h1.all_gens(), t, rho)
+        classes = checked_classes(h1_vectors(pres), t, rho)
         return [
             pres.triple.h1, pres.snf0, pres.h1, pres.complex, pres, level, quad,
             polarize(quad), standard_refinement(quad), report.blocks[0], report, classes,

@@ -27,9 +27,11 @@ from helpers import (
     cup_matrix,
     densify,
     family_system,
+    h1_vectors,
     moves,
     random_invariant_level,
     random_local_system,
+    supports,
     vertex_coboundary,
 )
 
@@ -103,7 +105,7 @@ class TestClassOf:
             g, r = rng.randint(1, 2), rng.randint(1, 2)
             rho = random_local_system(rng, g, r)
             t = triangulate(g)
-            gens = cohomology_presentations(rho).h1.all_gens()
+            gens = h1_vectors(cohomology_presentations(rho))
             for vec, c in zip(gens, checked_classes(gens, t, rho)):
                 assert tuple(x for j in range(2 * g) for x in c.values[("gen", j)]) == tuple(vec)
                 assert not any(map(any, coboundary_per_face(c.values, t, rho)))
@@ -174,7 +176,7 @@ class TestCup:
             level = random_invariant_level(rng, rho)
             p = polarize(quad_from_bilinear(level))
             t = triangulate(g)
-            gens = cohomology_presentations(rho).h1.all_gens()
+            gens = h1_vectors(cohomology_presentations(rho))
             if not gens:
                 continue
             n = len(gens)
@@ -203,7 +205,7 @@ class TestCup:
             level = random_invariant_level(rng, rho)
             p = polarize(quad_from_bilinear(level))
             t = triangulate(g)
-            gens = cohomology_presentations(rho).h1.all_gens()
+            gens = h1_vectors(cohomology_presentations(rho))
             if len(gens) < 2:
                 continue
             u, v = checked_classes(gens[:2], t, rho)
@@ -249,7 +251,7 @@ class TestCheckedCup:
             b = IntMatrix(rank, rank, [
                 upper[min(i, j) * rank + max(i, j)] for i in range(rank) for j in range(rank)
             ])
-        gens = cohomology_presentations(rho).h1.all_gens()
+        gens = h1_vectors(cohomology_presentations(rho))
         cocycles = checked_classes(gens, triangulate(genus), rho)
         if not cocycles:
             return
@@ -287,7 +289,7 @@ class TestOnePassCheck:
         rng = random.Random(f"perturb-{family}-{genus}-{rank}")
         t = triangulate(rho.genus)
         r = rho.rank
-        gens = cohomology_presentations(rho).h1.all_gens()
+        gens = h1_vectors(cohomology_presentations(rho))
         h1 = [0] * (2 * rho.genus * r)
         for g in gens:
             k = rng.choice((-2, -1, 1, 2))
@@ -334,7 +336,7 @@ class TestOnePassCheck:
         # table itself is built by matrix products
         rho = family_system(random.Random(f"guard-{genus}"), "pair", genus, 2)
         t = triangulate(genus)
-        gens = cohomology_presentations(rho).h1.all_gens()
+        gens = h1_vectors(cohomology_presentations(rho))
         assert gens
         steps = sum(
             moves(t, rho, k if eps == 1 else k + 1) for k, (_, eps) in enumerate(t.side_letter)
@@ -360,7 +362,7 @@ class TestOnePassCheck:
 
 def _batch_vectors(rho, rng):
     """A local system's H^1 generators and three random integer combinations of them."""
-    gens = [tuple(g) for g in cohomology_presentations(rho).h1.all_gens()]
+    gens = h1_vectors(cohomology_presentations(rho))
     combos = []
     for _ in range(3):
         coefficients = [rng.randint(-2, 2) for _ in gens]
@@ -420,7 +422,7 @@ class TestReportScale:
         for family, genus in self.SYSTEMS:
             rng = random.Random(f"report-scale-{family}-g{genus}")
             rho = family_system(rng, family, genus, r)
-            gens = cohomology_presentations(rho).h1.all_gens()
+            gens = h1_vectors(cohomology_presentations(rho))
             c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
             p = polarize(quad_from_bilinear(BilinearData(c, Frac1(1, self.DEN))))
             starts = [rng.randrange(len(gens)) for _ in range(self.PAIRS)]
@@ -428,7 +430,7 @@ class TestReportScale:
             used = sorted({i for pair in pairs for i in pair})
             at = {i: k for k, i in enumerate(used)}
             sampled = [gens[i] for i in used]
-            w = densify(omega_numerators(rho, p.numerators, sampled))
+            w = densify(omega_numerators(rho, p.numerators, supports(sampled)))
             cups = cup_tensors(checked_classes(sampled, triangulate(genus), rho))
             gram = densify(_pairing_gram(rho, p.numerators))
             for i, j in pairs:
@@ -455,10 +457,10 @@ class TestWholeGram:
         r = self.RANK
         rng = random.Random(f"whole-w-{family}-g{genus}")
         rho = family_system(rng, family, genus, r)
-        gens = cohomology_presentations(rho).h1.all_gens()
+        gens = h1_vectors(cohomology_presentations(rho))
         c = IntMatrix(r, r, [rng.randint(-3, 3) for _ in range(r * r)])
         p = polarize(quad_from_bilinear(BilinearData(c, Frac1(1, self.DEN))))
-        w = densify(omega_numerators(rho, p.numerators, gens))
+        w = densify(omega_numerators(rho, p.numerators, supports(gens)))
         assert w.rows == len(gens) >= 2 * (genus - 1) * r and not w.is_zero()
         assert w == cup_matrix(checked_classes(gens, triangulate(genus), rho), p.numerators)
 

@@ -40,6 +40,7 @@ from helpers import (
     full_block_dim,
     global_json,
     groups_json,
+    h1_vectors,
     heisenberg_by_smith,
     image_order,
     omega_closed,
@@ -47,12 +48,14 @@ from helpers import (
     pairing_gram_by_letters,
     pairing_on_cocycles_per_term,
     pairing_values,
+    pi2_character_check_reference,
     pi2_characters_reference,
     rand_matrix,
     rand_unimodular,
     random_invariant_level,
     random_local_system,
     sparse_rows,
+    supports,
 )
 
 
@@ -167,7 +170,7 @@ class TestLevelInput:
 
 def closed_form(pairing, rho, u, v):
     """omega(u, v) from the package's one closed form: entry (0, 1) of W on [u, v]."""
-    w = densify(omega_numerators(rho, pairing.numerators, [u, v]))
+    w = densify(omega_numerators(rho, pairing.numerators, supports([u, v])))
     return Frac1(w.entry(0, 1), pairing.denominator)
 
 
@@ -210,8 +213,8 @@ class TestPairingOnCocycles:
             g, r = rng.randint(1, 2), rng.randint(1, 2)
             rho = random_local_system(rng, g, r)
             level = LevelInput(random_invariant_level(rng, rho), rho)
-            gens = cohomology_presentations(rho).h1.all_gens()
-            w = densify(omega_numerators(rho, level.pairing.numerators, gens))
+            gens = h1_vectors(cohomology_presentations(rho))
+            w = densify(omega_numerators(rho, level.pairing.numerators, supports(gens)))
             cocycles = checked_classes(gens, triangulate(g), rho)
             assert w == cup_matrix(cocycles, level.pairing.numerators)
 
@@ -267,9 +270,9 @@ class TestGramRoute:
                 level = family_level(rng, family, genus, rank)
                 rho, p = level.rho, level.pairing
                 n = 2 * genus * rank
-                vectors = list(cohomology_presentations(rho).h1.all_gens()[:3])
+                vectors = h1_vectors(cohomology_presentations(rho))[:3]
                 vectors += [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(3)]
-                w = densify(omega_numerators(rho, p.numerators, vectors))
+                w = densify(omega_numerators(rho, p.numerators, supports(vectors)))
                 values = pairing_values(level.bilinear)
                 for i, u in enumerate(vectors):
                     for j, v in enumerate(vectors):
@@ -283,7 +286,7 @@ class TestGramRoute:
         for genus in range(1, 5):
             for rank in range(1, 4):
                 level = family_level(rng, family, genus, rank)
-                gens = cohomology_presentations(level.rho).h1.all_gens()
+                gens = h1_vectors(cohomology_presentations(level.rho))
                 values = pairing_values(level.bilinear)
                 reference = tuple(
                     tuple(
@@ -316,8 +319,8 @@ class TestGramRoute:
         entry = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
         vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
         if data.draw(st.booleans(), label="with H^1 generators"):
-            vectors = list(cohomology_presentations(rho).h1.all_gens()) + vectors
-        w = densify(omega_numerators(rho, pairing.numerators, vectors))
+            vectors = h1_vectors(cohomology_presentations(rho)) + vectors
+        w = densify(omega_numerators(rho, pairing.numerators, supports(vectors)))
         assert w == dense_omega_numerators(rho, pairing.numerators, vectors)
         assert densify(omega_numerators(rho, pairing.numerators, [])) == IntMatrix(0, 0, ())
 
@@ -364,8 +367,8 @@ class TestGramRoute:
         rho = family_system(rng, family, genus, 4)
         level = BilinearData(rand_matrix(rng, 4, 4, -3, 3), Frac1(rng.randrange(1, 12), 12))
         pairing = polarize(quad_from_bilinear(level))
-        gens = cohomology_presentations(rho).h1.all_gens()
-        w = densify(omega_numerators(rho, pairing.numerators, gens))
+        gens = h1_vectors(cohomology_presentations(rho))
+        w = densify(omega_numerators(rho, pairing.numerators, supports(gens)))
         assert w == dense_omega_numerators(rho, pairing.numerators, gens)
         assert not w.is_zero()
 
@@ -381,7 +384,7 @@ class TestGramRoute:
         sign = LevelInput(BilinearData(IntMatrix.identity(1), HALF), sign_rep())
         pres = cohomology_presentations(sign.rho)
         assert pres.h1.free_gens == () and len(pres.h1.torsion_gens) == 1
-        cases.append((sign.rho, sign.pairing.numerators, pres.h1.all_gens()))
+        cases.append((sign.rho, sign.pairing.numerators, h1_vectors(pres)))
         # a coordinate that no vector touches, though P's row and column there
         # are nonzero, and a vector given twice
         rho = family_system(rng, "shear", 2, 3)
@@ -389,12 +392,15 @@ class TestGramRoute:
         assert any(p.row(0)) and any(p.column(0))
         u, v = ([0] + [rng.randint(-3, 3) for _ in range(11)] for _ in range(2))
         cases += [(rho, b, vectors) for vectors in ([u, v], [u, v, u], [u, u])]
-        for case in cases:
-            assert densify(omega_numerators(*case)) == dense_omega_numerators(*case)
-        w = densify(omega_numerators(rho, b, [u, v, u]))
+        for system, numerators, vectors in cases:
+            w = densify(omega_numerators(system, numerators, supports(vectors)))
+            assert w == dense_omega_numerators(system, numerators, vectors)
+        w = densify(omega_numerators(rho, b, supports([u, v, u])))
         assert w.row(0) == w.row(2) and w.column(0) == w.column(2) and not w.is_zero()
-        with pytest.raises(ShapeMismatch):
-            omega_numerators(rho, b, [u, v[:-1]])
+        # a stored coordinate past the 12 of genus 2, rank 3, or before the first
+        for bad in ({12: 1}, {-1: 1}):
+            with pytest.raises(ShapeMismatch):
+                omega_numerators(rho, b, [supports([u])[0], bad])
 
     def test_gram_matches_the_letter_walk(self):
         # P's per-handle closed form against the letter-by-letter walk over
@@ -598,7 +604,7 @@ class TestOmegaChecks:
         pairing = LevelInput(random_invariant_level(rng, rho), rho).pairing
         pres = cohomology_presentations(rho)
         n = pairing.denominator
-        dense = dense_omega_numerators(rho, pairing.numerators, pres.h1.all_gens())
+        dense = dense_omega_numerators(rho, pairing.numerators, h1_vectors(pres))
         omega = gerbe._omega(rho, pres, pairing)
         assert all(all(row.values()) for row in omega)  # no zero is stored
         assert densify(omega) == IntMatrix(dense.rows, dense.cols, [x % n for x in dense.entries])
@@ -638,12 +644,12 @@ class TestPoincareDuality:
         block = free_block(rho, pairing, gens, free)
         assert free > 0 and is_antisymmetric(block) and fraction_det(block) == 1
         # the check sees a sublattice of index 2: doubling a generator gives 4
-        doubled = [tuple(2 * x for x in gens[0])] + gens[1:]
+        doubled = [{i: 2 * x for i, x in gens[0].items()}] + gens[1:]
         block = free_block(rho, pairing, doubled, free)
         assert is_antisymmetric(block) and fraction_det(block) == 4
         # and selfcheck's P + 1 fault, on the diagonal of P at the first
         # coordinate the free generators touch (0 on the trivial systems)
-        k = min(i for g in gens[:free] for i, x in enumerate(g) if x)
+        k = min(i for g in gens[:free] for i in g)
         pairing_gram = gerbe._pairing_gram
 
         def off_by_one(rho, b):
@@ -803,6 +809,41 @@ class TestPi2Character:
         assert checked  # some system has a nonzero character
         if family == "sign":
             assert no_h0  # and some has H^0 = 0, so every character is empty
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_check_matches_the_per_generator_reference(self, data):
+        # the check's one pass per row of lambda^T B, over lines of d0's
+        # entries, against lambda^T B (rho(x_j) - 1) formed one generator at
+        # a time, on invariant levels and on their B bumped at (k, l) and
+        # (l, k), k in the support of an invariant vector and l a coordinate
+        # that some generator moves, which fail it on about 4 draws in 10;
+        # when it passes, the characters are the plain sums'
+        family = data.draw(st.sampled_from(["random", "sign", "shear"]), label="family")
+        genus, rank = data.draw(st.integers(0, 3), label="genus"), data.draw(st.integers(1, 4), label="rank")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        if family == "random":
+            rho = random_local_system(rng, genus, rank)
+        else:
+            rho = family_system(rng, family, genus, rank)
+        pairing = LevelInput(random_invariant_level(rng, rho), rho).pairing
+        pres = cohomology_presentations(rho)
+        b, eye = pairing.numerators.row_lists(), IntMatrix.identity(rank)
+        moved = sorted({l for m in rho.mon for l in range(rank) if m.row(l) != eye.row(l)})
+        if pres.h0_basis and moved and data.draw(st.booleans(), label="bumped"):
+            lam = data.draw(st.sampled_from(pres.h0_basis))
+            k = data.draw(st.sampled_from([i for i, x in enumerate(lam) if x]))
+            l = data.draw(st.sampled_from(moved))
+            b[k][l] += data.draw(st.integers(1, 3))
+            b[l][k] = b[k][l]
+        pairing = SymmetricForm(IntMatrix.from_rows(b), max(pairing.denominator, 2))
+        reps = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(3)]
+        if pi2_character_check_reference(rho, pres, pairing):
+            got = gerbe._pi2_characters(rho, pres, pairing, reps)
+            assert got == pi2_characters_reference(pres, pairing, reps)
+        else:
+            with pytest.raises(InvariantViolation, match="representative"):
+                gerbe._pi2_characters(rho, pres, pairing, reps)
 
     def test_constant_on_components(self):
         rng = random.Random(43)
@@ -1012,7 +1053,7 @@ class TestBlockStructure:
         a = p @ flip @ inverse_unimodular(p)
         pres = cohomology_presentations(LatticeLocalSystem(4, 1, [a, IntMatrix.identity(4)]))
         assert pres.h2.group == FgAbGroup(2, (2, 2))
-        (f1, f2), (t1, t2) = pres.h2.free_gens, pres.h2.torsion_gens
+        f1, f2, t1, t2 = IntMatrix.from_sparse(pres.h2.all_gens(), 4).row_lists()
         expected = []
         for x in range(-1, 2):
             for y in range(-1, 2):
@@ -1144,6 +1185,26 @@ class TestBlockStructure:
             level = LevelInput(BilinearData(c, Frac1(1, 6)), rho)
             counts.append(sum(map(len, block_report(level, components=[]).omega)))
         assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+
+    @pytest.mark.parametrize("family", ["shear", "trivial"])
+    def test_generator_entries_grow_linearly_in_genus(self, family):
+        # H^1's generators and snf(d1)'s kernel vectors are {coordinate: entry}
+        # rows replayed from the Smith logs, which store no zero: at rank 4
+        # their entries grow about 2x per genus doubling (201 -> 419 -> 833
+        # generator entries at shear, 128 -> 256 -> 512 at trivial), where
+        # dense rows of length 8 g would hold 4x more cells per doubling
+        counts = []
+        for genus in (16, 32, 64):
+            if family == "shear":
+                rho = shear_system(random.Random(genus), genus, 4)
+            else:
+                rho = LatticeLocalSystem.trivial(4, genus)
+            pres = cohomology_presentations(rho)
+            gens, kernel = pres.h1.all_gens(), pres.snf1.kernel_basis()
+            assert all(all(row.values()) for row in (*gens, *kernel))  # no zero is stored
+            counts.append((sum(map(len, gens)), sum(map(len, kernel))))
+        for stored in zip(*counts):
+            assert all(b <= 2.2 * a for a, b in zip(stored, stored[1:])), counts
 
     def test_lift_rank_is_exact(self):
         # 2^61 - 1 at N = 2^64: a lift rank read mod that prime would be 0

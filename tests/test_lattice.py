@@ -34,6 +34,7 @@ from helpers import (
     solve_exact,
     subquotient,
     subquotient_with_generators,
+    supports,
 )
 
 
@@ -168,13 +169,18 @@ def test_snf_transforms_replay_the_elimination(a, data):
     d = res.d
     assert res.u @ a @ res.v == d
     assert abs(det(res.u)) == 1 and abs(det(res.v)) == 1
-    # the logs replayed inverted onto a target give V^-1 X, and B U^-1 by columns
+    # the logs replayed inverted onto a target's {coordinate: entry} rows give
+    # V^-1 X, and B U^-1 by columns, as rows that store no zero
     c = data.draw(st.integers(0, 3))
     x, b = target(a.cols, c), target(c, a.rows)
-    assert _replay(res.col_ops, x.row_lists(), True) == (inverse_unimodular(res.v) @ x).row_lists()
-    pushed = _replay(res.row_ops, [b.column(j) for j in range(b.cols)], True)
+    assert _replay(res.col_ops, supports(x.row_lists()), True) == supports((inverse_unimodular(res.v) @ x).row_lists())
+    pushed = _replay(res.row_ops, supports(b.column(j) for j in range(b.cols)), True)
     bu = b @ inverse_unimodular(res.u)
-    assert [tuple(col) for col in pushed] == [bu.column(j) for j in range(bu.cols)]
+    assert pushed == supports(bu.column(j) for j in range(bu.cols))
+    # the quotient pushes the same replay onto a copy of the rows it is given
+    basis = supports(b.column(j) for j in range(b.cols))
+    assert res.quotient(basis).free_gens == tuple(pushed[res.rank() :])
+    assert basis == supports(b.column(j) for j in range(b.cols))
     names = ("u", "v")
     want = {name: getattr(res, name) for name in names}
     for order in permutations(names):
@@ -241,7 +247,8 @@ def subquotient_inputs(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     cx = build_complex(random_local_system(rng, draw(st.integers(0, 13)), draw(st.integers(1, 4))))
     snf1 = smith_normal_form(cx.d1)
-    return IntMatrix.from_rows(_replay(snf1.col_ops, cx.d0.row_lists(), True)[snf1.rank() :], cx.d0.cols)
+    x = _replay(snf1.col_ops, supports(cx.d0.row_lists()), True)[snf1.rank() :]
+    return IntMatrix.from_sparse(x, cx.d0.cols)
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,10 +284,10 @@ def test_cokernel_examples(mat, expected):
 
 def test_kernel_examples():
     assert smith_normal_form(IntMatrix.identity(2)).kernel_basis() == []
-    assert smith_normal_form(IntMatrix.zeros(2, 2)).kernel_basis() == IntMatrix.identity(2).row_lists()
+    assert smith_normal_form(IntMatrix.zeros(2, 2)).kernel_basis() == [{0: 1}, {1: 1}]
     k = smith_normal_form(IntMatrix.from_rows([[1, 1]])).kernel_basis()
     assert len(k) == 1
-    assert tuple(k[0]) in {(1, -1), (-1, 1)}
+    assert k[0] in ({0: 1, 1: -1}, {0: -1, 1: 1})
 
 
 def test_kernel_contract_random():
@@ -289,8 +296,8 @@ def test_kernel_contract_random():
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -9, 9)
         snf = smith_normal_form(a)
         vectors = snf.kernel_basis()
-        assert vectors == [list(snf.v.column(j)) for j in range(snf.rank(), a.cols)]
-        k = IntMatrix.from_columns(vectors, a.cols)
+        assert vectors == supports(snf.v.column(j) for j in range(snf.rank(), a.cols))
+        k = IntMatrix.from_sparse(vectors, a.cols).transpose()
         assert (a @ k).is_zero()
         snf_k = smith_normal_form(k)
         assert snf_k.rank() == k.cols  # independent columns
@@ -323,7 +330,7 @@ def kernel_images(draw):
     the kernel columns so that ker a / im b has torsion.
     """
     a = draw(snf_inputs())
-    k = IntMatrix.from_columns(smith_normal_form(a).kernel_basis(), a.cols)
+    k = IntMatrix.from_sparse(smith_normal_form(a).kernel_basis(), a.cols).transpose()
     kind = draw(st.sampled_from(["random", "zero", "scaled"]))
     if kind == "scaled":
         scales = draw(st.lists(st.sampled_from([2, 3, 6]), min_size=k.cols, max_size=k.cols))
@@ -347,7 +354,7 @@ def test_subquotient_matches_the_exact_solve(case):
 
 def test_empty_matrices_are_legal():
     assert smith_normal_form(IntMatrix.zeros(0, 3)).d == IntMatrix.zeros(0, 3)
-    assert smith_normal_form(IntMatrix.zeros(0, 3)).kernel_basis() == IntMatrix.identity(3).row_lists()
+    assert smith_normal_form(IntMatrix.zeros(0, 3)).kernel_basis() == [{0: 1}, {1: 1}, {2: 1}]
     assert smith_normal_form(IntMatrix.zeros(3, 0)).cokernel() == FgAbGroup(3, ())
     assert smith_normal_form(IntMatrix.zeros(0, 0)).cokernel() == FgAbGroup(0, ())
     assert det(IntMatrix.zeros(0, 0)) == 1

@@ -168,10 +168,11 @@ def test_smith_form_logs_stay_in_lattice():
         ]
     assert found == []
     assert "_quotient_with_generators" not in top_level_names(parse("lattice"))
-    # kernel vectors cross into surface and gerbe as rows, not as an IntMatrix
+    # kernel vectors cross into surface as {coordinate: entry} rows, not as an
+    # IntMatrix, and h0_basis lays out only H^0's r-long vectors as lists
     funcs = methods("lattice", "SnfResult", {"kernel_basis"})
     funcs += methods("surface", "CohomologyPresentations", {"h0_basis"})
-    assert [ast.unparse(f.returns) for f in funcs] == ["list[list[int]]"] * 2
+    assert [ast.unparse(f.returns) for f in funcs] == ["list[_Row]", "list[list[int]]"]
 
 
 def test_gerbe_holds_no_fractions():
@@ -263,6 +264,32 @@ def test_omega_builds_no_int_matrix():
         ]
         assert built == [], name
 
+def zero_filled(node):
+    """Whether ``node`` is a list repeated by ``*``, as ``[0] * n`` is."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(isinstance(side, ast.List) for side in (node.left, node.right))
+    )
+
+
+def test_generator_rows_are_built_sparse():
+    # H^1's generators stay {coordinate: entry} rows from the Smith logs to
+    # omega: the replay, the SnfResult methods that call it and the W
+    # product form no zero-filled row, lay out no identity or zero matrix and
+    # read no transform or dense row list
+    funcs = methods("lattice", "SnfResult", {"kernel_basis", "quotient", "subquotient"})
+    for module, name in (("lattice", "_replay"), ("gerbe", "omega_numerators")):
+        funcs += [n for n in parse(module).body if isinstance(n, ast.FunctionDef) and n.name == name]
+    assert len(funcs) == 5
+    dense_attrs = {"identity", "zeros", "u", "v", "row_lists", "from_rows", "from_columns"}
+    for func in funcs:
+        for node in ast.walk(func):
+            identity_rows = isinstance(node, ast.Name) and node.id == "_identity_rows"
+            dense = isinstance(node, ast.Attribute) and node.attr in dense_attrs
+            assert not (zero_filled(node) or identity_rows or dense), (func.name, ast.unparse(node))
+
+
 def test_heisenberg_count_builds_no_dense_row():
     # omega is W's checked {column: residue} rows from _omega on, and both
     # eliminations read the one list of rows that _heisenberg_dimensions
@@ -274,11 +301,7 @@ def test_heisenberg_count_builds_no_dense_row():
     assert sorted(d.name for d in defs) == sorted(names)
     for func in defs:
         for node in ast.walk(func):
-            zeros = (
-                isinstance(node, ast.BinOp)
-                and isinstance(node.op, ast.Mult)
-                and any(isinstance(side, ast.List) for side in (node.left, node.right))
-            )
+            zeros = zero_filled(node)
             whole_copy = (
                 isinstance(node, ast.Subscript)
                 and isinstance(node.slice, ast.Slice)
