@@ -18,6 +18,9 @@ per residue that occurs. JSON reports and error objects are written by
 plus a newline. A global report holds its ``BlockReport``, which ``_dumps``
 writes as v1's block list, with omega encoded once, and the text renderer
 reads; other same-keyed dicts, such as the twist table, share one template.
+The monodromy and ``c_matrix`` echoes stay the ``IntMatrix`` values the spec
+was parsed into, and each is written with one ``%`` format of a template
+cached per shape and depth; its entries must all be ``int``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, NoReturn, Sequence
@@ -204,12 +208,12 @@ def _surface_json(rho: LatticeLocalSystem) -> dict:
     return {
         "genus": rho.genus,
         "rank": rho.rank,
-        "monodromy": [m.row_lists() for m in rho.mon],
+        "monodromy": rho.mon,
     }
 
 
 def _level_json(level: BilinearData) -> dict:
-    return {"c_matrix": level.c.row_lists(), "zeta": str(level.zeta)}
+    return {"c_matrix": level.c, "zeta": str(level.zeta)}
 
 
 def _section_json(h: CohomologyTriple) -> dict:
@@ -355,10 +359,10 @@ def _render_text(report: dict) -> str:
     if "surface" in report:
         s = report["surface"]
         lines.append(f"surface: genus {s['genus']}, rank {s['rank']}")
-        lines.append(f"monodromy: {json.dumps(s['monodromy'])}")
+        lines.append(f"monodromy: {json.dumps([m.row_lists() for m in s['monodromy']])}")
     if "level" in report:
         lv = report["level"]
-        lines.append(f"level: c = {json.dumps(lv['c_matrix'])}, zeta = {lv['zeta']}")
+        lines.append(f"level: c = {json.dumps(lv['c_matrix'].row_lists())}, zeta = {lv['zeta']}")
     if report["task"] == "local":
         lines.append(f"rank: {report['rank']}")
         lines.append(f"is linear: {'yes' if report['is_linear'] else 'no'}")
@@ -411,12 +415,14 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
     """Append ``value`` as indent-2 JSON at nesting ``depth`` to ``out``.
 
     Values dispatch on their exact type, so a report holds plain ``str``,
-    ``int``, ``dict``, ``list``/``tuple``, ``None``, bools and a
-    ``BlockReport``, which :func:`_encode_blocks` writes as v1's list of
-    blocks; anything else, a subclass included, is a ``TypeError``. A list
-    whose items are all ``str``, or all ``int`` (never ``bool``), is written
-    with one join, and a list of two or more dicts with one key list by
-    :func:`_encode_records`.
+    ``int``, ``dict``, ``list``/``tuple``, ``None``, bools, ``IntMatrix``
+    values and a ``BlockReport``, which :func:`_encode_blocks` writes as v1's
+    list of blocks; anything else, a subclass included, is a ``TypeError``.
+    An ``IntMatrix`` is written as its list of rows with one ``%`` format of
+    :func:`_matrix_template`; an entry that is not exactly ``int`` is a
+    ``TypeError``. A list whose items are all ``str``, or all ``int`` (never
+    ``bool``), is written with one join, and a list of two or more dicts with
+    one key list by :func:`_encode_records`.
     ``pads[d]`` is a newline and depth d's indent, built once per call of
     :func:`_dumps`, when the first container at depth d - 1 is written.
     """
@@ -466,10 +472,28 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
+    elif kind is IntMatrix:
+        if set(map(type, value.entries)) - _INT:  # "%d" would print 1.5 as 1, True as 1
+            raise TypeError("matrix entries must be int")
+        out.append(_matrix_template(value.rows, value.cols, depth) % value.entries)
     elif kind is BlockReport:
         _encode_blocks(value, depth, out, pads)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=64)
+def _matrix_template(rows: int, cols: int, depth: int) -> str:
+    """A rows x cols matrix's indent-2 JSON text at nesting ``depth``, ``%d`` in every cell.
+
+    The layout is ``json.dumps``' of the list of rows: ``[]`` for no rows,
+    and ``[]`` for each row of no columns.
+    """
+    if not rows:
+        return "[]"
+    outer, pad, inner = ("\n" + "  " * (depth + k) for k in range(3))
+    row = f"[{inner}{(',' + inner).join(['%d'] * cols)}{pad}]" if cols else "[]"
+    return f"[{pad}{(',' + pad).join([row] * rows)}{outer}]"
 
 
 def _encode_records(records: Sequence[dict], depth: int, out: list[str], pads: list[str]) -> bool:
@@ -548,8 +572,10 @@ def _dumps(value: Any) -> str:
 
     Dict keys must be strings. A ``BlockReport`` is written as the list of
     block dicts v1 prints, into the same chunk list, with omega encoded once.
-    Any other list of same-keyed dicts is written from one template, which
-    encodes a value every record shares once.
+    An ``IntMatrix``, whose entries must all be ``int``, is written as its
+    list of rows from one template per shape and depth. Any other list of
+    same-keyed dicts is written from one template, which encodes a value
+    every record shares once.
     """
     out: list[str] = []
     _encode(value, 0, out, ["\n"])
@@ -558,8 +584,8 @@ def _dumps(value: Any) -> str:
 
 
 def _emit(report: dict, fmt: str) -> str:
-    # a report integer may pass the interpreter's str(int) digit limit, which
-    # json.load keeps for the input; Python before 3.10.7 has no limit
+    # a report integer may pass the interpreter's digit limit for str(int) and
+    # "%d", which json.load keeps for the input; Python before 3.10.7 has none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)

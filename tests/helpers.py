@@ -848,6 +848,21 @@ def blocks_v1(report) -> list[dict]:
     ]
 
 
+def plain_report(value):
+    """``value`` with each ``IntMatrix`` in its dicts and lists laid out as a list of row lists.
+
+    ``json.dumps`` of the result is the reference for the CLI's writer, which
+    writes a report's matrices as they are.
+    """
+    if type(value) is IntMatrix:
+        return value.row_lists()
+    if isinstance(value, dict):
+        return {key: plain_report(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain_report(item) for item in value]
+    return value
+
+
 def global_json(task: str, level: LevelInput, components=None) -> dict:
     """The CLI's ``global`` or ``bunt`` report for a level, as its JSON output reads back."""
     from qtorus import cli

@@ -28,7 +28,13 @@ from qtorus import (
 from qtorus import cli, selfcheck
 from qtorus.schemas import SELFCHECK_MISMATCH
 
-from helpers import blocks_v1, h1_vectors, random_invariant_level, random_local_system
+from helpers import (
+    blocks_v1,
+    h1_vectors,
+    plain_report,
+    random_invariant_level,
+    random_local_system,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = Path(__file__).parent / "inputs"
@@ -52,6 +58,17 @@ BUNT_SHEAR_G8R16_SHA256 = {
     "json": "ed6bc839be0c2ef3fa576157ebe2abdf73f7f626849ef35e60bc78a7b35c127a",
     "text": "f51dac8c84ab4e7b72c7e90892d76b729298cede5ea667164ad79d779b0b2aa2",
 }
+# stdout of tests/inputs/surface_wide_shear_g1r2.json, a genus 1, rank 2
+# surface job on the shear [[1, 10^4000], [0, 1]] and its inverse, in each
+# format; pinned by TestSchemas::test_wide_monodromy_entries_bytes and the
+# same CI step
+SURFACE_WIDE_SHEAR_G1R2_SHA256 = {
+    "json": "3cb3c9abd23af98977e59bea862eb5b933f88cc99ffee90bf9c663935310cf62",
+    "text": "2e3068aa904a2d2fa452986071cd8fa2b7b88371d9016bc976ae8dd2105d2ea1",
+}
+# stdout of tests/golden/local_unit_quarter.json run with --format json (the
+# golden is its text report); pinned by TestGolden and the same CI step
+LOCAL_UNIT_QUARTER_JSON_SHA256 = "f88a9b8c8199b0153ef04a478805a7a1d20ffbbc37090e234495c85e33f30728"
 
 
 def run_main(capsys, *argv):
@@ -81,6 +98,14 @@ class TestGolden:
         out, code = run_main(capsys, "local", "--input", str(GOLDEN / "local_unit_quarter.json"))
         assert code == 0
         assert out == (GOLDEN / "local_unit_quarter.txt").read_text()
+
+    def test_local_json_bytes(self, capsys):
+        # no golden holds a local JSON report, whose c_matrix echo the
+        # writer lays out from the level's IntMatrix
+        spec = str(GOLDEN / "local_unit_quarter.json")
+        out, code = run_main(capsys, "local", "--input", spec, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_UNIT_QUARTER_JSON_SHA256
 
     def test_global_json_bytes(self, capsys):
         out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_unit_quarter.json"))
@@ -347,6 +372,15 @@ class TestSchemas:
         out, code = run_main(capsys, "bunt", "--input", spec, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == BUNT_SHEAR_G8R16_SHA256[fmt]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_wide_monodromy_entries_bytes(self, capsys, fmt):
+        # a 4001-digit monodromy entry, echoed in full, and H^2 = Z + Z/10^4000
+        spec = str(INPUTS / "surface_wide_shear_g1r2.json")
+        out, code = run_main(capsys, "surface", "--input", spec, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SURFACE_WIDE_SHEAR_G1R2_SHA256[fmt]
+        assert str(10**4000) in out
 
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})
@@ -1058,6 +1092,30 @@ def count_strings(value):
     return 0
 
 
+MATRIX_ENTRIES = st.sampled_from([0, 1, -1, 2**70, -(2**70)])
+
+
+@st.composite
+def int_matrices(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    size = rows * cols
+    return IntMatrix(rows, cols, draw(st.lists(MATRIX_ENTRIES, min_size=size, max_size=size)))
+
+
+@st.composite
+def nested_matrices(draw):
+    """An ``IntMatrix`` in 0-4 levels of dicts and lists, beside other matrices and ints."""
+    value = draw(int_matrices())
+    for _ in range(draw(st.integers(0, 4))):
+        items = [value, *draw(st.lists(st.one_of(int_matrices(), MATRIX_ENTRIES), max_size=2))]
+        items = draw(st.permutations(items))
+        if draw(st.booleans()):
+            value = items
+        else:
+            value = {f"k{i}": item for i, item in enumerate(items)}
+    return value
+
+
 class TestEmitter:
     @settings(max_examples=150, deadline=None)
     @given(TREES)
@@ -1120,6 +1178,29 @@ class TestEmitter:
         value = {"row": items, "rows": [items, items[::-1]], "tuple": tuple(items)}
         assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
 
+    @settings(max_examples=200, deadline=None)
+    @given(nested_matrices())
+    def test_matrices_equal_json_dumps_of_their_rows(self, value):
+        # each IntMatrix is written from one template of its shape and depth
+        assert cli._dumps(value) == json.dumps(plain_report(value), indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [True, 1.5, "1"])
+    def test_matrix_entries_other_than_int_raise_type_error(self, bad):
+        # "%d" would write True and 1.5 as 1, and "1" is no integer
+        with pytest.raises(TypeError):
+            cli._dumps({"m": [IntMatrix(2, 2, [1, 0, bad, 1])]})
+
+    def test_matrix_entries_past_the_digit_limit(self):
+        # "%d" keeps str(int)'s digit limit, which _emit lifts around the writer
+        wide = IntMatrix(1, 2, [-(10**5000), 1])
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and limit < 5001:
+            with pytest.raises(ValueError):
+                cli._dumps({"m": wide})
+        out = cli._emit({"m": wide}, "json")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        assert out == '{\n  "m": [\n    [\n      -1' + "0" * 5000 + ',\n      1\n    ]\n  ]\n}\n'
+
     def test_shared_omega_is_encoded_once(self, monkeypatch):
         # g4 r4: 81 blocks share a 32 x 32 omega, written from one table of
         # encoded residues, so no cell of omega is encoded on its own
@@ -1135,7 +1216,8 @@ class TestEmitter:
 
         monkeypatch.setattr(cli, "_encode_str", counting)
         out = cli._dumps(report)
-        assert out == json.dumps({**report, "blocks": v1}, indent=2) + "\n"
+        # the report holds its monodromy and c_matrix as IntMatrix values
+        assert out == json.dumps(plain_report({**report, "blocks": v1}), indent=2) + "\n"
         # every string outside the blocks once, then each residue's
         # fraction once; the omega cells include 0, which the table holds
         fractions = {x for row in v1[0]["omega"] for x in row}
