@@ -17,10 +17,9 @@ per residue that occurs. JSON reports and error objects are written by
 ``_dumps``, whose output is ``json.dumps(value, indent=2)`` byte for byte
 plus a newline. A global report holds its ``BlockReport``, which ``_dumps``
 writes as v1's block list, with omega encoded once, and the text renderer
-reads; other same-keyed dicts, such as the twist table, share one template.
-The monodromy and ``c_matrix`` echoes stay the ``IntMatrix`` values the spec
-was parsed into, and each is written with one ``%`` format of a template
-cached per shape and depth; its entries must all be ``int``.
+reads. The monodromy and ``c_matrix`` echoes stay the ``IntMatrix`` values
+the spec was parsed into, and each is written with one ``%`` format of a
+template cached per shape and depth; its entries must all be ``int``.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ REFINEMENT_NOTE = (
 
 
 _STR, _INT = {str}, {int}  # type sets of an all-str and an all-int list; bool is neither
-_LISTS, _JOINED = {list, tuple}, (_STR, _INT)  # list types; item type sets written with one join
+_JOINED = (_STR, _INT)  # item type sets of a list written with one join
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -411,8 +410,8 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
-    """Append ``value`` as indent-2 JSON at nesting ``depth`` to ``out``.
+def _encode(value: Any, pad: str, out: list[str]) -> None:
+    """Append ``value`` as indent-2 JSON to ``out``; ``pad`` is a newline and its indent.
 
     Values dispatch on their exact type, so a report holds plain ``str``,
     ``int``, ``dict``, ``list``/``tuple``, ``None``, bools, ``IntMatrix``
@@ -421,10 +420,8 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
     An ``IntMatrix`` is written as its list of rows with one ``%`` format of
     :func:`_matrix_template`; an entry that is not exactly ``int`` is a
     ``TypeError``. A list whose items are all ``str``, or all ``int`` (never
-    ``bool``), is written with one join, and a list of two or more dicts with
-    one key list by :func:`_encode_records`.
-    ``pads[d]`` is a newline and depth d's indent, built once per call of
-    :func:`_dumps`, when the first container at depth d - 1 is written.
+    ``bool``), is written with one join. A container's items go on lines
+    indented two more spaces than ``pad``.
     """
     kind = type(value)
     if kind is str:
@@ -435,37 +432,31 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
         if not value:
             out.append("{}")
             return
-        if len(pads) == depth + 1:
-            pads.append(pads[depth] + "  ")
-        pad = pads[depth + 1]
-        sep = "{" + pad
+        inner = pad + "  "
+        sep = "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out += (sep, _encode_str(key), ": ")
-            _encode(item, depth + 1, out, pads)
-            sep = "," + pad
-        out += (pads[depth], "}")
+            _encode(item, inner, out)
+            sep = "," + inner
+        out += (pad, "}")
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
-        if len(pads) == depth + 1:
-            pads.append(pads[depth] + "  ")
-        pad = pads[depth + 1]
+        inner = pad + "  "
         kinds = set(map(type, value))
         if kinds in _JOINED:
             items = map(_encode_str if kinds == _STR else int.__repr__, value)
-            out += ("[", pad, ("," + pad).join(items), pads[depth], "]")
+            out += ("[", inner, ("," + inner).join(items), pad, "]")
             return
-        if kinds == {dict} and len(value) > 1 and _encode_records(value, depth, out, pads):
-            return
-        sep = "[" + pad
+        sep = "[" + inner
         for item in value:
             out.append(sep)
-            _encode(item, depth + 1, out, pads)
-            sep = "," + pad
-        out += (pads[depth], "]")
+            _encode(item, inner, out)
+            sep = "," + inner
+        out += (pad, "]")
     elif value is None:
         out.append("null")
     elif value is True:
@@ -475,64 +466,29 @@ def _encode(value: Any, depth: int, out: list[str], pads: list[str]) -> None:
     elif kind is IntMatrix:
         if set(map(type, value.entries)) - _INT:  # "%d" would print 1.5 as 1, True as 1
             raise TypeError("matrix entries must be int")
-        out.append(_matrix_template(value.rows, value.cols, depth) % value.entries)
+        out.append(_matrix_template(value.rows, value.cols, pad) % value.entries)
     elif kind is BlockReport:
-        _encode_blocks(value, depth, out, pads)
+        _encode_blocks(value, pad, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 @lru_cache(maxsize=64)
-def _matrix_template(rows: int, cols: int, depth: int) -> str:
-    """A rows x cols matrix's indent-2 JSON text at nesting ``depth``, ``%d`` in every cell.
+def _matrix_template(rows: int, cols: int, pad: str) -> str:
+    """A rows x cols matrix's indent-2 JSON text after ``pad``, ``%d`` in every cell.
 
     The layout is ``json.dumps``' of the list of rows: ``[]`` for no rows,
     and ``[]`` for each row of no columns.
     """
     if not rows:
         return "[]"
-    outer, pad, inner = ("\n" + "  " * (depth + k) for k in range(3))
-    row = f"[{inner}{(',' + inner).join(['%d'] * cols)}{pad}]" if cols else "[]"
-    return f"[{pad}{(',' + pad).join([row] * rows)}{outer}]"
+    inner, cell = pad + "  ", pad + "    "
+    row = f"[{cell}{(',' + cell).join(['%d'] * cols)}{inner}]" if cols else "[]"
+    return f"[{inner}{(',' + inner).join([row] * rows)}{pad}]"
 
 
-def _encode_records(records: Sequence[dict], depth: int, out: list[str], pads: list[str]) -> bool:
-    """Write dicts sharing one nonempty key list from one template; False when keys differ.
-
-    Key text is encoded once. A column of strs, or of nonempty lists all of
-    ints or all of strs, is type-checked once and written with one join per
-    record; any other value goes through :func:`_encode` one by one.
-    """
-    keys = list(records[0])
-    if not keys or any(list(d) != keys for d in records):
-        return False
-    while len(pads) < depth + 4:
-        pads.append(pads[-1] + "  ")
-    pad, inner, comma = pads[depth + 2], pads[depth + 3], "," + pads[depth + 3]
-    consts, columns = [""], []  # record text: consts[0], columns[0], consts[1], ...
-    for i, key in enumerate(keys):
-        consts[-1] += ("," if i else "{") + pad + _encode_str(key) + ": "  # TypeError unless str
-        col = [d[key] for d in records]
-        kinds = set(map(type, col))
-        if kinds == _STR:
-            columns.append(list(map(_encode_str, col)))
-        elif kinds <= _LISTS and all(col) and (leaves := set(map(type, chain(*col)))) in _JOINED:
-            enc = _encode_str if leaves == _STR else int.__repr__
-            columns.append([f"[{inner}{comma.join(map(enc, v))}{pad}]" for v in col])
-        else:
-            columns.append([_text(v, depth + 2, pads) for v in col])
-        consts.append("")
-    consts[-1] += pads[depth + 1] + "}"
-    sep = "[" + pads[depth + 1]
-    for row in zip(*columns) if columns else [()] * len(records):
-        out += (sep, *chain(*zip(consts, row)), consts[-1])
-        sep = "," + pads[depth + 1]
-    out += (pads[depth], "]")
-    return True
-
-
-def _encode_blocks(report: BlockReport, depth: int, out: list[str], pads: list[str]) -> None:
-    """Append ``report``'s blocks as v1's list of block dicts at nesting ``depth``.
+def _encode_blocks(report: BlockReport, pad: str, out: list[str]) -> None:
+    """Append ``report``'s blocks as v1's list of block dicts after ``pad``.
 
     Each residue's fraction, omega's dense text, the keys, the radical rank
     and the block dimension are encoded once: a block appends the joins of
@@ -541,9 +497,8 @@ def _encode_blocks(report: BlockReport, depth: int, out: list[str], pads: list[s
     if not report.blocks:
         out.append("[]")
         return
-    while len(pads) < depth + 5:
-        pads.append(pads[-1] + "  ")
-    p1, p2, p3, p4 = pads[depth + 1 : depth + 5]
+    p1 = pad + "  "
+    p2, p3, p4 = p1 + "  ", p1 + "    ", p1 + "      "
     text = {x: _encode_str(s) for x, s in _fractions(report).items()}
     rows = [f"[{p4}{(',' + p4).join(row)}{p3}]" for row in _omega_cells(report, text)]
     omega = f"[{p3}{(',' + p3).join(rows)}{p2}]" if rows else "[]"
@@ -557,14 +512,7 @@ def _encode_blocks(report: BlockReport, depth: int, out: list[str], pads: list[s
         chi = map(text.__getitem__, b.pi2_character)
         out += (sep, comma.join(map(int.__repr__, b.component)), mid, comma.join(chi), tail)
         sep = later
-    out += (pads[depth], "]")
-
-
-def _text(value: Any, depth: int, pads: list[str]) -> str:
-    """``value`` as :func:`_encode` writes it at ``depth``, as one string."""
-    chunk: list[str] = []
-    _encode(value, depth, chunk, pads)
-    return "".join(chunk)
+    out += (pad, "]")
 
 
 def _dumps(value: Any) -> str:
@@ -573,12 +521,10 @@ def _dumps(value: Any) -> str:
     Dict keys must be strings. A ``BlockReport`` is written as the list of
     block dicts v1 prints, into the same chunk list, with omega encoded once.
     An ``IntMatrix``, whose entries must all be ``int``, is written as its
-    list of rows from one template per shape and depth. Any other list of
-    same-keyed dicts is written from one template, which encodes a value
-    every record shares once.
+    list of rows from one template per shape and depth.
     """
     out: list[str] = []
-    _encode(value, 0, out, ["\n"])
+    _encode(value, "\n", out)
     out.append("\n")
     return "".join(out)
 

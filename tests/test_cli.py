@@ -69,6 +69,10 @@ SURFACE_WIDE_SHEAR_G1R2_SHA256 = {
 # stdout of tests/golden/local_unit_quarter.json run with --format json (the
 # golden is its text report); pinned by TestGolden and the same CI step
 LOCAL_UNIT_QUARTER_JSON_SHA256 = "f88a9b8c8199b0153ef04a478805a7a1d20ffbbc37090e234495c85e33f30728"
+# stdout of tests/inputs/local_bidiagonal_r6.json, a rank 6 local job whose
+# 729-row twist table no golden holds; pinned by
+# TestSchemas::test_rank_6_twist_table_bytes and the same CI step
+LOCAL_BIDIAGONAL_R6_SHA256 = "4f0faaeb0cafd3353b9d61d68841f2e733becf16ae77ef1b9117335b3fb1662a"
 
 
 def run_main(capsys, *argv):
@@ -381,6 +385,18 @@ class TestSchemas:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SURFACE_WIDE_SHEAR_G1R2_SHA256[fmt]
         assert str(10**4000) in out
+
+    def test_rank_6_twist_table_bytes(self, capsys):
+        # c is 1 on the diagonal and the superdiagonal with c[5][0] = -2, so
+        # the twists are not linear; the 111 618-byte report is pinned whole
+        spec = str(INPUTS / "local_bidiagonal_r6.json")
+        out, code = run_main(capsys, "local", "--input", spec, "--format", "json")
+        assert code == 0
+        assert len(out) == 111618
+        assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_BIDIAGONAL_R6_SHA256
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMAS["local"])
+        assert len(report["twist_table"]["entries"]) == 3**6 and not report["is_linear"]
 
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})
@@ -1143,13 +1159,14 @@ class TestEmitter:
     @settings(max_examples=200, deadline=None)
     @given(record_lists())
     def test_record_lists_equal_json_dumps(self, value):
-        # a list of same-keyed dicts is written from one template
+        # a list of same-keyed dicts, like the local twist table, goes
+        # through the generic dict and list walk
         assert cli._dumps(value) == json.dumps(value, indent=2) + "\n"
 
     @pytest.mark.parametrize("records", [1, 2, 3])
     @pytest.mark.parametrize("bad", ["float", "shared float", "int key", "nested float"])
     def test_record_lists_raise_type_error_like_one_record(self, records, bad):
-        # the template and the generic path, one record, reject the same values
+        # the walk rejects a bad value in any record, whatever the list's length
         shared = 0.5
         def record(i):
             if bad == "int key":
@@ -1162,7 +1179,8 @@ class TestEmitter:
 
     @pytest.mark.parametrize("shape", ["list", "dict"])
     def test_nesting_60_deep_equals_json_dumps(self, shape):
-        # every depth's indent is built on demand; no table caps the depth
+        # each container indents its items two spaces past its own pad, at
+        # any depth
         value = [1, "leaf"] if shape == "list" else {"leaf": [True, 1]}
         for depth in range(60):
             value = [value] if shape == "list" else {f"k{depth}": value, "n": depth}
@@ -1240,13 +1258,13 @@ class TestEmitter:
         seen = []
         encode = cli._encode
 
-        def spy(value, depth, *args):
+        def spy(value, pad, out):
             seen.append(value)
-            encode(value, depth, *args)
+            encode(value, pad, out)
 
         monkeypatch.setattr(cli, "_encode", spy)
         out: list[str] = []
-        cli._encode(rep, 0, out, ["\n"])
+        cli._encode(rep, "\n", out)
         assert seen == [rep]
         assert "".join(out) == json.dumps(v1, indent=2)
         # five pieces a block, then the closing indent and bracket

@@ -235,18 +235,24 @@ class TestCohomology:
             assert cohomology_presentations(rho).triple == cohomology_presentations(conj).triple
 
     def test_torsion_matches_dual_system(self):
-        # H^1 torsion is invariant under rho -> transpose-inverse
-        rng = random.Random(19)
-        from qtorus import inverse_unimodular
-
-        for _ in range(20):
-            g, r = rng.randint(1, 2), rng.randint(1, 2)
-            rho = random_local_system(rng, g, r)
+        # universal coefficients and Poincare duality for the dual system
+        # rho^v = (rho^-1)^T: H^0 and H^2 swap ranks, H^1 keeps its rank, and
+        # the torsions of H^1 and H^2 swap; H^1's torsion alone need not match
+        rng = random.Random(36)
+        systems = [random_local_system(rng, rng.randint(1, 3), rng.randint(1, 4))
+                   for _ in range(120)]
+        systems += [family_system(rng, ("trivial", "sign", "shear", "pair")[k % 4],
+                                  rng.randint(1, 3), rng.randint(1, 4)) for k in range(120)]
+        systems += [family_system(random.Random("dual-g8r4"), "pair", 8, 4),
+                    family_system(random.Random("dual-g16r2"), "sign", 16, 2)]
+        for rho in systems:
             dual = LatticeLocalSystem(
-                r, g, [inverse_unimodular(m).transpose() for m in rho.mon]
+                rho.rank, rho.genus, [inverse_unimodular(m).transpose() for m in rho.mon]
             )
-            a, b = (cohomology_presentations(s).triple.h1 for s in (rho, dual))
-            assert a.torsion == b.torsion
+            h, d = (cohomology_presentations(s).triple for s in (rho, dual))
+            ranks = (d.h0.free_rank, d.h1.free_rank, d.h2.free_rank)
+            assert ranks == (h.h2.free_rank, h.h1.free_rank, h.h0.free_rank)
+            assert (d.h1.torsion, d.h2.torsion) == (h.h2.torsion, h.h1.torsion)
 
     def test_invariants_coinvariants(self):
         rng = random.Random(23)
