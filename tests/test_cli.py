@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,44 +41,31 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = Path(__file__).parent / "inputs"
 # pinned by TestGolden::test_seeded_local_and_trivial_global_deck_bytes
 DECK_SHA256 = "6e434e959be9faa1a1fd632d29615e9850b7791287bacbab69d615351fba1e9c"
-# stdout of the two tests/inputs specs, pinned by TestSchemas' large-input
-# tests and by the CI's installed console script step
-BUNT_SHEAR_G24R4_SHA256 = "3a1c10d8c58002b806e59b9b80aff752403fc5e2337ad151993f689362cef22b"
-GLOBAL_SHEAR_G48R4_SHA256 = "34547bf3cd8acaca3c1271f01bd277c2a0b51808e36e8e7ed545709b7e006c61"
-# stdout of tests/inputs/global_trivial_g4r4.json, the benchmark's largest
-# global shape (81 blocks, a 32 x 32 omega), in each format; pinned by
-# TestSchemas::test_genus_4_rank_4_global_bytes and the same CI step
-GLOBAL_TRIVIAL_G4R4_SHA256 = {
-    "json": "c815d29e063eee2f97c3a42d34a2edfade0d3f90399f3dc81ebe448e5ac08e0d",
-    "text": "1995ffdba7d58a3c9922e820a099389545201bf530172618e1ef838659a28c85",
-}
-# stdout of tests/inputs/bunt_shear_g8r16.json, the benchmark's shear recipe
-# at genus 8, rank 16 on one component, in each format; pinned by
-# TestSchemas::test_genus_8_rank_16_shear_bytes and the same CI step
-BUNT_SHEAR_G8R16_SHA256 = {
-    "json": "ed6bc839be0c2ef3fa576157ebe2abdf73f7f626849ef35e60bc78a7b35c127a",
-    "text": "f51dac8c84ab4e7b72c7e90892d76b729298cede5ea667164ad79d779b0b2aa2",
-}
-# stdout of tests/inputs/surface_wide_shear_g1r2.json, a genus 1, rank 2
-# surface job on the shear [[1, 10^4000], [0, 1]] and its inverse, in each
-# format; pinned by TestSchemas::test_wide_monodromy_entries_bytes and the
-# same CI step
-SURFACE_WIDE_SHEAR_G1R2_SHA256 = {
-    "json": "3cb3c9abd23af98977e59bea862eb5b933f88cc99ffee90bf9c663935310cf62",
-    "text": "2e3068aa904a2d2fa452986071cd8fa2b7b88371d9016bc976ae8dd2105d2ea1",
-}
-# stdout of tests/golden/local_unit_quarter.json run with --format json (the
-# golden is its text report); pinned by TestGolden and the same CI step
-LOCAL_UNIT_QUARTER_JSON_SHA256 = "f88a9b8c8199b0153ef04a478805a7a1d20ffbbc37090e234495c85e33f30728"
-# stdout of tests/inputs/local_bidiagonal_r6.json, a rank 6 local job whose
-# 729-row twist table no golden holds; pinned by
-# TestSchemas::test_rank_6_twist_table_bytes and the same CI step
-LOCAL_BIDIAGONAL_R6_SHA256 = "4f0faaeb0cafd3353b9d61d68841f2e733becf16ae77ef1b9117335b3fb1662a"
+# one (name, format, sha256) per stdout pin; CI's installed console script
+# step reads the same table
+PINS = [
+    line.split()
+    for line in (INPUTS / "pins.txt").read_text().splitlines()
+    if not line.startswith("#")
+]
+GOLDEN_SPECS = sorted(p.name for p in GOLDEN.glob("*.json") if not p.name.endswith(".out.json"))
 
 
 def run_main(capsys, *argv):
     code = cli.main(list(argv))
     return capsys.readouterr().out, code
+
+
+def run_spec(capsys, spec, *argv):
+    """``qtorus <task> --input spec *argv``, with the task the spec names."""
+    task = json.loads(spec.read_text())["task"]
+    return run_main(capsys, task, "--input", str(spec), *argv)
+
+
+def pin_spec(name):
+    """tests/inputs/<name>.json, or the golden spec if there is none, as CI looks it up."""
+    spec = INPUTS / f"{name}.json"
+    return spec if spec.exists() else GOLDEN / f"{name}.json"
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -98,65 +86,16 @@ def base_global_spec(**overrides):
 
 
 class TestGolden:
-    def test_local_text_bytes(self, capsys):
-        out, code = run_main(capsys, "local", "--input", str(GOLDEN / "local_unit_quarter.json"))
+    @pytest.mark.parametrize("spec", GOLDEN_SPECS)
+    def test_golden_bytes(self, capsys, spec):
+        # the same lookup as CI's installed console script step
+        spec = GOLDEN / spec
+        want = spec.with_suffix(".out.json")
+        if not want.exists():
+            want = spec.with_suffix(".txt")
+        out, code = run_spec(capsys, spec)
         assert code == 0
-        assert out == (GOLDEN / "local_unit_quarter.txt").read_text()
-
-    def test_local_json_bytes(self, capsys):
-        # no golden holds a local JSON report, whose c_matrix echo the
-        # writer lays out from the level's IntMatrix
-        spec = str(GOLDEN / "local_unit_quarter.json")
-        out, code = run_main(capsys, "local", "--input", spec, "--format", "json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_UNIT_QUARTER_JSON_SHA256
-
-    def test_global_json_bytes(self, capsys):
-        out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_unit_quarter.json"))
-        assert code == 0
-        assert out == (GOLDEN / "global_unit_quarter.out.json").read_text()
-
-    def test_bunt_shear_json_bytes(self, capsys):
-        # nontrivial coefficients: unipotent shears at genus 3, rank 2
-        out, code = run_main(capsys, "bunt", "--input", str(GOLDEN / "bunt_shear_g3r2.json"))
-        assert code == 0
-        assert out == (GOLDEN / "bunt_shear_g3r2.out.json").read_text()
-
-    def test_global_signs_text_bytes(self, capsys):
-        # sign flips put a torsion generator in H^1 and in H^2
-        out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_signs_r3.json"))
-        assert code == 0
-        assert out == (GOLDEN / "global_signs_r3.txt").read_text()
-
-    def test_global_signs_bound2_text_bytes(self, capsys):
-        # H^2 = Z^2 + Z/2 at bound 2: 50 components, free coefficients outer,
-        # the torsion one inner, pinned in bytes
-        out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_signs_g2r3_bound2.json"))
-        assert code == 0
-        assert out == (GOLDEN / "global_signs_g2r3_bound2.txt").read_text()
-
-    def test_surface_twisted_json_bytes(self, capsys):
-        # handle pairs (T_i, T_i^k) at genus 13, rank 4: noncommuting monodromy
-        out, code = run_main(capsys, "surface", "--input", str(GOLDEN / "surface_twisted_g13r4.json"))
-        assert code == 0
-        assert out == (GOLDEN / "surface_twisted_g13r4.out.json").read_text()
-
-    def test_surface_signs_text_bytes(self, capsys):
-        # sign flips at genus 2, rank 2: torsion in both H^1 and H^2
-        out, code = run_main(capsys, "surface", "--input", str(GOLDEN / "surface_signs_g2r2.json"))
-        assert code == 0
-        assert out == (GOLDEN / "surface_signs_g2r2.txt").read_text()
-
-    def test_global_trivial_g2r3_json_bytes(self, capsys):
-        # 27 blocks sharing one 12x12 omega: the emitter reuses its text
-        out, code = run_main(capsys, "global", "--input", str(GOLDEN / "global_trivial_g2r3.json"))
-        assert code == 0
-        assert out == (GOLDEN / "global_trivial_g2r3.out.json").read_text()
-
-    def test_selfcheck_bytes_and_exit(self, capsys):
-        out, code = run_main(capsys, "selfcheck", "--input", str(GOLDEN / "selfcheck.json"))
-        assert code == 0
-        assert out == (GOLDEN / "selfcheck.out.json").read_text()
+        assert out == want.read_text()
 
     def test_seeded_local_and_trivial_global_deck_bytes(self, capsys, tmp_path):
         # one sha256 over stdout and exit code of 48 local jobs (rank 1-4,
@@ -195,11 +134,7 @@ class TestGolden:
         assert first == second
 
 
-GLOBAL_SPECS = sorted(
-    p.name
-    for p in GOLDEN.glob("*.json")
-    if p.name.startswith(("global_", "bunt_")) and not p.name.endswith(".out.json")
-)
+GLOBAL_SPECS = [name for name in GOLDEN_SPECS if name.startswith(("global_", "bunt_"))]
 
 
 class TestBuntLabel:
@@ -272,12 +207,10 @@ class TestSchemas:
     def test_goldens_validate_and_rank_zero_does_not(self, capsys):
         # every task refuses a rank below 1, so no report may carry one
         zeroed = []
-        for spec in sorted(GOLDEN.glob("*.json")):
-            if spec.name.endswith(".out.json"):
-                continue
-            task = json.loads(spec.read_text())["task"]
-            out, code = run_main(capsys, task, "--input", str(spec), "--format", "json")
-            assert code == 0, spec.name
+        for name in GOLDEN_SPECS:
+            task = json.loads((GOLDEN / name).read_text())["task"]
+            out, code = run_main(capsys, task, "--input", str(GOLDEN / name), "--format", "json")
+            assert code == 0, name
             report = json.loads(out)
             jsonschema.validate(report, REPORT_SCHEMAS[task])
             if task == "local":
@@ -290,7 +223,7 @@ class TestSchemas:
                 with pytest.raises(jsonschema.ValidationError, match="minimum of 1"):
                     jsonschema.validate(report, REPORT_SCHEMAS[task])
                 holder["rank"] = rank
-                zeroed.append((spec.name, task))
+                zeroed.append((name, task))
         assert {task for _, task in zeroed} == {"local", "surface", "global", "bunt"}
         assert len(zeroed) == 9
 
@@ -328,75 +261,38 @@ class TestSchemas:
         assert set(bunt) == set(glob) == shared | {"required", "properties"}
         assert all(bunt[key] == glob[key] for key in shared)
 
-    def test_genus_24_shear_bunt_finishes(self, capsys):
-        # the benchmark's shear job at genus 24, rank 4: the Heisenberg count's
-        # integer Smith form of omega grew past 6000-bit entries here and did
-        # not finish; elimination mod N keeps every entry below N
-        out, code = run_main(capsys, "bunt", "--input", str(INPUTS / "bunt_shear_g24r4.json"))
+    @pytest.mark.parametrize(("name", "fmt", "digest"), PINS, ids=[f"{n}-{f}" for n, f, _ in PINS])
+    def test_pinned_bytes(self, capsys, name, fmt, digest):
+        # tests/inputs/pins.txt gives each pin's reason
+        out, code = run_spec(capsys, pin_spec(name), "--format", fmt)
         assert code == 0
-        # the goldens stop at genus 3: the whole 16 MB report is pinned here
-        assert hashlib.sha256(out.encode()).hexdigest() == BUNT_SHEAR_G24R4_SHA256
-        report = json.loads(out)
-        blocks = report["blocks"]
-        assert len(blocks) == 27
-        assert all(b["omega"] == blocks[0]["omega"] for b in blocks)
-        # every block repeats one omega, so one copy is validated
-        slim = [blocks[0]] + [dict(b, omega=[]) for b in blocks[1:]]
-        jsonschema.validate(dict(report, blocks=slim), REPORT_SCHEMAS["bunt"])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_genus_48_shear_global_ranks_exactly(self, capsys):
-        # the benchmark's shear job at genus 48, rank 4, as a global job on one
-        # component: a rank mod 2^61 - 1 falls short of the lift's rank here,
-        # and a dense integer elimination of the 380 x 380 block took about 1.2 s
-        out, code = run_main(capsys, "global", "--input", str(INPUTS / "global_shear_g48r4.json"))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == GLOBAL_SHEAR_G48R4_SHA256
-        (block,) = json.loads(out)["blocks"]
-        assert block["radical_rank"] == 188
-        assert block["block_dim"] == 6319748715279270675921934218987893281199411530039296
+    def test_pins_are_one_table(self):
+        # pins.txt is the one place a digest is stated: every tests/inputs
+        # spec has a well-formed line there, and the workflow holds none
+        hex64 = re.compile(r"[0-9a-f]{64}")
+        assert {p.stem for p in INPUTS.glob("*.json")} <= {name for name, _, _ in PINS}
+        for name, fmt, digest in PINS:
+            assert pin_spec(name).exists(), name
+            assert fmt in ("json", "text") and hex64.fullmatch(digest), (name, fmt)
+        assert len({(name, fmt) for name, fmt, _ in PINS}) == len(PINS)
+        workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+        assert not hex64.search(workflow.read_text())
 
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_genus_4_rank_4_global_bytes(self, capsys, fmt):
-        # the goldens stop at 27 blocks; this 1.5 MB report is the
-        # benchmark's largest components job
-        spec = str(INPUTS / "global_trivial_g4r4.json")
-        out, code = run_main(capsys, "global", "--input", spec, "--format", fmt)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == GLOBAL_TRIVIAL_G4R4_SHA256[fmt]
-        if fmt == "json":
-            blocks = json.loads(out)["blocks"]
-            assert len(blocks) == 81 and len(blocks[0]["omega"]) == 32
-
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_genus_8_rank_16_shear_bytes(self, capsys, fmt):
-        # H^1's 241 generators store 467 entries, up to 452 bits wide, so the
-        # Smith logs' sparse replay merges wide integers; the 1.1 MB report
-        # is pinned whole
-        spec = str(INPUTS / "bunt_shear_g8r16.json")
-        out, code = run_main(capsys, "bunt", "--input", spec, "--format", fmt)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == BUNT_SHEAR_G8R16_SHA256[fmt]
-
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_wide_monodromy_entries_bytes(self, capsys, fmt):
-        # a 4001-digit monodromy entry, echoed in full, and H^2 = Z + Z/10^4000
-        spec = str(INPUTS / "surface_wide_shear_g1r2.json")
-        out, code = run_main(capsys, "surface", "--input", spec, "--format", fmt)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == SURFACE_WIDE_SHEAR_G1R2_SHA256[fmt]
-        assert str(10**4000) in out
-
-    def test_rank_6_twist_table_bytes(self, capsys):
-        # c is 1 on the diagonal and the superdiagonal with c[5][0] = -2, so
-        # the twists are not linear; the 111 618-byte report is pinned whole
-        spec = str(INPUTS / "local_bidiagonal_r6.json")
-        out, code = run_main(capsys, "local", "--input", spec, "--format", "json")
-        assert code == 0
-        assert len(out) == 111618
-        assert hashlib.sha256(out.encode()).hexdigest() == LOCAL_BIDIAGONAL_R6_SHA256
-        report = json.loads(out)
-        jsonschema.validate(report, REPORT_SCHEMAS["local"])
-        assert len(report["twist_table"]["entries"]) == 3**6 and not report["is_linear"]
+    def test_surface_dual_system_swaps_h0_h2_and_torsions(self, capsys):
+        # rho^v = (rho^-1)^T: H^0's and H^2's ranks swap, H^1's rank holds,
+        # and the torsions of H^1 and H^2 swap (universal coefficients and
+        # Poincare duality); here H^2(rho) = Z/2 becomes H^1(rho^v)'s torsion
+        reports = []
+        for name in ("surface_torsion_g2r2", "surface_torsion_g2r2_dual"):
+            out, code = run_spec(capsys, INPUTS / f"{name}.json", "--format", "json")
+            assert code == 0
+            reports.append(json.loads(out)["cohomology"])
+        h, d = reports
+        ranks = [d[k]["free_rank"] for k in ("h0", "h1", "h2")]
+        assert ranks == [h[k]["free_rank"] for k in ("h2", "h1", "h0")]
+        assert (d["h1"]["torsion"], d["h2"]["torsion"]) == (h["h2"]["torsion"], h["h1"]["torsion"])
 
     def test_error_object_validates(self, capsys, tmp_path):
         spec = base_global_spec(level={"c_matrix": [[1]], "zeta": "3/6"})
