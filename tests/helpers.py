@@ -27,6 +27,7 @@ from qtorus import (
 from qtorus import cochain
 from qtorus.errors import ShapeMismatch, _Frozen
 from qtorus.lattice import QuotientPresentation, SnfResult, _Op
+from qtorus.surface import CohomologyTriple
 
 
 class ImageNotInKernel(ValueError):
@@ -1060,3 +1061,47 @@ def vertex_coboundary(cone, base, t, rho) -> dict:
         )
         for cell, (tail, at) in ends.items()
     }
+
+
+def simplicial_triple(rho: LatticeLocalSystem) -> CohomologyTriple:
+    """H^0, H^1 and H^2 of the surface from the oracle's triangulation, from words.
+
+    The cochains are unit cochains on the coned 4g-gon. delta0 (6g r x 2r)
+    takes the cone and base values of a 0-cochain to the edge values of
+    :func:`vertex_coboundary`; delta1 (4g r x 6g r) takes edge values to the
+    alternating face sums of :func:`coboundary_per_face`. Each transport is
+    the :func:`word_matrix` of its index's word, formed once. Asserts
+    delta1 delta0 = 0. The Smith forms are :func:`smith_by_full_scan`'s:
+    H^0 = Z^(2r - rank delta0), H^2 = coker delta1, and H^1 is coker delta0
+    less rank delta1 free summands, since ker delta1 is saturated. No Fox
+    derivative, ``build_complex`` or ``lattice.smith_normal_form`` runs.
+    """
+    t = cochain.triangulate(rho.genus)
+    r, n = rho.rank, t.num_sides
+    eye = IntMatrix.identity(r)
+    transports = {at: word_matrix(rho, transport_word(t, at)) for at in range(n + 1 + 2 * t.genus)}
+    column = {cell: i * r for i, cell in enumerate(t.edge_cells)}
+
+    def place(rows, i0, j0, m: IntMatrix, sign: int) -> None:
+        for i, row in enumerate(m.row_lists()):
+            for j, x in enumerate(row):
+                rows[i0 + i][j0 + j] += sign * x
+
+    d0 = [[0] * (2 * r) for _ in range(6 * t.genus * r)]
+    for cell, i0 in column.items():  # head: the base vertex; tail: the cone or the base
+        kind, k = cell
+        place(d0, i0, r, transports[k if kind == "rad" else n + 1 + k], 1)
+        place(d0, i0, 0 if kind == "rad" else r, eye, -1)
+    d1 = [[0] * (6 * t.genus * r) for _ in range(4 * t.genus * r)]
+    for i, tri in enumerate(t.triangles):
+        for sign, face in zip((1, -1, 1), tri.faces):
+            place(d1, i * r, column[face.cell], transports[face.at], sign)
+    d0, d1 = IntMatrix.from_rows(d0, 2 * r), IntMatrix.from_rows(d1, 6 * t.genus * r)
+    assert (d1 @ d0).is_zero(), "delta1 delta0 != 0 on the triangulation"
+    snf0, snf1 = smith_by_full_scan(d0), smith_by_full_scan(d1)
+    coker0 = snf0.cokernel()
+    return CohomologyTriple(
+        FgAbGroup(2 * r - snf0.rank()),
+        FgAbGroup(coker0.free_rank - snf1.rank(), coker0.torsion),
+        snf1.cokernel(),
+    )

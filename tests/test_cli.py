@@ -621,15 +621,27 @@ class TestValidation:
         assert code == 2
 
     def test_non_invariant_level(self, capsys, tmp_path):
-        spec = base_global_spec(
+        swap = base_global_spec(
             surface={"genus": 1, "rank": 2, "monodromy": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]},
             level={"c_matrix": [[1, 0], [0, 0]], "zeta": "1/3"},
         )
-        for task in ("global", "bunt"):
-            out, code = run_main(capsys, task, "--input", write_spec(tmp_path, dict(spec, task=task)))
-            assert code == 2
-            payload = json.loads(out)
-            assert (payload["code"], payload["path"]) == ("not_invariant", "level")
+        # genus 2, rank 64: four shears x -> x + (k + 1) (x_1 + ... + x_63) e_0
+        # move the identity level
+        r = 64
+        eye = [[int(i == j) for j in range(r)] for i in range(r)]
+        shears = [[[int(i == j) + (k + 1) * (i == 0 < j) for j in range(r)] for i in range(r)]
+                  for k in range(4)]
+        wide = base_global_spec(
+            surface={"genus": 2, "rank": r, "monodromy": shears},
+            level={"c_matrix": eye, "zeta": "1/6"},
+        )
+        for spec in (swap, wide):
+            for task in ("global", "bunt"):
+                path = write_spec(tmp_path, dict(spec, task=task))
+                out, code = run_main(capsys, task, "--input", path)
+                assert code == 2
+                payload = json.loads(out)
+                assert (payload["code"], payload["path"]) == ("not_invariant", "level")
 
     def test_bad_component_length(self, capsys, tmp_path):
         out, code = run_main(
@@ -1484,12 +1496,12 @@ class TestValueClasses:
         return [
             pres.triple.h1, pres.snf0, pres.h1, pres.complex, pres, level, quad,
             polarize(quad), standard_refinement(quad), report.blocks[0], report, classes,
-            classes[0], t.triangles[0], t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
+            classes[0], t, t.triangles[0], t.triangles[0].faces[0], SelfCheckResult(1, 0, 0),
         ]
 
     def test_instances_refuse_assignment(self):
         objects = self.instances()
-        assert len({type(obj) for obj in objects}) == 16
+        assert len({type(obj) for obj in objects}) == 17
         for obj in objects:
             cls = type(obj)
             names = getattr(cls, "_fields", None) or [n for n in cls.__slots__ if n != "__dict__"]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from operator import add
 
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     moves,
     random_invariant_level,
     random_local_system,
+    simplicial_triple,
     supports,
     vertex_coboundary,
 )
@@ -56,12 +58,21 @@ def paired(m, b: IntMatrix) -> int:
 
 class TestTriangulation:
     def test_cell_counts(self):
-        for g in (1, 2, 3):
+        for g in range(1, 9):
             t = triangulate(g)
             assert len(t.edge_cells) == 6 * g
             assert len(t.triangles) == 4 * g
             # closed orientable surface, two vertices: V - E + F = 2 - 2g
             assert 2 - len(t.edge_cells) + len(t.triangles) == 2 - 2 * g
+            # each edge cell is a face of exactly two triangles
+            faces = Counter(face.cell for tri in t.triangles for face in tri.faces)
+            assert faces == dict.fromkeys(t.edge_cells, 2)
+            # the signed faces cancel: the triangles form a fundamental cycle
+            balance = dict.fromkeys(t.edge_cells, 0)
+            for tri in t.triangles:
+                for slot_sign, face in zip((1, -1, 1), tri.faces):
+                    balance[face.cell] += tri.sign * slot_sign
+            assert not any(balance.values())
 
     def test_genus_zero_rejected(self):
         with pytest.raises(UnsupportedGenus):
@@ -72,6 +83,27 @@ class TestTriangulation:
         t = triangulate(2)
         assert sum(tri.sign for tri in t.triangles) == 0
         assert sum(abs(tri.sign) for tri in t.triangles) == 8
+
+
+class TestSimplicialTriple:
+    def test_matches_the_fox_complex(self):
+        # the coned 4g-gon is a second cell structure of the surface: its
+        # twisted cohomology, from delta0 and delta1 on the triangulation and
+        # the full-scan Smith forms, is the triple of the Fox-calculus complex
+        rng = random.Random(31)
+        systems = [random_local_system(rng, rng.randint(1, 3), rng.randint(1, 4))
+                   for _ in range(60)]
+        systems += [family_system(rng, ("trivial", "sign", "shear", "pair")[k % 4],
+                                  rng.randint(1, 3), rng.randint(1, 4)) for k in range(60)]
+        systems += [family_system(random.Random("triple-g8r4"), "pair", 8, 4)]
+        systems += [family_system(random.Random(f"triple-g16r2-{family}"), family, 16, 2)
+                    for family in ("sign", "shear")]
+        with_torsion = 0
+        for rho in systems:
+            want = cohomology_presentations(rho).triple
+            assert simplicial_triple(rho) == want, (rho.genus, rho.rank)
+            with_torsion += bool(want.h1.torsion or want.h2.torsion)
+        assert with_torsion >= 30
 
 
 class TestCoboundary:
