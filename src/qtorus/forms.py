@@ -292,9 +292,9 @@ def preserves(m: Sequence[int], n: int, moving: Sequence[_Columns]) -> bool:
 def invariance_check(q: QuadraticForm, rho: LatticeLocalSystem) -> bool:
     """Whether every generator's monodromy fixes the form: :func:`preserves` on its numerators.
 
-    The local system proved its generators unimodular when it inverted each
-    handle's product ba, so only values are compared: one D = A^T U A - U
-    per distinct moving generator A, O(g r^3) in all.
+    The local system proved its generators unimodular (a determinant of each
+    commuting handle's ab != I, an inverse of every other handle's ba), so only
+    values are compared: one D = A^T U A - U per distinct moving A, O(g r^3) in all.
     """
     r = q.rank
     if rho.rank != r:

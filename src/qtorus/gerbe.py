@@ -57,7 +57,7 @@ from .forms import (
     polarize,
     quad_from_bilinear,
 )
-from .lattice import IntMatrix
+from .lattice import IntMatrix, flat_mul
 from .surface import (
     CohomologyPresentations,
     LatticeLocalSystem,
@@ -109,14 +109,14 @@ def _pairing_gram(rho: LatticeLocalSystem, b: IntMatrix) -> list[dict[int, int]]
         left_a = _tmul(s_a, neg, r) if any(s_a) else zero  # D_a^T B = S_a^T (-B)
         dq = left_a + (_tmul(s_b, neg, r) if any(s_b) else zero)  # D^T B on the 2r rows
         first = left_a + (neg if y == eye else _tmul(y, neg, r))
-        first = first if z == eye else _mul(first, z, r)
+        first = first if z == eye else flat_mul(first, z, r)
         xb = pos if x == eye else _tmul(x, pos, r)
-        second = (xb if y == eye else _mul(xb, y, r)) + zero
+        second = (xb if y == eye else flat_mul(xb, y, r)) + zero
         if linked := any(dq):
-            second = list(map(add, second, dq if q == eye else _mul(dq, q, r)))
+            second = list(map(add, second, dq if q == eye else flat_mul(dq, q, r)))
         cols = range(h * w, h * w + w)
         if done_rows and (any(s_a) or any(s_b)):
-            off_a, off_b = _mul(done_left, s_a, r), _mul(done_left, s_b, r)
+            off_a, off_b = flat_mul(done_left, s_a, r), flat_mul(done_left, s_b, r)
             for k, row in enumerate(done_rows):
                 vals = off_a[k * r : k * r + r] + off_b[k * r : k * r + r]
                 p[row].update(compress(zip(cols, vals), vals))
@@ -136,16 +136,6 @@ def _tmul(x: Sequence[int], y: Sequence[int], r: int) -> list[int]:
         c, i, j = x[k], k % r * r, k - k % r
         row = y[j : j + r]
         out[i : i + r] = map(add, out[i : i + r], row if c == 1 else [c * t for t in row])
-    return out
-
-
-def _mul(a: Sequence[int], f: Sequence[int], r: int) -> list[int]:
-    """a f for a with r columns and r x r f, row-major: a column of a per nonzero entry of f."""
-    out = [0] * len(a)
-    for k in compress(range(r * r), f):
-        c, j = f[k], k % r
-        col = a[k // r :: r]
-        out[j::r] = map(add, out[j::r], col if c == 1 else [c * t for t in col])
     return out
 
 

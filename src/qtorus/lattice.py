@@ -15,15 +15,16 @@ scan of the trailing block runs only at non-unit pivots. Its steps are
 written inline on the working rows; the tests pin its logs to a reference
 that scans the whole trailing block at every step. There is no stacking
 helper: callers such as ``surface`` write d0, d1 and the oracle's blocks as
-flat entry lists. Determinants and inverses in GL(n, Z) read ``det A`` and
-the adjugate off one fraction-free Gauss-Jordan elimination of ``[A | I]``.
+flat entry lists. A determinant is one forward fraction-free elimination, an
+inverse in GL(n, Z) the adjugate off a fraction-free Gauss-Jordan elimination
+of ``[A | I]``; :func:`flat_mul` multiplies over a factor's stored entries.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonSquareMatrix, NonUnimodular, ShapeMismatch, _Frozen
@@ -190,10 +191,42 @@ def _gauss_jordan(a: IntMatrix) -> tuple[int, list[int] | None]:
 
 
 def det(a: IntMatrix) -> int:
-    """Determinant, read off :func:`_gauss_jordan`. Exact."""
+    """Determinant by forward fraction-free elimination (Bareiss 1968): exact, no adjugate.
+
+    :func:`_gauss_jordan`'s step, on the rows below the pivot and the columns
+    past it only, so about a sixth of its work; the last pivot is the
+    permuted determinant, and near the identity most rows are left as they are.
+    """
     if not a.is_square():
         raise NonSquareMatrix(f"determinant of a {a.rows}x{a.cols} matrix")
-    return _gauss_jordan(a)[0]
+    n, e = a.rows, a.entries
+    rows = [list(e[i * n : i * n + n]) for i in range(n)]
+    sign = prev = 1
+    for k in range(n):
+        for pivot in range(k, n):
+            if rows[pivot][k]:
+                break
+        else:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        p, tail = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            if (f := row[k]) or p != prev:  # else the row stays as it is
+                row[k + 1 :] = [(p * s - f * t) // prev for s, t in zip(row[k + 1 :], tail)]
+        prev = p
+    return sign * prev
+
+
+def flat_mul(a: Sequence[int], f: Sequence[int], r: int) -> list[int]:
+    """a f for a with r columns and r x r f, row-major: a column of a per nonzero entry of f."""
+    out = [0] * len(a)
+    for k in compress(range(r * r), f):
+        c, j = f[k], k % r
+        col = a[k // r :: r]
+        out[j::r] = map(add, out[j::r], col if c == 1 else [c * t for t in col])
+    return out
 
 
 class SnfResult(_Frozen):
@@ -359,13 +392,13 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     since a unit divides everything. None of these shortcuts changes which
     operations are logged, or their order.
 
-    Each step, a swap, an addition of a multiple of one line to another or
-    a row's negation, is written inline on the working rows and appended to
-    the row log or the column log (columns are never negated). The logs fix
-    the transforms: ``u`` replays the row log on the unit rows and ``v`` the
-    column log on the unit columns. The tests pin both logs and the
-    diagonal to ``smith_by_full_scan``, which scans the whole trailing block
-    at every step.
+    Each step, a swap, an addition of a multiple of one line to another or a row's
+    negation, is written inline on the working rows and appended to the row log or
+    the column log (columns are never negated). The logs fix the transforms: ``u``
+    replays the row log on the unit rows and ``v`` the column log on the unit columns.
+    ``d`` is written from the working rows' diagonal, the only entries left nonzero.
+    The tests pin both logs and the diagonal to ``smith_by_full_scan``, which scans
+    the whole trailing block at every step.
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
@@ -446,7 +479,10 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             d[t] = [s + u for s, u in zip(top, d[offender])]
             row_ops.append((t, offender, 1))
 
-    return SnfResult(IntMatrix.from_rows(d, n), tuple(row_ops), tuple(col_ops))
+    diagonal = [0] * (m * n)
+    for t in range(min(m, n)):
+        diagonal[t * n + t] = d[t][t]
+    return SnfResult(IntMatrix(m, n, diagonal), tuple(row_ops), tuple(col_ops))
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

@@ -20,8 +20,9 @@ cells; only H^0's r-long basis is laid out as lists.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cached_property
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -37,6 +38,7 @@ from .lattice import (
     QuotientPresentation,
     SnfResult,
     det,
+    flat_mul,
     inverse_unimodular,
     smith_normal_form,
 )
@@ -52,7 +54,7 @@ class Handle(NamedTuple):
 
     x, y, z, q transport the letters a, b, a^-1, b^-1: with P the relator
     prefix before the handle and P' = P[a, b], they are P, Pa, P'b and P'.
-    ``s_a`` = x - z and ``s_b`` = y - q are d1's blocks for a and b.
+    ``s_a`` = x - z and ``s_b`` = y - q are d1's blocks for a and b; ``ba_inv`` is None if ab = ba.
     """
 
     x: tuple[int, ...]
@@ -61,19 +63,21 @@ class Handle(NamedTuple):
     q: tuple[int, ...]
     s_a: tuple[int, ...]
     s_b: tuple[int, ...]
-    ba_inv: IntMatrix
+    ba_inv: IntMatrix | None
 
 
 class LatticeLocalSystem:
     """Monodromy data: one unimodular matrix per generator, relation enforced.
 
-    Construction unwinds the relator one handle (a, b) at a time. It forms
-    ab and ba and runs one elimination per handle, inverting ba unless ba is
-    the identity: det(ba) = det a * det b, so an integer inverse of ba proves
-    both generators unimodular, and a matrix with none fails the inversion.
-    The commutator [a, b] is the identity, with no product formed, when
-    ab == ba, and ab (ba)^-1 otherwise. ``mon_inv`` is built when first read,
-    in generator order, from the handle's inverse: a^-1 = (ba)^-1 b and
+    Construction unwinds the relator one handle (a, b) at a time. With
+    E = a - I and F = b - I it forms EF and FE over their stored entries, and
+    ab = ba exactly when EF = FE. Then the commutator is I, and one
+    determinant of ab = a + F + EF proves both generators unimodular, as
+    det(ab) = det a * det b; ab = I needs none. A non-commuting handle
+    inverts ba = b + E + FE, which proves the same, and has commutator
+    ab (ba)^-1. det a names the first generator that is not unimodular.
+    ``mon_inv`` is built when first read, in generator order, inverting
+    each ba != I that construction did not: a^-1 = (ba)^-1 b and
     b^-1 = a (ba)^-1. ``handles`` holds one :class:`Handle` per handle, in
     relator order; a transport product with an identity factor is not formed.
     The letters x_j and x_j^-1 have the matrices ``mon[j]`` and ``mon_inv[j]``.
@@ -95,13 +99,21 @@ class LatticeLocalSystem:
         prefix = eye
         for i in range(genus):
             a, b = mon[2 * i], mon[2 * i + 1]
-            ab, ba = _times(a, b, eye), _times(b, a, eye)
-            try:
-                ba_inv = ba if ba == eye else inverse_unimodular(ba)
-            except NonUnimodular:
+            e, f = list(map(sub, a.entries, eye.entries)), list(map(sub, b.entries, eye.entries))
+            ef, fe = flat_mul(e, f, rank), flat_mul(f, e, rank)
+            ab = IntMatrix(rank, rank, map(add, a.entries, map(add, f, ef)))  # a (I + F)
+            ba_inv = None
+            if ef == fe:  # ab = ba and det(ab) = det a * det b; ab = I needs no determinant
+                unimodular = ab == eye or abs(det(ab)) == 1
+            else:  # an integer inverse of ba = b (I + E) proves both unimodular
+                ba = IntMatrix(rank, rank, map(add, b.entries, map(add, e, fe)))
+                with suppress(NonUnimodular):
+                    ba_inv = inverse_unimodular(ba)
+                unimodular = ba_inv is not None
+            if not unimodular:
                 bad = 2 * i if abs(det(a)) != 1 else 2 * i + 1
-                raise NonUnimodular(f"monodromy matrix {bad} is not unimodular") from None
-            after = prefix if ab == ba else _times(prefix, ab @ ba_inv, eye)
+                raise NonUnimodular(f"monodromy matrix {bad} is not unimodular")
+            after = prefix if ba_inv is None else _times(prefix, ab @ ba_inv, eye)
             x, y = prefix.entries, _times(prefix, a, eye).entries
             z, q = _times(after, b, eye).entries, after.entries
             handles.append(Handle(x, y, z, q, tuple(map(sub, x, z)), tuple(map(sub, y, q)), ba_inv))
@@ -119,9 +131,13 @@ class LatticeLocalSystem:
         eye = IntMatrix.identity(self.rank)
         inv = []
         for a, b, h in zip(self.mon[::2], self.mon[1::2], self.handles):
+            ba_inv = h.ba_inv
+            if ba_inv is None:
+                ba = _times(b, a, eye)
+                ba_inv = ba if ba == eye else inverse_unimodular(ba)
             inv += [
-                a if a == eye else _times(h.ba_inv, b, eye),
-                b if b == eye else _times(a, h.ba_inv, eye),
+                a if a == eye else _times(ba_inv, b, eye),
+                b if b == eye else _times(a, ba_inv, eye),
             ]
         return tuple(inv)
 
@@ -145,8 +161,6 @@ class CochainComplexSurface(_Frozen):
             raise DimensionMismatch("d0 has the wrong shape")
         if (d1.rows, d1.cols) != (r, 2 * g * r):
             raise DimensionMismatch("d1 has the wrong shape")
-        if 2 * g * r and not (d1 @ d0).is_zero():
-            raise InvariantViolation("d1 . d0 != 0; the complex is inconsistent")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "d0", d0)

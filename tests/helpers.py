@@ -359,6 +359,35 @@ def smith_form_inverse(a: IntMatrix) -> IntMatrix:
     return snf.v @ snf.u
 
 
+def cofactor_det(a: IntMatrix) -> int:
+    """Laplace expansion along the first row; 1 for the 0 x 0 matrix.
+
+    The reference ``lattice.det``'s forward elimination is tested against.
+    """
+    if a.rows == 0:
+        return 1
+    rows = a.row_lists()
+    total = 0
+    for j, x in enumerate(rows[0]):
+        if x:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total += (-1) ** j * x * cofactor_det(IntMatrix.from_rows(minor, a.rows - 1))
+    return total
+
+
+# commuting handles (a, b) with a generator that is not unimodular, and the
+# generator the error names when the handle is the second of a genus-2
+# system: a's index 2 whenever |det a| != 1, else b's index 3
+COMMUTING_BAD_HANDLES = {
+    "a": ([[2, 0], [0, 1]], [[1, 0], [0, -1]], 2),
+    "b": ([[1, 1], [0, 1]], [[3, 0], [0, 3]], 3),
+    "both": ([[2, 0], [0, 1]], [[1, 0], [0, 3]], 2),
+    "both-singular": ([[1, 0], [0, 0]], [[0, 0], [0, 1]], 2),  # ab = 0
+    "identity-then-bad": ([[1, 0], [0, 1]], [[1, 2], [0, 2]], 3),
+    "bad-then-identity": ([[1, 2], [0, -2]], [[1, 0], [0, 1]], 2),
+}
+
+
 def reference_walk(rho: LatticeLocalSystem) -> tuple[list, list[IntMatrix]]:
     """(letter frames, generator inverses) from the relator walked one letter at a time.
 

@@ -30,6 +30,7 @@ from qtorus import cli, selfcheck
 from qtorus.schemas import SELFCHECK_MISMATCH
 
 from helpers import (
+    COMMUTING_BAD_HANDLES,
     blocks_v1,
     h1_vectors,
     plain_report,
@@ -566,6 +567,23 @@ class TestValidation:
         out, code = run_main(capsys, "global", "--input", write_spec(tmp_path, spec))
         assert code == 2
         assert json.loads(out)["code"] == "non_unimodular"
+
+    @pytest.mark.parametrize("case", COMMUTING_BAD_HANDLES)
+    def test_non_unimodular_commuting_handle(self, capsys, tmp_path, case):
+        # a commuting handle is proved unimodular by det(ab); a failure names
+        # the generator by the same rule as a non-commuting handle's inversion
+        a, b, bad = COMMUTING_BAD_HANDLES[case]
+        mono = [[[1, 1], [0, 1]], [[1, 2], [0, 1]], a, b]
+        spec = {"task": "surface", "surface": {"genus": 2, "rank": 2, "monodromy": mono}}
+        out, code = run_main(capsys, "surface", "--input", write_spec(tmp_path, spec))
+        assert code == 2
+        payload = json.loads(out)
+        jsonschema.validate(payload, ERROR_SCHEMA)
+        assert payload == {
+            "code": "non_unimodular",
+            "message": f"monodromy matrix {bad} is not unimodular",
+            "path": "surface.monodromy",
+        }
 
     def test_misshapen_matrix_reported_before_non_unimodular(self, capsys, tmp_path):
         # the spec parser checks every matrix's shape before the local system
@@ -1387,7 +1405,11 @@ class TestTripwire:
 
     def test_inconsistent_complex_exits_three(self, capsys, monkeypatch):
         # one wrong entry of d1, in the column where d0's first block is -2 I:
-        # d1 . d0 != 0, which the complex refuses before any Smith form
+        # d1 . d0 != 0. The complex does not re-multiply d1 . d0 (the relation
+        # check proves it for correct code), so the independent oracle refuses
+        # the H^2 read off the faulty d1. On specs where no runtime check sees
+        # this fault, test_surface.py's test_d1_matches_fox_derivatives and the
+        # golden byte tests do
         from qtorus import IntMatrix, surface
 
         complex_ = surface.CochainComplexSurface
@@ -1402,7 +1424,8 @@ class TestTripwire:
         assert code == 3
         payload = json.loads(out)
         jsonschema.validate(payload, ERROR_SCHEMA)
-        assert payload["code"] == "invariant_violation" and "d1 . d0" in payload["message"]
+        assert payload["code"] == "invariant_violation"
+        assert payload["message"] == "H^0 or H^2 disagrees with the invariants and coinvariants"
 
     def test_radial_walk_on_a_non_cocycle_exits_three(self, capsys, monkeypatch):
         # one wrong coboundary entry on the first triangle: the cocycle check

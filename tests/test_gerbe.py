@@ -142,14 +142,12 @@ class TestLevelInput:
         assert level.pairing.rank == 2
 
     def test_no_elimination_on_an_inverted_local_system(self, monkeypatch):
-        # the local system inverted each handle's product ba once at
-        # construction, which proved both generators unimodular; the
-        # invariance check does not eliminate again
+        # the local system proved both generators of each handle unimodular at
+        # construction, by one elimination of ba on a non-commuting handle and
+        # by a determinant on a commuting one; the invariance check does not
+        # eliminate again. Seed 48 draws commuting handles, seed 50 [p, q, q, p]
         from qtorus import lattice
 
-        rng = random.Random(48)
-        rho = random_local_system(rng, 2, 2)
-        bilinear = random_invariant_level(rng, rho)
         calls = []
         gauss_jordan = lattice._gauss_jordan
 
@@ -157,15 +155,20 @@ class TestLevelInput:
             calls.append(a)
             return gauss_jordan(a)
 
-        monkeypatch.setattr(lattice, "_gauss_jordan", counting)
-        LevelInput(bilinear, rho)
-        assert calls == []
-        LatticeLocalSystem(rho.rank, rho.genus, rho.mon)
-        eye = IntMatrix.identity(rho.rank)
-        products = [b @ a for a, b in zip(rho.mon[::2], rho.mon[1::2])]
-        # the spy sees construction's inversions, one per handle whose ba is not I
-        assert calls == [ba for ba in products if ba != eye]
-        assert 0 < len(calls) <= rho.genus
+        for seed, inversions in ((48, 0), (50, 2)):
+            rng = random.Random(seed)
+            rho = random_local_system(rng, 2, 2)
+            bilinear = random_invariant_level(rng, rho)
+            monkeypatch.setattr(lattice, "_gauss_jordan", counting)
+            del calls[:]
+            LevelInput(bilinear, rho)
+            assert calls == []
+            LatticeLocalSystem(rho.rank, rho.genus, rho.mon)
+            handles = list(zip(rho.mon[::2], rho.mon[1::2]))
+            # the spy sees construction's inversions, one per non-commuting handle's ba
+            assert calls == [b @ a for a, b in handles if a @ b != b @ a]
+            assert len(calls) == inversions
+            monkeypatch.undo()
 
 
 def closed_form(pairing, rho, u, v):
@@ -455,7 +458,7 @@ class TestGramRoute:
             return spy
 
         monkeypatch.setattr(gerbe, "_tmul", counting(gerbe._tmul))
-        monkeypatch.setattr(gerbe, "_mul", counting(gerbe._mul))
+        monkeypatch.setattr(gerbe, "flat_mul", counting(gerbe.flat_mul))
         rank = 2
         rng = random.Random(f"gram-work-{family}")
         eye = IntMatrix.identity(rank)

@@ -23,6 +23,7 @@ from qtorus.surface import build_complex
 from helpers import (
     ImageNotInKernel,
     _int_power,
+    cofactor_det,
     fraction_det,
     fraction_rank,
     hstack,
@@ -446,6 +447,31 @@ def test_det_against_permutation_expansion(a):
     assert det(a) == slow_det(a)
     with pytest.raises(NonSquareMatrix):
         det(IntMatrix.zeros(2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_det_against_cofactor_expansion(data):
+    # n = 0-6 with entries past 2^64: drawn, singular (a row that sums two
+    # others, or a zero column), and with a row swap or negation, which
+    # negates the determinant
+    n = data.draw(st.integers(0, 6), label="n")
+    rows = [data.draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    kind = data.draw(st.sampled_from(["drawn", "row sum", "zero column", "swap", "negate"]))
+    if kind == "row sum" and n > 2:
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+    elif kind == "zero column" and n:
+        j = data.draw(st.integers(0, n - 1))
+        rows = [row[:j] + [0] + row[j + 1 :] for row in rows]
+    a = IntMatrix.from_rows(rows, n)
+    want = cofactor_det(a)
+    assert det(a) == want
+    if kind in ("row sum", "zero column") and n > 2:
+        assert want == 0
+    if kind in ("swap", "negate") and n > 1:
+        i, j = data.draw(st.integers(0, n - 2)), n - 1
+        rows[i], rows[j] = (rows[j], rows[i]) if kind == "swap" else ([-x for x in rows[i]], rows[j])
+        assert det(IntMatrix.from_rows(rows, n)) == -want
 
 
 @settings(max_examples=150, deadline=None)

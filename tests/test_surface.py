@@ -15,6 +15,7 @@ from qtorus import (
 )
 from qtorus import cli, cochain, gerbe, lattice, surface, triangulate
 from qtorus.gerbe import _pairing_gram
+from qtorus.lattice import flat_mul
 from qtorus.surface import _fraction_free_rank
 from qtorus.errors import (
     DimensionMismatch,
@@ -23,6 +24,7 @@ from qtorus.errors import (
 )
 
 from helpers import (
+    COMMUTING_BAD_HANDLES,
     BadLetter,
     _int_power,
     family_system,
@@ -84,9 +86,9 @@ class TestLocalSystemValidation:
             LatticeLocalSystem(1, 1, [two, IntMatrix.identity(1)])
 
     def test_construction_runs_no_smith_form(self, monkeypatch):
-        # inverting each handle's product ba is the unimodularity check, the
-        # inversion is a fraction-free elimination, not a Smith form, and the
-        # generators' inverses, built when first read, take products only
+        # a determinant of ab or an inversion of ba is the unimodularity
+        # check, each a fraction-free elimination, not a Smith form, and the
+        # generators' inverses, built when first read, invert ba the same way
         mats = family_system(random.Random("no-snf"), "pair", 3, 3).mon
         calls = []
 
@@ -383,9 +385,9 @@ class TestSingleWalk:
                 assert build_complex(rho).d1 == fox
 
 
-def _handle_products(rho) -> list[IntMatrix]:
-    """ba for each handle (a, b), in handle order."""
-    return [b @ a for a, b in zip(rho.mon[::2], rho.mon[1::2])]
+def _handle_products(rho, commuting: bool) -> list[IntMatrix]:
+    """ba for each handle (a, b) whose ab == ba is ``commuting``, in handle order."""
+    return [b @ a for a, b in zip(rho.mon[::2], rho.mon[1::2]) if (a @ b == b @ a) == commuting]
 
 
 def _records(frames, rank) -> tuple[list[tuple], list[IntMatrix]]:
@@ -406,9 +408,9 @@ def _records(frames, rank) -> tuple[list[tuple], list[IntMatrix]]:
 
 
 class TestHandleWalk:
-    # construction unwinds the relator a handle at a time and inverts only
-    # ba; the reference walks it a letter at a time, inverting each
-    # generator by its Smith form
+    # construction unwinds the relator a handle at a time and inverts only a
+    # non-commuting handle's ba; the reference walks it a letter at a time,
+    # inverting each generator by its Smith form
 
     @staticmethod
     def _systems():
@@ -427,7 +429,10 @@ class TestHandleWalk:
             eye = IntMatrix.identity(rho.rank)
             records, blocks = _records(frames, rho.rank)
             assert [h[:6] for h in rho.handles] == records
-            assert [h.ba_inv for h in rho.handles] == [a @ b for a, b in zip(inv[::2], inv[1::2])]
+            assert [h.ba_inv for h in rho.handles] == [
+                None if a @ b == b @ a else a_inv @ b_inv
+                for a, b, a_inv, b_inv in zip(rho.mon[::2], rho.mon[1::2], inv[::2], inv[1::2])
+            ]
             assert build_complex(rho).d1 == hstack(blocks)
             assert "mon_inv" not in vars(rho)  # built when first read
             assert rho.mon_inv == tuple(inv)
@@ -436,10 +441,11 @@ class TestHandleWalk:
         assert noncommuting >= 5  # random_local_system's [p, q, q, p] handles
 
     def test_at_most_one_elimination_per_handle(self, monkeypatch):
-        # construction inverts each ba that is not I, and nothing else;
-        # reading the inverses afterwards eliminates nothing
-        inverted, eliminations = [], []
-        gauss_jordan = lattice._gauss_jordan
+        # construction inverts each non-commuting handle's ba and nothing else,
+        # and takes one determinant of each commuting handle's ab that is not
+        # I; reading the inverses afterwards inverts each remaining ba != I once
+        inverted, eliminations, determinants = [], [], []
+        gauss_jordan, det = lattice._gauss_jordan, surface.det
 
         def spy(a):
             inverted.append(a)
@@ -449,33 +455,48 @@ class TestHandleWalk:
             eliminations.append(a)
             return gauss_jordan(a)
 
+        def counting_det(a):
+            determinants.append(a)
+            return det(a)
+
         monkeypatch.setattr(surface, "inverse_unimodular", spy)
         monkeypatch.setattr(lattice, "_gauss_jordan", counting)
+        monkeypatch.setattr(surface, "det", counting_det)
         for rho in self._systems():
             eye = IntMatrix.identity(rho.rank)
-            del inverted[:], eliminations[:]
+            del inverted[:], eliminations[:], determinants[:]
             built = LatticeLocalSystem(rho.rank, rho.genus, rho.mon)
-            assert inverted == [ba for ba in _handle_products(rho) if ba != eye]
-            assert len(eliminations) == len(inverted) <= rho.genus
+            assert inverted == eliminations == _handle_products(rho, False)
+            assert determinants == [ab for ab in _handle_products(rho, True) if ab != eye]
+            assert len(eliminations) + len(determinants) <= rho.genus
+            del inverted[:], eliminations[:], determinants[:]
             built.mon_inv
-            assert len(eliminations) == len(inverted)
+            assert inverted == eliminations == [ba for ba in _handle_products(rho, True) if ba != eye]
+            assert determinants == []
+            read = len(eliminations)
+            built.mon_inv  # held, not rebuilt
+            assert len(eliminations) == read
 
     def test_a_handle_with_ba_identity_is_not_inverted(self, monkeypatch):
         # b = a^-1: ab = ba = I, so the first handle's commutator, transports and
-        # inverses are read off its generators, with no product past ab and
-        # ba and no elimination; the second handle (s, s) inverts ss once
+        # inverses are read off its generators, with no determinant and no
+        # elimination; its (ba)^-1 is left unset. The second handle (s, s)
+        # commutes too, so construction takes one determinant, of ss, and forms
+        # no product; reading the inverses forms ba on each handle and inverts
+        # ss once
         t = IntMatrix.from_rows([[2, 1], [1, 1]])
         t_inv = IntMatrix.from_rows([[1, -1], [-1, 2]])
         s = IntMatrix.from_rows([[1, 1], [0, 1]])
         counts = TestIdentityTransports._spy(monkeypatch)
         rho = LatticeLocalSystem(2, 2, [t, t_inv, s, s])
-        assert counts == Counter(products=4, inversions=1)  # ab and ba on each handle
+        assert counts == Counter(determinants=1)
         eye = IntMatrix.identity(2)
         assert rho.handles[0] == (eye.entries, t.entries, t_inv.entries, eye.entries,
-                                  (eye - t_inv).entries, (t - eye).entries, eye)
+                                  (eye - t_inv).entries, (t - eye).entries, None)
         before = Counter(counts)
         assert rho.mon_inv[:2] == (t_inv, t)
-        assert counts - before == Counter(products=2)  # the second handle's two
+        # ba on each handle, then (ss)^-1 s and s (ss)^-1
+        assert counts - before == Counter(products=4, inversions=1)
         monkeypatch.undo()
         assert [h[:6] for h in rho.handles] == _records(reference_walk(rho)[0], 2)[0]
 
@@ -508,12 +529,96 @@ class TestHandleWalk:
             LatticeLocalSystem(2, 2, [bad, eye, eye, eye])
 
 
+class TestCommutingHandles:
+    # ab = ba is tested as EF = FE on E = a - I and F = b - I; a commuting
+    # handle is proved unimodular by det(ab) and inverts nothing
+
+    @pytest.mark.parametrize("case", COMMUTING_BAD_HANDLES)
+    def test_a_non_unimodular_generator_is_named(self, case):
+        # the rule of the inversion route: a's index if |det a| != 1, else b's
+        t = IntMatrix.from_rows([[1, 1], [0, 1]])
+        a, b, bad = COMMUTING_BAD_HANDLES[case]
+        a, b = IntMatrix.from_rows(a), IntMatrix.from_rows(b)
+        assert a @ b == b @ a
+        with pytest.raises(NonUnimodular) as err:
+            LatticeLocalSystem(2, 2, [t, t @ t, a, b])
+        assert str(err.value) == f"monodromy matrix {bad} is not unimodular"
+
+    def test_ef_and_fe_agree_exactly_when_ab_and_ba_do(self):
+        # b drawn at random (mostly not commuting with a), as a polynomial in
+        # a (commuting) or unimodular; ab and ba are a + F + EF and b + E + FE
+        rng = random.Random("ef-fe")
+        seen = Counter()
+        for k in range(300):
+            r = rng.randint(1, 4)
+            a = rand_matrix(rng, r, r, -2, 2) if k % 2 else rand_unimodular(rng, r)
+            eye = IntMatrix.identity(r)
+            if k % 3 == 0:
+                b = rand_matrix(rng, r, r, -2, 2)
+            elif k % 3 == 1:
+                c = [rng.randint(-2, 2) for _ in range(3)]
+                b = IntMatrix(r, r, [c[0] * x + c[1] * y + c[2] * z
+                                     for x, y, z in zip(eye.entries, a.entries, (a @ a).entries)])
+            else:
+                b = rand_unimodular(rng, r)
+            e, f = ([x - y for x, y in zip(m.entries, eye.entries)] for m in (a, b))
+            ef, fe = flat_mul(e, f, r), flat_mul(f, e, r)
+            assert [x + y + z for x, y, z in zip(a.entries, f, ef)] == list((a @ b).entries)
+            assert [x + y + z for x, y, z in zip(b.entries, e, fe)] == list((b @ a).entries)
+            assert (ef == fe) == (a @ b == b @ a)
+            seen[ef == fe] += 1
+        assert min(seen.values()) >= 100
+
+    def test_construction_matches_the_letter_walk_on_400_draws(self):
+        # frames, inverses, the triple, H^0's basis and H^1's generators of
+        # the built system against those of the complex the letter walk gives
+        rng = random.Random(11)
+        sources = ["trivial", "sign", "shear", "pair", "random"]
+        noncommuting = 0
+        for k in range(400):
+            genus, rank = rng.randint(1, 4), rng.randint(1, 4)
+            if sources[k % 5] == "random":
+                rho = random_local_system(rng, genus, rank)
+            else:
+                rho = family_system(rng, sources[k % 5], genus, rank)
+            frames, inv = reference_walk(rho)
+            records, blocks = _records(frames, rank)
+            assert [h[:6] for h in rho.handles] == records
+            assert rho.mon_inv == tuple(inv)
+            d0 = IntMatrix(2 * genus * rank, rank, [
+                x - (i % rank == j) for m in rho.mon for i, row in enumerate(m.row_lists())
+                for j, x in enumerate(row)
+            ])
+            d1 = hstack(blocks)
+            snf0, snf1 = smith_normal_form(d0), smith_normal_form(d1)
+            h1 = subquotient_with_generators(kernel_matrix(d1), d0)
+            pres = cohomology_presentations(rho)
+            assert pres.triple == (FgAbGroup(rank - snf0.rank()), h1.group, snf1.cokernel())
+            assert pres.h0_basis == IntMatrix.from_sparse(snf0.kernel_basis(), rank).row_lists()
+            assert pres.h1 == h1
+            noncommuting += any(h.ba_inv is not None for h in rho.handles)
+        assert noncommuting >= 5  # random_local_system's [p, q, q, p] handles
+
+    def test_commuting_handles_form_no_dense_product_and_no_elimination(self, monkeypatch):
+        # every prefix stays I, so no transport is a product, and each handle
+        # costs two products over stored entries and at most one determinant
+        rng = random.Random("commuting")
+        systems = [family_system(rng, f, g, r) for f in ("trivial", "sign", "shear", "pair")
+                   for g, r in ((8, 3), (13, 4), (2, 16))]
+        counts = TestIdentityTransports._spy(monkeypatch)
+        for rho in systems:
+            built = LatticeLocalSystem(rho.rank, rho.genus, rho.mon)
+            assert all(h.ba_inv is None for h in built.handles)
+        assert counts.keys() <= {"determinants"} and counts["determinants"] > 0
+
+
 class TestPresentations:
     @pytest.mark.parametrize("family", ["sign", "pair"])
     def test_only_the_monodromy_is_inverted(self, family, monkeypatch):
         # the quotient generators replay the row log of the Smith form that
-        # made them, inverted, onto the basis they are pushed through; only
-        # the handle products ba that differ from I are inverted
+        # made them, inverted, onto the basis they are pushed through; these
+        # families' handles commute, so nothing is inverted until the
+        # generators' inverses are read, which invert each ba that is not I
         mats = family_system(random.Random(f"inv-{family}"), family, 3, 3).mon
         inverted = []
 
@@ -525,7 +630,10 @@ class TestPresentations:
         monkeypatch.setattr(lattice, "inverse_unimodular", spy)
         rho = LatticeLocalSystem(3, 3, mats)
         cohomology_presentations(rho)
-        assert inverted == [ba for ba in _handle_products(rho) if ba != IntMatrix.identity(3)]
+        assert inverted == []
+        rho.mon_inv
+        assert inverted == [ba for ba in _handle_products(rho, True) if ba != IntMatrix.identity(3)]
+        assert inverted  # some ba of each draw is not I
 
     def test_three_smith_forms_and_none_of_the_kernel_basis(self, monkeypatch):
         # each representative is built by its first reader: h0_basis replays
@@ -621,7 +729,7 @@ class TestIdentityTransports:
     def _spy(monkeypatch) -> Counter:
         # a product is an IntMatrix @ or one of the Gram matrix's flat products
         counts = Counter()
-        matmul, gauss_jordan = IntMatrix.__matmul__, lattice._gauss_jordan
+        matmul, gauss_jordan, det = IntMatrix.__matmul__, lattice._gauss_jordan, surface.det
 
         def counting_matmul(self, other):
             counts["products"] += 1
@@ -631,6 +739,10 @@ class TestIdentityTransports:
             counts["inversions"] += 1
             return gauss_jordan(a)
 
+        def counting_det(a):
+            counts["determinants"] += 1
+            return det(a)
+
         def counting(product):
             def spy(*args):
                 counts["products"] += 1
@@ -639,8 +751,9 @@ class TestIdentityTransports:
 
         monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
         monkeypatch.setattr(lattice, "_gauss_jordan", counting_gauss_jordan)
+        monkeypatch.setattr(surface, "det", counting_det)
         monkeypatch.setattr(gerbe, "_tmul", counting(gerbe._tmul))
-        monkeypatch.setattr(gerbe, "_mul", counting(gerbe._mul))
+        monkeypatch.setattr(gerbe, "flat_mul", counting(gerbe.flat_mul))
         return counts
 
     @staticmethod
@@ -673,11 +786,12 @@ class TestIdentityTransports:
         assert counts["inversions"] == 0
 
     def test_a_sign_system_with_minus_identity_still_forms_products(self, monkeypatch):
-        # generators -I, I, diag(1, -1), -I: the identity costs nothing. The
-        # relator walk inverts each handle's ba (-I, then diag(-1, 1)) and
-        # forms ab and ba on the second handle only; both handles commute and
-        # every prefix is I, so no frame is a product. The inverses of
-        # diag(1, -1) and -I are one product each, (ba)^-1 b and a (ba)^-1.
+        # generators -I, I, diag(1, -1), -I: the identity costs nothing. Both
+        # handles commute, so the relator walk takes one determinant of each
+        # ab (-I, then diag(-1, 1)), inverts nothing and forms no product;
+        # every prefix is I, so no frame is a product. Reading the inverses
+        # forms ba on the second handle only (b = I on the first), inverts
+        # both, and forms (ba)^-1 b and a (ba)^-1 for diag(1, -1) and -I.
         # The Gram matrix's transports are X, Y, Z, Q = I, -I, I, I on the first
         # handle, which forms D_b^T B, -Y^T B and B Y (D_a = -S_a = 0), and
         # I, diag(1, -1), -I, I on the second, which forms D_a^T B, D_b^T B,
@@ -697,8 +811,8 @@ class TestIdentityTransports:
         steps = self._walks(rho, IntMatrix.from_rows([[2, 1], [1, 2]]), counts)
         assert walk > 0
         assert steps == [
-            Counter(products=2, inversions=2),
-            Counter(products=2),
+            Counter(determinants=2),
+            Counter(products=1 + 2, inversions=2),
             Counter(products=3 + 7),
             Counter(products=walk),
         ]
